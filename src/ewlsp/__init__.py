@@ -18,10 +18,10 @@ from .model import (
     Commodity,
     CyclicPolicy,
     Instance,
-    RandomizedPolicy,
     SosiPolicy,
     parse_instance,
     parse_policy,
+    policy_to_json,
     serialize_instance,
     serialize_policy,
     sosi_to_cyclic,
@@ -36,7 +36,6 @@ __all__ = [
     "InfeasibleMatching",
     "Instance",
     "NotAPowerOfTwo",
-    "RandomizedPolicy",
     "SchemaError",
     "SearchSpaceExceeded",
     "SosiPolicy",
@@ -48,6 +47,7 @@ __all__ = [
     "inventory_at",
     "parse_instance",
     "parse_policy",
+    "policy_to_json",
     "serialize_instance",
     "serialize_policy",
     "sosi_to_cyclic",

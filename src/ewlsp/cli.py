@@ -2,7 +2,8 @@
 couple inspection, brute-force oracles, and algorithm comparison tables.
 
 The compare subcommand exits nonzero if any produced policy is infeasible,
-so batch runs double as end-to-end feasibility assertions.
+so batch runs double as end-to-end feasibility assertions; eval exits
+nonzero on an infeasible policy, including one that leaves commodities out.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .model import (
     Instance,
     parse_instance,
     parse_policy,
+    policy_to_json,
     serialize_instance,
 )
 from .oracle import oracle_opt_cyclic
@@ -104,11 +106,7 @@ def _solve_one(
             instance, eps, grid_M=grid_base, grid_S=2 * grid_base,
             state_cap=state_cap if state_cap is not None else state_cap_from_env(),
         )
-        payload = {
-            "kind": "cyclic",
-            "tau": policy.tau,
-            "schedules": {str(c): [[t, q] for t, q in orders] for c, orders in sorted(policy.schedules.items())},
-        }
+        payload = {"kind": "cyclic", **policy_to_json(policy)}
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
     return report.total_cost_rate, report.v_max, lb, report.feasible, payload
@@ -233,18 +231,19 @@ def main(argv: list[str] | None = None) -> int:
         instance = _read_instance(args.instance)
         with open(args.policy, "rb") as fh:
             policy = parse_policy(fh.read())
-        report = evaluate(policy, instance)
-        _write(json.dumps(report.to_json(), sort_keys=True), args.out)
-        return 0
+        payload = evaluate(policy, instance).to_json()
+        # the library evaluates partial id sets by design; a whole policy must cover the instance
+        missing = [cid for cid in instance.ids() if cid not in policy.schedules]
+        if missing:
+            payload["feasible"] = False
+            payload["missing"] = missing
+        _write(json.dumps(payload, sort_keys=True), args.out)
+        return 0 if payload["feasible"] else 1
 
     if args.command == "oracle":
         instance = _read_instance(args.instance)
         policy, cost = oracle_opt_cyclic(instance, args.tau, args.grid, args.max_orders)
-        payload = {
-            "cost_rate": cost,
-            "tau": policy.tau,
-            "schedules": {str(c): [[t, q] for t, q in orders] for c, orders in sorted(policy.schedules.items())},
-        }
+        payload = {"cost_rate": cost, **policy_to_json(policy)}
         _write(json.dumps(payload, sort_keys=True), args.out)
         return 0
 
@@ -257,8 +256,7 @@ def main(argv: list[str] | None = None) -> int:
         denom = sum(inst.commodity(c).gamma * v for c, v in report.avg_inventory.items())
         payload = {
             "case": couple.case_id,
-            "tau": couple.policy.tau,
-            "schedules": {str(c): [[t, q] for t, q in orders] for c, orders in sorted(couple.policy.schedules.items())},
+            **policy_to_json(couple.policy),
             "measured_vmax": report.v_max,
             "claimed_vmax_ratio": float(couple.claimed_vmax_ratio),
             "exact_vmax_ratio": float(couple.exact_vmax_ratio),

@@ -94,9 +94,8 @@ def _commodity_stats(orders: tuple[tuple[float, float], ...], tau: float) -> tup
 def evaluate(policy: CyclicPolicy, instance: Instance) -> EvalReport:
     """Exact cost rates, average inventories, peak space, feasibility verdict."""
     tau = policy.tau
-    gammas = {c.id: c.gamma for c in instance.commodities}
     for cid in policy.schedules:
-        if cid not in gammas:
+        if cid not in instance:
             raise KeyError(f"policy references commodity {cid} missing from instance")
 
     ordering = 0.0
@@ -107,9 +106,9 @@ def evaluate(policy: CyclicPolicy, instance: Instance) -> EvalReport:
     events: dict[float, float] = {}
     w0 = 0.0
     gamma_total = 0.0
-    for c in instance.commodities:
-        if c.id not in policy.schedules:
-            continue
+    # instance order, so the float sums do not depend on the policy's key order
+    for k in sorted(instance.position(cid) for cid in policy.schedules):
+        c = instance.commodities[k]
         orders = policy.schedules[c.id]
         avg_i, c0 = _commodity_stats(orders, tau)
         avg_inventory[c.id] = avg_i

@@ -53,7 +53,6 @@ class MatchingInstance:
 @dataclass(frozen=True)
 class MimickingPartition:
     assignment: Mapping[int, Hashable]
-    sosi_policies: Mapping[int, float]
     total_weight: float
 
 
@@ -67,9 +66,7 @@ def class_interval_cap(ell: Hashable, eps: float, V: float, n: int) -> float:
     return 2.0 * V / (1.0 + eps) ** (level - 1)
 
 
-def edge_weight(
-    commodity: Commodity, ell: Hashable, eps: float, V: float, n: int, L: int | None = None
-) -> tuple[float, float]:
+def edge_weight(commodity: Commodity, ell: Hashable, eps: float, V: float, n: int) -> tuple[float, float]:
     """(capped interval, its stationary cost) for assigning commodity to ell."""
     cap = class_interval_cap(ell, eps, V, n) / commodity.gamma
     sol = constrained_interval(commodity.K, commodity.H, cap)
@@ -195,7 +192,7 @@ def solve_b_matching(mi: MatchingInstance) -> MimickingPartition:
             total += mi.weights[(cid, ell)]
     if len(assignment) != len(commodities):
         raise InfeasibleMatching("flow did not assign every commodity")
-    return MimickingPartition(assignment=assignment, sosi_policies={}, total_weight=total)
+    return MimickingPartition(assignment=assignment, total_weight=total)
 
 
 def brute_force_b_matching(mi: MatchingInstance) -> float:

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import IncommensurateIntervals, SchemaError
 
@@ -67,14 +67,17 @@ class Instance:
 
     commodities: tuple[Commodity, ...]
     capacity_V: float
+    # id -> index into `commodities`: O(1) lookup that also recovers instance order
+    _position: dict[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.commodities:
             raise ValueError("instance needs at least one commodity")
         object.__setattr__(self, "commodities", tuple(self.commodities))
-        ids = [c.id for c in self.commodities]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate commodity ids: {sorted(ids)}")
+        position = {c.id: k for k, c in enumerate(self.commodities)}
+        if len(position) != len(self.commodities):
+            raise ValueError(f"duplicate commodity ids: {sorted(c.id for c in self.commodities)}")
+        object.__setattr__(self, "_position", position)
         v = self.capacity_V
         if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
             raise ValueError(f"capacity must be finite and > 0, got {v!r}")
@@ -87,11 +90,18 @@ class Instance:
     def V(self) -> float:
         return self.capacity_V
 
+    def __contains__(self, cid: int) -> bool:
+        return cid in self._position
+
+    def position(self, cid: int) -> int:
+        """Index of commodity `cid` in `commodities`."""
+        try:
+            return self._position[cid]
+        except KeyError:
+            raise KeyError(f"no commodity with id {cid}") from None
+
     def commodity(self, cid: int) -> Commodity:
-        for c in self.commodities:
-            if c.id == cid:
-                return c
-        raise KeyError(f"no commodity with id {cid}")
+        return self.commodities[self.position(cid)]
 
     def ids(self) -> list[int]:
         return [c.id for c in self.commodities]
@@ -132,8 +142,7 @@ class SosiPolicy:
         return self.phases.get(cid, 0.0)
 
     def validate_against(self, instance: Instance) -> None:
-        known = set(instance.ids())
-        missing = set(self.intervals_T) - known
+        missing = [cid for cid in self.intervals_T if cid not in instance]
         if missing:
             raise ValueError(f"SOSI policy references unknown commodities {sorted(missing)}")
 
@@ -159,9 +168,12 @@ class CyclicPolicy:
                 raise ValueError(f"commodity {cid}: order times must lie in [0, tau)")
             if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
                 raise ValueError(f"commodity {cid}: order times must be strictly increasing")
-            if any(q <= 0 for _, q in orders):
+            if any(not (q > 0) for _, q in orders):
                 raise ValueError(f"commodity {cid}: order quantities must be > 0")
-            total = math.fsum(q for _, q in orders)
+            try:
+                total = math.fsum(q for _, q in orders)
+            except OverflowError:
+                total = math.inf
             if abs(total - tau) > CONSERVATION_RTOL * max(abs(tau), 1.0):
                 raise ValueError(
                     f"commodity {cid}: quantities sum to {total!r}, expected cycle length {tau!r}"
@@ -193,17 +205,6 @@ class CyclicPolicy:
         return CyclicPolicy(self.tau, keep)
 
 
-@dataclass(frozen=True)
-class RandomizedPolicy:
-    """A deterministic seed->policy sampler plus provenance metadata."""
-
-    sampler: Callable[[int], CyclicPolicy]
-    description: str = ""
-
-    def sample(self, seed: int) -> CyclicPolicy:
-        return self.sampler(seed)
-
-
 def _as_fraction(x: float, max_denominator: int = 10**12) -> Fraction | None:
     """Rational snap of a float; None when no denominator <= bound reproduces it."""
     if isinstance(x, Fraction):
@@ -223,73 +224,41 @@ def _joint_cycle(fracs: dict[int, Fraction]) -> tuple[Fraction, int]:
     return tau, sum(int(tau / f) for f in fracs.values())
 
 
-def sosi_to_cyclic(
-    policy: SosiPolicy,
-    instance: Instance,
-    horizon: float | None = None,
-    max_orders: int = 2_000_000,
-) -> CyclicPolicy:
-    """Expand a SOSI policy into its joint cyclic schedule.
+def sosi_to_cyclic(policy: SosiPolicy, instance: Instance, max_orders: int = 2_000_000) -> CyclicPolicy:
+    """Expand a SOSI policy into its exact joint cyclic schedule.
 
-    Exact mode (default): the cycle is the least common integer multiple of
-    all intervals, found through rational snapping; raises
-    IncommensurateIntervals when none exists below `max_orders` total orders.
-    Approximate mode: `horizon` is used as the cycle, and each commodity's
-    last quantity is clipped so the schedule stays conservation-consistent.
+    The cycle is the least common integer multiple of all intervals, found
+    through rational snapping; raises IncommensurateIntervals when none
+    exists below `max_orders` total orders.
     """
     policy.validate_against(instance)
     items = sorted(policy.intervals_T.items())
-    if horizon is None:
-        # Two rationalizations are tried whole-policy: denominator-limited
-        # snapping (canonicalizes decimal-entered values like 1/3) and the
-        # exact binary expansion (keeps shared-mantissa families, e.g.
-        # power-of-two grids, commensurable). Either must fit the order cap.
-        candidates: list[dict[int, Fraction]] = []
-        snapped = {cid: _as_fraction(T) for cid, T in items}
-        if all(f is not None and f > 0 for f in snapped.values()):
-            candidates.append(snapped)
-        candidates.append({cid: Fraction(float(T)) for cid, T in items})
-        fracs = None
-        tau = Fraction(0)
-        total_orders = 0
-        for cand in candidates:
-            tau, total_orders = _joint_cycle(cand)
-            if total_orders <= max_orders:
-                fracs = cand
-                break
-        if fracs is None:
-            raise IncommensurateIntervals(
-                f"joint cycle needs {total_orders} orders (> {max_orders})"
-            )
-        schedules = {}
-        for cid, f in fracs.items():
-            m = int(tau / f)
-            phi = _as_fraction(policy.phase(cid)) or Fraction(policy.phase(cid))
-            times = sorted((phi + k * f) % tau for k in range(m))
-            schedules[cid] = tuple((float(t), float(f)) for t in times)
-        return CyclicPolicy(float(tau), schedules)
-
-    if horizon <= 0:
-        raise ValueError("horizon must be > 0")
+    # Two rationalizations are tried whole-policy: denominator-limited
+    # snapping (canonicalizes decimal-entered values like 1/3) and the
+    # exact binary expansion (keeps shared-mantissa families, e.g.
+    # power-of-two grids, commensurable). Either must fit the order cap.
+    candidates: list[dict[int, Fraction]] = []
+    snapped = {cid: _as_fraction(T) for cid, T in items}
+    if all(f is not None and f > 0 for f in snapped.values()):
+        candidates.append(snapped)
+    candidates.append({cid: Fraction(float(T)) for cid, T in items})
+    fracs = None
+    tau = Fraction(0)
+    total_orders = 0
+    for cand in candidates:
+        tau, total_orders = _joint_cycle(cand)
+        if total_orders <= max_orders:
+            fracs = cand
+            break
+    if fracs is None:
+        raise IncommensurateIntervals(f"joint cycle needs {total_orders} orders (> {max_orders})")
     schedules = {}
-    for cid, T in items:
-        phi = policy.phase(cid)
-        times = []
-        t = phi
-        while t < horizon - 1e-15 * horizon:
-            times.append(t)
-            t += T
-        if not times:
-            times = [phi % horizon]
-        orders = [(t, T) for t in times]
-        covered = math.fsum(q for _, q in orders)
-        orders[-1] = (orders[-1][0], orders[-1][1] + (horizon - covered))
-        if orders[-1][1] <= 0:
-            orders.pop()
-            covered = math.fsum(q for _, q in orders)
-            orders[-1] = (orders[-1][0], orders[-1][1] + (horizon - covered))
-        schedules[cid] = tuple(orders)
-    return CyclicPolicy(float(horizon), schedules)
+    for cid, f in fracs.items():
+        m = int(tau / f)
+        phi = _as_fraction(policy.phase(cid)) or Fraction(policy.phase(cid))
+        times = sorted((phi + k * f) % tau for k in range(m))
+        schedules[cid] = tuple((float(t), float(f)) for t in times)
+    return CyclicPolicy(float(tau), schedules)
 
 
 def _lcm_fraction(a: Fraction, b: Fraction) -> Fraction:
@@ -303,44 +272,67 @@ def _lcm_fraction(a: Fraction, b: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def parse_instance(text: bytes | str) -> Instance:
-    """Parse the canonical instance JSON; SchemaError carries the field path."""
+def _load_object(text: bytes | str) -> dict:
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"$: not UTF-8 ({exc})") from exc
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"$: invalid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise SchemaError("$: expected an object")
+    return raw
+
+
+def _number(value, path: str) -> float:
+    """A JSON number (booleans excluded) as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SchemaError(f"{path}: expected a number")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise SchemaError(f"{path}: number out of range") from exc
+
+
+def _checked(path: str, build, *args):
+    """`build(*args)`, with its domain ValueError re-raised as a SchemaError at `path`."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
+def parse_instance(text: bytes | str) -> Instance:
+    """Parse the canonical instance JSON; SchemaError carries the field path."""
+    raw = _load_object(text)
     if "capacity" not in raw:
         raise SchemaError("$.capacity: missing")
-    if not isinstance(raw["capacity"], (int, float)) or isinstance(raw["capacity"], bool):
-        raise SchemaError("$.capacity: expected a number")
-    if "commodities" not in raw or not isinstance(raw["commodities"], list):
-        raise SchemaError("$.commodities: expected an array")
+    capacity = _number(raw["capacity"], "$.capacity")
+    entries = raw.get("commodities")
+    if not isinstance(entries, list) or not entries:
+        raise SchemaError("$.commodities: expected a nonempty array")
     commodities = []
-    for k, entry in enumerate(raw["commodities"]):
+    seen: set[int] = set()
+    for k, entry in enumerate(entries):
         path = f"$.commodities[{k}]"
         if not isinstance(entry, dict):
             raise SchemaError(f"{path}: expected an object")
         for key in ("id", "K", "H", "gamma"):
             if key not in entry:
                 raise SchemaError(f"{path}.{key}: missing")
-        if not isinstance(entry["id"], int) or isinstance(entry["id"], bool):
+        cid = entry["id"]
+        if not isinstance(cid, int) or isinstance(cid, bool):
             raise SchemaError(f"{path}.id: expected an integer")
-        for key in ("K", "H", "gamma"):
-            if not isinstance(entry[key], (int, float)) or isinstance(entry[key], bool):
-                raise SchemaError(f"{path}.{key}: expected a number")
-        commodities.append(
-            Commodity(
-                id=entry["id"],
-                ordering_cost_K=float(entry["K"]),
-                holding_rate_H=float(entry["H"]),
-                space_per_unit_gamma=float(entry["gamma"]),
-            )
-        )
-    return Instance(commodities=tuple(commodities), capacity_V=float(raw["capacity"]))
+        if cid in seen:
+            raise SchemaError(f"{path}.id: duplicate commodity id {cid}")
+        seen.add(cid)
+        K, H, gamma = (_number(entry[key], f"{path}.{key}") for key in ("K", "H", "gamma"))
+        commodities.append(_checked(path, Commodity, cid, K, H, gamma))
+    # the list is nonempty and the ids distinct, so only the capacity can fail
+    return _checked("$.capacity", Instance, tuple(commodities), capacity)
 
 
 def serialize_instance(instance: Instance) -> bytes:
@@ -355,41 +347,54 @@ def serialize_instance(instance: Instance) -> bytes:
 
 
 def parse_policy(text: bytes | str) -> CyclicPolicy:
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"$: invalid JSON ({exc})") from exc
-    if not isinstance(raw, dict):
-        raise SchemaError("$: expected an object")
-    if "tau" not in raw or not isinstance(raw["tau"], (int, float)):
-        raise SchemaError("$.tau: expected a number")
-    if "schedules" not in raw or not isinstance(raw["schedules"], dict):
+    """Parse the canonical cyclic-policy JSON; SchemaError carries the field path."""
+    raw = _load_object(text)
+    tau = _number(raw.get("tau"), "$.tau")
+    if not isinstance(raw.get("schedules"), dict):
         raise SchemaError("$.schedules: expected an object")
     schedules = {}
     for key, orders in raw["schedules"].items():
         path = f"$.schedules.{key}"
         try:
             cid = int(key)
-        except ValueError as exc:
-            raise SchemaError(f"{path}: key must be an integer id") from exc
+        except ValueError:
+            cid = None
+        if cid is None or str(cid) != key:
+            raise SchemaError(f"{path}: key must be an integer id")
         if not isinstance(orders, list):
             raise SchemaError(f"{path}: expected an array of [t, q] pairs")
         parsed = []
         for k, pair in enumerate(orders):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise SchemaError(f"{path}[{k}]: expected a [t, q] pair")
-            parsed.append((float(pair[0]), float(pair[1])))
+            parsed.append((_number(pair[0], f"{path}[{k}][0]"), _number(pair[1], f"{path}[{k}][1]")))
         schedules[cid] = tuple(parsed)
-    return CyclicPolicy(cycle_length_tau=float(raw["tau"]), schedules=schedules)
+    try:
+        return CyclicPolicy(cycle_length_tau=tau, schedules=schedules)
+    except ValueError as exc:
+        raise SchemaError(f"{_rejected_part(tau, schedules)}: {exc}") from exc
 
 
-def serialize_policy(policy: CyclicPolicy) -> bytes:
-    payload = {
+def _rejected_part(tau: float, schedules: dict[int, tuple]) -> str:
+    """Path of the first policy part that CyclicPolicy rejects on its own."""
+    parts = [("$.tau", {})] + [(f"$.schedules.{cid}", {cid: orders}) for cid, orders in schedules.items()]
+    for path, part in parts:
+        try:
+            CyclicPolicy(tau, part)
+        except ValueError:
+            return path
+    return "$"
+
+
+def policy_to_json(policy: CyclicPolicy) -> dict:
+    """The canonical `{"tau", "schedules"}` object, schedules in ascending id order."""
+    return {
         "tau": policy.tau,
         "schedules": {
             str(cid): [[t, q] for t, q in orders] for cid, orders in sorted(policy.schedules.items())
         },
     }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def serialize_policy(policy: CyclicPolicy) -> bytes:
+    return json.dumps(policy_to_json(policy), sort_keys=True).encode("utf-8")

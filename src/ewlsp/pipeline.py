@@ -7,8 +7,11 @@ solution with intervals snapped onto a shared power-of-two grid. Every
 quantity the original scheme obtains by enumeration (class memberships, class
 sizes, per-class average space) is read off that reference instead, keeping
 all the lemma-level inequalities checkable while making the pipeline runnable
-at desk scale. An exhaustive mode that enumerates class-type labelings is
-kept for instances with very few nonempty classes.
+at desk scale. The reference is stationary with zero phases, so it is read in
+closed form: average inventory T/2 and cost K/T + H*T per commodity, with no
+joint-cycle expansion. A caller-supplied cyclic reference is evaluated exactly
+instead. An exhaustive mode that enumerates class-type labelings is kept for
+instances with very few nonempty classes.
 
 The output is a union of cyclic blocks over disjoint commodity subsets.
 Blocks produced by different random draws are mutually incommensurable in
@@ -32,16 +35,16 @@ from .evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
 from .matching import (
     INF_CLASS,
     MatchingInstance,
-    MimickingPartition,
     edge_weight,
     solve_b_matching,
 )
-from .model import CyclicPolicy, Instance, SosiPolicy, sosi_to_cyclic
+from .model import CyclicPolicy, Instance, SosiPolicy, policy_to_json
 from .po2 import PO2_MEAN_CONSTANT, po2_round
 from .relaxation import solve_sosi_relaxation
 from .two_approx import solve_two_approx
 
 ALPHA_FALLBACK = 0.875 * PO2_MEAN_CONSTANT  # (7/8) / (sqrt(2) ln 2)
+PTAS_BUDGET = 3  # most prefix commodities handed to the alignment DP
 
 
 def paper_sparsity_threshold(eps: float) -> int:
@@ -58,13 +61,7 @@ class PipelineConfig:
     delta: float = 17.0 / 10000.0
     sparsity_threshold: int | None = None  # None -> 100 ln(1/eps)/eps^4
     Q: int | None = None  # None -> 20 ln(1/eps)/eps^2
-    alpha_fallback: float = ALPHA_FALLBACK
-    rng_seed: int = 0
     guess_mode: str = "reference"  # "reference" | "exhaustive"
-    ptas_budget: int = 3
-    vbar_slack: float = 0.0
-    dense_degree_lower: int | None = None  # None -> sparsity threshold
-    max_ref_orders: int = 500_000
 
     def __post_init__(self):
         if not (0 < self.eps < 0.1):
@@ -83,10 +80,6 @@ class PipelineConfig:
     @property
     def effective_Q(self) -> int:
         return self.Q if self.Q is not None else paper_heavy_subgroups(self.eps)
-
-    @property
-    def effective_dense_lower(self) -> int:
-        return self.dense_degree_lower if self.dense_degree_lower is not None else self.effective_threshold
 
 
 # ---------------------------------------------------------------------------
@@ -165,16 +158,7 @@ class AssembledPolicy:
                         }
                     )
             else:
-                out.append(
-                    {
-                        "tau": b.cyclic.tau,
-                        "schedules": {
-                            str(c): [[t, q] for t, q in orders]
-                            for c, orders in sorted(b.cyclic.schedules.items())
-                        },
-                        "provenance": b.provenance,
-                    }
-                )
+                out.append({**policy_to_json(b.cyclic), "provenance": b.provenance})
         return {"blocks": out}
 
 
@@ -191,14 +175,13 @@ def sub_instance(instance: Instance, ids: Sequence[int]) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-def build_reference_policy(
-    instance: Instance, eps: float, max_orders: int = 500_000
-) -> CyclicPolicy:
-    """Capacity-feasible cyclic stand-in for the near-optimal benchmark.
+def build_reference_policy(instance: Instance) -> SosiPolicy:
+    """Capacity-feasible stationary stand-in for the near-optimal benchmark.
 
     The scale-down solution's intervals are snapped down onto base * 2^k
     (base = the smallest interval), which preserves feasibility, costs at
-    most another factor 2, and guarantees an exact joint cycle.
+    most another factor 2, and guarantees an exact joint cycle. All phases
+    are zero, so evaluate_sosi reports it exactly.
     """
     policy, _, _ = solve_two_approx(instance)
     base = min(policy.intervals_T.values())
@@ -206,12 +189,11 @@ def build_reference_policy(
         cid: base * 2.0 ** math.floor(math.log2(T / base) + 1e-12)
         for cid, T in policy.intervals_T.items()
     }
-    return sosi_to_cyclic(SosiPolicy(intervals_T=snapped), instance, max_orders=max_orders)
+    return SosiPolicy(intervals_T=snapped)
 
 
 @dataclass(frozen=True)
 class ClassDecomposition:
-    L: int
     classes: Mapping[Hashable, tuple[int, ...]]  # only nonempty classes
     avg_space: Mapping[int, float]  # gamma_i * avg inventory under the reference
     avg_space_per_class: Mapping[Hashable, float]
@@ -232,12 +214,12 @@ def _class_sort_key(ell: Hashable) -> float:
 
 
 def decompose_classes(
-    ref: CyclicPolicy,
+    ref_report: EvalReport,
     instance: Instance,
     cfg: PipelineConfig,
     forced_labels: Mapping[Hashable, str] | None = None,
 ) -> ClassDecomposition:
-    """Slab assignment from the evaluator's exact average inventories.
+    """Slab assignment from the reference report's exact average inventories.
 
     Class ell collects commodities whose average occupied space lies in
     (V/(1+eps)^ell, V/(1+eps)^(ell-1)]; everything below the resolution
@@ -250,12 +232,11 @@ def decompose_classes(
     V = instance.V
     n = instance.n
     L = math.ceil(math.log(n / eps) / math.log1p(eps))
-    rep = evaluate(ref, instance)
 
     avg_space: dict[int, float] = {}
     classes: dict[Hashable, list[int]] = {}
     for c in instance.commodities:
-        s = c.gamma * rep.avg_inventory[c.id]
+        s = c.gamma * ref_report.avg_inventory[c.id]
         avg_space[c.id] = s
         if s <= V / (1.0 + eps) ** L:
             ell: Hashable = INF_CLASS
@@ -274,13 +255,7 @@ def decompose_classes(
             math.log(125.0 * math.log(1.0 / eps) / eps**6) / math.log1p(eps)
         )
         labels: dict[Hashable, str] = {ell: "dense" for ell in dense}
-        nonempty_seen = 0
-        cut = len(sparse)
-        for k, ell in enumerate(sparse):
-            nonempty_seen += 1
-            if nonempty_seen == delta_count:
-                cut = k + 1
-                break
+        cut = min(delta_count, len(sparse))
         for k, ell in enumerate(sparse):
             labels[ell] = "prefix-sparse" if k < cut else "suffix-sparse"
     else:
@@ -289,7 +264,6 @@ def decompose_classes(
     vbar_sparse = math.fsum(per_class[ell] for ell in classes if labels[ell] != "dense")
     vbar_dense = math.fsum(per_class[ell] for ell in classes if labels[ell] == "dense")
     return ClassDecomposition(
-        L=L,
         classes={ell: tuple(ids) for ell, ids in classes.items()},
         avg_space=avg_space,
         avg_space_per_class=per_class,
@@ -351,7 +325,7 @@ def _prefix_blocks(instance: Instance, cfg: PipelineConfig, prefix_ids: list[int
     if not prefix_ids:
         return []
     sub = sub_instance(instance, prefix_ids)
-    if len(prefix_ids) <= cfg.ptas_budget:
+    if len(prefix_ids) <= PTAS_BUDGET:
         try:
             policy, _ = ptas.ptas_solve(sub, min(0.5, 10 * cfg.eps))
             diag["prefix_method"] = "ptas"
@@ -364,7 +338,7 @@ def _prefix_blocks(instance: Instance, cfg: PipelineConfig, prefix_ids: list[int
 
 
 def run_easy_scenario(
-    instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition, ref: CyclicPolicy
+    instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition
 ) -> tuple[AssembledPolicy, dict]:
     """High sparse volume: prefix commodities solved near-optimally, the rest
     through the average-space relaxation, then one uniform scale-down."""
@@ -374,9 +348,10 @@ def run_easy_scenario(
     rest_ids = decomp.ids_with_label("suffix-sparse") + decomp.ids_with_label("dense")
     blocks = _prefix_blocks(instance, cfg, prefix_ids, diag)
     if rest_ids:
-        v_tilde = decomp.vbar_dense + cfg.vbar_slack * V
         blocks.append(
-            _relaxation_block(instance, rest_ids, rhs=2.0 * (v_tilde + eps * V), provenance="suffix+dense:relaxation")
+            _relaxation_block(
+                instance, rest_ids, rhs=2.0 * (decomp.vbar_dense + eps * V), provenance="suffix+dense:relaxation"
+            )
         )
     assembled = AssembledPolicy(tuple(blocks))
     diag["paper_scale"] = 2.0 - 2.0 * cfg.delta + 5.0 * eps
@@ -412,7 +387,7 @@ def build_matching_instance(
     for i in ids:
         c = instance.commodity(i)
         for ell in class_side:
-            T, w = edge_weight(c, ell, eps, V, n, decomp.L)
+            T, w = edge_weight(c, ell, eps, V, n)
             weights[(i, ell)] = w
             intervals[(i, ell)] = T
 
@@ -423,15 +398,13 @@ def build_matching_instance(
         if decomp.labels[ell] == "suffix-sparse":
             bounds[ell] = (size, size)
         elif ell == INF_CLASS:
-            bounds[ell] = (min(cfg.effective_dense_lower, size), len(ids))
+            bounds[ell] = (min(cfg.effective_threshold, size), len(ids))
         else:
             vbar = decomp.avg_space_per_class[ell]
             if cfg.guess_mode == "exhaustive":
                 vbar = math.ceil(vbar / granule) * granule  # grid over-estimate
-            else:
-                vbar += cfg.vbar_slack * V
             n_tilde = math.floor((1.0 + eps) ** float(ell) * vbar / V + 1e-9)
-            bounds[ell] = (min(cfg.effective_dense_lower, size), max(n_tilde, size))
+            bounds[ell] = (min(cfg.effective_threshold, size), max(n_tilde, size))
     mi = MatchingInstance(
         commodity_side=tuple(ids),
         class_side=tuple(class_side),
@@ -452,7 +425,6 @@ def run_dense_branch(
     instance: Instance,
     cfg: PipelineConfig,
     decomp: ClassDecomposition,
-    ref: CyclicPolicy,
     seed: int,
 ) -> tuple[list[Block], dict]:
     """Suffix-sparse and dense classes: mimicking partition, then per dense
@@ -466,13 +438,10 @@ def run_dense_branch(
         return [], diag
     matched = solve_b_matching(mi)
     t_hat = {i: interval_table[(i, matched.assignment[i])] for i in mi.commodity_side}
-    partition = MimickingPartition(
-        assignment=matched.assignment, sosi_policies=t_hat, total_weight=matched.total_weight
-    )
-    diag["matched_weight"] = partition.total_weight
+    diag["matched_weight"] = matched.total_weight
 
     members: dict[Hashable, list[int]] = {}
-    for i, ell in partition.assignment.items():
+    for i, ell in matched.assignment.items():
         members.setdefault(ell, []).append(i)
 
     blocks: list[Block] = []
@@ -552,7 +521,7 @@ def run_dense_branch(
             blocks.append(
                 Block(
                     ids=tuple(ids),
-                    sosi=SosiPolicy({i: cfg.alpha_fallback * t_hat[i] for i in ids}),
+                    sosi=SosiPolicy({i: ALPHA_FALLBACK * t_hat[i] for i in ids}),
                     provenance=f"class{ell}:alpha-fallback",
                 )
             )
@@ -561,7 +530,7 @@ def run_dense_branch(
 
 
 def run_difficult_scenario(
-    instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition, ref: CyclicPolicy, seed: int
+    instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition, seed: int
 ) -> tuple[AssembledPolicy, dict]:
     eps, V = cfg.eps, instance.V
     diag: dict = {"scenario": "difficult"}
@@ -572,7 +541,7 @@ def run_difficult_scenario(
         blocks.append(
             _relaxation_block(instance, prefix_ids, rhs=2.0 * (vbar_prefix + eps * V), provenance="prefix:relaxation")
         )
-    dense_blocks, dense_diag = run_dense_branch(instance, cfg, decomp, ref, seed)
+    dense_blocks, dense_diag = run_dense_branch(instance, cfg, decomp, seed)
     blocks.extend(dense_blocks)
     diag["dense"] = dense_diag
     diag["paper_scale"] = (1.0 + 8.0 * eps) * (
@@ -601,7 +570,7 @@ def _scale_to_capacity(
 def solve_sub2(
     instance: Instance,
     cfg: PipelineConfig | None = None,
-    seed: int | None = None,
+    seed: int = 0,
     reference: CyclicPolicy | None = None,
 ) -> tuple[AssembledPolicy, EvalReport, dict]:
     """Full randomized pipeline; the returned report is a hard feasibility
@@ -613,17 +582,16 @@ def solve_sub2(
     tighter peak-to-average gap exercises the remaining branches.
     """
     cfg = cfg or PipelineConfig()
-    seed = cfg.rng_seed if seed is None else seed
-    ref = reference if reference is not None else build_reference_policy(
-        instance, cfg.eps, max_orders=cfg.max_ref_orders
-    )
-    ref_report = evaluate(ref, instance)
+    if reference is None:
+        ref_report = evaluate_sosi(build_reference_policy(instance), instance)
+    else:
+        ref_report = evaluate(reference, instance)
 
     if cfg.guess_mode == "exhaustive":
-        assembled, diag = _solve_exhaustive(instance, cfg, ref, seed)
+        assembled, diag = _solve_exhaustive(instance, cfg, ref_report, seed)
     else:
-        decomp = decompose_classes(ref, instance, cfg)
-        assembled, diag = _dispatch(instance, cfg, decomp, ref, seed)
+        decomp = decompose_classes(ref_report, instance, cfg)
+        assembled, diag = _dispatch(instance, cfg, decomp, seed)
         diag["vbar_sparse"] = decomp.vbar_sparse
         diag["vbar_dense"] = decomp.vbar_dense
 
@@ -640,24 +608,24 @@ def solve_sub2(
 
 
 def _dispatch(
-    instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition, ref: CyclicPolicy, seed: int
+    instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition, seed: int
 ) -> tuple[AssembledPolicy, dict]:
     V = instance.V
     if decomp.vbar_sparse >= (0.5 + cfg.delta) * V:
-        return run_easy_scenario(instance, cfg, decomp, ref)
+        return run_easy_scenario(instance, cfg, decomp)
     if decomp.vbar_dense < (0.5 - 2.0 * cfg.delta) * V:
         return run_low_dense_scenario(instance, cfg, decomp)
-    return run_difficult_scenario(instance, cfg, decomp, ref, seed)
+    return run_difficult_scenario(instance, cfg, decomp, seed)
 
 
 def _solve_exhaustive(
-    instance: Instance, cfg: PipelineConfig, ref: CyclicPolicy, seed: int
+    instance: Instance, cfg: PipelineConfig, ref_report: EvalReport, seed: int
 ) -> tuple[AssembledPolicy, dict]:
     """Enumerate class-type labelings for instances with few nonempty classes,
     keeping the cheapest feasible outcome; demonstrates the guessing layer."""
     import itertools
 
-    base = decompose_classes(ref, instance, cfg)
+    base = decompose_classes(ref_report, instance, cfg)
     nonempty = sorted(base.classes, key=_class_sort_key)
     if len(nonempty) > 3:
         raise BudgetExceeded(3 ** len(nonempty), 27)
@@ -672,8 +640,8 @@ def _solve_exhaustive(
             continue
         labels = dict(zip(nonempty, combo))
         try:
-            decomp = decompose_classes(ref, instance, cfg, forced_labels=labels)
-            candidate, diag = _dispatch(instance, cfg, decomp, ref, seed)
+            decomp = decompose_classes(ref_report, instance, cfg, forced_labels=labels)
+            candidate, diag = _dispatch(instance, cfg, decomp, seed)
             rep = candidate.report(instance)
             if not rep.feasible:
                 continue

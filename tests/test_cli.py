@@ -70,6 +70,17 @@ class TestSolveEval:
         assert report["total_cost_rate"] == pytest.approx(2.0)
         assert report["feasible"] is True
 
+    def test_eval_reports_partial_policy_infeasible(self, tmp_path):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "3", "--n", "6", "--out", str(inst_path)])
+        pol_path = tmp_path / "pol.json"
+        pol_path.write_text('{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}}')
+        out = tmp_path / "report.json"
+        assert main(["eval", "--instance", str(inst_path), "--policy", str(pol_path), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["feasible"] is False
+        assert report["missing"] == [1, 2, 3, 4, 5]
+
     def test_ptas_solver(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         inst_path.write_text('{"capacity": 0.5, "commodities": [{"id": 0, "K": 1, "H": 1, "gamma": 1}]}')

@@ -127,3 +127,16 @@ def test_evaluate_sosi_matches_cyclic_phase_zero(rng):
     expanded = evaluate(sosi_to_cyclic(SosiPolicy(T), inst), inst)
     assert direct.total_cost_rate == pytest.approx(expanded.total_cost_rate, rel=1e-12)
     assert direct.v_max == pytest.approx(expanded.v_max, rel=1e-12)
+
+
+def test_report_independent_of_schedule_key_order(rng):
+    inst = random_instance(rng, 6, regime="loose")
+    tau = 2.0
+    schedules = {}
+    for c in inst.commodities:
+        times = np.sort(rng.uniform(0, tau, size=3))
+        gaps = np.diff(np.concatenate([times, [times[0] + tau]]))
+        schedules[c.id] = tuple((float(t), float(q)) for t, q in zip(times, gaps))
+    forward = CyclicPolicy(tau, schedules)
+    backward = CyclicPolicy(tau, dict(reversed(list(schedules.items()))))
+    assert evaluate(backward, inst) == evaluate(forward, inst)

@@ -1,6 +1,5 @@
+import json
 import math
-
-import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -95,12 +94,6 @@ class TestSosiToCyclic:
         with pytest.raises(IncommensurateIntervals):
             sosi_to_cyclic(SosiPolicy({0: 1.0, 1: math.sqrt(2) / 3.0}), inst)
 
-    def test_horizon_mode(self):
-        inst = make_instance([(1, 1, 1)], 10.0)
-        p = sosi_to_cyclic(SosiPolicy({0: 0.7}), inst, horizon=1.0)
-        assert p.tau == 1.0
-        assert math.fsum(q for _, q in p.schedules[0]) == pytest.approx(1.0)
-
     @given(
         nums=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 6)), min_size=1, max_size=4),
         data=st.data(),
@@ -153,6 +146,80 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=r"\$\.schedules\.0\[0\]"):
             parse_policy(b'{"tau": 1.0, "schedules": {"0": [[0.0]]}}')
 
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ('{"tau": true, "schedules": {}}', r"\$\.tau"),
+            ('{"tau": -1.0, "schedules": {}}', r"\$\.tau"),
+            ('{"tau": 1.0, "schedules": {"0": [[null, 1.0]]}}', r"\$\.schedules\.0\[0\]\[0\]"),
+            ('{"tau": 1.0, "schedules": {"0": [["0.0", 1.0]]}}', r"\$\.schedules\.0\[0\]\[0\]"),
+            ('{"tau": 1.0, "schedules": {"0": [[0.0, false]]}}', r"\$\.schedules\.0\[0\]\[1\]"),
+            ('{"tau": 1.0, "schedules": {"0": [[0.0, 1e400]]}}', r"\$\.schedules\.0"),
+            ('{"tau": 1.0, "schedules": {"01": [[0.0, 1.0]]}}', r"\$\.schedules\.01"),
+            ('{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]], "1": [[1.5, 1.0]]}}', r"\$\.schedules\.1"),
+            ('{"tau": 1.0, "schedules": {"0": [[0.0, NaN]]}}', r"\$\.schedules\.0"),
+            ('{"tau": 1.0, "schedules": {"0": [[0.0, 1e308], [0.5, 1e308]]}}', r"\$\.schedules\.0"),
+        ],
+    )
+    def test_policy_field_errors(self, doc, path):
+        with pytest.raises(SchemaError, match=path):
+            parse_policy(doc)
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ('{"capacity": -1, "commodities": [{"id": 0, "K": 1, "H": 1, "gamma": 1}]}', r"\$\.capacity"),
+            ('{"capacity": 1, "commodities": []}', r"\$\.commodities"),
+            ('{"capacity": 1, "commodities": [{"id": 0, "K": null, "H": 1, "gamma": 1}]}', r"\$\.commodities\[0\]\.K"),
+            ('{"capacity": 1, "commodities": [{"id": 0, "K": 1, "H": 1, "gamma": 0}]}', r"\$\.commodities\[0\]"),
+            (
+                '{"capacity": 1, "commodities": [{"id": 4, "K": 1, "H": 1, "gamma": 1},'
+                ' {"id": 4, "K": 1, "H": 1, "gamma": 1}]}',
+                r"\$\.commodities\[1\]\.id",
+            ),
+        ],
+    )
+    def test_instance_field_errors(self, doc, path):
+        with pytest.raises(SchemaError, match=path):
+            parse_instance(doc)
+
+
+json_leaves = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3)
+numberish = st.floats(0.0, 2.0) | json_leaves
+any_json = st.recursive(
+    json_leaves,
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=10,
+)
+# near-valid documents reach the per-field checks that arbitrary JSON rarely does
+pair_like = st.tuples(numberish, numberish).map(list) | st.lists(json_leaves, max_size=3)
+policy_like = st.fixed_dictionaries(
+    {
+        "tau": numberish,
+        "schedules": st.dictionaries(
+            st.sampled_from(["0", "1", "2", "-1", "01", "x"]), st.lists(pair_like, max_size=3) | any_json, max_size=2
+        ),
+    }
+)
+commodity_like = st.fixed_dictionaries(
+    {"id": st.integers(0, 2) | json_leaves, "K": numberish, "H": numberish, "gamma": numberish}
+)
+instance_like = st.fixed_dictionaries({"capacity": numberish, "commodities": st.lists(commodity_like | any_json, max_size=3)})
+json_documents = any_json | policy_like | instance_like
+
+
+@given(doc=json_documents)
+@settings(max_examples=1000, deadline=None)
+def test_parsers_accept_or_raise_schema_error(doc):
+    # any other exception type escaping a parser fails the test
+    text = json.dumps(doc)
+    for parse in (parse_instance, parse_policy):
+        for payload in (text, text.encode("utf-8")):
+            try:
+                parse(payload)
+            except SchemaError:
+                pass
+
 
 def test_degeneracy_report_is_informational():
     inst = make_instance([(1, 1, 1), (1e-8, 1e4, 1e-4)], 1.0)
@@ -166,16 +233,10 @@ def test_scaled_policy():
     assert q.schedules[0] == ((0.0, 1.0), (1.0, 1.0))
 
 
-def test_randomized_policy_determinism():
-    from ewlsp.model import RandomizedPolicy
-
-    def sampler(seed: int) -> CyclicPolicy:
-        rng = np.random.default_rng(seed)
-        m = int(rng.integers(1, 5))
-        times = np.sort(rng.uniform(0.0, 1.0, size=m))
-        gaps = np.diff(np.concatenate([times, [times[0] + 1.0]]))
-        return CyclicPolicy(1.0, {0: tuple((float(t), float(q)) for t, q in zip(times, gaps))})
-
-    rp = RandomizedPolicy(sampler=sampler, description="seeded sawtooth sampler")
-    assert rp.sample(11) == rp.sample(11)
-    assert rp.description
+def test_commodity_lookup_by_id():
+    inst = Instance((Commodity(7, 1.0, 1.0, 1.0), Commodity(3, 2.0, 2.0, 2.0)), capacity_V=1.0)
+    assert inst.commodity(3).K == 2.0
+    assert inst.position(3) == 1
+    assert 7 in inst and 5 not in inst
+    with pytest.raises(KeyError):
+        inst.commodity(5)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ewlsp.cli import generate_instance
 from ewlsp.couples import CoupleInput, synthesize_couple
-from ewlsp.evaluator import evaluate
+from ewlsp.evaluator import evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS
 from ewlsp.model import Commodity, Instance, SosiPolicy, sosi_to_cyclic
 from ewlsp.pipeline import (
+    ALPHA_FALLBACK,
     PipelineConfig,
     build_reference_policy,
     decompose_classes,
@@ -39,13 +43,17 @@ def dense_heavy_instance(seed: int, n: int) -> Instance:
     return Instance(commodities, capacity_V=0.3 * peak)
 
 
+def reference_report(inst: Instance):
+    return evaluate_sosi(build_reference_policy(inst), inst)
+
+
 class TestConfig:
     def test_defaults_match_published_constants(self):
         cfg = PipelineConfig(eps=0.05)
         assert cfg.delta == pytest.approx(17.0 / 10000.0)
         assert cfg.effective_threshold == paper_sparsity_threshold(0.05)
         assert cfg.effective_Q == paper_heavy_subgroups(0.05)
-        assert cfg.alpha_fallback == pytest.approx(0.875 / (math.sqrt(2) * math.log(2)))
+        assert ALPHA_FALLBACK == pytest.approx(0.875 / (math.sqrt(2) * math.log(2)))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -58,19 +66,17 @@ class TestReferencePolicy:
     def test_feasible_on_random_instances(self, rng):
         for _ in range(25):
             inst = random_instance(rng, int(rng.integers(1, 8)))
-            ref = build_reference_policy(inst, 0.05)
-            assert evaluate(ref, inst).feasible
+            assert reference_report(inst).feasible
 
     def test_single_commodity_cost_within_two_of_lb(self):
         inst = make_instance([(1, 1, 1)], 0.4)
-        ref = build_reference_policy(inst, 0.05)
         lb = solve_sosi_relaxation(inst).objective
-        assert evaluate(ref, inst).total_cost_rate <= 2.0 * lb + 1e-9
+        assert reference_report(inst).total_cost_rate <= 2.0 * lb + 1e-9
 
     def test_identical_pair_stays_symmetric(self):
         inst = make_instance([(1, 1, 1), (1, 1, 1)], 0.5)
-        ref = build_reference_policy(inst, 0.05)
-        assert ref.order_count(0) == ref.order_count(1)
+        ref = build_reference_policy(inst)
+        assert ref.intervals_T[0] == ref.intervals_T[1]
 
 
 class TestDecomposition:
@@ -78,7 +84,7 @@ class TestDecomposition:
         # reference with average spaces 0.9V, 0.2V, 0.01V lands in classes
         # 3, 33 and the tail, by direct slab arithmetic at eps = 0.05
         inst = make_instance([(1, 1, 1)] * 3, 1.0)
-        ref = sosi_to_cyclic(SosiPolicy({0: 1.8, 1: 0.4, 2: 0.02}), inst)
+        ref = evaluate_sosi(SosiPolicy({0: 1.8, 1: 0.4, 2: 0.02}), inst)
         decomp = decompose_classes(ref, inst, CFG)
         lookup = {i: ell for ell, ids in decomp.classes.items() for i in ids}
         assert lookup[0] == 3
@@ -88,15 +94,14 @@ class TestDecomposition:
 
     def test_identical_commodities_single_class(self):
         inst = dense_heavy_instance(0, 30)
-        ref = build_reference_policy(inst, CFG.eps)
-        decomp = decompose_classes(ref, inst, CFG)
+        decomp = decompose_classes(reference_report(inst), inst, CFG)
         assert len(decomp.classes) == 1
         (label,) = decomp.labels.values()
         assert label == "dense"
 
     def test_sparse_prefix_rule(self):
         inst = make_instance([(1, 1, 1)] * 3, 1.0)
-        ref = sosi_to_cyclic(SosiPolicy({0: 1.8, 1: 0.4, 2: 0.02}), inst)
+        ref = evaluate_sosi(SosiPolicy({0: 1.8, 1: 0.4, 2: 0.02}), inst)
         decomp = decompose_classes(ref, inst, CFG)
         # delta_count at eps=0.05 far exceeds 3 nonempty classes: all prefix
         assert all(lab == "prefix-sparse" for lab in decomp.labels.values())
@@ -219,14 +224,13 @@ class TestDenseBranchGuarantees:
 
         eps = CFG.eps
         inst = dense_heavy_instance(8, 48)
-        ref = build_reference_policy(inst, eps)
-        decomp = decompose_classes(ref, inst, CFG)
+        decomp = decompose_classes(reference_report(inst), inst, CFG)
         (ell,) = decomp.classes.keys()
         slab = inst.V / (1.0 + eps) ** (int(ell) - 1)
         bound = (1 + 6 * eps) * (7.0 / 4.0) / (math.sqrt(2.0) * math.log(2.0)) * inst.n * slab
         checked = 0
         for seed in range(20):
-            blocks, diag = run_dense_branch(inst, CFG, decomp, ref, seed)
+            blocks, diag = run_dense_branch(inst, CFG, decomp, seed)
             if diag["classes"][str(ell)] != "po2-sync":
                 continue
             checked += 1
@@ -251,7 +255,6 @@ class TestDenseBranchGuarantees:
 
     def test_alpha_fallback_scales_matched_intervals(self):
         inst = dense_heavy_instance(9, 40)
-        alpha = CFG.alpha_fallback
         seen = False
         for seed in range(25):
             assembled, rep, diag = solve_sub2(inst, CFG, seed=seed)
@@ -292,14 +295,14 @@ def test_dense_branch_suffix_and_tail_classes():
     ]
     inst = Instance(tuple(bulk + extras), capacity_V=V)
     cfg = PipelineConfig(eps=0.05, sparsity_threshold=10, Q=6)
-    ref = build_reference_policy(inst, cfg.eps)
+    ref = reference_report(inst)
     base = decompose_classes(ref, inst, cfg)
     forced = {
         ell: ("dense" if len(ids) > 10 or ell == INF_CLASS else "suffix-sparse")
         for ell, ids in base.classes.items()
     }
     decomp = decompose_classes(ref, inst, cfg, forced_labels=forced)
-    blocks, diag = run_dense_branch(inst, cfg, decomp, ref, seed=0)
+    blocks, diag = run_dense_branch(inst, cfg, decomp, seed=0)
     kinds = diag["classes"]
     assert kinds[str(INF_CLASS)] == "sosi"
     assert sum(1 for v in kinds.values() if v == "sosi") >= 2  # suffix + tail
@@ -307,3 +310,24 @@ def test_dense_branch_suffix_and_tail_classes():
     assert covered == sorted(inst.ids())
     suffix_blocks = [b for b in blocks if 100 in b.ids]
     assert suffix_blocks and suffix_blocks[0].sosi is not None
+
+
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    n=st.integers(1, 12),
+    regime=st.sampled_from(["tight", "loose", "dense-heavy"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_closed_form_reference_matches_expanded_cycle(seed, n, regime):
+    # the closed-form report of the stationary reference must classify
+    # exactly like the exact evaluation of its expanded joint cycle
+    inst = generate_instance(seed, n, 1.0, regime)
+    ref = build_reference_policy(inst)
+    closed = decompose_classes(evaluate_sosi(ref, inst), inst, CFG)
+    expanded = decompose_classes(evaluate(sosi_to_cyclic(ref, inst, max_orders=500_000), inst), inst, CFG)
+    assert closed.classes == expanded.classes
+    assert closed.labels == expanded.labels
+    for cid, space in expanded.avg_space.items():
+        assert math.isclose(closed.avg_space[cid], space, rel_tol=1e-12)
+    assert math.isclose(closed.vbar_sparse, expanded.vbar_sparse, rel_tol=1e-12)
+    assert math.isclose(closed.vbar_dense, expanded.vbar_dense, rel_tol=1e-12)
