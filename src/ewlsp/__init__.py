@@ -7,11 +7,13 @@ from .errors import (
     BudgetExceeded,
     IncommensurateIntervals,
     InfeasibleMatching,
+    InfeasiblePolicy,
     NotAPowerOfTwo,
     SchemaError,
     SearchSpaceExceeded,
     SpaceMismatch,
     StateSpaceExceeded,
+    TooManyCommodities,
 )
 from .evaluator import EvalReport, average_space, evaluate, evaluate_sosi, inventory_at
 from .model import (
@@ -20,6 +22,7 @@ from .model import (
     Instance,
     SosiPolicy,
     parse_instance,
+    parse_policies,
     parse_policy,
     policy_to_json,
     serialize_instance,
@@ -34,6 +37,7 @@ __all__ = [
     "EvalReport",
     "IncommensurateIntervals",
     "InfeasibleMatching",
+    "InfeasiblePolicy",
     "Instance",
     "NotAPowerOfTwo",
     "SchemaError",
@@ -41,11 +45,13 @@ __all__ = [
     "SosiPolicy",
     "SpaceMismatch",
     "StateSpaceExceeded",
+    "TooManyCommodities",
     "average_space",
     "evaluate",
     "evaluate_sosi",
     "inventory_at",
     "parse_instance",
+    "parse_policies",
     "parse_policy",
     "policy_to_json",
     "serialize_instance",

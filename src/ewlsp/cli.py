@@ -4,6 +4,12 @@ couple inspection, brute-force oracles, and algorithm comparison tables.
 The compare subcommand exits nonzero if any produced policy is infeasible,
 so batch runs double as end-to-end feasibility assertions; eval exits
 nonzero on an infeasible policy, including one that leaves commodities out.
+
+Exit codes: 0 success; 1 an infeasible policy (solve, eval, compare);
+2 bad command-line usage; 3 malformed input JSON (SchemaError); 4 a search
+budget exceeded (BudgetExceeded, StateSpaceExceeded, SearchSpaceExceeded);
+5 no feasible answer found (InfeasibleMatching, InfeasiblePolicy). Codes 3-5
+print one line, `ewlsp: error: <message>`, on stderr.
 """
 
 from __future__ import annotations
@@ -19,12 +25,20 @@ import time
 import numpy as np
 
 from .couples import CoupleInput, synthesize_couple
-from .evaluator import evaluate
+from .errors import (
+    BudgetExceeded,
+    InfeasibleMatching,
+    InfeasiblePolicy,
+    SchemaError,
+    SearchSpaceExceeded,
+    StateSpaceExceeded,
+)
+from .evaluator import combine_reports, evaluate
 from .model import (
     Commodity,
     Instance,
     parse_instance,
-    parse_policy,
+    parse_policies,
     policy_to_json,
     serialize_instance,
 )
@@ -122,6 +136,16 @@ def _jsonable(obj):
     return obj
 
 
+ERROR_EXIT_CODES = {
+    SchemaError: 3,
+    BudgetExceeded: 4,
+    StateSpaceExceeded: 4,
+    SearchSpaceExceeded: 4,
+    InfeasibleMatching: 5,
+    InfeasiblePolicy: 5,
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="ewlsp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -151,7 +175,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--state-cap", type=int, help="hard cap on DP states (default: EWLSP_STATE_CAP or 1e6)")
     p.add_argument("--out")
 
-    p = sub.add_parser("eval", help="evaluate a cyclic policy")
+    p = sub.add_parser("eval", help="evaluate a cyclic policy or a sub2 union of blocks")
     p.add_argument("--instance", required=True)
     p.add_argument("--policy", required=True)
     p.add_argument("--out")
@@ -178,7 +202,14 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--json-out")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except tuple(ERROR_EXIT_CODES) as exc:
+        print(f"ewlsp: error: {exc}", file=sys.stderr)
+        return next(code for kind, code in ERROR_EXIT_CODES.items() if isinstance(exc, kind))
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command == "gen":
         instance = generate_instance(args.seed, args.n, args.spread, args.regime)
         _write(serialize_instance(instance), args.out)
@@ -230,10 +261,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "eval":
         instance = _read_instance(args.instance)
         with open(args.policy, "rb") as fh:
-            policy = parse_policy(fh.read())
-        payload = evaluate(policy, instance).to_json()
+            policies = parse_policies(fh.read())
+        # a union of blocks is certified by its summed block peak, as sub2 reports it
+        payload = combine_reports((evaluate(p, instance) for p in policies), instance).to_json()
         # the library evaluates partial id sets by design; a whole policy must cover the instance
-        missing = [cid for cid in instance.ids() if cid not in policy.schedules]
+        covered = {cid for p in policies for cid in p.schedules}
+        missing = [cid for cid in instance.ids() if cid not in covered]
         if missing:
             payload["feasible"] = False
             payload["missing"] = missing
@@ -274,20 +307,15 @@ def main(argv: list[str] | None = None) -> int:
         for algo in algos:
             for seed in range(seeds):
                 start = time.perf_counter()
-                cost, v_max, lb, feasible, _ = _solve_one(instance, algo, args.eps, seed)
+                try:
+                    cost, v_max, lb, feasible, _ = _solve_one(instance, algo, args.eps, seed)
+                    row = {"cost_rate": cost, "cost_over_lb": cost / lb, "vmax_over_V": v_max / instance.V}
+                except InfeasiblePolicy:
+                    feasible = False
+                    row = {"cost_rate": None, "cost_over_lb": None, "vmax_over_V": None}
                 elapsed = time.perf_counter() - start
                 all_feasible &= feasible
-                rows.append(
-                    {
-                        "algo": algo,
-                        "seed": seed,
-                        "cost_rate": cost,
-                        "cost_over_lb": cost / lb,
-                        "vmax_over_V": v_max / instance.V,
-                        "feasible": feasible,
-                        "runtime_s": elapsed,
-                    }
-                )
+                rows.append({"algo": algo, "seed": seed, **row, "feasible": feasible, "runtime_s": elapsed})
                 if algo in ("two-approx", "ptas"):
                     break  # deterministic; one seed suffices
         rows.sort(key=lambda r: (r["algo"], r["seed"]))
@@ -300,8 +328,7 @@ def main(argv: list[str] | None = None) -> int:
             _write(json.dumps(_jsonable(rows)), args.json_out)
         return 0 if all_feasible else 1
 
-    parser.error(f"unhandled command {args.command}")
-    return 2
+    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

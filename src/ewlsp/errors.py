@@ -30,6 +30,18 @@ class BudgetExceeded(RuntimeError):
         self.budget = budget
 
 
+class TooManyCommodities(BudgetExceeded):
+    """Instance has more commodities than the alignment DP is run on."""
+
+    def __init__(self, count: int, budget: int):
+        super().__init__(count, budget)
+        self.args = (f"ptas_solve handles at most {budget} commodities, got {count}",)
+
+
+class InfeasiblePolicy(RuntimeError):
+    """A solver's certified peak space exceeds the capacity."""
+
+
 class StateSpaceExceeded(RuntimeError):
     """Dynamic program state count crossed the hard cap."""
 

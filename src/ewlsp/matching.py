@@ -3,10 +3,12 @@
 Each commodity must join exactly one class; a class accepts a bounded number
 of members; joining class ell caps the commodity's interval so that its
 average space fits the class slab, with the cheapest compliant interval given
-in closed form. This is bipartite b-matching with degree bounds, solved here
-as min-cost flow: a circulation with lower bounds reduced to plain min-cost
-max-flow through the standard excess/deficit transformation, then successive
-shortest paths with Johnson potentials.
+in closed form. This is bipartite b-matching with degree bounds between n
+unit-supply commodities and only c classes. It is solved by successive
+shortest paths on the contracted class graph (c + 3 nodes), the "few sinks"
+transportation scheme: commodities appear only as the heap entries that price
+the arcs between classes, so one augmentation costs about O(c^2 + path * c *
+log n) rather than a Dijkstra over all n * c commodity-class edges.
 """
 
 from __future__ import annotations
@@ -73,125 +75,114 @@ def edge_weight(commodity: Commodity, ell: Hashable, eps: float, V: float, n: in
     return sol.interval_T, sol.cost_rate
 
 
-class _MinCostFlow:
-    """Successive shortest paths with potentials on a small dense network."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.graph: list[list[list]] = [[] for _ in range(n)]  # [to, cap, cost, rev_index]
-
-    def add_edge(self, u: int, v: int, cap: int, cost: float) -> tuple[int, int]:
-        self.graph[u].append([v, cap, cost, len(self.graph[v])])
-        self.graph[v].append([u, 0, -cost, len(self.graph[u]) - 1])
-        return u, len(self.graph[u]) - 1
-
-    def flow(self, s: int, t: int, want: int) -> tuple[int, float]:
-        total_flow = 0
-        total_cost = 0.0
-        potential = [0.0] * self.n
-        while total_flow < want:
-            dist = [math.inf] * self.n
-            dist[s] = 0.0
-            parent: list[tuple[int, int] | None] = [None] * self.n
-            heap = [(0.0, s)]
-            while heap:
-                d, u = heapq.heappop(heap)
-                if d > dist[u] + 1e-15:
-                    continue
-                for ei, edge in enumerate(self.graph[u]):
-                    v, cap, cost, _ = edge
-                    if cap <= 0:
-                        continue
-                    nd = d + cost + potential[u] - potential[v]
-                    if nd < dist[v] - 1e-15:
-                        dist[v] = nd
-                        parent[v] = (u, ei)
-                        heapq.heappush(heap, (nd, v))
-            if parent[t] is None:
-                break
-            for v in range(self.n):
-                if math.isfinite(dist[v]):
-                    potential[v] += dist[v]
-            push = want - total_flow
-            v = t
-            while v != s:
-                u, ei = parent[v]
-                push = min(push, self.graph[u][ei][1])
-                v = u
-            v = t
-            while v != s:
-                u, ei = parent[v]
-                edge = self.graph[u][ei]
-                edge[1] -= push
-                self.graph[v][edge[3]][1] += push
-                total_cost += push * edge[2]
-                v = u
-            total_flow += push
-        return total_flow, total_cost
-
-
 def solve_b_matching(mi: MatchingInstance) -> MimickingPartition:
-    """Minimum-weight degree-feasible assignment via min-cost flow.
+    """Minimum-weight degree-feasible assignment by successive shortest paths
+    on the contracted class graph.
 
-    Network: source -> commodity (exactly 1), commodity -> class (cost w),
-    class -> sink (bounds [lo, hi]). Lower bounds become node excesses served
-    by a super source/sink; the source->sink demand equals the commodity
-    count, so a saturating min-cost flow is exactly an optimal b-matching.
+    Nodes: source, one per class, slack, sink. source -> ell is the cheapest
+    unassigned commodity for ell; ell -> ell' is the cheapest move
+    w(i, ell') - w(i, ell) of a current member i of ell; ell -> sink carries
+    the lo mandatory units, ell -> slack the hi - lo optional ones, and
+    slack -> sink the n - sum(lo) units left over. The sink capacities add up
+    to n, so a flow of value n meets every lower bound. Each augmentation is
+    a dense Dijkstra over the c + 3 nodes with Johnson potentials; the arc
+    minima come from heaps with lazy deletion (an entry of commodity k in a
+    heap of class ell is live while k sits in ell, or is unassigned for the
+    source heaps).
     """
-    commodities = mi.commodity_side
-    classes = mi.class_side
-    n_nodes = 2 + len(commodities) + len(classes) + 2
-    SRC, SNK = 0, 1
-    SS, TT = n_nodes - 2, n_nodes - 1
-    c_index = {cid: 2 + k for k, cid in enumerate(commodities)}
-    l_index = {ell: 2 + len(commodities) + k for k, ell in enumerate(classes)}
+    commodities, classes = mi.commodity_side, mi.class_side
+    n, c = len(commodities), len(classes)
+    SLACK, SINK, SRC = c, c + 1, c + 2
+    weight = [[mi.weights.get((cid, ell)) for ell in classes] for cid in commodities]
+    where: list[int | None] = [None] * n
+    entering = [[(row[l], k) for k, row in enumerate(weight) if row[l] is not None] for l in range(c)]
+    for heap in entering:
+        heapq.heapify(heap)
+    moves = [[[] for _ in range(c)] for _ in range(c)]
+    lo = [mi.degree_bounds[ell][0] for ell in classes]
+    spare = [mi.degree_bounds[ell][1] - mi.degree_bounds[ell][0] for ell in classes]
+    to_sink, to_slack = [0] * c, [0] * c  # flow on ell -> sink and ell -> slack
+    slack_left = n - sum(lo)
+    potential = [0.0] * (c + 3)
 
-    net = _MinCostFlow(n_nodes)
-    excess = [0] * n_nodes
+    def top(heap: list, home: int | None) -> tuple[float, int] | None:
+        while heap and where[heap[0][1]] != home:
+            heapq.heappop(heap)
+        return heap[0] if heap else None
 
-    # source -> commodity with lower = upper = 1
-    for cid in commodities:
-        excess[c_index[cid]] += 1
-        excess[SRC] -= 1
-    # commodity -> class, weighted
-    edge_refs: dict[tuple[int, Hashable], tuple[int, int]] = {}
-    for cid in commodities:
-        for ell in classes:
-            if (cid, ell) in mi.weights:
-                edge_refs[(cid, ell)] = net.add_edge(
-                    c_index[cid], l_index[ell], 1, mi.weights[(cid, ell)]
-                )
-    # class -> sink with bounds [lo, hi]
-    for ell in classes:
-        lo, hi = mi.degree_bounds[ell]
-        if hi > lo:
-            net.add_edge(l_index[ell], SNK, hi - lo, 0.0)
-        excess[SNK] += lo
-        excess[l_index[ell]] -= lo
-    # close the circulation: total assignment is |U|
-    excess[SRC] += len(commodities)
-    excess[SNK] -= len(commodities)
+    def place(k: int, l: int) -> None:
+        where[k] = l
+        row = weight[k]
+        for m in range(c):
+            if m != l and row[m] is not None:
+                heapq.heappush(moves[l][m], (row[m] - row[l], k))
 
-    demand = 0
-    for v in range(n_nodes):
-        if excess[v] > 0:
-            net.add_edge(SS, v, excess[v], 0.0)
-            demand += excess[v]
-        elif excess[v] < 0:
-            net.add_edge(v, TT, -excess[v], 0.0)
+    def arcs(u: int):
+        if u == SRC:
+            for l in range(c):
+                entry = top(entering[l], None)
+                if entry is not None:
+                    yield l, entry[0]
+        elif u == SLACK:
+            if slack_left:
+                yield SINK, 0.0
+            for l in range(c):
+                if to_slack[l]:
+                    yield l, 0.0
+        else:
+            if to_sink[u] < lo[u]:
+                yield SINK, 0.0
+            if to_slack[u] < spare[u]:
+                yield SLACK, 0.0
+            for m in range(c):
+                if m != u:
+                    entry = top(moves[u][m], u)
+                    if entry is not None:
+                        yield m, entry[0]
 
-    sent, _ = net.flow(SS, TT, demand)
-    if sent < demand:
-        raise InfeasibleMatching("no assignment satisfies the degree bounds")
+    for _ in range(n):
+        dist = [math.inf] * (c + 3)
+        parent = [-1] * (c + 3)
+        done = [False] * (c + 3)
+        dist[SRC] = 0.0
+        while True:
+            u = min((v for v in range(c + 3) if not done[v]), key=dist.__getitem__, default=None)
+            if u is None or dist[u] == math.inf or u == SINK:
+                break
+            done[u] = True
+            for v, cost in arcs(u):
+                nd = dist[u] + max(0.0, cost + potential[u] - potential[v])
+                if nd < dist[v]:
+                    dist[v], parent[v] = nd, u
+        if u != SINK:
+            raise InfeasibleMatching("no assignment satisfies the degree bounds")
+        for v in range(c + 3):
+            potential[v] += min(dist[v], dist[SINK])
+        # walk back from the sink: a commodity placed in v pushes entries only
+        # into v's heaps, which no earlier arc of the path pops from
+        v = SINK
+        while v != SRC:
+            u = parent[v]
+            if v == SINK:
+                if u == SLACK:
+                    slack_left -= 1
+                else:
+                    to_sink[u] += 1
+            elif v == SLACK:
+                to_slack[u] += 1
+            elif u == SLACK:
+                to_slack[v] -= 1
+            elif u == SRC:
+                place(heapq.heappop(entering[v])[1], v)
+            else:
+                place(heapq.heappop(moves[u][v])[1], v)
+            v = u
 
     assignment: dict[int, Hashable] = {}
     total = 0.0
-    for (cid, ell), (u, ei) in edge_refs.items():
-        if net.graph[u][ei][1] == 0:  # saturated unit edge
-            assignment[cid] = ell
-            total += mi.weights[(cid, ell)]
-    if len(assignment) != len(commodities):
-        raise InfeasibleMatching("flow did not assign every commodity")
+    for k, cid in enumerate(commodities):
+        assignment[cid] = classes[where[k]]
+        total += weight[k][where[k]]
     return MimickingPartition(assignment=assignment, total_weight=total)
 
 

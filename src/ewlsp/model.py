@@ -348,13 +348,41 @@ def serialize_instance(instance: Instance) -> bytes:
 
 def parse_policy(text: bytes | str) -> CyclicPolicy:
     """Parse the canonical cyclic-policy JSON; SchemaError carries the field path."""
+    return _policy_from(_load_object(text), "$")
+
+
+def parse_policies(text: bytes | str) -> list[CyclicPolicy]:
+    """Parse a cyclic policy, or the `{"blocks": [...]}` union of cyclic
+    policies over disjoint ids that the sub2 solver writes, into its parts.
+    Keys other than `tau`, `schedules` and `blocks` (`provenance`,
+    `diagnostics`, `summary`) are ignored."""
     raw = _load_object(text)
-    tau = _number(raw.get("tau"), "$.tau")
+    if "blocks" not in raw:
+        return [_policy_from(raw, "$")]
+    if not isinstance(raw["blocks"], list):
+        raise SchemaError("$.blocks: expected an array")
+    policies = []
+    owner: dict[int, int] = {}
+    for k, block in enumerate(raw["blocks"]):
+        path = f"$.blocks[{k}]"
+        if not isinstance(block, dict):
+            raise SchemaError(f"{path}: expected an object")
+        policy = _policy_from(block, path)
+        for cid in policy.schedules:
+            if cid in owner:
+                raise SchemaError(f"{path}.schedules.{cid}: commodity {cid} is also in $.blocks[{owner[cid]}]")
+            owner[cid] = k
+        policies.append(policy)
+    return policies
+
+
+def _policy_from(raw: dict, root: str) -> CyclicPolicy:
+    tau = _number(raw.get("tau"), f"{root}.tau")
     if not isinstance(raw.get("schedules"), dict):
-        raise SchemaError("$.schedules: expected an object")
+        raise SchemaError(f"{root}.schedules: expected an object")
     schedules = {}
     for key, orders in raw["schedules"].items():
-        path = f"$.schedules.{key}"
+        path = f"{root}.schedules.{key}"
         try:
             cid = int(key)
         except ValueError:
@@ -372,18 +400,18 @@ def parse_policy(text: bytes | str) -> CyclicPolicy:
     try:
         return CyclicPolicy(cycle_length_tau=tau, schedules=schedules)
     except ValueError as exc:
-        raise SchemaError(f"{_rejected_part(tau, schedules)}: {exc}") from exc
+        raise SchemaError(f"{_rejected_part(root, tau, schedules)}: {exc}") from exc
 
 
-def _rejected_part(tau: float, schedules: dict[int, tuple]) -> str:
+def _rejected_part(root: str, tau: float, schedules: dict[int, tuple]) -> str:
     """Path of the first policy part that CyclicPolicy rejects on its own."""
-    parts = [("$.tau", {})] + [(f"$.schedules.{cid}", {cid: orders}) for cid, orders in schedules.items()]
+    parts = [(f"{root}.tau", {})] + [(f"{root}.schedules.{cid}", {cid: orders}) for cid, orders in schedules.items()]
     for path, part in parts:
         try:
             CyclicPolicy(tau, part)
         except ValueError:
             return path
-    return "$"
+    return root
 
 
 def policy_to_json(policy: CyclicPolicy) -> dict:

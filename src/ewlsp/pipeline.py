@@ -30,7 +30,7 @@ import numpy as np
 
 from . import ptas
 from .couples import CoupleInput, classify_pairs, synthesize_couple
-from .errors import BudgetExceeded, InfeasibleMatching, StateSpaceExceeded
+from .errors import BudgetExceeded, InfeasibleMatching, InfeasiblePolicy, StateSpaceExceeded
 from .evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
 from .matching import (
     INF_CLASS,
@@ -597,7 +597,7 @@ def solve_sub2(
 
     report = assembled.report(instance)
     if not report.feasible:
-        raise AssertionError(f"pipeline produced infeasible policy: v_max={report.v_max}")
+        raise InfeasiblePolicy(f"pipeline produced infeasible policy: v_max={report.v_max}")
     diag["ref_cost_rate"] = ref_report.total_cost_rate
     diag["cost_vs_ref"] = report.total_cost_rate / ref_report.total_cost_rate
     diag["seed"] = seed

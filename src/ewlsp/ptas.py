@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .eoq import compute_M
-from .errors import BudgetExceeded, StateSpaceExceeded
+from .errors import BudgetExceeded, StateSpaceExceeded, TooManyCommodities
 from .evaluator import EvalReport, evaluate
 from .model import CyclicPolicy, Instance
 
@@ -426,7 +426,7 @@ def ptas_solve(
     the capacity, and return it with its exact evaluation. When a dict is
     passed as `details`, the winning guess and grid are recorded in it."""
     if instance.n > n_cap:
-        raise BudgetExceeded(instance.n, n_cap)
+        raise TooManyCommodities(instance.n, n_cap)
     best: tuple[float, CyclicPolicy, Guess, GridSpec] | None = None
     for guess in enumerate_guesses(instance, eps, budget=guess_budget):
         grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=grid_M, S=grid_S)

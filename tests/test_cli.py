@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+import ewlsp.cli as cli
 from ewlsp.cli import generate_instance, main
+from ewlsp.errors import InfeasibleMatching, InfeasiblePolicy
 from ewlsp.model import parse_instance, serialize_instance
 from ewlsp.relaxation import solve_sosi_relaxation
 
@@ -81,6 +83,52 @@ class TestSolveEval:
         assert report["feasible"] is False
         assert report["missing"] == [1, 2, 3, 4, 5]
 
+    @pytest.mark.parametrize(
+        "algo, regime, n",
+        [("sub2", "dense-heavy", 12), ("sub2", "tight", 9), ("ptas", "tight", 2)],
+    )
+    def test_solve_eval_round_trip(self, tmp_path, algo, regime, n):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "4", "--n", str(n), "--regime", regime, "--out", str(inst_path)])
+        sol_path = tmp_path / "sol.json"
+        eps = "0.05" if algo == "sub2" else "0.5"
+        rc = main(["solve", "--instance", str(inst_path), "--algo", algo, "--eps", eps, "--out", str(sol_path)])
+        assert rc == 0
+        out = tmp_path / "report.json"
+        assert main(["eval", "--instance", str(inst_path), "--policy", str(sol_path), "--out", str(out)]) == 0
+        summary = json.loads(sol_path.read_text())["summary"]
+        report = json.loads(out.read_text())
+        assert report["feasible"] is True
+        assert "missing" not in report
+        assert sorted(report["avg_inventory"], key=int) == [str(i) for i in range(n)]
+        assert report["total_cost_rate"] == pytest.approx(summary["cost_rate"], rel=1e-9)
+        assert report["v_max"] == pytest.approx(summary["v_max"], rel=1e-9)
+
+    def test_eval_reports_a_block_union_with_a_block_left_out(self, tmp_path):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "5", "--n", "6", "--regime", "dense-heavy", "--out", str(inst_path)])
+        sol_path = tmp_path / "sol.json"
+        main(["solve", "--instance", str(inst_path), "--algo", "sub2", "--out", str(sol_path)])
+        payload = json.loads(sol_path.read_text())
+        dropped = payload["blocks"].pop()
+        sol_path.write_text(json.dumps(payload))
+        out = tmp_path / "report.json"
+        assert main(["eval", "--instance", str(inst_path), "--policy", str(sol_path), "--out", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["feasible"] is False
+        assert report["missing"] == sorted(int(k) for k in dropped["schedules"])
+
+    def test_eval_rejects_blocks_sharing_an_id(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text('{"capacity": 9.0, "commodities": [{"id": 0, "K": 1, "H": 1, "gamma": 1}]}')
+        pol_path = tmp_path / "pol.json"
+        block = {"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}, "provenance": "class1:sosi"}
+        pol_path.write_text(json.dumps({"blocks": [block, block]}))
+        assert main(["eval", "--instance", str(inst_path), "--policy", str(pol_path)]) == 3
+        assert capsys.readouterr().err == (
+            "ewlsp: error: $.blocks[1].schedules.0: commodity 0 is also in $.blocks[0]\n"
+        )
+
     def test_ptas_solver(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         inst_path.write_text('{"capacity": 0.5, "commodities": [{"id": 0, "K": 1, "H": 1, "gamma": 1}]}')
@@ -135,6 +183,38 @@ class TestCompare:
         header = csv_path.read_text().splitlines()[0]
         assert "cost_over_lb" in header and "vmax_over_V" in header
 
+    def test_compare_records_an_infeasible_run_and_goes_on(self, tmp_path, monkeypatch):
+        real = cli.solve_sub2
+
+        def flaky(instance, cfg, seed=0):
+            if seed == 0:
+                raise InfeasiblePolicy("pipeline produced infeasible policy: v_max=2.0")
+            return real(instance, cfg, seed=seed)
+
+        monkeypatch.setattr(cli, "solve_sub2", flaky)
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "11", "--n", "5", "--regime", "tight", "--out", str(inst_path)])
+        csv_path = tmp_path / "table.csv"
+        json_path = tmp_path / "table.json"
+        rc = main(
+            [
+                "compare",
+                "--instance", str(inst_path),
+                "--algos", "two-approx,sub2",
+                "--seeds", "2",
+                "--out", str(csv_path),
+                "--json-out", str(json_path),
+            ]
+        )
+        assert rc == 1
+        rows = {(r["algo"], r["seed"]): r for r in json.loads(json_path.read_text())}
+        assert sorted(rows) == [("sub2", 0), ("sub2", 1), ("two-approx", 0)]
+        assert rows[("sub2", 0)]["feasible"] is False
+        assert rows[("sub2", 0)]["cost_rate"] is None
+        assert rows[("sub2", 1)]["feasible"] is True
+        assert rows[("two-approx", 0)]["feasible"] is True
+        assert len(csv_path.read_text().splitlines()) == 4
+
     def test_relax_subcommand(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         inst_path.write_text(
@@ -163,3 +243,35 @@ def test_solve_sub2_trials_keeps_best(tmp_path):
     one = json.loads(single.read_text())["summary"]["cost_rate"]
     best = json.loads(multi.read_text())["summary"]["cost_rate"]
     assert best <= one + 1e-12
+
+
+class TestErrorExitCodes:
+    """Package errors become one `ewlsp: error: <message>` line on stderr."""
+
+    def test_usage_error_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve"])
+        assert exc.value.code == 2
+
+    def test_bad_input_exits_3(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text('{"V": 1}')
+        assert main(["solve", "--instance", str(inst_path)]) == 3
+        assert capsys.readouterr().err == "ewlsp: error: $.capacity: missing\n"
+
+    def test_search_budget_exits_4(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "1", "--n", "40", "--out", str(inst_path)])
+        assert main(["solve", "--instance", str(inst_path), "--algo", "ptas"]) == 4
+        assert capsys.readouterr().err == "ewlsp: error: ptas_solve handles at most 3 commodities, got 40\n"
+
+    @pytest.mark.parametrize("error", [InfeasiblePolicy, InfeasibleMatching])
+    def test_no_feasible_answer_exits_5(self, tmp_path, capsys, monkeypatch, error):
+        def infeasible(*args, **kwargs):
+            raise error("no feasible policy")
+
+        monkeypatch.setattr(cli, "solve_sub2", infeasible)
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "1", "--n", "4", "--out", str(inst_path)])
+        assert main(["solve", "--instance", str(inst_path), "--algo", "sub2"]) == 5
+        assert capsys.readouterr().err == "ewlsp: error: no feasible policy\n"

@@ -13,6 +13,7 @@ from ewlsp.model import (
     Instance,
     SosiPolicy,
     parse_instance,
+    parse_policies,
     parse_policy,
     serialize_instance,
     serialize_policy,
@@ -139,6 +140,39 @@ class TestSerialization:
         p = CyclicPolicy(1.0, {0: ((0.0, 0.25), (0.25, 0.75)), 1: ((0.5, 1.0),)})
         again = parse_policy(serialize_policy(p))
         assert p == again
+
+    def test_block_union_parses_into_its_blocks(self):
+        doc = {
+            "blocks": [
+                {"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}, "provenance": "class1:sosi"},
+                {"tau": 2.0, "schedules": {"1": [[0.0, 1.0], [1.0, 1.0]], "2": [[0.5, 2.0]]}, "provenance": "x"},
+            ],
+            "diagnostics": {"seed": 3},
+            "summary": {"feasible": True},
+        }
+        blocks = parse_policies(json.dumps(doc))
+        assert [sorted(b.schedules) for b in blocks] == [[0], [1, 2]]
+        assert [b.tau for b in blocks] == [1.0, 2.0]
+        single = parse_policies(b'{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}, "kind": "cyclic"}')
+        assert single == [parse_policy(b'{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}}')]
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"blocks": {}}, r"\$\.blocks: expected an array"),
+            ({"blocks": [3]}, r"\$\.blocks\[0\]: expected an object"),
+            ({"blocks": [{"tau": 1.0, "schedules": {}}, {"schedules": {}}]}, r"\$\.blocks\[1\]\.tau"),
+            ({"blocks": [{"tau": 1.0, "schedules": {"0": [[0.0]]}}]}, r"\$\.blocks\[0\]\.schedules\.0\[0\]"),
+            ({"blocks": [{"tau": -1.0, "schedules": {}}]}, r"\$\.blocks\[0\]\.tau"),
+            (
+                {"blocks": [{"tau": 1.0, "schedules": {"4": [[0.0, 1.0]]}}, {"tau": 1.0, "schedules": {"4": [[0.0, 1.0]]}}]},
+                r"\$\.blocks\[1\]\.schedules\.4: commodity 4 is also in \$\.blocks\[0\]",
+            ),
+        ],
+    )
+    def test_block_union_schema_errors(self, doc, path):
+        with pytest.raises(SchemaError, match=path):
+            parse_policies(json.dumps(doc))
 
     def test_policy_schema_errors(self):
         with pytest.raises(SchemaError, match=r"\$\.tau"):

@@ -7,11 +7,14 @@ from hypothesis import strategies as st
 
 from ewlsp.cli import generate_instance
 from ewlsp.couples import CoupleInput, synthesize_couple
+from ewlsp.errors import InfeasiblePolicy
 from ewlsp.evaluator import evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS
 from ewlsp.model import Commodity, Instance, SosiPolicy, sosi_to_cyclic
 from ewlsp.pipeline import (
     ALPHA_FALLBACK,
+    AssembledPolicy,
+    Block,
     PipelineConfig,
     build_reference_policy,
     decompose_classes,
@@ -189,6 +192,13 @@ class TestSolveSub2:
             _, rep, diag = solve_sub2(inst, CFG, seed=seed)
             ratios.append(diag["cost_vs_ref"])
         assert float(np.mean(ratios)) <= 2.0 - 17.0 / 5000.0 + CFG.eps
+
+    def test_infeasible_assembly_raises_named_error(self, monkeypatch):
+        inst = make_instance([(1, 1, 1), (1, 1, 1)], 0.5)
+        oversized = AssembledPolicy((Block(ids=(0, 1), sosi=SosiPolicy({0: 4.0, 1: 4.0})),))
+        monkeypatch.setattr("ewlsp.pipeline._dispatch", lambda *args: (oversized, {}))
+        with pytest.raises(InfeasiblePolicy, match="infeasible policy"):
+            solve_sub2(inst, CFG, seed=0)
 
     def test_exhaustive_mode_not_worse_than_reference_mode(self):
         inst = dense_heavy_instance(4, 14)

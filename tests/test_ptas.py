@@ -1,7 +1,7 @@
 import pytest
 
 from ewlsp.eoq import capped_interval, cost
-from ewlsp.errors import BudgetExceeded
+from ewlsp.errors import BudgetExceeded, TooManyCommodities
 from ewlsp.evaluator import evaluate
 from ewlsp.oracle import oracle_opt_cyclic
 from ewlsp.ptas import GridSpec, Guess, dp_solve, enumerate_guesses, is_b_aligned, ptas_solve
@@ -110,6 +110,13 @@ class TestPtasSolve:
         inst = make_instance([(1, 1, 1)] * 4, 10.0)
         with pytest.raises(BudgetExceeded):
             ptas_solve(inst, 0.5)
+
+    def test_n_cap_names_the_commodity_count(self):
+        inst = make_instance([(1, 1, 1)] * 40, 10.0)
+        with pytest.raises(TooManyCommodities) as exc:
+            ptas_solve(inst, 0.5)
+        assert str(exc.value) == "ptas_solve handles at most 3 commodities, got 40"
+        assert (exc.value.count, exc.value.budget) == (40, 3)
 
     def test_finer_grid_never_worse(self):
         # more order slots per interval (same minus grid) only add options
