@@ -43,8 +43,8 @@ from .model import (
     serialize_instance,
 )
 from .oracle import oracle_opt_cyclic
-from .pipeline import PipelineConfig, solve_sub2
-from .ptas import ptas_solve, state_cap_from_env
+from .pipeline import AssembledPolicy, Block, PipelineConfig, solve_sub2
+from .ptas import ptas_solve
 from .relaxation import solve_sosi_dp, solve_sosi_relaxation
 from .two_approx import solve_two_approx
 
@@ -106,20 +106,19 @@ def _solve_one(
     state_cap: int | None = None,
 ):
     """Returns (cost_rate, v_max, lower_bound, feasible, payload)."""
-    lb = solve_sosi_relaxation(instance).objective
     if algo == "two-approx":
-        policy, report, lb = solve_two_approx(instance)
-        payload = {"kind": "sosi", "intervals": {str(k): v for k, v in sorted(policy.intervals_T.items())}}
+        policy, report, lb = solve_two_approx(instance)  # lb: the relaxation it halves
+        block = Block(ids=tuple(sorted(policy.intervals_T)), sosi=policy, provenance="two-approx")
+        payload = AssembledPolicy((block,)).to_json()
     elif algo == "sub2":
+        lb = solve_sosi_relaxation(instance).objective
         cfg = PipelineConfig(eps=eps, sparsity_threshold=threshold, Q=subgroups)
         assembled, report, diag = solve_sub2(instance, cfg, seed=seed)
         payload = assembled.to_json()
         payload["diagnostics"] = _jsonable(diag)
     elif algo == "ptas":
-        policy, report = ptas_solve(
-            instance, eps, grid_M=grid_base, grid_S=2 * grid_base,
-            state_cap=state_cap if state_cap is not None else state_cap_from_env(),
-        )
+        lb = solve_sosi_relaxation(instance).objective
+        policy, report = ptas_solve(instance, eps, grid_M=grid_base, grid_S=2 * grid_base, state_cap=state_cap)
         payload = {"kind": "cyclic", **policy_to_json(policy)}
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -134,6 +133,13 @@ def _jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
 
 
 ERROR_EXIT_CODES = {
@@ -172,10 +178,12 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--sparsity-threshold", type=int, default=10)
     p.add_argument("--subgroups", type=int, default=10)
     p.add_argument("--grid-base", type=int, default=4, help="level ratio of the alignment DP grids")
-    p.add_argument("--state-cap", type=int, help="hard cap on DP states (default: EWLSP_STATE_CAP or 1e6)")
+    p.add_argument(
+        "--state-cap", type=_positive_int, help="hard cap on DP states (default: EWLSP_STATE_CAP or 1e6)"
+    )
     p.add_argument("--out")
 
-    p = sub.add_parser("eval", help="evaluate a cyclic policy or a sub2 union of blocks")
+    p = sub.add_parser("eval", help="evaluate a cyclic policy or a union of blocks")
     p.add_argument("--instance", required=True)
     p.add_argument("--policy", required=True)
     p.add_argument("--out")
@@ -261,7 +269,7 @@ def _run(args: argparse.Namespace) -> int:
     if args.command == "eval":
         instance = _read_instance(args.instance)
         with open(args.policy, "rb") as fh:
-            policies = parse_policies(fh.read())
+            policies = parse_policies(fh.read(), instance)
         # a union of blocks is certified by its summed block peak, as sub2 reports it
         payload = combine_reports((evaluate(p, instance) for p in policies), instance).to_json()
         # the library evaluates partial id sets by design; a whole policy must cover the instance

@@ -351,27 +351,31 @@ def parse_policy(text: bytes | str) -> CyclicPolicy:
     return _policy_from(_load_object(text), "$")
 
 
-def parse_policies(text: bytes | str) -> list[CyclicPolicy]:
+def parse_policies(text: bytes | str, instance: Instance | None = None) -> list[CyclicPolicy]:
     """Parse a cyclic policy, or the `{"blocks": [...]}` union of cyclic
-    policies over disjoint ids that the sub2 solver writes, into its parts.
-    Keys other than `tau`, `schedules` and `blocks` (`provenance`,
-    `diagnostics`, `summary`) are ignored."""
+    policies over disjoint ids that the sub2 and two-approx solvers write,
+    into its parts. Keys other than `tau`, `schedules` and `blocks`
+    (`provenance`, `diagnostics`, `summary`) are ignored. Given the
+    `instance`, a schedule for an id it lacks is a SchemaError."""
     raw = _load_object(text)
     if "blocks" not in raw:
-        return [_policy_from(raw, "$")]
-    if not isinstance(raw["blocks"], list):
+        parts = [("$", raw)]
+    elif isinstance(raw["blocks"], list):
+        parts = [(f"$.blocks[{k}]", block) for k, block in enumerate(raw["blocks"])]
+    else:
         raise SchemaError("$.blocks: expected an array")
     policies = []
-    owner: dict[int, int] = {}
-    for k, block in enumerate(raw["blocks"]):
-        path = f"$.blocks[{k}]"
+    owner: dict[int, str] = {}
+    for path, block in parts:
         if not isinstance(block, dict):
             raise SchemaError(f"{path}: expected an object")
         policy = _policy_from(block, path)
         for cid in policy.schedules:
+            if instance is not None and cid not in instance:
+                raise SchemaError(f"{path}.schedules.{cid}: the instance has no commodity {cid}")
             if cid in owner:
-                raise SchemaError(f"{path}.schedules.{cid}: commodity {cid} is also in $.blocks[{owner[cid]}]")
-            owner[cid] = k
+                raise SchemaError(f"{path}.schedules.{cid}: commodity {cid} is also in {owner[cid]}")
+            owner[cid] = path
         policies.append(policy)
     return policies
 

@@ -10,8 +10,7 @@ all the lemma-level inequalities checkable while making the pipeline runnable
 at desk scale. The reference is stationary with zero phases, so it is read in
 closed form: average inventory T/2 and cost K/T + H*T per commodity, with no
 joint-cycle expansion. A caller-supplied cyclic reference is evaluated exactly
-instead. An exhaustive mode that enumerates class-type labelings is kept for
-instances with very few nonempty classes.
+instead.
 
 The output is a union of cyclic blocks over disjoint commodity subsets.
 Blocks produced by different random draws are mutually incommensurable in
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import ptas
 from .couples import CoupleInput, classify_pairs, synthesize_couple
-from .errors import BudgetExceeded, InfeasibleMatching, InfeasiblePolicy, StateSpaceExceeded
+from .errors import BudgetExceeded, InfeasiblePolicy, StateSpaceExceeded
 from .evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
 from .matching import (
     INF_CLASS,
@@ -44,7 +43,6 @@ from .relaxation import solve_sosi_relaxation
 from .two_approx import solve_two_approx
 
 ALPHA_FALLBACK = 0.875 * PO2_MEAN_CONSTANT  # (7/8) / (sqrt(2) ln 2)
-PTAS_BUDGET = 3  # most prefix commodities handed to the alignment DP
 
 
 def paper_sparsity_threshold(eps: float) -> int:
@@ -61,7 +59,6 @@ class PipelineConfig:
     delta: float = 17.0 / 10000.0
     sparsity_threshold: int | None = None  # None -> 100 ln(1/eps)/eps^4
     Q: int | None = None  # None -> 20 ln(1/eps)/eps^2
-    guess_mode: str = "reference"  # "reference" | "exhaustive"
 
     def __post_init__(self):
         if not (0 < self.eps < 0.1):
@@ -70,8 +67,6 @@ class PipelineConfig:
             raise ValueError("delta must lie in (0, 1/2)")
         if self.Q is not None and self.Q < 1:
             raise ValueError("Q must be >= 1")
-        if self.guess_mode not in ("reference", "exhaustive"):
-            raise ValueError(f"unknown guess mode {self.guess_mode!r}")
 
     @property
     def effective_threshold(self) -> int:
@@ -217,7 +212,6 @@ def decompose_classes(
     ref_report: EvalReport,
     instance: Instance,
     cfg: PipelineConfig,
-    forced_labels: Mapping[Hashable, str] | None = None,
 ) -> ClassDecomposition:
     """Slab assignment from the reference report's exact average inventories.
 
@@ -226,7 +220,6 @@ def decompose_classes(
     V/(1+eps)^L falls into the tail class. A class is sparse when its size is
     at most the sparsity threshold; sparse classes split into a prefix
     holding the first Delta nonempty ones and a suffix with the rest.
-    `forced_labels` lets the exhaustive mode override the type labeling.
     """
     eps = cfg.eps
     V = instance.V
@@ -248,18 +241,15 @@ def decompose_classes(
     threshold = cfg.effective_threshold
     per_class = {ell: math.fsum(avg_space[i] for i in ids) for ell, ids in classes.items()}
 
-    if forced_labels is None:
-        sparse = [ell for ell in sorted(classes, key=_class_sort_key) if len(classes[ell]) <= threshold]
-        dense = [ell for ell in classes if len(classes[ell]) > threshold]
-        delta_count = math.ceil(
-            math.log(125.0 * math.log(1.0 / eps) / eps**6) / math.log1p(eps)
-        )
-        labels: dict[Hashable, str] = {ell: "dense" for ell in dense}
-        cut = min(delta_count, len(sparse))
-        for k, ell in enumerate(sparse):
-            labels[ell] = "prefix-sparse" if k < cut else "suffix-sparse"
-    else:
-        labels = {ell: forced_labels[ell] for ell in classes}
+    sparse = [ell for ell in sorted(classes, key=_class_sort_key) if len(classes[ell]) <= threshold]
+    dense = [ell for ell in classes if len(classes[ell]) > threshold]
+    delta_count = math.ceil(
+        math.log(125.0 * math.log(1.0 / eps) / eps**6) / math.log1p(eps)
+    )
+    labels: dict[Hashable, str] = {ell: "dense" for ell in dense}
+    cut = min(delta_count, len(sparse))
+    for k, ell in enumerate(sparse):
+        labels[ell] = "prefix-sparse" if k < cut else "suffix-sparse"
 
     vbar_sparse = math.fsum(per_class[ell] for ell in classes if labels[ell] != "dense")
     vbar_dense = math.fsum(per_class[ell] for ell in classes if labels[ell] == "dense")
@@ -320,18 +310,18 @@ def _relaxation_block(instance: Instance, ids: Sequence[int], rhs: float, proven
 
 def _prefix_blocks(instance: Instance, cfg: PipelineConfig, prefix_ids: list[int], diag: dict) -> list[Block]:
     """Near-optimal treatment of the few prefix-sparse commodities: the
-    alignment DP when it fits its budgets, the scale-down policy otherwise
-    (both capacity-feasible on their own)."""
+    alignment DP when it fits its budgets (at most DEFAULT_PTAS_CAP
+    commodities), the scale-down policy otherwise (both capacity-feasible on
+    their own)."""
     if not prefix_ids:
         return []
     sub = sub_instance(instance, prefix_ids)
-    if len(prefix_ids) <= PTAS_BUDGET:
-        try:
-            policy, _ = ptas.ptas_solve(sub, min(0.5, 10 * cfg.eps))
-            diag["prefix_method"] = "ptas"
-            return [Block(ids=tuple(prefix_ids), cyclic=policy, provenance="prefix:ptas")]
-        except (BudgetExceeded, StateSpaceExceeded):
-            pass  # hostile parameter spreads blow up the guess grid; fall back
+    try:
+        policy, _ = ptas.ptas_solve(sub, min(0.5, 10 * cfg.eps))
+        diag["prefix_method"] = "ptas"
+        return [Block(ids=tuple(prefix_ids), cyclic=policy, provenance="prefix:ptas")]
+    except (BudgetExceeded, StateSpaceExceeded):
+        pass  # too many commodities, or a hostile parameter spread blows up the guess grid
     policy, _, _ = solve_two_approx(sub)
     diag["prefix_method"] = "two-approx"
     return [Block(ids=tuple(prefix_ids), sosi=policy, provenance="prefix:two-approx")]
@@ -391,7 +381,6 @@ def build_matching_instance(
             weights[(i, ell)] = w
             intervals[(i, ell)] = T
 
-    granule = eps * V / max(1, len(dense))
     bounds: dict[Hashable, tuple[int, int]] = {}
     for ell in class_side:
         size = len(decomp.classes[ell])
@@ -401,8 +390,6 @@ def build_matching_instance(
             bounds[ell] = (min(cfg.effective_threshold, size), len(ids))
         else:
             vbar = decomp.avg_space_per_class[ell]
-            if cfg.guess_mode == "exhaustive":
-                vbar = math.ceil(vbar / granule) * granule  # grid over-estimate
             n_tilde = math.floor((1.0 + eps) ** float(ell) * vbar / V + 1e-9)
             bounds[ell] = (min(cfg.effective_threshold, size), max(n_tilde, size))
     mi = MatchingInstance(
@@ -587,13 +574,10 @@ def solve_sub2(
     else:
         ref_report = evaluate(reference, instance)
 
-    if cfg.guess_mode == "exhaustive":
-        assembled, diag = _solve_exhaustive(instance, cfg, ref_report, seed)
-    else:
-        decomp = decompose_classes(ref_report, instance, cfg)
-        assembled, diag = _dispatch(instance, cfg, decomp, seed)
-        diag["vbar_sparse"] = decomp.vbar_sparse
-        diag["vbar_dense"] = decomp.vbar_dense
+    decomp = decompose_classes(ref_report, instance, cfg)
+    assembled, diag = _dispatch(instance, cfg, decomp, seed)
+    diag["vbar_sparse"] = decomp.vbar_sparse
+    diag["vbar_dense"] = decomp.vbar_dense
 
     report = assembled.report(instance)
     if not report.feasible:
@@ -617,40 +601,3 @@ def _dispatch(
         return run_low_dense_scenario(instance, cfg, decomp)
     return run_difficult_scenario(instance, cfg, decomp, seed)
 
-
-def _solve_exhaustive(
-    instance: Instance, cfg: PipelineConfig, ref_report: EvalReport, seed: int
-) -> tuple[AssembledPolicy, dict]:
-    """Enumerate class-type labelings for instances with few nonempty classes,
-    keeping the cheapest feasible outcome; demonstrates the guessing layer."""
-    import itertools
-
-    base = decompose_classes(ref_report, instance, cfg)
-    nonempty = sorted(base.classes, key=_class_sort_key)
-    if len(nonempty) > 3:
-        raise BudgetExceeded(3 ** len(nonempty), 27)
-    best: tuple[AssembledPolicy, dict] | None = None
-    for combo in itertools.product(("prefix-sparse", "suffix-sparse", "dense"), repeat=len(nonempty)):
-        # sparse prefix classes must precede sparse suffix classes
-        sparse_seq = [lab for lab in combo if lab != "dense"]
-        if any(
-            a == "suffix-sparse" and b == "prefix-sparse"
-            for a, b in zip(sparse_seq, sparse_seq[1:])
-        ):
-            continue
-        labels = dict(zip(nonempty, combo))
-        try:
-            decomp = decompose_classes(ref_report, instance, cfg, forced_labels=labels)
-            candidate, diag = _dispatch(instance, cfg, decomp, seed)
-            rep = candidate.report(instance)
-            if not rep.feasible:
-                continue
-        except (InfeasibleMatching, BudgetExceeded):
-            continue
-        diag["labels"] = {str(k): v for k, v in labels.items()}
-        if best is None or rep.total_cost_rate < best[1]["cost_rate"]:
-            diag["cost_rate"] = rep.total_cost_rate
-            best = (candidate, diag)
-    if best is None:
-        raise InfeasibleMatching("no labeling produced a feasible policy")
-    return best

@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -35,11 +36,6 @@ from .model import CyclicPolicy, Instance
 DEFAULT_PTAS_CAP = 3
 DEFAULT_STATE_CAP = 10**6
 ACTION_CAP = 1 << 22
-
-
-def state_cap_from_env(default: int = DEFAULT_STATE_CAP) -> int:
-    raw = os.environ.get("EWLSP_STATE_CAP")
-    return int(raw) if raw else default
 
 
 @dataclass(frozen=True)
@@ -101,10 +97,11 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DpState:
-    """Memo key. `profile` holds, per previous-level commodity, its order
-    bits at the interval's x-points plus the grid distance from the exit to
-    its next order; everything is relative to the interval entry, so sibling
-    intervals with equal statistics share one entry."""
+    """Memo key. `profile` holds, per previous-level commodity in id order,
+    the position (F units, the deepest plus grid, from the interval entry)
+    of its first order strictly after each of the interval's x-points; that
+    is everything the finer levels read of it, and being relative to the
+    entry, sibling intervals with equal statistics share one entry."""
 
     level: int
     profile: tuple
@@ -210,28 +207,9 @@ class _DpSolver:
         self._action_cache[j] = out
         return out
 
-    # -- profile decoding -------------------------------------------------------
+    # -- previous-level profile ------------------------------------------------
 
-    def _profile_next_orders(self, j: int, profile: tuple) -> list[tuple[int, list[int]]]:
-        """Per previous-level commodity: position (F units from entry) of the
-        first order strictly after each of its x-points."""
-        if not profile:
-            return []
-        prev_ids = self.ids_at[j - 1]
-        xstep = self.slot_step(j - 1)
-        R = self.interval_len(j) // xstep
-        out = []
-        for cid, (bits, after) in zip(prev_ids, profile):
-            positions = [0] * R
-            nxt = (R + after) * xstep
-            for r in range(R - 1, -1, -1):
-                if r + 1 < R and bits[r + 1]:
-                    nxt = (r + 1) * xstep
-                positions[r] = nxt
-            out.append((cid, positions))
-        return out
-
-    def _level_before(self, positions: list[int], xstep: int, at: int) -> float:
+    def _level_before(self, positions: tuple[int, ...], xstep: int, at: int) -> float:
         """Inventory (time units) just before position `at` > 0 (F units)."""
         rr = at // xstep
         if at % xstep == 0:
@@ -272,7 +250,7 @@ class _DpSolver:
         if (1 << ((S - 1) * len(ids))) > ACTION_CAP:
             raise StateSpaceExceeded(f"action space 2^{(S - 1) * len(ids)} at level {j}")
         actions = self._actions(j)
-        prev_orders = self._profile_next_orders(j, state.profile)
+        prev_orders = list(zip(self.ids_at[j - 1], state.profile))
         lb_space = state.lb_units * self.granule
 
         # Space held by the previous class at each of this interval's slots.
@@ -326,26 +304,23 @@ class _DpSolver:
         my_step = self.slot_step(j)
         S = self.slots(j)
         prev_xstep = self.slot_step(j - 1) if prev_orders else 0
+        # each commodity's order positions, closed by the next sibling's mandatory entry order
+        ends = [[s * my_step for s in act[0]] + [S * my_step] for act in combo]
         children = []
         for m in range(ratio):
             entry, exit_ = m * child_len, (m + 1) * child_len
             profile = ()
             if gap_one:
-                profile = tuple(self._child_profile(act[0], entry, exit_, my_step, S) for act in combo)
+                profile = tuple(self._child_profile(e, entry, exit_, my_step) for e in ends)
             fold = 0.0
             for cid, positions in prev_orders:
                 gamma = self.instance.commodity(cid).gamma
                 fold += gamma * self._level_before(positions, prev_xstep, exit_)
             if not gap_one:
                 # this level's space folds into the bound of the skipped-to level
-                for i, act in zip(ids, combo):
+                for i, e in zip(ids, ends):
                     gamma = self.instance.commodity(i).gamma
-                    nxt_pos = S * my_step
-                    for s in act[0]:
-                        if s * my_step >= exit_:
-                            nxt_pos = s * my_step
-                            break
-                    fold += gamma * (nxt_pos - exit_) * self.unit
+                    fold += gamma * (e[bisect_left(e, exit_)] - exit_) * self.unit
             lb_units = state.lb_units + int(fold / self.granule)
             children.append((entry, DpState(level=j + 1, profile=profile, lb_units=lb_units)))
         return children
@@ -362,20 +337,10 @@ class _DpSolver:
         return total
 
     @staticmethod
-    def _child_profile(slots: tuple[int, ...], entry: int, exit_: int, step: int, S: int):
-        first = entry // step
-        R = (exit_ - entry) // step
-        in_slots = set(slots)
-        bits = tuple(1 if (first + r) in in_slots else 0 for r in range(R))
-        exit_slot = first + R
-        after = None
-        for s in slots:
-            if s >= exit_slot:
-                after = s - exit_slot
-                break
-        if after is None:
-            after = S - exit_slot  # the next sibling's mandatory entry order
-        return (bits, after)
+    def _child_profile(ends: list[int], entry: int, exit_: int, step: int) -> tuple[int, ...]:
+        """Position, from `entry`, of the first order strictly after each
+        x-point of the child interval [entry, exit_)."""
+        return tuple(ends[bisect_right(ends, x)] - entry for x in range(entry, exit_, step))
 
     def _materialize(self, state: DpState, abs_entry: int, orders: dict[int, list[tuple[int, int]]]):
         value, combo = self.memo[state]
@@ -391,7 +356,7 @@ class _DpSolver:
                 orders[i].append((abs_entry + s * step, (e - s) * step))
         if j + 1 >= len(self.levels):
             return
-        prev_orders = self._profile_next_orders(j, state.profile)
+        prev_orders = list(zip(self.ids_at[j - 1], state.profile))
         for entry, child in self._child_states(state, j, combo, prev_orders):
             self._materialize(child, abs_entry + entry, orders)
 
@@ -404,11 +369,14 @@ def dp_solve(
     state_cap: int | None = None,
 ) -> tuple[float, CyclicPolicy] | None:
     """Best grid-aligned policy (cost rate, policy) for one guess, or None
-    when every action chain violates the space check."""
+    when every action chain violates the space check. Without a `state_cap`
+    the memo is capped by EWLSP_STATE_CAP, else DEFAULT_STATE_CAP."""
     levels = max(guess.assignment.values())
     if grid is None:
         grid = GridSpec.paper(guess.tau, levels, instance.n, eps)
-    solver = _DpSolver(instance, guess, eps, grid, state_cap or state_cap_from_env())
+    if state_cap is None:
+        state_cap = int(os.environ.get("EWLSP_STATE_CAP") or DEFAULT_STATE_CAP)
+    solver = _DpSolver(instance, guess, eps, grid, state_cap)
     return solver.solve()
 
 
@@ -418,17 +386,15 @@ def ptas_solve(
     grid_M: int = 4,
     grid_S: int = 8,
     state_cap: int | None = None,
-    guess_budget: int = 100_000,
-    n_cap: int = DEFAULT_PTAS_CAP,
     details: dict | None = None,
 ) -> tuple[CyclicPolicy, EvalReport]:
     """Sweep all guesses with the miniature geometry, scale the winner into
     the capacity, and return it with its exact evaluation. When a dict is
     passed as `details`, the winning guess and grid are recorded in it."""
-    if instance.n > n_cap:
-        raise TooManyCommodities(instance.n, n_cap)
-    best: tuple[float, CyclicPolicy, Guess, GridSpec] | None = None
-    for guess in enumerate_guesses(instance, eps, budget=guess_budget):
+    if instance.n > DEFAULT_PTAS_CAP:
+        raise TooManyCommodities(instance.n, DEFAULT_PTAS_CAP)
+    best: tuple[CyclicPolicy, EvalReport, Guess, GridSpec] | None = None
+    for guess in enumerate_guesses(instance, eps):
         grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=grid_M, S=grid_S)
         result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap)
         if result is None:
@@ -440,14 +406,15 @@ def ptas_solve(
             report = evaluate(policy, instance)
         if not report.feasible:
             continue
-        if best is None or report.total_cost_rate < best[0]:
-            best = (report.total_cost_rate, policy, guess, grid)
+        if best is None or report.total_cost_rate < best[1].total_cost_rate:
+            best = (policy, report, guess, grid)
     if best is None:
         raise StateSpaceExceeded("no guess produced a feasible policy")
+    policy, report, guess, grid = best
     if details is not None:
-        details["guess"] = best[2]
-        details["grid"] = best[3]
-    return best[1], evaluate(best[1], instance)
+        details["guess"] = guess
+        details["grid"] = grid
+    return policy, report
 
 
 def is_b_aligned(

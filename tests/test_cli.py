@@ -39,9 +39,16 @@ class TestSolveEval:
         sol_path = tmp_path / "sol.json"
         rc = main(["solve", "--instance", str(inst_path), "--algo", "two-approx", "--out", str(sol_path)])
         assert rc == 0
-        payload = json.loads(sol_path.read_text())
-        assert payload["summary"]["feasible"] is True
-        assert payload["summary"]["cost_rate"] <= 2.0 * payload["summary"]["lower_bound"] + 1e-9
+        summary = json.loads(sol_path.read_text())["summary"]
+        assert summary["feasible"] is True
+        assert summary["cost_rate"] <= 2.0 * summary["lower_bound"] + 1e-9
+        out = tmp_path / "report.json"
+        assert main(["eval", "--instance", str(inst_path), "--policy", str(sol_path), "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["feasible"] is True
+        assert "missing" not in report
+        assert report["total_cost_rate"] == pytest.approx(summary["cost_rate"], rel=1e-12)
+        assert report["v_max"] == pytest.approx(summary["v_max"], rel=1e-12)
 
     def test_sub2_solver(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -128,6 +135,29 @@ class TestSolveEval:
         assert capsys.readouterr().err == (
             "ewlsp: error: $.blocks[1].schedules.0: commodity 0 is also in $.blocks[0]\n"
         )
+
+    @pytest.mark.parametrize(
+        "policy, path",
+        [
+            ({"tau": 1.0, "schedules": {"0": [[0.0, 1.0]], "99": [[0.0, 1.0]]}}, "$.schedules.99"),
+            (
+                {
+                    "blocks": [
+                        {"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}},
+                        {"tau": 2.0, "schedules": {"99": [[0.0, 2.0]]}},
+                    ]
+                },
+                "$.blocks[1].schedules.99",
+            ),
+        ],
+    )
+    def test_eval_rejects_an_id_the_instance_lacks(self, tmp_path, capsys, policy, path):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "3", "--n", "3", "--out", str(inst_path)])
+        pol_path = tmp_path / "pol.json"
+        pol_path.write_text(json.dumps(policy))
+        assert main(["eval", "--instance", str(inst_path), "--policy", str(pol_path)]) == 3
+        assert capsys.readouterr().err == f"ewlsp: error: {path}: the instance has no commodity 99\n"
 
     def test_ptas_solver(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -258,6 +288,22 @@ class TestErrorExitCodes:
         inst_path.write_text('{"V": 1}')
         assert main(["solve", "--instance", str(inst_path)]) == 3
         assert capsys.readouterr().err == "ewlsp: error: $.capacity: missing\n"
+
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_non_positive_state_cap_is_a_usage_error(self, tmp_path, capsys, cap):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "1", "--n", "1", "--out", str(inst_path)])
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--instance", str(inst_path), "--algo", "ptas", "--state-cap", cap])
+        assert exc.value.code == 2
+        assert f"expected a positive integer, got {cap}" in capsys.readouterr().err
+
+    def test_state_cap_is_honoured(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "1", "--n", "2", "--regime", "tight", "--out", str(inst_path)])
+        argv = ["solve", "--instance", str(inst_path), "--algo", "ptas", "--eps", "0.5", "--state-cap", "1"]
+        assert main(argv) == 4
+        assert capsys.readouterr().err == "ewlsp: error: memo grew past 1 states\n"
 
     def test_search_budget_exits_4(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -61,8 +62,6 @@ class TestConfig:
     def test_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(eps=0.2)
-        with pytest.raises(ValueError):
-            PipelineConfig(eps=0.05, guess_mode="magic")
 
 
 class TestReferencePolicy:
@@ -200,16 +199,6 @@ class TestSolveSub2:
         with pytest.raises(InfeasiblePolicy, match="infeasible policy"):
             solve_sub2(inst, CFG, seed=0)
 
-    def test_exhaustive_mode_not_worse_than_reference_mode(self):
-        inst = dense_heavy_instance(4, 14)
-        cfg = PipelineConfig(eps=0.05, sparsity_threshold=4, Q=3, guess_mode="exhaustive")
-        _, rep_ex, diag_ex = solve_sub2(inst, cfg, seed=2)
-        cfg_ref = PipelineConfig(eps=0.05, sparsity_threshold=4, Q=3)
-        _, rep_ref, _ = solve_sub2(inst, cfg_ref, seed=2)
-        assert rep_ex.feasible
-        assert rep_ex.total_cost_rate <= rep_ref.total_cost_rate + 1e-9
-        assert "labels" in diag_ex
-
 
 class TestBlocks:
     def test_sub_instance(self):
@@ -311,7 +300,7 @@ def test_dense_branch_suffix_and_tail_classes():
         ell: ("dense" if len(ids) > 10 or ell == INF_CLASS else "suffix-sparse")
         for ell, ids in base.classes.items()
     }
-    decomp = decompose_classes(ref, inst, cfg, forced_labels=forced)
+    decomp = dataclasses.replace(base, labels=forced)
     blocks, diag = run_dense_branch(inst, cfg, decomp, seed=0)
     kinds = diag["classes"]
     assert kinds[str(INF_CLASS)] == "sosi"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ewlsp.eoq import capped_interval, cost
 from ewlsp.errors import BudgetExceeded, TooManyCommodities
@@ -219,6 +221,28 @@ class TestBruteForceCrossValidation:
         if bf is not None:
             assert dp is not None
             assert dp[0] <= bf + 1e-9
+
+    @given(
+        tau=st.floats(0.5, 3.5),
+        params=st.lists(st.tuples(*[st.floats(0.2, 5.0)] * 3), min_size=2, max_size=2),
+        fill=st.floats(0.16, 0.5),
+        classes=st.sampled_from([(1,), (1, 1), (1, 2), (2, 1)]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_one_or_two_adjacent_levels_exact(self, tau, params, fill, classes):
+        # this capacity range leaves some guesses infeasible, binds on most
+        # of the rest and leaves a few unconstrained
+        params = params[: len(classes)]
+        inst = make_instance(params, fill * tau * sum(g for _, _, g in params))
+        guess = Guess(tau=tau, assignment=dict(enumerate(classes)))
+        grid = GridSpec.desk(tau, max(classes), M=2, S=4)
+        dp = dp_solve(inst, guess, 0.5, grid=grid)
+        bf = _brute_force_aligned(inst, guess, 0.5, grid)
+        if bf is None:
+            assert dp is None
+        else:
+            assert dp is not None
+            assert dp[0] == pytest.approx(bf, rel=1e-9)
 
     def test_dp_policy_cost_matches_value(self):
         inst = make_instance([(1.0, 0.7, 1.0), (0.4, 2.0, 0.8)], 1.1)
