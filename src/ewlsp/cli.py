@@ -44,7 +44,7 @@ from .model import (
 )
 from .oracle import oracle_opt_cyclic
 from .pipeline import AssembledPolicy, Block, PipelineConfig, solve_sub2
-from .ptas import ptas_solve
+from .ptas import DEFAULT_STATE_CAP, ptas_solve
 from .relaxation import solve_sosi_dp, solve_sosi_relaxation
 from .two_approx import solve_two_approx
 
@@ -103,7 +103,7 @@ def _solve_one(
     threshold: int = 10,
     subgroups: int = 10,
     grid_base: int = 4,
-    state_cap: int | None = None,
+    state_cap: int = DEFAULT_STATE_CAP,
 ):
     """Returns (cost_rate, v_max, lower_bound, feasible, payload)."""
     if algo == "two-approx":
@@ -178,9 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--sparsity-threshold", type=int, default=10)
     p.add_argument("--subgroups", type=int, default=10)
     p.add_argument("--grid-base", type=int, default=4, help="level ratio of the alignment DP grids")
-    p.add_argument(
-        "--state-cap", type=_positive_int, help="hard cap on DP states (default: EWLSP_STATE_CAP or 1e6)"
-    )
+    p.add_argument("--state-cap", type=_positive_int, default=DEFAULT_STATE_CAP, help="hard cap on DP states")
     p.add_argument("--out")
 
     p = sub.add_parser("eval", help="evaluate a cyclic policy or a union of blocks")

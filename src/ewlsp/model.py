@@ -351,12 +351,12 @@ def parse_policy(text: bytes | str) -> CyclicPolicy:
     return _policy_from(_load_object(text), "$")
 
 
-def parse_policies(text: bytes | str, instance: Instance | None = None) -> list[CyclicPolicy]:
+def parse_policies(text: bytes | str, instance: Instance) -> list[CyclicPolicy]:
     """Parse a cyclic policy, or the `{"blocks": [...]}` union of cyclic
     policies over disjoint ids that the sub2 and two-approx solvers write,
     into its parts. Keys other than `tau`, `schedules` and `blocks`
-    (`provenance`, `diagnostics`, `summary`) are ignored. Given the
-    `instance`, a schedule for an id it lacks is a SchemaError."""
+    (`provenance`, `diagnostics`, `summary`) are ignored. A schedule for an
+    id the `instance` lacks is a SchemaError."""
     raw = _load_object(text)
     if "blocks" not in raw:
         parts = [("$", raw)]
@@ -371,7 +371,7 @@ def parse_policies(text: bytes | str, instance: Instance | None = None) -> list[
             raise SchemaError(f"{path}: expected an object")
         policy = _policy_from(block, path)
         for cid in policy.schedules:
-            if instance is not None and cid not in instance:
+            if cid not in instance:
                 raise SchemaError(f"{path}.schedules.{cid}: the instance has no commodity {cid}")
             if cid in owner:
                 raise SchemaError(f"{path}.schedules.{cid}: commodity {cid} is also in {owner[cid]}")

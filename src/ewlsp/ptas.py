@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
@@ -366,16 +365,14 @@ def dp_solve(
     guess: Guess,
     eps: float,
     grid: GridSpec | None = None,
-    state_cap: int | None = None,
+    state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[float, CyclicPolicy] | None:
     """Best grid-aligned policy (cost rate, policy) for one guess, or None
-    when every action chain violates the space check. Without a `state_cap`
-    the memo is capped by EWLSP_STATE_CAP, else DEFAULT_STATE_CAP."""
+    when every action chain violates the space check. A memo that reaches
+    `state_cap` entries raises StateSpaceExceeded."""
     levels = max(guess.assignment.values())
     if grid is None:
         grid = GridSpec.paper(guess.tau, levels, instance.n, eps)
-    if state_cap is None:
-        state_cap = int(os.environ.get("EWLSP_STATE_CAP") or DEFAULT_STATE_CAP)
     solver = _DpSolver(instance, guess, eps, grid, state_cap)
     return solver.solve()
 
@@ -385,7 +382,7 @@ def ptas_solve(
     eps: float,
     grid_M: int = 4,
     grid_S: int = 8,
-    state_cap: int | None = None,
+    state_cap: int = DEFAULT_STATE_CAP,
     details: dict | None = None,
 ) -> tuple[CyclicPolicy, EvalReport]:
     """Sweep all guesses with the miniature geometry, scale the winner into

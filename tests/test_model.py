@@ -22,6 +22,8 @@ from ewlsp.model import (
 
 from conftest import make_instance
 
+FIVE = make_instance([(1.0, 1.0, 1.0)] * 5, 10.0)  # ids 0..4
+
 
 class TestInvariants:
     @pytest.mark.parametrize("field", ["K", "H", "gamma"])
@@ -150,10 +152,10 @@ class TestSerialization:
             "diagnostics": {"seed": 3},
             "summary": {"feasible": True},
         }
-        blocks = parse_policies(json.dumps(doc))
+        blocks = parse_policies(json.dumps(doc), FIVE)
         assert [sorted(b.schedules) for b in blocks] == [[0], [1, 2]]
         assert [b.tau for b in blocks] == [1.0, 2.0]
-        single = parse_policies(b'{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}, "kind": "cyclic"}')
+        single = parse_policies(b'{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}, "kind": "cyclic"}', FIVE)
         assert single == [parse_policy(b'{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}}')]
 
     @pytest.mark.parametrize(
@@ -172,7 +174,7 @@ class TestSerialization:
     )
     def test_block_union_schema_errors(self, doc, path):
         with pytest.raises(SchemaError, match=path):
-            parse_policies(json.dumps(doc))
+            parse_policies(json.dumps(doc), FIVE)
 
     def test_policy_schema_errors(self):
         with pytest.raises(SchemaError, match=r"\$\.tau"):
