@@ -17,15 +17,29 @@ between occupied ones are handled by descending directly to the next
 occupied level while folding the skipped classes into the lower bound;
 identical subintervals collapse in the memo table instead of an explicit
 copy representation, which reproduces the same values with sharper bounds.
+
+Each state picks one order pattern per commodity of its level. The patterns
+over an interval of S slots depend on S alone, so one integer table per S
+(gaps, inventory levels and order counts in slot steps, plus the slot tuples)
+is built once and shared by every solver; a solver scales it by its slot
+length into gamma*level and K*count + 2H*hold arrays per commodity. A state
+folds its commodities in one at a time onto the space the previous level
+holds, drops the combinations over the bound, and visits the rest in
+ascending interval cost until no later one can win. Equal totals go to the
+combination that comes first in product order over the ids, so the chosen
+policy does not depend on the visiting order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping
+
+import numpy as np
 
 from .eoq import compute_M
 from .errors import BudgetExceeded, StateSpaceExceeded, TooManyCommodities
@@ -142,13 +156,43 @@ def enumerate_guesses(instance: Instance, eps: float, budget: int = 100_000) -> 
     ]
 
 
+@dataclass(frozen=True)
+class _Patterns:
+    """Every single-commodity order pattern over one interval of S slots, in
+    slot steps. Row a orders at slot 0 (the mandatory entry order) and at
+    slot s >= 1 when bit s-1 of a is set, so rows run in bitmask order."""
+
+    slots: tuple[tuple[int, ...], ...]  # order slots, ascending
+    gaps: np.ndarray  # (A, S): slots between successive orders, in order, zero-padded
+    levels: np.ndarray  # (A, S): slots from each slot point to the next order (S closes)
+    counts: np.ndarray  # (A,): orders per interval
+
+
+@functools.cache
+def _patterns(S: int) -> _Patterns:
+    """The pattern table for S slots, shared by every solver in the process."""
+    A = 1 << (S - 1)
+    has = np.ones((A, S), dtype=bool)
+    has[:, 1:] = (np.arange(A)[:, None] >> np.arange(S - 1)) & 1
+    counts = has.sum(axis=1)
+    levels = np.empty((A, S), dtype=np.int64)
+    nxt = np.full(A, S)
+    for s in range(S - 1, -1, -1):
+        levels[:, s] = nxt - s
+        nxt = np.where(has[:, s], s, nxt)
+    # the level at an order slot is the gap to the next order
+    first = np.argsort(~has, axis=1, kind="stable")
+    gaps = np.where(np.arange(S) < counts[:, None], np.take_along_axis(levels, first, axis=1), 0)
+    slots = tuple(tuple([0] + [s for s in range(1, S) if a >> (s - 1) & 1]) for a in range(A))
+    for arr in (gaps, levels, counts):
+        arr.flags.writeable = False
+    return _Patterns(slots=slots, gaps=gaps, levels=levels, counts=counts)
+
+
 class _DpSolver:
     """One (guess, grid) dynamic program over translation-invariant states."""
 
     def __init__(self, instance: Instance, guess: Guess, eps: float, grid: GridSpec, state_cap: int):
-        self.instance = instance
-        self.eps = eps
-        self.grid = grid
         self.state_cap = state_cap
         self.tau = grid.tau_cycle
         occupied = sorted(set(guess.assignment.values()))
@@ -158,6 +202,8 @@ class _DpSolver:
         self.ids_at = [
             sorted(i for i, q in guess.assignment.items() if q == lvl) for lvl in occupied
         ]
+        commodities = [[instance.commodity(i) for i in ids] for ids in self.ids_at]
+        self.gammas = [[c.gamma for c in level] for level in commodities]
         self.F = grid.plus_counts[occupied[-1] - 1]
         self.unit = self.tau / self.F
         self.minus = [grid.minus_counts[q - 1] for q in occupied]
@@ -165,7 +211,25 @@ class _DpSolver:
         self.space_bound = (1.0 + eps) * instance.V * (1.0 + 1e-12)
         self.granule = eps * instance.V / instance.n
         self.memo: dict[DpState, tuple[float | None, tuple | None]] = {}
-        self._action_cache: dict[int, list] = {}
+        # Per level and commodity in id order: gamma*level (A x S) and the
+        # interval cost K*count + 2H*hold (A), scaled from the shared table.
+        self.space_terms: list[list[np.ndarray] | None] = []
+        self.cost_terms: list[list[np.ndarray] | None] = []
+        for j, level in enumerate(commodities):
+            S = self.slots(j)
+            if (1 << ((S - 1) * len(level))) > ACTION_CAP:
+                self.space_terms.append(None)  # _value raises on reaching this level
+                self.cost_terms.append(None)
+                continue
+            table = _patterns(S)
+            step_t = self.slot_step(j) * self.unit
+            hold = np.zeros(len(table.slots))
+            for column in table.gaps.T:  # gap by gap in slot order: a float sum depends on its order
+                d = column * step_t
+                hold += 0.5 * d * d
+            levels = table.levels * step_t
+            self.space_terms.append([c.gamma * levels for c in level])
+            self.cost_terms.append([c.K * table.counts + 2.0 * c.H * hold for c in level])
 
     # -- geometry -----------------------------------------------------------
 
@@ -177,34 +241,6 @@ class _DpSolver:
 
     def slots(self, j: int) -> int:
         return self.plus[j] // self.minus[j]
-
-    # -- action table ---------------------------------------------------------
-
-    def _actions(self, j: int) -> list[tuple[tuple[int, ...], float, tuple[float, ...], int]]:
-        """All single-commodity order patterns over one level-j interval:
-        (slot indices incl. the mandatory entry order, holding integral in
-        time^2, inventory at each slot point in time, order count)."""
-        if j in self._action_cache:
-            return self._action_cache[j]
-        S = self.slots(j)
-        step_t = self.slot_step(j) * self.unit
-        out = []
-        for mask in range(1 << (S - 1)):
-            slots = [0] + [s for s in range(1, S) if mask >> (s - 1) & 1]
-            nxt = slots[1:] + [S]
-            hold = 0.0
-            for a, b in zip(slots, nxt):
-                d = (b - a) * step_t
-                hold += 0.5 * d * d
-            levels = []
-            k = 0
-            for s in range(S):
-                while k + 1 < len(slots) and slots[k + 1] <= s:
-                    k += 1
-                levels.append((nxt[k] - s) * step_t)
-            out.append((tuple(slots), hold, tuple(levels), len(slots)))
-        self._action_cache[j] = out
-        return out
 
     # -- previous-level profile ------------------------------------------------
 
@@ -238,18 +274,32 @@ class _DpSolver:
         return copies * cost / self.tau, policy
 
     def _value(self, state: DpState) -> float | None:
-        if state in self.memo:
-            return self.memo[state][0]
+        """Cheapest cost of the state's interval and everything below it, or
+        None when no combination of patterns fits.
+
+        A combination picks one pattern per commodity of the level; its flat
+        index is its position in `itertools.product` order over the ids.
+        Commodities are folded in one at a time: the space held at each slot
+        point (previous level and bound, then gamma*level per commodity in id
+        order) is checked against the bound, and rows already over it are
+        dropped, since later terms only add space. The survivors stay in flat
+        index order, so their positions compare like flat indices. They are
+        then visited in ascending interval cost (a stable sort) and the scan
+        stops at the first combination whose (cost, position) exceeds the
+        best (total, position): children only add nonnegative cost. Of equal
+        totals the lowest flat index wins."""
+        known = self.memo.get(state)
+        if known is not None:
+            return known[0]
         if len(self.memo) >= self.state_cap:
             raise StateSpaceExceeded(f"memo grew past {self.state_cap} states")
         self.memo[state] = (None, None)  # occupy the slot; overwritten below
         j = state.level
-        ids = self.ids_at[j]
         S = self.slots(j)
-        if (1 << ((S - 1) * len(ids))) > ACTION_CAP:
-            raise StateSpaceExceeded(f"action space 2^{(S - 1) * len(ids)} at level {j}")
-        actions = self._actions(j)
-        prev_orders = list(zip(self.ids_at[j - 1], state.profile))
+        space_terms = self.space_terms[j]
+        if space_terms is None:
+            raise StateSpaceExceeded(f"action space 2^{(S - 1) * len(self.ids_at[j])} at level {j}")
+        prev_orders = list(zip(self.gammas[j - 1], state.profile))
         lb_space = state.lb_units * self.granule
 
         # Space held by the previous class at each of this interval's slots.
@@ -257,40 +307,42 @@ class _DpSolver:
         if prev_orders:
             xstep = self.slot_step(j - 1)
             my_step = self.slot_step(j)
-            for cid, positions in prev_orders:
-                gamma = self.instance.commodity(cid).gamma
+            for gamma, positions in prev_orders:
                 for s in range(S):
                     pos = s * my_step
                     r = pos // xstep
                     prev_space[s] += gamma * (positions[r] - pos) * self.unit
 
-        gammas = [self.instance.commodity(i).gamma for i in ids]
-        Ks = [self.instance.commodity(i).K for i in ids]
-        Hs = [self.instance.commodity(i).H for i in ids]
+        space = np.array([prev_space])
+        picks: list[np.ndarray] = []  # per folded commodity, the pattern of each surviving row
+        for k, term in enumerate(space_terms):
+            # slot by slot, so the widest temporary holds one value per candidate row
+            over = space[:, None, 0] + term[None, :, 0] > self.space_bound
+            for s in range(1, S):
+                over |= space[:, None, s] + term[None, :, s] > self.space_bound
+            rows, pattern = np.nonzero(~over)
+            picks = [p[rows] for p in picks] + [pattern]
+            if k + 1 < len(space_terms):
+                space = space[rows] + term[pattern]
+        cost_terms = self.cost_terms[j]
+        cost = cost_terms[0][picks[0]]
+        for term, p in zip(cost_terms[1:], picks[1:]):
+            cost = cost + term[p]
+
         best: float | None = None
+        best_at = -1
         best_combo = None
-        for combo in itertools.product(actions, repeat=len(ids)):
-            acceptable = True
-            for s in range(S):
-                space = prev_space[s]
-                for g, act in zip(gammas, combo):
-                    space += g * act[2][s]
-                if space > self.space_bound:
-                    acceptable = False
-                    break
-            if not acceptable:
-                continue
-            cost = 0.0
-            for K, H, act in zip(Ks, Hs, combo):
-                cost += K * act[3] + 2.0 * H * act[1]
-            if best is not None and cost >= best:
-                continue  # children only add nonnegative cost
+        for at in np.argsort(cost, kind="stable"):  # read lazily: the scan usually stops early
+            c = float(cost[at])
+            if best is not None and (c, at) > (best, best_at):
+                break
+            combo = tuple(int(p[at]) for p in picks)
             child_cost = self._descend(state, j, combo, prev_orders)
             if child_cost is None:
                 continue
-            total = cost + child_cost
-            if best is None or total < best:
-                best, best_combo = total, combo
+            total = c + child_cost
+            if best is None or (total, at) < (best, best_at):
+                best, best_at, best_combo = total, at, combo
         self.memo[state] = (best, best_combo)
         return best
 
@@ -299,12 +351,12 @@ class _DpSolver:
         child_len = self.interval_len(j + 1)
         ratio = self.interval_len(j) // child_len
         gap_one = self.levels[j + 1] == self.levels[j] + 1
-        ids = self.ids_at[j]
         my_step = self.slot_step(j)
         S = self.slots(j)
+        slots = _patterns(S).slots
         prev_xstep = self.slot_step(j - 1) if prev_orders else 0
         # each commodity's order positions, closed by the next sibling's mandatory entry order
-        ends = [[s * my_step for s in act[0]] + [S * my_step] for act in combo]
+        ends = [[s * my_step for s in slots[a]] + [S * my_step] for a in combo]
         children = []
         for m in range(ratio):
             entry, exit_ = m * child_len, (m + 1) * child_len
@@ -312,13 +364,11 @@ class _DpSolver:
             if gap_one:
                 profile = tuple(self._child_profile(e, entry, exit_, my_step) for e in ends)
             fold = 0.0
-            for cid, positions in prev_orders:
-                gamma = self.instance.commodity(cid).gamma
+            for gamma, positions in prev_orders:
                 fold += gamma * self._level_before(positions, prev_xstep, exit_)
             if not gap_one:
                 # this level's space folds into the bound of the skipped-to level
-                for i, e in zip(ids, ends):
-                    gamma = self.instance.commodity(i).gamma
+                for gamma, e in zip(self.gammas[j], ends):
                     fold += gamma * (e[bisect_left(e, exit_)] - exit_) * self.unit
             lb_units = state.lb_units + int(fold / self.granule)
             children.append((entry, DpState(level=j + 1, profile=profile, lb_units=lb_units)))
@@ -348,14 +398,15 @@ class _DpSolver:
         j = state.level
         step = self.slot_step(j)
         S = self.slots(j)
-        for i, act in zip(self.ids_at[j], combo):
-            slots = act[0]
+        patterns = _patterns(S).slots
+        for i, a in zip(self.ids_at[j], combo):
+            slots = patterns[a]
             nxt = list(slots[1:]) + [S]
             for s, e in zip(slots, nxt):
                 orders[i].append((abs_entry + s * step, (e - s) * step))
         if j + 1 >= len(self.levels):
             return
-        prev_orders = list(zip(self.ids_at[j - 1], state.profile))
+        prev_orders = list(zip(self.gammas[j - 1], state.profile))
         for entry, child in self._child_states(state, j, combo, prev_orders):
             self._materialize(child, abs_entry + entry, orders)
 

@@ -1,10 +1,14 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ewlsp.cli import generate_instance
 from ewlsp.eoq import capped_interval, cost
 from ewlsp.errors import BudgetExceeded, TooManyCommodities
 from ewlsp.evaluator import evaluate
+from ewlsp.model import serialize_policy
 from ewlsp.oracle import oracle_opt_cyclic
 from ewlsp.ptas import GridSpec, Guess, dp_solve, enumerate_guesses, is_b_aligned, ptas_solve
 
@@ -128,6 +132,51 @@ class TestPtasSolve:
         assert fine.total_cost_rate <= coarse.total_cost_rate + 1e-9
 
 
+# sha256 of serialize_policy(policy) + repr(cost rate) of fixed ptas_solve
+# runs (eps 0.5), taken from the per-combination Python loop the pattern
+# tables replaced. On the identical pairs every combination ties with its
+# mirror, so the lowest-flat-index rule decides the output.
+PINNED_OUTPUTS = [
+    (
+        "n1-tight",
+        make_instance([(1, 1, 1)], 0.45),
+        "17b6c6918ab9ce0a962e449b23e2da4c0497bb8cc34e2ac5239e96fa857f3c22",
+    ),
+    (
+        "n2-two-classes",
+        make_instance([(1, 1, 1), (4, 1, 1)], 1.5),
+        "4b651d05c2c51064be693c8e4335fdb0c7c2d3597cf0626113ef7f13c0fe7cf2",
+    ),
+    (
+        "n2-identical",
+        make_instance([(1, 1, 1), (1, 1, 1)], 0.8),
+        "6664867710b622afdcd835c4ec0f2ad07ed7477338077ad8761e15b1f8018c53",
+    ),
+    (
+        "n2-identical-loose",
+        make_instance([(1, 1, 1), (1, 1, 1)], 3.0),
+        "5ba3d9555930053fc9ff11663e0d647e6a5d374be119be963e21b38864c14ee4",
+    ),
+    (
+        "generated-1-tight",
+        generate_instance(1, 2, 1.0, "tight"),
+        "5f1017648055f26e74859e132da844ee72b45b98fb183e999472e51cdbf3cdbb",
+    ),
+    (
+        "generated-2-dense-heavy",
+        generate_instance(2, 2, 1.0, "dense-heavy"),
+        "3b883ffe3475cca0294e21c414f6cfa486f4ed07471da030f6405b3af92c8e4c",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, inst, digest", PINNED_OUTPUTS, ids=[p[0] for p in PINNED_OUTPUTS])
+def test_pinned_outputs(name, inst, digest):
+    policy, report = ptas_solve(inst, 0.5)
+    text = serialize_policy(policy) + repr(report.total_cost_rate).encode()
+    assert hashlib.sha256(text).hexdigest() == digest
+
+
 def _brute_force_aligned(instance, guess, eps, grid):
     """All aligned policies by direct enumeration: mandatory orders at each
     class minus-point, optional orders at remaining plus-points, peak checked
@@ -198,6 +247,21 @@ class TestBruteForceCrossValidation:
         dp = dp_solve(inst, guess, 0.5, grid=grid)
         bf = _brute_force_aligned(inst, guess, 0.5, grid)
         assert dp[0] == pytest.approx(bf, rel=1e-9)
+
+    @pytest.mark.parametrize("tau, V", [(1.2, 0.7), (1.2, 1.4), (2.0, 1.1), (2.0, 0.5)])
+    def test_n3_shared_level_exact(self, tau, V):
+        # three commodities on one level; at V=0.7 and 1.1 some rows are over
+        # the bound after one or two commodities, at V=0.5 every combination
+        inst = make_instance([(1.0, 0.7, 1.0), (0.4, 2.0, 0.8), (0.3, 1.0, 0.5)], V)
+        guess = Guess(tau=tau, assignment={0: 1, 1: 1, 2: 1})
+        grid = GridSpec.desk(tau, 1, M=2, S=4)
+        dp = dp_solve(inst, guess, 0.5, grid=grid)
+        bf = _brute_force_aligned(inst, guess, 0.5, grid)
+        if bf is None:
+            assert dp is None
+        else:
+            assert dp is not None
+            assert dp[0] == pytest.approx(bf, rel=1e-9)
 
     @pytest.mark.parametrize("tau", [1.1, 1.9])
     def test_n3_three_levels_never_worse(self, tau):
