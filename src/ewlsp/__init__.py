@@ -4,6 +4,7 @@ sub-2 pipeline built on power-of-2 rounding and paired schedules, a small-n
 grid-aligned dynamic program, and brute-force oracles."""
 
 from .errors import (
+    ActionSpaceExceeded,
     BudgetExceeded,
     IncommensurateIntervals,
     InfeasibleMatching,
@@ -31,6 +32,7 @@ from .model import (
 )
 
 __all__ = [
+    "ActionSpaceExceeded",
     "BudgetExceeded",
     "Commodity",
     "CyclicPolicy",

@@ -118,8 +118,13 @@ def _solve_one(
         payload["diagnostics"] = _jsonable(diag)
     elif algo == "ptas":
         lb = solve_sosi_relaxation(instance).objective
-        policy, report = ptas_solve(instance, eps, grid_M=grid_base, grid_S=2 * grid_base, state_cap=state_cap)
+        details: dict = {}
+        policy, report = ptas_solve(
+            instance, eps, grid_M=grid_base, grid_S=2 * grid_base, state_cap=state_cap, details=details
+        )
         payload = {"kind": "cyclic", **policy_to_json(policy)}
+        if details["skipped_guesses"]:  # the policy is the best over the guesses that ran
+            payload["diagnostics"] = {"skipped_guesses": details["skipped_guesses"]}
     else:
         raise ValueError(f"unknown algorithm {algo!r}")
     return report.total_cost_rate, report.v_max, lb, report.feasible, payload
@@ -139,6 +144,14 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
+    return value
+
+
+def _grid_base(text: str) -> int:
+    # grid_M = base and grid_S = 2*base need S | M^2, i.e. an even base
+    value = int(text)
+    if value < 2 or value % 2:
+        raise argparse.ArgumentTypeError(f"expected an even integer >= 2, got {value}")
     return value
 
 
@@ -177,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--trials", type=int, default=1, help="seeds to try for randomized solvers; best kept")
     p.add_argument("--sparsity-threshold", type=int, default=10)
     p.add_argument("--subgroups", type=int, default=10)
-    p.add_argument("--grid-base", type=int, default=4, help="level ratio of the alignment DP grids")
+    p.add_argument("--grid-base", type=_grid_base, default=4, help="level ratio of the alignment DP grids")
     p.add_argument("--state-cap", type=_positive_int, default=DEFAULT_STATE_CAP, help="hard cap on DP states")
     p.add_argument("--out")
 

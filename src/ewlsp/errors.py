@@ -46,5 +46,9 @@ class StateSpaceExceeded(RuntimeError):
     """Dynamic program state count crossed the hard cap."""
 
 
+class ActionSpaceExceeded(StateSpaceExceeded):
+    """One level of a dynamic program has more pattern combinations than the cap."""
+
+
 class SearchSpaceExceeded(RuntimeError):
     """Brute-force search space is too large to enumerate."""

@@ -60,7 +60,7 @@ class MimickingPartition:
 
 def class_interval_cap(ell: Hashable, eps: float, V: float, n: int) -> float:
     """Largest stationary interval whose average space fits the slab of ell."""
-    if ell == INF_CLASS or ell == "inf":
+    if ell == INF_CLASS:
         return 2.0 * eps * V / n
     level = int(ell)
     if level < 1:

@@ -106,16 +106,6 @@ class Instance:
     def ids(self) -> list[int]:
         return [c.id for c in self.commodities]
 
-    def degenerate_for(self, eps: float) -> bool:
-        """Report (not enforce) granularity degeneracy: some commodity's
-        capacity-constrained peak space falls below the (eps/n)*V granule."""
-        granule = eps / self.n * self.V
-        for c in self.commodities:
-            t_cap = min(math.sqrt(c.K / c.H), self.V / c.gamma)
-            if c.gamma * t_cap < granule:
-                return True
-        return False
-
 
 @dataclass(frozen=True)
 class SosiPolicy:

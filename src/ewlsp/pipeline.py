@@ -17,6 +17,10 @@ Blocks produced by different random draws are mutually incommensurable in
 general, so the union's peak is certified by the sum of exact per-block
 peaks, which is precisely the accounting the analysis itself uses and is
 conservative for feasibility.
+
+Each scenario runner only returns its blocks. The uniform scale-down happens
+once, in solve_sub2, and the report of the scaled union is both the
+feasibility check and the certificate it returns.
 """
 
 from __future__ import annotations
@@ -308,7 +312,7 @@ def _relaxation_block(instance: Instance, ids: Sequence[int], rhs: float, proven
     return Block(ids=tuple(ids), sosi=SosiPolicy(intervals_T=dict(sol.intervals_T)), provenance=provenance)
 
 
-def _prefix_blocks(instance: Instance, cfg: PipelineConfig, prefix_ids: list[int], diag: dict) -> list[Block]:
+def _prefix_blocks(instance: Instance, cfg: PipelineConfig, prefix_ids: list[int]) -> list[Block]:
     """Near-optimal treatment of the few prefix-sparse commodities: the
     alignment DP when it fits its budgets (at most DEFAULT_PTAS_CAP
     commodities), the scale-down policy otherwise (both capacity-feasible on
@@ -318,48 +322,29 @@ def _prefix_blocks(instance: Instance, cfg: PipelineConfig, prefix_ids: list[int
     sub = sub_instance(instance, prefix_ids)
     try:
         policy, _ = ptas.ptas_solve(sub, min(0.5, 10 * cfg.eps))
-        diag["prefix_method"] = "ptas"
         return [Block(ids=tuple(prefix_ids), cyclic=policy, provenance="prefix:ptas")]
     except (BudgetExceeded, StateSpaceExceeded):
         pass  # too many commodities, or a hostile parameter spread blows up the guess grid
     policy, _, _ = solve_two_approx(sub)
-    diag["prefix_method"] = "two-approx"
     return [Block(ids=tuple(prefix_ids), sosi=policy, provenance="prefix:two-approx")]
 
 
-def run_easy_scenario(
-    instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition
-) -> tuple[AssembledPolicy, dict]:
+def run_easy_scenario(instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition) -> list[Block]:
     """High sparse volume: prefix commodities solved near-optimally, the rest
-    through the average-space relaxation, then one uniform scale-down."""
-    eps, V = cfg.eps, instance.V
-    diag: dict = {"scenario": "easy"}
+    through the average-space relaxation."""
     prefix_ids = decomp.ids_with_label("prefix-sparse")
     rest_ids = decomp.ids_with_label("suffix-sparse") + decomp.ids_with_label("dense")
-    blocks = _prefix_blocks(instance, cfg, prefix_ids, diag)
+    blocks = _prefix_blocks(instance, cfg, prefix_ids)
     if rest_ids:
-        blocks.append(
-            _relaxation_block(
-                instance, rest_ids, rhs=2.0 * (decomp.vbar_dense + eps * V), provenance="suffix+dense:relaxation"
-            )
-        )
-    assembled = AssembledPolicy(tuple(blocks))
-    diag["paper_scale"] = 2.0 - 2.0 * cfg.delta + 5.0 * eps
-    return _scale_to_capacity(assembled, instance, diag)
+        rhs = 2.0 * (decomp.vbar_dense + cfg.eps * instance.V)
+        blocks.append(_relaxation_block(instance, rest_ids, rhs=rhs, provenance="suffix+dense:relaxation"))
+    return blocks
 
 
-def run_low_dense_scenario(
-    instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition
-) -> tuple[AssembledPolicy, dict]:
+def run_low_dense_scenario(instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition) -> list[Block]:
     """Both sparse and dense volumes small: one whole-instance relaxation."""
-    eps, V = cfg.eps, instance.V
-    diag: dict = {"scenario": "low-dense"}
-    total = decomp.vbar_sparse + decomp.vbar_dense
-    block = _relaxation_block(
-        instance, instance.ids(), rhs=2.0 * (total + eps * V), provenance="all:relaxation"
-    )
-    diag["paper_scale"] = 2.0 - 2.0 * cfg.delta + 4.0 * eps
-    return _scale_to_capacity(AssembledPolicy((block,)), instance, diag)
+    rhs = 2.0 * (decomp.vbar_sparse + decomp.vbar_dense + cfg.eps * instance.V)
+    return [_relaxation_block(instance, instance.ids(), rhs=rhs, provenance="all:relaxation")]
 
 
 def build_matching_instance(
@@ -418,7 +403,7 @@ def run_dense_branch(
     class either the matched stationary policies (light majority), or
     power-of-2 rounding with couple synthesis guarded by the concentration
     event, falling back to the alpha-scaled stationary policy."""
-    eps, V = cfg.eps, instance.V
+    eps = cfg.eps
     diag: dict = {"classes": {}, "couples": 0, "far_pair_counts": [], "a_ell": {}}
     mi, interval_table = build_matching_instance(instance, cfg, decomp)
     if not mi.commodity_side:
@@ -518,9 +503,10 @@ def run_dense_branch(
 
 def run_difficult_scenario(
     instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition, seed: int
-) -> tuple[AssembledPolicy, dict]:
+) -> tuple[list[Block], dict]:
+    """Prefix classes through their own relaxation, the rest through the
+    dense branch; returns the blocks and the dense branch's diagnostics."""
     eps, V = cfg.eps, instance.V
-    diag: dict = {"scenario": "difficult"}
     prefix_ids = decomp.ids_with_label("prefix-sparse")
     blocks: list[Block] = []
     if prefix_ids:
@@ -530,28 +516,20 @@ def run_difficult_scenario(
         )
     dense_blocks, dense_diag = run_dense_branch(instance, cfg, decomp, seed)
     blocks.extend(dense_blocks)
-    diag["dense"] = dense_diag
-    diag["paper_scale"] = (1.0 + 8.0 * eps) * (
-        1.0 + 0.875 * PO2_MEAN_CONSTANT + cfg.delta / 2.0 + 12.0 * eps
-    )
-    return _scale_to_capacity(AssembledPolicy(tuple(blocks)), instance, diag)
+    return blocks, dense_diag
 
 
-def _scale_to_capacity(
-    assembled: AssembledPolicy, instance: Instance, diag: dict
-) -> tuple[AssembledPolicy, dict]:
+def _scale_to_capacity(assembled: AssembledPolicy, instance: Instance) -> tuple[AssembledPolicy, EvalReport, float]:
     """Uniformly stretch intervals down (divide times by the overshoot) so the
     certified peak fits the capacity; the measured factor is used when it is
-    smaller than the analysis' worst case, never hurting the guarantee."""
+    smaller than the analysis' worst case, never hurting the guarantee.
+    Returns the policy, its report and the factor applied (1.0 for none)."""
     report = assembled.report(instance)
     factor = report.v_max / instance.V
-    diag["measured_scale"] = max(1.0, factor)
     if factor > 1.0:
         assembled = assembled.scaled(1.0 / factor)
         report = assembled.report(instance)
-    diag["v_max"] = report.v_max
-    diag["cost_rate"] = report.total_cost_rate
-    return assembled, diag
+    return assembled, report, max(1.0, factor)
 
 
 def solve_sub2(
@@ -575,29 +553,29 @@ def solve_sub2(
         ref_report = evaluate(reference, instance)
 
     decomp = decompose_classes(ref_report, instance, cfg)
-    assembled, diag = _dispatch(instance, cfg, decomp, seed)
-    diag["vbar_sparse"] = decomp.vbar_sparse
-    diag["vbar_dense"] = decomp.vbar_dense
-
-    report = assembled.report(instance)
+    scenario, blocks, dense = _dispatch(instance, cfg, decomp, seed)
+    assembled, report, measured_scale = _scale_to_capacity(AssembledPolicy(tuple(blocks)), instance)
     if not report.feasible:
         raise InfeasiblePolicy(f"pipeline produced infeasible policy: v_max={report.v_max}")
-    diag["ref_cost_rate"] = ref_report.total_cost_rate
-    diag["cost_vs_ref"] = report.total_cost_rate / ref_report.total_cost_rate
-    diag["seed"] = seed
-    # both published target constants; the suite asserts the first
-    diag["target_ratio"] = 2.0 - 17.0 / 5000.0 + cfg.eps
-    diag["target_ratio_variant"] = 2.0 - 17.0 / 6250.0 + cfg.eps
+    diag = {
+        "scenario": scenario,
+        "dense": dense,
+        "measured_scale": measured_scale,
+        "ref_cost_rate": ref_report.total_cost_rate,
+        "cost_vs_ref": report.total_cost_rate / ref_report.total_cost_rate,
+    }
     return assembled, report, diag
 
 
 def _dispatch(
     instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition, seed: int
-) -> tuple[AssembledPolicy, dict]:
+) -> tuple[str, list[Block], dict | None]:
+    """The scenario's name, its blocks, and the dense branch's diagnostics
+    (None outside the difficult scenario)."""
     V = instance.V
     if decomp.vbar_sparse >= (0.5 + cfg.delta) * V:
-        return run_easy_scenario(instance, cfg, decomp)
+        return "easy", run_easy_scenario(instance, cfg, decomp), None
     if decomp.vbar_dense < (0.5 - 2.0 * cfg.delta) * V:
-        return run_low_dense_scenario(instance, cfg, decomp)
-    return run_difficult_scenario(instance, cfg, decomp, seed)
-
+        return "low-dense", run_low_dense_scenario(instance, cfg, decomp), None
+    blocks, dense = run_difficult_scenario(instance, cfg, decomp, seed)
+    return "difficult", blocks, dense

@@ -42,7 +42,7 @@ from typing import Mapping
 import numpy as np
 
 from .eoq import compute_M
-from .errors import BudgetExceeded, StateSpaceExceeded, TooManyCommodities
+from .errors import ActionSpaceExceeded, BudgetExceeded, StateSpaceExceeded, TooManyCommodities
 from .evaluator import EvalReport, evaluate
 from .model import CyclicPolicy, Instance
 
@@ -213,14 +213,13 @@ class _DpSolver:
         self.memo: dict[DpState, tuple[float | None, tuple | None]] = {}
         # Per level and commodity in id order: gamma*level (A x S) and the
         # interval cost K*count + 2H*hold (A), scaled from the shared table.
-        self.space_terms: list[list[np.ndarray] | None] = []
-        self.cost_terms: list[list[np.ndarray] | None] = []
+        self.space_terms: list[list[np.ndarray]] = []
+        self.cost_terms: list[list[np.ndarray]] = []
         for j, level in enumerate(commodities):
             S = self.slots(j)
-            if (1 << ((S - 1) * len(level))) > ACTION_CAP:
-                self.space_terms.append(None)  # _value raises on reaching this level
-                self.cost_terms.append(None)
-                continue
+            bits = (S - 1) * len(level)
+            if (1 << bits) > ACTION_CAP:
+                raise ActionSpaceExceeded(f"action space 2^{bits} at level {j}")
             table = _patterns(S)
             step_t = self.slot_step(j) * self.unit
             hold = np.zeros(len(table.slots))
@@ -297,8 +296,6 @@ class _DpSolver:
         j = state.level
         S = self.slots(j)
         space_terms = self.space_terms[j]
-        if space_terms is None:
-            raise StateSpaceExceeded(f"action space 2^{(S - 1) * len(self.ids_at[j])} at level {j}")
         prev_orders = list(zip(self.gammas[j - 1], state.profile))
         lb_space = state.lb_units * self.granule
 
@@ -415,15 +412,13 @@ def dp_solve(
     instance: Instance,
     guess: Guess,
     eps: float,
-    grid: GridSpec | None = None,
+    grid: GridSpec,
     state_cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[float, CyclicPolicy] | None:
     """Best grid-aligned policy (cost rate, policy) for one guess, or None
-    when every action chain violates the space check. A memo that reaches
-    `state_cap` entries raises StateSpaceExceeded."""
-    levels = max(guess.assignment.values())
-    if grid is None:
-        grid = GridSpec.paper(guess.tau, levels, instance.n, eps)
+    when every action chain violates the space check. A level with more
+    pattern combinations than ACTION_CAP raises ActionSpaceExceeded, and a
+    memo that reaches `state_cap` entries raises StateSpaceExceeded."""
     solver = _DpSolver(instance, guess, eps, grid, state_cap)
     return solver.solve()
 
@@ -437,14 +432,23 @@ def ptas_solve(
     details: dict | None = None,
 ) -> tuple[CyclicPolicy, EvalReport]:
     """Sweep all guesses with the miniature geometry, scale the winner into
-    the capacity, and return it with its exact evaluation. When a dict is
-    passed as `details`, the winning guess and grid are recorded in it."""
+    the capacity, and return it with its exact evaluation. A guess whose
+    action space exceeds ACTION_CAP is skipped, so with skips the result is
+    the best over the remaining guesses only. When a dict is passed as
+    `details`, the winning guess, its grid and the number of skipped guesses
+    are recorded in it."""
     if instance.n > DEFAULT_PTAS_CAP:
         raise TooManyCommodities(instance.n, DEFAULT_PTAS_CAP)
     best: tuple[CyclicPolicy, EvalReport, Guess, GridSpec] | None = None
-    for guess in enumerate_guesses(instance, eps):
+    guesses = enumerate_guesses(instance, eps)
+    skipped = 0
+    for guess in guesses:
         grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=grid_M, S=grid_S)
-        result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap)
+        try:
+            result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap)
+        except ActionSpaceExceeded:
+            skipped += 1
+            continue
         if result is None:
             continue
         _, policy = result
@@ -457,11 +461,13 @@ def ptas_solve(
         if best is None or report.total_cost_rate < best[1].total_cost_rate:
             best = (policy, report, guess, grid)
     if best is None:
-        raise StateSpaceExceeded("no guess produced a feasible policy")
+        reason = f" ({skipped} of {len(guesses)} guesses skipped over ACTION_CAP)" if skipped else ""
+        raise StateSpaceExceeded(f"no guess produced a feasible policy{reason}")
     policy, report, guess, grid = best
     if details is not None:
         details["guess"] = guess
         details["grid"] = grid
+        details["skipped_guesses"] = skipped
     return policy, report
 
 

@@ -298,6 +298,15 @@ class TestErrorExitCodes:
         assert exc.value.code == 2
         assert f"expected a positive integer, got {cap}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("base", ["0", "3", "-2"])
+    def test_odd_or_small_grid_base_is_a_usage_error(self, tmp_path, capsys, base):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "1", "--n", "1", "--out", str(inst_path)])
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--instance", str(inst_path), "--algo", "ptas", "--grid-base", base])
+        assert exc.value.code == 2
+        assert f"expected an even integer >= 2, got {base}" in capsys.readouterr().err
+
     def test_state_cap_is_honoured(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         main(["gen", "--seed", "1", "--n", "2", "--regime", "tight", "--out", str(inst_path)])

@@ -257,11 +257,6 @@ def test_parsers_accept_or_raise_schema_error(doc):
                 pass
 
 
-def test_degeneracy_report_is_informational():
-    inst = make_instance([(1, 1, 1), (1e-8, 1e4, 1e-4)], 1.0)
-    assert inst.degenerate_for(0.1) in (True, False)
-
-
 def test_scaled_policy():
     p = CyclicPolicy(1.0, {0: ((0.0, 0.5), (0.5, 0.5))})
     q = p.scaled(2.0)

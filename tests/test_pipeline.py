@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -170,15 +172,9 @@ class TestSolveSub2:
         assert rep.total_cost_rate <= 2.0 * lb + 1e-9
 
     def test_easy_scenario_with_offset_reference(self):
-        # A half-cycle-offset pair holds 2/3 of its peak on average, so using
-        # it as the benchmark drives the sparse volume above (1/2 + delta)V.
-        A = Commodity(0, 1.0, 1.0, 1.0)
-        B = Commodity(1, 1.0, 1.0, 1.0)
-        couple = synthesize_couple(CoupleInput(A, B, 1.0, 1.0, 0.05))
-        inst = Instance((A, B), capacity_V=1.5)
-        ref = couple.policy
+        inst, seed, ref = _offset_couple_case()
         ref_cost = evaluate(ref, inst).total_cost_rate
-        assembled, rep, diag = solve_sub2(inst, CFG, seed=0, reference=ref)
+        assembled, rep, diag = solve_sub2(inst, CFG, seed=seed, reference=ref)
         assert diag["scenario"] == "easy"
         assert rep.feasible
         bound = (2.0 - 2.0 * CFG.delta + 8.0 * CFG.eps) * ref_cost
@@ -195,9 +191,75 @@ class TestSolveSub2:
     def test_infeasible_assembly_raises_named_error(self, monkeypatch):
         inst = make_instance([(1, 1, 1), (1, 1, 1)], 0.5)
         oversized = AssembledPolicy((Block(ids=(0, 1), sosi=SosiPolicy({0: 4.0, 1: 4.0})),))
-        monkeypatch.setattr("ewlsp.pipeline._dispatch", lambda *args: (oversized, {}))
+        monkeypatch.setattr(
+            "ewlsp.pipeline._scale_to_capacity", lambda _, instance: (oversized, oversized.report(instance), 1.0)
+        )
         with pytest.raises(InfeasiblePolicy, match="infeasible policy"):
             solve_sub2(inst, CFG, seed=0)
+
+    @pytest.mark.parametrize("scaled", [False, True])
+    def test_one_certification_and_five_diagnostics(self, monkeypatch, scaled):
+        # the offset-couple solve overshoots the capacity by an ulp, so it is
+        # scaled down once and certified after that; the dense one fits as built
+        inst, seed, reference = _offset_couple_case() if scaled else (dense_heavy_instance(1, 40), 0, None)
+        calls = 0
+        report = AssembledPolicy.report
+
+        def counted(self, instance):
+            nonlocal calls
+            calls += 1
+            return report(self, instance)
+
+        monkeypatch.setattr(AssembledPolicy, "report", counted)
+        _, _, diag = solve_sub2(inst, CFG, seed=seed, reference=reference)
+        assert (diag["measured_scale"] > 1.0) == scaled
+        assert calls == (2 if scaled else 1)
+        assert set(diag) == {"scenario", "dense", "measured_scale", "ref_cost_rate", "cost_vs_ref"}
+
+
+def _offset_couple_case():
+    # A half-cycle-offset pair holds 2/3 of its peak on average, so using
+    # it as the benchmark drives the sparse volume above (1/2 + delta)V.
+    A = Commodity(0, 1.0, 1.0, 1.0)
+    B = Commodity(1, 1.0, 1.0, 1.0)
+    couple = synthesize_couple(CoupleInput(A, B, 1.0, 1.0, 0.05))
+    return Instance((A, B), capacity_V=1.5), 0, couple.policy
+
+
+# sha256 of the sorted-key JSON of the assembled policy followed by repr() of
+# the certified cost rate and peak, one solve per scenario and dense-class
+# outcome: moving the scale-down or the certificate must not change a bit.
+PINNED_OUTPUTS = [
+    (
+        "difficult-po2-sync",
+        (dense_heavy_instance(1, 40), 0, None),
+        "7b0b78fe2803abedfaee111f51c2e35c52a8f1fe2c7c10f1e35b246a83cfa6d4",
+    ),
+    (
+        "difficult-alpha-fallback",
+        (dense_heavy_instance(9, 40), 4, None),
+        "0bf6f8fda4cb5376b134d23c2d8f7bd03f97a014bf639d14de5feef0ec1af271",
+    ),
+    (
+        "low-dense-tight",
+        (generate_instance(0, 40, 1.0, "tight"), 0, None),
+        "a32cf3c65336416e350bbb3cbf450946663a9ba6c8a34db241ce2a6d98758c74",
+    ),
+    (
+        "easy-offset-reference",
+        _offset_couple_case(),
+        "b8cdfc6d8a853294fe4e97374f562ad335bfe5667a1e250326311ce9a0df773d",
+    ),
+]
+
+
+@pytest.mark.parametrize("name, case, digest", PINNED_OUTPUTS, ids=[p[0] for p in PINNED_OUTPUTS])
+def test_pinned_outputs(name, case, digest):
+    inst, seed, reference = case
+    assembled, rep, diag = solve_sub2(inst, CFG, seed=seed, reference=reference)
+    assert name.startswith(diag["scenario"])
+    text = json.dumps(assembled.to_json(), sort_keys=True) + repr(rep.total_cost_rate) + repr(rep.v_max)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestBlocks:

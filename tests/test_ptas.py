@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ewlsp.cli import generate_instance
 from ewlsp.eoq import capped_interval, cost
-from ewlsp.errors import BudgetExceeded, TooManyCommodities
+from ewlsp.errors import ActionSpaceExceeded, BudgetExceeded, StateSpaceExceeded, TooManyCommodities
 from ewlsp.evaluator import evaluate
 from ewlsp.model import serialize_policy
 from ewlsp.oracle import oracle_opt_cyclic
@@ -130,6 +130,36 @@ class TestPtasSolve:
         _, coarse = ptas_solve(inst, 0.5, grid_M=4, grid_S=8)
         _, fine = ptas_solve(inst, 0.5, grid_M=4, grid_S=16)
         assert fine.total_cost_rate <= coarse.total_cost_rate + 1e-9
+
+
+class TestActionCap:
+    # 1 << 7 admits one commodity per level of the default grid (2^7
+    # patterns) but not two sharing a level (2^14 combinations)
+
+    def test_over_cap_level_raises(self, monkeypatch):
+        monkeypatch.setattr("ewlsp.ptas.ACTION_CAP", 1 << 7)
+        inst = make_instance([(1, 1, 1), (4, 1, 1)], 1.5)
+        guess = Guess(tau=1.5, assignment={0: 1, 1: 1})
+        with pytest.raises(ActionSpaceExceeded, match=r"action space 2\^14 at level 0"):
+            dp_solve(inst, guess, 0.5, grid=GridSpec.desk(1.5, 1))
+
+    def test_over_cap_guesses_are_skipped(self, monkeypatch):
+        monkeypatch.setattr("ewlsp.ptas.ACTION_CAP", 1 << 7)
+        inst = make_instance([(1, 1, 1), (4, 1, 1)], 1.5)
+        guesses = enumerate_guesses(inst, 0.5)
+        shared = sum(1 for g in guesses if len(set(g.assignment.values())) == 1)
+        details = {}
+        policy, report = ptas_solve(inst, 0.5, details=details)
+        assert report.feasible
+        assert details["skipped_guesses"] == shared > 0
+        assert len(set(details["guess"].assignment.values())) == 2
+
+    def test_every_guess_skipped_raises(self, monkeypatch):
+        monkeypatch.setattr("ewlsp.ptas.ACTION_CAP", 1 << 6)
+        inst = make_instance([(1, 1, 1)], 1.0)
+        count = len(enumerate_guesses(inst, 0.5))
+        with pytest.raises(StateSpaceExceeded, match=f"{count} of {count} guesses skipped over ACTION_CAP"):
+            ptas_solve(inst, 0.5)
 
 
 # sha256 of serialize_policy(policy) + repr(cost rate) of fixed ptas_solve
@@ -322,7 +352,7 @@ def test_paper_grid_geometry_runs_for_one_commodity():
     # base 2 keeps the published counts runnable at n=1
     inst = make_instance([(1, 1, 1)], 10.0)
     guess = Guess(tau=2.0, assignment={0: 1})
-    result = dp_solve(inst, guess, 0.5, grid=None)  # defaults to the published geometry
+    result = dp_solve(inst, guess, 0.5, grid=GridSpec.paper(2.0, 1, 1, 0.5))
     assert result is not None
     rate, policy = result
     assert evaluate(policy, inst).total_cost_rate == pytest.approx(rate, rel=1e-9)
