@@ -16,7 +16,7 @@ from .errors import (
     StateSpaceExceeded,
     TooManyCommodities,
 )
-from .evaluator import EvalReport, average_space, evaluate, evaluate_sosi, inventory_at
+from .evaluator import EvalReport, evaluate, evaluate_sosi
 from .model import (
     Commodity,
     CyclicPolicy,
@@ -48,10 +48,8 @@ __all__ = [
     "SpaceMismatch",
     "StateSpaceExceeded",
     "TooManyCommodities",
-    "average_space",
     "evaluate",
     "evaluate_sosi",
-    "inventory_at",
     "parse_instance",
     "parse_policies",
     "parse_policy",

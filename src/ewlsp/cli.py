@@ -6,10 +6,12 @@ so batch runs double as end-to-end feasibility assertions; eval exits
 nonzero on an infeasible policy, including one that leaves commodities out.
 
 Exit codes: 0 success; 1 an infeasible policy (solve, eval, compare);
-2 bad command-line usage; 3 malformed input JSON (SchemaError); 4 a search
-budget exceeded (BudgetExceeded, StateSpaceExceeded, SearchSpaceExceeded);
-5 no feasible answer found (InfeasibleMatching, InfeasiblePolicy). Codes 3-5
-print one line, `ewlsp: error: <message>`, on stderr.
+2 bad command-line usage, including a number outside its flag's range and an
+eps the sub2 pipeline rejects; 3 malformed input JSON (SchemaError); 4 a
+search budget exceeded (BudgetExceeded, StateSpaceExceeded,
+SearchSpaceExceeded); 5 no feasible answer found (InfeasibleMatching,
+InfeasiblePolicy). Codes 2-5 print one line, `ewlsp[ <command>]: error:
+<message>`, on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -100,23 +102,22 @@ def _solve_one(
     algo: str,
     eps: float,
     seed: int,
-    threshold: int = 10,
-    subgroups: int = 10,
+    cfg: PipelineConfig | None,
     grid_base: int = 4,
     state_cap: int = DEFAULT_STATE_CAP,
 ):
-    """Returns (cost_rate, v_max, lower_bound, feasible, payload)."""
+    """Returns (cost_rate, v_max, lower_bound, feasible, payload); only
+    sub2 reads `cfg`."""
     if algo == "two-approx":
         policy, report, lb = solve_two_approx(instance)  # lb: the relaxation it halves
         block = Block(ids=tuple(sorted(policy.intervals_T)), sosi=policy, provenance="two-approx")
         payload = AssembledPolicy((block,)).to_json()
     elif algo == "sub2":
         lb = solve_sosi_relaxation(instance).objective
-        cfg = PipelineConfig(eps=eps, sparsity_threshold=threshold, Q=subgroups)
         assembled, report, diag = solve_sub2(instance, cfg, seed=seed)
         payload = assembled.to_json()
-        payload["diagnostics"] = _jsonable(diag)
-    elif algo == "ptas":
+        payload["diagnostics"] = diag
+    else:  # ptas
         lb = solve_sosi_relaxation(instance).objective
         details: dict = {}
         policy, report = ptas_solve(
@@ -125,34 +126,57 @@ def _solve_one(
         payload = {"kind": "cyclic", **policy_to_json(policy)}
         if details["skipped_guesses"]:  # the policy is the best over the guesses that ran
             payload["diagnostics"] = {"skipped_guesses": details["skipped_guesses"]}
-    else:
-        raise ValueError(f"unknown algorithm {algo!r}")
     return report.total_cost_rate, report.v_max, lb, report.feasible, payload
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one line, as package errors do, and exit 2."""
+
+    def error(self, message: str):
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
+def _checked(kind, accepts, expected: str):
+    """An argparse type: `kind(text)`, refused unless `accepts` holds for it."""
+
+    def parse(text: str):
+        value = kind(text)
+        if not accepts(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _grid_base(text: str) -> int:
-    # grid_M = base and grid_S = 2*base need S | M^2, i.e. an even base
-    value = int(text)
-    if value < 2 or value % 2:
-        raise argparse.ArgumentTypeError(f"expected an even integer >= 2, got {value}")
-    return value
+_natural = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+# grid_M = base and grid_S = 2*base need S | M^2, i.e. an even base
+_grid_base = _checked(int, lambda v: v >= 2 and v % 2 == 0, "an even integer >= 2")
+# a couple of ratio 2^k holds about 2^k orders per cycle, built in exact rationals
+_couple_k = _checked(int, lambda v: 0 <= v <= 16, "an integer in [0, 16]")
+_positive = _checked(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+# K and H are drawn from 10^[-spread, spread] and must stay far from overflow
+_spread = _checked(float, lambda v: 0 <= v <= 100, "a number in [0, 100]")
+_eps = _checked(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+
+ALGOS = ("two-approx", "sub2", "ptas")
+
+
+def _algo_list(text: str) -> list[str]:
+    algos = [a.strip() for a in text.split(",") if a.strip()]
+    if not algos or any(a not in ALGOS for a in algos):
+        raise argparse.ArgumentTypeError(f"expected a comma-separated list of {', '.join(ALGOS)}, got {text!r}")
+    return algos
+
+
+def _sub2_config(parser: argparse.ArgumentParser, **settings) -> PipelineConfig:
+    """The sub2 settings, built once per command; a value the pipeline
+    rejects is a usage error."""
+    try:
+        return PipelineConfig(**settings)
+    except ValueError as exc:
+        parser.error(f"sub2: {exc}")
 
 
 ERROR_EXIT_CODES = {
@@ -166,30 +190,30 @@ ERROR_EXIT_CODES = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(prog="ewlsp", description=__doc__)
+    parser = _Parser(prog="ewlsp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random instance")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=5)
-    p.add_argument("--spread", type=float, default=1.0)
+    p.add_argument("--seed", type=_natural, default=0)
+    p.add_argument("--n", type=_positive_int, default=5)
+    p.add_argument("--spread", type=_spread, default=1.0)
     p.add_argument("--regime", choices=["loose", "tight", "dense-heavy"], default="loose")
     p.add_argument("--out")
 
     p = sub.add_parser("relax", help="solve the average-space relaxation")
     p.add_argument("--instance", required=True)
-    p.add_argument("--rhs", type=float)
-    p.add_argument("--eps", type=float, help="use the knapsack DP at this accuracy")
+    p.add_argument("--rhs", type=_positive)
+    p.add_argument("--eps", type=_eps, help="use the knapsack DP at this accuracy")
     p.add_argument("--out")
 
     p = sub.add_parser("solve", help="run a solver")
     p.add_argument("--instance", required=True)
-    p.add_argument("--algo", choices=["two-approx", "sub2", "ptas"], default="two-approx")
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=1, help="seeds to try for randomized solvers; best kept")
-    p.add_argument("--sparsity-threshold", type=int, default=10)
-    p.add_argument("--subgroups", type=int, default=10)
+    p.add_argument("--algo", choices=ALGOS, default="two-approx")
+    p.add_argument("--eps", type=_eps, default=0.05, help="in (0, 1); sub2 needs (0, 0.1)")
+    p.add_argument("--seed", type=_natural, default=0)
+    p.add_argument("--trials", type=_positive_int, default=1, help="seeds to try for randomized solvers; best kept")
+    p.add_argument("--sparsity-threshold", type=_natural, default=PipelineConfig.sparsity_threshold)
+    p.add_argument("--subgroups", type=_positive_int, default=PipelineConfig.Q)
     p.add_argument("--grid-base", type=_grid_base, default=4, help="level ratio of the alignment DP grids")
     p.add_argument("--state-cap", type=_positive_int, default=DEFAULT_STATE_CAP, help="hard cap on DP states")
     p.add_argument("--out")
@@ -201,34 +225,33 @@ def main(argv: list[str] | None = None) -> int:
 
     p = sub.add_parser("oracle", help="brute-force optimum on a grid")
     p.add_argument("--instance", required=True)
-    p.add_argument("--tau", type=float, required=True)
-    p.add_argument("--grid", type=int, default=8)
-    p.add_argument("--max-orders", type=int)
+    p.add_argument("--tau", type=_positive, required=True)
+    p.add_argument("--grid", type=_positive_int, default=8)
+    p.add_argument("--max-orders", type=_positive_int)
     p.add_argument("--out")
 
     p = sub.add_parser("couple", help="synthesize and measure a paired schedule")
-    p.add_argument("--k", type=int, required=True, help="log2 of the interval ratio")
-    p.add_argument("--eps", type=float, default=0.05)
+    p.add_argument("--k", type=_couple_k, required=True, help="log2 of the interval ratio")
+    p.add_argument("--eps", type=_eps, default=0.05)
     p.add_argument("--out")
 
     p = sub.add_parser("compare", help="run several solvers and tabulate results")
     p.add_argument("--instance", required=True)
-    p.add_argument("--algos", default="two-approx,sub2")
-    p.add_argument("--eps", type=float, default=0.05)
-    p.add_argument("--seeds", type=int, default=1, help="number of seeds per randomized algo")
-    p.add_argument("--trials", type=int, help="alias for --seeds")
+    p.add_argument("--algos", type=_algo_list, default="two-approx,sub2")
+    p.add_argument("--eps", type=_eps, default=0.05)
+    p.add_argument("--seeds", type=_positive_int, default=1, help="number of seeds per randomized algo")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--json-out")
 
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return _run(parser, args)
     except tuple(ERROR_EXIT_CODES) as exc:
         print(f"ewlsp: error: {exc}", file=sys.stderr)
         return next(code for kind, code in ERROR_EXIT_CODES.items() if isinstance(exc, kind))
 
 
-def _run(args: argparse.Namespace) -> int:
+def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "gen":
         instance = generate_instance(args.seed, args.n, args.spread, args.regime)
         _write(serialize_instance(instance), args.out)
@@ -252,14 +275,15 @@ def _run(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "solve":
+        cfg = None
+        if args.algo == "sub2":
+            cfg = _sub2_config(parser, eps=args.eps, sparsity_threshold=args.sparsity_threshold, Q=args.subgroups)
         instance = _read_instance(args.instance)
         trials = args.trials if args.algo == "sub2" else 1
         best = None
         for seed in range(args.seed, args.seed + trials):
             cost, v_max, lb, feasible, payload = _solve_one(
-                instance, args.algo, args.eps, seed,
-                threshold=args.sparsity_threshold, subgroups=args.subgroups,
-                grid_base=args.grid_base, state_cap=args.state_cap,
+                instance, args.algo, args.eps, seed, cfg, grid_base=args.grid_base, state_cap=args.state_cap
             )
             if feasible and (best is None or cost < best[0]):
                 best = (cost, v_max, lb, feasible, payload, seed)
@@ -274,7 +298,7 @@ def _run(args: argparse.Namespace) -> int:
             "feasible": feasible,
             "seed": seed,
         }
-        _write(json.dumps(_jsonable(payload), sort_keys=True), args.out)
+        _write(json.dumps(payload, sort_keys=True), args.out)
         return 0 if feasible else 1
 
     if args.command == "eval":
@@ -317,37 +341,34 @@ def _run(args: argparse.Namespace) -> int:
         _write(json.dumps(payload, sort_keys=True), args.out)
         return 0
 
-    if args.command == "compare":
-        instance = _read_instance(args.instance)
-        algos = [a.strip() for a in args.algos.split(",") if a.strip()]
-        seeds = args.trials if args.trials is not None else args.seeds
-        rows = []
-        all_feasible = True
-        for algo in algos:
-            for seed in range(seeds):
-                start = time.perf_counter()
-                try:
-                    cost, v_max, lb, feasible, _ = _solve_one(instance, algo, args.eps, seed)
-                    row = {"cost_rate": cost, "cost_over_lb": cost / lb, "vmax_over_V": v_max / instance.V}
-                except InfeasiblePolicy:
-                    feasible = False
-                    row = {"cost_rate": None, "cost_over_lb": None, "vmax_over_V": None}
-                elapsed = time.perf_counter() - start
-                all_feasible &= feasible
-                rows.append({"algo": algo, "seed": seed, **row, "feasible": feasible, "runtime_s": elapsed})
-                if algo in ("two-approx", "ptas"):
-                    break  # deterministic; one seed suffices
-        rows.sort(key=lambda r: (r["algo"], r["seed"]))
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-        _write(buf.getvalue(), args.out)
-        if args.json_out:
-            _write(json.dumps(_jsonable(rows)), args.json_out)
-        return 0 if all_feasible else 1
-
-    raise AssertionError(f"unhandled command {args.command}")
+    # compare, the one command left
+    cfg = _sub2_config(parser, eps=args.eps) if "sub2" in args.algos else None
+    instance = _read_instance(args.instance)
+    rows = []
+    all_feasible = True
+    for algo in args.algos:
+        for seed in range(args.seeds):
+            start = time.perf_counter()
+            try:
+                cost, v_max, lb, feasible, _ = _solve_one(instance, algo, args.eps, seed, cfg)
+                row = {"cost_rate": cost, "cost_over_lb": cost / lb, "vmax_over_V": v_max / instance.V}
+            except InfeasiblePolicy:
+                feasible = False
+                row = {"cost_rate": None, "cost_over_lb": None, "vmax_over_V": None}
+            elapsed = time.perf_counter() - start
+            all_feasible &= feasible
+            rows.append({"algo": algo, "seed": seed, **row, "feasible": feasible, "runtime_s": elapsed})
+            if algo in ("two-approx", "ptas"):
+                break  # deterministic; one seed suffices
+    rows.sort(key=lambda r: (r["algo"], r["seed"]))
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(buf.getvalue(), args.out)
+    if args.json_out:
+        _write(json.dumps(rows), args.json_out)
+    return 0 if all_feasible else 1
 
 
 if __name__ == "__main__":

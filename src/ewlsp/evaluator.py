@@ -8,8 +8,6 @@ peak is located exactly at order instants; no sampling is involved anywhere.
 
 from __future__ import annotations
 
-import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
@@ -26,11 +24,18 @@ class EvalReport:
 
     ordering_cost_rate: float
     holding_cost_rate: float
-    total_cost_rate: float
     v_max: float
     avg_inventory: Mapping[int, float]
     feasible_at: float
-    feasible: bool
+
+    @property
+    def total_cost_rate(self) -> float:
+        return self.ordering_cost_rate + self.holding_cost_rate
+
+    @property
+    def feasible(self) -> bool:
+        """Peak space within the capacity, up to FEASIBILITY_RTOL."""
+        return self.v_max <= self.feasible_at * (1.0 + FEASIBILITY_RTOL)
 
     def to_json(self) -> dict:
         return {
@@ -57,19 +62,6 @@ def _steady_state_baseline(orders: tuple[tuple[float, float], ...]) -> float:
         c0 = max(c0, t - cum)
         cum += q
     return c0
-
-
-def inventory_at(policy: CyclicPolicy, cid: int, t: float) -> float:
-    """Steady-state inventory of one commodity at time t in [0, tau), just
-    after any order placed exactly at t."""
-    orders = policy.schedules[cid]
-    if not (0 <= t < policy.tau):
-        raise ValueError(f"t={t!r} outside [0, tau)")
-    c0 = _steady_state_baseline(orders)
-    times = [o[0] for o in orders]
-    k = bisect_right(times, t)
-    cum = math.fsum(q for _, q in orders[:k])
-    return c0 + cum - t
 
 
 def _commodity_stats(orders: tuple[tuple[float, float], ...], tau: float) -> tuple[float, float]:
@@ -125,24 +117,12 @@ def evaluate(policy: CyclicPolicy, instance: Instance) -> EvalReport:
         w += events[t]
         v_max = max(v_max, w - gamma_total * t)
 
-    total = ordering + holding
-    feasible = v_max <= instance.V * (1.0 + FEASIBILITY_RTOL)
     return EvalReport(
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,
-        total_cost_rate=total,
         v_max=v_max,
         avg_inventory=avg_inventory,
         feasible_at=instance.V,
-        feasible=feasible,
-    )
-
-
-def average_space(policy: CyclicPolicy, instance: Instance) -> float:
-    """Long-run average occupied space; always <= the peak."""
-    report = evaluate(policy, instance)
-    return math.fsum(
-        instance.commodity(cid).gamma * avg for cid, avg in report.avg_inventory.items()
     )
 
 
@@ -167,11 +147,9 @@ def evaluate_sosi(policy: SosiPolicy, instance: Instance) -> EvalReport:
     return EvalReport(
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,
-        total_cost_rate=ordering + holding,
         v_max=v_max,
         avg_inventory=avg_inventory,
         feasible_at=instance.V,
-        feasible=v_max <= instance.V * (1.0 + FEASIBILITY_RTOL),
     )
 
 
@@ -197,9 +175,7 @@ def combine_reports(reports: Iterable[EvalReport], instance: Instance) -> EvalRe
     return EvalReport(
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,
-        total_cost_rate=ordering + holding,
         v_max=v_max,
         avg_inventory=avg_inventory,
         feasible_at=instance.V,
-        feasible=v_max <= instance.V * (1.0 + FEASIBILITY_RTOL),
     )

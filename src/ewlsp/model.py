@@ -56,10 +56,6 @@ class Commodity:
     def gamma(self) -> float:
         return self.space_per_unit_gamma
 
-    def sosi_cost(self, T: float) -> float:
-        """Long-run average cost K/T + H*T of the stationary policy with interval T."""
-        return self.K / T + self.H * T
-
 
 @dataclass(frozen=True)
 class Instance:

@@ -175,9 +175,7 @@ def oracle_integrate_cost(policy: CyclicPolicy, instance: Instance, samples: int
     return EvalReport(
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,
-        total_cost_rate=ordering + holding,
         v_max=v_max,
         avg_inventory=avg_inventory,
         feasible_at=instance.V,
-        feasible=v_max <= instance.V * (1.0 + FEASIBILITY_RTOL),
     )

@@ -47,10 +47,7 @@ from .relaxation import solve_sosi_relaxation
 from .two_approx import solve_two_approx
 
 ALPHA_FALLBACK = 0.875 * PO2_MEAN_CONSTANT  # (7/8) / (sqrt(2) ln 2)
-
-
-def paper_sparsity_threshold(eps: float) -> int:
-    return math.ceil(100.0 * math.log(1.0 / eps) / eps**4)
+DELTA = 17.0 / 10000.0  # the published delta: a 2 - 17/5000 guarantee
 
 
 def paper_heavy_subgroups(eps: float) -> int:
@@ -59,26 +56,26 @@ def paper_heavy_subgroups(eps: float) -> int:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Accuracy and dense-class settings of the sub-2 pipeline.
+
+    The published sparsity threshold 100 ln(1/eps)/eps^4 and heavy-subgroup
+    count 20 ln(1/eps)/eps^2 run to 47,931,717 and 23,966 at eps = 0.05, so
+    every class of a runnable instance would be sparse and the dense branch
+    would never run. The defaults are the desk-scale 10 and 10 that the CLI
+    and the benchmark pass.
+    """
+
     eps: float = 0.05
-    delta: float = 17.0 / 10000.0
-    sparsity_threshold: int | None = None  # None -> 100 ln(1/eps)/eps^4
-    Q: int | None = None  # None -> 20 ln(1/eps)/eps^2
+    sparsity_threshold: int = 10
+    Q: int = 10
 
     def __post_init__(self):
         if not (0 < self.eps < 0.1):
             raise ValueError("eps must lie in (0, 1/10)")
-        if not (0 < self.delta < 0.5):
-            raise ValueError("delta must lie in (0, 1/2)")
-        if self.Q is not None and self.Q < 1:
+        if self.sparsity_threshold < 0:
+            raise ValueError("sparsity_threshold must be >= 0")
+        if self.Q < 1:
             raise ValueError("Q must be >= 1")
-
-    @property
-    def effective_threshold(self) -> int:
-        return self.sparsity_threshold if self.sparsity_threshold is not None else paper_sparsity_threshold(self.eps)
-
-    @property
-    def effective_Q(self) -> int:
-        return self.Q if self.Q is not None else paper_heavy_subgroups(self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -202,14 +199,10 @@ class ClassDecomposition:
 
     def ids_with_label(self, label: str) -> list[int]:
         out: list[int] = []
-        for ell in sorted(self.classes, key=_class_sort_key):
+        for ell in sorted(self.classes):
             if self.labels[ell] == label:
                 out.extend(self.classes[ell])
         return out
-
-
-def _class_sort_key(ell: Hashable) -> float:
-    return math.inf if ell == INF_CLASS else float(ell)
 
 
 def decompose_classes(
@@ -242,10 +235,10 @@ def decompose_classes(
             ell = max(1, ell)
         classes.setdefault(ell, []).append(c.id)
 
-    threshold = cfg.effective_threshold
+    threshold = cfg.sparsity_threshold
     per_class = {ell: math.fsum(avg_space[i] for i in ids) for ell, ids in classes.items()}
 
-    sparse = [ell for ell in sorted(classes, key=_class_sort_key) if len(classes[ell]) <= threshold]
+    sparse = [ell for ell in sorted(classes) if len(classes[ell]) <= threshold]
     dense = [ell for ell in classes if len(classes[ell]) > threshold]
     delta_count = math.ceil(
         math.log(125.0 * math.log(1.0 / eps) / eps**6) / math.log1p(eps)
@@ -354,7 +347,7 @@ def build_matching_instance(
     eps, V, n = cfg.eps, instance.V, instance.n
     suffix = [ell for ell, lab in decomp.labels.items() if lab == "suffix-sparse"]
     dense = [ell for ell, lab in decomp.labels.items() if lab == "dense"]
-    class_side = sorted(suffix + dense, key=_class_sort_key)
+    class_side = sorted(suffix + dense)
     ids = [i for ell in class_side for i in decomp.classes[ell]]
 
     weights: dict[tuple[int, Hashable], float] = {}
@@ -372,11 +365,11 @@ def build_matching_instance(
         if decomp.labels[ell] == "suffix-sparse":
             bounds[ell] = (size, size)
         elif ell == INF_CLASS:
-            bounds[ell] = (min(cfg.effective_threshold, size), len(ids))
+            bounds[ell] = (min(cfg.sparsity_threshold, size), len(ids))
         else:
             vbar = decomp.avg_space_per_class[ell]
             n_tilde = math.floor((1.0 + eps) ** float(ell) * vbar / V + 1e-9)
-            bounds[ell] = (min(cfg.effective_threshold, size), max(n_tilde, size))
+            bounds[ell] = (min(cfg.sparsity_threshold, size), max(n_tilde, size))
     mi = MatchingInstance(
         commodity_side=tuple(ids),
         class_side=tuple(class_side),
@@ -417,7 +410,7 @@ def run_dense_branch(
         members.setdefault(ell, []).append(i)
 
     blocks: list[Block] = []
-    for ell in sorted(members, key=_class_sort_key):
+    for ell in sorted(members):
         ids = sorted(members[ell])
         label = decomp.labels[ell]
         if label == "suffix-sparse" or ell == INF_CLASS:
@@ -427,7 +420,7 @@ def run_dense_branch(
             diag["classes"][str(ell)] = "sosi"
             continue
 
-        split = split_heavy_light(ids, t_hat, instance, int(ell), eps, cfg.effective_Q)
+        split = split_heavy_light(ids, t_hat, instance, int(ell), eps, cfg.Q)
         if len(split.light) >= len(ids) / 2.0:
             blocks.append(
                 Block(ids=tuple(ids), sosi=SosiPolicy({i: t_hat[i] for i in ids}), provenance=f"class{ell}:light-majority")
@@ -534,7 +527,7 @@ def _scale_to_capacity(assembled: AssembledPolicy, instance: Instance) -> tuple[
 
 def solve_sub2(
     instance: Instance,
-    cfg: PipelineConfig | None = None,
+    cfg: PipelineConfig,
     seed: int = 0,
     reference: CyclicPolicy | None = None,
 ) -> tuple[AssembledPolicy, EvalReport, dict]:
@@ -546,7 +539,6 @@ def solve_sub2(
     high-sparse-volume scenario out of reach; passing a schedule with a
     tighter peak-to-average gap exercises the remaining branches.
     """
-    cfg = cfg or PipelineConfig()
     if reference is None:
         ref_report = evaluate_sosi(build_reference_policy(instance), instance)
     else:
@@ -573,9 +565,9 @@ def _dispatch(
     """The scenario's name, its blocks, and the dense branch's diagnostics
     (None outside the difficult scenario)."""
     V = instance.V
-    if decomp.vbar_sparse >= (0.5 + cfg.delta) * V:
+    if decomp.vbar_sparse >= (0.5 + DELTA) * V:
         return "easy", run_easy_scenario(instance, cfg, decomp), None
-    if decomp.vbar_dense < (0.5 - 2.0 * cfg.delta) * V:
+    if decomp.vbar_dense < (0.5 - 2.0 * DELTA) * V:
         return "low-dense", run_low_dense_scenario(instance, cfg, decomp), None
     blocks, dense = run_difficult_scenario(instance, cfg, decomp, seed)
     return "difficult", blocks, dense

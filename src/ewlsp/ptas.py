@@ -49,6 +49,7 @@ from .model import CyclicPolicy, Instance
 DEFAULT_PTAS_CAP = 3
 DEFAULT_STATE_CAP = 10**6
 ACTION_CAP = 1 << 22
+GUESS_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -130,9 +131,12 @@ class Guess:
         object.__setattr__(self, "assignment", dict(self.assignment))
 
 
-def enumerate_guesses(instance: Instance, eps: float, budget: int = 100_000) -> list[Guess]:
+def enumerate_guesses(instance: Instance, eps: float) -> list[Guess]:
     """Geometric cycle-length grid over the constrained-cost range, crossed
-    with all class assignments; deterministic ordering throughout."""
+    with all class assignments; deterministic ordering throughout. More than
+    GUESS_BUDGET guesses raise BudgetExceeded."""
+    if not (0 < eps < 1):
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
     n = instance.n
     M_const = compute_M(instance)
     k_max = max(c.K for c in instance.commodities)
@@ -146,8 +150,8 @@ def enumerate_guesses(instance: Instance, eps: float, budget: int = 100_000) -> 
     u_count = 4.0 * n * n * M_const * M_const / (eps * eps * k_min * h_min)
     q_levels = max(1, math.ceil(math.log(u_count) / math.log((n / eps) ** 3)))
     total = len(taus) * q_levels**n
-    if total > budget:
-        raise BudgetExceeded(total, budget)
+    if total > GUESS_BUDGET:
+        raise BudgetExceeded(total, GUESS_BUDGET)
     ids = sorted(instance.ids())
     return [
         Guess(tau=tau, assignment=dict(zip(ids, combo)))
@@ -389,9 +393,8 @@ class _DpSolver:
         return tuple(ends[bisect_right(ends, x)] - entry for x in range(entry, exit_, step))
 
     def _materialize(self, state: DpState, abs_entry: int, orders: dict[int, list[tuple[int, int]]]):
-        value, combo = self.memo[state]
-        if value is None or combo is None:
-            raise RuntimeError("materializing an infeasible state")
+        # the state lies on the chosen chain, so its entry holds a combination
+        _, combo = self.memo[state]
         j = state.level
         step = self.slot_step(j)
         S = self.slots(j)

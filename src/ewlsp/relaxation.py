@@ -17,7 +17,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .eoq import constrained_interval
+from .eoq import constrained_interval, cost
+from .errors import InfeasiblePolicy
 from .model import Instance
 
 _BISECT_RTOL = 1e-13
@@ -121,8 +122,8 @@ def solve_sosi_dp(instance: Instance, eps: float, rhs: float | None = None) -> R
         picks.append(pick)
 
     b = int(np.argmin(best))
-    if not math.isfinite(best[b]):
-        raise RuntimeError("dp table is empty; granularity too coarse")
+    if not math.isfinite(best[b]):  # every allocation's cost rate overflows a float
+        raise InfeasiblePolicy("no allocation of the budget has a finite cost rate")
     allocations: dict[int, int] = {}
     for c, pick in zip(reversed(instance.commodities), reversed(picks)):
         a = int(pick[b])
@@ -138,7 +139,7 @@ def solve_sosi_dp(instance: Instance, eps: float, rhs: float | None = None) -> R
         shrink = rhs / used
         T = {cid: t * shrink for cid, t in T.items()}
         used = math.fsum(c.gamma * T[c.id] for c in instance.commodities)
-    objective = math.fsum(c.sosi_cost(T[c.id]) for c in instance.commodities)
+    objective = math.fsum(cost(c.K, c.H, T[c.id]) for c in instance.commodities)
     return RelaxationSolution(
         intervals_T=T,
         multiplier_lambda=float("nan"),

@@ -307,6 +307,41 @@ class TestErrorExitCodes:
         assert exc.value.code == 2
         assert f"expected an even integer >= 2, got {base}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--algo", "sub2", "--subgroups", "0"],
+            ["solve", "--algo", "sub2", "--sparsity-threshold", "-1"],
+            ["solve", "--algo", "sub2", "--eps", "0.2"],
+            ["solve", "--trials", "0"],
+            ["solve", "--algo", "ptas", "--eps", "0"],
+            ["solve", "--algo", "ptas", "--eps", "-0.5"],
+            ["solve", "--algo", "ptas", "--eps", "1"],
+            ["compare", "--seeds", "0"],
+            ["compare", "--algos", ","],
+            ["compare", "--algos", "bogus"],
+            ["compare", "--trials", "2"],
+            ["gen", "--n", "0"],
+            ["relax", "--rhs", "-1"],
+            ["relax", "--eps", "0"],
+            ["couple", "--k", "-1"],
+            ["couple", "--k", "17"],
+            ["oracle", "--tau", "-1"],
+            ["oracle", "--tau", "1", "--grid", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_bad_flag_is_a_one_line_usage_error(self, tmp_path, capsys, argv):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "1", "--n", "1", "--out", str(inst_path)])
+        if argv[0] not in ("gen", "couple"):
+            argv = argv + ["--instance", str(inst_path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and ": error: " in err, err
+
     def test_state_cap_is_honoured(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
         main(["gen", "--seed", "1", "--n", "2", "--regime", "tight", "--out", str(inst_path)])

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from ewlsp.couples import CoupleInput, synthesize_couple
-from ewlsp.evaluator import average_space, evaluate, evaluate_sosi, inventory_at
+from ewlsp.evaluator import evaluate, evaluate_sosi
 from ewlsp.model import Commodity, CyclicPolicy, Instance, SosiPolicy, sosi_to_cyclic
 
 from conftest import make_instance, random_instance
@@ -16,22 +16,18 @@ def couple_policy(k, K=1.0, H=1.0):
     return schedule, Instance((A, B), capacity_V=10.0)
 
 
+def average_space(report, instance):
+    return sum(instance.commodity(cid).gamma * avg for cid, avg in report.avg_inventory.items())
+
+
 class TestInventory:
-    def test_sawtooth(self):
-        p = CyclicPolicy(1.0, {0: ((0.0, 1.0),)})
-        assert inventory_at(p, 0, 0.0) == pytest.approx(1.0)
-        assert inventory_at(p, 0, 1.0 - 1e-12) == pytest.approx(0.0, abs=1e-9)
-
-    def test_case3_checkpoint(self):
-        # second commodity of the k=2 couple, just after its short order
-        schedule, _ = couple_policy(2)
-        assert inventory_at(schedule.policy, 1, 5.0 / 32.0) == pytest.approx(7.0 / 32.0)
-
     def test_minimal_shift_baseline(self):
-        p = CyclicPolicy(1.0, {0: ((0.5, 1.0),)})
-        assert inventory_at(p, 0, 0.0) == pytest.approx(0.5)
-        assert inventory_at(p, 0, 0.5 - 1e-12) == pytest.approx(0.0, abs=1e-9)
-        assert inventory_at(p, 0, 0.5) == pytest.approx(1.0)
+        # the one order sits mid-cycle, so the stock runs out just before it
+        # and peaks right after it
+        inst = make_instance([(1, 1, 1)], 1.0)
+        rep = evaluate(CyclicPolicy(1.0, {0: ((0.5, 1.0),)}), inst)
+        assert rep.v_max == pytest.approx(1.0)
+        assert rep.avg_inventory[0] == pytest.approx(0.5)
 
 
 class TestEvaluate:
@@ -57,9 +53,9 @@ class TestEvaluate:
     def test_average_space(self):
         inst = make_instance([(1, 1, 1)], 1.0)
         p = sosi_to_cyclic(SosiPolicy({0: 1.0}), inst)
-        assert average_space(p, inst) == pytest.approx(0.5)
+        assert average_space(evaluate(p, inst), inst) == pytest.approx(0.5)
         schedule, inst2 = couple_policy(0)
-        assert average_space(schedule.policy, inst2) == pytest.approx(1.0)
+        assert average_space(evaluate(schedule.policy, inst2), inst2) == pytest.approx(1.0)
 
     def test_average_below_peak(self, rng):
         for _ in range(50):
@@ -74,7 +70,7 @@ class TestEvaluate:
                 schedules[cid] = tuple((float(t), float(q)) for t, q in zip(times, gaps))
             p = CyclicPolicy(tau, schedules)
             rep = evaluate(p, inst)
-            assert average_space(p, inst) <= rep.v_max + 1e-9
+            assert average_space(rep, inst) <= rep.v_max + 1e-9
 
 
 class TestProperties:

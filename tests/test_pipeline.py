@@ -16,13 +16,13 @@ from ewlsp.matching import INF_CLASS
 from ewlsp.model import Commodity, Instance, SosiPolicy, sosi_to_cyclic
 from ewlsp.pipeline import (
     ALPHA_FALLBACK,
+    DELTA,
     AssembledPolicy,
     Block,
     PipelineConfig,
     build_reference_policy,
     decompose_classes,
     paper_heavy_subgroups,
-    paper_sparsity_threshold,
     solve_sub2,
     split_heavy_light,
     sub_instance,
@@ -55,15 +55,17 @@ def reference_report(inst: Instance):
 
 class TestConfig:
     def test_defaults_match_published_constants(self):
-        cfg = PipelineConfig(eps=0.05)
-        assert cfg.delta == pytest.approx(17.0 / 10000.0)
-        assert cfg.effective_threshold == paper_sparsity_threshold(0.05)
-        assert cfg.effective_Q == paper_heavy_subgroups(0.05)
+        # the published threshold and subgroup count do not run at desk scale,
+        # so the defaults are the 10 and 10 the CLI and the benchmark pass
+        assert PipelineConfig() == PipelineConfig(eps=0.05, sparsity_threshold=10, Q=10)
+        assert DELTA == 17.0 / 10000.0
+        assert paper_heavy_subgroups(0.05) == 23966
         assert ALPHA_FALLBACK == pytest.approx(0.875 / (math.sqrt(2) * math.log(2)))
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(eps=0.2)
+        for field in ({"eps": 0.2}, {"eps": 0.0}, {"sparsity_threshold": -1}, {"Q": 0}):
+            with pytest.raises(ValueError):
+                PipelineConfig(**field)
 
 
 class TestReferencePolicy:
@@ -145,6 +147,11 @@ class TestSolveSub2:
                 assert dense["couples"] >= 1
         assert seen_sync
 
+    def test_default_config_reaches_the_difficult_scenario(self):
+        _, rep, diag = solve_sub2(dense_heavy_instance(1, 40), PipelineConfig(), seed=0)
+        assert rep.feasible
+        assert diag["scenario"] == "difficult"
+
     def test_deterministic_per_seed(self):
         inst = dense_heavy_instance(2, 24)
         a1, r1, d1 = solve_sub2(inst, CFG, seed=5)
@@ -161,7 +168,7 @@ class TestSolveSub2:
             _, rep, diag = solve_sub2(inst, CFG, seed=int(rng.integers(0, 100)))
             assert rep.feasible
             if diag["scenario"] == "low-dense":
-                bound = (2.0 - 2.0 * CFG.delta + 4.0 * CFG.eps) * diag["ref_cost_rate"]
+                bound = (2.0 - 2.0 * DELTA + 4.0 * CFG.eps) * diag["ref_cost_rate"]
                 assert rep.total_cost_rate <= bound + 1e-9
 
     def test_single_commodity_within_two_of_lb(self):
@@ -177,7 +184,7 @@ class TestSolveSub2:
         assembled, rep, diag = solve_sub2(inst, CFG, seed=seed, reference=ref)
         assert diag["scenario"] == "easy"
         assert rep.feasible
-        bound = (2.0 - 2.0 * CFG.delta + 8.0 * CFG.eps) * ref_cost
+        bound = (2.0 - 2.0 * DELTA + 8.0 * CFG.eps) * ref_cost
         assert rep.total_cost_rate <= bound + 1e-9
 
     def test_cost_against_reference_dense_heavy(self):

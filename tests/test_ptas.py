@@ -41,11 +41,18 @@ class TestGuesses:
         taus = {g.tau for g in guesses}
         assert len(guesses) == len(classes) * len(taus)
 
-    def test_budget_exceeded_carries_count(self):
+    def test_budget_exceeded_carries_count(self, monkeypatch):
+        monkeypatch.setattr("ewlsp.ptas.GUESS_BUDGET", 1)
         inst = make_instance([(1, 1, 1), (1, 1, 1)], 1.0)
         with pytest.raises(BudgetExceeded) as exc:
-            enumerate_guesses(inst, 0.5, budget=1)
+            enumerate_guesses(inst, 0.5)
         assert exc.value.count > 1
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.0])
+    def test_eps_outside_the_unit_interval_is_refused(self, eps):
+        # a negative eps used to shrink the tau grid forever; 0 and 1 divided by zero
+        with pytest.raises(ValueError, match="eps must lie in"):
+            ptas_solve(make_instance([(1, 1, 1)], 1.0), eps)
 
     def test_tau_range_matches_constrained_scale(self):
         inst = make_instance([(1, 1, 1)], 1.0)

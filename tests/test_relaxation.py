@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from ewlsp.errors import InfeasiblePolicy
 from ewlsp.oracle import oracle_opt_cyclic
 from ewlsp.relaxation import solve_sosi_dp, solve_sosi_relaxation
 
@@ -93,6 +94,13 @@ class TestKnapsackDp:
         dp = solve_sosi_dp(inst, 0.1, rhs=1.0)
         exact = solve_sosi_relaxation(inst, rhs=1.0)
         assert exact.objective - 1e-12 <= dp.objective <= (1 + 0.1) * exact.objective
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_overflowing_cost_is_a_named_error(self):
+        # K * gamma / V overflows a float, so no allocation has a finite cost
+        inst = make_instance([(1e200, 1, 1e200)], 1.0)
+        with pytest.raises(InfeasiblePolicy, match="finite cost rate"):
+            solve_sosi_dp(inst, 0.1)
 
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
     def test_sandwich_random(self, rng, eps):
