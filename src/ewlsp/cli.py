@@ -5,13 +5,13 @@ The compare subcommand exits nonzero if any produced policy is infeasible,
 so batch runs double as end-to-end feasibility assertions; eval exits
 nonzero on an infeasible policy, including one that leaves commodities out.
 
-Exit codes: 0 success; 1 an infeasible policy (solve, eval, compare);
-2 bad command-line usage, including a number outside its flag's range and an
-eps the sub2 pipeline rejects; 3 malformed input JSON (SchemaError); 4 a
-search budget exceeded (BudgetExceeded, StateSpaceExceeded,
-SearchSpaceExceeded); 5 no feasible answer found (InfeasibleMatching,
-InfeasiblePolicy). Codes 2-5 print one line, `ewlsp[ <command>]: error:
-<message>`, on stderr and no traceback.
+Exit codes: 0 success; 1 an infeasible policy (solve, eval, compare; solve
+then writes nothing and prints one stderr line); 2 bad command-line usage,
+including a number outside its flag's range and an eps the sub2 pipeline
+rejects; 3 malformed input JSON (SchemaError); 4 a search budget exceeded
+(BudgetExceeded, StateSpaceExceeded, SearchSpaceExceeded); 5 no feasible
+answer found (InfeasibleMatching, InfeasiblePolicy). Codes 2-5 print one
+line, `ewlsp[ <command>]: error: <message>`, on stderr and no traceback.
 """
 
 from __future__ import annotations
@@ -288,6 +288,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
             if feasible and (best is None or cost < best[0]):
                 best = (cost, v_max, lb, feasible, payload, seed)
         if best is None:
+            print(f"ewlsp solve: error: {args.algo} gave no feasible policy in {trials} trial(s)", file=sys.stderr)
             return 1
         cost, v_max, lb, feasible, payload, seed = best
         payload = dict(payload)

@@ -6,9 +6,12 @@ schedule that trades a small per-commodity cost blow-up for a strictly
 smaller shared peak: the product of the two ratios drops below one, which is
 what the randomized pipeline exploits pair by pair.
 
-Construction is dispatched on k = log2(T_A/T_B). All schedules are built in
-exact rational arithmetic, normalized to T_A = 1 and rescaled at the end;
-floats appear only at the CyclicPolicy boundary. The published per-case
+Construction is dispatched on k = log2(T_A/T_B). The schedule normalized to
+T_A = 1 depends on k alone: it is built once per k in exact rational
+arithmetic and kept as immutable tuples. A couple rescales each rational p/q
+of it by T_A = m/d as the integer division (p*m)/(q*d), which Python rounds
+correctly, so every float equals float(Fraction(p, q) * Fraction(T_A)); floats
+appear only at the CyclicPolicy boundary. The published per-case
 guarantee table is kept alongside the slightly sharper constants that direct
 evaluation of these schedules yields (they differ only for k = 4, where the
 published peak constant 7/4 is attained as an upper bound while the schedule
@@ -17,6 +20,7 @@ itself peaks at 55/32).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -98,17 +102,21 @@ class CoupleSchedule:
     claimed_cost_ratio: Fraction
 
 
-def _zio_orders(start: Fraction, quantities: Sequence[Fraction]) -> list[tuple[Fraction, Fraction]]:
+_Orders = tuple[tuple[Fraction, Fraction], ...]
+
+
+def _zio_orders(start: Fraction, quantities: Sequence[Fraction]) -> _Orders:
     """Zero-inventory orders: each order lands exactly when the last runs out."""
     orders = []
     t = start
     for q in quantities:
         orders.append((t, q))
         t += q
-    return orders
+    return tuple(orders)
 
 
-def _normalized_schedules(k: int) -> tuple[Fraction, list, list]:
+@functools.cache
+def _normalized_schedules(k: int) -> tuple[Fraction, _Orders, _Orders]:
     """(cycle, A-orders, B-orders) for T_A = 1, T_B = 2**-k, in exact rationals."""
     T_B = _F(1, 2**k)
     if k == 0:
@@ -145,12 +153,16 @@ def synthesize_couple(inp: CoupleInput) -> CoupleSchedule:
     k = inp.k
     case_id = min(k + 1, 6)
     tau, a_orders, b_orders = _normalized_schedules(k)
-    scale = _F(inp.T_A)
+    m, d = inp.T_A.as_integer_ratio()
+
+    def scaled(x: Fraction) -> float:
+        return (x.numerator * m) / (x.denominator * d)
+
     policy = CyclicPolicy(
-        cycle_length_tau=float(tau * scale),
+        cycle_length_tau=scaled(tau),
         schedules={
-            inp.commodity_A.id: tuple((float(t * scale), float(q * scale)) for t, q in a_orders),
-            inp.commodity_B.id: tuple((float(t * scale), float(q * scale)) for t, q in b_orders),
+            inp.commodity_A.id: tuple((scaled(t), scaled(q)) for t, q in a_orders),
+            inp.commodity_B.id: tuple((scaled(t), scaled(q)) for t, q in b_orders),
         },
     )
     claimed_vmax, claimed_cost = CLAIMED_RATIOS[case_id]

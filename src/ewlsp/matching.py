@@ -4,11 +4,12 @@ Each commodity must join exactly one class; a class accepts a bounded number
 of members; joining class ell caps the commodity's interval so that its
 average space fits the class slab, with the cheapest compliant interval given
 in closed form. This is bipartite b-matching with degree bounds between n
-unit-supply commodities and only c classes. It is solved by successive
-shortest paths on the contracted class graph (c + 3 nodes), the "few sinks"
-transportation scheme: commodities appear only as the heap entries that price
-the arcs between classes, so one augmentation costs about O(c^2 + path * c *
-log n) rather than a Dijkstra over all n * c commodity-class edges.
+unit-supply commodities and only c classes. One class takes every
+commodity. Two or more are solved by successive shortest paths on the
+contracted class graph (c + 3 nodes), the "few sinks" transportation
+scheme: commodities appear only as the heap entries that price the arcs
+between classes, so one augmentation costs about O(c^2 + path * c * log n)
+rather than a Dijkstra over all n * c commodity-class edges.
 """
 
 from __future__ import annotations
@@ -76,8 +77,35 @@ def edge_weight(commodity: Commodity, ell: Hashable, eps: float, V: float, n: in
 
 
 def solve_b_matching(mi: MatchingInstance) -> MimickingPartition:
-    """Minimum-weight degree-feasible assignment by successive shortest paths
-    on the contracted class graph.
+    """Minimum-weight degree-feasible assignment.
+
+    With one class the answer is forced: MatchingInstance has checked that
+    its degree bounds admit all n commodities, so each joins it, and a
+    commodity without an edge to it makes the instance infeasible. With two
+    or more classes it is found by successive shortest paths on the
+    contracted class graph (`_shortest_path_placement`). The total weight is
+    summed in commodity order either way.
+    """
+    commodities, classes = mi.commodity_side, mi.class_side
+    weight = [[mi.weights.get((cid, ell)) for ell in classes] for cid in commodities]
+    if len(classes) == 1:
+        if any(row[0] is None for row in weight):
+            raise InfeasibleMatching("no assignment satisfies the degree bounds")
+        where = [0] * len(commodities)
+    else:
+        where = _shortest_path_placement(weight, [mi.degree_bounds[ell] for ell in classes])
+    assignment: dict[int, Hashable] = {}
+    total = 0.0
+    for k, cid in enumerate(commodities):
+        assignment[cid] = classes[where[k]]
+        total += weight[k][where[k]]
+    return MimickingPartition(assignment=assignment, total_weight=total)
+
+
+def _shortest_path_placement(weight: list[list[float | None]], bounds: list[tuple[int, int]]) -> list[int]:
+    """Class index of each commodity in a minimum-weight degree-feasible
+    assignment, by successive shortest paths on the contracted class graph;
+    `weight[k][l]` is None when commodity k has no edge to class l.
 
     Nodes: source, one per class, slack, sink. source -> ell is the cheapest
     unassigned commodity for ell; ell -> ell' is the cheapest move
@@ -90,17 +118,15 @@ def solve_b_matching(mi: MatchingInstance) -> MimickingPartition:
     heap of class ell is live while k sits in ell, or is unassigned for the
     source heaps).
     """
-    commodities, classes = mi.commodity_side, mi.class_side
-    n, c = len(commodities), len(classes)
+    n, c = len(weight), len(bounds)
     SLACK, SINK, SRC = c, c + 1, c + 2
-    weight = [[mi.weights.get((cid, ell)) for ell in classes] for cid in commodities]
     where: list[int | None] = [None] * n
     entering = [[(row[l], k) for k, row in enumerate(weight) if row[l] is not None] for l in range(c)]
     for heap in entering:
         heapq.heapify(heap)
     moves = [[[] for _ in range(c)] for _ in range(c)]
-    lo = [mi.degree_bounds[ell][0] for ell in classes]
-    spare = [mi.degree_bounds[ell][1] - mi.degree_bounds[ell][0] for ell in classes]
+    lo = [low for low, _ in bounds]
+    spare = [high - low for low, high in bounds]
     to_sink, to_slack = [0] * c, [0] * c  # flow on ell -> sink and ell -> slack
     slack_left = n - sum(lo)
     potential = [0.0] * (c + 3)
@@ -177,13 +203,7 @@ def solve_b_matching(mi: MatchingInstance) -> MimickingPartition:
             else:
                 place(heapq.heappop(moves[u][v])[1], v)
             v = u
-
-    assignment: dict[int, Hashable] = {}
-    total = 0.0
-    for k, cid in enumerate(commodities):
-        assignment[cid] = classes[where[k]]
-        total += weight[k][where[k]]
-    return MimickingPartition(assignment=assignment, total_weight=total)
+    return where
 
 
 def brute_force_b_matching(mi: MatchingInstance) -> float:

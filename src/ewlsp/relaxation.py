@@ -52,27 +52,34 @@ def solve_sosi_relaxation(instance: Instance, rhs: float | None = None) -> Relax
     def budget(lam: float) -> float:
         return float(g @ np.sqrt(K / (H + lam * g)))
 
-    lam = 0.0
-    if budget(0.0) > rhs:
-        hi = 1.0
-        while budget(hi) >= rhs:
-            hi *= 2.0
-        lo = 0.0
-        # The budget map is strictly decreasing and continuous in lam.
-        while hi - lo > _BISECT_RTOL * max(hi, 1.0):
-            mid = 0.5 * (lo + hi)
-            if budget(mid) > rhs:
-                lo = mid
-            else:
-                hi = mid
-        lam = 0.5 * (lo + hi)
+    # An overflow of lam*gamma shows as a budget overrun, checked below.
+    with np.errstate(over="ignore"):
+        lam = 0.0
+        if budget(0.0) > rhs:
+            hi = 1.0
+            while budget(hi) >= rhs:
+                hi *= 2.0
+            lo = 0.0
+            # The budget map is strictly decreasing and continuous in lam.
+            while hi - lo > _BISECT_RTOL * max(hi, 1.0):
+                mid = 0.5 * (lo + hi)
+                if budget(mid) > rhs:
+                    lo = mid
+                else:
+                    hi = mid
+            lam = 0.5 * (lo + hi)
 
-    T = np.sqrt(K / (H + lam * g))
+        T = np.sqrt(K / (H + lam * g))
+        used = float(g @ T)
+    if used > rhs * (1.0 + 1e-9):
+        raise InfeasiblePolicy(
+            f"no multiplier in float range meets the budget: the intervals use {used!r} of {rhs!r}"
+        )
     return RelaxationSolution(
         intervals_T=dict(zip(ids, T.tolist())),
         multiplier_lambda=lam,
         objective=float(np.sum(K / T + H * T)),
-        budget_used=float(g @ T),
+        budget_used=used,
         budget_cap=rhs,
     )
 

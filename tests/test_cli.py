@@ -355,6 +355,24 @@ class TestErrorExitCodes:
         assert main(["solve", "--instance", str(inst_path), "--algo", "ptas"]) == 4
         assert capsys.readouterr().err == "ewlsp: error: ptas_solve handles at most 3 commodities, got 40\n"
 
+    @pytest.mark.parametrize("argv", [["relax"], ["solve", "--algo", "two-approx"]], ids=" ".join)
+    def test_relaxation_beyond_float_range_exits_5(self, tmp_path, capsys, argv):
+        inst_path = tmp_path / "inst.json"
+        doc = {"capacity": 1e-300, "commodities": [{"id": 0, "K": 1e300, "H": 1e-300, "gamma": 1e300}]}
+        inst_path.write_text(json.dumps(doc))
+        assert main(argv + ["--instance", str(inst_path)]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ewlsp: error: no multiplier in float range"), err
+
+    def test_no_feasible_trial_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_solve_one", lambda *args, **kwargs: (1.0, 2.0, 0.5, False, {}))
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "1", "--n", "4", "--out", str(inst_path)])
+        argv = ["solve", "--instance", str(inst_path), "--algo", "sub2", "--trials", "3"]
+        assert main(argv + ["--out", str(tmp_path / "sol.json")]) == 1
+        assert capsys.readouterr().err == "ewlsp solve: error: sub2 gave no feasible policy in 3 trial(s)\n"
+        assert not (tmp_path / "sol.json").exists()
+
     @pytest.mark.parametrize("error", [InfeasiblePolicy, InfeasibleMatching])
     def test_no_feasible_answer_exits_5(self, tmp_path, capsys, monkeypatch, error):
         def infeasible(*args, **kwargs):

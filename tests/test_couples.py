@@ -1,16 +1,18 @@
 import math
+from fractions import Fraction
 
 import pytest
 
 from ewlsp.couples import (
     SUB1_PEAK_FACTOR,
     CoupleInput,
+    _normalized_schedules,
     classify_pairs,
     synthesize_couple,
 )
 from ewlsp.errors import NotAPowerOfTwo, SpaceMismatch
 from ewlsp.evaluator import evaluate
-from ewlsp.model import Commodity, Instance
+from ewlsp.model import Commodity, CyclicPolicy, Instance
 from ewlsp.po2 import po2_round
 
 
@@ -146,7 +148,7 @@ class TestClassifyPairs:
             assert len(far) <= bound
 
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 
@@ -180,3 +182,41 @@ def test_couple_properties_random(k, scale, kh, skew):
     for cid in (0, 1):
         total = math.fsum(q for _, q in schedule.policy.schedules[cid])
         assert total == pytest.approx(schedule.policy.tau, rel=1e-9)
+
+
+@given(
+    k=st.integers(0, 8),
+    T_A=st.floats(min_value=5e-324, allow_infinity=False, allow_nan=False),
+)
+@settings(max_examples=300, deadline=None)
+def test_template_rescaling_matches_exact_fractions(k, T_A):
+    """Every float of a couple is its normalized rational times T_A, rounded
+    once; near the subnormal range both ways collapse orders alike."""
+    T_B = T_A * 2.0**-k
+    assume(T_B > 0 and T_A / T_B == 2.0**k)
+    A, B = Commodity(0, 1.0, 1.0, 1.0), Commodity(1, 1.0, 1.0, float(2**k))
+    tau, a_orders, b_orders = _normalized_schedules(k)
+    scale = Fraction(T_A)
+    orders = {
+        cid: tuple((float(t * scale), float(q * scale)) for t, q in normalized)
+        for cid, normalized in ((0, a_orders), (1, b_orders))
+    }
+    try:
+        expected = CyclicPolicy(float(tau * scale), orders)
+    except ValueError:
+        with pytest.raises(ValueError):
+            synthesize_couple(CoupleInput(A, B, T_A, T_B, 0.05))
+        return
+    schedule = synthesize_couple(CoupleInput(A, B, T_A, T_B, 0.05))
+    assert schedule.policy.tau == expected.tau
+    assert schedule.policy.schedules == expected.schedules
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_normalized_schedules_are_immutable(k):
+    tau, a_orders, b_orders = _normalized_schedules(k)
+    assert isinstance(tau, Fraction)
+    for orders in (a_orders, b_orders):
+        assert isinstance(orders, tuple)
+        assert all(isinstance(order, tuple) and len(order) == 2 for order in orders)
+    assert _normalized_schedules(k) is _normalized_schedules(k)

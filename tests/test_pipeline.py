@@ -248,6 +248,12 @@ PINNED_OUTPUTS = [
         "0bf6f8fda4cb5376b134d23c2d8f7bd03f97a014bf639d14de5feef0ec1af271",
     ),
     (
+        # the benchmark's n: a one-class matching over 200 commodities, 96 couples
+        "difficult-n200-one-class",
+        (dense_heavy_instance(0, 200), 0, None),
+        "ff4b1e8792d44997b4fa6ed0220f86aedbd9854425880caff1efe8671f3fd221",
+    ),
+    (
         "low-dense-tight",
         (generate_instance(0, 40, 1.0, "tight"), 0, None),
         "a32cf3c65336416e350bbb3cbf450946663a9ba6c8a34db241ce2a6d98758c74",

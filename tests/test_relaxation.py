@@ -31,6 +31,13 @@ class TestExactSolver:
         assert sol.intervals_T[0] == pytest.approx(1.0, rel=1e-9)
         assert sol.objective == pytest.approx(5.0, rel=1e-9)
 
+    def test_multiplier_beyond_float_range_is_a_named_error(self):
+        # the multiplier that meets this budget is ~1e1200; lam*gamma overflows
+        # first and the last finite bracket used 7.5e295 of a 2e-300 budget
+        inst = make_instance([(1e300, 1e-300, 1e300)], 1e-300)
+        with pytest.raises(InfeasiblePolicy, match="no multiplier in float range"):
+            solve_sosi_relaxation(inst)
+
     def test_complementary_slackness(self, rng):
         for _ in range(50):
             inst = random_instance(rng, int(rng.integers(1, 6)))
