@@ -330,7 +330,6 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         couple = synthesize_couple(CoupleInput(a, b, 1.0, 2.0**-args.k, args.eps))
         inst = Instance((a, b), capacity_V=10.0)
         report = evaluate(couple.policy, inst)
-        denom = sum(inst.commodity(c).gamma * v for c, v in report.avg_inventory.items())
         payload = {
             "case": couple.case_id,
             **policy_to_json(couple.policy),

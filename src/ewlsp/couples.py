@@ -159,7 +159,7 @@ def synthesize_couple(inp: CoupleInput) -> CoupleSchedule:
         return (x.numerator * m) / (x.denominator * d)
 
     policy = CyclicPolicy(
-        cycle_length_tau=scaled(tau),
+        tau=scaled(tau),
         schedules={
             inp.commodity_A.id: tuple((scaled(t), scaled(q)) for t, q in a_orders),
             inp.commodity_B.id: tuple((scaled(t), scaled(q)) for t, q in b_orders),

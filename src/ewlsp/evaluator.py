@@ -65,7 +65,8 @@ def _steady_state_baseline(orders: tuple[tuple[float, float], ...]) -> float:
 
 
 def _commodity_stats(orders: tuple[tuple[float, float], ...], tau: float) -> tuple[float, float]:
-    """(average inventory, level just after each order is handled by caller).
+    """(average inventory, c0): the exact mean level over one period and the
+    baseline shift of `_steady_state_baseline`.
 
     Integrates the sawtooth exactly over one period using the wraparound
     segment decomposition [t_k, t_{k+1}) with t_m = t_0 + tau.
@@ -84,12 +85,11 @@ def _commodity_stats(orders: tuple[tuple[float, float], ...], tau: float) -> tup
 
 
 def evaluate(policy: CyclicPolicy, instance: Instance) -> EvalReport:
-    """Exact cost rates, average inventories, peak space, feasibility verdict."""
-    tau = policy.tau
-    for cid in policy.schedules:
-        if cid not in instance:
-            raise KeyError(f"policy references commodity {cid} missing from instance")
+    """Exact cost rates, average inventories, peak space, feasibility verdict.
 
+    A schedule for an id the instance lacks raises KeyError.
+    """
+    tau = policy.tau
     ordering = 0.0
     holding = 0.0
     avg_inventory: dict[int, float] = {}
@@ -131,9 +131,9 @@ def evaluate_sosi(policy: SosiPolicy, instance: Instance) -> EvalReport:
 
     Peak space is reported as sum(gamma_i * T_i): exact for all-zero phases
     (every sawtooth peaks at t=0 simultaneously) and a supremum bound
-    otherwise, which is the conservative direction for feasibility.
+    otherwise, which is the conservative direction for feasibility. An
+    interval for an id the instance lacks raises KeyError.
     """
-    policy.validate_against(instance)
     ordering = 0.0
     holding = 0.0
     v_max = 0.0
@@ -168,8 +168,8 @@ def combine_reports(reports: Iterable[EvalReport], instance: Instance) -> EvalRe
         ordering += rep.ordering_cost_rate
         holding += rep.holding_cost_rate
         v_max += rep.v_max
-        overlap = set(avg_inventory) & set(rep.avg_inventory)
-        if overlap:
+        if not avg_inventory.keys().isdisjoint(rep.avg_inventory):
+            overlap = avg_inventory.keys() & rep.avg_inventory.keys()
             raise ValueError(f"reports overlap on commodities {sorted(overlap)}")
         avg_inventory.update(rep.avg_inventory)
     return EvalReport(

@@ -24,37 +24,24 @@ CONSERVATION_RTOL = 1e-9
 
 @dataclass(frozen=True)
 class Commodity:
-    """Per-item economics under unit demand rate."""
+    """Per-item economics under unit demand rate.
+
+    K is the cost of one order, 2H the cost of holding one unit for one unit
+    of time (so an interval T costs K/T + H*T per unit of time), and gamma
+    the warehouse space one unit of inventory takes.
+    """
 
     id: int
-    ordering_cost_K: float
-    holding_rate_H: float
-    space_per_unit_gamma: float
+    K: float
+    H: float
+    gamma: float
 
     def __post_init__(self):
         if not isinstance(self.id, int):
             raise ValueError(f"commodity id must be an integer, got {self.id!r}")
-        for name, value in (
-            ("K", self.ordering_cost_K),
-            ("H", self.holding_rate_H),
-            ("gamma", self.space_per_unit_gamma),
-        ):
+        for name, value in (("K", self.K), ("H", self.H), ("gamma", self.gamma)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"commodity {self.id}: {name} must be finite and > 0, got {value!r}")
-
-    # Short aliases; the long field names document the units once,
-    # formulas elsewhere read better with K/H/gamma.
-    @property
-    def K(self) -> float:
-        return self.ordering_cost_K
-
-    @property
-    def H(self) -> float:
-        return self.holding_rate_H
-
-    @property
-    def gamma(self) -> float:
-        return self.space_per_unit_gamma
 
 
 @dataclass(frozen=True)
@@ -137,11 +124,11 @@ class SosiPolicy:
 class CyclicPolicy:
     """Periodic schedule: per commodity, sorted (time, quantity) orders on [0, tau)."""
 
-    cycle_length_tau: float
+    tau: float
     schedules: Mapping[int, tuple[tuple[float, float], ...]]
 
     def __post_init__(self):
-        tau = self.cycle_length_tau
+        tau = self.tau
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"cycle length must be > 0, got {tau!r}")
         normalized = {}
@@ -167,10 +154,6 @@ class CyclicPolicy:
             normalized[cid] = orders
         object.__setattr__(self, "schedules", normalized)
 
-    @property
-    def tau(self) -> float:
-        return self.cycle_length_tau
-
     def order_count(self, cid: int) -> int:
         return len(self.schedules[cid])
 
@@ -179,7 +162,7 @@ class CyclicPolicy:
         if factor <= 0:
             raise ValueError("scale factor must be > 0")
         return CyclicPolicy(
-            cycle_length_tau=self.tau * factor,
+            tau=self.tau * factor,
             schedules={
                 cid: tuple((t * factor, q * factor) for t, q in orders)
                 for cid, orders in self.schedules.items()
@@ -191,13 +174,17 @@ class CyclicPolicy:
         return CyclicPolicy(self.tau, keep)
 
 
-def _as_fraction(x: float, max_denominator: int = 10**12) -> Fraction | None:
-    """Rational snap of a float; None when no denominator <= bound reproduces it."""
+# Largest denominator `_as_fraction` tries when snapping a float.
+MAX_SNAP_DENOMINATOR = 10**12
+
+
+def _as_fraction(x: float) -> Fraction | None:
+    """Rational snap of a float; None when no denominator <= MAX_SNAP_DENOMINATOR reproduces it."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    frac = Fraction(x).limit_denominator(max_denominator)
+    frac = Fraction(x).limit_denominator(MAX_SNAP_DENOMINATOR)
     if abs(float(frac) - x) <= 1e-12 * max(abs(x), 1.0):
         return frac
     return None
@@ -325,7 +312,7 @@ def serialize_instance(instance: Instance) -> bytes:
     payload = {
         "capacity": instance.capacity_V,
         "commodities": [
-            {"id": c.id, "K": c.ordering_cost_K, "H": c.holding_rate_H, "gamma": c.space_per_unit_gamma}
+            {"id": c.id, "K": c.K, "H": c.H, "gamma": c.gamma}
             for c in instance.commodities
         ],
     }
@@ -388,7 +375,7 @@ def _policy_from(raw: dict, root: str) -> CyclicPolicy:
             parsed.append((_number(pair[0], f"{path}[{k}][0]"), _number(pair[1], f"{path}[{k}][1]")))
         schedules[cid] = tuple(parsed)
     try:
-        return CyclicPolicy(cycle_length_tau=tau, schedules=schedules)
+        return CyclicPolicy(tau=tau, schedules=schedules)
     except ValueError as exc:
         raise SchemaError(f"{_rejected_part(root, tau, schedules)}: {exc}") from exc
 

@@ -16,6 +16,11 @@ from .model import CyclicPolicy, Instance
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
+# Most subset combinations `oracle_opt_cyclic` enumerates.
+SPACE_CAP = 40_000_000
+# Uniform sample points of `oracle_integrate_cost`, on top of the order instants.
+INTEGRATION_SAMPLES = 100_000
+
 
 def _subset_orders(mask: int, grid: np.ndarray, tau: float) -> tuple[tuple[float, float], ...]:
     """Zero-inventory orders on the chosen grid points; quantity spans to the
@@ -59,7 +64,6 @@ def oracle_opt_cyclic(
     tau: float,
     grid_points: int,
     max_orders: int | None = None,
-    space_cap: int = 40_000_000,
 ) -> tuple[CyclicPolicy, float]:
     """Exhaustive optimum over per-commodity order subsets of a uniform grid.
 
@@ -73,7 +77,7 @@ def oracle_opt_cyclic(
     if grid_points > 12:
         raise SearchSpaceExceeded("oracle grid is capped at 12 points")
     m = grid_points
-    if (2**m - 1) ** n > space_cap:
+    if (2**m - 1) ** n > SPACE_CAP:
         raise SearchSpaceExceeded(f"{(2**m - 1) ** n} subset combinations exceed cap")
     grid = np.arange(m) * (tau / m)
     max_orders = m if max_orders is None else min(max_orders, m)
@@ -118,7 +122,7 @@ def oracle_opt_cyclic(
         c.id: _subset_orders(mask, grid, tau)
         for c, mask in zip(instance.commodities, best_masks)
     }
-    return CyclicPolicy(cycle_length_tau=tau, schedules=schedules), best_cost
+    return CyclicPolicy(tau=tau, schedules=schedules), best_cost
 
 
 def _sample_inventory(orders, tau: float, times: np.ndarray, after: np.ndarray) -> np.ndarray:
@@ -134,7 +138,7 @@ def _sample_inventory(orders, tau: float, times: np.ndarray, after: np.ndarray) 
     return c0 + cums[k] - times
 
 
-def oracle_integrate_cost(policy: CyclicPolicy, instance: Instance, samples: int = 100_000) -> EvalReport:
+def oracle_integrate_cost(policy: CyclicPolicy, instance: Instance) -> EvalReport:
     """Second opinion on the evaluator via trapezoid integration.
 
     The sample grid is the uniform grid plus every order instant duplicated
@@ -142,7 +146,7 @@ def oracle_integrate_cost(policy: CyclicPolicy, instance: Instance, samples: int
     integrated without smearing the jumps.
     """
     tau = policy.tau
-    uniform = np.linspace(0.0, tau, samples, endpoint=False)
+    uniform = np.linspace(0.0, tau, INTEGRATION_SAMPLES, endpoint=False)
     event_times = sorted({t for orders in policy.schedules.values() for t, _ in orders})
     events = np.array(event_times)
     times = np.concatenate([uniform, events, events, [tau]])

@@ -17,15 +17,15 @@ from dataclasses import dataclass
 from typing import Mapping
 
 PO2_MEAN_CONSTANT = 1.0 / (math.sqrt(2.0) * math.log(2.0))
+# Simpson panels over theta in [-1/2, 1/2] in `po2_expectation_check`.
+SIMPSON_PANELS = 20_000
 
 
 @dataclass(frozen=True)
 class Po2Outcome:
-    theta: float
-    base_T_min: float
     rounded_T: Mapping[int, float]
     alpha_beta: Mapping[int, tuple[int, float]]
-    exponents: Mapping[int, int]  # T_i = 2**(exponents[i] + theta) * base_T_min
+    exponents: Mapping[int, int]  # T_i = 2**(exponents[i] + theta) * (smallest interval)
 
 
 def _split_exponent(T: float, base: float) -> tuple[int, float]:
@@ -56,13 +56,7 @@ def po2_round(group: Mapping[int, float], theta: float) -> Po2Outcome:
         rounded[cid] = 2.0 ** (k + theta) * base
         alpha_beta[cid] = (alpha, beta)
         exponents[cid] = k
-    return Po2Outcome(
-        theta=theta,
-        base_T_min=base,
-        rounded_T=rounded,
-        alpha_beta=alpha_beta,
-        exponents=exponents,
-    )
+    return Po2Outcome(rounded_T=rounded, alpha_beta=alpha_beta, exponents=exponents)
 
 
 def _simpson(f, a: float, b: float, panels: int) -> float:
@@ -76,9 +70,7 @@ def _simpson(f, a: float, b: float, panels: int) -> float:
     return total * h / 3.0
 
 
-def po2_expectation_check(
-    T_hat: float, base_T_min: float | None = None, panels: int = 20_000
-) -> tuple[float, float]:
+def po2_expectation_check(T_hat: float, base_T_min: float | None = None) -> tuple[float, float]:
     """Deterministic quadrature of E[T^theta] and E[1/T^theta].
 
     Both must equal PO2_MEAN_CONSTANT * T_hat and PO2_MEAN_CONSTANT / T_hat.
@@ -92,7 +84,7 @@ def po2_expectation_check(
         raise ValueError("base_T_min must satisfy 0 < base <= T_hat")
     alpha, beta = _split_exponent(T_hat, base)
     cut = beta - 0.5
-    left = max(0, round(panels * (cut + 0.5)))
+    left = max(0, round(SIMPSON_PANELS * (cut + 0.5)))
 
     def piece(k: int, a: float, b: float, n: int, invert: bool) -> float:
         # each branch is a smooth exponential; integrate it on its own piece
@@ -100,6 +92,7 @@ def po2_expectation_check(
             return _simpson(lambda th: 1.0 / (2.0 ** (k + th) * base), a, b, n)
         return _simpson(lambda th: 2.0 ** (k + th) * base, a, b, n)
 
-    mean_t = piece(alpha + 1, -0.5, cut, left, False) + piece(alpha, cut, 0.5, panels - left, False)
-    mean_inv = piece(alpha + 1, -0.5, cut, left, True) + piece(alpha, cut, 0.5, panels - left, True)
+    right = SIMPSON_PANELS - left
+    mean_t = piece(alpha + 1, -0.5, cut, left, False) + piece(alpha, cut, 0.5, right, False)
+    mean_inv = piece(alpha + 1, -0.5, cut, left, True) + piece(alpha, cut, 0.5, right, True)
     return mean_t, mean_inv

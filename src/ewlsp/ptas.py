@@ -50,6 +50,8 @@ DEFAULT_PTAS_CAP = 3
 DEFAULT_STATE_CAP = 10**6
 ACTION_CAP = 1 << 22
 GUESS_BUDGET = 100_000
+# Relative slack, per plus-grid step, for an order time to count as on the grid.
+ALIGN_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -273,7 +275,7 @@ class _DpSolver:
         for cid, lst in orders.items():
             lst.sort()
             schedules[cid] = tuple((pos * self.unit, q * self.unit) for pos, q in lst)
-        policy = CyclicPolicy(cycle_length_tau=self.tau, schedules=schedules)
+        policy = CyclicPolicy(tau=self.tau, schedules=schedules)
         return copies * cost / self.tau, policy
 
     def _value(self, state: DpState) -> float | None:
@@ -474,9 +476,7 @@ def ptas_solve(
     return policy, report
 
 
-def is_b_aligned(
-    policy: CyclicPolicy, assignment: Mapping[int, int], grid: GridSpec, rtol: float = 1e-9
-) -> bool:
+def is_b_aligned(policy: CyclicPolicy, assignment: Mapping[int, int], grid: GridSpec) -> bool:
     """Check alignment straight off the schedule: orders only on the class
     plus-grid and an order at every class minus-point (zero-inventory
     arrivals, given zero-inventory quantities)."""
@@ -487,7 +487,7 @@ def is_b_aligned(
         step = tau / plus
         times = [t for t, _ in policy.schedules[cid]]
         for t in times:
-            if abs(t / step - round(t / step)) > rtol * plus:
+            if abs(t / step - round(t / step)) > ALIGN_RTOL * plus:
                 return False
         order_slots = {round(t / step) for t in times}
         ratio = plus // minus

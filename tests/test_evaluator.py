@@ -1,9 +1,11 @@
 
+import time
+
 import numpy as np
 import pytest
 
 from ewlsp.couples import CoupleInput, synthesize_couple
-from ewlsp.evaluator import evaluate, evaluate_sosi
+from ewlsp.evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
 from ewlsp.model import Commodity, CyclicPolicy, Instance, SosiPolicy, sosi_to_cyclic
 
 from conftest import make_instance, random_instance
@@ -136,3 +138,36 @@ def test_report_independent_of_schedule_key_order(rng):
     forward = CyclicPolicy(tau, schedules)
     backward = CyclicPolicy(tau, dict(reversed(list(schedules.items()))))
     assert evaluate(backward, inst) == evaluate(forward, inst)
+
+
+@pytest.mark.parametrize(
+    "evaluator, policy",
+    [
+        (evaluate, CyclicPolicy(1.0, {0: ((0.0, 1.0),), 9: ((0.0, 1.0),)})),
+        (evaluate_sosi, SosiPolicy({0: 1.0, 9: 1.0})),
+    ],
+    ids=["cyclic", "sosi"],
+)
+def test_unknown_id_is_a_key_error_naming_it(evaluator, policy):
+    inst = make_instance([(1, 1, 1)], 10.0)
+    with pytest.raises(KeyError, match="no commodity with id 9"):
+        evaluator(policy, inst)
+
+
+def test_overlapping_reports_are_refused():
+    inst = make_instance([(1, 1, 1)] * 4, 10.0)
+    first = evaluate_sosi(SosiPolicy({0: 1.0, 1: 1.0, 2: 1.0}), inst)
+    second = evaluate_sosi(SosiPolicy({3: 1.0, 2: 1.0, 1: 1.0}), inst)
+    with pytest.raises(ValueError, match=r"reports overlap on commodities \[1, 2\]"):
+        combine_reports([first, second], inst)
+
+
+def test_combining_many_reports_is_linear():
+    # one report per block, as a solve with thousands of blocks certifies
+    inst = make_instance([(1, 1, 1)], 10.0)
+    reports = [EvalReport(1.0, 1.0, 1.0, {cid: 0.5}, 10.0) for cid in range(10_000)]
+    start = time.perf_counter()
+    combined = combine_reports(reports, inst)
+    assert time.perf_counter() - start < 0.5
+    assert len(combined.avg_inventory) == 10_000
+    assert combined.v_max == 10_000.0

@@ -263,6 +263,12 @@ PINNED_OUTPUTS = [
         _offset_couple_case(),
         "b8cdfc6d8a853294fe4e97374f562ad335bfe5667a1e250326311ce9a0df773d",
     ),
+    (
+        # the benchmark's sub2-spread shape: one stationary relaxation block over n=2000
+        "low-dense-loose-n2000",
+        (generate_instance(0, 2000, 1.0, "loose"), 0, None),
+        "56b083634a0ca21b94dc2f77670d36a5bc9d8fc5fcf6637220ef82248eacd8dc",
+    ),
 ]
 
 
@@ -281,6 +287,12 @@ class TestBlocks:
         sub = sub_instance(inst, [1, 2])
         assert sub.ids() == [1, 2]
         assert sub.V == 1.0
+
+    def test_overlapping_blocks_are_refused(self):
+        first = Block(ids=(0, 1, 2), sosi=SosiPolicy({0: 1.0, 1: 1.0, 2: 1.0}))
+        second = Block(ids=(3, 2, 1), sosi=SosiPolicy({3: 1.0, 2: 1.0, 1: 1.0}))
+        with pytest.raises(ValueError, match=r"blocks overlap on commodities \[1, 2\]"):
+            AssembledPolicy((first, second))
 
     def test_assembled_scaling(self):
         inst = dense_heavy_instance(5, 20)
