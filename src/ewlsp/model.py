@@ -131,27 +131,37 @@ class CyclicPolicy:
         tau = self.tau
         if not (math.isfinite(tau) and tau > 0):
             raise ValueError(f"cycle length must be > 0, got {tau!r}")
+        tolerance = CONSERVATION_RTOL * max(abs(tau), 1.0)
         normalized = {}
         for cid, orders in self.schedules.items():
-            orders = tuple((float(t), float(q)) for t, q in orders)
-            if not orders:
+            # one pass that notes every violation; they are raised below in a fixed priority
+            parsed = []
+            in_range = increasing = positive = True
+            prev = -math.inf
+            for t, q in orders:
+                t, q = float(t), float(q)
+                in_range = in_range and 0 <= t < tau
+                increasing = increasing and t > prev
+                positive = positive and q > 0
+                prev = t
+                parsed.append((t, q))
+            if not parsed:
                 raise ValueError(f"commodity {cid}: at least one order per cycle required")
-            times = [t for t, _ in orders]
-            if any(not (0 <= t < tau) for t in times):
+            if not in_range:
                 raise ValueError(f"commodity {cid}: order times must lie in [0, tau)")
-            if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+            if not increasing:
                 raise ValueError(f"commodity {cid}: order times must be strictly increasing")
-            if any(not (q > 0) for _, q in orders):
+            if not positive:
                 raise ValueError(f"commodity {cid}: order quantities must be > 0")
             try:
-                total = math.fsum(q for _, q in orders)
+                total = math.fsum(q for _, q in parsed)
             except OverflowError:
                 total = math.inf
-            if abs(total - tau) > CONSERVATION_RTOL * max(abs(tau), 1.0):
+            if abs(total - tau) > tolerance:
                 raise ValueError(
                     f"commodity {cid}: quantities sum to {total!r}, expected cycle length {tau!r}"
                 )
-            normalized[cid] = orders
+            normalized[cid] = tuple(parsed)
         object.__setattr__(self, "schedules", normalized)
 
     def order_count(self, cid: int) -> int:
@@ -354,30 +364,40 @@ def parse_policies(text: bytes | str, instance: Instance) -> list[CyclicPolicy]:
 
 
 def _policy_from(raw: dict, root: str) -> CyclicPolicy:
-    tau = _number(raw.get("tau"), f"{root}.tau")
+    # Field paths are built only on the way to a SchemaError: a float needs no check.
+    tau = raw.get("tau")
+    if type(tau) is not float:
+        tau = _number(tau, f"{root}.tau")
     if not isinstance(raw.get("schedules"), dict):
         raise SchemaError(f"{root}.schedules: expected an object")
     schedules = {}
     for key, orders in raw["schedules"].items():
-        path = f"{root}.schedules.{key}"
         try:
             cid = int(key)
         except ValueError:
             cid = None
         if cid is None or str(cid) != key:
-            raise SchemaError(f"{path}: key must be an integer id")
+            raise SchemaError(f"{root}.schedules.{key}: key must be an integer id")
         if not isinstance(orders, list):
-            raise SchemaError(f"{path}: expected an array of [t, q] pairs")
+            raise SchemaError(f"{root}.schedules.{key}: expected an array of [t, q] pairs")
         parsed = []
         for k, pair in enumerate(orders):
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise SchemaError(f"{path}[{k}]: expected a [t, q] pair")
-            parsed.append((_number(pair[0], f"{path}[{k}][0]"), _number(pair[1], f"{path}[{k}][1]")))
+            if isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is float and type(pair[1]) is float:
+                parsed.append((pair[0], pair[1]))
+            else:
+                parsed.append(_pair(pair, f"{root}.schedules.{key}[{k}]"))
         schedules[cid] = tuple(parsed)
     try:
         return CyclicPolicy(tau=tau, schedules=schedules)
     except ValueError as exc:
         raise SchemaError(f"{_rejected_part(root, tau, schedules)}: {exc}") from exc
+
+
+def _pair(pair, path: str) -> tuple[float, float]:
+    """A `[t, q]` JSON pair of numbers as floats."""
+    if not (isinstance(pair, list) and len(pair) == 2):
+        raise SchemaError(f"{path}: expected a [t, q] pair")
+    return _number(pair[0], f"{path}[0]"), _number(pair[1], f"{path}[1]")
 
 
 def _rejected_part(root: str, tau: float, schedules: dict[int, tuple]) -> str:

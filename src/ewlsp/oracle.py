@@ -16,8 +16,6 @@ from .model import CyclicPolicy, Instance
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-# Most subset combinations `oracle_opt_cyclic` enumerates.
-SPACE_CAP = 40_000_000
 # Uniform sample points of `oracle_integrate_cost`, on top of the order instants.
 INTEGRATION_SAMPLES = 100_000
 
@@ -77,8 +75,6 @@ def oracle_opt_cyclic(
     if grid_points > 12:
         raise SearchSpaceExceeded("oracle grid is capped at 12 points")
     m = grid_points
-    if (2**m - 1) ** n > SPACE_CAP:
-        raise SearchSpaceExceeded(f"{(2**m - 1) ** n} subset combinations exceed cap")
     grid = np.arange(m) * (tau / m)
     max_orders = m if max_orders is None else min(max_orders, m)
 

@@ -28,10 +28,28 @@ holds, drops the combinations over the bound, and visits the rest in
 ascending interval cost until no later one can win. Equal totals go to the
 combination that comes first in product order over the ids, so the chosen
 policy does not depend on the visiting order.
+
+The sweep over guesses is pruned by a per-guess lower bound on the certified
+cost. A class-q commodity orders only on plus-points and at every minus-point,
+so it places m in [minus_q, plus_q] zero-inventory orders, its gaps are at
+most tau/minus_q, and by Cauchy-Schwarz on the squared gaps its cost is at
+least K/g + H*g at the average gap g = tau/m. Each inventory stays under its
+largest gap, so the DP policy's peak is at most P = sum gamma_i*tau/minus_qi,
+and the scale-down into the capacity multiplies every gap by some
+f >= f_lo = min(1, V/P). The bound sums, per commodity, the minimum of
+K/g + H*g over g in [f_lo*tau/plus_q, tau/minus_q]: the EOQ interval clipped
+into that range. (The DP's (1+eps)V space check does not limit f, since it
+runs against a quantized lower bound of the deeper levels' space.) Guesses
+are visited in ascending (bound, enumeration index), and the sweep stops at
+the first guess whose bound exceeds the incumbent's certified cost; every
+later guess then costs more than the incumbent. The winner is the guess with
+the least (cost, enumeration index), the policy an unpruned sweep in
+enumeration order would return.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import math
@@ -41,7 +59,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .eoq import compute_M
+from .eoq import compute_M, cost
 from .errors import ActionSpaceExceeded, BudgetExceeded, StateSpaceExceeded, TooManyCommodities
 from .evaluator import EvalReport, evaluate
 from .model import CyclicPolicy, Instance
@@ -52,6 +70,9 @@ ACTION_CAP = 1 << 22
 GUESS_BUDGET = 100_000
 # Relative slack, per plus-grid step, for an order time to count as on the grid.
 ALIGN_RTOL = 1e-9
+# Relative margin by which a guess's lower bound must exceed the incumbent's
+# cost before the sweep stops, so float rounding in the bound cannot prune a winner.
+PRUNE_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -162,6 +183,33 @@ def enumerate_guesses(instance: Instance, eps: float) -> list[Guess]:
     ]
 
 
+def guess_lower_bound(instance: Instance, guess: Guess, grid: GridSpec) -> float:
+    """Lower bound on the cost rate of the guess's DP policy after
+    `ptas_solve` scales it into the capacity; see the module docstring.
+    `grid` must cover the deepest guessed class."""
+    tau = grid.tau_cycle
+    items = sorted(guess.assignment.items())
+    peak = sum(instance.commodity(i).gamma * tau / grid.minus_counts[q - 1] for i, q in items)
+    f_lo = min(1.0, instance.V / peak)
+    total = 0.0
+    for i, q in items:
+        c = instance.commodity(i)
+        lo, hi = f_lo * tau / grid.plus_counts[q - 1], tau / grid.minus_counts[q - 1]
+        total += cost(c.K, c.H, min(max(math.sqrt(c.K / c.H), lo), hi))
+    return total
+
+
+def _action_space_excess(guess: Guess, grid: GridSpec) -> str | None:
+    """A message naming the first occupied level whose pattern combinations,
+    2^((slots - 1) * commodities), exceed ACTION_CAP, or None when none does."""
+    sizes = collections.Counter(guess.assignment.values())
+    for j, q in enumerate(sorted(sizes)):
+        bits = (grid.plus_counts[q - 1] // grid.minus_counts[q - 1] - 1) * sizes[q]
+        if (1 << bits) > ACTION_CAP:
+            return f"action space 2^{bits} at level {j}"
+    return None
+
+
 @dataclass(frozen=True)
 class _Patterns:
     """Every single-commodity order pattern over one interval of S slots, in
@@ -204,6 +252,9 @@ class _DpSolver:
         occupied = sorted(set(guess.assignment.values()))
         if occupied[-1] > len(grid.minus_counts):
             raise ValueError("grid does not cover the deepest guessed class")
+        excess = _action_space_excess(guess, grid)
+        if excess is not None:
+            raise ActionSpaceExceeded(excess)
         self.levels = occupied
         self.ids_at = [
             sorted(i for i, q in guess.assignment.items() if q == lvl) for lvl in occupied
@@ -222,11 +273,7 @@ class _DpSolver:
         self.space_terms: list[list[np.ndarray]] = []
         self.cost_terms: list[list[np.ndarray]] = []
         for j, level in enumerate(commodities):
-            S = self.slots(j)
-            bits = (S - 1) * len(level)
-            if (1 << bits) > ACTION_CAP:
-                raise ActionSpaceExceeded(f"action space 2^{bits} at level {j}")
-            table = _patterns(S)
+            table = _patterns(self.slots(j))
             step_t = self.slot_step(j) * self.unit
             hold = np.zeros(len(table.slots))
             for column in table.gaps.T:  # gap by gap in slot order: a float sum depends on its order
@@ -436,24 +483,34 @@ def ptas_solve(
     state_cap: int = DEFAULT_STATE_CAP,
     details: dict | None = None,
 ) -> tuple[CyclicPolicy, EvalReport]:
-    """Sweep all guesses with the miniature geometry, scale the winner into
-    the capacity, and return it with its exact evaluation. A guess whose
-    action space exceeds ACTION_CAP is skipped, so with skips the result is
-    the best over the remaining guesses only. When a dict is passed as
-    `details`, the winning guess, its grid and the number of skipped guesses
-    are recorded in it."""
+    """Sweep the guesses with the miniature geometry, scale each DP policy
+    into the capacity, and return the cheapest with its exact evaluation.
+
+    A guess whose action space exceeds ACTION_CAP is skipped, so with skips
+    the result is the best over the remaining guesses only. The others are
+    visited in ascending (guess_lower_bound, enumeration index), and the
+    sweep stops at the first whose bound * (1 - PRUNE_RTOL) exceeds the
+    incumbent's cost; the rest are pruned without
+    running their DP. The winner has the least (cost, enumeration index), as
+    in a full sweep. When a dict is passed as `details`, the winning guess,
+    its grid, and the numbers of skipped and pruned guesses are recorded."""
     if instance.n > DEFAULT_PTAS_CAP:
         raise TooManyCommodities(instance.n, DEFAULT_PTAS_CAP)
-    best: tuple[CyclicPolicy, EvalReport, Guess, GridSpec] | None = None
     guesses = enumerate_guesses(instance, eps)
-    skipped = 0
-    for guess in guesses:
+    queue = []
+    for index, guess in enumerate(guesses):
         grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=grid_M, S=grid_S)
-        try:
-            result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap)
-        except ActionSpaceExceeded:
-            skipped += 1
-            continue
+        if _action_space_excess(guess, grid) is None:
+            queue.append((guess_lower_bound(instance, guess, grid), index, guess, grid))
+    skipped = len(guesses) - len(queue)
+    queue.sort(key=lambda entry: entry[:2])
+    best: tuple[float, int, CyclicPolicy, EvalReport, Guess, GridSpec] | None = None
+    visited = 0
+    for bound, index, guess, grid in queue:
+        if best is not None and bound * (1.0 - PRUNE_RTOL) > best[0]:
+            break
+        visited += 1
+        result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap)
         if result is None:
             continue
         _, policy = result
@@ -463,16 +520,17 @@ def ptas_solve(
             report = evaluate(policy, instance)
         if not report.feasible:
             continue
-        if best is None or report.total_cost_rate < best[1].total_cost_rate:
-            best = (policy, report, guess, grid)
+        if best is None or (report.total_cost_rate, index) < best[:2]:
+            best = (report.total_cost_rate, index, policy, report, guess, grid)
     if best is None:
         reason = f" ({skipped} of {len(guesses)} guesses skipped over ACTION_CAP)" if skipped else ""
         raise StateSpaceExceeded(f"no guess produced a feasible policy{reason}")
-    policy, report, guess, grid = best
+    _, _, policy, report, guess, grid = best
     if details is not None:
         details["guess"] = guess
         details["grid"] = grid
         details["skipped_guesses"] = skipped
+        details["pruned_guesses"] = len(queue) - visited
     return policy, report
 
 

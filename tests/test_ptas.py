@@ -10,7 +10,15 @@ from ewlsp.errors import ActionSpaceExceeded, BudgetExceeded, StateSpaceExceeded
 from ewlsp.evaluator import evaluate
 from ewlsp.model import serialize_policy
 from ewlsp.oracle import oracle_opt_cyclic
-from ewlsp.ptas import GridSpec, Guess, dp_solve, enumerate_guesses, is_b_aligned, ptas_solve
+from ewlsp.ptas import (
+    GridSpec,
+    Guess,
+    dp_solve,
+    enumerate_guesses,
+    guess_lower_bound,
+    is_b_aligned,
+    ptas_solve,
+)
 
 from conftest import make_instance
 
@@ -212,6 +220,96 @@ def test_pinned_outputs(name, inst, digest):
     policy, report = ptas_solve(inst, 0.5)
     text = serialize_policy(policy) + repr(report.total_cost_rate).encode()
     assert hashlib.sha256(text).hexdigest() == digest
+
+
+def _certified(instance, guess, eps, grid):
+    """The guess's DP policy scaled into the capacity with its evaluation,
+    as the sweep certifies it, or None when the DP finds no policy."""
+    result = dp_solve(instance, guess, eps, grid=grid)
+    if result is None:
+        return None
+    _, policy = result
+    report = evaluate(policy, instance)
+    if report.v_max > instance.V:
+        policy = policy.scaled(instance.V / report.v_max)
+        report = evaluate(policy, instance)
+    return policy, report
+
+
+def _full_sweep(instance, eps):
+    """Every guess in enumeration order with the (cost, index) winner rule:
+    the unpruned reference for `ptas_solve`."""
+    best = None
+    for index, guess in enumerate(enumerate_guesses(instance, eps)):
+        grid = GridSpec.desk(guess.tau, max(guess.assignment.values()))
+        try:
+            certified = _certified(instance, guess, eps, grid)
+        except ActionSpaceExceeded:
+            continue
+        if certified is None or not certified[1].feasible:
+            continue
+        policy, report = certified
+        if best is None or (report.total_cost_rate, index) < best[:2]:
+            best = (report.total_cost_rate, index, policy, report, guess)
+    return best
+
+
+class TestGuessPruning:
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.sampled_from([1, 2]),
+        spread=st.sampled_from([0.0, 1.0]),
+        regime=st.sampled_from(["tight", "loose"]),
+        M=st.sampled_from([2, 4]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_bound_never_exceeds_the_certified_cost(self, seed, n, spread, regime, M):
+        inst = generate_instance(seed, n, spread, regime)
+        for guess in enumerate_guesses(inst, 0.5):
+            grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=2 * M)
+            certified = _certified(inst, guess, 0.5, grid)
+            if certified is None:
+                continue
+            # far inside the sweep's 1e-9 pruning margin
+            assert guess_lower_bound(inst, guess, grid) <= certified[1].total_cost_rate * (1 + 1e-12)
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            generate_instance(3, 1, 1.0, "tight"),
+            generate_instance(4, 1, 1.0, "loose"),
+            generate_instance(5, 2, 1.0, "tight"),
+            generate_instance(6, 2, 1.0, "loose"),
+            generate_instance(7, 2, 1.0, "dense-heavy"),
+            make_instance([(1, 1, 1), (1, 1, 1)], 0.8),
+            make_instance([(1, 1, 1), (1, 1, 1)], 3.0),
+        ],
+        ids=["n1-tight", "n1-loose", "n2-tight", "n2-loose", "n2-dense-heavy", "n2-identical", "n2-identical-loose"],
+    )
+    def test_pruned_sweep_returns_the_full_sweep_winner(self, inst, monkeypatch):
+        full_cost, _, full_policy, _, guess = _full_sweep(inst, 0.5)
+        runs = []
+
+        def counted_dp_solve(*args, **kwargs):
+            runs.append(args[1])
+            return dp_solve(*args, **kwargs)
+
+        monkeypatch.setattr("ewlsp.ptas.dp_solve", counted_dp_solve)
+        details = {}
+        policy, report = ptas_solve(inst, 0.5, details=details)
+        assert serialize_policy(policy) == serialize_policy(full_policy)
+        assert repr(report.total_cost_rate) == repr(full_cost)
+        assert details["guess"] == guess
+        total = len(enumerate_guesses(inst, 0.5))
+        assert len(runs) == total - details["skipped_guesses"] - details["pruned_guesses"]
+
+    def test_n3_tight_prunes_and_stays_aligned(self):
+        inst = generate_instance(0, 3, 1.0, "tight")
+        details = {}
+        policy, report = ptas_solve(inst, 0.5, details=details)
+        assert details["pruned_guesses"] > 0
+        assert report.feasible
+        assert is_b_aligned(policy, details["guess"].assignment, details["grid"])
 
 
 def _brute_force_aligned(instance, guess, eps, grid):
