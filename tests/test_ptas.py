@@ -212,6 +212,11 @@ PINNED_OUTPUTS = [
         generate_instance(2, 2, 1.0, "dense-heavy"),
         "3b883ffe3475cca0294e21c414f6cfa486f4ed07471da030f6405b3af92c8e4c",
     ),
+    (
+        "generated-0-tight-n3",
+        generate_instance(0, 3, 1.0, "tight"),
+        "dc7bcf924bfe9fdc612ebdbf557236a579336a7eb29d5ca3a89b7342094875bc",
+    ),
 ]
 
 
@@ -220,6 +225,33 @@ def test_pinned_outputs(name, inst, digest):
     policy, report = ptas_solve(inst, 0.5)
     text = serialize_policy(policy) + repr(report.total_cost_rate).encode()
     assert hashlib.sha256(text).hexdigest() == digest
+
+
+# repr of the value and sha256 of serialize_policy of fixed dp_solve runs
+# on the three-level and level-gap guesses of TestBruteForceCrossValidation,
+# whose checks there are one-sided; taken before the DP took tuple states.
+PINNED_DP_OUTPUTS = [
+    ("three-levels-1.1", {0: 1, 1: 2, 2: 3}, 1.1, "4.872272727272727",
+     "69f3f40fe1b0d9173f9a266ed2ec1503ea28e7f9f86c41df54a0754fc22c100a"),
+    ("three-levels-1.9", {0: 1, 1: 2, 2: 3}, 1.9, "4.616315789473685",
+     "cf55b9fdef6205ce6bb9f8da4460288178f94f37508a16e80a065a68b01ea810"),
+    ("level-gap-1.0", {0: 1, 1: 3}, 1.0, "3.8",
+     "8a18f9c0685db915e26e9c9913515b6f081759e948f9afff047d3201f4fea734"),
+    ("level-gap-1.8", {0: 1, 1: 3}, 1.8, "3.53",
+     "dd496b1050de54cf6d9ad83295fbc9da3038325cc3ba58b6bc538a44fb0a1a00"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, assignment, tau, value, digest", PINNED_DP_OUTPUTS, ids=[p[0] for p in PINNED_DP_OUTPUTS]
+)
+def test_pinned_dp_outputs(name, assignment, tau, value, digest):
+    params = [(1.0, 0.7, 1.0), (0.4, 2.0, 0.8), (0.3, 1.0, 0.5)][: len(assignment)]
+    inst = make_instance(params, 1.4 if len(assignment) == 3 else 1.1)
+    grid = GridSpec.desk(tau, 3, M=2, S=2)
+    rate, policy = dp_solve(inst, Guess(tau=tau, assignment=assignment), 0.5, grid=grid)
+    assert repr(rate) == value
+    assert hashlib.sha256(serialize_policy(policy)).hexdigest() == digest
 
 
 def _certified(instance, guess, eps, grid):
