@@ -133,19 +133,6 @@ class GridSpec:
 
 
 @dataclass(frozen=True)
-class DpState:
-    """Memo key. `profile` holds, per previous-level commodity in id order,
-    the position (F units, the deepest plus grid, from the interval entry)
-    of its first order strictly after each of the interval's x-points; that
-    is everything the finer levels read of it, and being relative to the
-    entry, sibling intervals with equal statistics share one entry."""
-
-    level: int
-    profile: tuple
-    lb_units: int
-
-
-@dataclass(frozen=True)
 class Guess:
     tau: float
     assignment: Mapping[int, int]  # commodity id -> guessed class (1-based)
@@ -244,7 +231,18 @@ def _patterns(S: int) -> _Patterns:
 
 
 class _DpSolver:
-    """One (guess, grid) dynamic program over translation-invariant states."""
+    """One (guess, grid) dynamic program over translation-invariant states.
+
+    A state, the memo key, is the tuple `(level, profile, lb_units)`: the
+    index of an occupied level, what the finer levels leave behind, and the
+    quantized lower bound (in granules of eps*V/n) on the space held by
+    every level at least two up. `profile` holds, per previous-level
+    commodity in id order, the position (F units, the deepest plus grid,
+    from the interval entry) of its first order strictly after each of the
+    interval's x-points; that is everything the finer levels read of it,
+    and being relative to the entry, sibling intervals with equal
+    statistics share one entry. It is empty at level 0 and below a skipped
+    level, whose space went into `lb_units` instead."""
 
     def __init__(self, instance: Instance, guess: Guess, eps: float, grid: GridSpec, state_cap: int):
         self.state_cap = state_cap
@@ -255,26 +253,33 @@ class _DpSolver:
         excess = _action_space_excess(guess, grid)
         if excess is not None:
             raise ActionSpaceExceeded(excess)
-        self.levels = occupied
         self.ids_at = [
             sorted(i for i, q in guess.assignment.items() if q == lvl) for lvl in occupied
         ]
         commodities = [[instance.commodity(i) for i in ids] for ids in self.ids_at]
         self.gammas = [[c.gamma for c in level] for level in commodities]
-        self.F = grid.plus_counts[occupied[-1] - 1]
-        self.unit = self.tau / self.F
-        self.minus = [grid.minus_counts[q - 1] for q in occupied]
-        self.plus = [grid.plus_counts[q - 1] for q in occupied]
+        # Per occupied level, in F units (the deepest plus grid): interval
+        # length and slot step; then slots per interval, and whether the
+        # next occupied level is the adjacent class.
+        F = grid.plus_counts[occupied[-1] - 1]
+        minus = [grid.minus_counts[q - 1] for q in occupied]
+        plus = [grid.plus_counts[q - 1] for q in occupied]
+        self.length = [F // m for m in minus]
+        self.step = [F // p for p in plus]
+        self.S = [p // m for p, m in zip(plus, minus)]
+        self.adjacent = [b == a + 1 for a, b in zip(occupied, occupied[1:])]
+        self.copies = minus[0]
+        self.unit = self.tau / F
         self.space_bound = (1.0 + eps) * instance.V * (1.0 + 1e-12)
         self.granule = eps * instance.V / instance.n
-        self.memo: dict[DpState, tuple[float | None, tuple | None]] = {}
+        self.memo: dict[tuple, tuple[float | None, tuple | None]] = {}
         # Per level and commodity in id order: gamma*level (A x S) and the
         # interval cost K*count + 2H*hold (A), scaled from the shared table.
         self.space_terms: list[list[np.ndarray]] = []
         self.cost_terms: list[list[np.ndarray]] = []
         for j, level in enumerate(commodities):
-            table = _patterns(self.slots(j))
-            step_t = self.slot_step(j) * self.unit
+            table = _patterns(self.S[j])
+            step_t = self.step[j] * self.unit
             hold = np.zeros(len(table.slots))
             for column in table.gaps.T:  # gap by gap in slot order: a float sum depends on its order
                 d = column * step_t
@@ -283,49 +288,22 @@ class _DpSolver:
             self.space_terms.append([c.gamma * levels for c in level])
             self.cost_terms.append([c.K * table.counts + 2.0 * c.H * hold for c in level])
 
-    # -- geometry -----------------------------------------------------------
-
-    def interval_len(self, j: int) -> int:
-        return self.F // self.minus[j]
-
-    def slot_step(self, j: int) -> int:
-        return self.F // self.plus[j]
-
-    def slots(self, j: int) -> int:
-        return self.plus[j] // self.minus[j]
-
-    # -- previous-level profile ------------------------------------------------
-
-    def _level_before(self, positions: tuple[int, ...], xstep: int, at: int) -> float:
-        """Inventory (time units) just before position `at` > 0 (F units)."""
-        rr = at // xstep
-        if at % xstep == 0:
-            if positions[rr - 1] == at:
-                return 0.0
-            nxt = positions[rr] if rr < len(positions) else positions[-1]
-        else:
-            nxt = positions[rr]
-        return (nxt - at) * self.unit
-
-    # -- recursion ----------------------------------------------------------------
-
     def solve(self) -> tuple[float, CyclicPolicy] | None:
-        top = DpState(level=0, profile=(), lb_units=0)
+        top = (0, (), 0)
         cost = self._value(top)
         if cost is None:
             return None
-        copies = self.minus[0]
         orders: dict[int, list[tuple[int, int]]] = {i: [] for ids in self.ids_at for i in ids}
-        for m in range(copies):
-            self._materialize(top, m * self.interval_len(0), orders)
+        for m in range(self.copies):
+            self._materialize(top, m * self.length[0], orders)
         schedules = {}
         for cid, lst in orders.items():
             lst.sort()
             schedules[cid] = tuple((pos * self.unit, q * self.unit) for pos, q in lst)
         policy = CyclicPolicy(tau=self.tau, schedules=schedules)
-        return copies * cost / self.tau, policy
+        return self.copies * cost / self.tau, policy
 
-    def _value(self, state: DpState) -> float | None:
+    def _value(self, state: tuple) -> float | None:
         """Cheapest cost of the state's interval and everything below it, or
         None when no combination of patterns fits.
 
@@ -346,22 +324,17 @@ class _DpSolver:
         if len(self.memo) >= self.state_cap:
             raise StateSpaceExceeded(f"memo grew past {self.state_cap} states")
         self.memo[state] = (None, None)  # occupy the slot; overwritten below
-        j = state.level
-        S = self.slots(j)
+        j, profile, lb_units = state
+        S, step = self.S[j], self.step[j]
         space_terms = self.space_terms[j]
-        prev_orders = list(zip(self.gammas[j - 1], state.profile))
-        lb_space = state.lb_units * self.granule
 
         # Space held by the previous class at each of this interval's slots.
-        prev_space = [lb_space] * S
-        if prev_orders:
-            xstep = self.slot_step(j - 1)
-            my_step = self.slot_step(j)
-            for gamma, positions in prev_orders:
-                for s in range(S):
-                    pos = s * my_step
-                    r = pos // xstep
-                    prev_space[s] += gamma * (positions[r] - pos) * self.unit
+        prev_space = [lb_units * self.granule] * S
+        xstep = self.step[j - 1]
+        for gamma, positions in zip(self.gammas[j - 1], profile):
+            for s in range(S):
+                pos = s * step
+                prev_space[s] += gamma * (positions[pos // xstep] - pos) * self.unit
 
         space = np.array([prev_space])
         picks: list[np.ndarray] = []  # per folded commodity, the pattern of each surviving row
@@ -387,53 +360,58 @@ class _DpSolver:
             if best is not None and (c, at) > (best, best_at):
                 break
             combo = tuple(int(p[at]) for p in picks)
-            child_cost = self._descend(state, j, combo, prev_orders)
-            if child_cost is None:
-                continue
-            total = c + child_cost
-            if best is None or (total, at) < (best, best_at):
-                best, best_at, best_combo = total, at, combo
+            below = 0.0
+            for _, child in self._children(state, combo):
+                value = self._value(child)
+                if value is None:
+                    break
+                below += value
+            else:
+                total = c + below
+                if best is None or (total, at) < (best, best_at):
+                    best, best_at, best_combo = total, at, combo
         self.memo[state] = (best, best_combo)
         return best
 
-    def _child_states(self, state: DpState, j: int, combo, prev_orders):
-        """Child states over the subintervals of the next occupied level."""
-        child_len = self.interval_len(j + 1)
-        ratio = self.interval_len(j) // child_len
-        gap_one = self.levels[j + 1] == self.levels[j] + 1
-        my_step = self.slot_step(j)
-        S = self.slots(j)
+    def _children(self, state: tuple, combo) -> list[tuple[int, tuple]]:
+        """(entry, child state) per subinterval of the next occupied level
+        under the state's interval, with `combo` chosen at its level; none at
+        the last level."""
+        j, profile, lb_units = state
+        if j + 1 == len(self.S):
+            return []
+        child_len = self.length[j + 1]
+        step, S = self.step[j], self.S[j]
         slots = _patterns(S).slots
-        prev_xstep = self.slot_step(j - 1) if prev_orders else 0
+        prev_orders = list(zip(self.gammas[j - 1], profile))
         # each commodity's order positions, closed by the next sibling's mandatory entry order
-        ends = [[s * my_step for s in slots[a]] + [S * my_step] for a in combo]
+        ends = [[s * step for s in slots[a]] + [S * step] for a in combo]
         children = []
-        for m in range(ratio):
-            entry, exit_ = m * child_len, (m + 1) * child_len
-            profile = ()
-            if gap_one:
-                profile = tuple(self._child_profile(e, entry, exit_, my_step) for e in ends)
+        for entry in range(0, self.length[j], child_len):
+            exit_ = entry + child_len
             fold = 0.0
             for gamma, positions in prev_orders:
-                fold += gamma * self._level_before(positions, prev_xstep, exit_)
-            if not gap_one:
+                fold += gamma * self._level_before(positions, self.step[j - 1], exit_)
+            if self.adjacent[j]:
+                child_profile = tuple(self._child_profile(e, entry, exit_, step) for e in ends)
+            else:
                 # this level's space folds into the bound of the skipped-to level
+                child_profile = ()
                 for gamma, e in zip(self.gammas[j], ends):
                     fold += gamma * (e[bisect_left(e, exit_)] - exit_) * self.unit
-            lb_units = state.lb_units + int(fold / self.granule)
-            children.append((entry, DpState(level=j + 1, profile=profile, lb_units=lb_units)))
+            children.append((entry, (j + 1, child_profile, lb_units + int(fold / self.granule))))
         return children
 
-    def _descend(self, state: DpState, j: int, combo, prev_orders) -> float | None:
-        if j + 1 >= len(self.levels):
-            return 0.0
-        total = 0.0
-        for _, child in self._child_states(state, j, combo, prev_orders):
-            value = self._value(child)
-            if value is None:
-                return None
-            total += value
-        return total
+    def _level_before(self, positions: tuple[int, ...], xstep: int, at: int) -> float:
+        """Inventory (time units) just before position `at` > 0 (F units)."""
+        rr = at // xstep
+        if at % xstep == 0:
+            if positions[rr - 1] == at:
+                return 0.0
+            nxt = positions[rr] if rr < len(positions) else positions[-1]
+        else:
+            nxt = positions[rr]
+        return (nxt - at) * self.unit
 
     @staticmethod
     def _child_profile(ends: list[int], entry: int, exit_: int, step: int) -> tuple[int, ...]:
@@ -441,22 +419,18 @@ class _DpSolver:
         x-point of the child interval [entry, exit_)."""
         return tuple(ends[bisect_right(ends, x)] - entry for x in range(entry, exit_, step))
 
-    def _materialize(self, state: DpState, abs_entry: int, orders: dict[int, list[tuple[int, int]]]):
+    def _materialize(self, state: tuple, abs_entry: int, orders: dict[int, list[tuple[int, int]]]):
         # the state lies on the chosen chain, so its entry holds a combination
         _, combo = self.memo[state]
-        j = state.level
-        step = self.slot_step(j)
-        S = self.slots(j)
+        j = state[0]
+        step, S = self.step[j], self.S[j]
         patterns = _patterns(S).slots
         for i, a in zip(self.ids_at[j], combo):
             slots = patterns[a]
             nxt = list(slots[1:]) + [S]
             for s, e in zip(slots, nxt):
                 orders[i].append((abs_entry + s * step, (e - s) * step))
-        if j + 1 >= len(self.levels):
-            return
-        prev_orders = list(zip(self.gammas[j - 1], state.profile))
-        for entry, child in self._child_states(state, j, combo, prev_orders):
+        for entry, child in self._children(state, combo):
             self._materialize(child, abs_entry + entry, orders)
 
 
