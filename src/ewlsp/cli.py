@@ -106,27 +106,26 @@ def _solve_one(
     grid_base: int = 4,
     state_cap: int = DEFAULT_STATE_CAP,
 ):
-    """Returns (cost_rate, v_max, lower_bound, feasible, payload); only
-    sub2 reads `cfg`."""
-    if algo == "two-approx":
-        policy, report, lb = solve_two_approx(instance)  # lb: the relaxation it halves
-        block = Block(ids=tuple(sorted(policy.intervals_T)), sosi=policy, provenance="two-approx")
-        payload = AssembledPolicy((block,)).to_json()
-    elif algo == "sub2":
-        lb = solve_sosi_relaxation(instance).objective
+    """Returns (cost_rate, v_max, feasible, payload), the payload being
+    `{"blocks": [...]}` JSON; only sub2 reads `cfg`."""
+    if algo == "sub2":
         assembled, report, diag = solve_sub2(instance, cfg, seed=seed)
         payload = assembled.to_json()
         payload["diagnostics"] = diag
+    elif algo == "two-approx":
+        policy, report, _ = solve_two_approx(instance)
+        block = Block(ids=tuple(sorted(policy.intervals_T)), sosi=policy, provenance="two-approx")
+        payload = AssembledPolicy((block,)).to_json()
     else:  # ptas
-        lb = solve_sosi_relaxation(instance).objective
         details: dict = {}
         policy, report = ptas_solve(
             instance, eps, grid_M=grid_base, grid_S=2 * grid_base, state_cap=state_cap, details=details
         )
-        payload = {"kind": "cyclic", **policy_to_json(policy)}
+        block = Block(ids=tuple(sorted(policy.schedules)), cyclic=policy, provenance="ptas")
+        payload = AssembledPolicy((block,)).to_json()
         if details["skipped_guesses"]:  # the policy is the best over the guesses that ran
             payload["diagnostics"] = {"skipped_guesses": details["skipped_guesses"]}
-    return report.total_cost_rate, report.v_max, lb, report.feasible, payload
+    return report.total_cost_rate, report.v_max, report.feasible, payload
 
 
 class _Parser(argparse.ArgumentParser):
@@ -279,28 +278,28 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         if args.algo == "sub2":
             cfg = _sub2_config(parser, eps=args.eps, sparsity_threshold=args.sparsity_threshold, Q=args.subgroups)
         instance = _read_instance(args.instance)
+        lb = solve_sosi_relaxation(instance).objective
         trials = args.trials if args.algo == "sub2" else 1
         best = None
         for seed in range(args.seed, args.seed + trials):
-            cost, v_max, lb, feasible, payload = _solve_one(
+            cost, v_max, feasible, payload = _solve_one(
                 instance, args.algo, args.eps, seed, cfg, grid_base=args.grid_base, state_cap=args.state_cap
             )
             if feasible and (best is None or cost < best[0]):
-                best = (cost, v_max, lb, feasible, payload, seed)
+                best = (cost, v_max, payload, seed)
         if best is None:
             print(f"ewlsp solve: error: {args.algo} gave no feasible policy in {trials} trial(s)", file=sys.stderr)
             return 1
-        cost, v_max, lb, feasible, payload, seed = best
-        payload = dict(payload)
+        cost, v_max, payload, seed = best
         payload["summary"] = {
             "cost_rate": cost,
             "v_max": v_max,
             "lower_bound": lb,
-            "feasible": feasible,
+            "feasible": True,
             "seed": seed,
         }
         _write(json.dumps(payload, sort_keys=True), args.out)
-        return 0 if feasible else 1
+        return 0
 
     if args.command == "eval":
         instance = _read_instance(args.instance)
@@ -344,13 +343,14 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     # compare, the one command left
     cfg = _sub2_config(parser, eps=args.eps) if "sub2" in args.algos else None
     instance = _read_instance(args.instance)
+    lb = solve_sosi_relaxation(instance).objective
     rows = []
     all_feasible = True
     for algo in args.algos:
         for seed in range(args.seeds):
             start = time.perf_counter()
             try:
-                cost, v_max, lb, feasible, _ = _solve_one(instance, algo, args.eps, seed, cfg)
+                cost, v_max, feasible, _ = _solve_one(instance, algo, args.eps, seed, cfg)
                 row = {"cost_rate": cost, "cost_over_lb": cost / lb, "vmax_over_V": v_max / instance.V}
             except InfeasiblePolicy:
                 feasible = False

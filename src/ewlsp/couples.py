@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -69,6 +70,9 @@ class CoupleInput:
     def __post_init__(self):
         if self.T_A <= 0 or self.T_B <= 0:
             raise ValueError("intervals must be > 0")
+        if self.T_B < sys.float_info.min:
+            # the scaled orders would collide in the subnormal range
+            raise ValueError(f"T_B = {self.T_B!r} is below the smallest normal float")
         if self.T_B > self.T_A * (1 + 1e-12):
             raise ValueError("require T_B <= T_A")
         if not (0 < self.epsilon < 1):

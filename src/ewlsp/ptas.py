@@ -5,8 +5,10 @@ fine uniform grid (its plus-points) and must hit zero inventory on a coarse
 uniform grid (its minus-points). Between two successive minus-points of level
 q, the policy for classes >= q depends on finer classes only through an exact
 inventory profile of class q-1 and a quantized lower bound on the space held
-by everything at least two levels up; intervals with identical triples behave
-identically, which is what the memoized recursion exploits.
+by everything at least two levels up. The recursion memoizes on the plain
+tuple (level, profile, lb_units), so intervals with identical triples share
+one entry; each entry keeps the value and the chosen combination, from which
+the policy is read back down the same child states.
 
 Grid sizes are free parameters: the recursion is correct for any admissible
 geometry, only the approximation guarantee depends on the counts. The
@@ -258,9 +260,9 @@ class _DpSolver:
         ]
         commodities = [[instance.commodity(i) for i in ids] for ids in self.ids_at]
         self.gammas = [[c.gamma for c in level] for level in commodities]
-        # Per occupied level, in F units (the deepest plus grid): interval
-        # length and slot step; then slots per interval, and whether the
-        # next occupied level is the adjacent class.
+        # Per occupied level: interval length and slot step in F units (the
+        # deepest plus grid), slots per interval, and whether the next
+        # occupied level is the adjacent class.
         F = grid.plus_counts[occupied[-1] - 1]
         minus = [grid.minus_counts[q - 1] for q in occupied]
         plus = [grid.plus_counts[q - 1] for q in occupied]
@@ -268,7 +270,7 @@ class _DpSolver:
         self.step = [F // p for p in plus]
         self.S = [p // m for p, m in zip(plus, minus)]
         self.adjacent = [b == a + 1 for a, b in zip(occupied, occupied[1:])]
-        self.copies = minus[0]
+        self.copies = minus[0]  # level-0 intervals per cycle
         self.unit = self.tau / F
         self.space_bound = (1.0 + eps) * instance.V * (1.0 + 1e-12)
         self.granule = eps * instance.V / instance.n

@@ -167,6 +167,12 @@ class TestSolveEval:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["summary"]["feasible"] is True
+        # one block, as two-approx and sub2 write it
+        assert sorted(payload) == ["blocks", "summary"]
+        (block,) = payload["blocks"]
+        assert block["provenance"] == "ptas"
+        assert sorted(block) == ["provenance", "schedules", "tau"]
+        assert list(block["schedules"]) == ["0"]
 
 
 class TestOracleCouple:
@@ -365,7 +371,7 @@ class TestErrorExitCodes:
         assert err.count("\n") == 1 and err.startswith("ewlsp: error: no multiplier in float range"), err
 
     def test_no_feasible_trial_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "_solve_one", lambda *args, **kwargs: (1.0, 2.0, 0.5, False, {}))
+        monkeypatch.setattr(cli, "_solve_one", lambda *args, **kwargs: (1.0, 2.0, False, {}))
         inst_path = tmp_path / "inst.json"
         main(["gen", "--seed", "1", "--n", "4", "--out", str(inst_path)])
         argv = ["solve", "--instance", str(inst_path), "--algo", "sub2", "--trials", "3"]

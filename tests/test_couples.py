@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -109,6 +110,14 @@ class TestNearInputs:
         with pytest.raises(NotAPowerOfTwo):
             CoupleInput(A, B, 1.0, 1.0 / 3.0, 0.05)
 
+    def test_subnormal_T_B_rejected(self):
+        # k = 1; it used to validate, then synthesize_couple failed in
+        # CyclicPolicy on colliding order times
+        A = Commodity(0, 1, 1, 1.0)
+        B = Commodity(1, 1, 1, 2.0)
+        with pytest.raises(ValueError, match=r"^T_B = 5e-324 is below the smallest normal float$"):
+            CoupleInput(A, B, 1e-323, 5e-324, 0.05)
+
 
 class TestClassifyPairs:
     def test_example(self):
@@ -191,22 +200,21 @@ def test_couple_properties_random(k, scale, kh, skew):
 @settings(max_examples=300, deadline=None)
 def test_template_rescaling_matches_exact_fractions(k, T_A):
     """Every float of a couple is its normalized rational times T_A, rounded
-    once; near the subnormal range both ways collapse orders alike."""
+    once; a subnormal T_B, where orders would collide, is refused up front."""
     T_B = T_A * 2.0**-k
     assume(T_B > 0 and T_A / T_B == 2.0**k)
     A, B = Commodity(0, 1.0, 1.0, 1.0), Commodity(1, 1.0, 1.0, float(2**k))
+    if T_B < sys.float_info.min:
+        with pytest.raises(ValueError, match="T_B"):
+            CoupleInput(A, B, T_A, T_B, 0.05)
+        return
     tau, a_orders, b_orders = _normalized_schedules(k)
     scale = Fraction(T_A)
     orders = {
         cid: tuple((float(t * scale), float(q * scale)) for t, q in normalized)
         for cid, normalized in ((0, a_orders), (1, b_orders))
     }
-    try:
-        expected = CyclicPolicy(float(tau * scale), orders)
-    except ValueError:
-        with pytest.raises(ValueError):
-            synthesize_couple(CoupleInput(A, B, T_A, T_B, 0.05))
-        return
+    expected = CyclicPolicy(float(tau * scale), orders)
     schedule = synthesize_couple(CoupleInput(A, B, T_A, T_B, 0.05))
     assert schedule.policy.tau == expected.tau
     assert schedule.policy.schedules == expected.schedules
