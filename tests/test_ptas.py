@@ -217,6 +217,17 @@ PINNED_OUTPUTS = [
         generate_instance(0, 3, 1.0, "tight"),
         "dc7bcf924bfe9fdc612ebdbf557236a579336a7eb29d5ca3a89b7342094875bc",
     ),
+    # taken before the DP took a cutoff: loose capacity is where it cuts most
+    (
+        "generated-0-loose-n3",
+        generate_instance(0, 3, 1.0, "loose"),
+        "42b097237e345df374391a0bceb70647b77d12f5870aafcbcc056e6a518dde09",
+    ),
+    (
+        "n3-three-classes",
+        make_instance([(1, 1, 1), (2, 1, 0.5), (1, 3, 1)], 1.2),
+        "481f9343d42637b788aeaa2ecbbaebc7dcd9bee431304e6bff36966fbe03d1a8",
+    ),
 ]
 
 
