@@ -24,12 +24,17 @@ Each state picks one order pattern per commodity of its level. The patterns
 over an interval of S slots depend on S alone, so one integer table per S
 (gaps, inventory levels and order counts in slot steps, plus the slot tuples)
 is built once and shared by every solver; a solver scales it by its slot
-length into gamma*level and K*count + 2H*hold arrays per commodity. A state
-folds its commodities in one at a time onto the space the previous level
-holds, drops the combinations over the bound, and visits the rest in
-ascending interval cost until no later one can win. Equal totals go to the
-combination that comes first in product order over the ids, so the chosen
-policy does not depend on the visiting order.
+length into gamma*level and K*count + 2H*hold arrays per commodity. What a
+pattern hands the next level (each child's profile, or across a level gap
+its exit inventory) is integer-only too and cached per pattern and
+geometry. A state folds its commodities in one at a time onto the space the
+previous level holds and drops the combinations over the bound, those of
+its last commodity only as its scan reaches them. It visits the rest in
+ascending interval cost until no later one can win, sorting a head of the
+cheapest first and 16 times as many at each further stage, so a scan that
+stops early neither sorts nor checks the rest. Equal totals go to the combination that
+comes first in product order over the ids, so the chosen policy does not
+depend on the visiting order.
 
 The sweep over guesses is pruned by a per-guess lower bound on the certified
 cost. A class-q commodity orders only on plus-points and at every minus-point,
@@ -47,6 +52,19 @@ the first guess whose bound exceeds the incumbent's certified cost; every
 later guess then costs more than the incumbent. The winner is the guess with
 the least (cost, enumeration index), the policy an unpruned sweep in
 enumeration order would return.
+
+Each DP the sweep runs is also cut by the incumbent. Scaling by f <= 1
+divides the ordering cost O and multiplies the holding cost Hh of a DP
+policy of rate O + Hh, so it certifies at O/f + f*Hh >= f*(O + Hh) >=
+f_lo*rate: a DP whose rate exceeds incumbent/f_lo cannot win, and
+`dp_solve` takes that as a cutoff. Inside the DP, every state gets a limit
+and, with the best total it has found so far, skips a combination as soon
+as its interval cost plus the cheapest possible cost of everything below it
+exceeds the smaller of the two; its children get the room that leaves. A
+state that could only be shown to exceed its limit is stored as cut, with
+the limit, and solved again only under a looser one. Values within the
+cutoff are unchanged, so every DP's result and the sweep's winner stay
+bit-identical; a DP whose best rate exceeds the cutoff returns None.
 """
 
 from __future__ import annotations
@@ -72,9 +90,15 @@ ACTION_CAP = 1 << 22
 GUESS_BUDGET = 100_000
 # Relative slack, per plus-grid step, for an order time to count as on the grid.
 ALIGN_RTOL = 1e-9
-# Relative margin by which a guess's lower bound must exceed the incumbent's
-# cost before the sweep stops, so float rounding in the bound cannot prune a winner.
+# Relative margin by which a lower bound must exceed a cost (a guess's bound
+# the incumbent's, a DP candidate's floor its limit) before it prunes or cuts,
+# so float rounding in the bound cannot drop a winner.
 PRUNE_RTOL = 1e-9
+# Candidates of a state sorted by cost before its scan starts; the scan sorts
+# 16 times as many each time it gets past them (see `_ascending`).
+HEAD_ROWS = 64
+# Candidates whose space one vectorized check covers.
+CHECK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -172,16 +196,24 @@ def enumerate_guesses(instance: Instance, eps: float) -> list[Guess]:
     ]
 
 
+def _scale_floor(instance: Instance, guess: Guess, grid: GridSpec) -> float:
+    """f_lo = min(1, V/P): the least factor by which `ptas_solve` can scale the
+    guess's DP policy into the capacity, P being the peak bound
+    sum gamma_i*tau/minus_qi."""
+    tau = grid.tau_cycle
+    items = sorted(guess.assignment.items())
+    peak = sum(instance.commodity(i).gamma * tau / grid.minus_counts[q - 1] for i, q in items)
+    return min(1.0, instance.V / peak)
+
+
 def guess_lower_bound(instance: Instance, guess: Guess, grid: GridSpec) -> float:
     """Lower bound on the cost rate of the guess's DP policy after
     `ptas_solve` scales it into the capacity; see the module docstring.
     `grid` must cover the deepest guessed class."""
     tau = grid.tau_cycle
-    items = sorted(guess.assignment.items())
-    peak = sum(instance.commodity(i).gamma * tau / grid.minus_counts[q - 1] for i, q in items)
-    f_lo = min(1.0, instance.V / peak)
+    f_lo = _scale_floor(instance, guess, grid)
     total = 0.0
-    for i, q in items:
+    for i, q in sorted(guess.assignment.items()):
         c = instance.commodity(i)
         lo, hi = f_lo * tau / grid.plus_counts[q - 1], tau / grid.minus_counts[q - 1]
         total += cost(c.K, c.H, min(max(math.sqrt(c.K / c.H), lo), hi))
@@ -232,6 +264,52 @@ def _patterns(S: int) -> _Patterns:
     return _Patterns(slots=slots, gaps=gaps, levels=levels, counts=counts)
 
 
+@functools.cache
+def _child_rows(a: int, S: int, step: int, child_len: int) -> tuple[tuple, tuple[int, ...]]:
+    """What the subintervals of length `child_len` read of pattern `a` over an
+    interval of S slots of `step` F units, per subinterval in order:
+
+    - the child profile: the position, from the subinterval's entry, of the
+      first order strictly after each of its x-points (every `step` units);
+    - the exit gap: the units from its exit to the first order at or after
+      it, the inventory a level gap folds into the skipped-to level's bound.
+
+    Order positions are closed by S*step, the next sibling's mandatory entry
+    order. Integer-only, so shared by every solver in the process."""
+    ends = [s * step for s in _patterns(S).slots[a]] + [S * step]
+    entries = range(0, S * step, child_len)
+    profiles = tuple(
+        tuple(ends[bisect_right(ends, x)] - entry for x in range(entry, entry + child_len, step))
+        for entry in entries
+    )
+    gaps = tuple(ends[bisect_left(ends, entry + child_len)] - (entry + child_len) for entry in entries)
+    return profiles, gaps
+
+
+def _ascending(cost: np.ndarray, space: np.ndarray, term: np.ndarray, bound: float):
+    """(position, cost) of the row-pattern pairs at flat positions
+    row * len(term) + pattern whose space, space[row] + term[pattern], stays
+    within `bound` at every slot, as Python values in the order of
+    np.argsort(cost, kind="stable"). Read lazily: the order is cut into
+    stages of the HEAD_ROWS cheapest positions, then 16 times as many, and
+    so on (ties of a stage's last cost join it); each stage is sorted and
+    checked only when the reader gets to it, in chunks of CHECK_ROWS."""
+    lo, k = -math.inf, HEAD_ROWS
+    while True:
+        last = k >= len(cost)
+        cut = math.inf if last else np.partition(cost, k - 1)[k - 1]
+        part = np.flatnonzero((cost > lo) & (cost <= cut))
+        order = part[np.argsort(cost[part], kind="stable")]
+        for first in range(0, len(order), CHECK_ROWS):
+            chunk = order[first : first + CHECK_ROWS]
+            rows, patterns = np.divmod(chunk, len(term))
+            chunk = chunk[~(space[rows] + term[patterns] > bound).any(axis=1)]
+            yield from zip(chunk.tolist(), cost[chunk].tolist())
+        if last:
+            return
+        lo, k = cut, 16 * k
+
+
 class _DpSolver:
     """One (guess, grid) dynamic program over translation-invariant states.
 
@@ -244,7 +322,11 @@ class _DpSolver:
     interval's x-points; that is everything the finer levels read of it,
     and being relative to the entry, sibling intervals with equal
     statistics share one entry. It is empty at level 0 and below a skipped
-    level, whose space went into `lb_units` instead."""
+    level, whose space went into `lb_units` instead.
+
+    A memo entry is `(value, combination, exact)`. An exact entry holds the
+    state's value (None when nothing fits) and its chosen combination; a cut
+    entry holds only the limit its value was shown to exceed."""
 
     def __init__(self, instance: Instance, guess: Guess, eps: float, grid: GridSpec, state_cap: int):
         self.state_cap = state_cap
@@ -274,7 +356,7 @@ class _DpSolver:
         self.unit = self.tau / F
         self.space_bound = (1.0 + eps) * instance.V * (1.0 + 1e-12)
         self.granule = eps * instance.V / instance.n
-        self.memo: dict[tuple, tuple[float | None, tuple | None]] = {}
+        self.memo: dict[tuple, tuple] = {}
         # Per level and commodity in id order: gamma*level (A x S) and the
         # interval cost K*count + 2H*hold (A), scaled from the shared table.
         self.space_terms: list[list[np.ndarray]] = []
@@ -282,18 +364,24 @@ class _DpSolver:
         for j, level in enumerate(commodities):
             table = _patterns(self.S[j])
             step_t = self.step[j] * self.unit
-            hold = np.zeros(len(table.slots))
-            for column in table.gaps.T:  # gap by gap in slot order: a float sum depends on its order
-                d = column * step_t
-                hold += 0.5 * d * d
+            d = table.gaps * step_t
+            # gap by gap in slot order (accumulate sums sequentially): a float sum depends on its order
+            hold = np.add.accumulate(0.5 * d * d, axis=1)[:, -1]
             levels = table.levels * step_t
             self.space_terms.append([c.gamma * levels for c in level])
             self.cost_terms.append([c.K * table.counts + 2.0 * c.H * hold for c in level])
+        # floor[j]: the least value of a level-j state, each commodity of it
+        # and of every level below at its cheapest pattern in every interval
+        self.floor = [0.0] * (len(occupied) + 1)
+        for j in reversed(range(len(occupied))):
+            children = self.length[j] // self.length[j + 1] if j + 1 < len(occupied) else 0
+            self.floor[j] = sum(float(term.min()) for term in self.cost_terms[j]) + children * self.floor[j + 1]
 
-    def solve(self) -> tuple[float, CyclicPolicy] | None:
+    def solve(self, cutoff: float) -> tuple[float, CyclicPolicy] | None:
         top = (0, (), 0)
-        cost = self._value(top)
-        if cost is None:
+        limit = cutoff * self.tau / self.copies
+        cost = self._value(top, limit)
+        if cost is None or cost > limit:
             return None
         orders: dict[int, list[tuple[int, int]]] = {i: [] for ids in self.ids_at for i in ids}
         for m in range(self.copies):
@@ -305,27 +393,46 @@ class _DpSolver:
         policy = CyclicPolicy(tau=self.tau, schedules=schedules)
         return self.copies * cost / self.tau, policy
 
-    def _value(self, state: tuple) -> float | None:
-        """Cheapest cost of the state's interval and everything below it, or
-        None when no combination of patterns fits.
+    def _value(self, state: tuple, limit: float) -> float | None:
+        """Cheapest cost of the state's interval and everything below it;
+        None when no combination of patterns fits, and math.inf when the
+        state was cut: its value was shown to exceed `limit`.
 
         A combination picks one pattern per commodity of the level; its flat
         index is its position in `itertools.product` order over the ids.
-        Commodities are folded in one at a time: the space held at each slot
-        point (previous level and bound, then gamma*level per commodity in id
-        order) is checked against the bound, and rows already over it are
-        dropped, since later terms only add space. The survivors stay in flat
-        index order, so their positions compare like flat indices. They are
-        then visited in ascending interval cost (a stable sort) and the scan
-        stops at the first combination whose (cost, position) exceeds the
-        best (total, position): children only add nonnegative cost. Of equal
-        totals the lowest flat index wins."""
+        All commodities but the last are folded in one at a time: the space
+        held at each slot point (previous level and bound, then gamma*level
+        per commodity in id order) is checked against the bound, and rows
+        already over it are dropped, since later terms only add space. So are
+        the rows over it even with the last commodity's all-orders pattern,
+        the least space at every slot. Every remaining row with every last
+        pattern is a candidate, in flat index order, so candidate positions
+        compare like flat indices. Candidates are visited in ascending
+        interval cost by `_ascending`, which skips those over the bound, and
+        the scan stops at the first whose (cost, position) exceeds the best
+        (total, position): children only add nonnegative cost. Of equal
+        totals the lowest flat index wins.
+
+        A combination's total is at least its interval cost plus the floors
+        of its children. With `bound` = min(limit, best) * (1 + PRUNE_RTOL),
+        the scan also stops once that exceeds the bound, and each child is
+        solved under the room the bound leaves it after its earlier
+        siblings' values and its later siblings' floors; a child without
+        room for its own floor is not solved at all. A combination skipped
+        so totals more than the bound. When the limit was the smaller term,
+        the state's entry is exact only if it still finds a value within
+        the limit, and is cut otherwise: its entry keeps the limit. A cut
+        entry answers every limit up to its own and is solved again, in its
+        slot, under a looser one; an exact entry answers every limit."""
         known = self.memo.get(state)
-        if known is not None:
+        if known is None:
+            if len(self.memo) >= self.state_cap:
+                raise StateSpaceExceeded(f"memo grew past {self.state_cap} states")
+            self.memo[state] = (None, None, True)  # occupy the slot; overwritten below
+        elif known[2]:
             return known[0]
-        if len(self.memo) >= self.state_cap:
-            raise StateSpaceExceeded(f"memo grew past {self.state_cap} states")
-        self.memo[state] = (None, None)  # occupy the slot; overwritten below
+        elif limit <= known[0]:
+            return math.inf
         j, profile, lb_units = state
         S, step = self.S[j], self.step[j]
         space_terms = self.space_terms[j]
@@ -338,71 +445,100 @@ class _DpSolver:
                 pos = s * step
                 prev_space[s] += gamma * (positions[pos // xstep] - pos) * self.unit
 
+        # Fold every commodity but the last in one at a time, dropping the
+        # rows over the bound, since later terms only add space; each row
+        # keeps its patterns and interval cost.
         space = np.array([prev_space])
-        picks: list[np.ndarray] = []  # per folded commodity, the pattern of each surviving row
-        for k, term in enumerate(space_terms):
+        picks: list[np.ndarray] = []
+        cost = np.zeros(1)
+        for term, cost_term in zip(space_terms[:-1], self.cost_terms[j][:-1]):
             # slot by slot, so the widest temporary holds one value per candidate row
             over = space[:, None, 0] + term[None, :, 0] > self.space_bound
             for s in range(1, S):
                 over |= space[:, None, s] + term[None, :, s] > self.space_bound
             rows, pattern = np.nonzero(~over)
             picks = [p[rows] for p in picks] + [pattern]
-            if k + 1 < len(space_terms):
-                space = space[rows] + term[pattern]
-        cost_terms = self.cost_terms[j]
-        cost = cost_terms[0][picks[0]]
-        for term, p in zip(cost_terms[1:], picks[1:]):
-            cost = cost + term[p]
+            space = space[rows] + term[pattern]
+            cost = cost[rows] + cost_term[pattern]
+        # The last pattern, with an order at every slot, holds the least
+        # space at every slot: rows over the bound with it have no pair left.
+        rows = np.flatnonzero(~(space + space_terms[-1][-1] > self.space_bound).any(axis=1))
+        picks, space, cost = [p[rows] for p in picks], space[rows], cost[rows]
+        # every (row, last pattern) pair, at flat position row * A + pattern;
+        # `_ascending` checks the space of the pairs the scan reaches
+        A = len(space_terms[-1])
+        cost = (cost[:, None] + self.cost_terms[j][-1]).ravel()
 
+        folds = self._folds(j, profile)
+        child_floor = self.floor[j + 1]
+        floor = len(folds) * child_floor
         best: float | None = None
         best_at = -1
         best_combo = None
-        for at in np.argsort(cost, kind="stable"):  # read lazily: the scan usually stops early
-            c = float(cost[at])
+        limited = False  # a combination was skipped for exceeding the limit
+        for at, c in _ascending(cost, space, space_terms[-1], self.space_bound):
             if best is not None and (c, at) > (best, best_at):
                 break
-            combo = tuple(int(p[at]) for p in picks)
+            binding = best is None or limit < best
+            bound = (limit if binding else best) * (1.0 + PRUNE_RTOL)
+            if c + floor > bound:
+                limited = limited or binding
+                break
+            row, a = divmod(at, A)
+            combo = tuple(int(p[row]) for p in picks) + (a,)
+            children = self._children(j, lb_units, folds, combo)
             below = 0.0
-            for _, child in self._children(state, combo):
-                value = self._value(child)
-                if value is None:
+            for later, (_, child) in zip(range(len(folds) - 1, -1, -1), children):
+                room = bound - c - below - later * child_floor
+                value = self._value(child, room) if room >= child_floor else math.inf
+                if value is None or value == math.inf:
+                    limited = limited or (value is not None and binding)
                     break
                 below += value
             else:
                 total = c + below
                 if best is None or (total, at) < (best, best_at):
                     best, best_at, best_combo = total, at, combo
-        self.memo[state] = (best, best_combo)
+        if limited and (best is None or best > limit):
+            self.memo[state] = (limit, None, False)
+            return math.inf
+        self.memo[state] = (best, best_combo, True)
         return best
 
-    def _children(self, state: tuple, combo) -> list[tuple[int, tuple]]:
-        """(entry, child state) per subinterval of the next occupied level
-        under the state's interval, with `combo` chosen at its level; none at
-        the last level."""
-        j, profile, lb_units = state
+    def _folds(self, j: int, profile: tuple) -> list[float]:
+        """Per subinterval of the next occupied level under a level-j
+        interval, in order, the space (gamma*level) the previous level holds
+        just before its exit, summed in id order; empty at the last level."""
         if j + 1 == len(self.S):
             return []
-        child_len = self.length[j + 1]
-        step, S = self.step[j], self.S[j]
-        slots = _patterns(S).slots
-        prev_orders = list(zip(self.gammas[j - 1], profile))
-        # each commodity's order positions, closed by the next sibling's mandatory entry order
-        ends = [[s * step for s in slots[a]] + [S * step] for a in combo]
-        children = []
-        for entry in range(0, self.length[j], child_len):
-            exit_ = entry + child_len
+        folds = []
+        for exit_ in range(self.length[j + 1], self.length[j] + 1, self.length[j + 1]):
             fold = 0.0
-            for gamma, positions in prev_orders:
+            for gamma, positions in zip(self.gammas[j - 1], profile):
                 fold += gamma * self._level_before(positions, self.step[j - 1], exit_)
-            if self.adjacent[j]:
-                child_profile = tuple(self._child_profile(e, entry, exit_, step) for e in ends)
-            else:
-                # this level's space folds into the bound of the skipped-to level
-                child_profile = ()
-                for gamma, e in zip(self.gammas[j], ends):
-                    fold += gamma * (e[bisect_left(e, exit_)] - exit_) * self.unit
-            children.append((entry, (j + 1, child_profile, lb_units + int(fold / self.granule))))
-        return children
+            folds.append(fold)
+        return folds
+
+    def _children(self, j: int, lb_units: int, folds: list[float], combo):
+        """(entry, child state) per subinterval of the next occupied level
+        under a level-j interval, in order and built as they are read, with
+        `combo` chosen at its level and `folds` from `_folds`; none at the
+        last level."""
+        if not folds:
+            return
+        child_len = self.length[j + 1]
+        rows = [_child_rows(a, self.S[j], self.step[j], child_len) for a in combo]
+        if self.adjacent[j]:
+            # per subinterval, one profile per commodity
+            profiles = zip(*(profiles for profiles, _ in rows))
+            for e, (fold, profile) in enumerate(zip(folds, profiles)):
+                yield e * child_len, (j + 1, profile, lb_units + int(fold / self.granule))
+            return
+        for e, fold in enumerate(folds):
+            # this level's space folds into the bound of the skipped-to level
+            for gamma, (_, gaps) in zip(self.gammas[j], rows):
+                fold += gamma * gaps[e] * self.unit
+            yield e * child_len, (j + 1, (), lb_units + int(fold / self.granule))
 
     def _level_before(self, positions: tuple[int, ...], xstep: int, at: int) -> float:
         """Inventory (time units) just before position `at` > 0 (F units)."""
@@ -415,16 +551,10 @@ class _DpSolver:
             nxt = positions[rr]
         return (nxt - at) * self.unit
 
-    @staticmethod
-    def _child_profile(ends: list[int], entry: int, exit_: int, step: int) -> tuple[int, ...]:
-        """Position, from `entry`, of the first order strictly after each
-        x-point of the child interval [entry, exit_)."""
-        return tuple(ends[bisect_right(ends, x)] - entry for x in range(entry, exit_, step))
-
     def _materialize(self, state: tuple, abs_entry: int, orders: dict[int, list[tuple[int, int]]]):
-        # the state lies on the chosen chain, so its entry holds a combination
-        _, combo = self.memo[state]
-        j = state[0]
+        # the state lies on the chosen chain, so its entry is exact and holds a combination
+        _, combo, _ = self.memo[state]
+        j, profile, lb_units = state
         step, S = self.step[j], self.S[j]
         patterns = _patterns(S).slots
         for i, a in zip(self.ids_at[j], combo):
@@ -432,7 +562,7 @@ class _DpSolver:
             nxt = list(slots[1:]) + [S]
             for s, e in zip(slots, nxt):
                 orders[i].append((abs_entry + s * step, (e - s) * step))
-        for entry, child in self._children(state, combo):
+        for entry, child in self._children(j, lb_units, self._folds(j, profile), combo):
             self._materialize(child, abs_entry + entry, orders)
 
 
@@ -442,13 +572,16 @@ def dp_solve(
     eps: float,
     grid: GridSpec,
     state_cap: int = DEFAULT_STATE_CAP,
+    cutoff: float = math.inf,
 ) -> tuple[float, CyclicPolicy] | None:
     """Best grid-aligned policy (cost rate, policy) for one guess, or None
-    when every action chain violates the space check. A level with more
-    pattern combinations than ACTION_CAP raises ActionSpaceExceeded, and a
-    memo that reaches `state_cap` entries raises StateSpaceExceeded."""
+    when every action chain violates the space check or the best cost rate
+    exceeds `cutoff`. Below the cutoff the result does not depend on it. A
+    level with more pattern combinations than ACTION_CAP raises
+    ActionSpaceExceeded, and a memo that reaches `state_cap` distinct states
+    raises StateSpaceExceeded."""
     solver = _DpSolver(instance, guess, eps, grid, state_cap)
-    return solver.solve()
+    return solver.solve(cutoff)
 
 
 def ptas_solve(
@@ -466,10 +599,12 @@ def ptas_solve(
     the result is the best over the remaining guesses only. The others are
     visited in ascending (guess_lower_bound, enumeration index), and the
     sweep stops at the first whose bound * (1 - PRUNE_RTOL) exceeds the
-    incumbent's cost; the rest are pruned without
-    running their DP. The winner has the least (cost, enumeration index), as
-    in a full sweep. When a dict is passed as `details`, the winning guess,
-    its grid, and the numbers of skipped and pruned guesses are recorded."""
+    incumbent's cost; the rest are pruned without running their DP. Each
+    DP runs under the cutoff incumbent / f_lo * (1 + PRUNE_RTOL): a policy
+    whose rate exceeds it certifies above the incumbent. The winner has the
+    least (cost, enumeration index), as in a full sweep. When a dict is
+    passed as `details`, the winning guess, its grid, and the numbers of
+    skipped and pruned guesses are recorded."""
     if instance.n > DEFAULT_PTAS_CAP:
         raise TooManyCommodities(instance.n, DEFAULT_PTAS_CAP)
     guesses = enumerate_guesses(instance, eps)
@@ -483,10 +618,14 @@ def ptas_solve(
     best: tuple[float, int, CyclicPolicy, EvalReport, Guess, GridSpec] | None = None
     visited = 0
     for bound, index, guess, grid in queue:
-        if best is not None and bound * (1.0 - PRUNE_RTOL) > best[0]:
-            break
+        cutoff = math.inf
+        if best is not None:
+            if bound * (1.0 - PRUNE_RTOL) > best[0]:
+                break
+            # the scaled policy certifies at O/f + f*Hh >= f*rate >= f_lo*rate
+            cutoff = best[0] / _scale_floor(instance, guess, grid) * (1.0 + PRUNE_RTOL)
         visited += 1
-        result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap)
+        result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap, cutoff=cutoff)
         if result is None:
             continue
         _, policy = result

@@ -1,4 +1,6 @@
 import hashlib
+import math
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +13,12 @@ from ewlsp.evaluator import evaluate
 from ewlsp.model import serialize_policy
 from ewlsp.oracle import oracle_opt_cyclic
 from ewlsp.ptas import (
+    DEFAULT_STATE_CAP,
     GridSpec,
     Guess,
+    _child_rows,
+    _DpSolver,
+    _patterns,
     dp_solve,
     enumerate_guesses,
     guess_lower_bound,
@@ -98,6 +104,100 @@ class TestDpSolve:
         assert result is not None
         rate, policy = result
         assert evaluate(policy, inst).total_cost_rate == pytest.approx(rate, rel=1e-9)
+
+
+class TestChildRows:
+    @pytest.mark.parametrize("S", [2, 4, 8])
+    @pytest.mark.parametrize("step", [1, 3, 4])
+    def test_tables_match_the_direct_construction(self, S, step):
+        # every child length dividing the interval: the adjacent children
+        # (length / M) and the level-gap ones (length / M^g) among them
+        length = S * step
+        for child_len in [d for d in range(1, length + 1) if length % d == 0]:
+            for a, slots in enumerate(_patterns(S).slots):
+                profiles, gaps = _child_rows(a, S, step, child_len)
+                ends = [s * step for s in slots] + [S * step]
+                entries = range(0, length, child_len)
+                assert profiles == tuple(
+                    tuple(ends[bisect_right(ends, x)] - entry for x in range(entry, entry + child_len, step))
+                    for entry in entries
+                )
+                exits = [entry + child_len for entry in entries]
+                assert gaps == tuple(ends[bisect_left(ends, exit_)] - exit_ for exit_ in exits)
+
+
+class TestDpCutoff:
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.sampled_from([1, 2]),
+        spread=st.sampled_from([0.0, 1.0]),
+        regime=st.sampled_from(["tight", "loose"]),
+        M=st.sampled_from([2, 4]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_cutoff_keeps_the_result_or_returns_none(self, seed, n, spread, regime, M):
+        inst = generate_instance(seed, n, spread, regime)
+        for guess in enumerate_guesses(inst, 0.5):
+            grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=2 * M)
+            uncut = dp_solve(inst, guess, 0.5, grid=grid)
+            if uncut is None:
+                assert dp_solve(inst, guess, 0.5, grid=grid, cutoff=1e300) is None
+                continue
+            rate, policy = uncut
+            above = dp_solve(inst, guess, 0.5, grid=grid, cutoff=rate * (1 + 1e-6))
+            assert above is not None
+            assert repr(above[0]) == repr(rate)
+            assert serialize_policy(above[1]) == serialize_policy(policy)
+            assert dp_solve(inst, guess, 0.5, grid=grid, cutoff=rate * (1 - 1e-6)) is None
+
+    def test_cut_entry_is_solved_again_under_a_looser_limit(self):
+        inst = make_instance([(1.0, 0.7, 1.0), (0.4, 2.0, 0.8)], 1.1)
+        guess = Guess(tau=1.7, assignment={0: 1, 1: 2})
+        grid = GridSpec.desk(1.7, 2, M=2, S=4)
+        rate, policy = dp_solve(inst, guess, 0.5, grid=grid)
+        solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP)
+        top = (0, (), 0)
+        assert solver._value(top, 0.0) == math.inf
+        assert solver.memo[top] == (0.0, None, False)
+        again = solver.solve(math.inf)
+        assert repr(again[0]) == repr(rate)
+        assert serialize_policy(again[1]) == serialize_policy(policy)
+
+    def _least_cap(self, inst, guess, grid, most):
+        """The smallest state cap under which the uncut DP runs, at most `most`."""
+        for cap in range(1, most + 1):
+            try:
+                dp_solve(inst, guess, 0.5, grid=grid, state_cap=cap)
+            except StateSpaceExceeded:
+                continue
+            return cap
+        raise AssertionError(f"the DP needs more than {most} states")
+
+    @pytest.mark.parametrize("index, parent_states", [(75, 4), (70, 15)])
+    def test_state_cap_counts_distinct_states(self, index, parent_states, monkeypatch):
+        # parent_states: the distinct states of the DP before it took limits.
+        # The cutoff and the best-so-far bound can only lower that count; on
+        # guess 75 they lower nothing, yet states cut under a tight room are
+        # solved again once the memo holds every state.
+        inst = generate_instance(2, 2, 1.0, "tight")
+        guess = enumerate_guesses(inst, 0.5)[index]
+        grid = GridSpec.desk(guess.tau, max(guess.assignment.values()))
+        states = self._least_cap(inst, guess, grid, parent_states)
+        assert states <= parent_states
+        resolved_at_full_memo = []
+        value = _DpSolver._value
+
+        def spied_value(self, state, limit):
+            known = self.memo.get(state)
+            if known is not None and not known[2] and limit > known[0]:
+                resolved_at_full_memo.append(len(self.memo) == states)
+            return value(self, state, limit)
+
+        monkeypatch.setattr(_DpSolver, "_value", spied_value)
+        assert dp_solve(inst, guess, 0.5, grid=grid, state_cap=states) is not None
+        if index == 75:
+            assert states == parent_states
+            assert any(resolved_at_full_memo)
 
 
 class TestPtasSolve:
@@ -326,8 +426,12 @@ class TestGuessPruning:
             generate_instance(7, 2, 1.0, "dense-heavy"),
             make_instance([(1, 1, 1), (1, 1, 1)], 0.8),
             make_instance([(1, 1, 1), (1, 1, 1)], 3.0),
+            generate_instance(0, 3, 1.0, "loose"),
         ],
-        ids=["n1-tight", "n1-loose", "n2-tight", "n2-loose", "n2-dense-heavy", "n2-identical", "n2-identical-loose"],
+        ids=[
+            "n1-tight", "n1-loose", "n2-tight", "n2-loose", "n2-dense-heavy", "n2-identical",
+            "n2-identical-loose", "n3-loose",
+        ],
     )
     def test_pruned_sweep_returns_the_full_sweep_winner(self, inst, monkeypatch):
         full_cost, _, full_policy, _, guess = _full_sweep(inst, 0.5)
