@@ -173,31 +173,33 @@ class TestDpCutoff:
             return cap
         raise AssertionError(f"the DP needs more than {most} states")
 
-    @pytest.mark.parametrize("index, parent_states", [(75, 4), (70, 15)])
-    def test_state_cap_counts_distinct_states(self, index, parent_states, monkeypatch):
-        # parent_states: the distinct states of the DP before it took limits.
-        # The cutoff and the best-so-far bound can only lower that count; on
-        # guess 75 they lower nothing, yet states cut under a tight room are
-        # solved again once the memo holds every state.
+    def test_state_cap_counts_distinct_states(self, monkeypatch):
+        # Guess 75 had 4 distinct states before the DP took limits, and the
+        # bounds inside the DP skip none of them, yet states cut under a
+        # tight room are solved again once the memo holds all four.
         inst = generate_instance(2, 2, 1.0, "tight")
-        guess = enumerate_guesses(inst, 0.5)[index]
+        guess = enumerate_guesses(inst, 0.5)[75]
         grid = GridSpec.desk(guess.tau, max(guess.assignment.values()))
-        states = self._least_cap(inst, guess, grid, parent_states)
-        assert states <= parent_states
+        assert self._least_cap(inst, guess, grid, 4) == 4
         resolved_at_full_memo = []
         value = _DpSolver._value
 
         def spied_value(self, state, limit):
             known = self.memo.get(state)
             if known is not None and not known[2] and limit > known[0]:
-                resolved_at_full_memo.append(len(self.memo) == states)
+                resolved_at_full_memo.append(len(self.memo) == 4)
             return value(self, state, limit)
 
         monkeypatch.setattr(_DpSolver, "_value", spied_value)
-        assert dp_solve(inst, guess, 0.5, grid=grid, state_cap=states) is not None
-        if index == 75:
-            assert states == parent_states
-            assert any(resolved_at_full_memo)
+        assert dp_solve(inst, guess, 0.5, grid=grid, state_cap=4) is not None
+        assert any(resolved_at_full_memo)
+
+    def test_bounds_only_lower_the_state_count(self):
+        # guess 70 had 15 distinct states before the DP took limits
+        inst = generate_instance(2, 2, 1.0, "tight")
+        guess = enumerate_guesses(inst, 0.5)[70]
+        grid = GridSpec.desk(guess.tau, max(guess.assignment.values()))
+        self._least_cap(inst, guess, grid, 15)
 
 
 class TestPtasSolve:
@@ -317,14 +319,16 @@ PINNED_OUTPUTS = [
         generate_instance(0, 3, 1.0, "tight"),
         "dc7bcf924bfe9fdc612ebdbf557236a579336a7eb29d5ca3a89b7342094875bc",
     ),
-    # taken before the DP took a cutoff: loose capacity is where it cuts most
+    # taken before the DP took limits: n=3 loose, where the bounds inside the
+    # DP skip the most, and an instance whose winning guess puts all three
+    # commodities on one level (2^21 combinations per state)
     (
         "generated-0-loose-n3",
         generate_instance(0, 3, 1.0, "loose"),
         "42b097237e345df374391a0bceb70647b77d12f5870aafcbcc056e6a518dde09",
     ),
     (
-        "n3-three-classes",
+        "n3-shared-level",
         make_instance([(1, 1, 1), (2, 1, 0.5), (1, 3, 1)], 1.2),
         "481f9343d42637b788aeaa2ecbbaebc7dcd9bee431304e6bff36966fbe03d1a8",
     ),
