@@ -29,12 +29,12 @@ pattern hands the next level (each child's profile, or across a level gap
 its exit inventory) is integer-only too and cached per pattern and
 geometry. A state folds its commodities in one at a time onto the space the
 previous level holds and drops the combinations over the bound, those of
-its last commodity only as its scan reaches them. It visits the rest in
-ascending interval cost until no later one can win, sorting a head of the
-cheapest first and 16 times as many at each further stage, so a scan that
-stops early neither sorts nor checks the rest. Equal totals go to the combination that
-comes first in product order over the ids, so the chosen policy does not
-depend on the visiting order.
+its last commodity (but for the patterns that fit no row) only as its scan
+reaches them. It visits the rest in ascending interval cost until no later
+one can win, sorting a head of the cheapest first and 16 times as many at
+each further stage, so a scan that stops early neither sorts nor checks the
+rest. Equal totals go to the combination that comes first in product order
+over the ids, so the chosen policy does not depend on the visiting order.
 
 The sweep over guesses is pruned by a per-guess lower bound on the certified
 cost. A class-q commodity orders only on plus-points and at every minus-point,
@@ -59,8 +59,10 @@ policy of rate O + Hh, so it certifies at O/f + f*Hh >= f*(O + Hh) >=
 f_lo*rate: a DP whose rate exceeds incumbent/f_lo cannot win, and
 `dp_solve` takes that as a cutoff. Inside the DP, every state gets a limit
 and, with the best total it has found so far, skips a combination as soon
-as its interval cost plus the cheapest possible cost of everything below it
-exceeds the smaller of the two; its children get the room that leaves. A
+as its interval cost plus a floor on everything below it exceeds the
+smaller of the two; its children get the room that leaves. The floor puts
+each commodity below in every interval at its cheapest pattern among those
+whose space alone fits the bound, so it rises where the capacity is tight. A
 state that could only be shown to exceed its limit is stored as cut, with
 the limit, and solved again only under a looser one. Values within the
 cutoff are unchanged, so every DP's result and the sweep's winner stay
@@ -241,6 +243,7 @@ class _Patterns:
     gaps: np.ndarray  # (A, S): slots between successive orders, in order, zero-padded
     levels: np.ndarray  # (A, S): slots from each slot point to the next order (S closes)
     counts: np.ndarray  # (A,): orders per interval
+    narrow: tuple[np.ndarray, ...]  # per w in 0..S, the rows with no gap wider than w slots
 
 
 @functools.cache
@@ -259,9 +262,11 @@ def _patterns(S: int) -> _Patterns:
     first = np.argsort(~has, axis=1, kind="stable")
     gaps = np.where(np.arange(S) < counts[:, None], np.take_along_axis(levels, first, axis=1), 0)
     slots = tuple(tuple([0] + [s for s in range(1, S) if a >> (s - 1) & 1]) for a in range(A))
-    for arr in (gaps, levels, counts):
+    widest = gaps.max(axis=1)
+    narrow = tuple(np.flatnonzero(widest <= w) for w in range(S + 1))
+    for arr in (gaps, levels, counts, *narrow):
         arr.flags.writeable = False
-    return _Patterns(slots=slots, gaps=gaps, levels=levels, counts=counts)
+    return _Patterns(slots=slots, gaps=gaps, levels=levels, counts=counts, narrow=narrow)
 
 
 @functools.cache
@@ -361,6 +366,7 @@ class _DpSolver:
         # interval cost K*count + 2H*hold (A), scaled from the shared table.
         self.space_terms: list[list[np.ndarray]] = []
         self.cost_terms: list[list[np.ndarray]] = []
+        least = []  # per level, the sum of its commodities' least fitting interval costs
         for j, level in enumerate(commodities):
             table = _patterns(self.S[j])
             step_t = self.step[j] * self.unit
@@ -370,12 +376,24 @@ class _DpSolver:
             levels = table.levels * step_t
             self.space_terms.append([c.gamma * levels for c in level])
             self.cost_terms.append([c.K * table.counts + 2.0 * c.H * hold for c in level])
+            # A pattern's most space is gamma times its widest gap, so it fits
+            # the bound on its own (everything else a slot holds is
+            # nonnegative) iff no gap is wider than the w counted here. A
+            # commodity with no such pattern leaves its level without a value;
+            # its plain minimum keeps the sum finite.
+            total = 0.0
+            for c, cost_term in zip(level, self.cost_terms[-1]):
+                w = sum(c.gamma * (g * step_t) <= self.space_bound for g in range(1, self.S[j] + 1))
+                fitting = cost_term[table.narrow[w]] if w else cost_term
+                total += float(fitting.min())
+            least.append(total)
         # floor[j]: the least value of a level-j state, each commodity of it
-        # and of every level below at its cheapest pattern in every interval
+        # and of every level below at its cheapest fitting pattern in every
+        # interval
         self.floor = [0.0] * (len(occupied) + 1)
         for j in reversed(range(len(occupied))):
             children = self.length[j] // self.length[j + 1] if j + 1 < len(occupied) else 0
-            self.floor[j] = sum(float(term.min()) for term in self.cost_terms[j]) + children * self.floor[j + 1]
+            self.floor[j] = least[j] + children * self.floor[j + 1]
 
     def solve(self, cutoff: float) -> tuple[float, CyclicPolicy] | None:
         top = (0, (), 0)
@@ -405,13 +423,14 @@ class _DpSolver:
         per commodity in id order) is checked against the bound, and rows
         already over it are dropped, since later terms only add space. So are
         the rows over it even with the last commodity's all-orders pattern,
-        the least space at every slot. Every remaining row with every last
-        pattern is a candidate, in flat index order, so candidate positions
-        compare like flat indices. Candidates are visited in ascending
-        interval cost by `_ascending`, which skips those over the bound, and
-        the scan stops at the first whose (cost, position) exceeds the best
-        (total, position): children only add nonnegative cost. Of equal
-        totals the lowest flat index wins.
+        the least space at every slot, and the last commodity's patterns over
+        it even on the least space a row holds at each slot. Every remaining
+        row with every remaining last pattern is a candidate, in flat index
+        order, so candidate positions compare like flat indices. Candidates
+        are visited in ascending interval cost by `_ascending`, which skips
+        those over the bound, and the scan stops at the first whose (cost,
+        position) exceeds the best (total, position): children only add
+        nonnegative cost. Of equal totals the lowest flat index wins.
 
         A combination's total is at least its interval cost plus the floors
         of its children. With `bound` = min(limit, best) * (1 + PRUNE_RTOL),
@@ -462,12 +481,16 @@ class _DpSolver:
             cost = cost[rows] + cost_term[pattern]
         # The last pattern, with an order at every slot, holds the least
         # space at every slot: rows over the bound with it have no pair left.
-        rows = np.flatnonzero(~(space + space_terms[-1][-1] > self.space_bound).any(axis=1))
+        last = space_terms[-1]
+        rows = np.flatnonzero(~(space + last[-1] > self.space_bound).any(axis=1))
         picks, space, cost = [p[rows] for p in picks], space[rows], cost[rows]
-        # every (row, last pattern) pair, at flat position row * A + pattern;
-        # `_ascending` checks the space of the pairs the scan reaches
-        A = len(space_terms[-1])
-        cost = (cost[:, None] + self.cost_terms[j][-1]).ravel()
+        # Likewise the last patterns over the bound on the least space any
+        # row holds at each slot have no pair left.
+        keep = np.flatnonzero(~(space.min(axis=0, initial=math.inf) + last > self.space_bound).any(axis=1))
+        # every (row, kept pattern) pair, at position row * len(keep) + k,
+        # which compares like the flat index as `keep` ascends; `_ascending`
+        # checks the space of the pairs the scan reaches
+        cost = (cost[:, None] + self.cost_terms[j][-1][keep]).ravel()
 
         folds = self._folds(j, profile)
         child_floor = self.floor[j + 1]
@@ -476,7 +499,7 @@ class _DpSolver:
         best_at = -1
         best_combo = None
         limited = False  # a combination was skipped for exceeding the limit
-        for at, c in _ascending(cost, space, space_terms[-1], self.space_bound):
+        for at, c in _ascending(cost, space, last[keep], self.space_bound):
             if best is not None and (c, at) > (best, best_at):
                 break
             binding = best is None or limit < best
@@ -484,8 +507,8 @@ class _DpSolver:
             if c + floor > bound:
                 limited = limited or binding
                 break
-            row, a = divmod(at, A)
-            combo = tuple(int(p[row]) for p in picks) + (a,)
+            row, k = divmod(at, len(keep))
+            combo = tuple(int(p[row]) for p in picks) + (int(keep[k]),)
             children = self._children(j, lb_units, folds, combo)
             below = 0.0
             for later, (_, child) in zip(range(len(folds) - 1, -1, -1), children):

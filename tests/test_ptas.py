@@ -14,6 +14,7 @@ from ewlsp.model import serialize_policy
 from ewlsp.oracle import oracle_opt_cyclic
 from ewlsp.ptas import (
     DEFAULT_STATE_CAP,
+    PRUNE_RTOL,
     GridSpec,
     Guess,
     _child_rows,
@@ -150,6 +151,23 @@ class TestDpCutoff:
             assert serialize_policy(above[1]) == serialize_policy(policy)
             assert dp_solve(inst, guess, 0.5, grid=grid, cutoff=rate * (1 - 1e-6)) is None
 
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.sampled_from([1, 2]),
+        regime=st.sampled_from(["tight", "loose"]),
+        M=st.sampled_from([2, 4]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_floor_is_below_every_state_value(self, seed, n, regime, M):
+        inst = generate_instance(seed, n, 1.0, regime)
+        for guess in enumerate_guesses(inst, 0.5):
+            grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=2 * M)
+            solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP)
+            solver.solve(math.inf)
+            for (level, _, _), (value, _, exact) in solver.memo.items():
+                if exact and value is not None:
+                    assert solver.floor[level] <= value * (1.0 + PRUNE_RTOL)
+
     def test_cut_entry_is_solved_again_under_a_looser_limit(self):
         inst = make_instance([(1.0, 0.7, 1.0), (0.4, 2.0, 0.8)], 1.1)
         guess = Guess(tau=1.7, assignment={0: 1, 1: 2})
@@ -174,24 +192,24 @@ class TestDpCutoff:
         raise AssertionError(f"the DP needs more than {most} states")
 
     def test_state_cap_counts_distinct_states(self, monkeypatch):
-        # Guess 75 had 4 distinct states before the DP took limits, and the
-        # bounds inside the DP skip none of them, yet states cut under a
-        # tight room are solved again once the memo holds all four.
-        inst = generate_instance(2, 2, 1.0, "tight")
-        guess = enumerate_guesses(inst, 0.5)[75]
+        # Guess 195 had 9 distinct states before the DP took limits, and the
+        # bounds inside the DP skip none of them, yet a state cut under a
+        # tight room is solved again once the memo holds all nine.
+        inst = generate_instance(0, 3, 1.0, "tight")
+        guess = enumerate_guesses(inst, 0.5)[195]
         grid = GridSpec.desk(guess.tau, max(guess.assignment.values()))
-        assert self._least_cap(inst, guess, grid, 4) == 4
+        assert self._least_cap(inst, guess, grid, 9) == 9
         resolved_at_full_memo = []
         value = _DpSolver._value
 
         def spied_value(self, state, limit):
             known = self.memo.get(state)
             if known is not None and not known[2] and limit > known[0]:
-                resolved_at_full_memo.append(len(self.memo) == 4)
+                resolved_at_full_memo.append(len(self.memo) == 9)
             return value(self, state, limit)
 
         monkeypatch.setattr(_DpSolver, "_value", spied_value)
-        assert dp_solve(inst, guess, 0.5, grid=grid, state_cap=4) is not None
+        assert dp_solve(inst, guess, 0.5, grid=grid, state_cap=9) is not None
         assert any(resolved_at_full_memo)
 
     def test_bounds_only_lower_the_state_count(self):
