@@ -360,6 +360,15 @@ def test_pinned_outputs(name, inst, digest):
     assert hashlib.sha256(text).hexdigest() == digest
 
 
+def test_pinned_output_n4_tight(monkeypatch):
+    # four commodities with the commodity cap lifted for this test only;
+    # digest taken before overfull levels were ruled out ahead of their DP
+    monkeypatch.setattr("ewlsp.ptas.DEFAULT_PTAS_CAP", 4)
+    policy, report = ptas_solve(generate_instance(0, 4, 1.0, "tight"), 0.5)
+    text = serialize_policy(policy) + repr(report.total_cost_rate).encode()
+    assert hashlib.sha256(text).hexdigest() == "0ddacf044c00f684d6d2fc81dfbeef409ad5f02ac5b582756a2e549a3c9076d5"
+
+
 # repr of the value and sha256 of serialize_policy of fixed dp_solve runs
 # on the three-level and level-gap guesses of TestBruteForceCrossValidation,
 # whose checks there are one-sided; taken before the DP took tuple states.
