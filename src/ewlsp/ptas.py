@@ -53,6 +53,17 @@ later guess then costs more than the incumbent. The winner is the guess with
 the least (cost, enumeration index), the policy an unpruned sweep in
 enumeration order would return.
 
+Some guesses have no DP value at all, and are ruled out before their bound
+is taken or their DP built. At each slot point a state checks the space of
+the previous level, then the quantized bound (both nonnegative), then
+gamma*level per commodity of its level in id order, and every pattern's
+level at every slot is at least one slot length. So when a level is
+overfull, the sum in id order of gamma_i times its slot length exceeding the
+space bound, no state of it passes the check (float + and * are monotone,
+so the checked sum is never below that one), and the DP has no value. Such
+a guess could not have won: `ptas_solve` counts it as pruned, and
+`dp_solve` returns None for it.
+
 Each DP the sweep runs is also cut by the incumbent. Scaling by f <= 1
 divides the ordering cost O and multiplies the holding cost Hh of a DP
 policy of rate O + Hh, so it certifies at O/f + f*Hh >= f*(O + Hh) >=
@@ -233,6 +244,36 @@ def _action_space_excess(guess: Guess, grid: GridSpec) -> str | None:
     return None
 
 
+def _level_space(
+    instance: Instance, guess: Guess, eps: float, grid: GridSpec
+) -> tuple[list[list[int]], list[float], float]:
+    """Per occupied level, its commodity ids in id order and its slot length
+    (F // plus_q) * (tau / F) in time units, and the space bound (1+eps)V,
+    widened by a relative 1e-12. These are the floats the DP's space check
+    is made of, shared by `_DpSolver` and `_overfull`."""
+    occupied = sorted(set(guess.assignment.values()))
+    F = grid.plus_counts[occupied[-1] - 1]
+    unit = grid.tau_cycle / F
+    ids_at = [sorted(i for i, q in guess.assignment.items() if q == lvl) for lvl in occupied]
+    slot_lengths = [(F // grid.plus_counts[q - 1]) * unit for q in occupied]
+    return ids_at, slot_lengths, (1.0 + eps) * instance.V * (1.0 + 1e-12)
+
+
+def _overfull(instance: Instance, guess: Guess, eps: float, grid: GridSpec) -> bool:
+    """Whether some occupied level overfills one slot even with every
+    commodity of it ordering at every slot: the sum, in id order, of
+    gamma_i times the slot length exceeds the space bound. Then no state of
+    that level passes the DP's space check (see the module docstring)."""
+    ids_at, slot_lengths, bound = _level_space(instance, guess, eps, grid)
+    for ids, slot in zip(ids_at, slot_lengths):
+        space = 0.0
+        for i in ids:
+            space += instance.commodity(i).gamma * slot
+        if space > bound:
+            return True
+    return False
+
+
 @dataclass(frozen=True)
 class _Patterns:
     """Every single-commodity order pattern over one interval of S slots, in
@@ -331,20 +372,15 @@ class _DpSolver:
 
     A memo entry is `(value, combination, exact)`. An exact entry holds the
     state's value (None when nothing fits) and its chosen combination; a cut
-    entry holds only the limit its value was shown to exceed."""
+    entry holds only the limit its value was shown to exceed. `dp_solve`
+    builds one only for a guess it admits: the grid covers it, no level
+    exceeds ACTION_CAP and none is overfull."""
 
     def __init__(self, instance: Instance, guess: Guess, eps: float, grid: GridSpec, state_cap: int):
         self.state_cap = state_cap
         self.tau = grid.tau_cycle
         occupied = sorted(set(guess.assignment.values()))
-        if occupied[-1] > len(grid.minus_counts):
-            raise ValueError("grid does not cover the deepest guessed class")
-        excess = _action_space_excess(guess, grid)
-        if excess is not None:
-            raise ActionSpaceExceeded(excess)
-        self.ids_at = [
-            sorted(i for i, q in guess.assignment.items() if q == lvl) for lvl in occupied
-        ]
+        self.ids_at, slot_lengths, self.space_bound = _level_space(instance, guess, eps, grid)
         commodities = [[instance.commodity(i) for i in ids] for ids in self.ids_at]
         self.gammas = [[c.gamma for c in level] for level in commodities]
         # Per occupied level: interval length and slot step in F units (the
@@ -359,7 +395,6 @@ class _DpSolver:
         self.adjacent = [b == a + 1 for a, b in zip(occupied, occupied[1:])]
         self.copies = minus[0]  # level-0 intervals per cycle
         self.unit = self.tau / F
-        self.space_bound = (1.0 + eps) * instance.V * (1.0 + 1e-12)
         self.granule = eps * instance.V / instance.n
         self.memo: dict[tuple, tuple] = {}
         # Per level and commodity in id order: gamma*level (A x S) and the
@@ -367,9 +402,8 @@ class _DpSolver:
         self.space_terms: list[list[np.ndarray]] = []
         self.cost_terms: list[list[np.ndarray]] = []
         least = []  # per level, the sum of its commodities' least fitting interval costs
-        for j, level in enumerate(commodities):
+        for j, (level, step_t) in enumerate(zip(commodities, slot_lengths)):
             table = _patterns(self.S[j])
-            step_t = self.step[j] * self.unit
             d = table.gaps * step_t
             # gap by gap in slot order (accumulate sums sequentially): a float sum depends on its order
             hold = np.add.accumulate(0.5 * d * d, axis=1)[:, -1]
@@ -378,14 +412,12 @@ class _DpSolver:
             self.cost_terms.append([c.K * table.counts + 2.0 * c.H * hold for c in level])
             # A pattern's most space is gamma times its widest gap, so it fits
             # the bound on its own (everything else a slot holds is
-            # nonnegative) iff no gap is wider than the w counted here. A
-            # commodity with no such pattern leaves its level without a value;
-            # its plain minimum keeps the sum finite.
+            # nonnegative) iff no gap is wider than the w counted here; w >= 1,
+            # since `dp_solve` rules out overfull levels first.
             total = 0.0
             for c, cost_term in zip(level, self.cost_terms[-1]):
                 w = sum(c.gamma * (g * step_t) <= self.space_bound for g in range(1, self.S[j] + 1))
-                fitting = cost_term[table.narrow[w]] if w else cost_term
-                total += float(fitting.min())
+                total += float(cost_term[table.narrow[w]].min())
             least.append(total)
         # floor[j]: the least value of a level-j state, each commodity of it
         # and of every level below at its cheapest fitting pattern in every
@@ -602,9 +634,16 @@ def dp_solve(
     exceeds `cutoff`. Below the cutoff the result does not depend on it. A
     level with more pattern combinations than ACTION_CAP raises
     ActionSpaceExceeded, and a memo that reaches `state_cap` distinct states
-    raises StateSpaceExceeded."""
-    solver = _DpSolver(instance, guess, eps, grid, state_cap)
-    return solver.solve(cutoff)
+    raises StateSpaceExceeded. For a guess with an overfull level (see the
+    module docstring) None is decided up front, without building the DP."""
+    if max(guess.assignment.values()) > len(grid.minus_counts):
+        raise ValueError("grid does not cover the deepest guessed class")
+    excess = _action_space_excess(guess, grid)
+    if excess is not None:
+        raise ActionSpaceExceeded(excess)
+    if _overfull(instance, guess, eps, grid):
+        return None
+    return _DpSolver(instance, guess, eps, grid, state_cap).solve(cutoff)
 
 
 def ptas_solve(
@@ -619,7 +658,8 @@ def ptas_solve(
     into the capacity, and return the cheapest with its exact evaluation.
 
     A guess whose action space exceeds ACTION_CAP is skipped, so with skips
-    the result is the best over the remaining guesses only. The others are
+    the result is the best over the remaining guesses only. A guess with an
+    overfull level is pruned at once: its DP has no value. The others are
     visited in ascending (guess_lower_bound, enumeration index), and the
     sweep stops at the first whose bound * (1 - PRUNE_RTOL) exceeds the
     incumbent's cost; the rest are pruned without running their DP. Each
@@ -627,16 +667,22 @@ def ptas_solve(
     whose rate exceeds it certifies above the incumbent. The winner has the
     least (cost, enumeration index), as in a full sweep. When a dict is
     passed as `details`, the winning guess, its grid, and the numbers of
-    skipped and pruned guesses are recorded."""
+    skipped and pruned guesses are recorded; `pruned_guesses` counts the
+    overfull guesses and those cut by the bound, none of which could have
+    won."""
     if instance.n > DEFAULT_PTAS_CAP:
         raise TooManyCommodities(instance.n, DEFAULT_PTAS_CAP)
     guesses = enumerate_guesses(instance, eps)
     queue = []
+    skipped = overfull = 0
     for index, guess in enumerate(guesses):
         grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=grid_M, S=grid_S)
-        if _action_space_excess(guess, grid) is None:
+        if _action_space_excess(guess, grid) is not None:
+            skipped += 1
+        elif _overfull(instance, guess, eps, grid):
+            overfull += 1
+        else:
             queue.append((guess_lower_bound(instance, guess, grid), index, guess, grid))
-    skipped = len(guesses) - len(queue)
     queue.sort(key=lambda entry: entry[:2])
     best: tuple[float, int, CyclicPolicy, EvalReport, Guess, GridSpec] | None = None
     visited = 0
@@ -668,7 +714,7 @@ def ptas_solve(
         details["guess"] = guess
         details["grid"] = grid
         details["skipped_guesses"] = skipped
-        details["pruned_guesses"] = len(queue) - visited
+        details["pruned_guesses"] = overfull + len(queue) - visited
     return policy, report
 
 

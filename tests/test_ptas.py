@@ -3,7 +3,7 @@ import math
 from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ewlsp.cli import generate_instance
@@ -19,6 +19,7 @@ from ewlsp.ptas import (
     Guess,
     _child_rows,
     _DpSolver,
+    _overfull,
     _patterns,
     dp_solve,
     enumerate_guesses,
@@ -162,6 +163,8 @@ class TestDpCutoff:
         inst = generate_instance(seed, n, 1.0, regime)
         for guess in enumerate_guesses(inst, 0.5):
             grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=2 * M)
+            if _overfull(inst, guess, 0.5, grid):
+                continue  # `dp_solve` builds no solver; every state there is valueless
             solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP)
             solver.solve(math.inf)
             for (level, _, _), (value, _, exact) in solver.memo.items():
@@ -629,6 +632,74 @@ class TestBruteForceCrossValidation:
         assert dp is not None
         rate, policy = dp
         assert evaluate(policy, inst).total_cost_rate == pytest.approx(rate, rel=1e-9)
+
+
+class TestOverfullLevels:
+    @given(
+        tau=st.floats(0.5, 3.5),
+        params=st.lists(st.tuples(*[st.floats(0.2, 5.0)] * 3), min_size=3, max_size=3),
+        fill=st.one_of(
+            st.floats(0.3, 2.0),
+            st.builds(lambda sign, e: 1.0 + sign * 10.0**-e, st.sampled_from([-1, 1]), st.floats(1, 8)),
+        ),
+        classes=st.sampled_from([(1,), (1, 1), (1, 2), (2, 1), (2, 2), (1, 1, 1), (1, 1, 2)]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_overfull_guess_has_no_aligned_policy(self, tau, params, fill, classes):
+        # the capacity puts the bound at `fill` times the fullest level's
+        # all-orders space, often within 10^-8..10^-1 of it, but no level
+        # within a relative 1e-9, where the oracle's exact peak and the
+        # test's float sum may round apart
+        params = params[: len(classes)]
+        grid = GridSpec.desk(tau, max(classes), M=2, S=4)
+        level_space = [
+            sum(g for (_, _, g), c in zip(params, classes) if c == q) * tau / grid.plus_counts[q - 1]
+            for q in set(classes)
+        ]
+        inst = make_instance(params, fill * max(level_space) / 1.5)
+        bound = 1.5 * inst.V
+        assume(all(abs(space / bound - 1.0) > 1e-9 for space in level_space))
+        guess = Guess(tau=tau, assignment=dict(enumerate(classes)))
+        if _overfull(inst, guess, 0.5, grid):
+            assert _brute_force_aligned(inst, guess, 0.5, grid) is None
+
+    def test_overfull_guess_builds_no_solver(self, monkeypatch):
+        # gamma * tau/8 = 0.125 per slot against (1 + 0.5) * 0.05
+        inst = make_instance([(1, 1, 1)], 0.05)
+        guess = Guess(tau=1.0, assignment={0: 1})
+        grid = GridSpec.desk(1.0, 1)
+        assert _overfull(inst, guess, 0.5, grid)
+
+        def no_solver(*args):
+            raise AssertionError("_DpSolver built for an overfull guess")
+
+        monkeypatch.setattr("ewlsp.ptas._DpSolver", no_solver)
+        assert dp_solve(inst, guess, 0.5, grid=grid) is None
+
+    def test_overfull_guesses_are_pruned_before_their_bound(self, monkeypatch):
+        inst = generate_instance(5, 2, 1.0, "tight")
+        guesses = enumerate_guesses(inst, 0.5)
+        overfull = [
+            g for g in guesses if _overfull(inst, g, 0.5, GridSpec.desk(g.tau, max(g.assignment.values())))
+        ]
+        assert overfull
+        bounded, runs = [], []
+
+        def counted_bound(instance, guess, grid):
+            bounded.append(guess)
+            return guess_lower_bound(instance, guess, grid)
+
+        def counted_dp_solve(*args, **kwargs):
+            runs.append(args[1])
+            return dp_solve(*args, **kwargs)
+
+        monkeypatch.setattr("ewlsp.ptas.guess_lower_bound", counted_bound)
+        monkeypatch.setattr("ewlsp.ptas.dp_solve", counted_dp_solve)
+        details = {}
+        ptas_solve(inst, 0.5, details=details)
+        assert not any(g in overfull for g in bounded + runs)
+        assert len(bounded) == len(guesses) - details["skipped_guesses"] - len(overfull)
+        assert details["pruned_guesses"] == len(overfull) + len(bounded) - len(runs)
 
 
 def test_paper_grid_geometry_runs_for_one_commodity():
