@@ -248,9 +248,10 @@ def _level_space(
     instance: Instance, guess: Guess, eps: float, grid: GridSpec
 ) -> tuple[list[list[int]], list[float], float]:
     """Per occupied level, its commodity ids in id order and its slot length
-    (F // plus_q) * (tau / F) in time units, and the space bound (1+eps)V,
-    widened by a relative 1e-12. These are the floats the DP's space check
-    is made of, shared by `_DpSolver` and `_overfull`."""
+    (F // plus_q) * (tau / F) in time units, F being the deepest occupied
+    plus grid; and the space bound (1+eps)V, widened by a relative 1e-12.
+    These are the floats the DP's space check is made of, shared by
+    `_DpSolver` and `_overfull`."""
     occupied = sorted(set(guess.assignment.values()))
     F = grid.plus_counts[occupied[-1] - 1]
     unit = grid.tau_cycle / F
