@@ -13,7 +13,7 @@ from ewlsp.couples import CoupleInput, synthesize_couple
 from ewlsp.errors import InfeasiblePolicy
 from ewlsp.evaluator import evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS
-from ewlsp.model import Commodity, Instance, SosiPolicy, sosi_to_cyclic
+from ewlsp.model import Commodity, CyclicPolicy, Instance, SosiPolicy, sosi_to_cyclic
 from ewlsp.pipeline import (
     ALPHA_FALLBACK,
     DELTA,
@@ -233,6 +233,24 @@ def _offset_couple_case():
     return Instance((A, B), capacity_V=1.5), 0, couple.policy
 
 
+def _with_prefix(n: int, extras, scale: float) -> Instance:
+    # dense_heavy_instance(0, n) plus small commodities (K, H, gamma as a
+    # fraction of its capacity) that land in sparse classes of their own
+    base = dense_heavy_instance(0, n)
+    V = base.V
+    added = tuple(Commodity(1000 + k, K, H, g * V) for k, (K, H, g) in enumerate(extras))
+    return Instance(base.commodities + added, capacity_V=scale * V)
+
+
+def _two_couple_case():
+    # two half-cycle-offset couples as the benchmark: an easy solve whose four
+    # prefix commodities exceed the PTAS cap and go to the scale-down policy
+    inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(4)), capacity_V=3.0)
+    X = inst.commodities
+    halves = [synthesize_couple(CoupleInput(X[a], X[b], 1.0, 1.0, 0.05)).policy for a, b in ((0, 1), (2, 3))]
+    return inst, 0, CyclicPolicy(1.0, {**halves[0].schedules, **halves[1].schedules})
+
+
 # sha256 of the sorted-key JSON of the assembled policy followed by repr() of
 # the certified cost rate and peak, one solve per scenario and dense-class
 # outcome: moving the scale-down or the certificate must not change a bit.
@@ -268,6 +286,24 @@ PINNED_OUTPUTS = [
         "low-dense-loose-n2000",
         (generate_instance(0, 2000, 1.0, "loose"), 0, None),
         "56b083634a0ca21b94dc2f77670d36a5bc9d8fc5fcf6637220ef82248eacd8dc",
+    ),
+    (
+        # a difficult solve whose two sparse extras form a prefix:relaxation block
+        "difficult-prefix-relaxation",
+        (_with_prefix(40, [(1.0, 1.0, 1e-3), (1.0, 1.0, 1e-3 / 3)], 1.001), 0, None),
+        "eaf46e3278a284e71aac479a9e9a81ec6a95902074e90b199d52aeab19bf3522",
+    ),
+    (
+        # prefix ids 1001, 1002, 1000 in class order: the relaxation block's
+        # intervals stay in instance order, which the float sums depend on
+        "difficult-prefix-class-order",
+        (_with_prefix(200, [(1.55, 0.85, 0.00234), (1.81, 0.75, 0.00141), (1.93, 0.63, 0.00141)], 1.0), 0, None),
+        "f01474d6b1b93fa174b1b1506f26c9c6bf4ba6614437fafff3453c82c45a62dc",
+    ),
+    (
+        "easy-prefix-two-approx",
+        _two_couple_case(),
+        "2a8f63e747c35bcdb4832a546802ca28103f8d7af0f43906e6abf08c59f0e856",
     ),
 ]
 
