@@ -18,9 +18,11 @@ general, so the union's peak is certified by the sum of exact per-block
 peaks, which is precisely the accounting the analysis itself uses and is
 conservative for feasibility.
 
-Each scenario runner only returns its blocks. The uniform scale-down happens
-once, in solve_sub2, and the report of the scaled union is both the
-feasibility check and the certificate it returns.
+The three scenarios (high sparse volume, low dense volume, difficult) live in
+_dispatch, which alone reads their volume thresholds and only returns blocks;
+the difficult scenario's dense classes go through run_dense_branch. The
+uniform scale-down happens once, in solve_sub2, and the report of the scaled
+union is both the feasibility check and the certificate it returns.
 """
 
 from __future__ import annotations
@@ -158,6 +160,13 @@ class AssembledPolicy:
         return {"blocks": out}
 
 
+def _stationary(ids: Sequence[int], intervals_T: Mapping[int, float], provenance: str) -> Block:
+    """A stationary block with zero phases. evaluate_sosi sums in the key
+    order of `intervals_T`, which is kept as given even where it differs from
+    `ids`."""
+    return Block(ids=tuple(ids), sosi=SosiPolicy(intervals_T), provenance=provenance)
+
+
 def sub_instance(instance: Instance, ids: Sequence[int]) -> Instance:
     keep = set(ids)
     return Instance(
@@ -217,6 +226,10 @@ def decompose_classes(
     V/(1+eps)^L falls into the tail class. A class is sparse when its size is
     at most the sparsity threshold; sparse classes split into a prefix
     holding the first Delta nonempty ones and a suffix with the rest.
+
+    Delta exceeds the L+1 classes for every runnable n (490 against 219 at
+    eps = 0.05, n = 2000), so every sparse class is prefix-sparse and the
+    suffix is reached only through forced labels.
     """
     eps = cfg.eps
     V = instance.V
@@ -300,46 +313,6 @@ def split_heavy_light(
 # ---------------------------------------------------------------------------
 
 
-def _relaxation_block(instance: Instance, ids: Sequence[int], rhs: float, provenance: str) -> Block:
-    sol = solve_sosi_relaxation(sub_instance(instance, ids), rhs=rhs)
-    return Block(ids=tuple(ids), sosi=SosiPolicy(intervals_T=dict(sol.intervals_T)), provenance=provenance)
-
-
-def _prefix_blocks(instance: Instance, cfg: PipelineConfig, prefix_ids: list[int]) -> list[Block]:
-    """Near-optimal treatment of the few prefix-sparse commodities: the
-    alignment DP when it fits its budgets (at most DEFAULT_PTAS_CAP
-    commodities), the scale-down policy otherwise (both capacity-feasible on
-    their own)."""
-    if not prefix_ids:
-        return []
-    sub = sub_instance(instance, prefix_ids)
-    try:
-        policy, _ = ptas.ptas_solve(sub, min(0.5, 10 * cfg.eps))
-        return [Block(ids=tuple(prefix_ids), cyclic=policy, provenance="prefix:ptas")]
-    except (BudgetExceeded, StateSpaceExceeded):
-        pass  # too many commodities, or a hostile parameter spread blows up the guess grid
-    policy, _, _ = solve_two_approx(sub)
-    return [Block(ids=tuple(prefix_ids), sosi=policy, provenance="prefix:two-approx")]
-
-
-def run_easy_scenario(instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition) -> list[Block]:
-    """High sparse volume: prefix commodities solved near-optimally, the rest
-    through the average-space relaxation."""
-    prefix_ids = decomp.ids_with_label("prefix-sparse")
-    rest_ids = decomp.ids_with_label("suffix-sparse") + decomp.ids_with_label("dense")
-    blocks = _prefix_blocks(instance, cfg, prefix_ids)
-    if rest_ids:
-        rhs = 2.0 * (decomp.vbar_dense + cfg.eps * instance.V)
-        blocks.append(_relaxation_block(instance, rest_ids, rhs=rhs, provenance="suffix+dense:relaxation"))
-    return blocks
-
-
-def run_low_dense_scenario(instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition) -> list[Block]:
-    """Both sparse and dense volumes small: one whole-instance relaxation."""
-    rhs = 2.0 * (decomp.vbar_sparse + decomp.vbar_dense + cfg.eps * instance.V)
-    return [_relaxation_block(instance, instance.ids(), rhs=rhs, provenance="all:relaxation")]
-
-
 def build_matching_instance(
     instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition
 ) -> tuple[MatchingInstance, dict[tuple[int, Hashable], float]]:
@@ -394,8 +367,11 @@ def run_dense_branch(
 ) -> tuple[list[Block], dict]:
     """Suffix-sparse and dense classes: mimicking partition, then per dense
     class either the matched stationary policies (light majority), or
-    power-of-2 rounding with couple synthesis guarded by the concentration
-    event, falling back to the alpha-scaled stationary policy."""
+    power-of-2 rounding of every heavy subgroup followed by the concentration
+    event. A class where the event holds gets its couples, rounded singles and
+    light block; one where it fails falls back to the alpha-scaled stationary
+    policy and builds none of them. diag["couples"] counts the couples in the
+    returned blocks."""
     eps = cfg.eps
     diag: dict = {"classes": {}, "couples": 0, "far_pair_counts": [], "a_ell": {}}
     mi, interval_table = build_matching_instance(instance, cfg, decomp)
@@ -412,66 +388,26 @@ def run_dense_branch(
     blocks: list[Block] = []
     for ell in sorted(members):
         ids = sorted(members[ell])
-        label = decomp.labels[ell]
-        if label == "suffix-sparse" or ell == INF_CLASS:
-            blocks.append(
-                Block(ids=tuple(ids), sosi=SosiPolicy({i: t_hat[i] for i in ids}), provenance=f"class{ell}:sosi")
-            )
+        if decomp.labels[ell] == "suffix-sparse" or ell == INF_CLASS:
+            blocks.append(_stationary(ids, {i: t_hat[i] for i in ids}, f"class{ell}:sosi"))
             diag["classes"][str(ell)] = "sosi"
             continue
 
         split = split_heavy_light(ids, t_hat, instance, int(ell), eps, cfg.Q)
         if len(split.light) >= len(ids) / 2.0:
-            blocks.append(
-                Block(ids=tuple(ids), sosi=SosiPolicy({i: t_hat[i] for i in ids}), provenance=f"class{ell}:light-majority")
-            )
+            blocks.append(_stationary(ids, {i: t_hat[i] for i in ids}, f"class{ell}:light-majority"))
             diag["classes"][str(ell)] = "light-majority"
             continue
 
         rounded: dict[int, float] = {}
-        class_blocks: list[Block] = []
+        pairings = []
         for q, group in enumerate(split.subgroups):
-            rng = _theta_rng(seed, int(ell), q)
-            theta = float(rng.uniform(-0.5, 0.5))
-            outcome = po2_round({i: t_hat[i] for i in group}, theta)
-            rounded.update(outcome.rounded_T)
-            entries = [(i, instance.commodity(i).gamma, outcome.rounded_T[i]) for i in group]
-            near, far, leftover = classify_pairs(entries, eps)
+            theta = float(_theta_rng(seed, int(ell), q).uniform(-0.5, 0.5))
+            rounded_T = po2_round({i: t_hat[i] for i in group}, theta).rounded_T
+            rounded.update(rounded_T)
+            near, far, leftover = classify_pairs([(i, instance.commodity(i).gamma, rounded_T[i]) for i in group], eps)
             diag["far_pair_counts"].append(len(far))
-            for lead, trail in near:
-                a, b = (lead, trail) if lead[2] >= trail[2] else (trail, lead)
-                couple = synthesize_couple(
-                    CoupleInput(
-                        commodity_A=instance.commodity(a[0]),
-                        commodity_B=instance.commodity(b[0]),
-                        T_A=a[2],
-                        T_B=b[2],
-                        epsilon=eps,
-                    )
-                )
-                diag["couples"] += 1
-                class_blocks.append(
-                    Block(ids=(a[0], b[0]), cyclic=couple.policy, provenance=f"class{ell}:couple-case{couple.case_id}")
-                )
-            singles = [i for pair in far for i in (pair[0][0], pair[1][0])]
-            if leftover is not None:
-                singles.append(leftover[0])
-            if singles:
-                class_blocks.append(
-                    Block(
-                        ids=tuple(sorted(singles)),
-                        sosi=SosiPolicy({i: outcome.rounded_T[i] for i in singles}),
-                        provenance=f"class{ell}:rounded-sosi",
-                    )
-                )
-        if split.light:
-            class_blocks.append(
-                Block(
-                    ids=tuple(split.light),
-                    sosi=SosiPolicy({i: t_hat[i] for i in split.light}),
-                    provenance=f"class{ell}:light-sosi",
-                )
-            )
+            pairings.append((near, far, leftover))
 
         lhs = math.fsum(instance.commodity(i).gamma * rounded[i] for i in split.heavy)
         rhs = (1.0 + eps) * PO2_MEAN_CONSTANT * math.fsum(
@@ -479,37 +415,29 @@ def run_dense_branch(
         )
         event_holds = lhs <= rhs
         diag["a_ell"][str(ell)] = event_holds
-        if event_holds:
-            blocks.extend(class_blocks)
-            diag["classes"][str(ell)] = "po2-sync"
-        else:
-            blocks.append(
-                Block(
-                    ids=tuple(ids),
-                    sosi=SosiPolicy({i: ALPHA_FALLBACK * t_hat[i] for i in ids}),
-                    provenance=f"class{ell}:alpha-fallback",
-                )
-            )
+        if not event_holds:
+            blocks.append(_stationary(ids, {i: ALPHA_FALLBACK * t_hat[i] for i in ids}, f"class{ell}:alpha-fallback"))
             diag["classes"][str(ell)] = "alpha-fallback"
+            continue
+
+        for near, far, leftover in pairings:
+            for lead, trail in near:
+                a, b = (lead, trail) if lead[2] >= trail[2] else (trail, lead)
+                couple = synthesize_couple(
+                    CoupleInput(instance.commodity(a[0]), instance.commodity(b[0]), a[2], b[2], eps)
+                )
+                diag["couples"] += 1
+                blocks.append(Block(ids=(a[0], b[0]), cyclic=couple.policy, provenance=f"class{ell}:couple-case{couple.case_id}"))
+            # far pairs and the odd leftover keep their rounded intervals, in that order
+            singles = {i: T for pair in far for i, _, T in pair}
+            if leftover is not None:
+                singles[leftover[0]] = leftover[2]
+            if singles:
+                blocks.append(_stationary(sorted(singles), singles, f"class{ell}:rounded-sosi"))
+        if split.light:
+            blocks.append(_stationary(split.light, {i: t_hat[i] for i in split.light}, f"class{ell}:light-sosi"))
+        diag["classes"][str(ell)] = "po2-sync"
     return blocks, diag
-
-
-def run_difficult_scenario(
-    instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition, seed: int
-) -> tuple[list[Block], dict]:
-    """Prefix classes through their own relaxation, the rest through the
-    dense branch; returns the blocks and the dense branch's diagnostics."""
-    eps, V = cfg.eps, instance.V
-    prefix_ids = decomp.ids_with_label("prefix-sparse")
-    blocks: list[Block] = []
-    if prefix_ids:
-        vbar_prefix = math.fsum(decomp.avg_space[i] for i in prefix_ids)
-        blocks.append(
-            _relaxation_block(instance, prefix_ids, rhs=2.0 * (vbar_prefix + eps * V), provenance="prefix:relaxation")
-        )
-    dense_blocks, dense_diag = run_dense_branch(instance, cfg, decomp, seed)
-    blocks.extend(dense_blocks)
-    return blocks, dense_diag
 
 
 def _scale_to_capacity(assembled: AssembledPolicy, instance: Instance) -> tuple[AssembledPolicy, EvalReport, float]:
@@ -563,11 +491,40 @@ def _dispatch(
     instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition, seed: int
 ) -> tuple[str, list[Block], dict | None]:
     """The scenario's name, its blocks, and the dense branch's diagnostics
-    (None outside the difficult scenario)."""
-    V = instance.V
+    (None outside the difficult scenario). The three scenarios are:
+    - easy, sparse volume at least (1/2 + delta)V: the prefix-sparse
+      commodities through the alignment DP when it fits its budgets, else the
+      scale-down policy; the rest through the average-space relaxation;
+    - low-dense, dense volume below (1/2 - 2 delta)V: one relaxation over the
+      whole instance;
+    - difficult: the prefix through its own relaxation, the suffix-sparse and
+      dense classes through run_dense_branch.
+    """
+    eps, V = cfg.eps, instance.V
+    prefix_ids = decomp.ids_with_label("prefix-sparse")
     if decomp.vbar_sparse >= (0.5 + DELTA) * V:
-        return "easy", run_easy_scenario(instance, cfg, decomp), None
+        blocks: list[Block] = []
+        if prefix_ids:
+            sub = sub_instance(instance, prefix_ids)
+            try:
+                policy, _ = ptas.ptas_solve(sub, min(0.5, 10 * eps))
+                blocks.append(Block(ids=tuple(prefix_ids), cyclic=policy, provenance="prefix:ptas"))
+            except (BudgetExceeded, StateSpaceExceeded):
+                # too many commodities, or a hostile parameter spread blows up the guess grid
+                policy, _, _ = solve_two_approx(sub)
+                blocks.append(Block(ids=tuple(prefix_ids), sosi=policy, provenance="prefix:two-approx"))
+        rest_ids = decomp.ids_with_label("suffix-sparse") + decomp.ids_with_label("dense")
+        if rest_ids:
+            sol = solve_sosi_relaxation(sub_instance(instance, rest_ids), rhs=2.0 * (decomp.vbar_dense + eps * V))
+            blocks.append(_stationary(rest_ids, sol.intervals_T, "suffix+dense:relaxation"))
+        return "easy", blocks, None
     if decomp.vbar_dense < (0.5 - 2.0 * DELTA) * V:
-        return "low-dense", run_low_dense_scenario(instance, cfg, decomp), None
-    blocks, dense = run_difficult_scenario(instance, cfg, decomp, seed)
-    return "difficult", blocks, dense
+        sol = solve_sosi_relaxation(instance, rhs=2.0 * (decomp.vbar_sparse + decomp.vbar_dense + eps * V))
+        return "low-dense", [_stationary(instance.ids(), sol.intervals_T, "all:relaxation")], None
+    blocks = []
+    if prefix_ids:
+        vbar_prefix = math.fsum(decomp.avg_space[i] for i in prefix_ids)
+        sol = solve_sosi_relaxation(sub_instance(instance, prefix_ids), rhs=2.0 * (vbar_prefix + eps * V))
+        blocks.append(_stationary(prefix_ids, sol.intervals_T, "prefix:relaxation"))
+    dense_blocks, dense = run_dense_branch(instance, cfg, decomp, seed)
+    return "difficult", blocks + dense_blocks, dense

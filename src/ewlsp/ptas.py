@@ -568,10 +568,13 @@ class _DpSolver:
         if j + 1 == len(self.S):
             return []
         folds = []
+        xstep = self.step[j - 1]
         for exit_ in range(self.length[j + 1], self.length[j] + 1, self.length[j + 1]):
             fold = 0.0
             for gamma, positions in zip(self.gammas[j - 1], profile):
-                fold += gamma * self._level_before(positions, self.step[j - 1], exit_)
+                # it orders only on its slot points: its first order at or after
+                # the exit is the first one past x-point (exit - 1) // xstep
+                fold += gamma * ((positions[(exit_ - 1) // xstep] - exit_) * self.unit)
             folds.append(fold)
         return folds
 
@@ -595,17 +598,6 @@ class _DpSolver:
             for gamma, (_, gaps) in zip(self.gammas[j], rows):
                 fold += gamma * gaps[e] * self.unit
             yield e * child_len, (j + 1, (), lb_units + int(fold / self.granule))
-
-    def _level_before(self, positions: tuple[int, ...], xstep: int, at: int) -> float:
-        """Inventory (time units) just before position `at` > 0 (F units)."""
-        rr = at // xstep
-        if at % xstep == 0:
-            if positions[rr - 1] == at:
-                return 0.0
-            nxt = positions[rr] if rr < len(positions) else positions[-1]
-        else:
-            nxt = positions[rr]
-        return (nxt - at) * self.unit
 
     def _materialize(self, state: tuple, abs_entry: int, orders: dict[int, list[tuple[int, int]]]):
         # the state lies on the chosen chain, so its entry is exact and holds a combination
