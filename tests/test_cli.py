@@ -1,12 +1,14 @@
 import hashlib
 import json
+import math
 
+import numpy as np
 import pytest
 
 import ewlsp.cli as cli
 from ewlsp.cli import generate_instance, main
 from ewlsp.errors import InfeasibleMatching, InfeasiblePolicy
-from ewlsp.model import parse_instance, serialize_instance
+from ewlsp.model import Commodity, Instance, parse_instance, serialize_instance
 from ewlsp.relaxation import solve_sosi_relaxation
 
 
@@ -31,6 +33,35 @@ class TestGen:
     def test_tight_regime_binding(self):
         inst = generate_instance(1, 2, 1.0, "tight")
         assert solve_sosi_relaxation(inst).multiplier_lambda > 0.0
+
+    @pytest.mark.parametrize("regime", ["loose", "tight", "dense-heavy"])
+    @pytest.mark.parametrize("spread", [0.0, 1.0])
+    def test_bulk_draw_matches_one_draw_per_parameter(self, regime, spread):
+        for seed in range(40):
+            for n in (1, 2, 50, 400):
+                assert generate_instance(seed, n, spread, regime) == _scalar_generate_instance(seed, n, spread, regime)
+
+
+def _scalar_generate_instance(seed: int, n: int, spread: float, capacity_regime: str) -> Instance:
+    """generate_instance as it drew one parameter per rng call, kept to pin the stream."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if capacity_regime == "dense-heavy":
+        jitter = lambda: float(np.exp(rng.uniform(-1e-3, 1e-3)))  # noqa: E731
+        commodities = [Commodity(i, jitter(), jitter(), jitter()) for i in range(n)]
+        peak = sum(c.gamma * math.sqrt(c.K / c.H) for c in commodities)
+        return Instance(tuple(commodities), capacity_V=0.3 * peak)
+    commodities = [
+        Commodity(
+            i,
+            float(10.0 ** rng.uniform(-spread, spread)),
+            float(10.0 ** rng.uniform(-spread, spread)),
+            float(10.0 ** rng.uniform(-1, 1)),
+        )
+        for i in range(n)
+    ]
+    peak = sum(c.gamma * math.sqrt(c.K / c.H) for c in commodities)
+    factor = {"loose": 2.0, "tight": 0.3}[capacity_regime]
+    return Instance(tuple(commodities), capacity_V=factor * peak)
 
 
 class TestSolveEval:

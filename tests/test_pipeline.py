@@ -251,6 +251,21 @@ def _two_couple_case():
     return inst, 0, CyclicPolicy(1.0, {**halves[0].schedules, **halves[1].schedules})
 
 
+def _far_pair_case():
+    # 23 unit-gamma commodities under a stationary reference holding one
+    # interval t for all, so they share one dense class; their unconstrained
+    # intervals spread over (0.77, 0.99) of the class cap, so all are heavy
+    # and no cap binds, and po2 rounding splits some subgroups factor 2 apart
+    # into far pairs: three rounded-sosi blocks of a far pair and a leftover
+    n, eps = 23, CFG.eps
+    t = 0.998 / n
+    ell = math.floor(math.log(2.0 / t) / math.log1p(eps)) + 1
+    cap = 2.0 / (1.0 + eps) ** (ell - 1)
+    r = np.random.default_rng(1).uniform(0.77, 0.99, size=n).tolist()
+    inst = Instance(tuple(Commodity(i, (x * cap) ** 2, 1.0, 1.0) for i, x in enumerate(r)), capacity_V=1.0)
+    return inst, 0, sosi_to_cyclic(SosiPolicy({i: t for i in range(n)}), inst)
+
+
 # sha256 of the sorted-key JSON of the assembled policy followed by repr() of
 # the certified cost rate and peak, one solve per scenario and dense-class
 # outcome: moving the scale-down or the certificate must not change a bit.
@@ -301,6 +316,11 @@ PINNED_OUTPUTS = [
         "f01474d6b1b93fa174b1b1506f26c9c6bf4ba6614437fafff3453c82c45a62dc",
     ),
     (
+        "difficult-far-pairs",
+        _far_pair_case(),
+        "d0aebf8f93bad771ee1f6ee826e5928c4834e8ad5ca0ce295db30fa5568d4ca6",
+    ),
+    (
         "easy-prefix-two-approx",
         _two_couple_case(),
         "2a8f63e747c35bcdb4832a546802ca28103f8d7af0f43906e6abf08c59f0e856",
@@ -315,6 +335,21 @@ def test_pinned_outputs(name, case, digest):
     assert name.startswith(diag["scenario"])
     text = json.dumps(assembled.to_json(), sort_keys=True) + repr(rep.total_cost_rate) + repr(rep.v_max)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_rounded_sosi_blocks_sum_far_pairs_then_leftover():
+    # evaluate_sosi sums in the key order of a block's intervals; for the
+    # rounded singles that is each far pair, lead first, then the leftover,
+    # and the [20, 18, 19] block's cost rate changes in the last bit when
+    # its intervals are keyed in id order
+    inst, seed, reference = _far_pair_case()
+    assembled, _, _ = solve_sub2(inst, CFG, seed=seed, reference=reference)
+    blocks = [b for b in assembled.blocks if b.provenance.endswith(":rounded-sosi") and len(b.ids) >= 3]
+    assert [list(b.sosi.intervals_T) for b in blocks] == [[1, 0, 2], [6, 7, 8], [20, 18, 19]]
+    text = "".join(
+        repr((r.ordering_cost_rate, r.holding_cost_rate, r.v_max)) for r in (b.report(inst) for b in blocks)
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == "149cee804191b05f93cd5c2b6fd2f404d4c5ca7f150ab61c00b1768657a06155"
 
 
 class TestBlocks:
