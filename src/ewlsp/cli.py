@@ -58,27 +58,22 @@ def generate_instance(seed: int, n: int, spread: float, capacity_regime: str) ->
     dense-heavy builds many near-identical commodities whose matched
     intervals land at the top of one volume slab, driving the randomized
     pipeline through its heavy-commodity machinery.
+
+    The parameters come from one bulk draw of n rows (K, H, gamma), which
+    numpy fills in the order a per-parameter draw would take them.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     if capacity_regime == "dense-heavy":
-        jitter = lambda: float(np.exp(rng.uniform(-1e-3, 1e-3)))  # noqa: E731
-        commodities = [
-            Commodity(i, jitter(), jitter(), jitter()) for i in range(n)
-        ]
-        peak = sum(c.gamma * math.sqrt(c.K / c.H) for c in commodities)
-        return Instance(tuple(commodities), capacity_V=0.3 * peak)
-    commodities = [
-        Commodity(
-            i,
-            float(10.0 ** rng.uniform(-spread, spread)),
-            float(10.0 ** rng.uniform(-spread, spread)),
-            float(10.0 ** rng.uniform(-1, 1)),
-        )
-        for i in range(n)
-    ]
+        rows = np.exp(rng.uniform(-1e-3, 1e-3, size=(n, 3))).tolist()
+        factor = 0.3
+    else:
+        draws = rng.uniform([-spread, -spread, -1.0], [spread, spread, 1.0], size=(n, 3)).tolist()
+        # Python's float power, which np.power does not match on every value
+        rows = [[10.0**x for x in row] for row in draws]
+        factor = {"loose": 2.0, "tight": 0.3}[capacity_regime]
+    commodities = tuple(Commodity(i, K, H, gamma) for i, (K, H, gamma) in enumerate(rows))
     peak = sum(c.gamma * math.sqrt(c.K / c.H) for c in commodities)
-    factor = {"loose": 2.0, "tight": 0.3}[capacity_regime]
-    return Instance(tuple(commodities), capacity_V=factor * peak)
+    return Instance(commodities, capacity_V=factor * peak)
 
 
 def _write(payload: bytes | str, out: str | None) -> None:

@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .model import CyclicPolicy, Instance, SosiPolicy
 
 # Peak space may exceed capacity by this relative float-safety margin and the
@@ -126,6 +128,11 @@ def evaluate(policy: CyclicPolicy, instance: Instance) -> EvalReport:
     )
 
 
+def _running_sum(terms: np.ndarray) -> float:
+    """The left-to-right float sum of `terms`, as a `+=` loop forms it."""
+    return float(np.add.accumulate(terms)[-1])
+
+
 def evaluate_sosi(policy: SosiPolicy, instance: Instance) -> EvalReport:
     """Closed-form report for a stationary policy.
 
@@ -133,22 +140,25 @@ def evaluate_sosi(policy: SosiPolicy, instance: Instance) -> EvalReport:
     (every sawtooth peaks at t=0 simultaneously) and a supremum bound
     otherwise, which is the conservative direction for feasibility. An
     interval for an id the instance lacks raises KeyError.
+
+    The terms are formed on the policy's interval column and the instance's
+    parameter columns, and each rate is their left-to-right sum in the key
+    order of `intervals_T` (a running `np.add.accumulate`, never a pairwise
+    `np.sum`), so the report depends on that order exactly as a scalar loop
+    over the intervals would.
     """
-    ordering = 0.0
-    holding = 0.0
-    v_max = 0.0
-    avg_inventory = {}
-    for cid, T in policy.intervals_T.items():
-        c = instance.commodity(cid)
-        ordering += c.K / T
-        holding += c.H * T
-        v_max += c.gamma * T
-        avg_inventory[cid] = T / 2.0
+    pos = instance.positions(policy.intervals_T)
+    cols = instance.columns
+    T = policy.column
+    with np.errstate(over="ignore"):
+        ordering = _running_sum(cols.K[pos] / T)
+        holding = _running_sum(cols.H[pos] * T)
+        v_max = _running_sum(cols.gamma[pos] * T)
     return EvalReport(
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,
         v_max=v_max,
-        avg_inventory=avg_inventory,
+        avg_inventory=dict(zip(policy.intervals_T, (T / 2.0).tolist())),
         feasible_at=instance.V,
     )
 

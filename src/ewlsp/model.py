@@ -13,7 +13,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import IncommensurateIntervals, SchemaError
 
@@ -42,6 +45,23 @@ class Commodity:
         for name, value in (("K", self.K), ("H", self.H), ("gamma", self.gamma)):
             if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
                 raise ValueError(f"commodity {self.id}: {name} must be finite and > 0, got {value!r}")
+
+
+def _read_only(values) -> np.ndarray:
+    column = np.array(values, dtype=float)
+    column.flags.writeable = False
+    return column
+
+
+@dataclass(frozen=True, eq=False)
+class Columns:
+    """An instance's ids and per-commodity parameters, in instance order.
+    The arrays are float64 and read-only."""
+
+    ids: tuple[int, ...]
+    K: np.ndarray
+    H: np.ndarray
+    gamma: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -83,11 +103,47 @@ class Instance:
         except KeyError:
             raise KeyError(f"no commodity with id {cid}") from None
 
+    def positions(self, cids: Iterable[int]) -> np.ndarray:
+        """Indices into `commodities` of `cids`, in the order given; the first
+        id the instance lacks raises the KeyError of `position`. Ids in
+        instance order are recognized without a lookup per id."""
+        cids = tuple(cids)
+        if cids == self.columns.ids:
+            return np.arange(len(cids))
+        try:
+            return np.fromiter(map(self._position.__getitem__, cids), dtype=np.intp, count=len(cids))
+        except KeyError as exc:
+            raise KeyError(f"no commodity with id {exc.args[0]}") from None
+
+    @cached_property
+    def columns(self) -> Columns:
+        cs = self.commodities
+        return Columns(
+            ids=tuple(c.id for c in cs),
+            K=_read_only([c.K for c in cs]),
+            H=_read_only([c.H for c in cs]),
+            gamma=_read_only([c.gamma for c in cs]),
+        )
+
     def commodity(self, cid: int) -> Commodity:
         return self.commodities[self.position(cid)]
 
     def ids(self) -> list[int]:
         return [c.id for c in self.commodities]
+
+
+def _positive_column(values: list) -> np.ndarray | None:
+    """`values` as a float64 array when each is a finite number > 0 of a
+    type numpy stores natively (bool, int, float); None otherwise."""
+    try:
+        column = np.array(values)
+    except (TypeError, ValueError, OverflowError):  # e.g. ragged sequences among the values
+        return None
+    if column.shape != (len(values),) or column.dtype.kind not in "biuf":
+        return None
+    if not (np.isfinite(column) & (column > 0)).all():
+        return None
+    return column.astype(float, copy=False)
 
 
 @dataclass(frozen=True)
@@ -96,15 +152,25 @@ class SosiPolicy:
 
     intervals_T: Mapping[int, float]
     phases: Mapping[int, float] = field(default_factory=dict)
+    # the intervals in key order as a read-only float64 array
+    column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "intervals_T", dict(self.intervals_T))
         object.__setattr__(self, "phases", dict(self.phases))
         if not self.intervals_T:
             raise ValueError("SOSI policy needs at least one commodity")
-        for cid, T in self.intervals_T.items():
-            if not (math.isfinite(T) and T > 0):
-                raise ValueError(f"interval for commodity {cid} must be > 0, got {T!r}")
+        values = list(self.intervals_T.values())
+        column = _positive_column(values)
+        if column is None:
+            # the scalar check names the first offending id in key order; it
+            # passes exact numbers that numpy keeps as objects (Fraction, big int)
+            for cid, T in self.intervals_T.items():
+                if not (math.isfinite(T) and T > 0):
+                    raise ValueError(f"interval for commodity {cid} must be > 0, got {T!r}")
+            column = np.array([float(T) for T in values])
+        column.flags.writeable = False
+        object.__setattr__(self, "column", column)
         for cid, phi in self.phases.items():
             if cid not in self.intervals_T:
                 raise ValueError(f"phase given for unknown commodity {cid}")

@@ -46,7 +46,7 @@ from .matching import (
 from .model import CyclicPolicy, Instance, SosiPolicy, policy_to_json
 from .po2 import PO2_MEAN_CONSTANT, po2_round
 from .relaxation import solve_sosi_relaxation
-from .two_approx import solve_two_approx
+from .two_approx import halved_relaxation, solve_two_approx
 
 ALPHA_FALLBACK = 0.875 * PO2_MEAN_CONSTANT  # (7/8) / (sqrt(2) ln 2)
 DELTA = 17.0 / 10000.0  # the published delta: a 2 - 17/5000 guarantee
@@ -187,14 +187,28 @@ def build_reference_policy(instance: Instance) -> SosiPolicy:
     (base = the smallest interval), which preserves feasibility, costs at
     most another factor 2, and guarantees an exact joint cycle. All phases
     are zero, so evaluate_sosi reports it exactly.
+
+    k = floor(log2(T/base) + 1e-12) is taken with np.log2, except where
+    log2(T/base) lies within 1e-9 of an integer or is not finite: there the
+    floor could depend on the last bit, which np.log2 and math.log2 do not
+    always agree on, so math.log2 decides (and raises as it would).
     """
-    policy, _, _ = solve_two_approx(instance)
-    base = min(policy.intervals_T.values())
-    snapped = {
-        cid: base * 2.0 ** math.floor(math.log2(T / base) + 1e-12)
-        for cid, T in policy.intervals_T.items()
-    }
-    return SosiPolicy(intervals_T=snapped)
+    T, _ = halved_relaxation(instance)
+    base = float(T.min())
+    with np.errstate(over="ignore"):
+        ratio = T / base
+    x = np.log2(ratio)
+    k = np.floor(x + 1e-12)
+    for j in _near_integer(x).tolist():
+        k[j] = math.floor(math.log2(ratio[j]) + 1e-12)
+    snapped = np.ldexp(base, k.astype(int))
+    return SosiPolicy(intervals_T=dict(zip(instance.columns.ids, snapped.tolist())))
+
+
+def _near_integer(x: np.ndarray) -> np.ndarray:
+    """Indices where x is within 1e-9 of an integer or not finite."""
+    with np.errstate(invalid="ignore"):
+        return np.flatnonzero(~(np.abs(x - np.rint(x)) > 1e-9))
 
 
 @dataclass(frozen=True)
@@ -230,27 +244,55 @@ def decompose_classes(
     Delta exceeds the L+1 classes for every runnable n (490 against 219 at
     eps = 0.05, n = 2000), so every sparse class is prefix-sparse and the
     suffix is reached only through forced labels.
+
+    The slabs are found with array operations over the instance's gamma
+    column: floor(log(V/s)/log1p(eps)) is taken with np.log except where the
+    quotient lies within 1e-9 of an integer or is not finite, where math.log
+    decides (and raises as it would), since np.log and math.log do not always
+    agree on the last bit. Classes are keyed in order of first occurrence in
+    the instance and list their ids in instance order; a class's average
+    space is the math.fsum of its members'.
     """
     eps = cfg.eps
     V = instance.V
     n = instance.n
     L = math.ceil(math.log(n / eps) / math.log1p(eps))
+    cols = instance.columns
+    ids = cols.ids
 
-    avg_space: dict[int, float] = {}
-    classes: dict[Hashable, list[int]] = {}
-    for c in instance.commodities:
-        s = c.gamma * ref_report.avg_inventory[c.id]
-        avg_space[c.id] = s
-        if s <= V / (1.0 + eps) ** L:
-            ell: Hashable = INF_CLASS
-        else:
-            ell = min(L, math.floor(math.log(V / s) / math.log1p(eps)) + 1)
-            ell = max(1, ell)
-        classes.setdefault(ell, []).append(c.id)
+    avg = ref_report.avg_inventory
+    # a reference built from the instance lists its ids in instance order
+    avg_in_order = avg.values() if tuple(avg) == ids else map(avg.__getitem__, ids)
+    s = cols.gamma * np.fromiter(avg_in_order, dtype=float, count=n)
+    tail = s <= V / (1.0 + eps) ** L
+    log_step = math.log1p(eps)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = np.log(V / s) / log_step
+    fl = np.floor(q)
+    for k in np.flatnonzero(~tail)[_near_integer(q[~tail])].tolist():
+        fl[k] = math.floor(math.log(V / s[k]) / log_step)
+    # the tail class gets code L + 1, past every slab index
+    code = np.where(tail, L + 1, np.clip(fl + 1, 1, L)).astype(int)
+
+    members = np.argsort(code, kind="stable")  # by class, instance order within
+    sizes = np.bincount(code)
+    present = np.flatnonzero(sizes)
+    ends = np.cumsum(sizes[present])
+    starts = ends - sizes[present]
+    first = members[starts]  # each class's first commodity in instance order
+    member_ids = [ids[k] for k in members.tolist()]
+    member_space = s[members].tolist()
+    classes: dict[Hashable, tuple[int, ...]] = {}
+    per_class: dict[Hashable, float] = {}
+    bounds = list(zip(present.tolist(), starts.tolist(), ends.tolist()))
+    for j in np.argsort(first).tolist():
+        c, start, end = bounds[j]
+        ell: Hashable = INF_CLASS if c == L + 1 else c
+        classes[ell] = tuple(member_ids[start:end])
+        per_class[ell] = math.fsum(member_space[start:end])
+    avg_space = dict(zip(ids, s.tolist()))
 
     threshold = cfg.sparsity_threshold
-    per_class = {ell: math.fsum(avg_space[i] for i in ids) for ell, ids in classes.items()}
-
     sparse = [ell for ell in sorted(classes) if len(classes[ell]) <= threshold]
     dense = [ell for ell in classes if len(classes[ell]) > threshold]
     delta_count = math.ceil(
@@ -264,7 +306,7 @@ def decompose_classes(
     vbar_sparse = math.fsum(per_class[ell] for ell in classes if labels[ell] != "dense")
     vbar_dense = math.fsum(per_class[ell] for ell in classes if labels[ell] == "dense")
     return ClassDecomposition(
-        classes={ell: tuple(ids) for ell, ids in classes.items()},
+        classes=classes,
         avg_space=avg_space,
         avg_space_per_class=per_class,
         labels=labels,
@@ -515,7 +557,7 @@ def _dispatch(
                 blocks.append(Block(ids=tuple(prefix_ids), sosi=policy, provenance="prefix:two-approx"))
         rest_ids = decomp.ids_with_label("suffix-sparse") + decomp.ids_with_label("dense")
         if rest_ids:
-            sol = solve_sosi_relaxation(sub_instance(instance, rest_ids), rhs=2.0 * (decomp.vbar_dense + eps * V))
+            sol = solve_sosi_relaxation(instance, rhs=2.0 * (decomp.vbar_dense + eps * V), ids=rest_ids)
             blocks.append(_stationary(rest_ids, sol.intervals_T, "suffix+dense:relaxation"))
         return "easy", blocks, None
     if decomp.vbar_dense < (0.5 - 2.0 * DELTA) * V:
@@ -524,7 +566,7 @@ def _dispatch(
     blocks = []
     if prefix_ids:
         vbar_prefix = math.fsum(decomp.avg_space[i] for i in prefix_ids)
-        sol = solve_sosi_relaxation(sub_instance(instance, prefix_ids), rhs=2.0 * (vbar_prefix + eps * V))
+        sol = solve_sosi_relaxation(instance, rhs=2.0 * (vbar_prefix + eps * V), ids=prefix_ids)
         blocks.append(_stationary(prefix_ids, sol.intervals_T, "prefix:relaxation"))
     dense_blocks, dense = run_dense_branch(instance, cfg, decomp, seed)
     return "difficult", blocks + dense_blocks, dense

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -33,21 +33,34 @@ class RelaxationSolution:
     budget_cap: float
 
 
-def _arrays(instance: Instance) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-    ids = instance.ids()
-    K = np.array([c.K for c in instance.commodities])
-    H = np.array([c.H for c in instance.commodities])
-    g = np.array([c.gamma for c in instance.commodities])
-    return K, H, g, ids
+def _arrays(instance: Instance, ids: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int]]:
+    """K, H, gamma and the ids of the relaxed commodities, in instance order."""
+    cols = instance.columns
+    if ids is None:
+        return cols.K, cols.H, cols.gamma, cols.ids
+    pos = np.unique(instance.positions(ids))
+    if not pos.size:
+        raise ValueError("the relaxation needs at least one commodity")
+    return cols.K[pos], cols.H[pos], cols.gamma[pos], [cols.ids[k] for k in pos.tolist()]
 
 
-def solve_sosi_relaxation(instance: Instance, rhs: float | None = None) -> RelaxationSolution:
-    """Exact KKT solution; rhs defaults to twice the warehouse capacity."""
+def solve_sosi_relaxation(
+    instance: Instance, rhs: float | None = None, ids: Sequence[int] | None = None
+) -> RelaxationSolution:
+    """Exact KKT solution over the commodities `ids` (all by default, an id
+    the instance lacks raises KeyError); rhs defaults to twice the warehouse
+    capacity.
+
+    The budget map and the intervals are array expressions over the
+    instance's parameter columns, taken in instance order whatever the order
+    of `ids`: the dot products and the objective's `np.sum` are sums over that
+    order, and `intervals_T` is keyed in it.
+    """
     if rhs is None:
         rhs = 2.0 * instance.V
     if rhs <= 0:
         raise ValueError("budget must be > 0")
-    K, H, g, ids = _arrays(instance)
+    K, H, g, ids = _arrays(instance, ids)
 
     def budget(lam: float) -> float:
         return float(g @ np.sqrt(K / (H + lam * g)))

@@ -9,9 +9,19 @@ dynamic policy.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .evaluator import EvalReport, evaluate_sosi
 from .model import Instance, SosiPolicy
 from .relaxation import solve_sosi_relaxation
+
+
+def halved_relaxation(instance: Instance) -> tuple[np.ndarray, float]:
+    """The budget-2V relaxation's intervals halved, as an array in instance
+    order, and the relaxation's objective."""
+    relaxed = solve_sosi_relaxation(instance, rhs=2.0 * instance.V)
+    T = np.fromiter(relaxed.intervals_T.values(), dtype=float, count=instance.n)
+    return T / 2.0, relaxed.objective
 
 
 def solve_two_approx(instance: Instance) -> tuple[SosiPolicy, EvalReport, float]:
@@ -19,8 +29,7 @@ def solve_two_approx(instance: Instance) -> tuple[SosiPolicy, EvalReport, float]
 
     All phases are zero, so the reported peak sum(gamma_i*T_i) is exact.
     """
-    relaxed = solve_sosi_relaxation(instance, rhs=2.0 * instance.V)
-    halved = {cid: T / 2.0 for cid, T in relaxed.intervals_T.items()}
-    policy = SosiPolicy(intervals_T=halved)
+    halved, lower_bound = halved_relaxation(instance)
+    policy = SosiPolicy(intervals_T=dict(zip(instance.columns.ids, halved.tolist())))
     report = evaluate_sosi(policy, instance)
-    return policy, report, relaxed.objective
+    return policy, report, lower_bound
