@@ -8,8 +8,9 @@ peak is located exactly at order instants; no sampling is involved anywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -51,38 +52,32 @@ class EvalReport:
         }
 
 
-def _steady_state_baseline(orders: tuple[tuple[float, float], ...]) -> float:
-    """Smallest inventory shift c0 >= 0 keeping the periodic trajectory nonnegative.
-
-    With I(t) = c0 + (orders placed up to t) - t, the within-cycle minima sit
-    just before order instants, so c0 = max(0, max_k(t_k - sum of earlier q)).
-    Zero-inventory-ordering schedules get c0 = 0.
-    """
-    c0 = 0.0
-    cum = 0.0
-    for t, q in orders:
-        c0 = max(c0, t - cum)
-        cum += q
-    return c0
-
-
 def _commodity_stats(orders: tuple[tuple[float, float], ...], tau: float) -> tuple[float, float]:
-    """(average inventory, c0): the exact mean level over one period and the
-    baseline shift of `_steady_state_baseline`.
+    """(average inventory, c0) of one commodity's periodic orders.
 
-    Integrates the sawtooth exactly over one period using the wraparound
-    segment decomposition [t_k, t_{k+1}) with t_m = t_0 + tau.
+    c0 is the smallest inventory shift >= 0 keeping the trajectory
+    I(t) = c0 + (orders placed up to t) - t nonnegative. Its within-cycle
+    minima sit just before order instants, so c0 = max(0, max_k(t_k - sum of
+    earlier q)); zero-inventory-ordering schedules get c0 = 0. The average is
+    the exact integral of the sawtooth over one period, on the wraparound
+    segments [t_k, t_{k+1}) with t_m = t_0 + tau, divided by tau.
     """
-    c0 = _steady_state_baseline(orders)
-    m = len(orders)
-    total = 0.0
-    cum = 0.0
-    for k, (t, q) in enumerate(orders):
+    c0 = cum = 0.0
+    for t, q in orders:
+        x = t - cum
+        if x > c0:  # max(c0, x), with its tie and NaN rules
+            c0 = x
         cum += q
-        level = c0 + cum - t
-        t_next = orders[k + 1][0] if k + 1 < m else orders[0][0] + tau
+    total = cum = 0.0
+    t, q = orders[0]
+    for t_next, q_next in orders[1:]:
+        cum += q
         d = t_next - t
-        total += level * d - 0.5 * d * d
+        total += (c0 + cum - t) * d - 0.5 * d * d
+        t, q = t_next, q_next
+    cum += q
+    d = orders[0][0] + tau - t
+    total += (c0 + cum - t) * d - 0.5 * d * d
     return total / tau, c0
 
 
@@ -92,32 +87,35 @@ def evaluate(policy: CyclicPolicy, instance: Instance) -> EvalReport:
     A schedule for an id the instance lacks raises KeyError.
     """
     tau = policy.tau
-    ordering = 0.0
-    holding = 0.0
+    schedules = policy.schedules
+    commodities = instance.commodities
+    stats = _commodity_stats
+    ordering = holding = w0 = gamma_total = 0.0
     avg_inventory: dict[int, float] = {}
     # W(t) = sum_i gamma_i * (c0_i + orders_i(t)); occupied space is W(t) - Gamma*t,
     # so the exact peak is max over order instants (just after the jump).
     events: dict[float, float] = {}
-    w0 = 0.0
-    gamma_total = 0.0
+    get = events.get
     # instance order, so the float sums do not depend on the policy's key order
-    for k in sorted(instance.position(cid) for cid in policy.schedules):
-        c = instance.commodities[k]
-        orders = policy.schedules[c.id]
-        avg_i, c0 = _commodity_stats(orders, tau)
+    for k in sorted(map(instance.position, schedules)):
+        c = commodities[k]
+        orders = schedules[c.id]
+        avg_i, c0 = stats(orders, tau)
         avg_inventory[c.id] = avg_i
         ordering += c.K * len(orders) / tau
         holding += 2.0 * c.H * avg_i
-        w0 += c.gamma * c0
-        gamma_total += c.gamma
+        gamma = c.gamma
+        w0 += gamma * c0
+        gamma_total += gamma
         for t, q in orders:
-            events[t] = events.get(t, 0.0) + c.gamma * q
+            events[t] = get(t, 0.0) + gamma * q
 
-    v_max = w0  # value at t=0 when no order is placed there
-    w = w0
+    v_max = w = w0  # value at t=0 when no order is placed there
     for t in sorted(events):
         w += events[t]
-        v_max = max(v_max, w - gamma_total * t)
+        x = w - gamma_total * t
+        if x > v_max:  # max(v_max, x), with its tie and NaN rules
+            v_max = x
 
     return EvalReport(
         ordering_cost_rate=ordering,
@@ -126,6 +124,77 @@ def evaluate(policy: CyclicPolicy, instance: Instance) -> EvalReport:
         avg_inventory=avg_inventory,
         feasible_at=instance.V,
     )
+
+
+def evaluate_couples(
+    templates: Sequence[CyclicPolicy], which: Sequence[int], ids: Sequence[int], instance: Instance
+) -> list[EvalReport]:
+    """evaluate() of every couple of a batch, in one array pass.
+
+    Couple j runs the two-commodity schedule templates[which[j]], whose first
+    schedule goes to ids[2j] and second to ids[2j+1]. Each template's sawtooth
+    statistics are taken once with `_commodity_stats`; the cost rates, the
+    baseline and the event-ordered peak scan are formed over the instance's
+    parameter columns, one couple per row, with evaluate's own arithmetic.
+    That is bit-identical to evaluate, because each of its per-couple sums has
+    two terms and a two-term float sum does not depend on the order evaluate
+    visits the pair in; an instant where only one schedule orders adds the
+    other's gamma * 0.0, which leaves the sum as it is. The peak scan keeps
+    max's tie and NaN rules, and avg_inventory lists the pair in instance
+    order. An id the instance lacks raises evaluate's KeyError, the first in
+    `ids` order.
+    """
+    if not ids:
+        return []
+    pos = instance.positions(ids).reshape(-1, 2)
+    # one row per template: tau, the order counts, (avg, c0) of both
+    # schedules, then the order instants, A's and B's quantity at each. Rows
+    # are padded to a common width with instants at t = inf where neither
+    # orders: that leaves the running sum as it is and offers no larger peak.
+    parts = []
+    for policy in templates:
+        a, b = policy.schedules.values()
+        qa, qb = dict(a), dict(b)
+        times = sorted(qa.keys() | qb.keys())
+        head = [policy.tau, len(a), len(b), *_commodity_stats(a, policy.tau), *_commodity_stats(b, policy.tau)]
+        parts.append((head, times, [qa.get(t, 0.0) for t in times], [qb.get(t, 0.0) for t in times]))
+    width = max(len(times) for _, times, _, _ in parts)
+    rows = []
+    for head, times, qa, qb in parts:
+        pad = [0.0] * (width - len(times))
+        rows.append(head + times + [math.inf] * len(pad) + qa + pad + qb + pad)
+    table = np.array(rows)[np.asarray(which, dtype=np.intp)]
+    tau, m_a, m_b, avg_a, c0_a, avg_b, c0_b = table[:, :7].T
+    t_at, qa_at, qb_at = table[:, 7:].reshape(len(table), 3, width).transpose(1, 0, 2)
+
+    cols = instance.columns
+    K, H, gamma = cols.K[pos].T, cols.H[pos].T, cols.gamma[pos].T
+    with np.errstate(over="ignore", invalid="ignore"):
+        ordering = K[0] * m_a / tau + K[1] * m_b / tau
+        holding = 2.0 * H[0] * avg_a + 2.0 * H[1] * avg_b
+        gamma_total = gamma[0] + gamma[1]
+        v_max = w = gamma[0] * c0_a + gamma[1] * c0_b
+        for j in range(width):
+            w = w + (gamma[0] * qa_at[:, j] + gamma[1] * qb_at[:, j])
+            x = w - gamma_total * t_at[:, j]
+            v_max = np.where(x > v_max, x, v_max)  # max(v_max, x), with its tie and NaN rules
+
+    V = instance.V
+    reports = []
+    couples = zip(
+        ids[0::2],
+        ids[1::2],
+        (pos[:, 0] < pos[:, 1]).tolist(),
+        ordering.tolist(),
+        holding.tolist(),
+        v_max.tolist(),
+        avg_a.tolist(),
+        avg_b.tolist(),
+    )
+    for a, b, a_first, o, h, v, avg_a_j, avg_b_j in couples:
+        avg_inventory = {a: avg_a_j, b: avg_b_j} if a_first else {b: avg_b_j, a: avg_a_j}
+        reports.append(EvalReport(o, h, v, avg_inventory, V))
+    return reports
 
 
 def _running_sum(terms: np.ndarray) -> float:

@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
-from .eoq import constrained_interval
+import numpy as np
+
 from .errors import InfeasibleMatching
-from .model import Commodity
 
 INF_CLASS: float = math.inf  # label of the below-resolution tail class
 
@@ -69,11 +69,25 @@ def class_interval_cap(ell: Hashable, eps: float, V: float, n: int) -> float:
     return 2.0 * V / (1.0 + eps) ** (level - 1)
 
 
-def edge_weight(commodity: Commodity, ell: Hashable, eps: float, V: float, n: int) -> tuple[float, float]:
-    """(capped interval, its stationary cost) for assigning commodity to ell."""
-    cap = class_interval_cap(ell, eps, V, n) / commodity.gamma
-    sol = constrained_interval(commodity.K, commodity.H, cap)
-    return sol.interval_T, sol.cost_rate
+def edge_weight(
+    K: np.ndarray, H: np.ndarray, gamma: np.ndarray, ell: Hashable, eps: float, V: float, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(capped interval, its stationary cost) for assigning the commodities
+    with parameter columns K, H and gamma to ell: the EOQ interval
+    sqrt(K/H), clipped to the slab cap / gamma, at cost K/T + H*T.
+
+    np.sqrt and the array divisions and products round as math's scalar ones
+    do, so every entry equals eoq.constrained_interval's. A cap / gamma that
+    is not finite and > 0 raises that function's ValueError.
+    """
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        cap = class_interval_cap(ell, eps, V, n) / np.asarray(gamma, dtype=float)
+        bad = ~(np.isfinite(cap) & (cap > 0))
+        if bad.any():
+            raise ValueError(f"T_max must be finite and > 0, got {cap[bad].flat[0].item()!r}")
+        T_star = np.sqrt(K / H)
+        T = np.where(cap < T_star, cap, T_star)
+        return T, K / T + H * T
 
 
 def solve_b_matching(mi: MatchingInstance) -> MimickingPartition:

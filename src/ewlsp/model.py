@@ -479,11 +479,15 @@ def _rejected_part(root: str, tau: float, schedules: dict[int, tuple]) -> str:
 
 def policy_to_json(policy: CyclicPolicy) -> dict:
     """The canonical `{"tau", "schedules"}` object, schedules in ascending id order."""
+    return cyclic_json(policy.tau, policy.schedules)
+
+
+def cyclic_json(tau: float, schedules: Mapping[int, Sequence[tuple[float, float]]]) -> dict:
+    """policy_to_json of the cyclic policy with this cycle and these
+    schedules, which are taken to be valid."""
     return {
-        "tau": policy.tau,
-        "schedules": {
-            str(cid): [[t, q] for t, q in orders] for cid, orders in sorted(policy.schedules.items())
-        },
+        "tau": tau,
+        "schedules": {str(cid): [[t, q] for t, q in orders] for cid, orders in sorted(schedules.items())},
     }
 
 

@@ -16,7 +16,11 @@ The output is a union of cyclic blocks over disjoint commodity subsets.
 Blocks produced by different random draws are mutually incommensurable in
 general, so the union's peak is certified by the sum of exact per-block
 peaks, which is precisely the accounting the analysis itself uses and is
-conservative for feasibility.
+conservative for feasibility. The paired schedules of one heavy subgroup
+form one couple block: its near pairs that agree on (k, T_A) share a single
+synthesized schedule, and the block reports all its couples in one array
+pass over the instance's columns. Each couple still counts as a block of its
+own, in the report's sums and in the wire format.
 
 The three scenarios (high sparse volume, low dense volume, difficult) live in
 _dispatch, which alone reads their volume thresholds and only returns blocks;
@@ -27,6 +31,7 @@ union is both the feasibility check and the certificate it returns.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Hashable, Mapping, Sequence
@@ -34,16 +39,16 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from . import ptas
-from .couples import CoupleInput, classify_pairs, synthesize_couple
+from .couples import CoupleInput, CoupleSchedule, classify_pairs, synthesize_couple
 from .errors import BudgetExceeded, InfeasiblePolicy, StateSpaceExceeded
-from .evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
+from .evaluator import EvalReport, combine_reports, evaluate, evaluate_couples, evaluate_sosi
 from .matching import (
     INF_CLASS,
     MatchingInstance,
     edge_weight,
     solve_b_matching,
 )
-from .model import CyclicPolicy, Instance, SosiPolicy, policy_to_json
+from .model import CyclicPolicy, Instance, SosiPolicy, cyclic_json, policy_to_json
 from .po2 import PO2_MEAN_CONSTANT, po2_round
 from .relaxation import solve_sosi_relaxation
 from .two_approx import halved_relaxation, solve_two_approx
@@ -103,6 +108,22 @@ class Block:
             return evaluate_sosi(self.sosi, instance)
         return evaluate(self.cyclic, instance)
 
+    def reports(self, instance: Instance) -> tuple[EvalReport, ...]:
+        """The parts whose reports AssembledPolicy.report adds: the block itself."""
+        return (self.report(instance),)
+
+    def entries(self) -> list[dict]:
+        """The block's wire-format entries: cyclic-policy JSON plus the
+        provenance tag. A stationary block flattens into one single-commodity
+        sawtooth per commodity, in id order, so each entry re-parses as a
+        policy."""
+        if self.cyclic is not None:
+            return [{**policy_to_json(self.cyclic), "provenance": self.provenance}]
+        return [
+            {"tau": T, "schedules": {str(cid): [[self.sosi.phase(cid), T]]}, "provenance": self.provenance}
+            for cid, T in sorted(self.sosi.intervals_T.items())
+        ]
+
     def scaled(self, factor: float) -> "Block":
         if factor == 1.0:
             return self
@@ -116,6 +137,47 @@ class Block:
 
 
 @dataclass(frozen=True)
+class CoupleBlock:
+    """The couples of one heavy subgroup, in the order they are emitted.
+
+    Couple j pairs ids[2j], commodity A (the longer rounded interval), with
+    ids[2j+1], commodity B, and runs templates[which[j]], whose first schedule
+    is A's and second B's. Couples that agree on (k, T_A) share one template:
+    synthesize_couple builds and validates it once, for the first of them.
+    Reports, scaling and JSON are those of one synthesize_couple policy per
+    couple.
+    """
+
+    ids: tuple[int, ...]
+    which: tuple[int, ...]
+    templates: tuple[CoupleSchedule, ...]
+    provenance: str  # the class tag; couple j's entry is tagged f"{provenance}:couple-case{c}"
+
+    def reports(self, instance: Instance) -> list[EvalReport]:
+        """evaluate() of every couple's policy, in one array pass."""
+        return evaluate_couples([t.policy for t in self.templates], self.which, self.ids, instance)
+
+    def report(self, instance: Instance) -> EvalReport:
+        return combine_reports(self.reports(instance), instance)
+
+    def entries(self) -> list[dict]:
+        """One policy_to_json entry per couple, plus its provenance tag."""
+        out = []
+        for j, k in enumerate(self.which):
+            template = self.templates[k]
+            a, b = template.policy.schedules.values()
+            schedules = {self.ids[2 * j]: a, self.ids[2 * j + 1]: b}
+            provenance = f"{self.provenance}:couple-case{template.case_id}"
+            out.append({**cyclic_json(template.policy.tau, schedules), "provenance": provenance})
+        return out
+
+    def scaled(self, factor: float) -> "CoupleBlock":
+        if factor == 1.0:
+            return self
+        return replace(self, templates=tuple(replace(t, policy=t.policy.scaled(factor)) for t in self.templates))
+
+
+@dataclass(frozen=True)
 class AssembledPolicy:
     """Union of blocks over disjoint commodity subsets.
 
@@ -123,7 +185,7 @@ class AssembledPolicy:
     the true joint peak, hence a sound feasibility certificate.
     """
 
-    blocks: tuple[Block, ...]
+    blocks: tuple[Block | CoupleBlock, ...]
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -134,30 +196,17 @@ class AssembledPolicy:
             seen.update(b.ids)
 
     def report(self, instance: Instance) -> EvalReport:
-        return combine_reports((b.report(instance) for b in self.blocks), instance)
+        """The per-part reports added left to right: one per block, one per
+        couple of a couple block."""
+        return combine_reports(itertools.chain.from_iterable(b.reports(instance) for b in self.blocks), instance)
 
     def scaled(self, factor: float) -> "AssembledPolicy":
         return AssembledPolicy(tuple(b.scaled(factor) for b in self.blocks))
 
     def to_json(self) -> dict:
-        """Wire format: every block is ordinary cyclic-policy JSON plus a
-        provenance tag; stationary blocks flatten into one single-commodity
-        sawtooth per commodity so each entry re-parses as a policy."""
-        out = []
-        for b in self.blocks:
-            if b.sosi is not None:
-                for cid, T in sorted(b.sosi.intervals_T.items()):
-                    phase = b.sosi.phase(cid)
-                    out.append(
-                        {
-                            "tau": T,
-                            "schedules": {str(cid): [[phase, T]]},
-                            "provenance": b.provenance,
-                        }
-                    )
-            else:
-                out.append({**policy_to_json(b.cyclic), "provenance": b.provenance})
-        return {"blocks": out}
+        """Wire format: the blocks' entries in order, each ordinary
+        cyclic-policy JSON plus a provenance tag."""
+        return {"blocks": [entry for b in self.blocks for entry in b.entries()]}
 
 
 def _stationary(ids: Sequence[int], intervals_T: Mapping[int, float], provenance: str) -> Block:
@@ -333,13 +382,11 @@ def split_heavy_light(
     """Heavy commodities occupy more than 3/4 of the class slab on average;
     they are chopped into Q subgroups whose sizes differ by at most one."""
     slab = instance.V / (1.0 + eps) ** (ell - 1)
-    heavy, light = [], []
-    for i in sorted(ids):
-        c = instance.commodity(i)
-        if c.gamma * intervals[i] / 2.0 > 0.75 * slab:
-            heavy.append(i)
-        else:
-            light.append(i)
+    ids = sorted(ids)
+    T = np.fromiter(map(intervals.__getitem__, ids), dtype=float, count=len(ids))
+    is_heavy = (instance.columns.gamma[instance.positions(ids)] * T / 2.0 > 0.75 * slab).tolist()
+    heavy = [i for i, h in zip(ids, is_heavy) if h]
+    light = [i for i, h in zip(ids, is_heavy) if not h]
     Q = max(1, min(Q, len(heavy))) if heavy else 1
     base, extra = divmod(len(heavy), Q)
     subgroups, pos = [], 0
@@ -357,22 +404,25 @@ def split_heavy_light(
 
 def build_matching_instance(
     instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition
-) -> tuple[MatchingInstance, dict[tuple[int, Hashable], float]]:
-    """Mimicking-partition matching over suffix-sparse and dense classes."""
+) -> tuple[MatchingInstance, np.ndarray]:
+    """Mimicking-partition matching over suffix-sparse and dense classes, and
+    its edge intervals: row r, column l holds the capped interval of
+    commodity_side[r] in class_side[l]. The edge table is built one class
+    column at a time from the instance's parameter columns."""
     eps, V, n = cfg.eps, instance.V, instance.n
     suffix = [ell for ell, lab in decomp.labels.items() if lab == "suffix-sparse"]
     dense = [ell for ell, lab in decomp.labels.items() if lab == "dense"]
     class_side = sorted(suffix + dense)
     ids = [i for ell in class_side for i in decomp.classes[ell]]
 
-    weights: dict[tuple[int, Hashable], float] = {}
-    intervals: dict[tuple[int, Hashable], float] = {}
-    for i in ids:
-        c = instance.commodity(i)
-        for ell in class_side:
-            T, w = edge_weight(c, ell, eps, V, n)
-            weights[(i, ell)] = w
-            intervals[(i, ell)] = T
+    cols = instance.columns
+    pos = instance.positions(ids)
+    K, H, gamma = cols.K[pos], cols.H[pos], cols.gamma[pos]
+    intervals = np.empty((len(ids), len(class_side)))
+    weight = np.empty_like(intervals)
+    for l, ell in enumerate(class_side):
+        intervals[:, l], weight[:, l] = edge_weight(K, H, gamma, ell, eps, V, n)
+    weights = dict(zip(itertools.product(ids, class_side), weight.ravel().tolist()))
 
     bounds: dict[Hashable, tuple[int, int]] = {}
     for ell in class_side:
@@ -406,28 +456,34 @@ def run_dense_branch(
     cfg: PipelineConfig,
     decomp: ClassDecomposition,
     seed: int,
-) -> tuple[list[Block], dict]:
+) -> tuple[list[Block | CoupleBlock], dict]:
     """Suffix-sparse and dense classes: mimicking partition, then per dense
     class either the matched stationary policies (light majority), or
     power-of-2 rounding of every heavy subgroup followed by the concentration
-    event. A class where the event holds gets its couples, rounded singles and
-    light block; one where it fails falls back to the alpha-scaled stationary
-    policy and builds none of them. diag["couples"] counts the couples in the
-    returned blocks."""
+    event. A class where the event holds gets, per subgroup, one couple block
+    for its near pairs and a rounded-sosi block for its far pairs and
+    leftover, and then its light block; one where it fails falls back to the
+    alpha-scaled stationary policy and builds none of them. The couples of a
+    subgroup that agree on (k, T_A) share one synthesized schedule (see
+    _couple_block). diag["couples"] counts the couples in the returned
+    blocks."""
     eps = cfg.eps
+    gamma = instance.columns.gamma
     diag: dict = {"classes": {}, "couples": 0, "far_pair_counts": [], "a_ell": {}}
     mi, interval_table = build_matching_instance(instance, cfg, decomp)
     if not mi.commodity_side:
         return [], diag
     matched = solve_b_matching(mi)
-    t_hat = {i: interval_table[(i, matched.assignment[i])] for i in mi.commodity_side}
+    column = {ell: l for l, ell in enumerate(mi.class_side)}
+    where = [column[matched.assignment[i]] for i in mi.commodity_side]
+    t_hat = dict(zip(mi.commodity_side, interval_table[np.arange(len(where)), where].tolist()))
     diag["matched_weight"] = matched.total_weight
 
     members: dict[Hashable, list[int]] = {}
     for i, ell in matched.assignment.items():
         members.setdefault(ell, []).append(i)
 
-    blocks: list[Block] = []
+    blocks: list[Block | CoupleBlock] = []
     for ell in sorted(members):
         ids = sorted(members[ell])
         if decomp.labels[ell] == "suffix-sparse" or ell == INF_CLASS:
@@ -447,14 +503,14 @@ def run_dense_branch(
             theta = float(_theta_rng(seed, int(ell), q).uniform(-0.5, 0.5))
             rounded_T = po2_round({i: t_hat[i] for i in group}, theta).rounded_T
             rounded.update(rounded_T)
-            near, far, leftover = classify_pairs([(i, instance.commodity(i).gamma, rounded_T[i]) for i in group], eps)
+            entries = zip(group, gamma[instance.positions(group)].tolist(), map(rounded_T.__getitem__, group))
+            near, far, leftover = classify_pairs(list(entries), eps)
             diag["far_pair_counts"].append(len(far))
             pairings.append((near, far, leftover))
 
-        lhs = math.fsum(instance.commodity(i).gamma * rounded[i] for i in split.heavy)
-        rhs = (1.0 + eps) * PO2_MEAN_CONSTANT * math.fsum(
-            instance.commodity(i).gamma * t_hat[i] for i in split.heavy
-        )
+        heavy_gamma = gamma[instance.positions(split.heavy)]
+        lhs = math.fsum((heavy_gamma * [rounded[i] for i in split.heavy]).tolist())
+        rhs = (1.0 + eps) * PO2_MEAN_CONSTANT * math.fsum((heavy_gamma * [t_hat[i] for i in split.heavy]).tolist())
         event_holds = lhs <= rhs
         diag["a_ell"][str(ell)] = event_holds
         if not event_holds:
@@ -463,13 +519,9 @@ def run_dense_branch(
             continue
 
         for near, far, leftover in pairings:
-            for lead, trail in near:
-                a, b = (lead, trail) if lead[2] >= trail[2] else (trail, lead)
-                couple = synthesize_couple(
-                    CoupleInput(instance.commodity(a[0]), instance.commodity(b[0]), a[2], b[2], eps)
-                )
-                diag["couples"] += 1
-                blocks.append(Block(ids=(a[0], b[0]), cyclic=couple.policy, provenance=f"class{ell}:couple-case{couple.case_id}"))
+            if near:
+                blocks.append(_couple_block(near, instance, eps, f"class{ell}"))
+                diag["couples"] += len(near)
             # far pairs and the odd leftover keep their rounded intervals, in that order
             singles = {i: T for pair in far for i, _, T in pair}
             if leftover is not None:
@@ -480,6 +532,33 @@ def run_dense_branch(
             blocks.append(_stationary(split.light, {i: t_hat[i] for i in split.light}, f"class{ell}:light-sosi"))
         diag["classes"][str(ell)] = "po2-sync"
     return blocks, diag
+
+
+def _couple_block(
+    near: Sequence[tuple[tuple[int, float, float], tuple[int, float, float]]],
+    instance: Instance,
+    eps: float,
+    provenance: str,
+) -> CoupleBlock:
+    """The near pairs of one subgroup as one couple block. A pair's A is the
+    member with the longer rounded interval (the lead on a tie). Every pair
+    passes the CoupleInput checks; synthesize_couple runs once per distinct
+    (k, T_A), since the schedule depends on nothing else."""
+    oriented = [(lead, trail) if lead[2] >= trail[2] else (trail, lead) for lead, trail in near]
+    ids = tuple(e[0] for pair in oriented for e in pair)
+    commodities = instance.commodities
+    pos = instance.positions(ids).tolist()
+    templates: list[CoupleSchedule] = []
+    shared: dict[tuple[int, float], int] = {}
+    which = []
+    for j, (a, b) in enumerate(oriented):
+        inp = CoupleInput(commodities[pos[2 * j]], commodities[pos[2 * j + 1]], a[2], b[2], eps)
+        key = (inp.k, inp.T_A)
+        if key not in shared:
+            shared[key] = len(templates)
+            templates.append(synthesize_couple(inp))
+        which.append(shared[key])
+    return CoupleBlock(ids, tuple(which), tuple(templates), provenance)
 
 
 def _scale_to_capacity(assembled: AssembledPolicy, instance: Instance) -> tuple[AssembledPolicy, EvalReport, float]:

@@ -12,7 +12,7 @@ this package are measured against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,6 +31,8 @@ class RelaxationSolution:
     objective: float
     budget_used: float
     budget_cap: float
+    # the intervals in the key order of `intervals_T` (instance order), read-only
+    column: np.ndarray = field(repr=False, compare=False)
 
 
 def _arrays(instance: Instance, ids: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int]]:
@@ -84,6 +86,7 @@ def solve_sosi_relaxation(
 
         T = np.sqrt(K / (H + lam * g))
         used = float(g @ T)
+    T.flags.writeable = False
     if used > rhs * (1.0 + 1e-9):
         raise InfeasiblePolicy(
             f"no multiplier in float range meets the budget: the intervals use {used!r} of {rhs!r}"
@@ -94,6 +97,7 @@ def solve_sosi_relaxation(
         objective=float(np.sum(K / T + H * T)),
         budget_used=used,
         budget_cap=rhs,
+        column=T,
     )
 
 
@@ -160,10 +164,13 @@ def solve_sosi_dp(instance: Instance, eps: float, rhs: float | None = None) -> R
         T = {cid: t * shrink for cid, t in T.items()}
         used = math.fsum(c.gamma * T[c.id] for c in instance.commodities)
     objective = math.fsum(cost(c.K, c.H, T[c.id]) for c in instance.commodities)
+    column = np.array(list(T.values()))
+    column.flags.writeable = False
     return RelaxationSolution(
         intervals_T=T,
         multiplier_lambda=float("nan"),
         objective=objective,
         budget_used=used,
         budget_cap=rhs,
+        column=column,
     )

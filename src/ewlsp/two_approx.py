@@ -20,8 +20,7 @@ def halved_relaxation(instance: Instance) -> tuple[np.ndarray, float]:
     """The budget-2V relaxation's intervals halved, as an array in instance
     order, and the relaxation's objective."""
     relaxed = solve_sosi_relaxation(instance, rhs=2.0 * instance.V)
-    T = np.fromiter(relaxed.intervals_T.values(), dtype=float, count=instance.n)
-    return T / 2.0, relaxed.objective
+    return relaxed.column / 2.0, relaxed.objective
 
 
 def solve_two_approx(instance: Instance) -> tuple[SosiPolicy, EvalReport, float]:

@@ -8,13 +8,19 @@ from ewlsp.matching import (
     edge_weight,
     solve_b_matching,
 )
-from ewlsp.model import Commodity
+from ewlsp.model import Commodity, Instance
+
+
+def columns(c: Commodity):
+    """The K, H and gamma columns of a one-commodity instance."""
+    cols = Instance((c,), capacity_V=1.0).columns
+    return cols.K, cols.H, cols.gamma
 
 
 class TestEdgeWeight:
     def test_unconstrained(self):
         c = Commodity(0, 1.0, 1.0, 1.0)
-        T, w = edge_weight(c, 1, eps=0.3, V=1.0, n=4)
+        T, w = edge_weight(*columns(c), 1, eps=0.3, V=1.0, n=4)
         assert T == pytest.approx(1.0)
         assert w == pytest.approx(2.0)
 
@@ -23,13 +29,13 @@ class TestEdgeWeight:
         c = Commodity(0, 1.0, 1.0, 1.0)
         eps = 1.0
         ell = 4  # (1+eps)^3 = 8
-        T, w = edge_weight(c, ell, eps=eps, V=1.0, n=4)
+        T, w = edge_weight(*columns(c), ell, eps=eps, V=1.0, n=4)
         assert T == pytest.approx(0.25)
         assert w == pytest.approx(4.25)
 
     def test_tail_class(self):
         c = Commodity(0, 1.0, 1.0, 1.0)
-        T, w = edge_weight(c, INF_CLASS, eps=0.1, V=1.0, n=10)
+        T, w = edge_weight(*columns(c), INF_CLASS, eps=0.1, V=1.0, n=10)
         assert T == pytest.approx(0.02)
         assert w == pytest.approx(50.02)
 

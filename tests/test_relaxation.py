@@ -126,3 +126,22 @@ def test_lower_bounds_oracle_optimum(rng):
         relax = solve_sosi_relaxation(inst)
         _, oracle_cost = oracle_opt_cyclic(inst, tau=2.0, grid_points=8)
         assert relax.objective <= oracle_cost + 1e-6
+
+
+def test_solutions_carry_their_interval_column(rng):
+    # the column is the intervals in the dict's key order, read-only, and
+    # the halving reads it in place of a conversion of the dict
+    from ewlsp.two_approx import halved_relaxation
+
+    inst = random_instance(rng, 30)
+    for sol in (
+        solve_sosi_relaxation(inst),
+        solve_sosi_relaxation(inst, ids=[17, 3, 9]),
+        solve_sosi_dp(random_instance(rng, 4), 0.5),
+    ):
+        assert sol.column.tolist() == list(sol.intervals_T.values())
+        assert not sol.column.flags.writeable
+    halved, lower_bound = halved_relaxation(inst)
+    full = solve_sosi_relaxation(inst)
+    assert halved.tolist() == [T / 2.0 for T in full.intervals_T.values()]
+    assert lower_bound == full.objective
