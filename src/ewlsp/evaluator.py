@@ -1,9 +1,13 @@
-"""Exact evaluation of cyclic policies.
+"""Exact evaluation of cyclic policies and stationary blocks.
 
 Inventory trajectories are sawtooths: between orders each commodity's level
 falls at unit rate, so occupied space is piecewise linear with negative slope
 between jumps. Long-run averages are exact piecewise-linear integrals and the
 peak is located exactly at order instants; no sampling is involved anywhere.
+
+evaluate certifies a stationary block as the union of its commodities' own
+one-order cycles, with the sawtooth arithmetic it applies to any schedule;
+evaluate_sosi is the solvers' closed form, and the two share no code.
 """
 
 from __future__ import annotations
@@ -81,11 +85,16 @@ def _commodity_stats(orders: tuple[tuple[float, float], ...], tau: float) -> tup
     return total / tau, c0
 
 
-def evaluate(policy: CyclicPolicy, instance: Instance) -> EvalReport:
+def evaluate(policy: CyclicPolicy | SosiPolicy, instance: Instance) -> EvalReport:
     """Exact cost rates, average inventories, peak space, feasibility verdict.
 
-    A schedule for an id the instance lacks raises KeyError.
+    A SosiPolicy is certified as the union of the single-commodity policies
+    CyclicPolicy(T, {id: ((phase, T),)}), one per commodity; see
+    _evaluate_stationary. A schedule for an id the instance lacks raises
+    KeyError.
     """
+    if isinstance(policy, SosiPolicy):
+        return _evaluate_stationary(policy, instance)
     tau = policy.tau
     schedules = policy.schedules
     commodities = instance.commodities
@@ -122,6 +131,52 @@ def evaluate(policy: CyclicPolicy, instance: Instance) -> EvalReport:
         holding_cost_rate=holding,
         v_max=v_max,
         avg_inventory=avg_inventory,
+        feasible_at=instance.V,
+    )
+
+
+def _evaluate_stationary(policy: SosiPolicy, instance: Instance) -> EvalReport:
+    """evaluate() of a stationary block, in one array pass over the
+    instance's columns, in instance order.
+
+    Commodity i runs its own cycle T_i with one order (phi_i, T_i). Each
+    per-commodity term is formed with the arithmetic evaluate applies to that
+    one-order schedule: _commodity_stats's c0 = max(0, phi) and wraparound
+    segment of length (phi + T) - phi, the ordering rate K * 1 / T, the
+    holding rate 2H * avg, and the peak at the order instant,
+    max(gamma*c0, (gamma*c0 + gamma*T) - gamma*phi). So each average
+    inventory is bit-equal to that single-commodity evaluate. The block's
+    rates and peak are the left-to-right sums of those terms in instance
+    order; the peak is thus the summed per-commodity peaks, the certificate
+    of a union of blocks. An id the instance lacks raises evaluate's
+    KeyError.
+    """
+    pos = instance.positions(policy.intervals_T)
+    order = np.argsort(pos, kind="stable")
+    pos = pos[order]
+    T = policy.column[order]
+    if policy.phases:
+        phi = np.array([float(policy.phase(cid)) for cid in policy.intervals_T])[order]
+    else:
+        phi = np.zeros(len(T))
+    cols = instance.columns
+    K, H, gamma = cols.K[pos], cols.H[pos], cols.gamma[pos]
+    with np.errstate(over="ignore", invalid="ignore"):
+        c0 = np.where(phi > 0, phi, 0.0)
+        d = (phi + T) - phi
+        avg = (0.0 + (((c0 + T) - phi) * d - 0.5 * d * d)) / T
+        w0 = gamma * c0
+        x = (w0 + gamma * T) - gamma * phi
+        peak = np.where(x > w0, x, w0)  # max(w0, x), with its tie and NaN rules
+        ordering = _running_sum(K * 1 / T)
+        holding = _running_sum(2.0 * H * avg)
+        v_max = _running_sum(peak)
+    ids = cols.ids
+    return EvalReport(
+        ordering_cost_rate=ordering,
+        holding_cost_rate=holding,
+        v_max=v_max,
+        avg_inventory=dict(zip(map(ids.__getitem__, pos.tolist()), avg.tolist())),
         feasible_at=instance.V,
     )
 

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -173,12 +174,21 @@ class SosiPolicy:
         object.__setattr__(self, "column", column)
         for cid, phi in self.phases.items():
             if cid not in self.intervals_T:
-                raise ValueError(f"phase given for unknown commodity {cid}")
+                raise ValueError(f"phase given for commodity {cid}, which has no interval")
             if not (0 <= phi < self.intervals_T[cid]):
                 raise ValueError(f"phase for commodity {cid} must lie in [0, T), got {phi!r}")
 
     def phase(self, cid: int) -> float:
         return self.phases.get(cid, 0.0)
+
+    @cached_property
+    def schedules(self) -> Mapping[int, tuple[tuple[float, float], ...]]:
+        """id -> ((phase, T),), in the key order of `intervals_T`: the
+        one-order sawtooth each commodity runs on its own cycle T, as the
+        single-commodity CyclicPolicy(T, {id: ((phase, T),)}) holds it.
+        Read-only, built on first access."""
+        phase = self.phase
+        return MappingProxyType({cid: ((phase(cid), T),) for cid, T in self.intervals_T.items()})
 
     def validate_against(self, instance: Instance) -> None:
         missing = [cid for cid in self.intervals_T if cid not in instance]
@@ -395,17 +405,21 @@ def serialize_instance(instance: Instance) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
-def parse_policy(text: bytes | str) -> CyclicPolicy:
-    """Parse the canonical cyclic-policy JSON; SchemaError carries the field path."""
+def parse_policy(text: bytes | str) -> CyclicPolicy | SosiPolicy:
+    """Parse one policy entry: the canonical cyclic-policy JSON, or a
+    stationary block's `{"sosi": {...}}` (a SosiPolicy). SchemaError carries
+    the field path."""
     return _policy_from(_load_object(text), "$")
 
 
-def parse_policies(text: bytes | str, instance: Instance) -> list[CyclicPolicy]:
-    """Parse a cyclic policy, or the `{"blocks": [...]}` union of cyclic
-    policies over disjoint ids that the sub2 and two-approx solvers write,
-    into its parts. Keys other than `tau`, `schedules` and `blocks`
-    (`provenance`, `diagnostics`, `summary`) are ignored. A schedule for an
-    id the `instance` lacks is a SchemaError."""
+def parse_policies(text: bytes | str, instance: Instance) -> list[CyclicPolicy | SosiPolicy]:
+    """Parse one policy entry, or the `{"blocks": [...]}` union of entries
+    over disjoint ids that every solver writes, into its parts: a
+    CyclicPolicy per `{"tau", "schedules"}` entry and a SosiPolicy per
+    `{"sosi": {"intervals", "phases"}}` entry. Keys other than `tau`,
+    `schedules`, `sosi` and `blocks` (`provenance`, `diagnostics`,
+    `summary`) are ignored. An id the `instance` lacks, or one that two
+    entries both name, is a SchemaError at that id's path."""
     raw = _load_object(text)
     if "blocks" not in raw:
         parts = [("$", raw)]
@@ -419,17 +433,36 @@ def parse_policies(text: bytes | str, instance: Instance) -> list[CyclicPolicy]:
         if not isinstance(block, dict):
             raise SchemaError(f"{path}: expected an object")
         policy = _policy_from(block, path)
-        for cid in policy.schedules:
+        if isinstance(policy, SosiPolicy):
+            ids, field_path = policy.intervals_T, f"{path}.sosi.intervals"
+        else:
+            ids, field_path = policy.schedules, f"{path}.schedules"
+        for cid in ids:
             if cid not in instance:
-                raise SchemaError(f"{path}.schedules.{cid}: the instance has no commodity {cid}")
+                raise SchemaError(f"{field_path}.{cid}: the instance has no commodity {cid}")
             if cid in owner:
-                raise SchemaError(f"{path}.schedules.{cid}: commodity {cid} is also in {owner[cid]}")
+                raise SchemaError(f"{field_path}.{cid}: commodity {cid} is also in {owner[cid]}")
             owner[cid] = path
         policies.append(policy)
     return policies
 
 
-def _policy_from(raw: dict, root: str) -> CyclicPolicy:
+def _id_key(key: str, path: str) -> int:
+    """An object key that writes an integer id in canonical decimal form."""
+    try:
+        cid = int(key)
+    except ValueError:
+        cid = None
+    if cid is None or str(cid) != key:
+        raise SchemaError(f"{path}.{key}: key must be an integer id")
+    return cid
+
+
+def _policy_from(raw: dict, root: str) -> CyclicPolicy | SosiPolicy:
+    if "sosi" in raw:
+        if "tau" in raw or "schedules" in raw:
+            raise SchemaError(f"{root}: expected either a sosi entry or tau and schedules, not both")
+        return _sosi_from(raw["sosi"], f"{root}.sosi")
     # Field paths are built only on the way to a SchemaError: a float needs no check.
     tau = raw.get("tau")
     if type(tau) is not float:
@@ -438,12 +471,7 @@ def _policy_from(raw: dict, root: str) -> CyclicPolicy:
         raise SchemaError(f"{root}.schedules: expected an object")
     schedules = {}
     for key, orders in raw["schedules"].items():
-        try:
-            cid = int(key)
-        except ValueError:
-            cid = None
-        if cid is None or str(cid) != key:
-            raise SchemaError(f"{root}.schedules.{key}: key must be an integer id")
+        cid = _id_key(key, f"{root}.schedules")
         if not isinstance(orders, list):
             raise SchemaError(f"{root}.schedules.{key}: expected an array of [t, q] pairs")
         parsed = []
@@ -457,6 +485,42 @@ def _policy_from(raw: dict, root: str) -> CyclicPolicy:
         return CyclicPolicy(tau=tau, schedules=schedules)
     except ValueError as exc:
         raise SchemaError(f"{_rejected_part(root, tau, schedules)}: {exc}") from exc
+
+
+def _sosi_from(raw, root: str) -> SosiPolicy:
+    """The SosiPolicy of a `{"intervals": {"<id>": T}, "phases": {"<id>": phi}}`
+    object; `phases` may be left out, and every phase it omits is 0."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{root}: expected an object")
+    intervals = _id_numbers(raw.get("intervals"), f"{root}.intervals")
+    phases = _id_numbers(raw.get("phases", {}), f"{root}.phases")
+    try:
+        return SosiPolicy(intervals, phases)
+    except ValueError as exc:
+        raise SchemaError(f"{_rejected_sosi_part(root, intervals, phases)}: {exc}") from exc
+
+
+def _id_numbers(raw, path: str) -> dict[int, float]:
+    """A JSON object from integer ids to numbers, as {id: float}."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{path}: expected an object")
+    out = {}
+    for key, value in raw.items():
+        out[_id_key(key, path)] = value if type(value) is float else _number(value, f"{path}.{key}")
+    return out
+
+
+def _rejected_sosi_part(root: str, intervals: dict[int, float], phases: dict[int, float]) -> str:
+    """Path of the first entry that SosiPolicy rejects: an interval that is
+    not finite and > 0, then a phase outside [0, T) or without an interval;
+    with neither, the interval set is empty."""
+    for cid, T in intervals.items():
+        if not (math.isfinite(T) and T > 0):
+            return f"{root}.intervals.{cid}"
+    for cid, phi in phases.items():
+        if not (cid in intervals and 0 <= phi < intervals[cid]):
+            return f"{root}.phases.{cid}"
+    return f"{root}.intervals"
 
 
 def _pair(pair, path: str) -> tuple[float, float]:
@@ -488,6 +552,15 @@ def cyclic_json(tau: float, schedules: Mapping[int, Sequence[tuple[float, float]
     return {
         "tau": tau,
         "schedules": {str(cid): [[t, q] for t, q in orders] for cid, orders in sorted(schedules.items())},
+    }
+
+
+def sosi_to_json(policy: SosiPolicy) -> dict:
+    """The `{"intervals", "phases"}` object of a stationary block, both in
+    ascending id order; `phases` lists only the phases the policy holds."""
+    return {
+        "intervals": {str(cid): T for cid, T in sorted(policy.intervals_T.items())},
+        "phases": {str(cid): phi for cid, phi in sorted(policy.phases.items())},
     }
 
 

@@ -29,3 +29,21 @@ def random_instance(rng: np.random.Generator, n: int, spread: float = 1.0, regim
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def flatten(blocks):
+    """Wire-format block entries with each `{"sosi": ...}` entry expanded into
+    one single-commodity cyclic entry per commodity, in int-id order:
+    `{"tau": T, "schedules": {"<id>": [[phase, T]]}, "provenance": p}`, the
+    form stationary blocks were once written in, so digests pinned on it stay
+    checkable. Other entries pass through."""
+    out = []
+    for entry in blocks:
+        if "sosi" not in entry:
+            out.append(entry)
+            continue
+        intervals, phases = entry["sosi"]["intervals"], entry["sosi"].get("phases", {})
+        for key in sorted(intervals, key=int):
+            T = intervals[key]
+            out.append({"tau": T, "schedules": {key: [[phases.get(key, 0.0), T]]}, "provenance": entry["provenance"]})
+    return out

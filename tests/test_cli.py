@@ -8,8 +8,10 @@ import pytest
 import ewlsp.cli as cli
 from ewlsp.cli import generate_instance, main
 from ewlsp.errors import InfeasibleMatching, InfeasiblePolicy
-from ewlsp.model import Commodity, Instance, parse_instance, serialize_instance
+from ewlsp.model import Commodity, Instance, SosiPolicy, parse_instance, parse_policy, serialize_instance
 from ewlsp.relaxation import solve_sosi_relaxation
+
+from conftest import flatten
 
 
 class TestGen:
@@ -93,12 +95,15 @@ class TestSolveEval:
         payload = json.loads(sol_path.read_text())
         assert payload["summary"]["feasible"] is True
         assert "blocks" in payload
-        # every emitted block re-parses as ordinary cyclic-policy JSON
-        from ewlsp.model import parse_policy
-
+        # every emitted block re-parses on its own: a stationary one as a
+        # SosiPolicy, a cyclic one as ordinary cyclic-policy JSON
         for block in payload["blocks"]:
-            parsed = parse_policy(json.dumps({"tau": block["tau"], "schedules": block["schedules"]}))
-            assert parsed.tau == block["tau"]
+            parsed = parse_policy(json.dumps(block))
+            if "sosi" in block:
+                assert isinstance(parsed, SosiPolicy)
+                assert parsed.intervals_T == {int(k): T for k, T in block["sosi"]["intervals"].items()}
+            else:
+                assert parsed.tau == block["tau"]
 
     def test_eval_subcommand(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -155,7 +160,8 @@ class TestSolveEval:
         assert main(["eval", "--instance", str(inst_path), "--policy", str(sol_path), "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         assert report["feasible"] is False
-        assert report["missing"] == sorted(int(k) for k in dropped["schedules"])
+        ids = dropped["sosi"]["intervals"] if "sosi" in dropped else dropped["schedules"]
+        assert report["missing"] == sorted(int(k) for k in ids)
 
     def test_eval_rejects_blocks_sharing_an_id(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
@@ -191,6 +197,56 @@ class TestSolveEval:
         assert main(["eval", "--instance", str(inst_path), "--policy", str(pol_path)]) == 3
         assert capsys.readouterr().err == f"ewlsp: error: {path}: the instance has no commodity 99\n"
 
+    @pytest.mark.parametrize(
+        "policy, error",
+        [
+            ({"blocks": [{"sosi": [1.0]}]}, "$.blocks[0].sosi: expected an object"),
+            ({"blocks": [{"sosi": {"phases": {}}}]}, "$.blocks[0].sosi.intervals: expected an object"),
+            ({"sosi": {"intervals": [[0, 1.0]]}}, "$.sosi.intervals: expected an object"),
+            ({"sosi": {"intervals": {"0": 1.0, "x": 1.0}}}, "$.sosi.intervals.x: key must be an integer id"),
+            ({"sosi": {"intervals": {"0": "1.0"}}}, "$.sosi.intervals.0: expected a number"),
+            (
+                {"blocks": [{"sosi": {"intervals": {"0": 1.0, "2": 0.0}}}]},
+                "$.blocks[0].sosi.intervals.2: interval for commodity 2 must be > 0, got 0.0",
+            ),
+            (
+                {"sosi": {"intervals": {"0": 1.0, "1": -2.0}}},
+                "$.sosi.intervals.1: interval for commodity 1 must be > 0, got -2.0",
+            ),
+            (
+                {"sosi": {"intervals": {"0": 1.0, "1": 2.0}, "phases": {"1": 2.0}}},
+                "$.sosi.phases.1: phase for commodity 1 must lie in [0, T), got 2.0",
+            ),
+            (
+                {"sosi": {"intervals": {"0": 1.0}, "phases": {"1": 0.5}}},
+                "$.sosi.phases.1: phase given for commodity 1, which has no interval",
+            ),
+            (
+                {"blocks": [{"sosi": {"intervals": {"0": 1.0, "99": 1.0}}}]},
+                "$.blocks[0].sosi.intervals.99: the instance has no commodity 99",
+            ),
+            (
+                {"blocks": [{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}}, {"sosi": {"intervals": {"1": 1.0, "0": 2.0}}}]},
+                "$.blocks[1].sosi.intervals.0: commodity 0 is also in $.blocks[0]",
+            ),
+            (
+                {"blocks": [{"sosi": {"intervals": {"0": 1.0}}}, {"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}}]},
+                "$.blocks[1].schedules.0: commodity 0 is also in $.blocks[0]",
+            ),
+            (
+                {"blocks": [{"sosi": {"intervals": {"0": 1.0}}, "tau": 1.0}]},
+                "$.blocks[0]: expected either a sosi entry or tau and schedules, not both",
+            ),
+        ],
+    )
+    def test_eval_rejects_a_bad_stationary_entry(self, tmp_path, capsys, policy, error):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "3", "--n", "3", "--out", str(inst_path)])
+        pol_path = tmp_path / "pol.json"
+        pol_path.write_text(json.dumps(policy))
+        assert main(["eval", "--instance", str(inst_path), "--policy", str(pol_path)]) == 3
+        assert capsys.readouterr().err == f"ewlsp: error: {error}\n"
+
     def test_ptas_solver(self, tmp_path):
         inst_path = tmp_path / "inst.json"
         inst_path.write_text('{"capacity": 0.5, "commodities": [{"id": 0, "K": 1, "H": 1, "gamma": 1}]}')
@@ -208,8 +264,9 @@ class TestSolveEval:
 
 
 # sha256 of the sorted-key JSON of the `blocks` and `summary` of fixed-seed
-# `ewlsp solve` files; `diagnostics` is left out so counters may change while
-# the written policies stay bit-identical.
+# `ewlsp solve` files, with each stationary entry flattened into one cyclic
+# entry per commodity (conftest.flatten); `diagnostics` is left out so
+# counters may change while the written policies stay bit-identical.
 PINNED_SOLVE_FILES = [
     (
         "sub2-dense-heavy-n40",
@@ -250,7 +307,7 @@ def test_pinned_solve_files(tmp_path, name, gen, solve, digest):
     assert main(["gen", *gen, "--out", str(inst_path)]) == 0
     assert main(["solve", "--instance", str(inst_path), *solve, "--out", str(sol_path)]) == 0
     payload = json.loads(sol_path.read_text())
-    text = json.dumps({"blocks": payload["blocks"], "summary": payload["summary"]}, sort_keys=True)
+    text = json.dumps({"blocks": flatten(payload["blocks"]), "summary": payload["summary"]}, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -18,6 +18,7 @@ from ewlsp.model import (
     serialize_instance,
     serialize_policy,
     sosi_to_cyclic,
+    sosi_to_json,
 )
 
 from conftest import make_instance
@@ -48,6 +49,15 @@ class TestInvariants:
         with pytest.raises(ValueError):
             SosiPolicy({0: 1.0}, {0: 1.0})
         SosiPolicy({0: 1.0}, {0: 0.999})
+
+    def test_sosi_schedules_are_one_order_per_commodity(self):
+        p = SosiPolicy({3: 2.0, 1: 0.5}, {3: 1.5})
+        assert dict(p.schedules) == {3: ((1.5, 2.0),), 1: ((0.0, 0.5),)}
+        assert list(p.schedules) == [3, 1]
+        assert p.schedules is p.schedules  # built once
+        with pytest.raises(TypeError):
+            p.schedules[1] = ((0.0, 1.0),)
+        assert p == SosiPolicy({3: 2.0, 1: 0.5}, {3: 1.5})
 
     def test_cyclic_conservation(self):
         with pytest.raises(ValueError, match="sum"):
@@ -158,6 +168,47 @@ class TestSerialization:
         single = parse_policies(b'{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}, "kind": "cyclic"}', FIVE)
         assert single == [parse_policy(b'{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}}')]
 
+    def test_sosi_entry_round_trip(self):
+        p = SosiPolicy({10: 2.0, 2: 0.25, 7: 1.0}, {10: 0.5})
+        entry = {"sosi": sosi_to_json(p), "provenance": "class1:sosi"}
+        assert entry["sosi"] == {"intervals": {"2": 0.25, "7": 1.0, "10": 2.0}, "phases": {"10": 0.5}}
+        again = parse_policy(json.dumps(entry))
+        assert again == p
+        assert parse_policy(b'{"sosi": {"intervals": {"0": 1}}}') == SosiPolicy({0: 1.0})
+        doc = {"blocks": [{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}}, {"sosi": {"intervals": {"3": 2.0, "1": 1.0}}}]}
+        cyclic, sosi = parse_policies(json.dumps(doc), FIVE)
+        assert sorted(cyclic.schedules) == [0]
+        assert sosi == SosiPolicy({3: 2.0, 1: 1.0})
+
+    @pytest.mark.parametrize(
+        "doc, path",
+        [
+            ({"sosi": None}, r"\$\.sosi: expected an object"),
+            ({"sosi": {}}, r"\$\.sosi\.intervals: expected an object"),
+            ({"sosi": {"intervals": {}}}, r"\$\.sosi\.intervals: SOSI policy needs at least one commodity"),
+            ({"sosi": {"intervals": {"01": 1.0}}}, r"\$\.sosi\.intervals\.01: key must be an integer id"),
+            ({"sosi": {"intervals": {"0": True}}}, r"\$\.sosi\.intervals\.0: expected a number"),
+            ({"sosi": {"intervals": {"0": 1e400}}}, r"\$\.sosi\.intervals\.0: interval"),
+            ({"sosi": {"intervals": {"0": 1.0, "1": float("nan")}}}, r"\$\.sosi\.intervals\.1: interval"),
+            ({"sosi": {"intervals": {"0": 1.0}, "phases": []}}, r"\$\.sosi\.phases: expected an object"),
+            ({"sosi": {"intervals": {"0": 1.0}, "phases": {"0": None}}}, r"\$\.sosi\.phases\.0: expected a number"),
+            ({"sosi": {"intervals": {"0": 1.0}, "phases": {"0": -0.5}}}, r"\$\.sosi\.phases\.0: phase"),
+            ({"sosi": {"intervals": {"0": 1.0}, "phases": {"4": 0.5}}}, r"\$\.sosi\.phases\.4: phase"),
+            ({"sosi": {"intervals": {"0": 1.0}}, "schedules": {}}, r"\$: expected either"),
+            (
+                {"blocks": [{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}}, {"sosi": {"intervals": {"1": 1.0, "9": 1.0}}}]},
+                r"\$\.blocks\[1\]\.sosi\.intervals\.9: the instance has no commodity 9",
+            ),
+            (
+                {"blocks": [{"sosi": {"intervals": {"2": 1.0, "4": 1.0}}}, {"sosi": {"intervals": {"4": 2.0}}}]},
+                r"\$\.blocks\[1\]\.sosi\.intervals\.4: commodity 4 is also in \$\.blocks\[0\]",
+            ),
+        ],
+    )
+    def test_sosi_entry_schema_errors(self, doc, path):
+        with pytest.raises(SchemaError, match=path):
+            parse_policies(json.dumps(doc), FIVE)
+
     @pytest.mark.parametrize(
         "doc, path",
         [
@@ -237,11 +288,22 @@ policy_like = st.fixed_dictionaries(
         ),
     }
 )
+sosi_like = st.fixed_dictionaries(
+    {
+        "sosi": st.fixed_dictionaries(
+            {
+                "intervals": st.dictionaries(st.sampled_from(["0", "1", "01", "x"]), numberish, max_size=2) | any_json,
+                "phases": st.dictionaries(st.sampled_from(["0", "1", "2"]), numberish, max_size=2) | any_json,
+            }
+        )
+        | any_json
+    }
+)
 commodity_like = st.fixed_dictionaries(
     {"id": st.integers(0, 2) | json_leaves, "K": numberish, "H": numberish, "gamma": numberish}
 )
 instance_like = st.fixed_dictionaries({"capacity": numberish, "commodities": st.lists(commodity_like | any_json, max_size=3)})
-json_documents = any_json | policy_like | instance_like
+json_documents = any_json | policy_like | sosi_like | instance_like
 
 
 @given(doc=json_documents)

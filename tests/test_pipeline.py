@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -11,9 +12,9 @@ from hypothesis import strategies as st
 from ewlsp.cli import generate_instance
 from ewlsp.couples import CoupleInput, synthesize_couple
 from ewlsp.errors import InfeasiblePolicy
-from ewlsp.evaluator import evaluate, evaluate_sosi
+from ewlsp.evaluator import combine_reports, evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS
-from ewlsp.model import Commodity, CyclicPolicy, Instance, SosiPolicy, sosi_to_cyclic
+from ewlsp.model import Commodity, CyclicPolicy, Instance, SosiPolicy, parse_policies, sosi_to_cyclic
 from ewlsp.pipeline import (
     ALPHA_FALLBACK,
     DELTA,
@@ -29,7 +30,7 @@ from ewlsp.pipeline import (
 )
 from ewlsp.relaxation import solve_sosi_relaxation
 
-from conftest import make_instance, random_instance
+from conftest import flatten, make_instance, random_instance
 
 CFG = PipelineConfig(eps=0.05, sparsity_threshold=10, Q=8)
 
@@ -328,13 +329,36 @@ PINNED_OUTPUTS = [
 ]
 
 
+@functools.cache
+def _pinned_solve(name):
+    inst, seed, reference = next(case for case_name, case, _ in PINNED_OUTPUTS if case_name == name)
+    return solve_sub2(inst, CFG, seed=seed, reference=reference)
+
+
 @pytest.mark.parametrize("name, case, digest", PINNED_OUTPUTS, ids=[p[0] for p in PINNED_OUTPUTS])
 def test_pinned_outputs(name, case, digest):
-    inst, seed, reference = case
-    assembled, rep, diag = solve_sub2(inst, CFG, seed=seed, reference=reference)
+    # the digest is taken over the policy with each stationary entry
+    # flattened into one cyclic entry per commodity (conftest.flatten)
+    assembled, rep, diag = _pinned_solve(name)
     assert name.startswith(diag["scenario"])
-    text = json.dumps(assembled.to_json(), sort_keys=True) + repr(rep.total_cost_rate) + repr(rep.v_max)
+    doc = assembled.to_json()
+    flat = json.dumps({"blocks": flatten(doc["blocks"])}, sort_keys=True)
+    text = flat + repr(rep.total_cost_rate) + repr(rep.v_max)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", [p[0] for p in PINNED_OUTPUTS])
+def test_pinned_outputs_recertify_from_json(name):
+    # what `ewlsp eval` computes from the written policy alone, against the
+    # report of the assembled policy that solve_sub2 returns
+    assembled, rep, _ = _pinned_solve(name)
+    inst = next(case[0] for case_name, case, _ in PINNED_OUTPUTS if case_name == name)
+    policies = parse_policies(json.dumps(assembled.to_json()), inst)
+    certified = combine_reports((evaluate(p, inst) for p in policies), inst)
+    assert certified.ordering_cost_rate == pytest.approx(rep.ordering_cost_rate, rel=1e-12)
+    assert certified.holding_cost_rate == pytest.approx(rep.holding_cost_rate, rel=1e-12)
+    assert certified.v_max == pytest.approx(rep.v_max, rel=1e-12)
+    assert certified.avg_inventory == pytest.approx(rep.avg_inventory, rel=1e-12)
 
 
 def test_rounded_sosi_blocks_sum_far_pairs_then_leftover():

@@ -3,9 +3,12 @@
 evaluate_sosi, the relaxation, solve_two_approx, build_reference_policy and
 decompose_classes run as array operations over the instance's columns. The
 copies below are the loops they replaced; every float must come out with the
-same repr and every dict in the same key order.
+same repr and every dict in the same key order. evaluate of a stationary
+block is checked against evaluate of one single-commodity cycle per
+commodity.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewlsp.evaluator import EvalReport, evaluate_sosi
+from ewlsp.evaluator import EvalReport, evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS
-from ewlsp.model import Commodity, Instance, SosiPolicy
+from ewlsp.model import Commodity, CyclicPolicy, Instance, SosiPolicy
 from ewlsp.pipeline import PipelineConfig, build_reference_policy, decompose_classes
 from ewlsp.relaxation import solve_sosi_relaxation
 from ewlsp.two_approx import solve_two_approx
@@ -161,6 +164,36 @@ def test_evaluate_sosi_matches_scalar_loop(inst, data):
     keys = keys[: data.draw(st.integers(1, len(keys)))]
     policy = SosiPolicy({cid: float(T) for cid, T in zip(keys, 10.0 ** rng.uniform(-2.0, 2.0, size=len(keys)))})
     assert exact(evaluate_sosi(policy, inst)) == exact(scalar_evaluate_sosi(policy, inst))
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=instances(), data=st.data())
+def test_stationary_evaluate_matches_one_cycle_per_commodity(inst, data):
+    """evaluate(SosiPolicy) against evaluate of each commodity's own
+    CyclicPolicy(T, {id: ((phase, T),)}), on ids in neither instance nor
+    key order and with some non-zero phases."""
+    labels = data.draw(st.lists(st.integers(-(10**6), 10**6), min_size=inst.n, max_size=inst.n, unique=True))
+    inst = Instance(tuple(dataclasses.replace(c, id=cid) for c, cid in zip(inst.commodities, labels)), inst.V)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    keys = data.draw(st.permutations(labels))
+    keys = keys[: data.draw(st.integers(1, len(keys)))]
+    intervals = dict(zip(keys, (10.0 ** rng.uniform(-2.0, 2.0, size=len(keys))).tolist()))
+    share = rng.uniform(0.0, 0.999, size=len(keys)) * (rng.random(len(keys)) < 0.5)
+    phases = {cid: T * u for (cid, T), u in zip(intervals.items(), share.tolist()) if u > 0}
+    policy = SosiPolicy(intervals, phases)
+
+    report = evaluate(policy, inst)
+    parts = {cid: evaluate(CyclicPolicy(T, {cid: ((policy.phase(cid), T),)}), inst) for cid, T in intervals.items()}
+    in_order = [cid for cid in labels if cid in intervals]
+    assert exact(report.avg_inventory) == exact({cid: parts[cid].avg_inventory[cid] for cid in in_order})
+    total = math.fsum(part.total_cost_rate for part in parts.values())
+    assert report.total_cost_rate == pytest.approx(total, rel=1e-12)
+    peaks = 0.0
+    for cid in in_order:
+        peaks += parts[cid].v_max
+    assert report.v_max == peaks
+    with pytest.raises(KeyError, match="no commodity with id 2000000"):
+        evaluate(SosiPolicy({**intervals, 2 * 10**6: 1.0}), inst)
 
 
 @settings(max_examples=40, deadline=None)
