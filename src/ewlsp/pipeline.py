@@ -48,7 +48,7 @@ from .matching import (
     edge_weight,
     solve_b_matching,
 )
-from .model import CyclicPolicy, Instance, SosiPolicy, cyclic_json, policy_to_json
+from .model import CyclicPolicy, Instance, SosiPolicy, cyclic_json, policy_to_json, sosi_to_json
 from .po2 import PO2_MEAN_CONSTANT, po2_round
 from .relaxation import solve_sosi_relaxation
 from .two_approx import halved_relaxation, solve_two_approx
@@ -113,16 +113,14 @@ class Block:
         return (self.report(instance),)
 
     def entries(self) -> list[dict]:
-        """The block's wire-format entries: cyclic-policy JSON plus the
-        provenance tag. A stationary block flattens into one single-commodity
-        sawtooth per commodity, in id order, so each entry re-parses as a
-        policy."""
+        """The block's one wire-format entry, plus its provenance tag:
+        cyclic-policy JSON, or for a stationary block `{"sosi":
+        sosi_to_json(...)}`, its intervals in id order and only the phases
+        the policy holds (none, for every solver's blocks). The entry
+        re-parses as the block's policy."""
         if self.cyclic is not None:
             return [{**policy_to_json(self.cyclic), "provenance": self.provenance}]
-        return [
-            {"tau": T, "schedules": {str(cid): [[self.sosi.phase(cid), T]]}, "provenance": self.provenance}
-            for cid, T in sorted(self.sosi.intervals_T.items())
-        ]
+        return [{"sosi": sosi_to_json(self.sosi), "provenance": self.provenance}]
 
     def scaled(self, factor: float) -> "Block":
         if factor == 1.0:
@@ -204,8 +202,10 @@ class AssembledPolicy:
         return AssembledPolicy(tuple(b.scaled(factor) for b in self.blocks))
 
     def to_json(self) -> dict:
-        """Wire format: the blocks' entries in order, each ordinary
-        cyclic-policy JSON plus a provenance tag."""
+        """Wire format: the blocks' entries in order, each tagged with its
+        provenance: one `{"sosi": ...}` entry per stationary block, one
+        cyclic-policy entry per cyclic block and per couple. model.parse_policies
+        reads it back."""
         return {"blocks": [entry for b in self.blocks for entry in b.entries()]}
 
 
