@@ -187,8 +187,8 @@ class SosiPolicy:
         one-order sawtooth each commodity runs on its own cycle T, as the
         single-commodity CyclicPolicy(T, {id: ((phase, T),)}) holds it.
         Read-only, built on first access."""
-        phase = self.phase
-        return MappingProxyType({cid: ((phase(cid), T),) for cid, T in self.intervals_T.items()})
+        phases = self.phases
+        return MappingProxyType({cid: ((phases.get(cid, 0.0), T),) for cid, T in self.intervals_T.items()})
 
     def validate_against(self, instance: Instance) -> None:
         missing = [cid for cid in self.intervals_T if cid not in instance]
@@ -501,13 +501,22 @@ def _sosi_from(raw, root: str) -> SosiPolicy:
 
 
 def _id_numbers(raw, path: str) -> dict[int, float]:
-    """A JSON object from integer ids to numbers, as {id: float}."""
+    """A JSON object from integer ids to numbers, as {id: float}. Keys and
+    values are checked a whole object at a time; a failed check looks for
+    the entry to name."""
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: expected an object")
-    out = {}
-    for key, value in raw.items():
-        out[_id_key(key, path)] = value if type(value) is float else _number(value, f"{path}.{key}")
-    return out
+    keys = list(raw)
+    try:
+        cids = list(map(int, keys))
+    except ValueError:
+        cids = None
+    if cids is None or list(map(str, cids)) != keys:
+        cids = [_id_key(key, path) for key in keys]
+    values = list(raw.values())
+    if not set(map(type, values)) <= {float}:
+        values = [_number(value, f"{path}.{key}") for key, value in raw.items()]
+    return dict(zip(cids, values))
 
 
 def _rejected_sosi_part(root: str, intervals: dict[int, float], phases: dict[int, float]) -> str:
