@@ -264,14 +264,17 @@ class TestSolveEval:
 
 
 # sha256 of the sorted-key JSON of the `blocks` and `summary` of fixed-seed
-# `ewlsp solve` files, with each stationary entry flattened into one cyclic
-# entry per commodity (conftest.flatten); `diagnostics` is left out so
-# counters may change while the written policies stay bit-identical.
+# `ewlsp solve` files: first with each stationary entry flattened into one
+# cyclic entry per commodity (conftest.flatten), the form the files were
+# pinned on before stationary blocks were written as one sosi entry, then as
+# written. `diagnostics` is left out so counters may change while the
+# written policies stay bit-identical.
 PINNED_SOLVE_FILES = [
     (
         "sub2-dense-heavy-n40",
         ["--seed", "11", "--n", "40", "--regime", "dense-heavy"],
         ["--algo", "sub2"],
+        "3bdac656c9788a7b4196d2c131b587127b7f9bbb59425ef1bbaf9d0ea1d0207f",
         "3bdac656c9788a7b4196d2c131b587127b7f9bbb59425ef1bbaf9d0ea1d0207f",
     ),
     (
@@ -279,17 +282,20 @@ PINNED_SOLVE_FILES = [
         ["--seed", "12", "--n", "60", "--regime", "tight"],
         ["--algo", "sub2", "--trials", "3"],
         "adbc23067985798faf7eb39de4f57b67327e390f1f02bf954bdc8565e15666c5",
+        "d80e74cf27595d73390ccb631bf1fce0fb2542999c47c2a96641fb46041430f2",
     ),
     (
         "sub2-loose-n30",
         ["--seed", "15", "--n", "30", "--regime", "loose"],
         ["--algo", "sub2"],
         "d78c49cb5a2b0bde7917620e80fe0c57a9833ff111640f57c55d95147bb007a3",
+        "91e29c7eae35da974d1d22ffa327c455b536c90587c2fd08de79723c5d46343f",
     ),
     (
         "ptas-n1",
         ["--seed", "16", "--n", "1", "--regime", "tight"],
         ["--algo", "ptas"],
+        "9eb31c6652db7765141b9bbd0006dce1307f530bbad0095eec9836bce4db50e3",
         "9eb31c6652db7765141b9bbd0006dce1307f530bbad0095eec9836bce4db50e3",
     ),
     (
@@ -297,17 +303,22 @@ PINNED_SOLVE_FILES = [
         ["--seed", "13", "--n", "2", "--regime", "tight"],
         ["--algo", "ptas"],
         "82ecd03884065a96750375b559b684609cb96f65ee7ed8b45f83c243510a2700",
+        "82ecd03884065a96750375b559b684609cb96f65ee7ed8b45f83c243510a2700",
     ),
 ]
 
 
-@pytest.mark.parametrize("name, gen, solve, digest", PINNED_SOLVE_FILES, ids=[p[0] for p in PINNED_SOLVE_FILES])
-def test_pinned_solve_files(tmp_path, name, gen, solve, digest):
+@pytest.mark.parametrize(
+    "name, gen, solve, flat_digest, digest", PINNED_SOLVE_FILES, ids=[p[0] for p in PINNED_SOLVE_FILES]
+)
+def test_pinned_solve_files(tmp_path, name, gen, solve, flat_digest, digest):
     inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
     assert main(["gen", *gen, "--out", str(inst_path)]) == 0
     assert main(["solve", "--instance", str(inst_path), *solve, "--out", str(sol_path)]) == 0
     payload = json.loads(sol_path.read_text())
-    text = json.dumps({"blocks": flatten(payload["blocks"]), "summary": payload["summary"]}, sort_keys=True)
+    flat = json.dumps({"blocks": flatten(payload["blocks"]), "summary": payload["summary"]}, sort_keys=True)
+    assert hashlib.sha256(flat.encode()).hexdigest() == flat_digest
+    text = json.dumps({"blocks": payload["blocks"], "summary": payload["summary"]}, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 

@@ -270,31 +270,38 @@ def _far_pair_case():
 # sha256 of the sorted-key JSON of the assembled policy followed by repr() of
 # the certified cost rate and peak, one solve per scenario and dense-class
 # outcome: moving the scale-down or the certificate must not change a bit.
+# The first digest is taken over the flattened entries, the second over the
+# policy as written.
 PINNED_OUTPUTS = [
     (
         "difficult-po2-sync",
         (dense_heavy_instance(1, 40), 0, None),
         "7b0b78fe2803abedfaee111f51c2e35c52a8f1fe2c7c10f1e35b246a83cfa6d4",
+        "5915e51cc78f4c438885d80af0ac50d5c2ced2ffed335af21bbd932d4ee4d62f",
     ),
     (
         "difficult-alpha-fallback",
         (dense_heavy_instance(9, 40), 4, None),
         "0bf6f8fda4cb5376b134d23c2d8f7bd03f97a014bf639d14de5feef0ec1af271",
+        "0dd4be0ce4148a14ae9f724dd213dfb885090c44147d9745d663050519b49ae3",
     ),
     (
         # the benchmark's n: a one-class matching over 200 commodities, 96 couples
         "difficult-n200-one-class",
         (dense_heavy_instance(0, 200), 0, None),
         "ff4b1e8792d44997b4fa6ed0220f86aedbd9854425880caff1efe8671f3fd221",
+        "fdb5f12fedcb2d550d07331e55a2ac6480398dcdf1b286cd09e082831aca697a",
     ),
     (
         "low-dense-tight",
         (generate_instance(0, 40, 1.0, "tight"), 0, None),
         "a32cf3c65336416e350bbb3cbf450946663a9ba6c8a34db241ce2a6d98758c74",
+        "e7838b1196637fb12c590d5f4b17c677a5147c4c982833a5e43e031f5e8e68f8",
     ),
     (
         "easy-offset-reference",
         _offset_couple_case(),
+        "b8cdfc6d8a853294fe4e97374f562ad335bfe5667a1e250326311ce9a0df773d",
         "b8cdfc6d8a853294fe4e97374f562ad335bfe5667a1e250326311ce9a0df773d",
     ),
     (
@@ -302,12 +309,14 @@ PINNED_OUTPUTS = [
         "low-dense-loose-n2000",
         (generate_instance(0, 2000, 1.0, "loose"), 0, None),
         "56b083634a0ca21b94dc2f77670d36a5bc9d8fc5fcf6637220ef82248eacd8dc",
+        "43753edf85a018801981e365f493f1d3d16aa1486148b906d902f5324d6215f8",
     ),
     (
         # a difficult solve whose two sparse extras form a prefix:relaxation block
         "difficult-prefix-relaxation",
         (_with_prefix(40, [(1.0, 1.0, 1e-3), (1.0, 1.0, 1e-3 / 3)], 1.001), 0, None),
         "eaf46e3278a284e71aac479a9e9a81ec6a95902074e90b199d52aeab19bf3522",
+        "b87ccee888fafb10de76174c00cef30700685ff7682341c3cf5737d3750710e7",
     ),
     (
         # prefix ids 1001, 1002, 1000 in class order: the relaxation block's
@@ -315,35 +324,41 @@ PINNED_OUTPUTS = [
         "difficult-prefix-class-order",
         (_with_prefix(200, [(1.55, 0.85, 0.00234), (1.81, 0.75, 0.00141), (1.93, 0.63, 0.00141)], 1.0), 0, None),
         "f01474d6b1b93fa174b1b1506f26c9c6bf4ba6614437fafff3453c82c45a62dc",
+        "874101b7ff9c12101168486c362cd4e4ffa8c57852d52eba16caf9232ea3c3b2",
     ),
     (
         "difficult-far-pairs",
         _far_pair_case(),
         "d0aebf8f93bad771ee1f6ee826e5928c4834e8ad5ca0ce295db30fa5568d4ca6",
+        "7d1b57864dfd2736bf39ec3c98583540f0ca4b0477d8c25a10e3120bf83b1b2e",
     ),
     (
         "easy-prefix-two-approx",
         _two_couple_case(),
         "2a8f63e747c35bcdb4832a546802ca28103f8d7af0f43906e6abf08c59f0e856",
+        "8857e53ce85ed104aa7abf92ceff7463acd3a4d9ed8a22d92073c592de00b20f",
     ),
 ]
 
 
 @functools.cache
 def _pinned_solve(name):
-    inst, seed, reference = next(case for case_name, case, _ in PINNED_OUTPUTS if case_name == name)
+    inst, seed, reference = next(p[1] for p in PINNED_OUTPUTS if p[0] == name)
     return solve_sub2(inst, CFG, seed=seed, reference=reference)
 
 
-@pytest.mark.parametrize("name, case, digest", PINNED_OUTPUTS, ids=[p[0] for p in PINNED_OUTPUTS])
-def test_pinned_outputs(name, case, digest):
-    # the digest is taken over the policy with each stationary entry
-    # flattened into one cyclic entry per commodity (conftest.flatten)
+@pytest.mark.parametrize("name, case, flat_digest, digest", PINNED_OUTPUTS, ids=[p[0] for p in PINNED_OUTPUTS])
+def test_pinned_outputs(name, case, flat_digest, digest):
+    # flat_digest is taken with each stationary entry flattened into one
+    # cyclic entry per commodity (conftest.flatten), the form it was pinned
+    # on before stationary blocks were written as one sosi entry
     assembled, rep, diag = _pinned_solve(name)
     assert name.startswith(diag["scenario"])
     doc = assembled.to_json()
-    flat = json.dumps({"blocks": flatten(doc["blocks"])}, sort_keys=True)
-    text = flat + repr(rep.total_cost_rate) + repr(rep.v_max)
+    reported = repr(rep.total_cost_rate) + repr(rep.v_max)
+    flat = json.dumps({"blocks": flatten(doc["blocks"])}, sort_keys=True) + reported
+    assert hashlib.sha256(flat.encode()).hexdigest() == flat_digest
+    text = json.dumps(doc, sort_keys=True) + reported
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
@@ -352,7 +367,7 @@ def test_pinned_outputs_recertify_from_json(name):
     # what `ewlsp eval` computes from the written policy alone, against the
     # report of the assembled policy that solve_sub2 returns
     assembled, rep, _ = _pinned_solve(name)
-    inst = next(case[0] for case_name, case, _ in PINNED_OUTPUTS if case_name == name)
+    inst = next(p[1][0] for p in PINNED_OUTPUTS if p[0] == name)
     policies = parse_policies(json.dumps(assembled.to_json()), inst)
     certified = combine_reports((evaluate(p, inst) for p in policies), inst)
     assert certified.ordering_cost_rate == pytest.approx(rep.ordering_cost_rate, rel=1e-12)
