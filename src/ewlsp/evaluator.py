@@ -164,7 +164,7 @@ def _evaluate_stationary(policy: SosiPolicy, instance: Instance) -> EvalReport:
     with np.errstate(over="ignore", invalid="ignore"):
         c0 = np.where(phi > 0, phi, 0.0)
         d = (phi + T) - phi
-        avg = (0.0 + (((c0 + T) - phi) * d - 0.5 * d * d)) / T
+        avg = (0.0 + (((c0 + T) - phi) * d - 0.5 * d * d)) / T  # total = 0.0; total += ...; total / tau
         w0 = gamma * c0
         x = (w0 + gamma * T) - gamma * phi
         peak = np.where(x > w0, x, w0)  # max(w0, x), with its tie and NaN rules

@@ -20,7 +20,8 @@ conservative for feasibility. The paired schedules of one heavy subgroup
 form one couple block: its near pairs that agree on (k, T_A) share a single
 synthesized schedule, and the block reports all its couples in one array
 pass over the instance's columns. Each couple still counts as a block of its
-own, in the report's sums and in the wire format.
+own, in the report's sums and in the wire format, where a stationary block
+is one `sosi` entry.
 
 The three scenarios (high sparse volume, low dense volume, difficult) live in
 _dispatch, which alone reads their volume thresholds and only returns blocks;
