@@ -7,8 +7,9 @@ nonzero on an infeasible policy, including one that leaves commodities out.
 
 Exit codes: 0 success; 1 an infeasible policy (solve, eval, compare; solve
 then writes nothing and prints one stderr line); 2 bad command-line usage,
-including a number outside its flag's range and an eps the sub2 pipeline
-rejects; 3 malformed input JSON (SchemaError); 4 a search budget exceeded
+including a number outside its flag's range, an eps the sub2 pipeline
+rejects, and a file that cannot be read or written (OSError: a missing
+input, an --out in a directory that does not exist); 3 malformed input JSON (SchemaError); 4 a search budget exceeded
 (BudgetExceeded, StateSpaceExceeded, SearchSpaceExceeded); 5 no feasible
 answer found (InfeasibleMatching, InfeasiblePolicy). Codes 2-5 print one
 line, `ewlsp[ <command>]: error: <message>`, on stderr and no traceback.
@@ -174,6 +175,7 @@ def _sub2_config(parser: argparse.ArgumentParser, **settings) -> PipelineConfig:
 
 
 ERROR_EXIT_CODES = {
+    OSError: 2,
     SchemaError: 3,
     BudgetExceeded: 4,
     StateSpaceExceeded: 4,

@@ -5,6 +5,15 @@ class SchemaError(ValueError):
     """Malformed JSON input; message carries the offending field path."""
 
 
+class PolicyPartError(ValueError):
+    """A policy part breaks its type's rules. `part` names it: ("tau",),
+    ("schedules", id), ("intervals",), ("intervals", id) or ("phases", id)."""
+
+    def __init__(self, part: tuple, message: str):
+        super().__init__(message)
+        self.part = part
+
+
 class IncommensurateIntervals(ValueError):
     """No common cycle below the configured bound exists for the given intervals."""
 

@@ -5,6 +5,14 @@ has unit demand rate, a fixed ordering cost K, a physical holding coefficient
 2H (so a stationary policy with interval T costs K/T + H*T per unit of time),
 and a space coefficient gamma. All solvers exchange policies through the
 types below; `CyclicPolicy` is the universal representation.
+
+Each type owns its rules. `CyclicPolicy` checks the cycle length and each
+commodity's orders (in [0, tau), strictly increasing, positive, summing to
+tau); `SosiPolicy` checks that it has intervals, each finite and > 0, and
+that each phase lies in [0, T) of an interval it holds. A broken rule raises
+a PolicyPartError naming the part, from which the JSON parsers build the
+SchemaError's field path; the parsers themselves check only JSON types and
+id keys, and `parse_policies` checks ids against the instance.
 """
 
 from __future__ import annotations
@@ -19,7 +27,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import IncommensurateIntervals, SchemaError
+from .errors import IncommensurateIntervals, PolicyPartError, SchemaError
 
 # Relative tolerance for the per-commodity demand-conservation invariant
 # (sum of order quantities over one cycle equals the cycle length).
@@ -160,7 +168,7 @@ class SosiPolicy:
         object.__setattr__(self, "intervals_T", dict(self.intervals_T))
         object.__setattr__(self, "phases", dict(self.phases))
         if not self.intervals_T:
-            raise ValueError("SOSI policy needs at least one commodity")
+            raise PolicyPartError(("intervals",), "SOSI policy needs at least one commodity")
         values = list(self.intervals_T.values())
         column = _positive_column(values)
         if column is None:
@@ -168,15 +176,15 @@ class SosiPolicy:
             # passes exact numbers that numpy keeps as objects (Fraction, big int)
             for cid, T in self.intervals_T.items():
                 if not (math.isfinite(T) and T > 0):
-                    raise ValueError(f"interval for commodity {cid} must be > 0, got {T!r}")
+                    raise PolicyPartError(("intervals", cid), f"interval for commodity {cid} must be > 0, got {T!r}")
             column = np.array([float(T) for T in values])
         column.flags.writeable = False
         object.__setattr__(self, "column", column)
         for cid, phi in self.phases.items():
             if cid not in self.intervals_T:
-                raise ValueError(f"phase given for commodity {cid}, which has no interval")
+                raise PolicyPartError(("phases", cid), f"phase given for commodity {cid}, which has no interval")
             if not (0 <= phi < self.intervals_T[cid]):
-                raise ValueError(f"phase for commodity {cid} must lie in [0, T), got {phi!r}")
+                raise PolicyPartError(("phases", cid), f"phase for commodity {cid} must lie in [0, T), got {phi!r}")
 
     def phase(self, cid: int) -> float:
         return self.phases.get(cid, 0.0)
@@ -190,10 +198,12 @@ class SosiPolicy:
         phases = self.phases
         return MappingProxyType({cid: ((phases.get(cid, 0.0), T),) for cid, T in self.intervals_T.items()})
 
-    def validate_against(self, instance: Instance) -> None:
-        missing = [cid for cid in self.intervals_T if cid not in instance]
-        if missing:
-            raise ValueError(f"SOSI policy references unknown commodities {sorted(missing)}")
+    def scaled(self, factor: float) -> "SosiPolicy":
+        """Scale every interval and phase; peak space scales by `factor`."""
+        return SosiPolicy(
+            intervals_T={cid: T * factor for cid, T in self.intervals_T.items()},
+            phases={cid: phi * factor for cid, phi in self.phases.items()},
+        )
 
 
 @dataclass(frozen=True)
@@ -206,7 +216,7 @@ class CyclicPolicy:
     def __post_init__(self):
         tau = self.tau
         if not (math.isfinite(tau) and tau > 0):
-            raise ValueError(f"cycle length must be > 0, got {tau!r}")
+            raise PolicyPartError(("tau",), f"cycle length must be > 0, got {tau!r}")
         tolerance = CONSERVATION_RTOL * max(abs(tau), 1.0)
         normalized = {}
         for cid, orders in self.schedules.items():
@@ -221,27 +231,26 @@ class CyclicPolicy:
                 positive = positive and q > 0
                 prev = t
                 parsed.append((t, q))
+            problem = ""
             if not parsed:
-                raise ValueError(f"commodity {cid}: at least one order per cycle required")
-            if not in_range:
-                raise ValueError(f"commodity {cid}: order times must lie in [0, tau)")
-            if not increasing:
-                raise ValueError(f"commodity {cid}: order times must be strictly increasing")
-            if not positive:
-                raise ValueError(f"commodity {cid}: order quantities must be > 0")
-            try:
-                total = math.fsum(q for _, q in parsed)
-            except OverflowError:
-                total = math.inf
-            if abs(total - tau) > tolerance:
-                raise ValueError(
-                    f"commodity {cid}: quantities sum to {total!r}, expected cycle length {tau!r}"
-                )
+                problem = "at least one order per cycle required"
+            elif not in_range:
+                problem = "order times must lie in [0, tau)"
+            elif not increasing:
+                problem = "order times must be strictly increasing"
+            elif not positive:
+                problem = "order quantities must be > 0"
+            else:
+                try:
+                    total = math.fsum(q for _, q in parsed)
+                except OverflowError:
+                    total = math.inf
+                if abs(total - tau) > tolerance:
+                    problem = f"quantities sum to {total!r}, expected cycle length {tau!r}"
+            if problem:
+                raise PolicyPartError(("schedules", cid), f"commodity {cid}: {problem}")
             normalized[cid] = tuple(parsed)
         object.__setattr__(self, "schedules", normalized)
-
-    def order_count(self, cid: int) -> int:
-        return len(self.schedules[cid])
 
     def scaled(self, factor: float) -> "CyclicPolicy":
         """Uniformly scale all times and quantities; peak space scales by `factor`."""
@@ -283,14 +292,13 @@ def _joint_cycle(fracs: dict[int, Fraction]) -> tuple[Fraction, int]:
     return tau, sum(int(tau / f) for f in fracs.values())
 
 
-def sosi_to_cyclic(policy: SosiPolicy, instance: Instance, max_orders: int = 2_000_000) -> CyclicPolicy:
+def sosi_to_cyclic(policy: SosiPolicy, max_orders: int = 2_000_000) -> CyclicPolicy:
     """Expand a SOSI policy into its exact joint cyclic schedule.
 
     The cycle is the least common integer multiple of all intervals, found
     through rational snapping; raises IncommensurateIntervals when none
     exists below `max_orders` total orders.
     """
-    policy.validate_against(instance)
     items = sorted(policy.intervals_T.items())
     # Two rationalizations are tried whole-policy: denominator-limited
     # snapping (canonicalizes decimal-entered values like 1/3) and the
@@ -357,10 +365,13 @@ def _number(value, path: str) -> float:
 
 
 def _checked(path: str, build, *args):
-    """`build(*args)`, with its domain ValueError re-raised as a SchemaError at `path`."""
+    """`build(*args)`, with its domain ValueError re-raised as a SchemaError
+    at `path`, extended by the part a PolicyPartError names."""
     try:
         return build(*args)
     except ValueError as exc:
+        if isinstance(exc, PolicyPartError):
+            path = ".".join((path, *map(str, exc.part)))
         raise SchemaError(f"{path}: {exc}") from exc
 
 
@@ -481,10 +492,7 @@ def _policy_from(raw: dict, root: str) -> CyclicPolicy | SosiPolicy:
             else:
                 parsed.append(_pair(pair, f"{root}.schedules.{key}[{k}]"))
         schedules[cid] = tuple(parsed)
-    try:
-        return CyclicPolicy(tau=tau, schedules=schedules)
-    except ValueError as exc:
-        raise SchemaError(f"{_rejected_part(root, tau, schedules)}: {exc}") from exc
+    return _checked(root, CyclicPolicy, tau, schedules)
 
 
 def _sosi_from(raw, root: str) -> SosiPolicy:
@@ -494,10 +502,7 @@ def _sosi_from(raw, root: str) -> SosiPolicy:
         raise SchemaError(f"{root}: expected an object")
     intervals = _id_numbers(raw.get("intervals"), f"{root}.intervals")
     phases = _id_numbers(raw.get("phases", {}), f"{root}.phases")
-    try:
-        return SosiPolicy(intervals, phases)
-    except ValueError as exc:
-        raise SchemaError(f"{_rejected_sosi_part(root, intervals, phases)}: {exc}") from exc
+    return _checked(root, SosiPolicy, intervals, phases)
 
 
 def _id_numbers(raw, path: str) -> dict[int, float]:
@@ -519,35 +524,11 @@ def _id_numbers(raw, path: str) -> dict[int, float]:
     return dict(zip(cids, values))
 
 
-def _rejected_sosi_part(root: str, intervals: dict[int, float], phases: dict[int, float]) -> str:
-    """Path of the first entry that SosiPolicy rejects: an interval that is
-    not finite and > 0, then a phase outside [0, T) or without an interval;
-    with neither, the interval set is empty."""
-    for cid, T in intervals.items():
-        if not (math.isfinite(T) and T > 0):
-            return f"{root}.intervals.{cid}"
-    for cid, phi in phases.items():
-        if not (cid in intervals and 0 <= phi < intervals[cid]):
-            return f"{root}.phases.{cid}"
-    return f"{root}.intervals"
-
-
 def _pair(pair, path: str) -> tuple[float, float]:
     """A `[t, q]` JSON pair of numbers as floats."""
     if not (isinstance(pair, list) and len(pair) == 2):
         raise SchemaError(f"{path}: expected a [t, q] pair")
     return _number(pair[0], f"{path}[0]"), _number(pair[1], f"{path}[1]")
-
-
-def _rejected_part(root: str, tau: float, schedules: dict[int, tuple]) -> str:
-    """Path of the first policy part that CyclicPolicy rejects on its own."""
-    parts = [(f"{root}.tau", {})] + [(f"{root}.schedules.{cid}", {cid: orders}) for cid, orders in schedules.items()]
-    for path, part in parts:
-        try:
-            CyclicPolicy(tau, part)
-        except ValueError:
-            return path
-    return root
 
 
 def policy_to_json(policy: CyclicPolicy) -> dict:

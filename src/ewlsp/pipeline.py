@@ -127,11 +127,7 @@ class Block:
         if factor == 1.0:
             return self
         if self.sosi is not None:
-            scaled = SosiPolicy(
-                intervals_T={cid: T * factor for cid, T in self.sosi.intervals_T.items()},
-                phases={cid: p * factor for cid, p in self.sosi.phases.items()},
-            )
-            return replace(self, sosi=scaled)
+            return replace(self, sosi=self.sosi.scaled(factor))
         return replace(self, cyclic=self.cyclic.scaled(factor))
 
 
@@ -292,8 +288,10 @@ def decompose_classes(
     holding the first Delta nonempty ones and a suffix with the rest.
 
     Delta exceeds the L+1 classes for every runnable n (490 against 219 at
-    eps = 0.05, n = 2000), so every sparse class is prefix-sparse and the
-    suffix is reached only through forced labels.
+    eps = 0.05, n = 2000), so every sparse class is prefix-sparse and no
+    decomposition this function returns has a suffix. Suffix-sparse classes
+    arise only in a decomposition relabelled by hand, e.g.
+    `dataclasses.replace(decomp, labels=...)`.
 
     The slabs are found with array operations over the instance's gamma
     column: floor(log(V/s)/log1p(eps)) is taken with np.log except where the

@@ -662,7 +662,8 @@ def ptas_solve(
     passed as `details`, the winning guess, its grid, and the numbers of
     skipped and pruned guesses are recorded; `pruned_guesses` counts the
     overfull guesses and those cut by the bound, none of which could have
-    won."""
+    won. When no guess yields a feasible policy, StateSpaceExceeded counts
+    the skipped, the overfull and the solved guesses."""
     if instance.n > DEFAULT_PTAS_CAP:
         raise TooManyCommodities(instance.n, DEFAULT_PTAS_CAP)
     guesses = enumerate_guesses(instance, eps)
@@ -700,8 +701,10 @@ def ptas_solve(
         if best is None or (report.total_cost_rate, index) < best[:2]:
             best = (report.total_cost_rate, index, policy, report, guess, grid)
     if best is None:
-        reason = f" ({skipped} of {len(guesses)} guesses skipped over ACTION_CAP)" if skipped else ""
-        raise StateSpaceExceeded(f"no guess produced a feasible policy{reason}")
+        raise StateSpaceExceeded(
+            f"no guess produced a feasible policy ({skipped} of {len(guesses)} guesses skipped over ACTION_CAP,"
+            f" {overfull} overfull, {len(queue)} without a feasible DP policy)"
+        )
     _, _, policy, report, guess, grid = best
     if details is not None:
         details["guess"] = guess

@@ -442,6 +442,23 @@ class TestErrorExitCodes:
         assert main(["solve", "--instance", str(inst_path)]) == 3
         assert capsys.readouterr().err == "ewlsp: error: $.capacity: missing\n"
 
+    @pytest.mark.parametrize("missing", ["instance", "policy"])
+    def test_unreadable_input_file_exits_2(self, tmp_path, capsys, missing):
+        paths = {"instance": tmp_path / "inst.json", "policy": tmp_path / "policy.json"}
+        main(["gen", "--n", "2", "--out", str(paths["instance"])])
+        main(["solve", "--instance", str(paths["instance"]), "--out", str(paths["policy"])])
+        paths[missing] = tmp_path / "absent.json"
+        capsys.readouterr()
+        assert main(["eval", "--instance", str(paths["instance"]), "--policy", str(paths["policy"])]) == 2
+        err = capsys.readouterr().err
+        assert err == f"ewlsp: error: [Errno 2] No such file or directory: '{paths[missing]}'\n"
+
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "inst.json"
+        assert main(["gen", "--n", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ewlsp: error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_non_positive_state_cap_is_a_usage_error(self, tmp_path, capsys, cap):
         inst_path = tmp_path / "inst.json"

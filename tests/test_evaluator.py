@@ -35,7 +35,7 @@ class TestInventory:
 class TestEvaluate:
     def test_unit_sosi(self):
         inst = make_instance([(1, 1, 1)], 1.0)
-        rep = evaluate(sosi_to_cyclic(SosiPolicy({0: 1.0}), inst), inst)
+        rep = evaluate(sosi_to_cyclic(SosiPolicy({0: 1.0})), inst)
         assert rep.total_cost_rate == pytest.approx(2.0)
         assert rep.avg_inventory[0] == pytest.approx(0.5)
         assert rep.v_max == pytest.approx(1.0)
@@ -54,7 +54,7 @@ class TestEvaluate:
 
     def test_average_space(self):
         inst = make_instance([(1, 1, 1)], 1.0)
-        p = sosi_to_cyclic(SosiPolicy({0: 1.0}), inst)
+        p = sosi_to_cyclic(SosiPolicy({0: 1.0}))
         assert average_space(evaluate(p, inst), inst) == pytest.approx(0.5)
         schedule, inst2 = couple_policy(0)
         assert average_space(evaluate(schedule.policy, inst2), inst2) == pytest.approx(1.0)
@@ -81,7 +81,7 @@ class TestProperties:
             n = int(rng.integers(1, 4))
             inst = random_instance(rng, n, regime="loose")
             T = {c.id: int(rng.integers(1, 9)) / int(rng.integers(1, 5)) for c in inst.commodities}
-            p = sosi_to_cyclic(SosiPolicy(T), inst, max_orders=200_000)
+            p = sosi_to_cyclic(SosiPolicy(T), max_orders=200_000)
             rep = evaluate(p, inst)
             expected = sum(c.K / T[c.id] + c.H * T[c.id] for c in inst.commodities)
             assert rep.total_cost_rate == pytest.approx(expected, rel=1e-9)
@@ -122,7 +122,7 @@ def test_evaluate_sosi_matches_cyclic_phase_zero(rng):
     inst = make_instance([(1.5, 0.7, 1.2), (0.8, 1.1, 0.4)], 10.0)
     T = {0: 0.75, 1: 1.5}
     direct = evaluate_sosi(SosiPolicy(T), inst)
-    expanded = evaluate(sosi_to_cyclic(SosiPolicy(T), inst), inst)
+    expanded = evaluate(sosi_to_cyclic(SosiPolicy(T)), inst)
     assert direct.total_cost_rate == pytest.approx(expanded.total_cost_rate, rel=1e-12)
     assert direct.v_max == pytest.approx(expanded.v_max, rel=1e-12)
 
@@ -145,8 +145,9 @@ def test_report_independent_of_schedule_key_order(rng):
     [
         (evaluate, CyclicPolicy(1.0, {0: ((0.0, 1.0),), 9: ((0.0, 1.0),)})),
         (evaluate_sosi, SosiPolicy({0: 1.0, 9: 1.0})),
+        (lambda policy, inst: evaluate(sosi_to_cyclic(policy), inst), SosiPolicy({0: 1.0, 9: 1.0})),
     ],
-    ids=["cyclic", "sosi"],
+    ids=["cyclic", "sosi", "expanded-sosi"],
 )
 def test_unknown_id_is_a_key_error_naming_it(evaluator, policy):
     inst = make_instance([(1, 1, 1)], 10.0)

@@ -88,24 +88,21 @@ class TestInvariants:
 
 class TestSosiToCyclic:
     def test_single_interval(self):
-        inst = make_instance([(1, 1, 1)], 1.0)
-        p = sosi_to_cyclic(SosiPolicy({0: 1.0}), inst)
+        p = sosi_to_cyclic(SosiPolicy({0: 1.0}))
         assert p.tau == 1.0
         assert p.schedules[0] == ((0.0, 1.0),)
 
     def test_pair_with_phase(self):
         # intervals (1, 1/2), second phased by 1/3: orders at 1/3 and 5/6
-        inst = make_instance([(1, 1, 1), (1, 1, 2)], 10.0)
-        p = sosi_to_cyclic(SosiPolicy({0: 1.0, 1: 0.5}, {1: 1.0 / 3.0}), inst)
+        p = sosi_to_cyclic(SosiPolicy({0: 1.0, 1: 0.5}, {1: 1.0 / 3.0}))
         assert p.tau == pytest.approx(1.0)
         times = [t for t, _ in p.schedules[1]]
         assert times == pytest.approx([1.0 / 3.0, 5.0 / 6.0])
         assert all(q == pytest.approx(0.5) for _, q in p.schedules[1])
 
     def test_irrational_ratio_rejected(self):
-        inst = make_instance([(1, 1, 1), (1, 1, 1)], 10.0)
         with pytest.raises(IncommensurateIntervals):
-            sosi_to_cyclic(SosiPolicy({0: 1.0, 1: math.sqrt(2) / 3.0}), inst)
+            sosi_to_cyclic(SosiPolicy({0: 1.0, 1: math.sqrt(2) / 3.0}))
 
     @given(
         nums=st.lists(st.tuples(st.integers(1, 12), st.integers(1, 6)), min_size=1, max_size=4),
@@ -117,7 +114,7 @@ class TestSosiToCyclic:
         params = [(1.0 + 0.5 * i, 1.0 + 0.25 * i, 1.0) for i in range(len(nums))]
         inst = make_instance(params, 1e9)
         T = {i: n / d for i, (n, d) in enumerate(nums)}
-        policy = sosi_to_cyclic(SosiPolicy(T), inst, max_orders=100_000)
+        policy = sosi_to_cyclic(SosiPolicy(T), max_orders=100_000)
         rep = evaluate(policy, inst)
         expected = sum(c.K / T[c.id] + c.H * T[c.id] for c in inst.commodities)
         assert rep.total_cost_rate == pytest.approx(expected, rel=1e-9)
@@ -319,11 +316,78 @@ def test_parsers_accept_or_raise_schema_error(doc):
                 pass
 
 
+@st.composite
+def corrupted_entries(draw):
+    """A valid cyclic or sosi entry over ids in 0..4 with one part broken,
+    and the field path of that part below the entry."""
+    ids = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
+    if draw(st.booleans()):
+        tau = draw(st.floats(0.1, 10.0))
+        orders = {}
+        for cid in ids:
+            m = draw(st.integers(1, 3))
+            orders[cid] = [[k * tau / m, tau / m] for k in range(m)]
+        part = draw(st.sampled_from(["tau"] + [f"schedules.{cid}" for cid in ids]))
+        if part == "tau":
+            tau = draw(st.sampled_from([0.0, -tau, math.inf]))
+        else:
+            broken = orders[int(part.split(".")[1])]
+            fault = draw(st.sampled_from(["empty", "late", "repeat", "negative", "heavy"]))
+            if fault == "empty":
+                broken.clear()
+            elif fault == "late":
+                broken[-1][0] = tau
+            elif fault == "repeat":
+                broken.append(list(broken[-1]))
+            else:
+                broken[0][1] *= -1.0 if fault == "negative" else 2.0
+        return {"tau": tau, "schedules": {str(cid): o for cid, o in orders.items()}}, part
+    intervals = {cid: draw(st.floats(0.1, 10.0)) for cid in ids}
+    phased = draw(st.lists(st.sampled_from(ids), unique=True))
+    phases = {cid: draw(st.floats(0.0, 0.5)) * intervals[cid] for cid in phased}
+    part = draw(st.sampled_from(["intervals"] + [f"{kind}.{cid}" for kind in ("intervals", "phases") for cid in ids]))
+    if part == "intervals":
+        intervals = {}
+    elif part.startswith("intervals."):
+        cid = int(part.split(".")[1])
+        intervals[cid] = draw(st.sampled_from([0.0, -intervals[cid], math.inf]))
+    else:
+        cid = int(part.split(".")[1])
+        phases[cid] = draw(st.sampled_from([-0.5, 1.0, 1.5])) * intervals[cid]
+        if draw(st.booleans()):  # a phase for an id that has no interval
+            del phases[cid], intervals[cid]
+            cid += 5
+            phases[cid] = 0.0
+            part = f"phases.{cid}"
+            if not intervals:
+                intervals[(cid + 1) % 5] = 1.0
+    entry = {"intervals": {str(c): T for c, T in intervals.items()}, "phases": {str(c): p for c, p in phases.items()}}
+    return {"sosi": entry}, f"sosi.{part}"
+
+
+@given(case=corrupted_entries(), in_blocks=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_schema_error_names_the_corrupted_part(case, in_blocks):
+    entry, part = case
+    if in_blocks:
+        root, parse = "$.blocks[0]", lambda text: parse_policies(text, FIVE)
+        entry = {"blocks": [entry]}
+    else:
+        root, parse = "$", parse_policy
+    with pytest.raises(SchemaError) as caught:
+        parse(json.dumps(entry))
+    path, _ = str(caught.value).split(": ", 1)
+    assert path == f"{root}.{part}"
+
+
 def test_scaled_policy():
     p = CyclicPolicy(1.0, {0: ((0.0, 0.5), (0.5, 0.5))})
     q = p.scaled(2.0)
     assert q.tau == 2.0
     assert q.schedules[0] == ((0.0, 1.0), (1.0, 1.0))
+    s = SosiPolicy({3: 1.0, 1: 0.5}, {3: 0.25})
+    assert s.scaled(2.0) == SosiPolicy({3: 2.0, 1: 1.0}, {3: 0.5})
+    assert list(s.scaled(2.0).intervals_T) == [3, 1]
 
 
 def test_commodity_lookup_by_id():

@@ -14,7 +14,7 @@ class TestBruteForce:
         inst = make_instance([(1, 1, 1)], 10.0)
         policy, cost = oracle_opt_cyclic(inst, tau=2.0, grid_points=8)
         assert cost == pytest.approx(2.0)
-        assert policy.order_count(0) == 2  # two equal orders reproduce T=1
+        assert len(policy.schedules[0]) == 2  # two equal orders reproduce T=1
 
     def test_tight_capacity_forces_small_orders(self):
         inst = make_instance([(1, 1, 1)], 0.5)

@@ -264,7 +264,7 @@ def _far_pair_case():
     cap = 2.0 / (1.0 + eps) ** (ell - 1)
     r = np.random.default_rng(1).uniform(0.77, 0.99, size=n).tolist()
     inst = Instance(tuple(Commodity(i, (x * cap) ** 2, 1.0, 1.0) for i, x in enumerate(r)), capacity_V=1.0)
-    return inst, 0, sosi_to_cyclic(SosiPolicy({i: t for i in range(n)}), inst)
+    return inst, 0, sosi_to_cyclic(SosiPolicy({i: t for i in range(n)}))
 
 
 # sha256 of the sorted-key JSON of the assembled policy followed by repr() of
@@ -439,7 +439,7 @@ class TestDenseBranchGuarantees:
         # intervals revert to the unconstrained optimum and everyone is light
         n = 12
         inst = make_instance([(1.0, 1.0, 1.0)] * n, float(4 * n))
-        ref = sosi_to_cyclic(SosiPolicy({i: 4.0 for i in range(n)}), inst)
+        ref = sosi_to_cyclic(SosiPolicy({i: 4.0 for i in range(n)}))
         cfg = PipelineConfig(eps=0.05, sparsity_threshold=4, Q=4)
         assembled, rep, diag = solve_sub2(inst, cfg, seed=0, reference=ref)
         assert rep.feasible
@@ -520,7 +520,7 @@ def test_closed_form_reference_matches_expanded_cycle(seed, n, regime):
     inst = generate_instance(seed, n, 1.0, regime)
     ref = build_reference_policy(inst)
     closed = decompose_classes(evaluate_sosi(ref, inst), inst, CFG)
-    expanded = decompose_classes(evaluate(sosi_to_cyclic(ref, inst, max_orders=500_000), inst), inst, CFG)
+    expanded = decompose_classes(evaluate(sosi_to_cyclic(ref, max_orders=500_000), inst), inst, CFG)
     assert closed.classes == expanded.classes
     assert closed.labels == expanded.labels
     for cid, space in expanded.avg_space.items():

@@ -299,6 +299,16 @@ class TestActionCap:
         with pytest.raises(StateSpaceExceeded, match=f"{count} of {count} guesses skipped over ACTION_CAP"):
             ptas_solve(inst, 0.5)
 
+    def test_every_guess_overfull_raises_with_the_counts(self):
+        # the cycle-range floor K_max/(2 eps n M) rises as eps falls: at eps
+        # 0.05 it overfills every guess of this instance, while eps 0.1 solves it
+        inst = generate_instance(0, 2, 1.0, "tight")
+        count = len(enumerate_guesses(inst, 0.05))
+        message = rf"\(0 of {count} guesses skipped over ACTION_CAP, {count} overfull, 0 without a feasible DP policy\)"
+        with pytest.raises(StateSpaceExceeded, match=message):
+            ptas_solve(inst, 0.05)
+        assert ptas_solve(inst, 0.1)[1].total_cost_rate == pytest.approx(4.931, abs=1e-3)
+
 
 # sha256 of serialize_policy(policy) + repr(cost rate) of fixed ptas_solve
 # runs (eps 0.5), taken from the per-combination Python loop the pattern
