@@ -9,19 +9,24 @@ Exit codes: 0 success; 1 an infeasible policy (solve, eval, compare; solve
 then writes nothing and prints one stderr line); 2 bad command-line usage,
 including a number outside its flag's range, an eps the sub2 pipeline
 rejects, and a file that cannot be read or written (OSError: a missing
-input, an --out in a directory that does not exist); 3 malformed input JSON (SchemaError); 4 a search budget exceeded
-(BudgetExceeded, StateSpaceExceeded, SearchSpaceExceeded); 5 no feasible
-answer found (InfeasibleMatching, InfeasiblePolicy). Codes 2-5 print one
-line, `ewlsp[ <command>]: error: <message>`, on stderr and no traceback.
+input, an --out in a directory that does not exist or cannot be written,
+found before any work is done); 3 malformed input JSON (SchemaError); 4 a
+search budget exceeded (BudgetExceeded, StateSpaceExceeded,
+SearchSpaceExceeded); 5 no feasible answer found (InfeasibleMatching,
+InfeasiblePolicy). Codes 2-5 print one line, `ewlsp[ <command>]: error:
+<message>`, on stderr and no traceback. An output file is opened only once
+its content is ready.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import math
+import os
 import sys
 import time
 
@@ -86,6 +91,19 @@ def _write(payload: bytes | str, out: str | None) -> None:
         sys.stdout.write(data)
         if not data.endswith("\n"):
             sys.stdout.write("\n")
+
+
+def _check_writable(out: str | None) -> None:
+    """Raise the OSError that opening `out` for writing would raise when
+    its directory does not exist or is not writable, without opening it, so
+    that a command fails before its work rather than after."""
+    if not out:
+        return
+    parent = os.path.dirname(out) or os.curdir
+    if not os.path.isdir(parent):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out)
+    if not os.access(parent, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out)
 
 
 def _read_instance(path: str) -> Instance:
@@ -248,6 +266,8 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    for out in (args.out, getattr(args, "json_out", None)):
+        _check_writable(out)
     if args.command == "gen":
         instance = generate_instance(args.seed, args.n, args.spread, args.regime)
         _write(serialize_instance(instance), args.out)

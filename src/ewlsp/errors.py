@@ -7,7 +7,11 @@ class SchemaError(ValueError):
 
 class PolicyPartError(ValueError):
     """A policy part breaks its type's rules. `part` names it: ("tau",),
-    ("schedules", id), ("intervals",), ("intervals", id) or ("phases", id)."""
+    ("schedules", id), ("intervals",), ("intervals", id) or ("phases", id);
+    for a CouplePolicy ("templates[t]", "tau"),
+    ("templates[t]", "schedules"), ("templates[t]", "schedules[j]"),
+    ("which",), ("which[j]",), ("ids",) or ("ids[j]",), a list element
+    written with its index."""
 
     def __init__(self, part: tuple, message: str):
         super().__init__(message)

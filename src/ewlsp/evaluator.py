@@ -7,7 +7,10 @@ peak is located exactly at order instants; no sampling is involved anywhere.
 
 evaluate certifies a stationary block as the union of its commodities' own
 one-order cycles, with the sawtooth arithmetic it applies to any schedule;
-evaluate_sosi is the solvers' closed form, and the two share no code.
+evaluate_sosi is the solvers' closed form, and the two share no code. A
+couple block is certified as the union of its couples, with their terms
+formed in the one array pass that also gives the solver its per-couple
+reports (evaluate_couples).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import CyclicPolicy, Instance, SosiPolicy
+from .model import CouplePolicy, CyclicPolicy, Instance, SosiPolicy
 
 # Peak space may exceed capacity by this relative float-safety margin and the
 # policy is still ruled feasible.
@@ -85,16 +88,19 @@ def _commodity_stats(orders: tuple[tuple[float, float], ...], tau: float) -> tup
     return total / tau, c0
 
 
-def evaluate(policy: CyclicPolicy | SosiPolicy, instance: Instance) -> EvalReport:
+def evaluate(policy: CyclicPolicy | SosiPolicy | CouplePolicy, instance: Instance) -> EvalReport:
     """Exact cost rates, average inventories, peak space, feasibility verdict.
 
     A SosiPolicy is certified as the union of the single-commodity policies
     CyclicPolicy(T, {id: ((phase, T),)}), one per commodity; see
-    _evaluate_stationary. A schedule for an id the instance lacks raises
-    KeyError.
+    _evaluate_stationary. A CouplePolicy is certified as the union of its
+    couples' two-commodity policies; see _evaluate_couple_policy. A schedule
+    for an id the instance lacks raises KeyError.
     """
     if isinstance(policy, SosiPolicy):
         return _evaluate_stationary(policy, instance)
+    if isinstance(policy, CouplePolicy):
+        return _evaluate_couple_policy(policy, instance)
     tau = policy.tau
     schedules = policy.schedules
     commodities = instance.commodities
@@ -184,34 +190,84 @@ def _evaluate_stationary(policy: SosiPolicy, instance: Instance) -> EvalReport:
 def evaluate_couples(
     templates: Sequence[CyclicPolicy], which: Sequence[int], ids: Sequence[int], instance: Instance
 ) -> list[EvalReport]:
-    """evaluate() of every couple of a batch, in one array pass.
+    """evaluate() of every couple of a batch, in one array pass (_couple_terms).
 
     Couple j runs the two-commodity schedule templates[which[j]], whose first
-    schedule goes to ids[2j] and second to ids[2j+1]. Each template's sawtooth
-    statistics are taken once with `_commodity_stats`; the cost rates, the
-    baseline and the event-ordered peak scan are formed over the instance's
-    parameter columns, one couple per row, with evaluate's own arithmetic.
-    That is bit-identical to evaluate, because each of its per-couple sums has
-    two terms and a two-term float sum does not depend on the order evaluate
-    visits the pair in; an instant where only one schedule orders adds the
-    other's gamma * 0.0, which leaves the sum as it is. The peak scan keeps
-    max's tie and NaN rules, and avg_inventory lists the pair in instance
-    order. An id the instance lacks raises evaluate's KeyError, the first in
-    `ids` order.
+    schedule goes to ids[2j] and second to ids[2j+1]. Each report is
+    bit-identical to evaluate of that couple's own CyclicPolicy, and its
+    avg_inventory lists the pair in instance order. An id the instance lacks
+    raises evaluate's KeyError, the first in `ids` order.
     """
     if not ids:
         return []
+    a_first, ordering, holding, v_max, avg_a, avg_b = _couple_terms(templates, which, ids, instance)
+    V = instance.V
+    reports = []
+    for a, b, a_first_j, o, h, v, avg_a_j, avg_b_j in zip(
+        ids[0::2], ids[1::2], a_first.tolist(), ordering.tolist(), holding.tolist(), v_max.tolist(), avg_a, avg_b
+    ):
+        avg_inventory = {a: avg_a_j, b: avg_b_j} if a_first_j else {b: avg_b_j, a: avg_a_j}
+        reports.append(EvalReport(o, h, v, avg_inventory, V))
+    return reports
+
+
+def _evaluate_couple_policy(policy: CouplePolicy, instance: Instance) -> EvalReport:
+    """evaluate() of a couple block: its couples' terms from the one array
+    pass of evaluate_couples, added left to right in couple order. The
+    report is bit-equal to combine_reports over the per-couple reports, so
+    its peak is the summed per-couple peaks, the certificate of a union of
+    blocks."""
+    ids = policy.ids
+    a_first, ordering, holding, v_max, avg_a, avg_b = _couple_terms(policy.templates, policy.which, ids, instance)
+    avg_inventory: dict[int, float] = {}
+    for a, b, a_first_j, avg_a_j, avg_b_j in zip(ids[0::2], ids[1::2], a_first.tolist(), avg_a, avg_b):
+        if a_first_j:
+            avg_inventory[a] = avg_a_j
+            avg_inventory[b] = avg_b_j
+        else:
+            avg_inventory[b] = avg_b_j
+            avg_inventory[a] = avg_a_j
+    with np.errstate(over="ignore", invalid="ignore"):
+        return EvalReport(
+            ordering_cost_rate=_running_sum(ordering),
+            holding_cost_rate=_running_sum(holding),
+            v_max=_running_sum(v_max),
+            avg_inventory=avg_inventory,
+            feasible_at=instance.V,
+        )
+
+
+def _couple_terms(
+    templates: Sequence[CyclicPolicy], which: Sequence[int], ids: Sequence[int], instance: Instance
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[float], list[float]]:
+    """Per couple, in one array pass: whether A comes before B in the
+    instance, the ordering and holding rates, the peak, and A's and B's
+    average inventories, as evaluate() forms them for that couple's policy.
+
+    Each template's sawtooth statistics are taken once with
+    `_commodity_stats`; the cost rates, the baseline and the event-ordered
+    peak scan are formed over the instance's parameter columns, one couple
+    per row, with evaluate's own arithmetic. That is bit-identical to
+    evaluate, because each of its per-couple sums has two terms and a
+    two-term float sum does not depend on the order evaluate visits the pair
+    in; an instant where only one schedule orders adds the other's
+    gamma * 0.0, which leaves the sum as it is. The peak scan keeps max's tie
+    and NaN rules. An id the instance lacks raises evaluate's KeyError, the
+    first in `ids` order.
+    """
     pos = instance.positions(ids).reshape(-1, 2)
-    # one row per template: tau, the order counts, (avg, c0) of both
-    # schedules, then the order instants, A's and B's quantity at each. Rows
-    # are padded to a common width with instants at t = inf where neither
-    # orders: that leaves the running sum as it is and offers no larger peak.
+    # one row per template: tau, the order counts, the averages and the
+    # baselines c0 of both schedules, then the order instants, A's and B's
+    # quantity at each. Rows are padded to a common width with instants at
+    # t = inf where neither orders: that leaves the running sum as it is and
+    # offers no larger peak.
     parts = []
     for policy in templates:
         a, b = policy.schedules.values()
         qa, qb = dict(a), dict(b)
         times = sorted(qa.keys() | qb.keys())
-        head = [policy.tau, len(a), len(b), *_commodity_stats(a, policy.tau), *_commodity_stats(b, policy.tau)]
+        (avg_a, c0_a), (avg_b, c0_b) = _commodity_stats(a, policy.tau), _commodity_stats(b, policy.tau)
+        head = [policy.tau, len(a), len(b), avg_a, avg_b, c0_a, c0_b]
         parts.append((head, times, [qa.get(t, 0.0) for t in times], [qb.get(t, 0.0) for t in times]))
     width = max(len(times) for _, times, _, _ in parts)
     rows = []
@@ -219,37 +275,30 @@ def evaluate_couples(
         pad = [0.0] * (width - len(times))
         rows.append(head + times + [math.inf] * len(pad) + qa + pad + qb + pad)
     table = np.array(rows)[np.asarray(which, dtype=np.intp)]
-    tau, m_a, m_b, avg_a, c0_a, avg_b, c0_b = table[:, :7].T
-    t_at, qa_at, qb_at = table[:, 7:].reshape(len(table), 3, width).transpose(1, 0, 2)
+    tau = table[:, 0]
+    # each of shape (2, couples), A's row then B's, as are the parameter columns
+    m, avg, c0 = table[:, 1:7].T.reshape(3, 2, -1)
+    t_at = table[:, 7 : 7 + width]
+    q_at = table[:, 7 + width :].reshape(len(table), 2, width).transpose(1, 0, 2)
 
     cols = instance.columns
     K, H, gamma = cols.K[pos].T, cols.H[pos].T, cols.gamma[pos].T
     with np.errstate(over="ignore", invalid="ignore"):
-        ordering = K[0] * m_a / tau + K[1] * m_b / tau
-        holding = 2.0 * H[0] * avg_a + 2.0 * H[1] * avg_b
-        gamma_total = gamma[0] + gamma[1]
-        v_max = w = gamma[0] * c0_a + gamma[1] * c0_b
+        ordering = K * m / tau
+        holding = 2.0 * H * avg
+        w0 = gamma * c0
+        # the space added and the space drained by each instant, all at once
+        added = gamma[:, :, None] * q_at
+        added = added[0] + added[1]
+        drained = (gamma[0] + gamma[1])[:, None] * t_at
+        v_max = w = w0[0] + w0[1]
         for j in range(width):
-            w = w + (gamma[0] * qa_at[:, j] + gamma[1] * qb_at[:, j])
-            x = w - gamma_total * t_at[:, j]
+            w = w + added[:, j]
+            x = w - drained[:, j]
             v_max = np.where(x > v_max, x, v_max)  # max(v_max, x), with its tie and NaN rules
-
-    V = instance.V
-    reports = []
-    couples = zip(
-        ids[0::2],
-        ids[1::2],
-        (pos[:, 0] < pos[:, 1]).tolist(),
-        ordering.tolist(),
-        holding.tolist(),
-        v_max.tolist(),
-        avg_a.tolist(),
-        avg_b.tolist(),
-    )
-    for a, b, a_first, o, h, v, avg_a_j, avg_b_j in couples:
-        avg_inventory = {a: avg_a_j, b: avg_b_j} if a_first else {b: avg_b_j, a: avg_a_j}
-        reports.append(EvalReport(o, h, v, avg_inventory, V))
-    return reports
+        ordering = ordering[0] + ordering[1]
+        holding = holding[0] + holding[1]
+    return pos[:, 0] < pos[:, 1], ordering, holding, v_max, avg[0].tolist(), avg[1].tolist()
 
 
 def _running_sum(terms: np.ndarray) -> float:

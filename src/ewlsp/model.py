@@ -9,7 +9,10 @@ types below; `CyclicPolicy` is the universal representation.
 Each type owns its rules. `CyclicPolicy` checks the cycle length and each
 commodity's orders (in [0, tau), strictly increasing, positive, summing to
 tau); `SosiPolicy` checks that it has intervals, each finite and > 0, and
-that each phase lies in [0, T) of an interval it holds. A broken rule raises
+that each phase lies in [0, T) of an interval it holds; `CouplePolicy`
+checks each template once with the `CyclicPolicy` rules and that it holds
+exactly two schedules, that it has couples and each names a template it
+holds, and that its ids are distinct, two per couple. A broken rule raises
 a PolicyPartError naming the part, from which the JSON parsers build the
 SchemaError's field path; the parsers themselves check only JSON types and
 id keys, and `parse_policies` checks ids against the instance.
@@ -17,6 +20,7 @@ id keys, and `parse_policies` checks ids against the instance.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -269,6 +273,65 @@ class CyclicPolicy:
         return CyclicPolicy(self.tau, keep)
 
 
+@dataclass(frozen=True)
+class CouplePolicy:
+    """The paired two-commodity schedules of one couple block.
+
+    Couple j runs templates[which[j]]: its first schedule goes to ids[2j]
+    (commodity A), its second to ids[2j+1] (commodity B). A template is given
+    as a (tau, (A's orders, B's orders), case) triple and kept as the
+    CyclicPolicy keyed 0 (A) and 1 (B); its construction case goes to
+    `cases`, for the wire format.
+    """
+
+    templates: tuple[CyclicPolicy, ...]
+    which: tuple[int, ...]
+    ids: tuple[int, ...]
+    cases: tuple[int, ...] = field(init=False)
+
+    def __post_init__(self):
+        templates = tuple(_couple_template(t, tau, schedules) for t, (tau, schedules, _) in enumerate(self.templates))
+        object.__setattr__(self, "cases", tuple(case for _, _, case in self.templates))
+        object.__setattr__(self, "templates", templates)
+        which, ids = tuple(self.which), tuple(self.ids)
+        object.__setattr__(self, "which", which)
+        object.__setattr__(self, "ids", ids)
+        if not which:
+            raise PolicyPartError(("which",), "couple policy needs at least one couple")
+        m = len(templates)
+        if min(which) < 0 or max(which) >= m:
+            j = next(j for j, k in enumerate(which) if not 0 <= k < m)
+            raise PolicyPartError((f"which[{j}]",), f"template index must lie in [0, {m}), got {which[j]!r}")
+        if len(ids) != 2 * len(which):
+            raise PolicyPartError(("ids",), f"expected {2 * len(which)} ids, two per couple, got {len(ids)}")
+        if len(set(ids)) != len(ids):
+            first: dict[int, int] = {}
+            for j, cid in enumerate(ids):
+                if cid in first:
+                    raise PolicyPartError((f"ids[{j}]",), f"commodity {cid} is also ids[{first[cid]}]")
+                first[cid] = j
+
+    @cached_property
+    def schedules(self) -> Mapping[int, tuple[tuple[float, float], ...]]:
+        """id -> orders, in the order of `ids`: the schedule each commodity
+        runs in its couple. Read-only, built on first access."""
+        pairs = [(t.schedules[0], t.schedules[1]) for t in self.templates]
+        return MappingProxyType(dict(zip(self.ids, itertools.chain.from_iterable(map(pairs.__getitem__, self.which)))))
+
+
+def _couple_template(t: int, tau: float, schedules: Sequence) -> CyclicPolicy:
+    """Template t of a CouplePolicy as the CyclicPolicy keyed 0 (A) and 1
+    (B); a broken CyclicPolicy rule is named below `templates[t]`."""
+    where = f"templates[{t}]"
+    if len(schedules) != 2:
+        raise PolicyPartError((where, "schedules"), f"a couple template needs exactly two schedules, got {len(schedules)}")
+    try:
+        return CyclicPolicy(tau, dict(enumerate(schedules)))
+    except PolicyPartError as exc:
+        part = exc.part if exc.part == ("tau",) else (f"schedules[{exc.part[1]}]",)
+        raise PolicyPartError((where, *part), str(exc)) from exc
+
+
 # Largest denominator `_as_fraction` tries when snapping a float.
 MAX_SNAP_DENOMINATOR = 10**12
 
@@ -416,21 +479,26 @@ def serialize_instance(instance: Instance) -> bytes:
     return json.dumps(payload, sort_keys=True).encode("utf-8")
 
 
-def parse_policy(text: bytes | str) -> CyclicPolicy | SosiPolicy:
-    """Parse one policy entry: the canonical cyclic-policy JSON, or a
-    stationary block's `{"sosi": {...}}` (a SosiPolicy). SchemaError carries
-    the field path."""
+Policy = CyclicPolicy | SosiPolicy | CouplePolicy
+
+
+def parse_policy(text: bytes | str) -> Policy:
+    """Parse one policy entry: the canonical cyclic-policy JSON, a
+    stationary block's `{"sosi": {...}}` (a SosiPolicy) or a couple block's
+    `{"couples": {...}}` (a CouplePolicy). SchemaError carries the field
+    path."""
     return _policy_from(_load_object(text), "$")
 
 
-def parse_policies(text: bytes | str, instance: Instance) -> list[CyclicPolicy | SosiPolicy]:
+def parse_policies(text: bytes | str, instance: Instance) -> list[Policy]:
     """Parse one policy entry, or the `{"blocks": [...]}` union of entries
     over disjoint ids that every solver writes, into its parts: a
-    CyclicPolicy per `{"tau", "schedules"}` entry and a SosiPolicy per
-    `{"sosi": {"intervals", "phases"}}` entry. Keys other than `tau`,
-    `schedules`, `sosi` and `blocks` (`provenance`, `diagnostics`,
-    `summary`) are ignored. An id the `instance` lacks, or one that two
-    entries both name, is a SchemaError at that id's path."""
+    CyclicPolicy per `{"tau", "schedules"}` entry, a SosiPolicy per
+    `{"sosi": {"intervals", "phases"}}` entry and a CouplePolicy per
+    `{"couples": {"templates", "which", "ids"}}` entry. Keys other than
+    `tau`, `schedules`, `sosi`, `couples` and `blocks` (`provenance`,
+    `diagnostics`, `summary`) are ignored. An id the `instance` lacks, or
+    one that two entries both name, is a SchemaError at that id's path."""
     raw = _load_object(text)
     if "blocks" not in raw:
         parts = [("$", raw)]
@@ -445,14 +513,16 @@ def parse_policies(text: bytes | str, instance: Instance) -> list[CyclicPolicy |
             raise SchemaError(f"{path}: expected an object")
         policy = _policy_from(block, path)
         if isinstance(policy, SosiPolicy):
-            ids, field_path = policy.intervals_T, f"{path}.sosi.intervals"
+            ids, where = policy.intervals_T, f"{path}.sosi.intervals.{{cid}}"
+        elif isinstance(policy, CouplePolicy):
+            ids, where = policy.ids, f"{path}.couples.ids[{{j}}]"
         else:
-            ids, field_path = policy.schedules, f"{path}.schedules"
-        for cid in ids:
+            ids, where = policy.schedules, f"{path}.schedules.{{cid}}"
+        for j, cid in enumerate(ids):
             if cid not in instance:
-                raise SchemaError(f"{field_path}.{cid}: the instance has no commodity {cid}")
+                raise SchemaError(f"{where.format(j=j, cid=cid)}: the instance has no commodity {cid}")
             if cid in owner:
-                raise SchemaError(f"{field_path}.{cid}: commodity {cid} is also in {owner[cid]}")
+                raise SchemaError(f"{where.format(j=j, cid=cid)}: commodity {cid} is also in {owner[cid]}")
             owner[cid] = path
         policies.append(policy)
     return policies
@@ -469,30 +539,76 @@ def _id_key(key: str, path: str) -> int:
     return cid
 
 
-def _policy_from(raw: dict, root: str) -> CyclicPolicy | SosiPolicy:
+def _policy_from(raw: dict, root: str) -> Policy:
+    if "couples" in raw:
+        if "sosi" in raw or "tau" in raw or "schedules" in raw:
+            raise SchemaError(f"{root}: expected a couples entry alone, without sosi, tau or schedules")
+        return _couples_from(raw["couples"], f"{root}.couples")
     if "sosi" in raw:
         if "tau" in raw or "schedules" in raw:
             raise SchemaError(f"{root}: expected either a sosi entry or tau and schedules, not both")
         return _sosi_from(raw["sosi"], f"{root}.sosi")
-    # Field paths are built only on the way to a SchemaError: a float needs no check.
-    tau = raw.get("tau")
-    if type(tau) is not float:
-        tau = _number(tau, f"{root}.tau")
+    tau = _tau(raw, root)
     if not isinstance(raw.get("schedules"), dict):
         raise SchemaError(f"{root}.schedules: expected an object")
     schedules = {}
     for key, orders in raw["schedules"].items():
-        cid = _id_key(key, f"{root}.schedules")
-        if not isinstance(orders, list):
-            raise SchemaError(f"{root}.schedules.{key}: expected an array of [t, q] pairs")
-        parsed = []
-        for k, pair in enumerate(orders):
-            if isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is float and type(pair[1]) is float:
-                parsed.append((pair[0], pair[1]))
-            else:
-                parsed.append(_pair(pair, f"{root}.schedules.{key}[{k}]"))
-        schedules[cid] = tuple(parsed)
+        schedules[_id_key(key, f"{root}.schedules")] = _orders(orders, f"{root}.schedules.{key}")
     return _checked(root, CyclicPolicy, tau, schedules)
+
+
+def _tau(raw: dict, root: str) -> float:
+    # Field paths are built only on the way to a SchemaError: a float needs no check.
+    tau = raw.get("tau")
+    return tau if type(tau) is float else _number(tau, f"{root}.tau")
+
+
+def _orders(raw, path: str) -> tuple[tuple[float, float], ...]:
+    """A JSON array of `[t, q]` pairs of numbers as float pairs."""
+    if not isinstance(raw, list):
+        raise SchemaError(f"{path}: expected an array of [t, q] pairs")
+    parsed = []
+    for k, pair in enumerate(raw):
+        if isinstance(pair, list) and len(pair) == 2 and type(pair[0]) is float and type(pair[1]) is float:
+            parsed.append((pair[0], pair[1]))
+        else:
+            parsed.append(_pair(pair, f"{path}[{k}]"))
+    return tuple(parsed)
+
+
+def _couples_from(raw, root: str) -> CouplePolicy:
+    """The CouplePolicy of a `{"templates": [{"tau", "schedules": [A's
+    orders, B's orders], "case"}], "which": [...], "ids": [...]}` object."""
+    if not isinstance(raw, dict):
+        raise SchemaError(f"{root}: expected an object")
+    if not isinstance(raw.get("templates"), list):
+        raise SchemaError(f"{root}.templates: expected an array")
+    templates = []
+    for t, template in enumerate(raw["templates"]):
+        path = f"{root}.templates[{t}]"
+        if not isinstance(template, dict):
+            raise SchemaError(f"{path}: expected an object")
+        tau = _tau(template, path)
+        schedules = template.get("schedules")
+        if not isinstance(schedules, list):
+            raise SchemaError(f"{path}.schedules: expected an array of two order arrays")
+        case = template.get("case")
+        if type(case) is not int:
+            raise SchemaError(f"{path}.case: expected an integer")
+        templates.append((tau, [_orders(orders, f"{path}.schedules[{j}]") for j, orders in enumerate(schedules)], case))
+    which = _integers(raw.get("which"), f"{root}.which")
+    ids = _integers(raw.get("ids"), f"{root}.ids")
+    return _checked(root, CouplePolicy, templates, which, ids)
+
+
+def _integers(raw, path: str) -> list[int]:
+    """A JSON array of integers (booleans excluded), checked whole."""
+    if not isinstance(raw, list):
+        raise SchemaError(f"{path}: expected an array of integers")
+    if not set(map(type, raw)) <= {int}:
+        j = next(j for j, value in enumerate(raw) if type(value) is not int)
+        raise SchemaError(f"{path}[{j}]: expected an integer")
+    return raw
 
 
 def _sosi_from(raw, root: str) -> SosiPolicy:
@@ -533,15 +649,9 @@ def _pair(pair, path: str) -> tuple[float, float]:
 
 def policy_to_json(policy: CyclicPolicy) -> dict:
     """The canonical `{"tau", "schedules"}` object, schedules in ascending id order."""
-    return cyclic_json(policy.tau, policy.schedules)
-
-
-def cyclic_json(tau: float, schedules: Mapping[int, Sequence[tuple[float, float]]]) -> dict:
-    """policy_to_json of the cyclic policy with this cycle and these
-    schedules, which are taken to be valid."""
     return {
-        "tau": tau,
-        "schedules": {str(cid): [[t, q] for t, q in orders] for cid, orders in sorted(schedules.items())},
+        "tau": policy.tau,
+        "schedules": {str(cid): [[t, q] for t, q in orders] for cid, orders in sorted(policy.schedules.items())},
     }
 
 
@@ -551,6 +661,22 @@ def sosi_to_json(policy: SosiPolicy) -> dict:
     return {
         "intervals": {str(cid): T for cid, T in sorted(policy.intervals_T.items())},
         "phases": {str(cid): phi for cid, phi in sorted(policy.phases.items())},
+    }
+
+
+def couples_json(
+    templates: Sequence[CyclicPolicy], cases: Sequence[int], which: Sequence[int], ids: Sequence[int]
+) -> dict:
+    """The `{"templates", "which", "ids"}` object of a couple block: each
+    template's cycle, its two schedules in key order (A's, then B's) and its
+    case, then `which` and `ids` as given. The parts are taken to be valid."""
+    return {
+        "templates": [
+            {"tau": p.tau, "schedules": [[[t, q] for t, q in orders] for orders in p.schedules.values()], "case": case}
+            for p, case in zip(templates, cases)
+        ],
+        "which": list(which),
+        "ids": list(ids),
     }
 
 

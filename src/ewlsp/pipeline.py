@@ -20,8 +20,8 @@ conservative for feasibility. The paired schedules of one heavy subgroup
 form one couple block: its near pairs that agree on (k, T_A) share a single
 synthesized schedule, and the block reports all its couples in one array
 pass over the instance's columns. Each couple still counts as a block of its
-own, in the report's sums and in the wire format, where a stationary block
-is one `sosi` entry.
+own in the report's sums. In the wire format a couple block is one
+`couples` entry and a stationary block one `sosi` entry.
 
 The three scenarios (high sparse volume, low dense volume, difficult) live in
 _dispatch, which alone reads their volume thresholds and only returns blocks;
@@ -49,7 +49,7 @@ from .matching import (
     edge_weight,
     solve_b_matching,
 )
-from .model import CyclicPolicy, Instance, SosiPolicy, cyclic_json, policy_to_json, sosi_to_json
+from .model import CyclicPolicy, Instance, SosiPolicy, couples_json, policy_to_json, sosi_to_json
 from .po2 import PO2_MEAN_CONSTANT, po2_round
 from .relaxation import solve_sosi_relaxation
 from .two_approx import halved_relaxation, solve_two_approx
@@ -139,14 +139,13 @@ class CoupleBlock:
     ids[2j+1], commodity B, and runs templates[which[j]], whose first schedule
     is A's and second B's. Couples that agree on (k, T_A) share one template:
     synthesize_couple builds and validates it once, for the first of them.
-    Reports, scaling and JSON are those of one synthesize_couple policy per
-    couple.
+    Reports and scaling are those of one synthesize_couple policy per couple.
     """
 
     ids: tuple[int, ...]
     which: tuple[int, ...]
     templates: tuple[CoupleSchedule, ...]
-    provenance: str  # the class tag; couple j's entry is tagged f"{provenance}:couple-case{c}"
+    provenance: str  # the class tag
 
     def reports(self, instance: Instance) -> list[EvalReport]:
         """evaluate() of every couple's policy, in one array pass."""
@@ -156,15 +155,12 @@ class CoupleBlock:
         return combine_reports(self.reports(instance), instance)
 
     def entries(self) -> list[dict]:
-        """One policy_to_json entry per couple, plus its provenance tag."""
-        out = []
-        for j, k in enumerate(self.which):
-            template = self.templates[k]
-            a, b = template.policy.schedules.values()
-            schedules = {self.ids[2 * j]: a, self.ids[2 * j + 1]: b}
-            provenance = f"{self.provenance}:couple-case{template.case_id}"
-            out.append({**cyclic_json(template.policy.tau, schedules), "provenance": provenance})
-        return out
+        """The block's one wire-format entry, `{"couples": couples_json(...)}`,
+        written straight from its fields (each template's cycle, A's and B's
+        schedules and case; `which`; `ids`), plus its provenance tag. The
+        entry re-parses as a model.CouplePolicy."""
+        policies, cases = [t.policy for t in self.templates], [t.case_id for t in self.templates]
+        return [{"couples": couples_json(policies, cases, self.which, self.ids), "provenance": self.provenance}]
 
     def scaled(self, factor: float) -> "CoupleBlock":
         if factor == 1.0:
@@ -201,8 +197,8 @@ class AssembledPolicy:
     def to_json(self) -> dict:
         """Wire format: the blocks' entries in order, each tagged with its
         provenance: one `{"sosi": ...}` entry per stationary block, one
-        cyclic-policy entry per cyclic block and per couple. model.parse_policies
-        reads it back."""
+        `{"couples": ...}` entry per couple block and one cyclic-policy entry
+        per cyclic block. model.parse_policies reads it back."""
         return {"blocks": [entry for b in self.blocks for entry in b.entries()]}
 
 

@@ -32,18 +32,36 @@ def rng():
 
 
 def flatten(blocks):
-    """Wire-format block entries with each `{"sosi": ...}` entry expanded into
-    one single-commodity cyclic entry per commodity, in int-id order:
-    `{"tau": T, "schedules": {"<id>": [[phase, T]]}, "provenance": p}`, the
-    form stationary blocks were once written in, so digests pinned on it stay
-    checkable. Other entries pass through."""
+    """Wire-format block entries with each compact entry expanded into the
+    per-commodity or per-couple cyclic entries it replaces, the forms blocks
+    were once written in, so digests pinned on them stay checkable:
+    - a `{"sosi": ...}` entry into one single-commodity entry per commodity,
+      in int-id order: `{"tau": T, "schedules": {"<id>": [[phase, T]]},
+      "provenance": p}`;
+    - a `{"couples": ...}` entry into one two-commodity entry per couple, in
+      couple order: `{"tau", "schedules": {"<a>": A's orders, "<b>": B's
+      orders} in int-id order, "provenance": f"{p}:couple-case{case}"}`.
+    Other entries pass through."""
     out = []
     for entry in blocks:
-        if "sosi" not in entry:
+        if "sosi" in entry:
+            intervals, phases = entry["sosi"]["intervals"], entry["sosi"].get("phases", {})
+            for key in sorted(intervals, key=int):
+                T = intervals[key]
+                out.append({"tau": T, "schedules": {key: [[phases.get(key, 0.0), T]]}, "provenance": entry["provenance"]})
+        elif "couples" in entry:
+            couples = entry["couples"]
+            ids = couples["ids"]
+            for j, k in enumerate(couples["which"]):
+                template = couples["templates"][k]
+                pair = sorted(zip(ids[2 * j : 2 * j + 2], template["schedules"]))
+                out.append(
+                    {
+                        "tau": template["tau"],
+                        "schedules": {str(cid): orders for cid, orders in pair},
+                        "provenance": f"{entry['provenance']}:couple-case{template['case']}",
+                    }
+                )
+        else:
             out.append(entry)
-            continue
-        intervals, phases = entry["sosi"]["intervals"], entry["sosi"].get("phases", {})
-        for key in sorted(intervals, key=int):
-            T = intervals[key]
-            out.append({"tau": T, "schedules": {key: [[phases.get(key, 0.0), T]]}, "provenance": entry["provenance"]})
     return out

@@ -8,7 +8,7 @@ import pytest
 import ewlsp.cli as cli
 from ewlsp.cli import generate_instance, main
 from ewlsp.errors import InfeasibleMatching, InfeasiblePolicy
-from ewlsp.model import Commodity, Instance, SosiPolicy, parse_instance, parse_policy, serialize_instance
+from ewlsp.model import Commodity, CouplePolicy, Instance, SosiPolicy, parse_instance, parse_policy, serialize_instance
 from ewlsp.relaxation import solve_sosi_relaxation
 
 from conftest import flatten
@@ -86,22 +86,29 @@ class TestSolveEval:
 
     def test_sub2_solver(self, tmp_path):
         inst_path = tmp_path / "inst.json"
-        main(["gen", "--seed", "5", "--n", "6", "--regime", "dense-heavy", "--out", str(inst_path)])
         sol_path = tmp_path / "sol.json"
-        rc = main(
-            ["solve", "--instance", str(inst_path), "--algo", "sub2", "--seed", "2", "--out", str(sol_path)]
-        )
-        assert rc == 0
-        payload = json.loads(sol_path.read_text())
-        assert payload["summary"]["feasible"] is True
-        assert "blocks" in payload
+        blocks = []
+        for seed, n in (("5", "6"), ("4", "12")):  # the second solve holds couples
+            main(["gen", "--seed", seed, "--n", n, "--regime", "dense-heavy", "--out", str(inst_path)])
+            rc = main(
+                ["solve", "--instance", str(inst_path), "--algo", "sub2", "--seed", "2", "--out", str(sol_path)]
+            )
+            assert rc == 0
+            payload = json.loads(sol_path.read_text())
+            assert payload["summary"]["feasible"] is True
+            blocks += payload["blocks"]
+        assert any("couples" in block for block in blocks)
         # every emitted block re-parses on its own: a stationary one as a
-        # SosiPolicy, a cyclic one as ordinary cyclic-policy JSON
-        for block in payload["blocks"]:
+        # SosiPolicy, a couple block as a CouplePolicy, a cyclic one as
+        # ordinary cyclic-policy JSON
+        for block in blocks:
             parsed = parse_policy(json.dumps(block))
             if "sosi" in block:
                 assert isinstance(parsed, SosiPolicy)
                 assert parsed.intervals_T == {int(k): T for k, T in block["sosi"]["intervals"].items()}
+            elif "couples" in block:
+                assert isinstance(parsed, CouplePolicy)
+                assert parsed.ids == tuple(block["couples"]["ids"])
             else:
                 assert parsed.tau == block["tau"]
 
@@ -160,8 +167,8 @@ class TestSolveEval:
         assert main(["eval", "--instance", str(inst_path), "--policy", str(sol_path), "--out", str(out)]) == 1
         report = json.loads(out.read_text())
         assert report["feasible"] is False
-        ids = dropped["sosi"]["intervals"] if "sosi" in dropped else dropped["schedules"]
-        assert report["missing"] == sorted(int(k) for k in ids)
+        ids = parse_policy(json.dumps(dropped)).schedules
+        assert report["missing"] == sorted(ids)
 
     def test_eval_rejects_blocks_sharing_an_id(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"
@@ -265,9 +272,9 @@ class TestSolveEval:
 
 # sha256 of the sorted-key JSON of the `blocks` and `summary` of fixed-seed
 # `ewlsp solve` files: first with each stationary entry flattened into one
-# cyclic entry per commodity (conftest.flatten), the form the files were
-# pinned on before stationary blocks were written as one sosi entry, then as
-# written. `diagnostics` is left out so counters may change while the
+# cyclic entry per commodity and each couple entry into one per couple
+# (conftest.flatten), the form the files were pinned on before stationary
+# and couple blocks were written as one entry each, then as written. `diagnostics` is left out so counters may change while the
 # written policies stay bit-identical.
 PINNED_SOLVE_FILES = [
     (
@@ -275,7 +282,7 @@ PINNED_SOLVE_FILES = [
         ["--seed", "11", "--n", "40", "--regime", "dense-heavy"],
         ["--algo", "sub2"],
         "3bdac656c9788a7b4196d2c131b587127b7f9bbb59425ef1bbaf9d0ea1d0207f",
-        "3bdac656c9788a7b4196d2c131b587127b7f9bbb59425ef1bbaf9d0ea1d0207f",
+        "05a49c600c55f08285c1fe62aed307cbd3cca6290d39b37d775eea93d4574e79",
     ),
     (
         "sub2-tight-n60-trials3",
@@ -458,6 +465,40 @@ class TestErrorExitCodes:
         assert main(["gen", "--n", "2", "--out", str(out)]) == 2
         assert capsys.readouterr().err == f"ewlsp: error: [Errno 2] No such file or directory: '{out}'\n"
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize(
+        "argv, work",
+        [
+            (["solve", "--instance", "{inst}", "--algo", "sub2"], "solve_sub2"),
+            (["solve", "--instance", "{inst}", "--algo", "ptas"], "ptas_solve"),
+            (["compare", "--instance", "{inst}", "--algos", "sub2"], "solve_sub2"),
+            (["compare", "--instance", "{inst}", "--out", "{ok}"], "solve_two_approx"),
+            (["relax", "--instance", "{inst}"], "solve_sosi_relaxation"),
+            (["oracle", "--instance", "{inst}", "--tau", "1.0"], "oracle_opt_cyclic"),
+            (["couple", "--k", "2"], "synthesize_couple"),
+        ],
+    )
+    def test_out_in_a_missing_directory_exits_2_before_any_work(self, tmp_path, capsys, monkeypatch, argv, work):
+        inst = tmp_path / "inst.json"
+        main(["gen", "--seed", "1", "--n", "2", "--regime", "dense-heavy", "--out", str(inst)])
+        calls = []
+        monkeypatch.setattr(f"ewlsp.cli.{work}", lambda *a, **k: calls.append(a))
+        monkeypatch.setattr("ewlsp.cli._read_instance", lambda path: calls.append(path))
+        out = tmp_path / "no-such-dir" / "out.json"
+        flag = "--json-out" if "--out" in argv else "--out"
+        argv = [a.format(inst=inst, ok=tmp_path / "table.csv") for a in argv] + [flag, str(out)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"ewlsp: error: [Errno 2] No such file or directory: '{out}'\n"
+        assert calls == []
+        assert not out.parent.exists() and not (tmp_path / "table.csv").exists()
+
+    def test_out_in_a_read_only_directory_exits_2(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "inst.json"
+        monkeypatch.setattr("ewlsp.cli.os.access", lambda path, mode: False)
+        assert main(["gen", "--n", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ewlsp: error: [Errno 13] Permission denied: '{out}'\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_non_positive_state_cap_is_a_usage_error(self, tmp_path, capsys, cap):

@@ -4,7 +4,8 @@ A dense class's near pairs become one couple block per heavy subgroup: pairs
 that agree on (k, T_A) share one synthesize_couple schedule and the block
 reports every couple in one array pass. Each couple must come out exactly as
 evaluate(synthesize_couple(...).policy) and policy_to_json would give it, float
-reprs and dict key order included. The matching's edge table and evaluate are
+reprs and dict key order included, the latter once the block's one couples
+entry is flattened (conftest.flatten). The matching's edge table and evaluate are
 compared with plain-Python copies of the loops they replaced.
 """
 
@@ -22,7 +23,7 @@ from ewlsp.eoq import constrained_interval
 from ewlsp.errors import NotAPowerOfTwo, SpaceMismatch
 from ewlsp.evaluator import EvalReport, combine_reports, evaluate, evaluate_couples, evaluate_sosi
 from ewlsp.matching import INF_CLASS, class_interval_cap, edge_weight
-from ewlsp.model import Commodity, CyclicPolicy, Instance, SosiPolicy, policy_to_json
+from ewlsp.model import Commodity, CouplePolicy, CyclicPolicy, Instance, SosiPolicy, parse_policy, policy_to_json
 from ewlsp.pipeline import (
     AssembledPolicy,
     Block,
@@ -33,6 +34,8 @@ from ewlsp.pipeline import (
     decompose_classes,
     split_heavy_light,
 )
+
+from conftest import flatten
 
 EPS = 0.05
 
@@ -177,9 +180,28 @@ def test_couple_block_matches_one_policy_per_couple(case, factor):
     assert exact(block.reports(inst)) == exact(expected)
     assert exact([evaluate(p, inst) for p in policies]) == exact(expected)
     assert exact(block.report(inst)) == exact(combine_reports(expected, inst))
+    # the block's one couples entry, flattened, is the old per-couple list
     entries = [{**policy_to_json(p), "provenance": f"class3:couple-case{c.case_id}"} for p, c in zip(policies, couples)]
-    assert json.dumps(block.entries()) == json.dumps(entries)
+    assert json.dumps(flatten(block.entries())) == json.dumps(entries)
     assert len(block.templates) == len({(inp.k, inp.T_A) for inp in inputs})
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=couple_cases(), factor=st.sampled_from([1.0, 0.5, 0.9999999, 1 / 3, 19 / 160, 1.7]))
+def test_couple_policy_evaluates_as_the_union_of_its_couples(case, factor):
+    # the block's entry, parsed back, is certified in one report that is
+    # bit-equal to combine_reports of evaluate on each couple's own policy
+    pairs, inst = case
+    block = _couple_block(pairs, inst, EPS, "class3").scaled(factor)
+    (entry,) = block.entries()
+    policy = parse_policy(json.dumps(entry))
+    assert isinstance(policy, CouplePolicy)
+    couples = [CyclicPolicy(p["tau"], {int(k): tuple(map(tuple, o)) for k, o in p["schedules"].items()}) for p in flatten([entry])]
+    expected = combine_reports([evaluate(p, inst) for p in couples], inst)
+    assert exact(evaluate(policy, inst)) == exact(expected)
+    assert exact(block.report(inst)) == exact(expected)
+    assert evaluate(policy, inst).feasible_at == inst.V
+    assert dict(policy.schedules) == {cid: orders for p in couples for cid, orders in p.schedules.items()}
 
 
 @settings(max_examples=40, deadline=None)
@@ -263,7 +285,9 @@ def test_shared_schedule_is_built_once_per_key():
     block = _couple_block(pairs, inst, EPS, "class7")
     assert block.which == (0, 1, 0, 0, 2)
     assert len(block.templates) == 3
-    assert [e["provenance"] for e in block.entries()] == ["class7:couple-case1"] * 4 + ["class7:couple-case2"]
+    (entry,) = block.entries()
+    assert entry["provenance"] == "class7"
+    assert [e["provenance"] for e in flatten([entry])] == ["class7:couple-case1"] * 4 + ["class7:couple-case2"]
     assert block.ids == tuple(range(10))
 
 

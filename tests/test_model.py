@@ -9,6 +9,7 @@ from ewlsp.errors import IncommensurateIntervals, SchemaError
 from ewlsp.evaluator import evaluate
 from ewlsp.model import (
     Commodity,
+    CouplePolicy,
     CyclicPolicy,
     Instance,
     SosiPolicy,
@@ -16,6 +17,7 @@ from ewlsp.model import (
     parse_policies,
     parse_policy,
     serialize_instance,
+    couples_json,
     serialize_policy,
     sosi_to_cyclic,
     sosi_to_json,
@@ -206,6 +208,90 @@ class TestSerialization:
         with pytest.raises(SchemaError, match=path):
             parse_policies(json.dumps(doc), FIVE)
 
+    def test_couple_entry_round_trip(self):
+        a, b = ((0.0, 0.5), (0.5, 0.5)), ((0.25, 1.0),)
+        c, d = ((0.0, 2.0),), ((1.0, 1.0), (1.5, 1.0))
+        p = CouplePolicy([(1.0, (a, b), 1), (2.0, (c, d), 2)], which=[1, 0], ids=[4, 2, 0, 1])
+        entry = {"couples": couples_json(p.templates, p.cases, p.which, p.ids), "provenance": "class1"}
+        assert entry["couples"] == {
+            "templates": [
+                {"tau": 1.0, "schedules": [[[0.0, 0.5], [0.5, 0.5]], [[0.25, 1.0]]], "case": 1},
+                {"tau": 2.0, "schedules": [[[0.0, 2.0]], [[1.0, 1.0], [1.5, 1.0]]], "case": 2},
+            ],
+            "which": [1, 0],
+            "ids": [4, 2, 0, 1],
+        }
+        text = json.dumps(entry)
+        again = parse_policy(text)
+        assert again == p
+        assert json.dumps({**entry, "couples": couples_json(again.templates, again.cases, again.which, again.ids)}) == text
+        assert list(again.schedules.items()) == [(4, c), (2, d), (0, a), (1, b)]
+        assert again.schedules is again.schedules  # built once
+        with pytest.raises(TypeError):
+            again.schedules[4] = a
+        assert again.templates[0] == CyclicPolicy(1.0, {0: a, 1: b}) and again.cases == (1, 2)
+        doc = {"blocks": [entry, {"sosi": {"intervals": {"3": 2.0}}}]}
+        couples, sosi = parse_policies(json.dumps(doc), FIVE)
+        assert couples == p and sosi == SosiPolicy({3: 2.0})
+
+    @pytest.mark.parametrize(
+        "couples, path",
+        [
+            (None, r"\$\.couples: expected an object"),
+            ({}, r"\$\.couples\.templates: expected an array$"),
+            ({"templates": [3]}, r"\$\.couples\.templates\[0\]: expected an object"),
+            ({"templates": [{"tau": "1", "schedules": [], "case": 1}]}, r"\$\.couples\.templates\[0\]\.tau: expected a number"),
+            ({"templates": [{"tau": 1.0, "schedules": {}, "case": 1}]}, r"\$\.couples\.templates\[0\]\.schedules: expected an array"),
+            ({"templates": [{"tau": 1.0, "schedules": [[[0.0, 1.0]]]}]}, r"\$\.couples\.templates\[0\]\.case: expected an integer"),
+            ({"templates": [{"tau": 1.0, "schedules": [[[0.0]]], "case": 1}]}, r"\$\.couples\.templates\[0\]\.schedules\[0\]\[0\]: expected a \[t, q\] pair"),
+            ({"templates": [{"tau": 1.0, "schedules": [3], "case": 1}]}, r"\$\.couples\.templates\[0\]\.schedules\[0\]: expected an array of \[t, q\] pairs"),
+            ({"templates": [{"tau": 1.0, "schedules": [[[0.0, 1.0]]], "case": 1}], "which": [0], "ids": [0, 1]},
+             r"\$\.couples\.templates\[0\]\.schedules: a couple template needs exactly two schedules, got 1$"),
+            ({"templates": [{"tau": 1.0, "schedules": [[[0.0, 1.0]]] * 3, "case": 1}], "which": [0], "ids": [0, 1]},
+             r"\$\.couples\.templates\[0\]\.schedules: a couple template needs exactly two schedules, got 3$"),
+            ({"templates": [{"tau": 0.0, "schedules": [[[0.0, 1.0]]] * 2, "case": 1}], "which": [0], "ids": [0, 1]},
+             r"\$\.couples\.templates\[0\]\.tau: cycle length must be > 0"),
+            ({"templates": [{"tau": 1.0, "schedules": [[[0.0, 1.0]], [[0.0, 0.5]]], "case": 1}], "which": [0], "ids": [0, 1]},
+             r"\$\.couples\.templates\[0\]\.schedules\[1\]: commodity 1: quantities sum to 0\.5"),
+            ({"templates": [], "which": 0}, r"\$\.couples\.which: expected an array of integers"),
+            ({"templates": [], "which": [0, True]}, r"\$\.couples\.which\[1\]: expected an integer"),
+            ({"templates": [], "which": [], "ids": []}, r"\$\.couples\.which: couple policy needs at least one couple"),
+        ],
+    )
+    def test_couple_entry_shape_errors(self, couples, path):
+        with pytest.raises(SchemaError, match=path):
+            parse_policies(json.dumps({"couples": couples}), FIVE)
+
+    @pytest.mark.parametrize(
+        "which, ids, path",
+        [
+            ([0, 2], [0, 1, 2, 3], r"\$\.blocks\[1\]\.couples\.which\[1\]: template index must lie in \[0, 2\), got 2"),
+            ([-1], [0, 1], r"\$\.blocks\[1\]\.couples\.which\[0\]: template index must lie in \[0, 2\), got -1"),
+            ([0, 1], [0, 1, 2], r"\$\.blocks\[1\]\.couples\.ids: expected 4 ids, two per couple, got 3"),
+            ([0], [0, 1, 2], r"\$\.blocks\[1\]\.couples\.ids: expected 2 ids, two per couple, got 3"),
+            ([0, 1], [0, 1, 2, "3"], r"\$\.blocks\[1\]\.couples\.ids\[3\]: expected an integer"),
+            ([0, 1], [0, 1, 2, 1], r"\$\.blocks\[1\]\.couples\.ids\[3\]: commodity 1 is also ids\[1\]"),
+            ([0], [2, 2], r"\$\.blocks\[1\]\.couples\.ids\[1\]: commodity 2 is also ids\[0\]"),
+            ([0, 1], [0, 1, 9, 2], r"\$\.blocks\[1\]\.couples\.ids\[2\]: the instance has no commodity 9"),
+            ([1, 1], [0, 1, 3, 4], r"\$\.blocks\[1\]\.couples\.ids\[3\]: commodity 4 is also in \$\.blocks\[0\]"),
+        ],
+    )
+    def test_couple_entry_id_errors(self, which, ids, path):
+        template = {"tau": 1.0, "schedules": [[[0.0, 1.0]], [[0.5, 1.0]]], "case": 1}
+        couples = {"templates": [template, template], "which": which, "ids": ids}
+        doc = {"blocks": [{"sosi": {"intervals": {"4": 1.0}}}, {"couples": couples, "provenance": "class1"}]}
+        with pytest.raises(SchemaError, match=path):
+            parse_policies(json.dumps(doc), FIVE)
+
+    def test_couple_entry_conflicts(self):
+        couples = {"templates": [{"tau": 1.0, "schedules": [[[0.0, 1.0]], [[0.5, 1.0]]], "case": 1}], "which": [0], "ids": [0, 1]}
+        for other in ({"tau": 1.0}, {"schedules": {}}, {"sosi": {"intervals": {"2": 1.0}}}):
+            with pytest.raises(SchemaError, match=r"^\$: expected a couples entry alone, without sosi, tau or schedules$"):
+                parse_policy(json.dumps({"couples": couples, **other}))
+        doc = {"blocks": [{"couples": couples}, {"sosi": {"intervals": {"1": 1.0}}}]}
+        with pytest.raises(SchemaError, match=r"\$\.blocks\[1\]\.sosi\.intervals\.1: commodity 1 is also in \$\.blocks\[0\]"):
+            parse_policies(json.dumps(doc), FIVE)
+
     @pytest.mark.parametrize(
         "doc, path",
         [
@@ -300,7 +386,26 @@ commodity_like = st.fixed_dictionaries(
     {"id": st.integers(0, 2) | json_leaves, "K": numberish, "H": numberish, "gamma": numberish}
 )
 instance_like = st.fixed_dictionaries({"capacity": numberish, "commodities": st.lists(commodity_like | any_json, max_size=3)})
-json_documents = any_json | policy_like | sosi_like | instance_like
+couples_like = st.fixed_dictionaries(
+    {
+        "couples": st.fixed_dictionaries(
+            {
+                "templates": st.lists(
+                    st.fixed_dictionaries(
+                        {"tau": numberish, "schedules": st.lists(st.lists(pair_like, max_size=2), max_size=3), "case": json_leaves}
+                    )
+                    | any_json,
+                    max_size=2,
+                )
+                | any_json,
+                "which": st.lists(st.integers(-1, 2) | json_leaves, max_size=3) | any_json,
+                "ids": st.lists(st.integers(0, 2) | json_leaves, max_size=5) | any_json,
+            }
+        )
+        | any_json
+    }
+)
+json_documents = any_json | policy_like | sosi_like | couples_like | instance_like
 
 
 @given(doc=json_documents)
@@ -316,31 +421,40 @@ def test_parsers_accept_or_raise_schema_error(doc):
                 pass
 
 
+def _break_orders(draw, orders: list, tau: float) -> None:
+    """Break one rule of a valid `[[t, q], ...]` list in place."""
+    fault = draw(st.sampled_from(["empty", "late", "repeat", "negative", "heavy"]))
+    if fault == "empty":
+        orders.clear()
+    elif fault == "late":
+        orders[-1][0] = tau
+    elif fault == "repeat":
+        orders.append(list(orders[-1]))
+    else:
+        orders[0][1] *= -1.0 if fault == "negative" else 2.0
+
+
+def _valid_orders(draw, tau: float) -> list:
+    m = draw(st.integers(1, 3))
+    return [[k * tau / m, tau / m] for k in range(m)]
+
+
 @st.composite
 def corrupted_entries(draw):
-    """A valid cyclic or sosi entry over ids in 0..4 with one part broken,
-    and the field path of that part below the entry."""
+    """A valid cyclic, sosi or couples entry over ids in 0..4 with one part
+    broken, and the field path of that part below the entry."""
+    kind = draw(st.sampled_from(["cyclic", "sosi", "couples"]))
+    if kind == "couples":
+        return draw(_corrupted_couples())
     ids = draw(st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True))
-    if draw(st.booleans()):
+    if kind == "cyclic":
         tau = draw(st.floats(0.1, 10.0))
-        orders = {}
-        for cid in ids:
-            m = draw(st.integers(1, 3))
-            orders[cid] = [[k * tau / m, tau / m] for k in range(m)]
+        orders = {cid: _valid_orders(draw, tau) for cid in ids}
         part = draw(st.sampled_from(["tau"] + [f"schedules.{cid}" for cid in ids]))
         if part == "tau":
             tau = draw(st.sampled_from([0.0, -tau, math.inf]))
         else:
-            broken = orders[int(part.split(".")[1])]
-            fault = draw(st.sampled_from(["empty", "late", "repeat", "negative", "heavy"]))
-            if fault == "empty":
-                broken.clear()
-            elif fault == "late":
-                broken[-1][0] = tau
-            elif fault == "repeat":
-                broken.append(list(broken[-1]))
-            else:
-                broken[0][1] *= -1.0 if fault == "negative" else 2.0
+            _break_orders(draw, orders[int(part.split(".")[1])], tau)
         return {"tau": tau, "schedules": {str(cid): o for cid, o in orders.items()}}, part
     intervals = {cid: draw(st.floats(0.1, 10.0)) for cid in ids}
     phased = draw(st.lists(st.sampled_from(ids), unique=True))
@@ -363,6 +477,44 @@ def corrupted_entries(draw):
                 intervals[(cid + 1) % 5] = 1.0
     entry = {"intervals": {str(c): T for c, T in intervals.items()}, "phases": {str(c): p for c, p in phases.items()}}
     return {"sosi": entry}, f"sosi.{part}"
+
+
+@st.composite
+def _corrupted_couples(draw):
+    """A valid couples entry of one or two templates and couples over ids in
+    0..4 with one part broken: a template's tau, its schedule count or one
+    of its schedules, `which` or one of its indices, `ids` or one id."""
+    taus = [draw(st.floats(0.1, 10.0)) for _ in range(draw(st.integers(1, 2)))]
+    templates = [{"tau": tau, "schedules": [_valid_orders(draw, tau) for _ in range(2)], "case": 1} for tau in taus]
+    which = draw(st.lists(st.integers(0, len(taus) - 1), min_size=1, max_size=2))
+    ids = draw(st.permutations(range(5)))[: 2 * len(which)]
+    t = draw(st.integers(0, len(taus) - 1))
+    part = draw(
+        st.sampled_from(
+            [f"templates[{t}].tau", f"templates[{t}].schedules", f"templates[{t}].schedules[{draw(st.integers(0, 1))}]"]
+            + ["which", f"which[{draw(st.integers(0, len(which) - 1))}]", "ids", f"ids[{draw(st.integers(1, len(ids) - 1))}]"]
+        )
+    )
+    template = templates[t]
+    if part.endswith(".tau"):
+        template["tau"] = draw(st.sampled_from([0.0, -template["tau"], math.inf]))
+    elif part.endswith(".schedules"):
+        if draw(st.booleans()):
+            template["schedules"].pop()
+        else:
+            template["schedules"].append(_valid_orders(draw, template["tau"]))
+    elif part.startswith("templates"):
+        _break_orders(draw, template["schedules"][int(part[-2])], template["tau"])
+    elif part == "which":
+        which = []
+    elif part.startswith("which"):
+        which[int(part[6:-1])] = draw(st.sampled_from([-1, len(taus)]))
+    elif part == "ids":
+        ids = ids[:-1] if draw(st.booleans()) else ids + [ids[0]]
+    else:
+        j = int(part[4:-1])
+        ids[j] = ids[draw(st.integers(0, j - 1))]
+    return {"couples": {"templates": templates, "which": which, "ids": ids}}, f"couples.{part}"
 
 
 @given(case=corrupted_entries(), in_blocks=st.booleans())

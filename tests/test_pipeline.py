@@ -270,14 +270,15 @@ def _far_pair_case():
 # sha256 of the sorted-key JSON of the assembled policy followed by repr() of
 # the certified cost rate and peak, one solve per scenario and dense-class
 # outcome: moving the scale-down or the certificate must not change a bit.
-# The first digest is taken over the flattened entries, the second over the
-# policy as written.
+# The first digest is taken over the flattened entries (conftest.flatten:
+# one cyclic entry per stationary commodity and per couple), the second over
+# the policy as written.
 PINNED_OUTPUTS = [
     (
         "difficult-po2-sync",
         (dense_heavy_instance(1, 40), 0, None),
         "7b0b78fe2803abedfaee111f51c2e35c52a8f1fe2c7c10f1e35b246a83cfa6d4",
-        "5915e51cc78f4c438885d80af0ac50d5c2ced2ffed335af21bbd932d4ee4d62f",
+        "512c726b3bc42fc9c16d1a307e8b37d1cc6ebf0bfd28eb241db2afa0d3a1d65a",
     ),
     (
         "difficult-alpha-fallback",
@@ -290,7 +291,7 @@ PINNED_OUTPUTS = [
         "difficult-n200-one-class",
         (dense_heavy_instance(0, 200), 0, None),
         "ff4b1e8792d44997b4fa6ed0220f86aedbd9854425880caff1efe8671f3fd221",
-        "fdb5f12fedcb2d550d07331e55a2ac6480398dcdf1b286cd09e082831aca697a",
+        "bbb48d76d68c4a0d30d49ac8e449ac36d7f60ce1c8927bcd080a0c4918a4d38a",
     ),
     (
         "low-dense-tight",
@@ -316,7 +317,7 @@ PINNED_OUTPUTS = [
         "difficult-prefix-relaxation",
         (_with_prefix(40, [(1.0, 1.0, 1e-3), (1.0, 1.0, 1e-3 / 3)], 1.001), 0, None),
         "eaf46e3278a284e71aac479a9e9a81ec6a95902074e90b199d52aeab19bf3522",
-        "b87ccee888fafb10de76174c00cef30700685ff7682341c3cf5737d3750710e7",
+        "229f23e2becd58593f1ca5abe0ec098ca6fca7177cf3c72a1b9ccb198e07673f",
     ),
     (
         # prefix ids 1001, 1002, 1000 in class order: the relaxation block's
@@ -324,13 +325,13 @@ PINNED_OUTPUTS = [
         "difficult-prefix-class-order",
         (_with_prefix(200, [(1.55, 0.85, 0.00234), (1.81, 0.75, 0.00141), (1.93, 0.63, 0.00141)], 1.0), 0, None),
         "f01474d6b1b93fa174b1b1506f26c9c6bf4ba6614437fafff3453c82c45a62dc",
-        "874101b7ff9c12101168486c362cd4e4ffa8c57852d52eba16caf9232ea3c3b2",
+        "7d8844ce0ccb61451a8f517d513f1d10fdabb8cde0e79d964ab95a169689ac88",
     ),
     (
         "difficult-far-pairs",
         _far_pair_case(),
         "d0aebf8f93bad771ee1f6ee826e5928c4834e8ad5ca0ce295db30fa5568d4ca6",
-        "7d1b57864dfd2736bf39ec3c98583540f0ca4b0477d8c25a10e3120bf83b1b2e",
+        "a7817f2c275b8b489b3322392153b0390ece8738f078520c8fd5033e440f7f5b",
     ),
     (
         "easy-prefix-two-approx",
@@ -350,8 +351,9 @@ def _pinned_solve(name):
 @pytest.mark.parametrize("name, case, flat_digest, digest", PINNED_OUTPUTS, ids=[p[0] for p in PINNED_OUTPUTS])
 def test_pinned_outputs(name, case, flat_digest, digest):
     # flat_digest is taken with each stationary entry flattened into one
-    # cyclic entry per commodity (conftest.flatten), the form it was pinned
-    # on before stationary blocks were written as one sosi entry
+    # cyclic entry per commodity and each couple entry into one per couple
+    # (conftest.flatten), the form it was pinned on before stationary and
+    # couple blocks were written as one entry each
     assembled, rep, diag = _pinned_solve(name)
     assert name.startswith(diag["scenario"])
     doc = assembled.to_json()
