@@ -7,15 +7,22 @@ peak is located exactly at order instants; no sampling is involved anywhere.
 
 evaluate certifies a stationary block as the union of its commodities' own
 one-order cycles, with the sawtooth arithmetic it applies to any schedule;
-evaluate_sosi is the solvers' closed form, and the two share no code. A
-couple block is certified as the union of its couples, with their terms
-formed in the one array pass that also gives the solver its per-couple
-reports (evaluate_couples).
+evaluate_sosi is the solvers' closed form, and the two share no code.
+
+Couples are evaluated by couple_terms, one array pass over any number of
+couples, whatever templates they run. The sub2 solver's report
+(pipeline.AssembledPolicy.report) makes one such pass over every couple of
+every couple block of a solve; evaluate(CouplePolicy) makes one per couples
+entry, since a written policy is certified entry by entry. Either way
+combine_terms adds the per-couple terms, and the other blocks' reports, left
+to right in emission order, bit-equal to combine_reports over one report per
+couple. The couple blocks themselves are built in one array pass per rounded
+class, which holds every near pair to the CoupleInput rules
+(pipeline._couple_blocks).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -94,13 +101,16 @@ def evaluate(policy: CyclicPolicy | SosiPolicy | CouplePolicy, instance: Instanc
     A SosiPolicy is certified as the union of the single-commodity policies
     CyclicPolicy(T, {id: ((phase, T),)}), one per commodity; see
     _evaluate_stationary. A CouplePolicy is certified as the union of its
-    couples' two-commodity policies; see _evaluate_couple_policy. A schedule
-    for an id the instance lacks raises KeyError.
+    couples' two-commodity policies: their terms come from one couple_terms
+    pass over the entry and are added by combine_terms, so the report is
+    bit-equal to combine_reports over evaluate of each couple's own policy.
+    A schedule for an id the instance lacks raises KeyError.
     """
     if isinstance(policy, SosiPolicy):
         return _evaluate_stationary(policy, instance)
     if isinstance(policy, CouplePolicy):
-        return _evaluate_couple_policy(policy, instance)
+        couples = couple_terms(policy.templates, policy.which, policy.ids, instance)
+        return combine_terms([range(len(policy.which))], couples, instance)
     tau = policy.tau
     schedules = policy.schedules
     commodities = instance.commodities
@@ -187,118 +197,154 @@ def _evaluate_stationary(policy: SosiPolicy, instance: Instance) -> EvalReport:
     )
 
 
-def evaluate_couples(
+@dataclass(frozen=True)
+class CoupleTerms:
+    """The report terms of a run of couples, as couple_terms forms them:
+    `rates` holds, one column per couple, its ordering rate, holding rate and
+    peak; `keys` holds each couple's two ids in instance order (the key order
+    of its evaluate report) and `avg` their average inventories."""
+
+    rates: np.ndarray
+    keys: list[int]
+    avg: list[float]
+
+
+_NO_COUPLES = CoupleTerms(np.zeros((3, 0)), [], [])
+
+
+def couple_terms(
     templates: Sequence[CyclicPolicy], which: Sequence[int], ids: Sequence[int], instance: Instance
-) -> list[EvalReport]:
-    """evaluate() of every couple of a batch, in one array pass (_couple_terms).
+) -> CoupleTerms:
+    """The terms of evaluate() of every couple, in one array pass.
 
     Couple j runs the two-commodity schedule templates[which[j]], whose first
-    schedule goes to ids[2j] and second to ids[2j+1]. Each report is
-    bit-identical to evaluate of that couple's own CyclicPolicy, and its
-    avg_inventory lists the pair in instance order. An id the instance lacks
-    raises evaluate's KeyError, the first in `ids` order.
+    schedule goes to ids[2j] (A) and second to ids[2j+1] (B). Each template's
+    sawtooth statistics are taken once with `_commodity_stats`; the cost
+    rates, the baseline and the peak scan are formed over the instance's
+    parameter columns, one couple per column, with evaluate's own
+    arithmetic. That is bit-identical to evaluate, because each of its
+    per-couple sums has two terms and a two-term float sum does not depend
+    on the order evaluate visits the pair in; an instant where only one
+    schedule orders adds the other's gamma * 0.0, which leaves the sum as it
+    is. The peak scan (_peaks) takes the couples of one instant count at a
+    time, so a long schedule (a k >= 5 couple) pads no short one. An id the
+    instance lacks raises evaluate's KeyError, the first in `ids` order.
     """
     if not ids:
-        return []
-    a_first, ordering, holding, v_max, avg_a, avg_b = _couple_terms(templates, which, ids, instance)
-    V = instance.V
-    reports = []
-    for a, b, a_first_j, o, h, v, avg_a_j, avg_b_j in zip(
-        ids[0::2], ids[1::2], a_first.tolist(), ordering.tolist(), holding.tolist(), v_max.tolist(), avg_a, avg_b
-    ):
-        avg_inventory = {a: avg_a_j, b: avg_b_j} if a_first_j else {b: avg_b_j, a: avg_a_j}
-        reports.append(EvalReport(o, h, v, avg_inventory, V))
-    return reports
-
-
-def _evaluate_couple_policy(policy: CouplePolicy, instance: Instance) -> EvalReport:
-    """evaluate() of a couple block: its couples' terms from the one array
-    pass of evaluate_couples, added left to right in couple order. The
-    report is bit-equal to combine_reports over the per-couple reports, so
-    its peak is the summed per-couple peaks, the certificate of a union of
-    blocks."""
-    ids = policy.ids
-    a_first, ordering, holding, v_max, avg_a, avg_b = _couple_terms(policy.templates, policy.which, ids, instance)
-    avg_inventory: dict[int, float] = {}
-    for a, b, a_first_j, avg_a_j, avg_b_j in zip(ids[0::2], ids[1::2], a_first.tolist(), avg_a, avg_b):
-        if a_first_j:
-            avg_inventory[a] = avg_a_j
-            avg_inventory[b] = avg_b_j
-        else:
-            avg_inventory[b] = avg_b_j
-            avg_inventory[a] = avg_a_j
-    with np.errstate(over="ignore", invalid="ignore"):
-        return EvalReport(
-            ordering_cost_rate=_running_sum(ordering),
-            holding_cost_rate=_running_sum(holding),
-            v_max=_running_sum(v_max),
-            avg_inventory=avg_inventory,
-            feasible_at=instance.V,
-        )
-
-
-def _couple_terms(
-    templates: Sequence[CyclicPolicy], which: Sequence[int], ids: Sequence[int], instance: Instance
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[float], list[float]]:
-    """Per couple, in one array pass: whether A comes before B in the
-    instance, the ordering and holding rates, the peak, and A's and B's
-    average inventories, as evaluate() forms them for that couple's policy.
-
-    Each template's sawtooth statistics are taken once with
-    `_commodity_stats`; the cost rates, the baseline and the event-ordered
-    peak scan are formed over the instance's parameter columns, one couple
-    per row, with evaluate's own arithmetic. That is bit-identical to
-    evaluate, because each of its per-couple sums has two terms and a
-    two-term float sum does not depend on the order evaluate visits the pair
-    in; an instant where only one schedule orders adds the other's
-    gamma * 0.0, which leaves the sum as it is. The peak scan keeps max's tie
-    and NaN rules. An id the instance lacks raises evaluate's KeyError, the
-    first in `ids` order.
-    """
+        return _NO_COUPLES
     pos = instance.positions(ids).reshape(-1, 2)
-    # one row per template: tau, the order counts, the averages and the
-    # baselines c0 of both schedules, then the order instants, A's and B's
-    # quantity at each. Rows are padded to a common width with instants at
-    # t = inf where neither orders: that leaves the running sum as it is and
-    # offers no larger peak.
-    parts = []
-    for policy in templates:
+    which = np.asarray(which, dtype=np.intp)
+    # one row per template: the order counts, the averages and the baselines
+    # c0 of A and B, and tau; then the instants where either orders, A's
+    # quantity at each and B's. Templates are grouped by their instant count.
+    rows, groups = [], {}
+    for t, policy in enumerate(templates):
         a, b = policy.schedules.values()
         qa, qb = dict(a), dict(b)
         times = sorted(qa.keys() | qb.keys())
         (avg_a, c0_a), (avg_b, c0_b) = _commodity_stats(a, policy.tau), _commodity_stats(b, policy.tau)
-        head = [policy.tau, len(a), len(b), avg_a, avg_b, c0_a, c0_b]
-        parts.append((head, times, [qa.get(t, 0.0) for t in times], [qb.get(t, 0.0) for t in times]))
-    width = max(len(times) for _, times, _, _ in parts)
-    rows = []
-    for head, times, qa, qb in parts:
-        pad = [0.0] * (width - len(times))
-        rows.append(head + times + [math.inf] * len(pad) + qa + pad + qb + pad)
-    table = np.array(rows)[np.asarray(which, dtype=np.intp)]
-    tau = table[:, 0]
-    # each of shape (2, couples), A's row then B's, as are the parameter columns
-    m, avg, c0 = table[:, 1:7].T.reshape(3, 2, -1)
-    t_at = table[:, 7 : 7 + width]
-    q_at = table[:, 7 + width :].reshape(len(table), 2, width).transpose(1, 0, 2)
-
+        head = [len(a), len(b), avg_a, avg_b, c0_a, c0_b, policy.tau]
+        rows.append(head + times + [qa.get(t, 0.0) for t in times] + [qb.get(t, 0.0) for t in times])
+        groups.setdefault(len(times), []).append(t)
+    n = len(which)
+    head = np.array([row[:7] for row in rows])[which]
     cols = instance.columns
-    K, H, gamma = cols.K[pos].T, cols.H[pos].T, cols.gamma[pos].T
+    # each of shape (couples, 2), A's column then B's
+    K, H, gamma = cols.K[pos], cols.H[pos], cols.gamma[pos]
     with np.errstate(over="ignore", invalid="ignore"):
-        ordering = K * m / tau
-        holding = 2.0 * H * avg
-        w0 = gamma * c0
-        # the space added and the space drained by each instant, all at once
-        added = gamma[:, :, None] * q_at
-        added = added[0] + added[1]
-        drained = (gamma[0] + gamma[1])[:, None] * t_at
-        v_max = w = w0[0] + w0[1]
-        for j in range(width):
-            w = w + added[:, j]
-            x = w - drained[:, j]
-            v_max = np.where(x > v_max, x, v_max)  # max(v_max, x), with its tie and NaN rules
-        ordering = ordering[0] + ordering[1]
-        holding = holding[0] + holding[1]
-    return pos[:, 0] < pos[:, 1], ordering, holding, v_max, avg[0].tolist(), avg[1].tolist()
+        pair = np.array((K, 2.0 * H, gamma, gamma))
+        pair[:3] *= head[:, :6].reshape(n, 3, 2).transpose(1, 0, 2)  # K*m, 2H*avg, gamma*c0
+        pair[0] /= head[:, 6:]
+        # the ordering and holding rates and the baseline w0 of each couple,
+        # then its total gamma
+        terms = pair[:, :, 0] + pair[:, :, 1]
+        if len(groups) > 1:
+            local = np.empty(len(templates), dtype=np.intp)  # a template's row in its group's table
+            width_of = np.empty(len(templates), dtype=np.intp)
+            for width, members in groups.items():
+                local[members] = range(len(members))
+                width_of[members] = width
+        for width, members in groups.items():
+            # the couples whose template has `width` instants, and their rows
+            if len(groups) == 1:
+                r, at = slice(None), which
+            else:
+                r = np.flatnonzero(width_of[which] == width)
+                at = local[which[r]]
+            instants = np.array([rows[t][7:] for t in members]).reshape(-1, 3, width)[at]
+            terms[2, r] = _peaks(instants, gamma[r], terms[2, r], terms[3, r])
+    # each pair's keys in instance order: B's first unless A comes first
+    order = (np.arange(2 * n) ^ (pos[:, 1] <= pos[:, 0]).repeat(2)).tolist()
+    return CoupleTerms(terms[:3], list(map(ids.__getitem__, order)), head[:, 2:4].ravel()[order].tolist())
+
+
+def _peaks(instants: np.ndarray, gamma: np.ndarray, w0: np.ndarray, gamma_total: np.ndarray) -> np.ndarray:
+    """evaluate()'s peak of each couple, for couples whose templates share
+    one instant count: instants[j] holds couple j's instants, then A's and
+    B's quantity at each, and gamma[j] its A's and B's gamma. The level after
+    each instant is a running sum from the baseline w0, and the peak is the
+    largest of the baseline and the candidates, NaNs (inf - inf) passed
+    over: evaluate's max(v_max, x) chain, since neither the baseline nor a
+    candidate is NaN or -0.0 there."""
+    added = gamma[:, :, None] * instants[:, 1:]
+    added = added[:, 0] + added[:, 1]
+    added[:, 0] += w0
+    level = np.add.accumulate(added, axis=1)
+    level -= gamma_total[:, None] * instants[:, 0]
+    return np.fmax(np.fmax.reduce(level, axis=1), w0)
+
+
+def combine_terms(parts: Sequence[EvalReport | range], couples: CoupleTerms, instance: Instance) -> EvalReport:
+    """combine_reports over `parts` in order, where a range stands for the
+    reports of those couples of `couples`, one per couple. Bit-equal to
+    combine_reports of the EvalReports: each rate is 0.0 plus every report's
+    term in turn, left to right (a running `np.add.accumulate`; 0.0 + the
+    running sum differs from it only in the sign of a zero when every term
+    is -0.0), and avg_inventory is merged in the same order. Parts that
+    share a commodity raise combine_reports' ValueError."""
+    columns = []
+    avg_inventory: dict[int, float] = {}
+    size = 0
+    for part in parts:
+        if isinstance(part, EvalReport):
+            columns.append(((part.ordering_cost_rate,), (part.holding_cost_rate,), (part.v_max,)))
+            avg_inventory.update(part.avg_inventory)
+            size += len(part.avg_inventory)
+        else:
+            columns.append(couples.rates[:, part.start : part.stop])
+            pairs = slice(2 * part.start, 2 * part.stop)
+            avg_inventory.update(zip(couples.keys[pairs], couples.avg[pairs]))
+            size += 2 * len(part)
+    if len(avg_inventory) != size:
+        _refuse_overlap(parts, couples)
+    ordering = holding = v_max = 0.0
+    if columns:
+        terms = columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ordering, holding, v_max = (0.0 + np.add.accumulate(terms, axis=1)[:, -1]).tolist()
+    return EvalReport(
+        ordering_cost_rate=ordering,
+        holding_cost_rate=holding,
+        v_max=v_max,
+        avg_inventory=avg_inventory,
+        feasible_at=instance.V,
+    )
+
+
+def _refuse_overlap(parts: Sequence[EvalReport | range], couples: CoupleTerms) -> None:
+    """combine_reports' ValueError for the first report, in order, that
+    shares a commodity with an earlier one; a couple is one report."""
+    seen: set[int] = set()
+    for part in parts:
+        if isinstance(part, EvalReport):
+            reports = [part.avg_inventory.keys()]
+        else:
+            reports = [couples.keys[2 * j : 2 * j + 2] for j in part]
+        for keys in reports:
+            overlap = seen.intersection(keys)
+            if overlap:
+                raise ValueError(f"reports overlap on commodities {sorted(overlap)}")
+            seen.update(keys)
 
 
 def _running_sum(terms: np.ndarray) -> float:

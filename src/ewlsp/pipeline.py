@@ -18,9 +18,10 @@ general, so the union's peak is certified by the sum of exact per-block
 peaks, which is precisely the accounting the analysis itself uses and is
 conservative for feasibility. The paired schedules of one heavy subgroup
 form one couple block: its near pairs that agree on (k, T_A) share a single
-synthesized schedule, and the block reports all its couples in one array
-pass over the instance's columns. Each couple still counts as a block of its
-own in the report's sums. In the wire format a couple block is one
+synthesized schedule. The couple blocks of one class are built, and their
+pairs checked, in one array pass; the report evaluates every couple of the
+solve in one more pass over the instance's columns. Each couple still counts
+as a block of its own in the report's sums. In the wire format a couple block is one
 `couples` entry and a stationary block one `sosi` entry.
 
 The three scenarios (high sparse volume, low dense volume, difficult) live in
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Hashable, Mapping, Sequence
 
@@ -42,7 +44,7 @@ import numpy as np
 from . import ptas
 from .couples import CoupleInput, CoupleSchedule, classify_pairs, synthesize_couple
 from .errors import BudgetExceeded, InfeasiblePolicy, StateSpaceExceeded
-from .evaluator import EvalReport, combine_reports, evaluate, evaluate_couples, evaluate_sosi
+from .evaluator import EvalReport, combine_terms, couple_terms, evaluate, evaluate_sosi
 from .matching import (
     INF_CLASS,
     MatchingInstance,
@@ -109,10 +111,6 @@ class Block:
             return evaluate_sosi(self.sosi, instance)
         return evaluate(self.cyclic, instance)
 
-    def reports(self, instance: Instance) -> tuple[EvalReport, ...]:
-        """The parts whose reports AssembledPolicy.report adds: the block itself."""
-        return (self.report(instance),)
-
     def entries(self) -> list[dict]:
         """The block's one wire-format entry, plus its provenance tag:
         cyclic-policy JSON, or for a stationary block `{"sosi":
@@ -139,20 +137,14 @@ class CoupleBlock:
     ids[2j+1], commodity B, and runs templates[which[j]], whose first schedule
     is A's and second B's. Couples that agree on (k, T_A) share one template:
     synthesize_couple builds and validates it once, for the first of them.
-    Reports and scaling are those of one synthesize_couple policy per couple.
+    Scaling is that of one synthesize_couple policy per couple; the block is
+    reported within AssembledPolicy.report, one report per couple.
     """
 
     ids: tuple[int, ...]
     which: tuple[int, ...]
     templates: tuple[CoupleSchedule, ...]
     provenance: str  # the class tag
-
-    def reports(self, instance: Instance) -> list[EvalReport]:
-        """evaluate() of every couple's policy, in one array pass."""
-        return evaluate_couples([t.policy for t in self.templates], self.which, self.ids, instance)
-
-    def report(self, instance: Instance) -> EvalReport:
-        return combine_reports(self.reports(instance), instance)
 
     def entries(self) -> list[dict]:
         """The block's one wire-format entry, `{"couples": couples_json(...)}`,
@@ -173,7 +165,11 @@ class AssembledPolicy:
     """Union of blocks over disjoint commodity subsets.
 
     The reported peak is the sum of exact per-block peaks: an upper bound on
-    the true joint peak, hence a sound feasibility certificate.
+    the true joint peak, hence a sound feasibility certificate. Each couple
+    of a couple block counts as a block of its own there. The report takes
+    every couple of the solve in one couple_terms pass; the couple blocks
+    come from one array pass per class (_couple_blocks), which holds each
+    near pair to the CoupleInput rules.
     """
 
     blocks: tuple[Block | CoupleBlock, ...]
@@ -187,9 +183,25 @@ class AssembledPolicy:
             seen.update(b.ids)
 
     def report(self, instance: Instance) -> EvalReport:
-        """The per-part reports added left to right: one per block, one per
-        couple of a couple block."""
-        return combine_reports(itertools.chain.from_iterable(b.reports(instance) for b in self.blocks), instance)
+        """combine_reports over one report per block and one per couple of a
+        couple block, in emission order, and bit-equal to it. The couples of
+        every couple block are evaluated in one couple_terms pass (template
+        indexes offset per block); combine_terms then adds their terms and
+        the other blocks' reports left to right."""
+        templates: list[CyclicPolicy] = []
+        which: list[int] = []
+        ids: list[int] = []
+        parts: list[EvalReport | range] = []
+        for b in self.blocks:
+            if isinstance(b, CoupleBlock):
+                start, offset = len(which), len(templates)
+                which += [j + offset for j in b.which]
+                templates += [t.policy for t in b.templates]
+                ids += b.ids
+                parts.append(range(start, len(which)))
+            else:
+                parts.append(b.report(instance))
+        return combine_terms(parts, couple_terms(templates, which, ids, instance), instance)
 
     def scaled(self, factor: float) -> "AssembledPolicy":
         return AssembledPolicy(tuple(b.scaled(factor) for b in self.blocks))
@@ -459,8 +471,9 @@ def run_dense_branch(
     for its near pairs and a rounded-sosi block for its far pairs and
     leftover, and then its light block; one where it fails falls back to the
     alpha-scaled stationary policy and builds none of them. The couples of a
-    subgroup that agree on (k, T_A) share one synthesized schedule (see
-    _couple_block). diag["couples"] counts the couples in the returned
+    subgroup that agree on (k, T_A) share one synthesized schedule, and the
+    couple blocks of a class are built in one pass (see _couple_blocks).
+    diag["couples"] counts the couples in the returned
     blocks."""
     eps = cfg.eps
     gamma = instance.columns.gamma
@@ -513,9 +526,10 @@ def run_dense_branch(
             diag["classes"][str(ell)] = "alpha-fallback"
             continue
 
+        couple_blocks = iter(_couple_blocks([near for near, _, _ in pairings if near], instance, eps, f"class{ell}"))
         for near, far, leftover in pairings:
             if near:
-                blocks.append(_couple_block(near, instance, eps, f"class{ell}"))
+                blocks.append(next(couple_blocks))
                 diag["couples"] += len(near)
             # far pairs and the odd leftover keep their rounded intervals, in that order
             singles = {i: T for pair in far for i, _, T in pair}
@@ -529,31 +543,70 @@ def run_dense_branch(
     return blocks, diag
 
 
-def _couple_block(
-    near: Sequence[tuple[tuple[int, float, float], tuple[int, float, float]]],
+def _couple_blocks(
+    nears: Sequence[Sequence[tuple[tuple[int, float, float], tuple[int, float, float]]]],
     instance: Instance,
     eps: float,
     provenance: str,
-) -> CoupleBlock:
-    """The near pairs of one subgroup as one couple block. A pair's A is the
-    member with the longer rounded interval (the lead on a tie). Every pair
-    passes the CoupleInput checks; synthesize_couple runs once per distinct
-    (k, T_A), since the schedule depends on nothing else."""
-    oriented = [(lead, trail) if lead[2] >= trail[2] else (trail, lead) for lead, trail in near]
-    ids = tuple(e[0] for pair in oriented for e in pair)
+) -> list[CoupleBlock]:
+    """The near pairs of each subgroup of one class as one couple block per
+    subgroup, in one array pass. A pair's A is the member with the longer
+    rounded interval (the lead on a tie).
+
+    Every pair is held to the CoupleInput rules on arrays. The power-of-two
+    rule takes k from np.log2, which may differ from math.log2 in the last
+    bits: a pair clears it only within 5e-10 of an integer, where both give
+    the same k and pass. Every other pair, and every pair that breaks a rule,
+    gets its own CoupleInput, in emission order, so the first failing pair
+    raises its own exception and a pair near the 1e-9 limit takes its k from
+    math.log2. Per block, CoupleInput and synthesize_couple run once per
+    distinct (k, T_A), for its first pair, since the schedule depends on
+    nothing else."""
+    sizes = [len(near) for near in nears]
+    oriented = [(lead, trail) if lead[2] >= trail[2] else (trail, lead) for near in nears for lead, trail in near]
+    entries = [e for pair in oriented for e in pair]
+    ids = [e[0] for e in entries]
+    T_A, T_B = np.array([e[2] for e in entries], dtype=float).reshape(-1, 2).T
+    pos = instance.positions(ids)
+    gamma_A, gamma_B = instance.columns.gamma[pos].reshape(-1, 2).T
     commodities = instance.commodities
-    pos = instance.positions(ids).tolist()
-    templates: list[CoupleSchedule] = []
-    shared: dict[tuple[int, float], int] = {}
-    which = []
-    for j, (a, b) in enumerate(oriented):
-        inp = CoupleInput(commodities[pos[2 * j]], commodities[pos[2 * j + 1]], a[2], b[2], eps)
-        key = (inp.k, inp.T_A)
-        if key not in shared:
-            shared[key] = len(templates)
-            templates.append(synthesize_couple(inp))
-        which.append(shared[key])
-    return CoupleBlock(ids, tuple(which), tuple(templates), provenance)
+
+    def couple_input(j: int) -> CoupleInput:
+        (a, b), p = oriented[j], 2 * j
+        return CoupleInput(commodities[pos[p]], commodities[pos[p + 1]], a[2], b[2], eps)
+
+    with np.errstate(all="ignore"):
+        x = np.log2(T_A / T_B)
+        k = np.rint(x)
+        space_ratio = (gamma_A * T_A) / (gamma_B * T_B)
+        clear = (
+            (T_A > 0)
+            & (T_B >= sys.float_info.min)
+            & ~(T_B > T_A * (1 + 1e-12))
+            & (0 < eps < 1)
+            & (np.abs(x - k) <= 5e-10)
+            & (1.0 / (1.0 + eps) - 1e-12 <= space_ratio)
+            & (space_ratio <= 1.0 + eps + 1e-12)
+        )
+    k = np.where(clear, k, 0.0).astype(np.intp)
+    for j in np.flatnonzero(~clear).tolist():
+        k[j] = couple_input(j).k  # raises this pair's own exception
+
+    # per block, one template per distinct (k, T_A), built for its first pair
+    keys = list(zip(k.tolist(), T_A.tolist()))
+    blocks, start = [], 0
+    for size in sizes:
+        shared: dict[tuple[int, float], int] = {}
+        templates, which = [], []
+        for j in range(start, start + size):
+            if keys[j] not in shared:
+                shared[keys[j]] = len(templates)
+                templates.append(synthesize_couple(couple_input(j)))
+            which.append(shared[keys[j]])
+        block_ids = tuple(ids[2 * start : 2 * (start + size)])
+        blocks.append(CoupleBlock(block_ids, tuple(which), tuple(templates), provenance))
+        start += size
+    return blocks
 
 
 def _scale_to_capacity(assembled: AssembledPolicy, instance: Instance) -> tuple[AssembledPolicy, EvalReport, float]:

@@ -1,12 +1,14 @@
 """Couple blocks, the columnar edge table and evaluate against exact references.
 
-A dense class's near pairs become one couple block per heavy subgroup: pairs
-that agree on (k, T_A) share one synthesize_couple schedule and the block
-reports every couple in one array pass. Each couple must come out exactly as
-evaluate(synthesize_couple(...).policy) and policy_to_json would give it, float
-reprs and dict key order included, the latter once the block's one couples
-entry is flattened (conftest.flatten). The matching's edge table and evaluate are
-compared with plain-Python copies of the loops they replaced.
+A dense class's near pairs become one couple block per heavy subgroup, all
+built in one array pass per class (_couple_blocks): pairs that agree on
+(k, T_A) share one synthesize_couple schedule. AssembledPolicy.report forms
+the terms of every couple of a solve in one couple_terms pass. Each couple
+must come out exactly as evaluate(synthesize_couple(...).policy) and
+policy_to_json would give it, float reprs and dict key order included, the
+latter once the block's one couples entry is flattened (conftest.flatten).
+The matching's edge table and evaluate are compared with plain-Python copies
+of the loops they replaced.
 """
 
 import dataclasses
@@ -21,14 +23,14 @@ from hypothesis import strategies as st
 from ewlsp.couples import CoupleInput, synthesize_couple
 from ewlsp.eoq import constrained_interval
 from ewlsp.errors import NotAPowerOfTwo, SpaceMismatch
-from ewlsp.evaluator import EvalReport, combine_reports, evaluate, evaluate_couples, evaluate_sosi
+from ewlsp.evaluator import EvalReport, combine_reports, couple_terms, evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS, class_interval_cap, edge_weight
 from ewlsp.model import Commodity, CouplePolicy, CyclicPolicy, Instance, SosiPolicy, parse_policy, policy_to_json
 from ewlsp.pipeline import (
     AssembledPolicy,
     Block,
     PipelineConfig,
-    _couple_block,
+    _couple_blocks,
     build_matching_instance,
     build_reference_policy,
     decompose_classes,
@@ -123,16 +125,13 @@ def exact(value):
 # ---------------------------------------------------------------------------
 
 
-@st.composite
-def couple_cases(draw):
+def draw_pairs(draw, rng, first_id):
     """Near pairs over k = 0..6 drawn from a few (k, T_A) keys so that some
     share a schedule and some share T_A but not k, T_B a few ulps off
-    T_A / 2^k, space ratios across
-    [1/(1+eps), 1+eps], the pair's lead either A or B, and the commodities
-    shuffled into an instance with extra ids, so A comes before or after B.
-    A share of the cases puts gamma near the float maximum, where the peak
-    scan meets inf - inf."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    T_A / 2^k, space ratios across [1/(1+eps), 1+eps] and the pair's lead
+    either A or B, with ids from first_id on; and their commodities. A share
+    of the draws puts gamma near the float maximum, where the peak scan meets
+    inf - inf."""
     keys = [
         (int(rng.integers(0, 7)), float(rng.choice([1.0, 3.0]) if rng.random() < 0.5 else 10.0 ** rng.uniform(-3, 3)))
         for _ in range(draw(st.integers(1, 4)))
@@ -147,16 +146,55 @@ def couple_cases(draw):
         g_A = 1e308 / (2**k * 1.06 * max(1.0, T_A)) if huge else float(10.0 ** rng.uniform(-1, 1))
         ratio = float(rng.uniform(1.0 / (1.0 + EPS), 1.0 + EPS))
         g_B = g_A * (T_A / T_B) / ratio
-        a, b = 2 * j, 2 * j + 1
+        a, b = first_id + 2 * j, first_id + 2 * j + 1
         commodities += [
             Commodity(a, float(10.0 ** rng.uniform(-2, 2)), float(10.0 ** rng.uniform(-2, 2)), g_A),
             Commodity(b, float(10.0 ** rng.uniform(-2, 2)), float(10.0 ** rng.uniform(-2, 2)), g_B),
         ]
         entry_a, entry_b = (a, g_A, T_A), (b, g_B, T_B)
         pairs.append((entry_a, entry_b) if rng.random() < 0.5 else (entry_b, entry_a))
+    return pairs, commodities
+
+
+@st.composite
+def couple_cases(draw):
+    """The near pairs of one subgroup (draw_pairs), their commodities
+    shuffled into an instance with extra ids, so A comes before or after B."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pairs, commodities = draw_pairs(draw, rng, 0)
     commodities += [Commodity(1000 + k, 1.0, 1.0, 1.0) for k in range(int(rng.integers(0, 3)))]
     order = rng.permutation(len(commodities))
     return pairs, Instance(tuple(commodities[k] for k in order), capacity_V=1.0)
+
+
+@st.composite
+def class_cases(draw):
+    """The near pairs of two to four subgroups of one class (draw_pairs, so
+    k from 0 to 6 and both instance orders), and one to three stationary or
+    cyclic blocks over further commodities, in a shuffled instance. The
+    blocks come back in a random emission order: the couple blocks keep
+    their group order among themselves, the other blocks fall between and
+    around them."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    groups, commodities = [], []
+    for g in range(draw(st.integers(2, 4))):
+        pairs, cs = draw_pairs(draw, rng, 100 * g)
+        groups.append(pairs)
+        commodities += cs
+    others = []
+    for b in range(draw(st.integers(1, 3))):
+        ids = tuple(range(1000 + 10 * b, 1000 + 10 * b + int(rng.integers(1, 4))))
+        commodities += [Commodity(i, *(10.0 ** rng.uniform(-1, 1, size=3)).tolist()) for i in ids]
+        if rng.random() < 0.5:
+            others.append(Block(ids=ids, sosi=SosiPolicy({i: float(rng.uniform(0.1, 3)) for i in ids})))
+        else:
+            tau = float(rng.choice([1.0, 0.7]))
+            two_orders, one_order = ((0.0, tau / 4), (tau / 4, 3 * tau / 4)), ((tau / 3, tau),)
+            schedules = {i: two_orders if rng.random() < 0.5 else one_order for i in ids}
+            others.append(Block(ids=ids, cyclic=CyclicPolicy(tau, schedules)))
+    slots = sorted(rng.choice(len(groups) + len(others), size=len(groups), replace=False).tolist())
+    order = rng.permutation(len(commodities))
+    return groups, others, slots, Instance(tuple(commodities[k] for k in order), capacity_V=1.0)
 
 
 def couple_inputs(pairs, instance):
@@ -168,18 +206,34 @@ def couple_inputs(pairs, instance):
     return out
 
 
+def one_block(pairs, instance, provenance="class3"):
+    """The couple block of one subgroup's near pairs."""
+    (block,) = _couple_blocks([pairs], instance, EPS, provenance)
+    return block
+
+
+def couple_reports(block, instance):
+    """Each couple's report, read off one couple_terms pass over the block:
+    its three rates and its two ids with their averages, in key order."""
+    terms = couple_terms([t.policy for t in block.templates], block.which, block.ids, instance)
+    return [
+        EvalReport(o, h, v, dict(zip(terms.keys[2 * j : 2 * j + 2], terms.avg[2 * j : 2 * j + 2])), instance.V)
+        for j, (o, h, v) in enumerate(zip(*terms.rates.tolist()))
+    ]
+
+
 @settings(max_examples=150, deadline=None)
 @given(case=couple_cases(), factor=st.sampled_from([1.0, 0.5, 0.9999999, 1 / 3, 19 / 160, 1.7]))
 def test_couple_block_matches_one_policy_per_couple(case, factor):
     pairs, inst = case
-    block = _couple_block(pairs, inst, EPS, "class3").scaled(factor)
+    block = one_block(pairs, inst).scaled(factor)
     inputs = couple_inputs(pairs, inst)
     couples = [synthesize_couple(inp) for inp in inputs]
     policies = [c.policy.scaled(factor) if factor != 1.0 else c.policy for c in couples]
     expected = [scalar_evaluate(p, inst) for p in policies]
-    assert exact(block.reports(inst)) == exact(expected)
+    assert exact(couple_reports(block, inst)) == exact(expected)
     assert exact([evaluate(p, inst) for p in policies]) == exact(expected)
-    assert exact(block.report(inst)) == exact(combine_reports(expected, inst))
+    assert exact(AssembledPolicy((block,)).report(inst)) == exact(combine_reports(expected, inst))
     # the block's one couples entry, flattened, is the old per-couple list
     entries = [{**policy_to_json(p), "provenance": f"class3:couple-case{c.case_id}"} for p, c in zip(policies, couples)]
     assert json.dumps(flatten(block.entries())) == json.dumps(entries)
@@ -192,14 +246,14 @@ def test_couple_policy_evaluates_as_the_union_of_its_couples(case, factor):
     # the block's entry, parsed back, is certified in one report that is
     # bit-equal to combine_reports of evaluate on each couple's own policy
     pairs, inst = case
-    block = _couple_block(pairs, inst, EPS, "class3").scaled(factor)
+    block = one_block(pairs, inst).scaled(factor)
     (entry,) = block.entries()
     policy = parse_policy(json.dumps(entry))
     assert isinstance(policy, CouplePolicy)
     couples = [CyclicPolicy(p["tau"], {int(k): tuple(map(tuple, o)) for k, o in p["schedules"].items()}) for p in flatten([entry])]
     expected = combine_reports([evaluate(p, inst) for p in couples], inst)
     assert exact(evaluate(policy, inst)) == exact(expected)
-    assert exact(block.report(inst)) == exact(expected)
+    assert exact(AssembledPolicy((block,)).report(inst)) == exact(expected)
     assert evaluate(policy, inst).feasible_at == inst.V
     assert dict(policy.schedules) == {cid: orders for p in couples for cid, orders in p.schedules.items()}
 
@@ -208,13 +262,57 @@ def test_couple_policy_evaluates_as_the_union_of_its_couples(case, factor):
 @given(case=couple_cases())
 def test_assembled_report_adds_each_couple_in_emission_order(case):
     pairs, inst = case
-    block = _couple_block(pairs, inst, EPS, "class3")
+    block = one_block(pairs, inst)
     extra = [c.id for c in inst.commodities if c.id not in block.ids]
     blocks = [block] + ([Block(ids=tuple(extra), sosi=SosiPolicy({i: 0.5 for i in extra}))] if extra else [])
     assembled = AssembledPolicy(tuple(blocks))
     parts = [scalar_evaluate(synthesize_couple(inp).policy, inst) for inp in couple_inputs(pairs, inst)]
     parts += [b.report(inst) for b in blocks[1:]]
     assert exact(assembled.report(inst)) == exact(combine_reports(parts, inst))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=class_cases(), factor=st.sampled_from([1.0, 0.5, 1 / 3, 1.7]))
+def test_one_couple_pass_reports_every_block_in_emission_order(case, factor):
+    # the couple blocks of one class come from one _couple_blocks pass and
+    # the solve's report from one couple_terms pass over all of them; both
+    # must agree with building and evaluating every couple on its own
+    groups, others, slots, inst = case
+    couple_blocks = _couple_blocks(groups, inst, EPS, "class3")
+    alone = [one_block(pairs, inst) for pairs in groups]
+    fields = lambda b: (b.ids, b.which, [t.policy for t in b.templates], b.provenance)  # noqa: E731
+    assert exact([fields(b) for b in couple_blocks]) == exact([fields(b) for b in alone])
+    blocks, parts = [], []
+    pending, rest = iter(zip(groups, couple_blocks)), iter(others)
+    for slot in range(len(groups) + len(others)):
+        if slot in slots:
+            pairs, block = next(pending)
+            policies = [synthesize_couple(inp).policy for inp in couple_inputs(pairs, inst)]
+            parts += [scalar_evaluate(p.scaled(factor) if factor != 1.0 else p, inst) for p in policies]
+        else:
+            block = next(rest)
+            scaled = block.scaled(factor)
+            parts.append(scaled.report(inst) if scaled.sosi is not None else scalar_evaluate(scaled.cyclic, inst))
+        blocks.append(block)
+    assembled = AssembledPolicy(tuple(blocks)).scaled(factor)
+    assert exact(assembled.report(inst)) == exact(combine_reports(parts, inst))
+
+
+def test_class_cases_reach_every_k_and_both_instance_orders():
+    # the class strategy must reach k >= 5 and both orders of A and B
+    seen = set()
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(case=class_cases())
+    def collect(case):
+        groups, _, _, inst = case
+        for block in _couple_blocks(groups, inst, EPS, "class3"):
+            for j, k in enumerate(block.which):
+                a, b = block.ids[2 * j], block.ids[2 * j + 1]
+                seen.add((block.templates[k].case_id, inst.position(a) < inst.position(b)))
+
+    collect()
+    assert seen == {(c, first) for c in range(1, 7) for first in (True, False)}
 
 
 def test_couple_cases_cover_every_k_and_both_instance_orders():
@@ -226,7 +324,7 @@ def test_couple_cases_cover_every_k_and_both_instance_orders():
     @given(case=couple_cases())
     def collect(case):
         pairs, inst = case
-        block = _couple_block(pairs, inst, EPS, "class3")
+        block = one_block(pairs, inst)
         for j, k in enumerate(block.which):
             a, b = block.ids[2 * j], block.ids[2 * j + 1]
             seen.add((block.templates[k].case_id, inst.position(a) < inst.position(b)))
@@ -238,7 +336,7 @@ def test_couple_cases_cover_every_k_and_both_instance_orders():
 def test_unknown_id_raises_the_key_error_of_evaluate():
     commodities = tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(4))
     pairs = [((0, 1.0, 1.0), (1, 1.0, 1.0)), ((3, 1.0, 1.0), (2, 1.0, 1.0))]
-    block = _couple_block(pairs, Instance(commodities, 1.0), EPS, "c")
+    block = one_block(pairs, Instance(commodities, 1.0), "c")
     policies = [synthesize_couple(inp).policy for inp in couple_inputs(pairs, Instance(commodities, 1.0))]
     for missing in ((3,), (2,), (2, 3), (1, 3), (0,)):
         inst = Instance(tuple(c for c in commodities if c.id not in missing), 1.0)
@@ -246,7 +344,7 @@ def test_unknown_id_raises_the_key_error_of_evaluate():
             for policy in policies:
                 evaluate(policy, inst)
         with pytest.raises(KeyError, match="no commodity with id") as got:
-            block.reports(inst)
+            AssembledPolicy((block,)).report(inst)
         assert got.value.args == expected.value.args
 
 
@@ -266,14 +364,62 @@ def test_each_pair_is_checked_even_when_its_key_is_shared(bad, error, match):
     inst = Instance(inst.commodities[:5] + (Commodity(5, 1.0, 1.0, bad[1]),), 1.0)
     good = [((0, 1.0, 1.0), (1, 2.0, 0.5)), ((2, 1.0, 1.0), (3, 2.0, 0.5))]
     with pytest.raises(error, match=match):
-        _couple_block(good + [((4, 1.0, 1.0), bad)], inst, EPS, "c")
+        _couple_blocks([good + [((4, 1.0, 1.0), bad)]], inst, EPS, "c")
 
 
 def test_subnormal_T_B_is_refused_for_a_later_pair():
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 2.0 if i % 2 else 1.0) for i in range(4)), 1.0)
     pairs = [((0, 1.0, 1.0), (1, 2.0, 0.5)), ((2, 1.0, 1e-323), (3, 2.0, 5e-324))]
     with pytest.raises(ValueError, match=r"^T_B = 5e-324 is below the smallest normal float$"):
-        _couple_block(pairs, inst, EPS, "c")
+        _couple_blocks([pairs], inst, EPS, "c")
+
+
+# One bad pair of each kind, as (A's gamma, T_A, B's gamma, T_B): the ratio
+# 2 * (1 + 1e-6) is no power of two, the space ratio 1.5 is outside
+# [1/(1+eps), 1+eps], and T_B = 5e-324 is subnormal.
+BAD_PAIRS = {
+    "not-a-power-of-two": (1.0, 1.0, 2.0, 0.5 / (1.0 + 1e-6)),
+    "space-mismatch": (3.0, 1.0, 4.0, 0.5),
+    "subnormal-T_B": (1.0, 1e-323, 2.0, 5e-324),
+}
+
+
+@pytest.mark.parametrize("second", sorted(BAD_PAIRS))
+@pytest.mark.parametrize("first", sorted(BAD_PAIRS))
+@pytest.mark.parametrize("shared", [False, True], ids=["own-key", "shared-key"])
+def test_first_bad_pair_of_a_class_raises_its_own_error(first, second, shared):
+    # groups 0 and 1 of one class each hold a bad pair, the later group's
+    # first, the earlier group's after a good one; the earlier bad pair's
+    # own CoupleInput exception is raised, type and message. With `shared`
+    # every good pair has the (1, 1.0) key of the first bad pair's group, so
+    # a bad pair whose key is shared is checked all the same
+    good = (1.0, 1.0, 2.0, 0.5)
+    rows = [good, BAD_PAIRS[first], BAD_PAIRS[second], good if shared else (1.0, 2.0, 2.0, 1.0)]
+    commodities, pairs = [], []
+    for j, (g_A, T_A, g_B, T_B) in enumerate(rows):
+        commodities += [Commodity(2 * j, 1.0, 1.0, g_A), Commodity(2 * j + 1, 1.0, 1.0, g_B)]
+        pairs.append(((2 * j + 1, g_B, T_B), (2 * j, g_A, T_A)))  # the lead is B, so A is found by its interval
+    inst = Instance(tuple(reversed(commodities)), 1.0)
+    with pytest.raises(Exception) as expected:
+        CoupleInput(inst.commodity(2), inst.commodity(3), rows[1][1], rows[1][3], EPS)
+    with pytest.raises(type(expected.value)) as got:
+        _couple_blocks([pairs[:2], pairs[2:]], inst, EPS, "c")
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+
+
+def test_pair_near_the_power_of_two_limit_takes_its_k_from_math_log2():
+    # log2(T_A/T_B) lies about 7e-10 above 1: too far from an integer for the
+    # array check to clear it, inside CoupleInput's 1e-9, so the pair gets
+    # its own CoupleInput and is accepted with k = 1
+    T_B = 0.5 / (1.0 + 5e-10)
+    inst = Instance(tuple(Commodity(i, 1.0, 1.0, 2.0 if i % 2 else 1.0) for i in range(4)), 1.0)
+    pairs = [((0, 1.0, 1.0), (1, 2.0, T_B)), ((2, 1.0, 1.0), (3, 2.0, 0.5))]
+    assert 5e-10 < math.log2(1.0 / T_B) - 1 <= 1e-9
+    block = one_block(pairs, inst, "c")
+    assert block.which == (0, 0)
+    assert [t.case_id for t in block.templates] == [2]
+    assert exact(block.templates[0].policy) == exact(synthesize_couple(couple_inputs(pairs, inst)[0]).policy)
 
 
 def test_shared_schedule_is_built_once_per_key():
@@ -282,13 +428,45 @@ def test_shared_schedule_is_built_once_per_key():
     inst = Instance(tuple(Commodity(i, 1.0 + i, 1.0, g) for i, g in enumerate(gamma)), 1.0)
     T = [(1.0, 1.0), (2.0, 2.0), (1.0, 1.0), (1.0, 1.0), (1.0, 0.5)]
     pairs = [((2 * j, gamma[2 * j], T_A), (2 * j + 1, gamma[2 * j + 1], T_B)) for j, (T_A, T_B) in enumerate(T)]
-    block = _couple_block(pairs, inst, EPS, "class7")
+    block = one_block(pairs, inst, "class7")
     assert block.which == (0, 1, 0, 0, 2)
     assert len(block.templates) == 3
     (entry,) = block.entries()
     assert entry["provenance"] == "class7"
     assert [e["provenance"] for e in flatten([entry])] == ["class7:couple-case1"] * 4 + ["class7:couple-case2"]
     assert block.ids == tuple(range(10))
+
+
+@pytest.mark.parametrize("stray_first", [False, True])
+def test_parts_sharing_a_commodity_raise_the_error_of_combine_reports(stray_first):
+    # AssembledPolicy checks its blocks' ids, not the ids their policies
+    # name; a report over parts that share a commodity is refused with
+    # combine_reports' error, which names the first part to overlap
+    inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(5)), 1.0)
+    couples = one_block([((0, 1.0, 1.0), (1, 1.0, 1.0)), ((2, 1.0, 1.0), (3, 1.0, 1.0))], inst, "c")
+    stray = Block(ids=(4,), sosi=SosiPolicy({4: 1.0, 2: 1.0, 0: 0.5}))
+    blocks = (stray, couples) if stray_first else (couples, stray)
+    parts = couple_reports(couples, inst) + [stray.report(inst)]
+    if stray_first:
+        parts = parts[-1:] + parts[:-1]
+    with pytest.raises(ValueError) as expected:
+        combine_reports(parts, inst)
+    with pytest.raises(ValueError) as got:
+        AssembledPolicy(blocks).report(inst)
+    assert str(got.value) == str(expected.value) == f"reports overlap on commodities {[0] if stray_first else [0, 2]}"
+
+
+def test_templates_are_counted_per_block_of_a_class():
+    # the (0, 1.0) key recurs in the second group, which builds its own
+    # template for it; `which` counts from each block's first template
+    inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(8)), 1.0)
+    T = [(1.0, 1.0), (2.0, 2.0), (2.0, 2.0), (1.0, 1.0)]
+    pairs = [((2 * j, 1.0, T_A), (2 * j + 1, 1.0, T_B)) for j, (T_A, T_B) in enumerate(T)]
+    first, second = _couple_blocks([pairs[:2], pairs[2:]], inst, EPS, "class7")
+    assert (first.which, second.which) == ((0, 1), (0, 1))
+    assert [t.policy.tau for t in first.templates] == [1.0, 2.0]
+    assert [t.policy.tau for t in second.templates] == [2.0, 1.0]
+    assert [list(t.policy.schedules) for t in second.templates] == [[4, 5], [6, 7]]
 
 
 def test_heavy_split_is_strict_at_three_quarters_of_the_slab():
@@ -300,8 +478,11 @@ def test_heavy_split_is_strict_at_three_quarters_of_the_slab():
     assert (split.heavy, split.light) == ((1,), (0, 2))
 
 
-def test_evaluate_couples_of_nothing():
-    assert evaluate_couples([], [], (), Instance((Commodity(0, 1.0, 1.0, 1.0),), 1.0)) == []
+def test_couple_terms_of_nothing():
+    inst = Instance((Commodity(0, 1.0, 1.0, 1.0),), 1.0)
+    terms = couple_terms([], [], (), inst)
+    assert terms.rates.shape == (3, 0) and terms.keys == [] and terms.avg == []
+    assert exact(AssembledPolicy(()).report(inst)) == exact(combine_reports([], inst))
 
 
 # ---------------------------------------------------------------------------
@@ -345,8 +526,8 @@ def test_evaluate_keeps_max_on_a_nan_candidate():
     report = evaluate(policy, inst)
     assert report.v_max == 5e307
     assert exact(report) == exact(scalar_evaluate(policy, inst))
-    block = _couple_block([((0, 1e308, 1.0), (1, 1e308, 1.0))], inst, EPS, "c")
-    assert exact(block.reports(inst)) == exact([report])
+    block = one_block([((0, 1e308, 1.0), (1, 1e308, 1.0))], inst, "c")
+    assert exact(couple_reports(block, inst)) == exact([report])
 
 
 # ---------------------------------------------------------------------------

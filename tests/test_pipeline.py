@@ -417,8 +417,7 @@ class TestDenseBranchGuarantees:
     def test_po2_sync_class_peak_within_theorem_bound(self):
         # identical heavy commodities: on sync draws the class peak must sit
         # within (1+6eps) * (7/4)/(sqrt2 ln2) * |class| * slab
-        from ewlsp.evaluator import combine_reports
-        from ewlsp.pipeline import build_matching_instance, run_dense_branch
+        from ewlsp.pipeline import run_dense_branch
 
         eps = CFG.eps
         inst = dense_heavy_instance(8, 48)
@@ -432,7 +431,7 @@ class TestDenseBranchGuarantees:
             if diag["classes"][str(ell)] != "po2-sync":
                 continue
             checked += 1
-            report = combine_reports((b.report(inst) for b in blocks), inst)
+            report = AssembledPolicy(tuple(blocks)).report(inst)
             assert report.v_max <= bound + 1e-9
         assert checked >= 3
 
