@@ -36,7 +36,8 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -268,11 +269,19 @@ def _near_integer(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class ClassDecomposition:
     classes: Mapping[Hashable, tuple[int, ...]]  # only nonempty classes
-    avg_space: Mapping[int, float]  # gamma_i * avg inventory under the reference
     avg_space_per_class: Mapping[Hashable, float]
     labels: Mapping[Hashable, str]  # prefix-sparse | suffix-sparse | dense
     vbar_sparse: float
     vbar_dense: float
+    ids: tuple[int, ...]  # the instance's ids, in instance order
+    # gamma_i * avg inventory under the reference, in the order of `ids`, read-only
+    space: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def avg_space(self) -> dict[int, float]:
+        """id -> gamma_i * avg inventory, keyed in the order of `ids`; built
+        on first read."""
+        return dict(zip(self.ids, self.space.tolist()))
 
     def ids_with_label(self, label: str) -> list[int]:
         out: list[int] = []
@@ -346,7 +355,7 @@ def decompose_classes(
         ell: Hashable = INF_CLASS if c == L + 1 else c
         classes[ell] = tuple(member_ids[start:end])
         per_class[ell] = math.fsum(member_space[start:end])
-    avg_space = dict(zip(ids, s.tolist()))
+    s.flags.writeable = False
 
     threshold = cfg.sparsity_threshold
     sparse = [ell for ell in sorted(classes) if len(classes[ell]) <= threshold]
@@ -363,11 +372,12 @@ def decompose_classes(
     vbar_dense = math.fsum(per_class[ell] for ell in classes if labels[ell] == "dense")
     return ClassDecomposition(
         classes=classes,
-        avg_space=avg_space,
         avg_space_per_class=per_class,
         labels=labels,
         vbar_sparse=vbar_sparse,
         vbar_dense=vbar_dense,
+        ids=ids,
+        space=s,
     )
 
 
@@ -692,7 +702,7 @@ def _dispatch(
         return "low-dense", [_stationary(instance.ids(), sol.intervals_T, "all:relaxation")], None
     blocks = []
     if prefix_ids:
-        vbar_prefix = math.fsum(decomp.avg_space[i] for i in prefix_ids)
+        vbar_prefix = math.fsum(decomp.space[instance.positions(prefix_ids)].tolist())
         sol = solve_sosi_relaxation(instance, rhs=2.0 * (vbar_prefix + eps * V), ids=prefix_ids)
         blocks.append(_stationary(prefix_ids, sol.intervals_T, "prefix:relaxation"))
     dense_blocks, dense = run_dense_branch(instance, cfg, decomp, seed)

@@ -3,17 +3,35 @@
 Minimizing sum C_i(T_i) subject to sum gamma_i*T_i <= rhs is convex and
 separable; the KKT point is T_i(lam) = sqrt(K_i/(H_i + lam*gamma_i)), where
 the multiplier lam is zero when the unconstrained optimum fits the budget and
-otherwise solves sum gamma_i*T_i(lam) = rhs, a strictly decreasing continuous
-map amenable to bisection. The optimal value lower-bounds the cost of every
-capacity-feasible dynamic policy, which is what all approximation ratios in
-this package are measured against.
+otherwise solves budget(lam) = sum gamma_i*T_i(lam) = rhs. The optimal value
+lower-bounds the cost of every capacity-feasible dynamic policy, which is
+what all approximation ratios in this package are measured against.
+
+The multiplier is the one a plain bisection returns: double hi from 1 while
+budget(hi) >= rhs, halve [0, hi] on budget(mid) > rhs down to a width of
+1e-13 * max(hi, 1), and take the midpoint. It is found with far fewer
+evaluations of the budget map (4 to 9 rather than ~47 on generated
+instances), bit for bit:
+- the budget map, as computed in floats, is non-increasing in lam: every
+  operation in it is monotone and its dot product sums in a fixed order, so
+  one evaluated value decides every comparison on its side of the crossing;
+- Newton steps on budget**-2 bracket the crossing. That map is concave in
+  lam (a power mean, of exponent -1/2, of the H_i/gamma_i + lam; linear for
+  one commodity or with H = 0), so the steps approach the crossing from
+  below; one probe past where they stop, widened by doubling until it lands
+  on the other side, closes a bracket far narrower than the bisection's last
+  interval;
+- the doubling and halving are replayed on the known values, and only the
+  probes those leave undecided are evaluated. Newton only chooses where to
+  evaluate, so a poor step costs evaluations and never changes lam.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Sequence
 
 import numpy as np
 
@@ -22,20 +40,27 @@ from .errors import InfeasiblePolicy
 from .model import Instance
 
 _BISECT_RTOL = 1e-13
+_NEWTON_STEPS = 12
+_BRACKET_ROUNDS = 8
 
 
 @dataclass(frozen=True)
 class RelaxationSolution:
-    intervals_T: Mapping[int, float]
+    ids: tuple[int, ...]  # the relaxed commodities, in instance order
     multiplier_lambda: float
     objective: float
     budget_used: float
     budget_cap: float
-    # the intervals in the key order of `intervals_T` (instance order), read-only
+    # the intervals in the order of `ids`, read-only
     column: np.ndarray = field(repr=False, compare=False)
 
+    @cached_property
+    def intervals_T(self) -> dict[int, float]:
+        """id -> interval, keyed in the order of `ids`; built on first read."""
+        return dict(zip(self.ids, self.column.tolist()))
 
-def _arrays(instance: Instance, ids: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, Sequence[int]]:
+
+def _arrays(instance: Instance, ids: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """K, H, gamma and the ids of the relaxed commodities, in instance order."""
     cols = instance.columns
     if ids is None:
@@ -43,7 +68,74 @@ def _arrays(instance: Instance, ids: Sequence[int] | None) -> tuple[np.ndarray, 
     pos = np.unique(instance.positions(ids))
     if not pos.size:
         raise ValueError("the relaxation needs at least one commodity")
-    return cols.K[pos], cols.H[pos], cols.gamma[pos], [cols.ids[k] for k in pos.tolist()]
+    return cols.K[pos], cols.H[pos], cols.gamma[pos], tuple(cols.ids[k] for k in pos.tolist())
+
+
+def _budget(lam: float, K: np.ndarray, H: np.ndarray, g: np.ndarray) -> float:
+    """sum gamma_i * T_i(lam), non-increasing in lam as computed: every
+    operation is monotone and the dot product sums in a fixed order."""
+    return float(g @ np.sqrt(K / (H + lam * g)))
+
+
+def _multiplier(K: np.ndarray, H: np.ndarray, g: np.ndarray, rhs: float, used0: float) -> float:
+    """The lam of the bisection below, for used0 = _budget(0) > rhs (see the
+    module docstring). Every comparison is decided by a value of `_budget`:
+    a probe at or below the largest lam seen with a budget above rhs, or at
+    or beyond the smallest seen with one at most (or below) rhs, needs no
+    evaluation of its own."""
+    # _budget(inf) is 0, below every rhs
+    above, at_most, below = 0.0, math.inf, math.inf
+
+    def probe(lam: float) -> float:
+        nonlocal above, at_most, below
+        used = _budget(lam, K, H, g)
+        if used > rhs:
+            above = max(above, lam)
+        else:
+            at_most = min(at_most, lam)
+            if used < rhs:
+                below = min(below, lam)
+        return used
+
+    lam, used, g2 = 0.0, used0, g * g
+    for _ in range(_NEWTON_STEPS):
+        x = H + lam * g
+        slope = float(g2 @ (np.sqrt(K / x) / x))  # -2 d budget / d lam
+        # (rhs**-2 - used**-2) / (d used**-2 / d lam), in factors that keep
+        # clear of the cancellation in the difference and of overflow
+        step = (used - rhs) / rhs * ((used + rhs) / rhs * (used / slope)) if slope > 0.0 else math.inf
+        if not lam < lam + step < math.inf:
+            break
+        lam += step
+        if step <= _BISECT_RTOL * max(lam, 1.0) / 64.0:
+            break
+        used = probe(lam)
+        if used <= rhs:
+            break
+    if lam > 0.0:
+        # One side of lam is known close by; gallop out on the other, which
+        # leaves a bracket too narrow to hold a bisection midpoint but by chance.
+        gap = max(_BISECT_RTOL * max(lam, 1.0) / 256.0, math.ulp(lam))
+        for _ in range(_BRACKET_ROUNDS):
+            if at_most > lam:
+                if probe(lam + gap) <= rhs:
+                    break
+            elif probe(lam - gap) > rhs:
+                break
+            gap *= 2.0
+
+    # the doubling and the bisection, as plain loops would run them
+    hi = 1.0
+    while hi <= above or (hi < below and probe(hi) >= rhs):
+        hi *= 2.0
+    lo = 0.0
+    while hi - lo > _BISECT_RTOL * max(hi, 1.0):
+        mid = 0.5 * (lo + hi)
+        if mid <= above or (mid < at_most and probe(mid) > rhs):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def solve_sosi_relaxation(
@@ -64,26 +156,13 @@ def solve_sosi_relaxation(
         raise ValueError("budget must be > 0")
     K, H, g, ids = _arrays(instance, ids)
 
-    def budget(lam: float) -> float:
-        return float(g @ np.sqrt(K / (H + lam * g)))
-
-    # An overflow of lam*gamma shows as a budget overrun, checked below.
-    with np.errstate(over="ignore"):
+    # An overflow of lam*gamma shows as a budget overrun, checked below; a
+    # Newton slope of inf * 0 only ends the Newton steps.
+    with np.errstate(over="ignore", invalid="ignore"):
         lam = 0.0
-        if budget(0.0) > rhs:
-            hi = 1.0
-            while budget(hi) >= rhs:
-                hi *= 2.0
-            lo = 0.0
-            # The budget map is strictly decreasing and continuous in lam.
-            while hi - lo > _BISECT_RTOL * max(hi, 1.0):
-                mid = 0.5 * (lo + hi)
-                if budget(mid) > rhs:
-                    lo = mid
-                else:
-                    hi = mid
-            lam = 0.5 * (lo + hi)
-
+        used0 = _budget(0.0, K, H, g)
+        if used0 > rhs:
+            lam = _multiplier(K, H, g, rhs, used0)
         T = np.sqrt(K / (H + lam * g))
         used = float(g @ T)
     T.flags.writeable = False
@@ -92,7 +171,7 @@ def solve_sosi_relaxation(
             f"no multiplier in float range meets the budget: the intervals use {used!r} of {rhs!r}"
         )
     return RelaxationSolution(
-        intervals_T=dict(zip(ids, T.tolist())),
+        ids=ids,
         multiplier_lambda=lam,
         objective=float(np.sum(K / T + H * T)),
         budget_used=used,
@@ -167,7 +246,7 @@ def solve_sosi_dp(instance: Instance, eps: float, rhs: float | None = None) -> R
     column = np.array(list(T.values()))
     column.flags.writeable = False
     return RelaxationSolution(
-        intervals_T=T,
+        ids=instance.columns.ids,
         multiplier_lambda=float("nan"),
         objective=objective,
         budget_used=used,

@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from ewlsp.model import Commodity, Instance
+
+# `pytest --hypothesis-profile=ci`: more examples for the tests that take the
+# profile's count, with no deadline
+settings.register_profile("ci", max_examples=1000, deadline=None)
 
 
 def make_instance(params, V):

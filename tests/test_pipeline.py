@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ewlsp import pipeline
 from ewlsp.cli import generate_instance
 from ewlsp.couples import CoupleInput, synthesize_couple
 from ewlsp.errors import InfeasiblePolicy
@@ -376,6 +377,25 @@ def test_pinned_outputs_recertify_from_json(name):
     assert certified.holding_cost_rate == pytest.approx(rep.holding_cost_rate, rel=1e-12)
     assert certified.v_max == pytest.approx(rep.v_max, rel=1e-12)
     assert certified.avg_inventory == pytest.approx(rep.avg_inventory, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["difficult-po2-sync", "difficult-prefix-relaxation", "low-dense-tight"])
+def test_solve_builds_no_avg_space_dict(monkeypatch, name):
+    # the prefix's share of the average space is summed from the column
+    decomps = []
+
+    def recording(*args):
+        decomps.append(decompose_classes(*args))
+        return decomps[-1]
+
+    monkeypatch.setattr(pipeline, "decompose_classes", recording)
+    inst, seed, reference = next(p[1] for p in PINNED_OUTPUTS if p[0] == name)
+    _, _, diag = solve_sub2(inst, CFG, seed=seed, reference=reference)
+    assert name.startswith(diag["scenario"])
+    (decomp,) = decomps
+    assert "avg_space" not in vars(decomp)
+    if name == "difficult-prefix-relaxation":
+        assert decomp.ids_with_label("prefix-sparse")
 
 
 def test_rounded_sosi_blocks_sum_far_pairs_then_leftover():

@@ -2,12 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ewlsp import relaxation, two_approx
+from ewlsp.cli import generate_instance
 from ewlsp.errors import InfeasiblePolicy
+from ewlsp.model import Commodity, Instance
 from ewlsp.oracle import oracle_opt_cyclic
 from ewlsp.relaxation import solve_sosi_dp, solve_sosi_relaxation
 
 from conftest import make_instance, random_instance
+from test_stationary_columns import exact, scalar_relaxation
 
 
 class TestExactSolver:
@@ -145,3 +151,174 @@ def test_solutions_carry_their_interval_column(rng):
     full = solve_sosi_relaxation(inst)
     assert halved.tolist() == [T / 2.0 for T in full.intervals_T.values()]
     assert lower_bound == full.objective
+
+
+# ---------------------------------------------------------------------------
+# The multiplier search against plain bisection
+# ---------------------------------------------------------------------------
+
+
+def budget_of(commodities, lam):
+    """The relaxation's budget map over `commodities` (instance order) at lam."""
+    K, H, g = (np.array([getattr(c, name) for c in commodities]) for name in ("K", "H", "gamma"))
+    with np.errstate(over="ignore"):
+        return float(g @ np.sqrt(K / (H + lam * g)))
+
+
+@st.composite
+def relaxation_cases(draw):
+    """(instance, rhs, ids, the relaxed commodities): n from 1 to 300, each
+    of K, H and gamma drawn log-uniformly over its own range inside
+    10^-6..10^6, all ids or a subset of them in any order, and a budget that
+    - binds, from a hair below the unconstrained use to 10^-4 of it;
+    - does not bind, or equals the unconstrained use;
+    - equals the budget map at a power of two, so that a doubling or
+      bisection probe meets rhs exactly, where `>=` and `>` part ways."""
+    n = draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for _ in range(3):
+        lo, hi = sorted(draw(st.tuples(st.integers(-60, 60), st.integers(-60, 60))))
+        columns.append((10.0 ** rng.uniform(lo / 10.0, hi / 10.0, size=n)).tolist())
+    inst = Instance(tuple(Commodity(i, K, H, g) for i, (K, H, g) in enumerate(zip(*columns))), capacity_V=1.0)
+    ids = None
+    if draw(st.booleans()):
+        ids = rng.permutation(n)[: draw(st.integers(1, n))].tolist()
+    keep = set(inst.ids() if ids is None else ids)
+    sub = [c for c in inst.commodities if c.id in keep]
+    free = budget_of(sub, 0.0)
+    kind = draw(st.sampled_from(["binding", "slack", "power of two"]))
+    if kind == "binding":
+        rhs = free * 10.0 ** draw(st.floats(-4.0, -1e-9))
+    elif kind == "slack":
+        rhs = free * draw(st.sampled_from([1.0, 1.5, 100.0]))
+    else:
+        rhs = budget_of(sub, 2.0 ** draw(st.integers(-45, 45)))
+    return inst, rhs, ids, sub
+
+
+@settings(deadline=None)
+@given(case=relaxation_cases())
+def test_multiplier_matches_plain_bisection_bit_for_bit(case):
+    inst, rhs, ids, sub = case
+    if not rhs > 0.0:  # the budget map underflowed
+        return
+    intervals, objective, lam = scalar_relaxation(sub, rhs)
+    if budget_of(sub, lam) > rhs * (1.0 + 1e-9):
+        # the bisection's last interval is 1e-13 wide in absolute terms below
+        # lam = 1, which can leave its lam short of meeting a steep budget
+        with pytest.raises(InfeasiblePolicy, match="no multiplier in float range"):
+            solve_sosi_relaxation(inst, rhs=rhs, ids=ids)
+        return
+    sol = solve_sosi_relaxation(inst, rhs=rhs, ids=ids)
+    got = (sol.multiplier_lambda, sol.column.tolist(), sol.objective, sol.intervals_T)
+    assert exact(got) == exact((lam, list(intervals.values()), objective, intervals))
+
+
+@pytest.fixture
+def budget_calls(monkeypatch):
+    """The multipliers at which `relaxation._budget` is evaluated."""
+    calls = []
+    budget = relaxation._budget
+
+    def counting(lam, *columns):
+        calls.append(lam)
+        return budget(lam, *columns)
+
+    monkeypatch.setattr(relaxation, "_budget", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [40, 400, 2000])
+@pytest.mark.parametrize("regime", ["tight", "loose", "dense-heavy"])
+def test_binding_relaxation_takes_at_most_16_evaluations(budget_calls, regime, n):
+    # plain bisection takes about 47; loose budgets never bind and take one
+    binding = 0
+    for seed in range(3):
+        for spread in (0.0, 1.0, 3.0):
+            inst = generate_instance(seed, n, spread, regime)
+            for rhs in (2.0 * inst.V, 1.2 * inst.V):
+                budget_calls.clear()
+                sol = solve_sosi_relaxation(inst, rhs=rhs)
+                assert sol.multiplier_lambda == scalar_relaxation(inst.commodities, rhs)[2]
+                if sol.multiplier_lambda > 0.0:
+                    binding += 1
+                    assert len(budget_calls) <= 16
+                else:
+                    assert budget_calls == [0.0]
+    assert binding == (0 if regime == "loose" else 18)
+
+
+def test_multiplier_with_a_slope_that_underflows(budget_calls):
+    # the budget map's slope at lam = 0, gamma^2 * T / H = 1e-400, underflows
+    # to 0, so no Newton step is taken: the doubling climbs to ~3e300 by itself
+    K, H, g = 1e200, 1e200, 1e-100
+    assert g * (math.sqrt(K / H) * (g / H)) == 0.0
+    inst = make_instance([(K, H, g)], 1.0)
+    sol = solve_sosi_relaxation(inst, rhs=0.5e-100)
+    assert sol.multiplier_lambda == scalar_relaxation(inst.commodities, 0.5e-100)[2]
+    assert sol.multiplier_lambda == pytest.approx(3e300, rel=1e-12)
+    assert len(budget_calls) > 1000
+
+
+def test_multiplier_with_a_newton_step_that_overflows(budget_calls):
+    # the step's factor budget / slope at lam = 0 is H / gamma = 1e310, so the
+    # step is inf although the multiplier, ~2e300, is finite
+    K, H, g = 1e300, 1e300, 1e-10
+    used = g * math.sqrt(K / H)
+    assert used / (g * g * math.sqrt(K / H) / H) == math.inf
+    inst = make_instance([(K, H, g)], 1.0)
+    rhs = used * (1.0 - 1e-10)
+    sol = solve_sosi_relaxation(inst, rhs=rhs)
+    assert sol.multiplier_lambda == scalar_relaxation(inst.commodities, rhs)[2]
+    assert sol.multiplier_lambda == pytest.approx(2e300, rel=1e-5)
+    assert len(budget_calls) > 1000
+
+
+def test_multiplier_from_an_infinite_budget(budget_calls):
+    # K/H overflows at lam = 0, so the budget there is inf and the Newton step
+    # from it is not a number; the multiplier ~1e300 is still reached
+    inst = make_instance([(1e300, 1e-10, 1.0)], 1.0)
+    assert budget_of(inst.commodities, 0.0) == math.inf
+    sol = solve_sosi_relaxation(inst, rhs=1.0)
+    assert sol.multiplier_lambda == scalar_relaxation(inst.commodities, 1.0)[2]
+    assert sol.multiplier_lambda == pytest.approx(1e300, rel=1e-12)
+    assert sol.budget_used == pytest.approx(1.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Interval dicts built on demand
+# ---------------------------------------------------------------------------
+
+
+def test_interval_dicts_are_built_on_first_read(rng):
+    inst = random_instance(rng, 30)
+    cases = [
+        (solve_sosi_relaxation(inst), inst.commodities),
+        (solve_sosi_relaxation(inst, rhs=0.3 * inst.V, ids=[17, 3, 9]), [inst.commodity(i) for i in (3, 9, 17)]),
+    ]
+    for sol, sub in cases:
+        assert "intervals_T" not in vars(sol)
+        intervals, _, _ = scalar_relaxation(sub, sol.budget_cap)
+        assert exact(sol.intervals_T) == exact(intervals)
+        assert sol.intervals_T is sol.intervals_T
+    small = random_instance(rng, 5)
+    dp = solve_sosi_dp(small, 0.5)
+    assert "intervals_T" not in vars(dp)
+    assert list(dp.intervals_T) == small.ids() == list(dp.ids)
+    assert dp.budget_used == math.fsum(c.gamma * dp.intervals_T[c.id] for c in small.commodities)
+
+
+def test_halving_reads_the_column_and_builds_no_dict(rng, monkeypatch):
+    solved = []
+
+    def recording(*args, **kwargs):
+        solved.append(relaxation.solve_sosi_relaxation(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(two_approx, "solve_sosi_relaxation", recording)
+    inst = random_instance(rng, 30)
+    two_approx.halved_relaxation(inst)
+    two_approx.solve_two_approx(inst)
+    assert len(solved) == 2
+    assert all("intervals_T" not in vars(sol) for sol in solved)

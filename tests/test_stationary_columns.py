@@ -44,7 +44,8 @@ def scalar_evaluate_sosi(policy, instance):
 
 
 def scalar_relaxation(commodities, rhs):
-    """(intervals, objective) of the KKT point, arrays built per commodity."""
+    """(intervals, objective, multiplier) of the KKT point, arrays built per
+    commodity and the multiplier found by plain bisection."""
     K = np.array([c.K for c in commodities])
     H = np.array([c.H for c in commodities])
     g = np.array([c.gamma for c in commodities])
@@ -67,11 +68,11 @@ def scalar_relaxation(commodities, rhs):
                     hi = mid
             lam = 0.5 * (lo + hi)
         T = np.sqrt(K / (H + lam * g))
-    return dict(zip([c.id for c in commodities], T.tolist())), float(np.sum(K / T + H * T))
+    return dict(zip([c.id for c in commodities], T.tolist())), float(np.sum(K / T + H * T)), lam
 
 
 def scalar_two_approx(instance):
-    relaxed, objective = scalar_relaxation(instance.commodities, 2.0 * instance.V)
+    relaxed, objective, _ = scalar_relaxation(instance.commodities, 2.0 * instance.V)
     policy = SosiPolicy({cid: T / 2.0 for cid, T in relaxed.items()})
     return policy, scalar_evaluate_sosi(policy, instance), objective
 
@@ -224,7 +225,7 @@ def test_relaxation_over_ids_matches_sub_instance(inst, data):
     sub = [c for c in inst.commodities if c.id in keep]
     rhs = 2.0 * math.fsum(c.gamma * math.sqrt(c.K / c.H) for c in sub) * data.draw(st.sampled_from([0.3, 2.0]))
     sol = solve_sosi_relaxation(inst, rhs=rhs, ids=ids)
-    assert exact((sol.intervals_T, sol.objective)) == exact(scalar_relaxation(sub, rhs))
+    assert exact((sol.intervals_T, sol.objective, sol.multiplier_lambda)) == exact(scalar_relaxation(sub, rhs))
 
 
 def placed(s, gamma):
@@ -257,6 +258,23 @@ def test_decompose_classes_matches_scalar_loop(inst, data):
     decomp = decompose_classes(report, inst, cfg)
     got = (decomp.classes, decomp.avg_space, decomp.avg_space_per_class, decomp.labels, decomp.vbar_sparse, decomp.vbar_dense)
     assert exact(got) == exact(scalar_decompose(report, inst, cfg))
+
+
+def test_avg_space_is_built_on_first_read():
+    # ids out of numeric order, so the dict's key order is the instance's
+    inst = Instance(
+        tuple(Commodity((7 * i) % 41, 1.0 + i, 2.0 - i / 40, 1.0 + (i % 7) / 3) for i in range(40)), capacity_V=5.0
+    )
+    report = evaluate_sosi(build_reference_policy(inst), inst)
+    decomp = decompose_classes(report, inst, CFG)
+    assert "avg_space" not in vars(decomp)
+    _, avg_space, *_ = scalar_decompose(report, inst, CFG)
+    relabelled = dataclasses.replace(decomp, labels={ell: "suffix-sparse" for ell in decomp.labels})
+    assert "avg_space" not in vars(relabelled)
+    for got in (decomp, relabelled):
+        assert exact(got.avg_space) == exact(avg_space)
+        assert got.avg_space is got.avg_space
+    assert not decomp.space.flags.writeable
 
 
 def test_slab_boundaries_take_the_math_log_class():
