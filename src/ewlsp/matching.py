@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Hashable, Mapping
 
 import numpy as np
@@ -26,31 +27,69 @@ from .errors import InfeasibleMatching
 INF_CLASS: float = math.inf  # label of the below-resolution tail class
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatchingInstance:
+    """Commodities, classes, edge weights and degree bounds.
+
+    `table[r, l]` is the weight of the edge between commodity_side[r] and
+    class_side[l], NaN where there is none. A mapping {(i, ell): w} may be
+    passed in its place: it is read into the table (pairs naming a commodity
+    or class of neither side are left out) and kept as `weights`. For an
+    instance built from a table, `weights` is built on first read, its edges
+    in row-major order. Every edge's weight must be finite and > 0; the first
+    that is not, in row-major order, is named.
+    """
+
     commodity_side: tuple[int, ...]
     class_side: tuple[Hashable, ...]
-    weights: Mapping[tuple[int, Hashable], float]
+    table: np.ndarray  # or a {(i, ell): w} mapping, read into one
     degree_bounds: Mapping[Hashable, tuple[int, int]]
 
     def __post_init__(self):
-        object.__setattr__(self, "commodity_side", tuple(self.commodity_side))
-        object.__setattr__(self, "class_side", tuple(self.class_side))
-        for (i, ell), w in self.weights.items():
-            if not (math.isfinite(w) and w > 0):
-                raise ValueError(f"weight of edge ({i}, {ell}) must be finite and > 0")
+        commodities, classes = tuple(self.commodity_side), tuple(self.class_side)
+        object.__setattr__(self, "commodity_side", commodities)
+        object.__setattr__(self, "class_side", classes)
+        if isinstance(self.table, Mapping):
+            self.__dict__["weights"] = self.table
+            row = {i: r for r, i in enumerate(commodities)}
+            column = {ell: l for l, ell in enumerate(classes)}
+            table = np.full((len(commodities), len(classes)), np.nan)
+            present = np.zeros(table.shape, dtype=bool)
+            for (i, ell), w in self.table.items():
+                if i in row and ell in column:
+                    table[row[i], column[ell]] = w
+                    present[row[i], column[ell]] = True
+        else:
+            table = np.array(self.table, dtype=float)
+            present = ~np.isnan(table)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        bad = np.argwhere(present & ~(np.isfinite(table) & (table > 0)))
+        if len(bad):
+            r, l = bad[0].tolist()
+            raise ValueError(f"weight of edge ({commodities[r]}, {classes[l]}) must be finite and > 0")
         lo_sum = hi_sum = 0
-        for ell in self.class_side:
+        for ell in classes:
             lo, hi = self.degree_bounds[ell]
             if not (0 <= lo <= hi):
                 raise ValueError(f"class {ell}: need 0 <= lower <= upper, got ({lo}, {hi})")
             lo_sum += lo
             hi_sum += hi
-        n = len(self.commodity_side)
+        n = len(commodities)
         if not (lo_sum <= n <= hi_sum):
             raise InfeasibleMatching(
                 f"degree bounds cannot host {n} commodities (lowers {lo_sum}, uppers {hi_sum})"
             )
+
+    @cached_property
+    def weights(self) -> Mapping[tuple[int, Hashable], float]:
+        """{(i, ell): w} over the edges, in row-major order of the table."""
+        rows, columns = np.nonzero(~np.isnan(self.table))
+        commodities, classes = self.commodity_side, self.class_side
+        return {
+            (commodities[r], classes[l]): w
+            for r, l, w in zip(rows.tolist(), columns.tolist(), self.table[rows, columns].tolist())
+        }
 
 
 @dataclass(frozen=True)
@@ -97,22 +136,24 @@ def solve_b_matching(mi: MatchingInstance) -> MimickingPartition:
     its degree bounds admit all n commodities, so each joins it, and a
     commodity without an edge to it makes the instance infeasible. With two
     or more classes it is found by successive shortest paths on the
-    contracted class graph (`_shortest_path_placement`). The total weight is
-    summed in commodity order either way.
+    contracted class graph (`_shortest_path_placement`), which reads its
+    rows straight from the instance's table. The total weight is summed in
+    commodity order either way.
     """
-    commodities, classes = mi.commodity_side, mi.class_side
-    weight = [[mi.weights.get((cid, ell)) for ell in classes] for cid in commodities]
+    commodities, classes, table = mi.commodity_side, mi.class_side, mi.table
+    missing = np.isnan(table)
     if len(classes) == 1:
-        if any(row[0] is None for row in weight):
+        if missing.any():
             raise InfeasibleMatching("no assignment satisfies the degree bounds")
         where = [0] * len(commodities)
     else:
-        where = _shortest_path_placement(weight, [mi.degree_bounds[ell] for ell in classes])
-    assignment: dict[int, Hashable] = {}
+        # the placement reads a missing edge as None
+        rows = np.where(missing, None, table.astype(object)) if missing.any() else table
+        where = _shortest_path_placement(rows.tolist(), [mi.degree_bounds[ell] for ell in classes])
     total = 0.0
-    for k, cid in enumerate(commodities):
-        assignment[cid] = classes[where[k]]
-        total += weight[k][where[k]]
+    for w in table[np.arange(len(commodities)), where].tolist():
+        total += w
+    assignment: dict[int, Hashable] = dict(zip(commodities, [classes[l] for l in where]))
     return MimickingPartition(assignment=assignment, total_weight=total)
 
 

@@ -18,10 +18,13 @@ general, so the union's peak is certified by the sum of exact per-block
 peaks, which is precisely the accounting the analysis itself uses and is
 conservative for feasibility. The paired schedules of one heavy subgroup
 form one couple block: its near pairs that agree on (k, T_A) share a single
-synthesized schedule. The couple blocks of one class are built, and their
-pairs checked, in one array pass; the report evaluates every couple of the
-solve in one more pass over the instance's columns. Each couple still counts
-as a block of its own in the report's sums. In the wire format a couple block is one
+synthesized schedule. The dense branch runs on columns from the matching's
+weight table to the couple blocks: each dense class rounds and pairs all
+its heavy subgroups in one array pass (round_and_pair), and its couple
+blocks are built, and their pairs checked, from the oriented near pairs'
+columns in one more; the report evaluates every couple of the solve in one
+pass over the instance's columns. Each couple still counts as a block of its
+own in the report's sums. In the wire format a couple block is one
 `couples` entry and a stationary block one `sosi` entry.
 
 The three scenarios (high sparse volume, low dense volume, difficult) live in
@@ -33,7 +36,6 @@ union is both the feasibility check and the certificate it returns.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -43,7 +45,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from . import ptas
-from .couples import CoupleInput, CoupleSchedule, classify_pairs, synthesize_couple
+from .couples import CoupleInput, CoupleSchedule, synthesize_couple
 from .errors import BudgetExceeded, InfeasiblePolicy, StateSpaceExceeded
 from .evaluator import EvalReport, combine_terms, couple_terms, evaluate, evaluate_sosi
 from .matching import (
@@ -53,7 +55,7 @@ from .matching import (
     solve_b_matching,
 )
 from .model import CyclicPolicy, Instance, SosiPolicy, couples_json, policy_to_json, sosi_to_json
-from .po2 import PO2_MEAN_CONSTANT, po2_round
+from .po2 import PO2_MEAN_CONSTANT, _split_exponent
 from .relaxation import solve_sosi_relaxation
 from .two_approx import halved_relaxation, solve_two_approx
 
@@ -424,8 +426,9 @@ def build_matching_instance(
 ) -> tuple[MatchingInstance, np.ndarray]:
     """Mimicking-partition matching over suffix-sparse and dense classes, and
     its edge intervals: row r, column l holds the capped interval of
-    commodity_side[r] in class_side[l]. The edge table is built one class
-    column at a time from the instance's parameter columns."""
+    commodity_side[r] in class_side[l]. The weight and interval tables are
+    built one class column at a time from the instance's parameter columns,
+    and the matching takes the weight table as it is."""
     eps, V, n = cfg.eps, instance.V, instance.n
     suffix = [ell for ell, lab in decomp.labels.items() if lab == "suffix-sparse"]
     dense = [ell for ell, lab in decomp.labels.items() if lab == "dense"]
@@ -439,7 +442,6 @@ def build_matching_instance(
     weight = np.empty_like(intervals)
     for l, ell in enumerate(class_side):
         intervals[:, l], weight[:, l] = edge_weight(K, H, gamma, ell, eps, V, n)
-    weights = dict(zip(itertools.product(ids, class_side), weight.ravel().tolist()))
 
     bounds: dict[Hashable, tuple[int, int]] = {}
     for ell in class_side:
@@ -455,7 +457,7 @@ def build_matching_instance(
     mi = MatchingInstance(
         commodity_side=tuple(ids),
         class_side=tuple(class_side),
-        weights=weights,
+        table=weight,
         degree_bounds=bounds,
     )
     return mi, intervals
@@ -465,6 +467,111 @@ def _theta_rng(seed: int, ell_index: int, q: int) -> np.random.Generator:
     # Documented stream split: one child per (class index, subgroup index).
     return np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(ell_index, q)))
+    )
+
+
+@dataclass(frozen=True)
+class PairedClass:
+    """The heavy subgroups of one dense class, rounded and paired, in columns.
+
+    `rounded` holds each commodity's rounded interval in the order the pass
+    was given them. Subgroup q formed `near[q]` near pairs and `far[q]` far
+    pairs. The near pairs of every subgroup, in subgroup order and within one
+    in classify_pairs' order, are oriented: pair j joins commodity A, `A[j]`
+    with the longer rounded interval `T_A[j]` (the lead on a tie), and
+    commodity B, `B[j]` with `T_B[j]`. Subgroup q's `singles[q]` commodities,
+    the members of its far pairs (lead, then trail) followed by its odd
+    leftover, come next in `single_ids`, with their rounded intervals in
+    `single_T`.
+    """
+
+    rounded: np.ndarray
+    near: np.ndarray
+    far: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    T_A: np.ndarray
+    T_B: np.ndarray
+    singles: np.ndarray
+    single_ids: np.ndarray
+    single_T: np.ndarray
+
+
+def round_and_pair(
+    ids: Sequence[int],
+    T: np.ndarray,
+    gamma: np.ndarray,
+    sizes: Sequence[int],
+    thetas: Sequence[float],
+    eps: float,
+) -> PairedClass:
+    """po2_round of each subgroup with its theta, then classify_pairs of its
+    (id, gamma, rounded T) entries and the orientation of its near pairs, for
+    every subgroup of a class in one array pass, bit-identical to that scalar
+    chain. The subgroups are the consecutive runs of `sizes` (each >= 1)
+    commodities of `ids`, whose intervals and gamma values `T` and `gamma`
+    hold; subgroup q rounds with `thetas[q]`.
+
+    alpha = floor(log2(T/base)) and beta come from np.log2, except where
+    log2(T/base) lies within 1e-9 of an integer or is not finite, or beta - 1/2
+    lies within 1e-9 of theta: there po2's _split_exponent decides, since
+    np.log2 and math.log2 may differ in the last bit. Python's 2.0 ** (k +
+    theta) is taken once per distinct exponent and multiplies base, as in
+    po2_round. Entries sort by subgroup, then gamma*T descending,
+    then id (np.lexsort); a pair is far when lead gamma*T >= (1 + eps) *
+    trail gamma * trail T, evaluated left to right as classify_pairs does.
+    """
+    ids = np.asarray(ids)
+    T, gamma = np.asarray(T, dtype=float), np.asarray(gamma, dtype=float)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    if not (T > 0).all():
+        raise ValueError("all intervals must be > 0")
+    sub = np.repeat(np.arange(len(sizes)), sizes)
+    starts = np.cumsum(sizes) - sizes
+    base = np.minimum.reduceat(T, starts)[sub]
+    thetas = np.asarray(thetas, dtype=float)
+    theta = thetas[sub]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x = np.log2(T / base)
+        alpha = np.floor(x)
+        beta = x - alpha
+        close_to_theta = np.flatnonzero(np.abs(beta - 0.5 - theta) <= 1e-9)
+    T_list, base_list = T.tolist(), base.tolist()
+    for j in set(_near_integer(x).tolist()).union(close_to_theta.tolist()):
+        alpha[j], beta[j] = _split_exponent(T_list[j], base_list[j])
+    # float(k) + theta, the sum Python forms for the int k and the float theta
+    exponent = (np.where(theta >= beta - 0.5, alpha, alpha + 1) + theta).tolist()
+    power = {e: 2.0**e for e in set(exponent)}
+    rounded = np.fromiter(map(power.__getitem__, exponent), dtype=float, count=len(exponent)) * base
+
+    gT = gamma * rounded
+    order = np.lexsort((ids, -gT, sub))
+    o_ids, o_gamma, o_T, o_gT = ids[order], gamma[order], rounded[order], gT[order]
+    # the order keeps each subgroup's slice, so sub and place (the rank
+    # within the subgroup) hold for the sorted entries too
+    place = np.arange(len(ids)) - starts[sub]
+    even = place % 2 == 0
+    lead = np.flatnonzero(even & (place + 1 < sizes[sub]))
+    trail = lead + 1
+    is_far = o_gT[lead] >= (1.0 + eps) * o_gamma[trail] * o_T[trail]
+    near_lead, near_trail = lead[~is_far], trail[~is_far]
+    lead_is_A = o_T[near_lead] >= o_T[near_trail]
+    A = np.where(lead_is_A, near_lead, near_trail)
+    B = np.where(lead_is_A, near_trail, near_lead)
+    single = even & (place + 1 == sizes[sub])  # the odd leftover
+    single[lead[is_far]] = single[trail[is_far]] = True
+    Q = len(sizes)
+    return PairedClass(
+        rounded=rounded,
+        near=np.bincount(sub[near_lead], minlength=Q),
+        far=np.bincount(sub[lead[is_far]], minlength=Q),
+        A=o_ids[A],
+        B=o_ids[B],
+        T_A=o_T[A],
+        T_B=o_T[B],
+        singles=np.bincount(sub[single], minlength=Q),
+        single_ids=o_ids[single],
+        single_T=o_T[single],
     )
 
 
@@ -480,11 +587,15 @@ def run_dense_branch(
     event. A class where the event holds gets, per subgroup, one couple block
     for its near pairs and a rounded-sosi block for its far pairs and
     leftover, and then its light block; one where it fails falls back to the
-    alpha-scaled stationary policy and builds none of them. The couples of a
-    subgroup that agree on (k, T_A) share one synthesized schedule, and the
-    couple blocks of a class are built in one pass (see _couple_blocks).
-    diag["couples"] counts the couples in the returned
-    blocks."""
+    alpha-scaled stationary policy and builds none of them.
+
+    The dense branch runs on columns: the matching reads the n x c weight
+    table of build_matching_instance, each class draws one theta per heavy
+    subgroup from _theta_rng(seed, ell, q) and rounds and pairs all its
+    subgroups in one array pass (round_and_pair), and _couple_blocks builds
+    the class's couple blocks from the oriented near pairs' columns; the
+    couples of a subgroup that agree on (k, T_A) share one synthesized
+    schedule. diag["couples"] counts the couples in the returned blocks."""
     eps = cfg.eps
     gamma = instance.columns.gamma
     diag: dict = {"classes": {}, "couples": 0, "far_pair_counts": [], "a_ell": {}}
@@ -493,17 +604,16 @@ def run_dense_branch(
         return [], diag
     matched = solve_b_matching(mi)
     column = {ell: l for l, ell in enumerate(mi.class_side)}
-    where = [column[matched.assignment[i]] for i in mi.commodity_side]
+    commodities = np.array(mi.commodity_side)
+    # the assignment lists commodity_side in order
+    where = np.fromiter(map(column.__getitem__, matched.assignment.values()), dtype=np.intp, count=len(commodities))
     t_hat = dict(zip(mi.commodity_side, interval_table[np.arange(len(where)), where].tolist()))
     diag["matched_weight"] = matched.total_weight
 
-    members: dict[Hashable, list[int]] = {}
-    for i, ell in matched.assignment.items():
-        members.setdefault(ell, []).append(i)
-
     blocks: list[Block | CoupleBlock] = []
-    for ell in sorted(members):
-        ids = sorted(members[ell])
+    for l in np.flatnonzero(np.bincount(where)).tolist():  # class_side is sorted
+        ell = mi.class_side[l]
+        ids = np.sort(commodities[where == l]).tolist()
         if decomp.labels[ell] == "suffix-sparse" or ell == INF_CLASS:
             blocks.append(_stationary(ids, {i: t_hat[i] for i in ids}, f"class{ell}:sosi"))
             diag["classes"][str(ell)] = "sosi"
@@ -515,20 +625,15 @@ def run_dense_branch(
             diag["classes"][str(ell)] = "light-majority"
             continue
 
-        rounded: dict[int, float] = {}
-        pairings = []
-        for q, group in enumerate(split.subgroups):
-            theta = float(_theta_rng(seed, int(ell), q).uniform(-0.5, 0.5))
-            rounded_T = po2_round({i: t_hat[i] for i in group}, theta).rounded_T
-            rounded.update(rounded_T)
-            entries = zip(group, gamma[instance.positions(group)].tolist(), map(rounded_T.__getitem__, group))
-            near, far, leftover = classify_pairs(list(entries), eps)
-            diag["far_pair_counts"].append(len(far))
-            pairings.append((near, far, leftover))
-
+        sizes = [len(group) for group in split.subgroups]
+        thetas = [float(_theta_rng(seed, int(ell), q).uniform(-0.5, 0.5)) for q in range(len(sizes))]
+        heavy_T = np.fromiter(map(t_hat.__getitem__, split.heavy), dtype=float, count=len(split.heavy))
         heavy_gamma = gamma[instance.positions(split.heavy)]
-        lhs = math.fsum((heavy_gamma * [rounded[i] for i in split.heavy]).tolist())
-        rhs = (1.0 + eps) * PO2_MEAN_CONSTANT * math.fsum((heavy_gamma * [t_hat[i] for i in split.heavy]).tolist())
+        paired = round_and_pair(split.heavy, heavy_T, heavy_gamma, sizes, thetas, eps)
+        diag["far_pair_counts"] += paired.far.tolist()
+
+        lhs = math.fsum((heavy_gamma * paired.rounded).tolist())
+        rhs = (1.0 + eps) * PO2_MEAN_CONSTANT * math.fsum((heavy_gamma * heavy_T).tolist())
         event_holds = lhs <= rhs
         diag["a_ell"][str(ell)] = event_holds
         if not event_holds:
@@ -536,16 +641,20 @@ def run_dense_branch(
             diag["classes"][str(ell)] = "alpha-fallback"
             continue
 
-        couple_blocks = iter(_couple_blocks([near for near, _, _ in pairings if near], instance, eps, f"class{ell}"))
-        for near, far, leftover in pairings:
-            if near:
+        near = paired.near.tolist()
+        couple_blocks = iter(
+            _couple_blocks(paired.A, paired.B, paired.T_A, paired.T_B, [c for c in near if c], instance, eps, f"class{ell}")
+        )
+        single_ids, single_T = paired.single_ids.tolist(), paired.single_T.tolist()
+        end = 0
+        for couples, count in zip(near, paired.singles.tolist()):
+            if couples:
                 blocks.append(next(couple_blocks))
-                diag["couples"] += len(near)
+                diag["couples"] += couples
             # far pairs and the odd leftover keep their rounded intervals, in that order
-            singles = {i: T for pair in far for i, _, T in pair}
-            if leftover is not None:
-                singles[leftover[0]] = leftover[2]
-            if singles:
+            start, end = end, end + count
+            if count:
+                singles = dict(zip(single_ids[start:end], single_T[start:end]))
                 blocks.append(_stationary(sorted(singles), singles, f"class{ell}:rounded-sosi"))
         if split.light:
             blocks.append(_stationary(split.light, {i: t_hat[i] for i in split.light}, f"class{ell}:light-sosi"))
@@ -554,14 +663,19 @@ def run_dense_branch(
 
 
 def _couple_blocks(
-    nears: Sequence[Sequence[tuple[tuple[int, float, float], tuple[int, float, float]]]],
+    ids_A: Sequence[int],
+    ids_B: Sequence[int],
+    T_A: np.ndarray,
+    T_B: np.ndarray,
+    sizes: Sequence[int],
     instance: Instance,
     eps: float,
     provenance: str,
 ) -> list[CoupleBlock]:
-    """The near pairs of each subgroup of one class as one couple block per
-    subgroup, in one array pass. A pair's A is the member with the longer
-    rounded interval (the lead on a tie).
+    """The oriented near pairs of one class as one couple block per run of
+    `sizes` consecutive pairs (one run per subgroup), in one array pass.
+    Pair j joins commodity A, ids_A[j] with the longer rounded interval
+    T_A[j], and commodity B, ids_B[j] with T_B[j].
 
     Every pair is held to the CoupleInput rules on arrays. The power-of-two
     rule takes k from np.log2, which may differ from math.log2 in the last
@@ -572,18 +686,16 @@ def _couple_blocks(
     math.log2. Per block, CoupleInput and synthesize_couple run once per
     distinct (k, T_A), for its first pair, since the schedule depends on
     nothing else."""
-    sizes = [len(near) for near in nears]
-    oriented = [(lead, trail) if lead[2] >= trail[2] else (trail, lead) for near in nears for lead, trail in near]
-    entries = [e for pair in oriented for e in pair]
-    ids = [e[0] for e in entries]
-    T_A, T_B = np.array([e[2] for e in entries], dtype=float).reshape(-1, 2).T
+    ids = np.column_stack((ids_A, ids_B)).ravel().tolist()
+    T_A, T_B = np.asarray(T_A, dtype=float), np.asarray(T_B, dtype=float)
+    T_A_list, T_B_list = T_A.tolist(), T_B.tolist()
     pos = instance.positions(ids)
     gamma_A, gamma_B = instance.columns.gamma[pos].reshape(-1, 2).T
     commodities = instance.commodities
 
     def couple_input(j: int) -> CoupleInput:
-        (a, b), p = oriented[j], 2 * j
-        return CoupleInput(commodities[pos[p]], commodities[pos[p + 1]], a[2], b[2], eps)
+        p = 2 * j
+        return CoupleInput(commodities[pos[p]], commodities[pos[p + 1]], T_A_list[j], T_B_list[j], eps)
 
     with np.errstate(all="ignore"):
         x = np.log2(T_A / T_B)
@@ -603,7 +715,7 @@ def _couple_blocks(
         k[j] = couple_input(j).k  # raises this pair's own exception
 
     # per block, one template per distinct (k, T_A), built for its first pair
-    keys = list(zip(k.tolist(), T_A.tolist()))
+    keys = list(zip(k.tolist(), T_A_list))
     blocks, start = [], 0
     for size in sizes:
         shared: dict[tuple[int, float], int] = {}
@@ -645,7 +757,12 @@ def solve_sub2(
     references have average space at most half their peak, which keeps the
     high-sparse-volume scenario out of reach; passing a schedule with a
     tighter peak-to-average gap exercises the remaining branches.
+
+    `seed` must be an integer >= 0, whichever scenario the instance reaches;
+    only the difficult one draws from it.
     """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if reference is None:
         ref_report = evaluate_sosi(build_reference_policy(instance), instance)
     else:

@@ -206,9 +206,23 @@ def couple_inputs(pairs, instance):
     return out
 
 
+def near_columns(groups):
+    """_couple_blocks' columns for the near pairs of each group: ids A and B,
+    T_A and T_B, and the pair count per group; A is the member with the
+    longer interval (the lead on a tie), as round_and_pair orients them."""
+    oriented = [(lead, trail) if lead[2] >= trail[2] else (trail, lead) for pairs in groups for lead, trail in pairs]
+    return (
+        [a[0] for a, _ in oriented],
+        [b[0] for _, b in oriented],
+        np.array([a[2] for a, _ in oriented], dtype=float),
+        np.array([b[2] for _, b in oriented], dtype=float),
+        [len(pairs) for pairs in groups],
+    )
+
+
 def one_block(pairs, instance, provenance="class3"):
     """The couple block of one subgroup's near pairs."""
-    (block,) = _couple_blocks([pairs], instance, EPS, provenance)
+    (block,) = _couple_blocks(*near_columns([pairs]), instance, EPS, provenance)
     return block
 
 
@@ -278,7 +292,7 @@ def test_one_couple_pass_reports_every_block_in_emission_order(case, factor):
     # the solve's report from one couple_terms pass over all of them; both
     # must agree with building and evaluating every couple on its own
     groups, others, slots, inst = case
-    couple_blocks = _couple_blocks(groups, inst, EPS, "class3")
+    couple_blocks = _couple_blocks(*near_columns(groups), inst, EPS, "class3")
     alone = [one_block(pairs, inst) for pairs in groups]
     fields = lambda b: (b.ids, b.which, [t.policy for t in b.templates], b.provenance)  # noqa: E731
     assert exact([fields(b) for b in couple_blocks]) == exact([fields(b) for b in alone])
@@ -306,7 +320,7 @@ def test_class_cases_reach_every_k_and_both_instance_orders():
     @given(case=class_cases())
     def collect(case):
         groups, _, _, inst = case
-        for block in _couple_blocks(groups, inst, EPS, "class3"):
+        for block in _couple_blocks(*near_columns(groups), inst, EPS, "class3"):
             for j, k in enumerate(block.which):
                 a, b = block.ids[2 * j], block.ids[2 * j + 1]
                 seen.add((block.templates[k].case_id, inst.position(a) < inst.position(b)))
@@ -364,14 +378,14 @@ def test_each_pair_is_checked_even_when_its_key_is_shared(bad, error, match):
     inst = Instance(inst.commodities[:5] + (Commodity(5, 1.0, 1.0, bad[1]),), 1.0)
     good = [((0, 1.0, 1.0), (1, 2.0, 0.5)), ((2, 1.0, 1.0), (3, 2.0, 0.5))]
     with pytest.raises(error, match=match):
-        _couple_blocks([good + [((4, 1.0, 1.0), bad)]], inst, EPS, "c")
+        _couple_blocks(*near_columns([good + [((4, 1.0, 1.0), bad)]]), inst, EPS, "c")
 
 
 def test_subnormal_T_B_is_refused_for_a_later_pair():
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 2.0 if i % 2 else 1.0) for i in range(4)), 1.0)
     pairs = [((0, 1.0, 1.0), (1, 2.0, 0.5)), ((2, 1.0, 1e-323), (3, 2.0, 5e-324))]
     with pytest.raises(ValueError, match=r"^T_B = 5e-324 is below the smallest normal float$"):
-        _couple_blocks([pairs], inst, EPS, "c")
+        _couple_blocks(*near_columns([pairs]), inst, EPS, "c")
 
 
 # One bad pair of each kind, as (A's gamma, T_A, B's gamma, T_B): the ratio
@@ -403,7 +417,7 @@ def test_first_bad_pair_of_a_class_raises_its_own_error(first, second, shared):
     with pytest.raises(Exception) as expected:
         CoupleInput(inst.commodity(2), inst.commodity(3), rows[1][1], rows[1][3], EPS)
     with pytest.raises(type(expected.value)) as got:
-        _couple_blocks([pairs[:2], pairs[2:]], inst, EPS, "c")
+        _couple_blocks(*near_columns([pairs[:2], pairs[2:]]), inst, EPS, "c")
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
 
@@ -462,7 +476,7 @@ def test_templates_are_counted_per_block_of_a_class():
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(8)), 1.0)
     T = [(1.0, 1.0), (2.0, 2.0), (2.0, 2.0), (1.0, 1.0)]
     pairs = [((2 * j, 1.0, T_A), (2 * j + 1, 1.0, T_B)) for j, (T_A, T_B) in enumerate(T)]
-    first, second = _couple_blocks([pairs[:2], pairs[2:]], inst, EPS, "class7")
+    first, second = _couple_blocks(*near_columns([pairs[:2], pairs[2:]]), inst, EPS, "class7")
     assert (first.which, second.which) == ((0, 1), (0, 1))
     assert [t.policy.tau for t in first.templates] == [1.0, 2.0]
     assert [t.policy.tau for t in second.templates] == [2.0, 1.0]

@@ -264,3 +264,48 @@ def test_large_instances_are_certified_optimal(seed, nu, nc, palette, missing, w
     load = Counter(part.assignment.values())
     assert all(bounds[ell][0] <= load[ell] <= bounds[ell][1] for ell in classes)
     assert_no_negative_cycle(mi, part)
+
+
+def table_and_dict(rows, classes=(1, 2)):
+    """One instance's edges both as a row-major table (NaN for no edge) and
+    as the {(i, ell): w} mapping over its present edges, in reverse
+    row-major order."""
+    edges = {(i, ell): w for i, row in enumerate(rows) for ell, w in zip(classes, row) if w is not None}
+    return np.array(rows, dtype=float), dict(reversed(list(edges.items())))
+
+
+@pytest.mark.parametrize("build", ["table", "mapping"])
+def test_the_first_bad_edge_in_row_major_order_is_named(build):
+    nan = math.nan
+    table, edges = table_and_dict([[1.0, None], [-1.0, 2.0], [math.inf, 0.0]])
+    weights = table if build == "table" else edges
+    with pytest.raises(ValueError, match=r"^weight of edge \(1, 1\) must be finite and > 0$"):
+        MatchingInstance((0, 1, 2), (1, 2), weights, {1: (0, 3), 2: (0, 3)})
+    # NaN is a missing edge in a table and a bad weight in a mapping
+    assert MatchingInstance((0,), (1, 2), np.array([[nan, 1.0]]), {1: (0, 1), 2: (0, 1)}).weights == {(0, 2): 1.0}
+    with pytest.raises(ValueError, match=r"^weight of edge \(0, 1\) must be finite and > 0$"):
+        MatchingInstance((0,), (1, 2), {(0, 2): 1.0, (0, 1): nan}, {1: (0, 1), 2: (0, 1)})
+
+
+@pytest.mark.parametrize("build", ["table", "mapping"])
+def test_one_class_with_a_missing_edge_is_infeasible(build):
+    table, edges = table_and_dict([[1.0], [None], [2.0]], classes=(INF_CLASS,))
+    mi = MatchingInstance((0, 1, 2), (INF_CLASS,), table if build == "table" else edges, {INF_CLASS: (0, 3)})
+    with pytest.raises(InfeasibleMatching, match="no assignment satisfies the degree bounds"):
+        solve_b_matching(mi)
+
+
+def test_table_and_mapping_give_one_matching():
+    rng = np.random.default_rng(3)
+    rows = [[float(w) if rng.random() < 0.8 else None for w in rng.uniform(0.1, 10.0, size=3)] for _ in range(40)]
+    for row in rows:
+        row[int(rng.integers(3))] = 1.0  # every commodity keeps an edge
+    table, edges = table_and_dict(rows, classes=(1, 2, INF_CLASS))
+    bounds = {1: (5, 30), 2: (5, 30), INF_CLASS: (0, 40)}
+    from_table = MatchingInstance(tuple(range(40)), (1, 2, INF_CLASS), table, bounds)
+    from_mapping = MatchingInstance(tuple(range(40)), (1, 2, INF_CLASS), edges, bounds)
+    # a table's edge mapping is built in row-major order; a mapping is kept as given
+    assert list(from_table.weights.items()) == list(reversed(list(edges.items())))
+    assert from_mapping.weights is edges
+    np.testing.assert_array_equal(from_mapping.table, table)
+    assert solve_b_matching(from_table) == solve_b_matching(from_mapping)

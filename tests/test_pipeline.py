@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -548,3 +549,19 @@ def test_closed_form_reference_matches_expanded_cycle(seed, n, regime):
         assert math.isclose(closed.avg_space[cid], space, rel_tol=1e-12)
     assert math.isclose(closed.vbar_sparse, expanded.vbar_sparse, rel_tol=1e-12)
     assert math.isclose(closed.vbar_dense, expanded.vbar_dense, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "scenario, case",
+    [
+        ("easy", _offset_couple_case),
+        ("low-dense", lambda: (generate_instance(0, 40, 1.0, "tight"), 0, None)),
+        ("difficult", lambda: (dense_heavy_instance(1, 40), 0, None)),
+    ],
+)
+def test_negative_seed_is_refused_up_front_in_every_scenario(scenario, case):
+    inst, seed, reference = case()
+    assert solve_sub2(inst, CFG, seed=seed, reference=reference)[2]["scenario"] == scenario
+    for bad in (-1, -(2**40), 1.5, "3"):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {re.escape(repr(bad))}$"):
+            solve_sub2(inst, CFG, seed=bad, reference=reference)
