@@ -28,7 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .model import CouplePolicy, CyclicPolicy, Instance, SosiPolicy
+from .model import CouplePolicy, CyclicPolicy, IdColumn, Instance, SosiPolicy
 
 # Peak space may exceed capacity by this relative float-safety margin and the
 # policy is still ruled feasible.
@@ -42,6 +42,9 @@ class EvalReport:
     ordering_cost_rate: float
     holding_cost_rate: float
     v_max: float
+    # a dict from evaluate of a CyclicPolicy; an IdColumn from every other
+    # evaluation (evaluate_sosi, evaluate of a stationary or couple entry,
+    # combine_terms)
     avg_inventory: Mapping[int, float]
     feasible_at: float
 
@@ -164,15 +167,16 @@ def _evaluate_stationary(policy: SosiPolicy, instance: Instance) -> EvalReport:
     inventory is bit-equal to that single-commodity evaluate. The block's
     rates and peak are the left-to-right sums of those terms in instance
     order; the peak is thus the summed per-commodity peaks, the certificate
-    of a union of blocks. An id the instance lacks raises evaluate's
-    KeyError.
+    of a union of blocks. `avg_inventory` is an IdColumn in instance order.
+    An id the instance lacks raises evaluate's KeyError.
     """
-    pos = instance.positions(policy.intervals_T)
+    intervals = policy.intervals_T
+    pos = instance.positions(intervals.ids)
     order = np.argsort(pos, kind="stable")
     pos = pos[order]
-    T = policy.column[order]
+    T = intervals.column[order]
     if policy.phases:
-        phi = np.array([float(policy.phase(cid)) for cid in policy.intervals_T])[order]
+        phi = np.array([float(policy.phase(cid)) for cid in intervals.ids])[order]
     else:
         phi = np.zeros(len(T))
     cols = instance.columns
@@ -192,7 +196,7 @@ def _evaluate_stationary(policy: SosiPolicy, instance: Instance) -> EvalReport:
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,
         v_max=v_max,
-        avg_inventory=dict(zip(map(ids.__getitem__, pos.tolist()), avg.tolist())),
+        avg_inventory=IdColumn(map(ids.__getitem__, pos.tolist()), avg),
         feasible_at=instance.V,
     )
 
@@ -206,10 +210,10 @@ class CoupleTerms:
 
     rates: np.ndarray
     keys: list[int]
-    avg: list[float]
+    avg: np.ndarray
 
 
-_NO_COUPLES = CoupleTerms(np.zeros((3, 0)), [], [])
+_NO_COUPLES = CoupleTerms(np.zeros((3, 0)), [], np.zeros(0))
 
 
 def couple_terms(
@@ -275,7 +279,7 @@ def couple_terms(
             terms[2, r] = _peaks(instants, gamma[r], terms[2, r], terms[3, r])
     # each pair's keys in instance order: B's first unless A comes first
     order = (np.arange(2 * n) ^ (pos[:, 1] <= pos[:, 0]).repeat(2)).tolist()
-    return CoupleTerms(terms[:3], list(map(ids.__getitem__, order)), head[:, 2:4].ravel()[order].tolist())
+    return CoupleTerms(terms[:3], list(map(ids.__getitem__, order)), head[:, 2:4].ravel()[order])
 
 
 def _peaks(instants: np.ndarray, gamma: np.ndarray, w0: np.ndarray, gamma_total: np.ndarray) -> np.ndarray:
@@ -300,23 +304,36 @@ def combine_terms(parts: Sequence[EvalReport | range], couples: CoupleTerms, ins
     combine_reports of the EvalReports: each rate is 0.0 plus every report's
     term in turn, left to right (a running `np.add.accumulate`; 0.0 + the
     running sum differs from it only in the sign of a zero when every term
-    is -0.0), and avg_inventory is merged in the same order. Parts that
-    share a commodity raise combine_reports' ValueError."""
+    is -0.0), and avg_inventory holds the same items in the same order, as
+    an IdColumn: the parts' ids and averages are concatenated (a lone
+    report's IdColumn is kept as it is), and no per-commodity dict is
+    built. Parts that share a commodity raise combine_reports'
+    ValueError."""
     columns = []
-    avg_inventory: dict[int, float] = {}
-    size = 0
+    ids: list = []
+    values = []
     for part in parts:
         if isinstance(part, EvalReport):
             columns.append(((part.ordering_cost_rate,), (part.holding_cost_rate,), (part.v_max,)))
-            avg_inventory.update(part.avg_inventory)
-            size += len(part.avg_inventory)
+            avg = part.avg_inventory
+            if isinstance(avg, IdColumn):  # a stationary or couple report
+                ids += avg.ids
+                values.append(avg.column)
+            else:  # a cyclic one, a dict
+                ids += avg
+                values.append(np.fromiter(avg.values(), dtype=float, count=len(avg)))
         else:
             columns.append(couples.rates[:, part.start : part.stop])
-            pairs = slice(2 * part.start, 2 * part.stop)
-            avg_inventory.update(zip(couples.keys[pairs], couples.avg[pairs]))
-            size += 2 * len(part)
-    if len(avg_inventory) != size:
-        _refuse_overlap(parts, couples)
+            ids += couples.keys[2 * part.start : 2 * part.stop]
+            values.append(couples.avg[2 * part.start : 2 * part.stop])
+    if len(parts) == 1 and isinstance(parts[0], EvalReport) and isinstance(parts[0].avg_inventory, IdColumn):
+        avg_inventory = parts[0].avg_inventory
+    else:
+        if len(set(ids)) != len(ids):
+            _refuse_overlap(parts, couples)
+        column = np.concatenate(values) if values else np.zeros(0)
+        column.flags.writeable = False
+        avg_inventory = IdColumn(ids, column)
     ordering = holding = v_max = 0.0
     if columns:
         terms = columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
@@ -364,11 +381,14 @@ def evaluate_sosi(policy: SosiPolicy, instance: Instance) -> EvalReport:
     parameter columns, and each rate is their left-to-right sum in the key
     order of `intervals_T` (a running `np.add.accumulate`, never a pairwise
     `np.sum`), so the report depends on that order exactly as a scalar loop
-    over the intervals would.
+    over the intervals would. `avg_inventory` is an IdColumn over the
+    policy's ids, the column T / 2: no per-commodity dict is built unless a
+    caller reads an item.
     """
-    pos = instance.positions(policy.intervals_T)
+    intervals = policy.intervals_T
+    pos = instance.positions(intervals.ids)
     cols = instance.columns
-    T = policy.column
+    T = intervals.column
     with np.errstate(over="ignore"):
         ordering = _running_sum(cols.K[pos] / T)
         holding = _running_sum(cols.H[pos] * T)
@@ -377,7 +397,7 @@ def evaluate_sosi(policy: SosiPolicy, instance: Instance) -> EvalReport:
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,
         v_max=v_max,
-        avg_inventory=dict(zip(policy.intervals_T, (T / 2.0).tolist())),
+        avg_inventory=IdColumn(intervals.ids, T / 2.0),
         feasible_at=instance.V,
     )
 

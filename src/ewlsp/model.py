@@ -6,16 +6,21 @@ has unit demand rate, a fixed ordering cost K, a physical holding coefficient
 and a space coefficient gamma. All solvers exchange policies through the
 types below; `CyclicPolicy` is the universal representation.
 
+A `SosiPolicy` holds its intervals as an `IdColumn`: a tuple of ids and a
+read-only float64 column, whose id -> value dict is built only when an item
+is read. The solvers build their stationary policies from columns, and the
+evaluator keys a stationary report's average inventories the same way.
+
 Each type owns its rules. `CyclicPolicy` checks the cycle length and each
 commodity's orders (in [0, tau), strictly increasing, positive, summing to
-tau); `SosiPolicy` checks that it has intervals, each finite and > 0, and
-that each phase lies in [0, T) of an interval it holds; `CouplePolicy`
-checks each template once with the `CyclicPolicy` rules and that it holds
-exactly two schedules, that it has couples and each names a template it
-holds, and that its ids are distinct, two per couple. A broken rule raises
-a PolicyPartError naming the part, from which the JSON parsers build the
-SchemaError's field path; the parsers themselves check only JSON types and
-id keys, and `parse_policies` checks ids against the instance.
+tau); `SosiPolicy` checks that it has intervals, over distinct ids, each
+finite and > 0, and that each phase lies in [0, T) of an interval it holds;
+`CouplePolicy` checks each template once with the `CyclicPolicy` rules and
+that it holds exactly two schedules, that it has couples and each names a
+template it holds, and that its ids are distinct, two per couple. A broken
+rule raises a PolicyPartError naming the part, from which the JSON parsers
+build the SchemaError's field path; the parsers themselves check only JSON
+types and id keys, and `parse_policies` checks ids against the instance.
 """
 
 from __future__ import annotations
@@ -23,11 +28,12 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -121,7 +127,7 @@ class Instance:
         id the instance lacks raises the KeyError of `position`. Ids in
         instance order are recognized without a lookup per id."""
         cids = tuple(cids)
-        if cids == self.columns.ids:
+        if cids is self.columns.ids or cids == self.columns.ids:
             return np.arange(len(cids))
         try:
             return np.fromiter(map(self._position.__getitem__, cids), dtype=np.intp, count=len(cids))
@@ -159,31 +165,104 @@ def _positive_column(values: list) -> np.ndarray | None:
     return column.astype(float, copy=False)
 
 
+class IdColumn(Mapping):
+    """A read-only id -> float mapping held as a tuple of ids and a
+    read-only float64 column of their values, in the same order.
+
+    Iteration, `len` and the `ids` and `column` attributes read no dict; the
+    id -> value dict is built on the first item access (a lookup, `in`,
+    `items()` or `values()`) and kept. A column that is not already a
+    read-only float64 array is copied into one. The ids are taken to be
+    distinct: SosiPolicy checks its intervals' ids, and the reports keyed on
+    them inherit that."""
+
+    __slots__ = ("ids", "column", "_dict")
+
+    def __init__(self, ids: Sequence, column) -> None:
+        ids = tuple(ids)
+        if not (isinstance(column, np.ndarray) and column.dtype == np.float64 and not column.flags.writeable):
+            column = np.array(column, dtype=float)
+            column.flags.writeable = False
+        if column.shape != (len(ids),):
+            raise ValueError(f"expected a column of {len(ids)} values, got shape {column.shape}")
+        self.ids = ids
+        self.column = column
+        self._dict = None
+
+    def _mapping(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(self.ids, self.column.tolist()))
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._mapping()[key]
+
+    def __contains__(self, key) -> bool:
+        return key in self._mapping()
+
+    def __iter__(self):
+        return iter(self.ids)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def items(self):
+        return self._mapping().items()
+
+    def values(self):
+        return self._mapping().values()
+
+    def __repr__(self) -> str:
+        return f"IdColumn({self._mapping()!r})"
+
+
+def _interval_column(ids: Sequence, values: Sequence) -> np.ndarray:
+    """The scalar check of a policy's intervals: the first id in key order
+    that repeats an earlier one, or whose interval is not finite and > 0,
+    raises a PolicyPartError naming it. It passes exact numbers that numpy
+    keeps as objects (Fraction, big int), which are read as floats."""
+    seen = set()
+    for cid, T in zip(ids, values):
+        if cid in seen:
+            raise PolicyPartError(("intervals", cid), f"commodity {cid} has two intervals")
+        seen.add(cid)
+        if not (math.isfinite(T) and T > 0):
+            raise PolicyPartError(("intervals", cid), f"interval for commodity {cid} must be > 0, got {T!r}")
+    return np.array([float(T) for T in values])
+
+
 @dataclass(frozen=True)
 class SosiPolicy:
-    """Stationary order sizes and stationary intervals: orders of size T_i every T_i."""
+    """Stationary order sizes and stationary intervals: orders of size T_i every T_i.
+
+    `intervals_T` is always an IdColumn, its ids in the key order given. One
+    passed in is checked in one array pass (distinct ids, every interval
+    finite and > 0) and kept as it is; any other mapping is read into one,
+    its values as floats. A check that fails falls back to the scalar check,
+    which names the first bad id in key order.
+    """
 
     intervals_T: Mapping[int, float]
     phases: Mapping[int, float] = field(default_factory=dict)
-    # the intervals in key order as a read-only float64 array
-    column: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "intervals_T", dict(self.intervals_T))
-        object.__setattr__(self, "phases", dict(self.phases))
-        if not self.intervals_T:
+        intervals = self.intervals_T
+        if isinstance(intervals, IdColumn):
+            ids, column = intervals.ids, intervals.column
+            bad = len(set(ids)) != len(ids) or not (np.isfinite(column) & (column > 0)).all()
+            values = column.tolist() if bad else None
+        else:
+            ids, values = tuple(intervals), list(intervals.values())
+            column = _positive_column(values)
+            bad = column is None
+        if not ids:
             raise PolicyPartError(("intervals",), "SOSI policy needs at least one commodity")
-        values = list(self.intervals_T.values())
-        column = _positive_column(values)
-        if column is None:
-            # the scalar check names the first offending id in key order; it
-            # passes exact numbers that numpy keeps as objects (Fraction, big int)
-            for cid, T in self.intervals_T.items():
-                if not (math.isfinite(T) and T > 0):
-                    raise PolicyPartError(("intervals", cid), f"interval for commodity {cid} must be > 0, got {T!r}")
-            column = np.array([float(T) for T in values])
-        column.flags.writeable = False
-        object.__setattr__(self, "column", column)
+        if bad:
+            column = _interval_column(ids, values)
+        if not isinstance(intervals, IdColumn):
+            column.flags.writeable = False
+            object.__setattr__(self, "intervals_T", IdColumn(ids, column))
+        object.__setattr__(self, "phases", dict(self.phases))
         for cid, phi in self.phases.items():
             if cid not in self.intervals_T:
                 raise PolicyPartError(("phases", cid), f"phase given for commodity {cid}, which has no interval")
@@ -200,12 +279,19 @@ class SosiPolicy:
         single-commodity CyclicPolicy(T, {id: ((phase, T),)}) holds it.
         Read-only, built on first access."""
         phases = self.phases
-        return MappingProxyType({cid: ((phases.get(cid, 0.0), T),) for cid, T in self.intervals_T.items()})
+        intervals = self.intervals_T
+        return MappingProxyType(
+            {cid: ((phases.get(cid, 0.0), T),) for cid, T in zip(intervals.ids, intervals.column.tolist())}
+        )
 
     def scaled(self, factor: float) -> "SosiPolicy":
-        """Scale every interval and phase; peak space scales by `factor`."""
+        """Scale every interval and phase; peak space scales by `factor`.
+        The intervals are scaled as one column, each bit-equal to T * factor."""
+        intervals = self.intervals_T
+        with np.errstate(over="ignore", invalid="ignore"):
+            column = intervals.column * factor
         return SosiPolicy(
-            intervals_T={cid: T * factor for cid, T in self.intervals_T.items()},
+            intervals_T=IdColumn(intervals.ids, column),
             phases={cid: phi * factor for cid, phi in self.phases.items()},
         )
 

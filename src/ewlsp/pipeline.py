@@ -40,6 +40,7 @@ import math
 import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from operator import itemgetter
 from typing import Hashable, Mapping, Sequence
 
 import numpy as np
@@ -54,7 +55,7 @@ from .matching import (
     edge_weight,
     solve_b_matching,
 )
-from .model import CyclicPolicy, Instance, SosiPolicy, couples_json, policy_to_json, sosi_to_json
+from .model import CyclicPolicy, IdColumn, Instance, SosiPolicy, couples_json, policy_to_json, sosi_to_json
 from .po2 import PO2_MEAN_CONSTANT, _split_exponent
 from .relaxation import solve_sosi_relaxation
 from .two_approx import halved_relaxation, solve_two_approx
@@ -217,9 +218,10 @@ class AssembledPolicy:
         return {"blocks": [entry for b in self.blocks for entry in b.entries()]}
 
 
-def _stationary(ids: Sequence[int], intervals_T: Mapping[int, float], provenance: str) -> Block:
-    """A stationary block with zero phases. evaluate_sosi sums in the key
-    order of `intervals_T`, which is kept as given even where it differs from
+def _stationary(ids: Sequence[int], intervals_T: IdColumn, provenance: str) -> Block:
+    """A stationary block with zero phases, its policy built on the
+    `intervals_T` column. evaluate_sosi sums in the key order of
+    `intervals_T`, which is kept as given even where it differs from
     `ids`."""
     return Block(ids=tuple(ids), sosi=SosiPolicy(intervals_T), provenance=provenance)
 
@@ -259,7 +261,7 @@ def build_reference_policy(instance: Instance) -> SosiPolicy:
     for j in _near_integer(x).tolist():
         k[j] = math.floor(math.log2(ratio[j]) + 1e-12)
     snapped = np.ldexp(base, k.astype(int))
-    return SosiPolicy(intervals_T=dict(zip(instance.columns.ids, snapped.tolist())))
+    return SosiPolicy(intervals_T=IdColumn(instance.columns.ids, snapped))
 
 
 def _near_integer(x: np.ndarray) -> np.ndarray:
@@ -329,8 +331,12 @@ def decompose_classes(
 
     avg = ref_report.avg_inventory
     # a reference built from the instance lists its ids in instance order
-    avg_in_order = avg.values() if tuple(avg) == ids else map(avg.__getitem__, ids)
-    s = cols.gamma * np.fromiter(avg_in_order, dtype=float, count=n)
+    if isinstance(avg, IdColumn) and (avg.ids is ids or avg.ids == ids):
+        avg_in_order = avg.column
+    else:
+        values = avg.values() if tuple(avg) == ids else map(avg.__getitem__, ids)
+        avg_in_order = np.fromiter(values, dtype=float, count=n)
+    s = cols.gamma * avg_in_order
     tail = s <= V / (1.0 + eps) ** L
     log_step = math.log1p(eps)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -347,7 +353,7 @@ def decompose_classes(
     ends = np.cumsum(sizes[present])
     starts = ends - sizes[present]
     first = members[starts]  # each class's first commodity in instance order
-    member_ids = [ids[k] for k in members.tolist()]
+    member_ids = itemgetter(*members.tolist())(ids) if n > 1 else ids  # one gather, a tuple
     member_space = s[members].tolist()
     classes: dict[Hashable, tuple[int, ...]] = {}
     per_class: dict[Hashable, float] = {}
@@ -355,7 +361,7 @@ def decompose_classes(
     for j in np.argsort(first).tolist():
         c, start, end = bounds[j]
         ell: Hashable = INF_CLASS if c == L + 1 else c
-        classes[ell] = tuple(member_ids[start:end])
+        classes[ell] = member_ids[start:end]
         per_class[ell] = math.fsum(member_space[start:end])
     s.flags.writeable = False
 
@@ -610,24 +616,28 @@ def run_dense_branch(
     t_hat = dict(zip(mi.commodity_side, interval_table[np.arange(len(where)), where].tolist()))
     diag["matched_weight"] = matched.total_weight
 
+    def matched_T(cids: Sequence[int]) -> np.ndarray:
+        return np.fromiter(map(t_hat.__getitem__, cids), dtype=float, count=len(cids))
+
     blocks: list[Block | CoupleBlock] = []
     for l in np.flatnonzero(np.bincount(where)).tolist():  # class_side is sorted
         ell = mi.class_side[l]
         ids = np.sort(commodities[where == l]).tolist()
+        T = matched_T(ids)
         if decomp.labels[ell] == "suffix-sparse" or ell == INF_CLASS:
-            blocks.append(_stationary(ids, {i: t_hat[i] for i in ids}, f"class{ell}:sosi"))
+            blocks.append(_stationary(ids, IdColumn(ids, T), f"class{ell}:sosi"))
             diag["classes"][str(ell)] = "sosi"
             continue
 
         split = split_heavy_light(ids, t_hat, instance, int(ell), eps, cfg.Q)
         if len(split.light) >= len(ids) / 2.0:
-            blocks.append(_stationary(ids, {i: t_hat[i] for i in ids}, f"class{ell}:light-majority"))
+            blocks.append(_stationary(ids, IdColumn(ids, T), f"class{ell}:light-majority"))
             diag["classes"][str(ell)] = "light-majority"
             continue
 
         sizes = [len(group) for group in split.subgroups]
         thetas = [float(_theta_rng(seed, int(ell), q).uniform(-0.5, 0.5)) for q in range(len(sizes))]
-        heavy_T = np.fromiter(map(t_hat.__getitem__, split.heavy), dtype=float, count=len(split.heavy))
+        heavy_T = matched_T(split.heavy)
         heavy_gamma = gamma[instance.positions(split.heavy)]
         paired = round_and_pair(split.heavy, heavy_T, heavy_gamma, sizes, thetas, eps)
         diag["far_pair_counts"] += paired.far.tolist()
@@ -637,7 +647,7 @@ def run_dense_branch(
         event_holds = lhs <= rhs
         diag["a_ell"][str(ell)] = event_holds
         if not event_holds:
-            blocks.append(_stationary(ids, {i: ALPHA_FALLBACK * t_hat[i] for i in ids}, f"class{ell}:alpha-fallback"))
+            blocks.append(_stationary(ids, IdColumn(ids, ALPHA_FALLBACK * T), f"class{ell}:alpha-fallback"))
             diag["classes"][str(ell)] = "alpha-fallback"
             continue
 
@@ -645,7 +655,7 @@ def run_dense_branch(
         couple_blocks = iter(
             _couple_blocks(paired.A, paired.B, paired.T_A, paired.T_B, [c for c in near if c], instance, eps, f"class{ell}")
         )
-        single_ids, single_T = paired.single_ids.tolist(), paired.single_T.tolist()
+        single_ids = paired.single_ids.tolist()
         end = 0
         for couples, count in zip(near, paired.singles.tolist()):
             if couples:
@@ -654,10 +664,10 @@ def run_dense_branch(
             # far pairs and the odd leftover keep their rounded intervals, in that order
             start, end = end, end + count
             if count:
-                singles = dict(zip(single_ids[start:end], single_T[start:end]))
-                blocks.append(_stationary(sorted(singles), singles, f"class{ell}:rounded-sosi"))
+                singles = single_ids[start:end]
+                blocks.append(_stationary(sorted(singles), IdColumn(singles, paired.single_T[start:end]), f"class{ell}:rounded-sosi"))
         if split.light:
-            blocks.append(_stationary(split.light, {i: t_hat[i] for i in split.light}, f"class{ell}:light-sosi"))
+            blocks.append(_stationary(split.light, IdColumn(split.light, matched_T(split.light)), f"class{ell}:light-sosi"))
         diag["classes"][str(ell)] = "po2-sync"
     return blocks, diag
 
@@ -797,8 +807,8 @@ def _dispatch(
       dense classes through run_dense_branch.
     """
     eps, V = cfg.eps, instance.V
-    prefix_ids = decomp.ids_with_label("prefix-sparse")
     if decomp.vbar_sparse >= (0.5 + DELTA) * V:
+        prefix_ids = decomp.ids_with_label("prefix-sparse")
         blocks: list[Block] = []
         if prefix_ids:
             sub = sub_instance(instance, prefix_ids)
@@ -816,8 +826,9 @@ def _dispatch(
         return "easy", blocks, None
     if decomp.vbar_dense < (0.5 - 2.0 * DELTA) * V:
         sol = solve_sosi_relaxation(instance, rhs=2.0 * (decomp.vbar_sparse + decomp.vbar_dense + eps * V))
-        return "low-dense", [_stationary(instance.ids(), sol.intervals_T, "all:relaxation")], None
+        return "low-dense", [_stationary(sol.ids, sol.intervals_T, "all:relaxation")], None
     blocks = []
+    prefix_ids = decomp.ids_with_label("prefix-sparse")
     if prefix_ids:
         vbar_prefix = math.fsum(decomp.space[instance.positions(prefix_ids)].tolist())
         sol = solve_sosi_relaxation(instance, rhs=2.0 * (vbar_prefix + eps * V), ids=prefix_ids)

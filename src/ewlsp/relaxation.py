@@ -9,7 +9,9 @@ what all approximation ratios in this package are measured against.
 
 The multiplier is the one a plain bisection returns: double hi from 1 while
 budget(hi) >= rhs, halve [0, hi] on budget(mid) > rhs down to a width of
-1e-13 * max(hi, 1), and take the midpoint. It is found with far fewer
+1e-13 * max(hi, 1), and take the midpoint, or the last bracket's upper end
+where the midpoint overshoots the budget by more than the 1e-9 slack (a
+steep budget below lam = 1). It is found with far fewer
 evaluations of the budget map (4 to 9 rather than ~47 on generated
 instances), bit for bit:
 - the budget map, as computed in floats, is non-increasing in lam: every
@@ -37,7 +39,7 @@ import numpy as np
 
 from .eoq import constrained_interval, cost
 from .errors import InfeasiblePolicy
-from .model import Instance
+from .model import IdColumn, Instance
 
 _BISECT_RTOL = 1e-13
 _NEWTON_STEPS = 12
@@ -55,9 +57,9 @@ class RelaxationSolution:
     column: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
-    def intervals_T(self) -> dict[int, float]:
+    def intervals_T(self) -> IdColumn:
         """id -> interval, keyed in the order of `ids`; built on first read."""
-        return dict(zip(self.ids, self.column.tolist()))
+        return IdColumn(self.ids, self.column)
 
 
 def _arrays(instance: Instance, ids: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
@@ -77,9 +79,10 @@ def _budget(lam: float, K: np.ndarray, H: np.ndarray, g: np.ndarray) -> float:
     return float(g @ np.sqrt(K / (H + lam * g)))
 
 
-def _multiplier(K: np.ndarray, H: np.ndarray, g: np.ndarray, rhs: float, used0: float) -> float:
+def _multiplier(K: np.ndarray, H: np.ndarray, g: np.ndarray, rhs: float, used0: float) -> tuple[float, float]:
     """The lam of the bisection below, for used0 = _budget(0) > rhs (see the
-    module docstring). Every comparison is decided by a value of `_budget`:
+    module docstring), and the upper end of its last bracket, whose budget
+    is at most rhs. Every comparison is decided by a value of `_budget`:
     a probe at or below the largest lam seen with a budget above rhs, or at
     or beyond the smallest seen with one at most (or below) rhs, needs no
     evaluation of its own."""
@@ -135,7 +138,7 @@ def _multiplier(K: np.ndarray, H: np.ndarray, g: np.ndarray, rhs: float, used0: 
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi), hi
 
 
 def solve_sosi_relaxation(
@@ -159,12 +162,19 @@ def solve_sosi_relaxation(
     # An overflow of lam*gamma shows as a budget overrun, checked below; a
     # Newton slope of inf * 0 only ends the Newton steps.
     with np.errstate(over="ignore", invalid="ignore"):
-        lam = 0.0
+        lam = hi = 0.0
         used0 = _budget(0.0, K, H, g)
         if used0 > rhs:
-            lam = _multiplier(K, H, g, rhs, used0)
+            lam, hi = _multiplier(K, H, g, rhs, used0)
         T = np.sqrt(K / (H + lam * g))
         used = float(g @ T)
+        if used > rhs * (1.0 + 1e-9):
+            # Below lam = 1 the last bracket is 1e-13 wide in absolute terms,
+            # so on a steep budget its midpoint can overshoot the slack; its
+            # upper end meets the budget, unless lam * gamma overflowed there.
+            T_hi = np.sqrt(K / (H + hi * g))
+            if (T_hi > 0.0).all():
+                lam, T, used = hi, T_hi, float(g @ T_hi)
     T.flags.writeable = False
     if used > rhs * (1.0 + 1e-9):
         raise InfeasiblePolicy(

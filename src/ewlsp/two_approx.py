@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .evaluator import EvalReport, evaluate_sosi
-from .model import Instance, SosiPolicy
+from .model import IdColumn, Instance, SosiPolicy
 from .relaxation import solve_sosi_relaxation
 
 
@@ -29,6 +29,6 @@ def solve_two_approx(instance: Instance) -> tuple[SosiPolicy, EvalReport, float]
     All phases are zero, so the reported peak sum(gamma_i*T_i) is exact.
     """
     halved, lower_bound = halved_relaxation(instance)
-    policy = SosiPolicy(intervals_T=dict(zip(instance.columns.ids, halved.tolist())))
+    policy = SosiPolicy(intervals_T=IdColumn(instance.columns.ids, halved))
     report = evaluate_sosi(policy, instance)
     return policy, report, lower_bound

@@ -14,6 +14,7 @@ of the loops they replaced.
 import dataclasses
 import json
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -110,8 +111,8 @@ def scalar_edge_table(instance, ids, class_side, eps):
 
 
 def exact(value):
-    """A comparable form that tells floats apart by repr and dicts by key order."""
-    if isinstance(value, dict):
+    """A comparable form that tells floats apart by repr and mappings by key order."""
+    if isinstance(value, Mapping):
         return [(repr(k), exact(v)) for k, v in value.items()]
     if isinstance(value, (tuple, list)):
         return [exact(v) for v in value]
@@ -231,7 +232,7 @@ def couple_reports(block, instance):
     its three rates and its two ids with their averages, in key order."""
     terms = couple_terms([t.policy for t in block.templates], block.which, block.ids, instance)
     return [
-        EvalReport(o, h, v, dict(zip(terms.keys[2 * j : 2 * j + 2], terms.avg[2 * j : 2 * j + 2])), instance.V)
+        EvalReport(o, h, v, dict(zip(terms.keys[2 * j : 2 * j + 2], terms.avg[2 * j : 2 * j + 2].tolist())), instance.V)
         for j, (o, h, v) in enumerate(zip(*terms.rates.tolist()))
     ]
 
@@ -495,7 +496,7 @@ def test_heavy_split_is_strict_at_three_quarters_of_the_slab():
 def test_couple_terms_of_nothing():
     inst = Instance((Commodity(0, 1.0, 1.0, 1.0),), 1.0)
     terms = couple_terms([], [], (), inst)
-    assert terms.rates.shape == (3, 0) and terms.keys == [] and terms.avg == []
+    assert terms.rates.shape == (3, 0) and terms.keys == [] and terms.avg.tolist() == []
     assert exact(AssembledPolicy(()).report(inst)) == exact(combine_reports([], inst))
 
 

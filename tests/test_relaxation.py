@@ -13,7 +13,7 @@ from ewlsp.oracle import oracle_opt_cyclic
 from ewlsp.relaxation import solve_sosi_dp, solve_sosi_relaxation
 
 from conftest import make_instance, random_instance
-from test_stationary_columns import exact, scalar_relaxation
+from test_stationary_columns import exact, plain_bisection, scalar_relaxation
 
 
 class TestExactSolver:
@@ -43,6 +43,24 @@ class TestExactSolver:
         inst = make_instance([(1e300, 1e-300, 1e300)], 1e-300)
         with pytest.raises(InfeasiblePolicy, match="no multiplier in float range"):
             solve_sosi_relaxation(inst)
+
+    def test_steep_budget_below_one_takes_the_bracket_upper_end(self):
+        # lam ~7.6e-6, where the bisection's last bracket is 1e-13 wide: its
+        # midpoint leaves the intervals at 38119.520161229615, over the 1e-9
+        # slack, so the bracket's upper end, which meets the budget, is taken
+        H = [0.04454316403308543, 0.001209699050392171, 0.18219620470507972, 0.04115569496215322,
+             0.00975427846123096, 0.23189218369806533, 0.008120532108251914, 0.022934731937701524]
+        gamma = [3.436899152393396, 40.96867759099019, 6.513598165269565, 11.200911395398846,
+                 1003.3644059987763, 13.232290658008061, 87.24969103465251, 8374.305481129224]
+        inst = make_instance([(1.0, h, g) for h, g in zip(H, gamma)], 1.0)
+        rhs = 38119.52011551472
+        K, H, g = (np.array(column) for column in ([1.0] * 8, H, gamma))
+        mid, hi = plain_bisection(K, H, g, rhs)
+        assert budget_of(inst.commodities, mid) > rhs * (1.0 + 1e-9)
+        sol = solve_sosi_relaxation(inst, rhs=rhs)
+        assert sol.multiplier_lambda == hi == pytest.approx(7.6e-6, rel=1e-2)
+        assert sol.budget_used == budget_of(inst.commodities, hi) <= rhs
+        assert exact((sol.intervals_T, sol.objective, hi)) == exact(scalar_relaxation(inst.commodities, rhs))
 
     def test_complementary_slackness(self, rng):
         for _ in range(50):
@@ -204,15 +222,23 @@ def test_multiplier_matches_plain_bisection_bit_for_bit(case):
     if not rhs > 0.0:  # the budget map underflowed
         return
     intervals, objective, lam = scalar_relaxation(sub, rhs)
-    if budget_of(sub, lam) > rhs * (1.0 + 1e-9):
-        # the bisection's last interval is 1e-13 wide in absolute terms below
-        # lam = 1, which can leave its lam short of meeting a steep budget
+    if budget_of(sub, lam) > rhs * (1.0 + 1e-9):  # lam * gamma overflows at the bracket's upper end
         with pytest.raises(InfeasiblePolicy, match="no multiplier in float range"):
             solve_sosi_relaxation(inst, rhs=rhs, ids=ids)
         return
     sol = solve_sosi_relaxation(inst, rhs=rhs, ids=ids)
     got = (sol.multiplier_lambda, sol.column.tolist(), sol.objective, sol.intervals_T)
     assert exact(got) == exact((lam, list(intervals.values()), objective, intervals))
+    K, H, g = (np.array([getattr(c, name) for c in sub]) for name in ("K", "H", "gamma"))
+    mid, hi = plain_bisection(K, H, g, rhs)
+    if budget_of(sub, mid) > rhs * (1.0 + 1e-9):
+        # the bisection's last bracket is 1e-13 wide in absolute terms below
+        # lam = 1, which can leave its midpoint short of meeting a steep
+        # budget; the bracket's upper end meets it
+        assert sol.multiplier_lambda == hi
+        assert sol.budget_used <= rhs
+    else:
+        assert sol.multiplier_lambda == mid
 
 
 @pytest.fixture

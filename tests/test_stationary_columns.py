@@ -10,6 +10,7 @@ commodity.
 
 import dataclasses
 import math
+from collections.abc import Mapping
 
 import numpy as np
 import pytest
@@ -43,31 +44,43 @@ def scalar_evaluate_sosi(policy, instance):
     return EvalReport(ordering, holding, v_max, avg_inventory, instance.V)
 
 
-def scalar_relaxation(commodities, rhs):
-    """(intervals, objective, multiplier) of the KKT point, arrays built per
-    commodity and the multiplier found by plain bisection."""
-    K = np.array([c.K for c in commodities])
-    H = np.array([c.H for c in commodities])
-    g = np.array([c.gamma for c in commodities])
+def plain_bisection(K, H, g, rhs):
+    """(midpoint, upper end) of the last bracket of the plain bisection for
+    the multiplier, (0.0, 0.0) where the budget does not bind."""
 
     def budget(lam):
         return float(g @ np.sqrt(K / (H + lam * g)))
 
     with np.errstate(over="ignore"):
-        lam = 0.0
-        if budget(0.0) > rhs:
-            hi = 1.0
-            while budget(hi) >= rhs:
-                hi *= 2.0
-            lo = 0.0
-            while hi - lo > 1e-13 * max(hi, 1.0):
-                mid = 0.5 * (lo + hi)
-                if budget(mid) > rhs:
-                    lo = mid
-                else:
-                    hi = mid
-            lam = 0.5 * (lo + hi)
+        if not budget(0.0) > rhs:
+            return 0.0, 0.0
+        hi = 1.0
+        while budget(hi) >= rhs:
+            hi *= 2.0
+        lo = 0.0
+        while hi - lo > 1e-13 * max(hi, 1.0):
+            mid = 0.5 * (lo + hi)
+            if budget(mid) > rhs:
+                lo = mid
+            else:
+                hi = mid
+    return 0.5 * (lo + hi), hi
+
+
+def scalar_relaxation(commodities, rhs):
+    """(intervals, objective, multiplier) of the KKT point, arrays built per
+    commodity and the multiplier found by plain bisection: the midpoint of
+    its last bracket, or the bracket's upper end where the midpoint
+    overshoots the budget by more than 1e-9 and the intervals there are > 0."""
+    K = np.array([c.K for c in commodities])
+    H = np.array([c.H for c in commodities])
+    g = np.array([c.gamma for c in commodities])
+    lam, hi = plain_bisection(K, H, g, rhs)
+    with np.errstate(over="ignore"):
         T = np.sqrt(K / (H + lam * g))
+        T_hi = np.sqrt(K / (H + hi * g))
+    if float(g @ T) > rhs * (1.0 + 1e-9) and (T_hi > 0.0).all():
+        lam, T = hi, T_hi
     return dict(zip([c.id for c in commodities], T.tolist())), float(np.sum(K / T + H * T)), lam
 
 
@@ -116,8 +129,8 @@ def scalar_decompose(ref_report, instance, cfg):
 
 
 def exact(value):
-    """A comparable form that tells floats apart by repr and dicts by key order."""
-    if isinstance(value, dict):
+    """A comparable form that tells floats apart by repr and mappings by key order."""
+    if isinstance(value, Mapping):
         return [(repr(k), exact(v)) for k, v in value.items()]
     if isinstance(value, (tuple, list)):
         return [exact(v) for v in value]
@@ -343,7 +356,7 @@ def test_exact_numbers_pass_the_interval_check():
     from fractions import Fraction
 
     policy = SosiPolicy({0: Fraction(1, 3), 1: 2, 2: True, 3: np.float64(0.5)})
-    assert policy.column.tolist() == [float(Fraction(1, 3)), 2.0, 1.0, 0.5]
+    assert policy.intervals_T.column.tolist() == [float(Fraction(1, 3)), 2.0, 1.0, 0.5]
 
 
 def test_unknown_ids_raise_key_errors_naming_them():
