@@ -23,18 +23,25 @@ copy representation, which reproduces the same values with sharper bounds.
 Each state picks one order pattern per commodity of its level. The patterns
 over an interval of S slots depend on S alone, so one integer table per S
 (gaps, inventory levels and order counts in slot steps, plus the slot tuples)
-is built once and shared by every solver; a solver scales it by its slot
-length into gamma*level and K*count + 2H*hold arrays per commodity. What a
-pattern hands the next level (each child's profile, or across a level gap
-its exit inventory) is integer-only too and cached per pattern and
-geometry. A state folds its commodities in one at a time onto the space the
-previous level holds and drops the combinations over the bound, those of
-its last commodity (but for the patterns that fit no row) only as its scan
-reaches them. It visits the rest in ascending interval cost until no later
+is built once and shared by every solver. Scaled by a slot length, it gives
+hold and level arrays per (slot count, slot length), and per commodity
+gamma*level and K*count + 2H*hold arrays and the least cost of a pattern
+that fits alone per (slot count, slot length, id); the DPs of one sweep
+share these through one dict, since many guesses share a cycle length and
+with it their slot lengths. What a pattern hands the next level (each
+child's profile, or across a level gap its exit inventory) is integer-only
+too and cached per pattern and geometry. A state folds its commodities in
+one at a time onto the space the previous level holds and drops the
+combinations over the bound, those of its last commodity (but for the
+patterns that fit no row) only as its scan reaches them. It visits the rest in ascending interval cost until no later
 one can win, sorting a head of the cheapest first and 16 times as many at
 each further stage, so a scan that stops early neither sorts nor checks the
 rest. Equal totals go to the combination that comes first in product order
 over the ids, so the chosen policy does not depend on the visiting order.
+At a level with one commodity the combinations are its patterns, whose
+interval costs are fixed for the level: they are sorted once (a stable
+argsort, the order and tie-break the staged scan gives), and each state
+only masks the patterns that fit and walks them in that order.
 
 The sweep over guesses is pruned by a per-guess lower bound on the certified
 cost. A class-q commodity orders only on plus-points and at every minus-point,
@@ -53,8 +60,17 @@ later guess then costs more than the incumbent. The winner is the guess with
 the least (cost, enumeration index), the policy an unpruned sweep in
 enumeration order would return.
 
-Some guesses have no DP value at all, and are ruled out before their bound
-is taken or their DP built. At each slot point a state checks the space of
+The sweep screens its guesses on arrays: per class assignment, the ACTION_CAP
+skip once, and the overfull test (below), f_lo and the bound over the whole
+column of cycle lengths at once. Each value comes from the same float
+operations in the same id order as a scalar pass over one guess, so it is
+bit-equal to it, and the queue is ordered by (bound, enumeration index).
+`enumerate_guesses` returns the guess grid, whose Guess objects are built
+only when read, so the sweep builds a Guess and its GridSpec only for the
+guesses it visits.
+
+Some guesses have no DP value at all, and are ruled out before they are
+queued or their DP built. At each slot point a state checks the space of
 the previous level, then the quantized bound (both nonnegative), then
 gamma*level per commodity of its level in id order, and every pattern's
 level at every slot is at least one slot length. So when a level is
@@ -78,6 +94,11 @@ state that could only be shown to exceed its limit is stored as cut, with
 the limit, and solved again only under a looser one. Values within the
 cutoff are unchanged, so every DP's result and the sweep's winner stay
 bit-identical; a DP whose best rate exceeds the cutoff returns None.
+
+A DP policy that fits under the cutoff is certified only if it can win:
+when it exceeds the capacity, O/f + f*Hh at f = V/v_max, read off its
+unscaled evaluation, is compared with the incumbent before the policy is
+scaled and evaluated again (see `ptas_solve`).
 """
 
 from __future__ import annotations
@@ -86,9 +107,10 @@ import collections
 import functools
 import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
@@ -180,7 +202,32 @@ class Guess:
         object.__setattr__(self, "assignment", dict(self.assignment))
 
 
-def enumerate_guesses(instance: Instance, eps: float) -> list[Guess]:
+@dataclass(frozen=True)
+class GuessGrid(Sequence):
+    """The guesses of `enumerate_guesses` in enumeration order: every cycle
+    length of `taus` crossed with every class assignment of `classes`
+    (tuples over `ids`, in `itertools.product` order), so guess k has
+    taus[k // len(classes)] and classes[k % len(classes)]. A Guess is built
+    only when it is read."""
+
+    taus: tuple[float, ...]
+    ids: tuple[int, ...]
+    classes: tuple[tuple[int, ...], ...]
+
+    def __len__(self) -> int:
+        return len(self.taus) * len(self.classes)
+
+    def __getitem__(self, index: int) -> Guess:
+        k = operator.index(index)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("guess index out of range")
+        t, c = divmod(k, len(self.classes))
+        return Guess(tau=self.taus[t], assignment=dict(zip(self.ids, self.classes[c])))
+
+
+def enumerate_guesses(instance: Instance, eps: float) -> GuessGrid:
     """Geometric cycle-length grid over the constrained-cost range, crossed
     with all class assignments; deterministic ordering throughout. More than
     GUESS_BUDGET guesses raise BudgetExceeded."""
@@ -201,42 +248,15 @@ def enumerate_guesses(instance: Instance, eps: float) -> list[Guess]:
     total = len(taus) * q_levels**n
     if total > GUESS_BUDGET:
         raise BudgetExceeded(total, GUESS_BUDGET)
-    ids = sorted(instance.ids())
-    return [
-        Guess(tau=tau, assignment=dict(zip(ids, combo)))
-        for tau in taus
-        for combo in itertools.product(range(1, q_levels + 1), repeat=n)
-    ]
+    classes = tuple(itertools.product(range(1, q_levels + 1), repeat=n))
+    return GuessGrid(taus=tuple(taus), ids=tuple(sorted(instance.ids())), classes=classes)
 
 
-def _scale_floor(instance: Instance, guess: Guess, grid: GridSpec) -> float:
-    """f_lo = min(1, V/P): the least factor by which `ptas_solve` can scale the
-    guess's DP policy into the capacity, P being the peak bound
-    sum gamma_i*tau/minus_qi."""
-    tau = grid.tau_cycle
-    items = sorted(guess.assignment.items())
-    peak = sum(instance.commodity(i).gamma * tau / grid.minus_counts[q - 1] for i, q in items)
-    return min(1.0, instance.V / peak)
-
-
-def guess_lower_bound(instance: Instance, guess: Guess, grid: GridSpec) -> float:
-    """Lower bound on the cost rate of the guess's DP policy after
-    `ptas_solve` scales it into the capacity; see the module docstring.
-    `grid` must cover the deepest guessed class."""
-    tau = grid.tau_cycle
-    f_lo = _scale_floor(instance, guess, grid)
-    total = 0.0
-    for i, q in sorted(guess.assignment.items()):
-        c = instance.commodity(i)
-        lo, hi = f_lo * tau / grid.plus_counts[q - 1], tau / grid.minus_counts[q - 1]
-        total += cost(c.K, c.H, min(max(math.sqrt(c.K / c.H), lo), hi))
-    return total
-
-
-def _action_space_excess(guess: Guess, grid: GridSpec) -> str | None:
+def _action_space_excess(classes: Iterable[int], grid: GridSpec) -> str | None:
     """A message naming the first occupied level whose pattern combinations,
-    2^((slots - 1) * commodities), exceed ACTION_CAP, or None when none does."""
-    sizes = collections.Counter(guess.assignment.values())
+    2^((slots - 1) * commodities), exceed ACTION_CAP, or None when none
+    does; `classes` are the guessed classes of the commodities."""
+    sizes = collections.Counter(classes)
     for j, q in enumerate(sorted(sizes)):
         bits = (grid.plus_counts[q - 1] // grid.minus_counts[q - 1] - 1) * sizes[q]
         if (1 << bits) > ACTION_CAP:
@@ -245,34 +265,87 @@ def _action_space_excess(guess: Guess, grid: GridSpec) -> str | None:
 
 
 def _level_space(
-    instance: Instance, guess: Guess, eps: float, grid: GridSpec
-) -> tuple[list[list[int]], list[float], float]:
+    instance: Instance, assignment: Mapping[int, int], eps: float, grid: GridSpec, tau
+) -> tuple[list[list[int]], list, float]:
     """Per occupied level, its commodity ids in id order and its slot length
     (F // plus_q) * (tau / F) in time units, F being the deepest occupied
     plus grid; and the space bound (1+eps)V, widened by a relative 1e-12.
     These are the floats the DP's space check is made of, shared by
-    `_DpSolver` and `_overfull`."""
-    occupied = sorted(set(guess.assignment.values()))
+    `_DpSolver` and `_overfull`. Only the grid's counts are read; `tau` is
+    a cycle length or a float column of them, which gives a column of slot
+    lengths, each entry the float the one-tau call gives."""
+    occupied = sorted(set(assignment.values()))
     F = grid.plus_counts[occupied[-1] - 1]
-    unit = grid.tau_cycle / F
-    ids_at = [sorted(i for i, q in guess.assignment.items() if q == lvl) for lvl in occupied]
+    unit = tau / F
+    ids_at = [sorted(i for i, q in assignment.items() if q == lvl) for lvl in occupied]
     slot_lengths = [(F // grid.plus_counts[q - 1]) * unit for q in occupied]
     return ids_at, slot_lengths, (1.0 + eps) * instance.V * (1.0 + 1e-12)
 
 
-def _overfull(instance: Instance, guess: Guess, eps: float, grid: GridSpec) -> bool:
+def _overfull(instance: Instance, assignment: Mapping[int, int], eps: float, grid: GridSpec, tau):
     """Whether some occupied level overfills one slot even with every
     commodity of it ordering at every slot: the sum, in id order, of
     gamma_i times the slot length exceeds the space bound. Then no state of
-    that level passes the DP's space check (see the module docstring)."""
-    ids_at, slot_lengths, bound = _level_space(instance, guess, eps, grid)
+    that level passes the DP's space check (see the module docstring).
+    A bool for one cycle length, a bool column for a column of them
+    (see `_level_space`)."""
+    ids_at, slot_lengths, bound = _level_space(instance, assignment, eps, grid, tau)
+    over = False
     for ids, slot in zip(ids_at, slot_lengths):
         space = 0.0
         for i in ids:
             space += instance.commodity(i).gamma * slot
-        if space > bound:
-            return True
-    return False
+        over = over | (space > bound)
+    return over
+
+
+def _guess_bound(instance: Instance, assignment: Mapping[int, int], grid: GridSpec, taus: np.ndarray):
+    """Per cycle length of the column `taus`: f_lo = min(1, V/P), the least
+    factor by which `ptas_solve` can scale the guess's DP policy into the
+    capacity, P being the peak bound sum gamma_i*tau/minus_qi; and the lower
+    bound on the cost rate of the scaled policy, the sum of each
+    commodity's EOQ interval clipped into [f_lo*tau/plus_q, tau/minus_q].
+    Both sums run in id order, one float operation at a time, so each entry
+    is the float a scalar loop over that guess gives."""
+    items = sorted(assignment.items())
+    peak = 0.0
+    for i, q in items:
+        peak = peak + instance.commodity(i).gamma * taus / grid.minus_counts[q - 1]
+    f_lo = np.minimum(1.0, instance.V / peak)
+    total = 0.0
+    for i, q in items:
+        c = instance.commodity(i)
+        lo, hi = f_lo * taus / grid.plus_counts[q - 1], taus / grid.minus_counts[q - 1]
+        total = total + cost(c.K, c.H, np.minimum(np.maximum(math.sqrt(c.K / c.H), lo), hi))
+    return f_lo, total
+
+
+def _screen(
+    instance: Instance, guesses: GuessGrid, eps: float, grid: GridSpec
+) -> tuple[int, int, list[tuple[float, int, float]]]:
+    """Screen the guesses one class assignment at a time, over its whole
+    column of cycle lengths; `grid` covers every class and only its counts
+    are read. Returns the numbers of guesses skipped over ACTION_CAP and of
+    overfull ones, and the queue: (bound, enumeration index, f_lo) of every
+    other guess, in ascending (bound, index)."""
+    taus = np.array(guesses.taus)
+    shape = (len(taus), len(guesses.classes))  # guess t * len(classes) + c at [t, c]
+    admitted = np.zeros(shape, dtype=bool)
+    f_lo, bound = np.ones(shape), np.zeros(shape)
+    skipped = overfull = 0
+    for c, classes in enumerate(guesses.classes):
+        if _action_space_excess(classes, grid) is not None:
+            skipped += len(taus)
+            continue
+        assignment = dict(zip(guesses.ids, classes))
+        over = _overfull(instance, assignment, eps, grid, taus)
+        overfull += int(np.count_nonzero(over))
+        admitted[:, c] = ~over
+        f_lo[:, c], bound[:, c] = _guess_bound(instance, assignment, grid, taus)
+    keep = np.flatnonzero(admitted)
+    bound, f_lo = bound.ravel(), f_lo.ravel()
+    order = keep[np.argsort(bound[keep], kind="stable")]
+    return skipped, overfull, list(zip(bound[order].tolist(), order.tolist(), f_lo[order].tolist()))
 
 
 @dataclass(frozen=True)
@@ -357,6 +430,54 @@ def _ascending(cost: np.ndarray, space: np.ndarray, term: np.ndarray, bound: flo
         lo, k = cut, 16 * k
 
 
+@dataclass(eq=False)
+class _Terms:
+    """One commodity's pattern table scaled by one slot length, over an
+    interval of S slots: gamma*level (A x S), the interval cost
+    K*count + 2H*hold (A), and the least interval cost among the patterns
+    whose space alone fits the space bound."""
+
+    space: np.ndarray
+    cost: np.ndarray
+    least: float
+
+    @functools.cached_property
+    def ascending(self) -> tuple[np.ndarray, list[int], list[float]]:
+        """The patterns in np.argsort(cost, kind="stable") order, as a level
+        with this commodity alone scans them: their indices as an array and
+        as a list, and their interval costs."""
+        order = np.argsort(self.cost, kind="stable")
+        return order, order.tolist(), self.cost[order].tolist()
+
+
+def _scaled_terms(tables: dict, S: int, slot: float, c, space_bound: float) -> _Terms:
+    """Commodity c's `_Terms` at S slots of length `slot`, from `tables`:
+    the hold and level arrays scaled by `slot` under the key (S, slot), the
+    commodity's terms under (S, slot, id). Each is built on first use; the
+    least fitting cost depends on the space bound, so one dict serves the
+    guesses of one instance and eps."""
+    key = (S, slot, c.id)
+    terms = tables.get(key)
+    if terms is not None:
+        return terms
+    table = _patterns(S)
+    scaled = tables.get((S, slot))
+    if scaled is None:
+        d = table.gaps * slot
+        # gap by gap in slot order (accumulate sums sequentially): a float sum depends on its order
+        hold = np.add.accumulate(0.5 * d * d, axis=1)[:, -1]
+        scaled = tables[(S, slot)] = (hold, table.levels * slot)
+    hold, levels = scaled
+    cost_term = c.K * table.counts + 2.0 * c.H * hold
+    # A pattern's most space is gamma times its widest gap, so it fits the
+    # bound on its own (everything else a slot holds is nonnegative) iff no
+    # gap is wider than the w counted here; w >= 1, since `dp_solve` rules
+    # out overfull levels first.
+    w = sum(c.gamma * (g * slot) <= space_bound for g in range(1, S + 1))
+    terms = tables[key] = _Terms(c.gamma * levels, cost_term, float(cost_term[table.narrow[w]].min()))
+    return terms
+
+
 class _DpSolver:
     """One (guess, grid) dynamic program over translation-invariant states.
 
@@ -377,11 +498,15 @@ class _DpSolver:
     builds one only for a guess it admits: the grid covers it, no level
     exceeds ACTION_CAP and none is overfull."""
 
-    def __init__(self, instance: Instance, guess: Guess, eps: float, grid: GridSpec, state_cap: int):
+    def __init__(
+        self, instance: Instance, guess: Guess, eps: float, grid: GridSpec, state_cap: int, tables: dict
+    ):
         self.state_cap = state_cap
         self.tau = grid.tau_cycle
         occupied = sorted(set(guess.assignment.values()))
-        self.ids_at, slot_lengths, self.space_bound = _level_space(instance, guess, eps, grid)
+        self.ids_at, slot_lengths, self.space_bound = _level_space(
+            instance, guess.assignment, eps, grid, self.tau
+        )
         commodities = [[instance.commodity(i) for i in ids] for ids in self.ids_at]
         self.gammas = [[c.gamma for c in level] for level in commodities]
         # Per occupied level: interval length and slot step in F units (the
@@ -398,27 +523,16 @@ class _DpSolver:
         self.unit = self.tau / F
         self.granule = eps * instance.V / instance.n
         self.memo: dict[tuple, tuple] = {}
-        # Per level and commodity in id order: gamma*level (A x S) and the
-        # interval cost K*count + 2H*hold (A), scaled from the shared table.
-        self.space_terms: list[list[np.ndarray]] = []
-        self.cost_terms: list[list[np.ndarray]] = []
+        # Per level and commodity in id order, its scaled terms (`_Terms`).
+        self.terms = [
+            [_scaled_terms(tables, S, slot, c, self.space_bound) for c in level]
+            for S, slot, level in zip(self.S, slot_lengths, commodities)
+        ]
         least = []  # per level, the sum of its commodities' least fitting interval costs
-        for j, (level, step_t) in enumerate(zip(commodities, slot_lengths)):
-            table = _patterns(self.S[j])
-            d = table.gaps * step_t
-            # gap by gap in slot order (accumulate sums sequentially): a float sum depends on its order
-            hold = np.add.accumulate(0.5 * d * d, axis=1)[:, -1]
-            levels = table.levels * step_t
-            self.space_terms.append([c.gamma * levels for c in level])
-            self.cost_terms.append([c.K * table.counts + 2.0 * c.H * hold for c in level])
-            # A pattern's most space is gamma times its widest gap, so it fits
-            # the bound on its own (everything else a slot holds is
-            # nonnegative) iff no gap is wider than the w counted here; w >= 1,
-            # since `dp_solve` rules out overfull levels first.
+        for level in self.terms:
             total = 0.0
-            for c, cost_term in zip(level, self.cost_terms[-1]):
-                w = sum(c.gamma * (g * step_t) <= self.space_bound for g in range(1, self.S[j] + 1))
-                total += float(cost_term[table.narrow[w]].min())
+            for t in level:
+                total += t.least
             least.append(total)
         # floor[j]: the least value of a level-j state, each commodity of it
         # and of every level below at its cheapest fitting pattern in every
@@ -463,7 +577,9 @@ class _DpSolver:
         are visited in ascending interval cost by `_ascending`, which skips
         those over the bound, and the scan stops at the first whose (cost,
         position) exceeds the best (total, position): children only add
-        nonnegative cost. Of equal totals the lowest flat index wins.
+        nonnegative cost. Of equal totals the lowest flat index wins. At a
+        level with one commodity the candidates are its patterns that fit,
+        walked in the order of `_Terms.ascending`, which is `_ascending`'s.
 
         A combination's total is at least its interval cost plus the floors
         of its children. With `bound` = min(limit, best) * (1 + PRUNE_RTOL),
@@ -487,7 +603,6 @@ class _DpSolver:
             return math.inf
         j, profile, lb_units = state
         S, step = self.S[j], self.step[j]
-        space_terms = self.space_terms[j]
 
         # Space held by the previous class at each of this interval's slots.
         prev_space = [lb_units * self.granule] * S
@@ -497,33 +612,47 @@ class _DpSolver:
                 pos = s * step
                 prev_space[s] += gamma * (positions[pos // xstep] - pos) * self.unit
 
-        # Fold every commodity but the last in one at a time, dropping the
-        # rows over the bound, since later terms only add space; each row
-        # keeps its patterns and interval cost.
-        space = np.array([prev_space])
-        picks: list[np.ndarray] = []
-        cost = np.zeros(1)
-        for term, cost_term in zip(space_terms[:-1], self.cost_terms[j][:-1]):
-            # slot by slot, so the widest temporary holds one value per candidate row
-            over = space[:, None, 0] + term[None, :, 0] > self.space_bound
-            for s in range(1, S):
-                over |= space[:, None, s] + term[None, :, s] > self.space_bound
-            rows, pattern = np.nonzero(~over)
-            picks = [p[rows] for p in picks] + [pattern]
-            space = space[rows] + term[pattern]
-            cost = cost[rows] + cost_term[pattern]
-        # The last pattern, with an order at every slot, holds the least
-        # space at every slot: rows over the bound with it have no pair left.
-        last = space_terms[-1]
-        rows = np.flatnonzero(~(space + last[-1] > self.space_bound).any(axis=1))
-        picks, space, cost = [p[rows] for p in picks], space[rows], cost[rows]
-        # Likewise the last patterns over the bound on the least space any
-        # row holds at each slot have no pair left.
-        keep = np.flatnonzero(~(space.min(axis=0, initial=math.inf) + last > self.space_bound).any(axis=1))
-        # every (row, kept pattern) pair, at position row * len(keep) + k,
-        # which compares like the flat index as `keep` ascends; `_ascending`
-        # checks the space of the pairs the scan reaches
-        cost = (cost[:, None] + self.cost_terms[j][-1][keep]).ravel()
+        terms = self.terms[j]
+        if len(terms) == 1:
+            # One commodity: its combinations are its patterns, each at its
+            # own flat index, with interval costs fixed for the level; they
+            # are visited in the presorted order `_ascending` would give,
+            # skipping those over the bound.
+            order, patterns, costs = terms[0].ascending
+            over = (np.array(prev_space) + terms[0].space > self.space_bound).any(axis=1)
+            fits = np.flatnonzero(~over[order]).tolist()
+            candidates = ((patterns[p], costs[p]) for p in fits)
+            keep = None
+        else:
+            # Fold every commodity but the last in one at a time, dropping
+            # the rows over the bound, since later terms only add space;
+            # each row keeps its patterns and interval cost.
+            space = np.array([prev_space])
+            picks: list[np.ndarray] = []
+            cost = np.zeros(1)
+            for t in terms[:-1]:
+                term = t.space
+                # slot by slot, so the widest temporary holds one value per candidate row
+                over = space[:, None, 0] + term[None, :, 0] > self.space_bound
+                for s in range(1, S):
+                    over |= space[:, None, s] + term[None, :, s] > self.space_bound
+                rows, pattern = np.nonzero(~over)
+                picks = [p[rows] for p in picks] + [pattern]
+                space = space[rows] + term[pattern]
+                cost = cost[rows] + t.cost[pattern]
+            # The last pattern, with an order at every slot, holds the least
+            # space at every slot: rows over the bound with it have no pair left.
+            last = terms[-1].space
+            rows = np.flatnonzero(~(space + last[-1] > self.space_bound).any(axis=1))
+            picks, space, cost = [p[rows] for p in picks], space[rows], cost[rows]
+            # Likewise the last patterns over the bound on the least space any
+            # row holds at each slot have no pair left.
+            keep = np.flatnonzero(~(space.min(axis=0, initial=math.inf) + last > self.space_bound).any(axis=1))
+            # every (row, kept pattern) pair, at position row * len(keep) + k,
+            # which compares like the flat index as `keep` ascends; `_ascending`
+            # checks the space of the pairs the scan reaches
+            cost = (cost[:, None] + terms[-1].cost[keep]).ravel()
+            candidates = _ascending(cost, space, last[keep], self.space_bound)
 
         folds = self._folds(j, profile)
         child_floor = self.floor[j + 1]
@@ -532,7 +661,7 @@ class _DpSolver:
         best_at = -1
         best_combo = None
         limited = False  # a combination was skipped for exceeding the limit
-        for at, c in _ascending(cost, space, last[keep], self.space_bound):
+        for at, c in candidates:
             if best is not None and (c, at) > (best, best_at):
                 break
             binding = best is None or limit < best
@@ -540,8 +669,11 @@ class _DpSolver:
             if c + floor > bound:
                 limited = limited or binding
                 break
-            row, k = divmod(at, len(keep))
-            combo = tuple(int(p[row]) for p in picks) + (int(keep[k]),)
+            if keep is None:
+                combo = (at,)
+            else:
+                row, k = divmod(at, len(keep))
+                combo = tuple(int(p[row]) for p in picks) + (int(keep[k]),)
             children = self._children(j, lb_units, folds, combo)
             below = 0.0
             for later, (_, child) in zip(range(len(folds) - 1, -1, -1), children):
@@ -621,6 +753,8 @@ def dp_solve(
     grid: GridSpec,
     state_cap: int = DEFAULT_STATE_CAP,
     cutoff: float = math.inf,
+    *,
+    tables: dict | None = None,
 ) -> tuple[float, CyclicPolicy] | None:
     """Best grid-aligned policy (cost rate, policy) for one guess, or None
     when every action chain violates the space check or the best cost rate
@@ -628,15 +762,18 @@ def dp_solve(
     level with more pattern combinations than ACTION_CAP raises
     ActionSpaceExceeded, and a memo that reaches `state_cap` distinct states
     raises StateSpaceExceeded. For a guess with an overfull level (see the
-    module docstring) None is decided up front, without building the DP."""
+    module docstring) None is decided up front, without building the DP.
+    `tables` holds the scaled pattern tables (see `_scaled_terms`) that the
+    DPs of one instance and eps share; without it the DP builds its own."""
     if max(guess.assignment.values()) > len(grid.minus_counts):
         raise ValueError("grid does not cover the deepest guessed class")
-    excess = _action_space_excess(guess, grid)
+    excess = _action_space_excess(guess.assignment.values(), grid)
     if excess is not None:
         raise ActionSpaceExceeded(excess)
-    if _overfull(instance, guess, eps, grid):
+    if _overfull(instance, guess.assignment, eps, grid, grid.tau_cycle):
         return None
-    return _DpSolver(instance, guess, eps, grid, state_cap).solve(cutoff)
+    tables = {} if tables is None else tables
+    return _DpSolver(instance, guess, eps, grid, state_cap, tables).solve(cutoff)
 
 
 def ptas_solve(
@@ -653,8 +790,8 @@ def ptas_solve(
     A guess whose action space exceeds ACTION_CAP is skipped, so with skips
     the result is the best over the remaining guesses only. A guess with an
     overfull level is pruned at once: its DP has no value. The others are
-    visited in ascending (guess_lower_bound, enumeration index), and the
-    sweep stops at the first whose bound * (1 - PRUNE_RTOL) exceeds the
+    visited in ascending (lower bound, enumeration index), and the sweep
+    stops at the first whose bound * (1 - PRUNE_RTOL) exceeds the
     incumbent's cost; the rest are pruned without running their DP. Each
     DP runs under the cutoff incumbent / f_lo * (1 + PRUNE_RTOL): a policy
     whose rate exceeds it certifies above the incumbent. The winner has the
@@ -663,38 +800,48 @@ def ptas_solve(
     skipped and pruned guesses are recorded; `pruned_guesses` counts the
     overfull guesses and those cut by the bound, none of which could have
     won. When no guess yields a feasible policy, StateSpaceExceeded counts
-    the skipped, the overfull and the solved guesses."""
+    the skipped, the overfull and the solved guesses.
+
+    A DP policy over the capacity is scaled by f = V / v_max, which divides
+    its ordering cost O and multiplies its holding cost Hh. The scaled
+    policy is built and evaluated only when O/f + f*Hh, taken from the
+    unscaled evaluation, times (1 - PRUNE_RTOL) is within the incumbent's
+    cost. The estimate and the scaled evaluation are the same exact sums,
+    rounded in different steps: they differ by a relative 2.2e-14 at most
+    over the sweeps the tests run, which hold it within 1e-12, far inside
+    the 1e-9 margin. So a policy skipped this way certifies above the
+    incumbent and could neither win nor tie."""
     if instance.n > DEFAULT_PTAS_CAP:
         raise TooManyCommodities(instance.n, DEFAULT_PTAS_CAP)
     guesses = enumerate_guesses(instance, eps)
-    queue = []
-    skipped = overfull = 0
-    for index, guess in enumerate(guesses):
-        grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=grid_M, S=grid_S)
-        if _action_space_excess(guess, grid) is not None:
-            skipped += 1
-        elif _overfull(instance, guess, eps, grid):
-            overfull += 1
-        else:
-            queue.append((guess_lower_bound(instance, guess, grid), index, guess, grid))
-    queue.sort(key=lambda entry: entry[:2])
+    levels = max(guesses.classes[-1])
+    skipped, overfull, queue = _screen(
+        instance, guesses, eps, GridSpec.desk(guesses.taus[0], levels, M=grid_M, S=grid_S)
+    )
+    tables: dict = {}
     best: tuple[float, int, CyclicPolicy, EvalReport, Guess, GridSpec] | None = None
     visited = 0
-    for bound, index, guess, grid in queue:
+    for bound, index, f_lo in queue:
         cutoff = math.inf
         if best is not None:
             if bound * (1.0 - PRUNE_RTOL) > best[0]:
                 break
             # the scaled policy certifies at O/f + f*Hh >= f*rate >= f_lo*rate
-            cutoff = best[0] / _scale_floor(instance, guess, grid) * (1.0 + PRUNE_RTOL)
+            cutoff = best[0] / f_lo * (1.0 + PRUNE_RTOL)
         visited += 1
-        result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap, cutoff=cutoff)
+        guess = guesses[index]
+        grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=grid_M, S=grid_S)
+        result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap, cutoff=cutoff, tables=tables)
         if result is None:
             continue
         _, policy = result
         report = evaluate(policy, instance)
         if report.v_max > instance.V:
-            policy = policy.scaled(instance.V / report.v_max)
+            f = instance.V / report.v_max
+            estimate = report.ordering_cost_rate / f + f * report.holding_cost_rate
+            if best is not None and estimate * (1.0 - PRUNE_RTOL) > best[0]:
+                continue
+            policy = policy.scaled(f)
             report = evaluate(policy, instance)
         if not report.feasible:
             continue

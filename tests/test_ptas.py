@@ -1,7 +1,9 @@
+import collections
 import hashlib
 import math
 from bisect import bisect_left, bisect_right
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -13,17 +15,20 @@ from ewlsp.evaluator import evaluate
 from ewlsp.model import serialize_policy
 from ewlsp.oracle import oracle_opt_cyclic
 from ewlsp.ptas import (
+    ACTION_CAP,
     DEFAULT_STATE_CAP,
     PRUNE_RTOL,
     GridSpec,
     Guess,
+    _ascending,
     _child_rows,
     _DpSolver,
     _overfull,
     _patterns,
+    _scaled_terms,
+    _screen,
     dp_solve,
     enumerate_guesses,
-    guess_lower_bound,
     is_b_aligned,
     ptas_solve,
 )
@@ -163,9 +168,9 @@ class TestDpCutoff:
         inst = generate_instance(seed, n, 1.0, regime)
         for guess in enumerate_guesses(inst, 0.5):
             grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=2 * M)
-            if _overfull(inst, guess, 0.5, grid):
+            if _overfull(inst, guess.assignment, 0.5, grid, grid.tau_cycle):
                 continue  # `dp_solve` builds no solver; every state there is valueless
-            solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP)
+            solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, {})
             solver.solve(math.inf)
             for (level, _, _), (value, _, exact) in solver.memo.items():
                 if exact and value is not None:
@@ -176,7 +181,7 @@ class TestDpCutoff:
         guess = Guess(tau=1.7, assignment={0: 1, 1: 2})
         grid = GridSpec.desk(1.7, 2, M=2, S=4)
         rate, policy = dp_solve(inst, guess, 0.5, grid=grid)
-        solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP)
+        solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, {})
         top = (0, (), 0)
         assert solver._value(top, 0.0) == math.inf
         assert solver.memo[top] == (0.0, None, False)
@@ -409,6 +414,46 @@ def test_pinned_dp_outputs(name, assignment, tau, value, digest):
     assert hashlib.sha256(serialize_policy(policy)).hexdigest() == digest
 
 
+def _scale_floor(instance, guess, grid):
+    """Scalar oracle for the sweep's f_lo = min(1, V/P), P being the peak
+    bound sum gamma_i*tau/minus_qi over the ids in order."""
+    tau = grid.tau_cycle
+    peak = 0.0
+    for i, q in sorted(guess.assignment.items()):
+        peak += instance.commodity(i).gamma * tau / grid.minus_counts[q - 1]
+    return min(1.0, instance.V / peak)
+
+
+def guess_lower_bound(instance, guess, grid):
+    """Scalar oracle for the sweep's lower bound on the cost rate of the
+    guess's DP policy after it is scaled into the capacity: per commodity in
+    id order, its EOQ interval clipped into [f_lo*tau/plus_q, tau/minus_q]."""
+    tau = grid.tau_cycle
+    f_lo = _scale_floor(instance, guess, grid)
+    total = 0.0
+    for i, q in sorted(guess.assignment.items()):
+        c = instance.commodity(i)
+        lo, hi = f_lo * tau / grid.plus_counts[q - 1], tau / grid.minus_counts[q - 1]
+        total += cost(c.K, c.H, min(max(math.sqrt(c.K / c.H), lo), hi))
+    return total
+
+
+def _scalar_overfull(instance, guess, eps, grid):
+    """Scalar oracle for the overfull rule: some occupied level's sum, in id
+    order, of gamma_i times its slot length exceeds (1+eps)V(1+1e-12)."""
+    occupied = sorted(set(guess.assignment.values()))
+    F = grid.plus_counts[occupied[-1] - 1]
+    bound = (1.0 + eps) * instance.V * (1.0 + 1e-12)
+    for level in occupied:
+        slot = (F // grid.plus_counts[level - 1]) * (grid.tau_cycle / F)
+        space = 0.0
+        for i in sorted(i for i, q in guess.assignment.items() if q == level):
+            space += instance.commodity(i).gamma * slot
+        if space > bound:
+            return True
+    return False
+
+
 def _certified(instance, guess, eps, grid):
     """The guess's DP policy scaled into the capacity with its evaluation,
     as the sweep certifies it, or None when the DP finds no policy."""
@@ -423,22 +468,43 @@ def _certified(instance, guess, eps, grid):
     return policy, report
 
 
-def _full_sweep(instance, eps):
+def _full_sweep(instance, eps, M=4, S=8):
     """Every guess in enumeration order with the (cost, index) winner rule:
-    the unpruned reference for `ptas_solve`."""
+    the unpruned reference for `ptas_solve`. Returns the winner's (cost,
+    index, policy, report, guess, grid) and the number of guesses skipped
+    over ACTION_CAP."""
     best = None
+    skipped = 0
     for index, guess in enumerate(enumerate_guesses(instance, eps)):
-        grid = GridSpec.desk(guess.tau, max(guess.assignment.values()))
+        grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=S)
         try:
             certified = _certified(instance, guess, eps, grid)
         except ActionSpaceExceeded:
+            skipped += 1
             continue
         if certified is None or not certified[1].feasible:
             continue
         policy, report = certified
         if best is None or (report.total_cost_rate, index) < best[:2]:
-            best = (report.total_cost_rate, index, policy, report, guess)
-    return best
+            best = (report.total_cost_rate, index, policy, report, guess, grid)
+    return best, skipped
+
+
+def _ptas_small_instances(seed):
+    """The instances the ptas-small benchmark workload draws for `seed`: n=1
+    tight and loose and four each of n=2 tight (all at K = H = 1) and
+    dense-heavy, with one pipeline-seed draw after each instance."""
+    rng = np.random.default_rng(seed)
+    instances = []
+    for regime, n, count, spread in [("tight", 1, 1, 0.0), ("loose", 1, 1, 0.0), ("tight", 2, 4, 0.0),
+                                     ("dense-heavy", 2, 4, 1.0)]:
+        for instance_seed in rng.integers(0, 2**31, size=count).tolist():
+            instances.append(generate_instance(instance_seed, n, spread, regime))
+            rng.integers(0, 2**31, size=1)
+    return instances
+
+
+N3_INSTANCES = [generate_instance(seed, 3, 1.0, regime) for seed in (0, 1) for regime in ("tight", "dense-heavy")]
 
 
 class TestGuessPruning:
@@ -461,24 +527,29 @@ class TestGuessPruning:
             assert guess_lower_bound(inst, guess, grid) <= certified[1].total_cost_rate * (1 + 1e-12)
 
     @pytest.mark.parametrize(
-        "inst",
+        "inst, M, S",
         [
-            generate_instance(3, 1, 1.0, "tight"),
-            generate_instance(4, 1, 1.0, "loose"),
-            generate_instance(5, 2, 1.0, "tight"),
-            generate_instance(6, 2, 1.0, "loose"),
-            generate_instance(7, 2, 1.0, "dense-heavy"),
-            make_instance([(1, 1, 1), (1, 1, 1)], 0.8),
-            make_instance([(1, 1, 1), (1, 1, 1)], 3.0),
-            generate_instance(0, 3, 1.0, "loose"),
+            (generate_instance(3, 1, 1.0, "tight"), 4, 8),
+            (generate_instance(4, 1, 1.0, "loose"), 4, 8),
+            (generate_instance(5, 2, 1.0, "tight"), 4, 8),
+            (generate_instance(6, 2, 1.0, "loose"), 4, 8),
+            (generate_instance(7, 2, 1.0, "dense-heavy"), 4, 8),
+            (make_instance([(1, 1, 1), (1, 1, 1)], 0.8), 4, 8),
+            (make_instance([(1, 1, 1), (1, 1, 1)], 3.0), 4, 8),
+            (generate_instance(0, 3, 1.0, "loose"), 4, 8),
+            (generate_instance(0, 3, 1.0, "tight"), 4, 8),
+            (generate_instance(1, 3, 1.0, "dense-heavy"), 4, 8),
+            (generate_instance(5, 2, 1.0, "tight"), 3, 9),
+            (generate_instance(0, 3, 1.0, "tight"), 3, 9),
         ],
         ids=[
             "n1-tight", "n1-loose", "n2-tight", "n2-loose", "n2-dense-heavy", "n2-identical",
-            "n2-identical-loose", "n3-loose",
+            "n2-identical-loose", "n3-loose", "n3-tight", "n3-dense-heavy", "n2-tight-M3-S9",
+            "n3-tight-M3-S9",
         ],
     )
-    def test_pruned_sweep_returns_the_full_sweep_winner(self, inst, monkeypatch):
-        full_cost, _, full_policy, _, guess = _full_sweep(inst, 0.5)
+    def test_pruned_sweep_returns_the_full_sweep_winner(self, inst, M, S, monkeypatch):
+        (full_cost, _, full_policy, _, guess, grid), skipped = _full_sweep(inst, 0.5, M=M, S=S)
         runs = []
 
         def counted_dp_solve(*args, **kwargs):
@@ -487,10 +558,12 @@ class TestGuessPruning:
 
         monkeypatch.setattr("ewlsp.ptas.dp_solve", counted_dp_solve)
         details = {}
-        policy, report = ptas_solve(inst, 0.5, details=details)
+        policy, report = ptas_solve(inst, 0.5, grid_M=M, grid_S=S, details=details)
         assert serialize_policy(policy) == serialize_policy(full_policy)
         assert repr(report.total_cost_rate) == repr(full_cost)
         assert details["guess"] == guess
+        assert details["grid"] == grid
+        assert details["skipped_guesses"] == skipped
         total = len(enumerate_guesses(inst, 0.5))
         assert len(runs) == total - details["skipped_guesses"] - details["pruned_guesses"]
 
@@ -501,6 +574,162 @@ class TestGuessPruning:
         assert details["pruned_guesses"] > 0
         assert report.feasible
         assert is_b_aligned(policy, details["guess"].assignment, details["grid"])
+
+    @pytest.mark.parametrize(
+        "inst", _ptas_small_instances(11) + _ptas_small_instances(201) + N3_INSTANCES
+    )
+    def test_certification_estimate_is_the_scaled_evaluation(self, inst, monkeypatch):
+        # the sweep skips scaling a DP policy when O/f + f*Hh, read off the
+        # unscaled evaluation, exceeds the incumbent by PRUNE_RTOL = 1e-9
+        results = []
+
+        def recorded_dp_solve(*args, **kwargs):
+            result = dp_solve(*args, **kwargs)
+            results.append(result)
+            return result
+
+        monkeypatch.setattr("ewlsp.ptas.dp_solve", recorded_dp_solve)
+        ptas_solve(inst, 0.5)
+        scaled = 0
+        for result in filter(None, results):
+            report = evaluate(result[1], inst)
+            if report.v_max <= inst.V:
+                continue
+            f = inst.V / report.v_max
+            estimate = report.ordering_cost_rate / f + f * report.holding_cost_rate
+            exact = evaluate(result[1].scaled(f), inst).total_cost_rate
+            assert abs(estimate - exact) <= 1e-12 * exact
+            scaled += 1
+        assert scaled > 0 or inst.n == 1
+
+
+class TestGuessScreen:
+    @given(
+        params=st.lists(
+            st.tuples(*[st.floats(-1.0, 1.0).map(lambda x: 10.0**x)] * 3), min_size=1, max_size=3
+        ),
+        fill=st.floats(-3.0, 1.0).map(lambda x: 10.0**x),
+        eps=st.floats(0.2, 1.0, exclude_max=True),
+        geometry=st.sampled_from([(2, 4), (4, 8), (3, 9)]),
+    )
+    @settings(deadline=None)
+    def test_screen_matches_the_scalar_rules_bit_for_bit(self, params, fill, eps, geometry):
+        # (3, 9) has slot lengths that are not powers of two, and at n = 3
+        # puts 2^24 combinations on a shared level: over ACTION_CAP
+        M, S = geometry
+        inst = make_instance(params, fill * sum(g * math.sqrt(K / H) for K, H, g in params))
+        try:
+            guesses = enumerate_guesses(inst, eps)
+        except BudgetExceeded:
+            assume(False)
+        template = GridSpec.desk(guesses.taus[0], max(guesses.classes[-1]), M=M, S=S)
+        skipped, overfull, queue = _screen(inst, guesses, eps, template)
+        want_skipped = want_overfull = 0
+        want_queue = []
+        for index, guess in enumerate(guesses):
+            grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=S)
+            bits = [(S - 1) * list(guess.assignment.values()).count(q) for q in set(guess.assignment.values())]
+            if any((1 << b) > ACTION_CAP for b in bits):
+                want_skipped += 1
+            elif _scalar_overfull(inst, guess, eps, grid):
+                want_overfull += 1
+            else:
+                want_queue.append((guess_lower_bound(inst, guess, grid), index, _scale_floor(inst, guess, grid)))
+        want_queue.sort(key=lambda entry: entry[:2])
+        assert (skipped, overfull) == (want_skipped, want_overfull)
+        assert repr(queue) == repr(want_queue)
+
+    def test_one_tau_overfull_is_the_scalar_rule(self):
+        inst = generate_instance(5, 2, 1.0, "tight")
+        verdicts = set()
+        for guess in enumerate_guesses(inst, 0.5):
+            grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=3, S=9)
+            over = _overfull(inst, guess.assignment, 0.5, grid, grid.tau_cycle)
+            assert type(over) is bool and over == _scalar_overfull(inst, guess, 0.5, grid)
+            verdicts.add(over)
+        assert verdicts == {True, False}
+
+    def test_guesses_are_built_as_read(self):
+        inst = generate_instance(0, 3, 1.0, "tight")
+        guesses = enumerate_guesses(inst, 0.5)
+        width = len(guesses.classes)
+        assert len(guesses) == len(guesses.taus) * width
+        assert guesses[-1] == guesses[len(guesses) - 1]
+        assert guesses[width + 4] == Guess(tau=guesses.taus[1], assignment=dict(zip((0, 1, 2), guesses.classes[4])))
+        with pytest.raises(IndexError):
+            guesses[len(guesses)]
+        assert sum(1 for _ in guesses) == len(guesses)
+
+
+class TestSharedTables:
+    @pytest.mark.parametrize(
+        "inst, M, S",
+        [
+            (generate_instance(5, 2, 1.0, "tight"), 4, 8),
+            (generate_instance(0, 3, 1.0, "tight"), 4, 8),
+            (generate_instance(1, 3, 1.0, "dense-heavy"), 3, 9),
+        ],
+        ids=["n2-tight", "n3-tight", "n3-dense-heavy-M3-S9"],
+    )
+    def test_dp_on_a_sweeps_tables_is_the_dp_built_alone(self, inst, M, S, monkeypatch):
+        swept = []
+
+        def recorded_dp_solve(*args, **kwargs):
+            swept.append((args[1], kwargs["grid"], kwargs["tables"]))
+            return dp_solve(*args, **kwargs)
+
+        monkeypatch.setattr("ewlsp.ptas.dp_solve", recorded_dp_solve)
+        ptas_solve(inst, 0.5, grid_M=M, grid_S=S)
+        tables = swept[0][2]
+        assert all(t is tables for _, _, t in swept)
+        for guess, grid, _ in swept:
+            shared = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, tables)
+            alone = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, {})
+            for a, b in zip(shared.terms, alone.terms, strict=True):
+                for x, y in zip(a, b, strict=True):
+                    assert np.array_equal(x.space, y.space) and np.array_equal(x.cost, y.cost)
+                    assert repr(x.least) == repr(y.least)
+            assert repr(shared.floor) == repr(alone.floor)
+            got, want = shared.solve(math.inf), alone.solve(math.inf)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert repr(got[0]) == repr(want[0])
+                assert serialize_policy(got[1]) == serialize_policy(want[1])
+        # Each entry is the one its own slot length gives, so no two slot
+        # lengths share one; yet the guesses share entries.
+        space_bound = (1.0 + 0.5) * inst.V * (1.0 + 1e-12)
+        slots = collections.defaultdict(set)
+        for key, entry in tables.items():
+            fresh = {}
+            if len(key) == 2:
+                # built with the first commodity that read it
+                i = next(k[2] for k in tables if k[:2] == key and len(k) == 3)
+                _scaled_terms(fresh, *key, inst.commodity(i), space_bound)
+                assert all(np.array_equal(a, b) for a, b in zip(entry, fresh[key], strict=True))
+                continue
+            S_, slot, i = key
+            slots[S_, i].add(slot)
+            want = _scaled_terms(fresh, S_, slot, inst.commodity(i), space_bound)
+            assert np.array_equal(entry.space, want.space) and np.array_equal(entry.cost, want.cost)
+            assert repr(entry.least) == repr(want.least)
+        assert max(map(len, slots.values())) > 1
+        assert sum(map(len, slots.values())) < len(swept) * inst.n
+
+
+class TestPresortedScan:
+    @pytest.mark.parametrize("S", [2, 4, 8, 9])
+    def test_presorted_patterns_follow_the_ascending_scan(self, S):
+        # K = H = 1 at slot length 1 gives mirrored gap sequences equal
+        # interval costs, so the order rests on the tie-break by index
+        c = make_instance([(1, 1, 1)], 1.0).commodity(0)
+        terms = _scaled_terms({}, S, 1.0, c, math.inf)
+        order, patterns, costs = terms.ascending
+        if S > 2:
+            assert len(set(costs)) < len(costs)
+        scan = list(_ascending(terms.cost, np.zeros((1, S)), terms.space, math.inf))
+        assert [at for at, _ in scan] == patterns
+        assert repr([cost for _, cost in scan]) == repr(costs)
+        assert order.tolist() == patterns
 
 
 def _brute_force_aligned(instance, guess, eps, grid):
@@ -670,7 +899,7 @@ class TestOverfullLevels:
         bound = 1.5 * inst.V
         assume(all(abs(space / bound - 1.0) > 1e-9 for space in level_space))
         guess = Guess(tau=tau, assignment=dict(enumerate(classes)))
-        if _overfull(inst, guess, 0.5, grid):
+        if _overfull(inst, guess.assignment, 0.5, grid, grid.tau_cycle):
             assert _brute_force_aligned(inst, guess, 0.5, grid) is None
 
     def test_overfull_guess_builds_no_solver(self, monkeypatch):
@@ -678,7 +907,7 @@ class TestOverfullLevels:
         inst = make_instance([(1, 1, 1)], 0.05)
         guess = Guess(tau=1.0, assignment={0: 1})
         grid = GridSpec.desk(1.0, 1)
-        assert _overfull(inst, guess, 0.5, grid)
+        assert _overfull(inst, guess.assignment, 0.5, grid, grid.tau_cycle)
 
         def no_solver(*args):
             raise AssertionError("_DpSolver built for an overfull guess")
@@ -687,27 +916,35 @@ class TestOverfullLevels:
         assert dp_solve(inst, guess, 0.5, grid=grid) is None
 
     def test_overfull_guesses_are_pruned_before_their_bound(self, monkeypatch):
+        # the sweep's bounds come from its screen: its queue holds the
+        # guesses it bounded, in the order it visits them
         inst = generate_instance(5, 2, 1.0, "tight")
         guesses = enumerate_guesses(inst, 0.5)
-        overfull = [
-            g for g in guesses if _overfull(inst, g, 0.5, GridSpec.desk(g.tau, max(g.assignment.values())))
-        ]
-        assert overfull
-        bounded, runs = [], []
 
-        def counted_bound(instance, guess, grid):
-            bounded.append(guess)
-            return guess_lower_bound(instance, guess, grid)
+        def grid_of(guess):
+            return GridSpec.desk(guess.tau, max(guess.assignment.values()))
+
+        overfull = {k for k, g in enumerate(guesses) if _scalar_overfull(inst, g, 0.5, grid_of(g))}
+        assert overfull
+        screens, runs = [], []
+
+        def recorded_screen(*args):
+            screens.append(_screen(*args))
+            return screens[-1]
 
         def counted_dp_solve(*args, **kwargs):
             runs.append(args[1])
             return dp_solve(*args, **kwargs)
 
-        monkeypatch.setattr("ewlsp.ptas.guess_lower_bound", counted_bound)
+        monkeypatch.setattr("ewlsp.ptas._screen", recorded_screen)
         monkeypatch.setattr("ewlsp.ptas.dp_solve", counted_dp_solve)
         details = {}
         ptas_solve(inst, 0.5, details=details)
-        assert not any(g in overfull for g in bounded + runs)
+        [(skipped, overfull_count, queue)] = screens
+        bounded = [index for _, index, _ in queue]
+        assert (skipped, overfull_count) == (details["skipped_guesses"], len(overfull))
+        assert not overfull & set(bounded)
+        assert not any(_scalar_overfull(inst, g, 0.5, grid_of(g)) for g in runs)
         assert len(bounded) == len(guesses) - details["skipped_guesses"] - len(overfull)
         assert details["pruned_guesses"] == len(overfull) + len(bounded) - len(runs)
 
