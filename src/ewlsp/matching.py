@@ -4,12 +4,15 @@ Each commodity must join exactly one class; a class accepts a bounded number
 of members; joining class ell caps the commodity's interval so that its
 average space fits the class slab, with the cheapest compliant interval given
 in closed form. This is bipartite b-matching with degree bounds between n
-unit-supply commodities and only c classes. One class takes every
-commodity. Two or more are solved by successive shortest paths on the
-contracted class graph (c + 3 nodes), the "few sinks" transportation
-scheme: commodities appear only as the heap entries that price the arcs
-between classes, so one augmentation costs about O(c^2 + path * c * log n)
-rather than a Dijkstra over all n * c commodity-class edges.
+unit-supply commodities and only c classes, and the placement is chosen by c.
+One class takes every commodity. Two classes are placed by one stable sort
+of each commodity's weight difference between them (`_two_class_placement`).
+Three or more are solved by successive shortest paths on the contracted
+class graph (c + 3 nodes), the "few sinks" transportation scheme:
+commodities appear only as the heap entries that price the arcs between
+classes, so one augmentation costs about O(c^2 + path * c * log n) rather
+than a Dijkstra over all n * c commodity-class edges. The partition holds
+the placement as a column of class indexes.
 """
 
 from __future__ import annotations
@@ -92,10 +95,29 @@ class MatchingInstance:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MimickingPartition:
-    assignment: Mapping[int, Hashable]
+    """A degree-feasible assignment held as columns: commodity_side[r] joins
+    class_side[where[r]]. `where` is kept as a read-only intp array. The
+    {id: class label} dict `assignment`, in commodity order, is built on
+    first read."""
+
+    commodity_side: tuple[int, ...]
+    class_side: tuple[Hashable, ...]
+    where: np.ndarray
     total_weight: float
+
+    def __post_init__(self):
+        where = np.array(self.where, dtype=np.intp)
+        if where.shape != (len(self.commodity_side),):
+            raise ValueError(f"expected a class index per commodity, got shape {where.shape}")
+        where.flags.writeable = False
+        object.__setattr__(self, "where", where)
+
+    @cached_property
+    def assignment(self) -> dict[int, Hashable]:
+        classes = self.class_side
+        return dict(zip(self.commodity_side, [classes[l] for l in self.where.tolist()]))
 
 
 def class_interval_cap(ell: Hashable, eps: float, V: float, n: int) -> float:
@@ -130,31 +152,79 @@ def edge_weight(
 
 
 def solve_b_matching(mi: MatchingInstance) -> MimickingPartition:
-    """Minimum-weight degree-feasible assignment.
+    """Minimum-weight degree-feasible assignment, placed by the class count.
 
     With one class the answer is forced: MatchingInstance has checked that
     its degree bounds admit all n commodities, so each joins it, and a
-    commodity without an edge to it makes the instance infeasible. With two
-    or more classes it is found by successive shortest paths on the
-    contracted class graph (`_shortest_path_placement`), which reads its
-    rows straight from the instance's table. The total weight is summed in
-    commodity order either way.
+    commodity without an edge to it makes the instance infeasible. Two
+    classes are placed by one stable sort (`_two_class_placement`); three or
+    more by successive shortest paths on the contracted class graph
+    (`_shortest_path_placement`), which reads its rows straight from the
+    instance's table. Where several assignments tie at the optimum, the two
+    paths may pick different ones. The total weight is summed in commodity
+    order either way (np.cumsum adds left to right, as a loop would).
     """
     commodities, classes, table = mi.commodity_side, mi.class_side, mi.table
     missing = np.isnan(table)
+    bounds = [mi.degree_bounds[ell] for ell in classes]
     if len(classes) == 1:
         if missing.any():
             raise InfeasibleMatching("no assignment satisfies the degree bounds")
-        where = [0] * len(commodities)
+        where = np.zeros(len(commodities), dtype=np.intp)
+    elif len(classes) == 2:
+        where = _two_class_placement(table, missing, bounds)
     else:
         # the placement reads a missing edge as None
         rows = np.where(missing, None, table.astype(object)) if missing.any() else table
-        where = _shortest_path_placement(rows.tolist(), [mi.degree_bounds[ell] for ell in classes])
-    total = 0.0
-    for w in table[np.arange(len(commodities)), where].tolist():
-        total += w
-    assignment: dict[int, Hashable] = dict(zip(commodities, [classes[l] for l in where]))
-    return MimickingPartition(assignment=assignment, total_weight=total)
+        where = np.array(_shortest_path_placement(rows.tolist(), bounds), dtype=np.intp)
+    weights = table[np.arange(len(commodities)), where]
+    total = float(np.cumsum(weights)[-1]) if len(weights) else 0.0
+    return MimickingPartition(commodities, classes, where, total)
+
+
+def _two_class_placement(table: np.ndarray, missing: np.ndarray, bounds: list[tuple[int, int]]) -> np.ndarray:
+    """Class index (0 or 1) of each row of a two-column weight table in a
+    minimum-weight degree-feasible assignment, by one stable sort;
+    `missing` marks the absent edges.
+
+    A row with one edge is forced into that class, and the bounds shrink to
+    match: with f_1 and f_2 rows forced into the first and second class, k of
+    the m free rows (those with both edges) join the first class, where
+    max(lo_1 - f_1, m - (hi_2 - f_2), 0) <= k <= min(hi_1 - f_1, m - (lo_2 - f_2), m).
+    A row with no edge, or an empty k range, raises InfeasibleMatching.
+
+    Why the sort is optimal: let d_i = w(i, first) - w(i, second). Putting a
+    set S of k free rows first costs the sum of w(., second) over the free
+    rows plus the sum of d over S, which for a fixed k is least when S holds
+    the k least d. That least cost grows from k - 1 to k by the k-th least d,
+    and these steps never decrease, so it is convex in k: its minimum over
+    the k range lies at the count of negative d, clipped into the range.
+
+    Ties: the sort is stable, so where d ties across the cut the lower row
+    goes first, and a d of exactly 0 counts as not negative. Any other choice
+    among tied rows costs the same; successive shortest paths may make one.
+    """
+    (lo_1, hi_1), (lo_2, hi_2) = bounds
+    first, second = ~missing[:, 0], ~missing[:, 1]
+    if missing.any():
+        if not (first | second).all():
+            raise InfeasibleMatching("no assignment satisfies the degree bounds")
+        free = np.flatnonzero(first & second)
+        forced_first = int((first & ~second).sum())
+    else:
+        free = np.arange(len(table))
+        forced_first = 0
+    m = len(free)
+    forced_second = len(table) - m - forced_first
+    k_lo = max(lo_1 - forced_first, m - (hi_2 - forced_second), 0)
+    k_hi = min(hi_1 - forced_first, m - (lo_2 - forced_second), m)
+    if k_lo > k_hi:
+        raise InfeasibleMatching("no assignment satisfies the degree bounds")
+    d = table[free, 0] - table[free, 1]
+    k = min(max(int((d < 0).sum()), k_lo), k_hi)
+    where = second.astype(np.intp)  # forced rows are final; free rows start in the second class
+    where[free[np.argsort(d, kind="stable")[:k]]] = 0
+    return where
 
 
 def _shortest_path_placement(weight: list[list[float | None]], bounds: list[tuple[int, int]]) -> list[int]:

@@ -19,13 +19,16 @@ peaks, which is precisely the accounting the analysis itself uses and is
 conservative for feasibility. The paired schedules of one heavy subgroup
 form one couple block: its near pairs that agree on (k, T_A) share a single
 synthesized schedule. The dense branch runs on columns from the matching's
-weight table to the couple blocks: each dense class rounds and pairs all
-its heavy subgroups in one array pass (round_and_pair), and its couple
-blocks are built, and their pairs checked, from the oriented near pairs'
-columns in one more; the report evaluates every couple of the solve in one
-pass over the instance's columns. Each couple still counts as a block of its
-own in the report's sums. In the wire format a couple block is one
-`couples` entry and a stationary block one `sosi` entry.
+weight table to the couple blocks: the matching places each commodity as a
+class index, each class reads its members' ids, matched intervals and gamma
+values from that column, splits them into heavy and light on those columns,
+and rounds and pairs all its heavy subgroups in one array pass
+(round_and_pair), and its couple blocks are built, and their pairs checked,
+from the oriented near pairs' columns in one more; the report evaluates
+every couple of the solve in one pass over the instance's columns. Each
+couple still counts as a block of its own in the report's sums. In the wire
+format a couple block is one `couples` entry and a stationary block one
+`sosi` entry.
 
 The three scenarios (high sparse volume, low dense volume, difficult) live in
 _dispatch, which alone reads their volume thresholds and only returns blocks;
@@ -391,35 +394,43 @@ def decompose_classes(
 
 @dataclass(frozen=True)
 class HeavyLightSplit:
+    """A class's heavy and light members, each in id order, and the sizes of
+    its heavy subgroups: subgroup q holds the next sizes[q] heavy members.
+    `heavy_rows` and `light_rows` locate the members in the columns that
+    split_heavy_light was given."""
+
     heavy: tuple[int, ...]
     light: tuple[int, ...]
-    subgroups: tuple[tuple[int, ...], ...]
+    sizes: tuple[int, ...]
+    heavy_rows: np.ndarray = field(repr=False, compare=False)
+    light_rows: np.ndarray = field(repr=False, compare=False)
 
 
 def split_heavy_light(
     ids: Sequence[int],
-    intervals: Mapping[int, float],
-    instance: Instance,
+    T: np.ndarray,
+    gamma: np.ndarray,
+    V: float,
     ell: int,
     eps: float,
     Q: int,
 ) -> HeavyLightSplit:
-    """Heavy commodities occupy more than 3/4 of the class slab on average;
-    they are chopped into Q subgroups whose sizes differ by at most one."""
-    slab = instance.V / (1.0 + eps) ** (ell - 1)
-    ids = sorted(ids)
-    T = np.fromiter(map(intervals.__getitem__, ids), dtype=float, count=len(ids))
-    is_heavy = (instance.columns.gamma[instance.positions(ids)] * T / 2.0 > 0.75 * slab).tolist()
-    heavy = [i for i, h in zip(ids, is_heavy) if h]
-    light = [i for i, h in zip(ids, is_heavy) if not h]
-    Q = max(1, min(Q, len(heavy))) if heavy else 1
-    base, extra = divmod(len(heavy), Q)
-    subgroups, pos = [], 0
-    for q in range(Q):
-        size = base + (1 if q < extra else 0)
-        subgroups.append(tuple(heavy[pos : pos + size]))
-        pos += size
-    return HeavyLightSplit(tuple(heavy), tuple(light), tuple(g for g in subgroups if g))
+    """Heavy commodities occupy more than 3/4 of the class slab on average
+    (gamma * T / 2 > 3/4 * V / (1 + eps)^(ell - 1), for the matched
+    intervals `T` and the `gamma` values of `ids`, in that order); they are
+    chopped into Q subgroups whose sizes differ by at most one."""
+    slab = V / (1.0 + eps) ** (ell - 1)
+    ids = np.asarray(ids)
+    order = np.argsort(ids, kind="stable")
+    is_heavy = np.asarray(gamma, dtype=float)[order] * np.asarray(T, dtype=float)[order] / 2.0 > 0.75 * slab
+    heavy_rows, light_rows = order[is_heavy], order[~is_heavy]
+    count = len(heavy_rows)
+    Q = max(1, min(Q, count))
+    base, extra = divmod(count, Q)
+    sizes = tuple(base + 1 if q < extra else base for q in range(Q)) if count else ()
+    return HeavyLightSplit(
+        tuple(ids[heavy_rows].tolist()), tuple(ids[light_rows].tolist()), sizes, heavy_rows, light_rows
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +440,13 @@ def split_heavy_light(
 
 def build_matching_instance(
     instance: Instance, cfg: PipelineConfig, decomp: ClassDecomposition
-) -> tuple[MatchingInstance, np.ndarray]:
-    """Mimicking-partition matching over suffix-sparse and dense classes, and
-    its edge intervals: row r, column l holds the capped interval of
-    commodity_side[r] in class_side[l]. The weight and interval tables are
-    built one class column at a time from the instance's parameter columns,
-    and the matching takes the weight table as it is."""
+) -> tuple[MatchingInstance, np.ndarray, np.ndarray]:
+    """Mimicking-partition matching over suffix-sparse and dense classes, its
+    edge intervals (row r, column l holds the capped interval of
+    commodity_side[r] in class_side[l]) and the gamma column of
+    commodity_side. The weight and interval tables are built one class
+    column at a time from the instance's parameter columns, and the matching
+    takes the weight table as it is."""
     eps, V, n = cfg.eps, instance.V, instance.n
     suffix = [ell for ell, lab in decomp.labels.items() if lab == "suffix-sparse"]
     dense = [ell for ell, lab in decomp.labels.items() if lab == "dense"]
@@ -466,7 +478,7 @@ def build_matching_instance(
         table=weight,
         degree_bounds=bounds,
     )
-    return mi, intervals
+    return mi, intervals, gamma
 
 
 def _theta_rng(seed: int, ell_index: int, q: int) -> np.random.Generator:
@@ -596,49 +608,49 @@ def run_dense_branch(
     alpha-scaled stationary policy and builds none of them.
 
     The dense branch runs on columns: the matching reads the n x c weight
-    table of build_matching_instance, each class draws one theta per heavy
-    subgroup from _theta_rng(seed, ell, q) and rounds and pairs all its
-    subgroups in one array pass (round_and_pair), and _couple_blocks builds
-    the class's couple blocks from the oriented near pairs' columns; the
-    couples of a subgroup that agree on (k, T_A) share one synthesized
-    schedule. diag["couples"] counts the couples in the returned blocks."""
+    table of build_matching_instance and places each commodity as a class
+    index (MimickingPartition.where); each class reads its members' ids,
+    matched intervals and gamma values from that column, the interval table
+    and the gamma column, in id order, splits them into heavy and light
+    members on those columns, draws one theta per heavy subgroup from
+    _theta_rng(seed, ell, q) and rounds and pairs all its subgroups in one
+    array pass (round_and_pair), and _couple_blocks builds the class's
+    couple blocks from the oriented near pairs' columns; the couples of a
+    subgroup that agree on (k, T_A) share one synthesized schedule.
+    diag["couples"] counts the couples in the returned blocks."""
     eps = cfg.eps
-    gamma = instance.columns.gamma
     diag: dict = {"classes": {}, "couples": 0, "far_pair_counts": [], "a_ell": {}}
-    mi, interval_table = build_matching_instance(instance, cfg, decomp)
+    mi, interval_table, gamma = build_matching_instance(instance, cfg, decomp)
     if not mi.commodity_side:
         return [], diag
     matched = solve_b_matching(mi)
-    column = {ell: l for l, ell in enumerate(mi.class_side)}
-    commodities = np.array(mi.commodity_side)
-    # the assignment lists commodity_side in order
-    where = np.fromiter(map(column.__getitem__, matched.assignment.values()), dtype=np.intp, count=len(commodities))
-    t_hat = dict(zip(mi.commodity_side, interval_table[np.arange(len(where)), where].tolist()))
     diag["matched_weight"] = matched.total_weight
-
-    def matched_T(cids: Sequence[int]) -> np.ndarray:
-        return np.fromiter(map(t_hat.__getitem__, cids), dtype=float, count=len(cids))
+    where = matched.where
+    t_hat = interval_table[np.arange(len(where)), where]  # each commodity's matched interval
+    commodities = np.array(mi.commodity_side)
+    by_id = np.argsort(commodities, kind="stable")
+    class_by_id = where[by_id]
 
     blocks: list[Block | CoupleBlock] = []
     for l in np.flatnonzero(np.bincount(where)).tolist():  # class_side is sorted
         ell = mi.class_side[l]
-        ids = np.sort(commodities[where == l]).tolist()
-        T = matched_T(ids)
+        rows = by_id[class_by_id == l]  # the class's rows, in id order
+        ids, T = commodities[rows].tolist(), t_hat[rows]
         if decomp.labels[ell] == "suffix-sparse" or ell == INF_CLASS:
             blocks.append(_stationary(ids, IdColumn(ids, T), f"class{ell}:sosi"))
             diag["classes"][str(ell)] = "sosi"
             continue
 
-        split = split_heavy_light(ids, t_hat, instance, int(ell), eps, cfg.Q)
+        class_gamma = gamma[rows]
+        split = split_heavy_light(ids, T, class_gamma, instance.V, int(ell), eps, cfg.Q)
         if len(split.light) >= len(ids) / 2.0:
             blocks.append(_stationary(ids, IdColumn(ids, T), f"class{ell}:light-majority"))
             diag["classes"][str(ell)] = "light-majority"
             continue
 
-        sizes = [len(group) for group in split.subgroups]
+        sizes = split.sizes
         thetas = [float(_theta_rng(seed, int(ell), q).uniform(-0.5, 0.5)) for q in range(len(sizes))]
-        heavy_T = matched_T(split.heavy)
-        heavy_gamma = gamma[instance.positions(split.heavy)]
+        heavy_T, heavy_gamma = T[split.heavy_rows], class_gamma[split.heavy_rows]
         paired = round_and_pair(split.heavy, heavy_T, heavy_gamma, sizes, thetas, eps)
         diag["far_pair_counts"] += paired.far.tolist()
 
@@ -667,7 +679,7 @@ def run_dense_branch(
                 singles = single_ids[start:end]
                 blocks.append(_stationary(sorted(singles), IdColumn(singles, paired.single_T[start:end]), f"class{ell}:rounded-sosi"))
         if split.light:
-            blocks.append(_stationary(split.light, IdColumn(split.light, matched_T(split.light)), f"class{ell}:light-sosi"))
+            blocks.append(_stationary(split.light, IdColumn(split.light, T[split.light_rows]), f"class{ell}:light-sosi"))
         diag["classes"][str(ell)] = "po2-sync"
     return blocks, diag
 

@@ -108,6 +108,7 @@ import functools
 import itertools
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -175,9 +176,13 @@ class GridSpec:
 
     @staticmethod
     def desk(tau: float, levels: int, M: int = 4, S: int = 8) -> "GridSpec":
-        """Miniature geometry: minus = M^(q-1), plus = S * M^(q-1)."""
+        """Miniature geometry: minus = M^(q-1), plus = S * M^(q-1). Counts
+        past the float range raise StateSpaceExceeded, naming the class
+        count: no slot length tau / count could be formed from them."""
         if S % M or (M * M) % S:
             raise ValueError("need M | S and S | M^2")
+        if S * M ** (levels - 1) > sys.float_info.max:
+            raise StateSpaceExceeded(f"a desk grid of {levels} classes has counts past the float range")
         return GridSpec(
             tau_cycle=tau,
             minus_counts=tuple(M**q for q in range(levels)),

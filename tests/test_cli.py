@@ -566,6 +566,14 @@ class TestErrorExitCodes:
         assert main(["solve", "--instance", str(inst_path), "--algo", "ptas"]) == 4
         assert capsys.readouterr().err == "ewlsp: error: ptas_solve handles at most 3 commodities, got 40\n"
 
+    def test_desk_grid_beyond_float_range_exits_4(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "1", "--n", "1", "--out", str(inst_path)])
+        assert main(["solve", "--instance", str(inst_path), "--algo", "ptas", "--eps", "0.999"]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ewlsp: error: a desk grid of "), err
+        assert err.endswith(" classes has counts past the float range\n"), err
+
     @pytest.mark.parametrize("argv", [["relax"], ["solve", "--algo", "two-approx"]], ids=" ".join)
     def test_relaxation_beyond_float_range_exits_5(self, tmp_path, capsys, argv):
         inst_path = tmp_path / "inst.json"

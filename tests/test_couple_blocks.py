@@ -487,10 +487,12 @@ def test_templates_are_counted_per_block_of_a_class():
 def test_heavy_split_is_strict_at_three_quarters_of_the_slab():
     # at ell = 1 the slab is V; gamma * T / 2 equals 0.75 V exactly for
     # commodity 0, which stays light, and exceeds it by an ulp for commodity 1
-    inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.5) for i in range(3)), capacity_V=1.0)
-    intervals = {0: 1.0, 1: math.nextafter(1.0, 2.0), 2: 0.5}
-    split = split_heavy_light([2, 1, 0], intervals, inst, ell=1, eps=EPS, Q=1)
-    assert (split.heavy, split.light) == ((1,), (0, 2))
+    ids = [2, 1, 0]
+    T = [0.5, math.nextafter(1.0, 2.0), 1.0]
+    split = split_heavy_light(ids, T, [1.5] * 3, 1.0, ell=1, eps=EPS, Q=1)
+    assert (split.heavy, split.light, split.sizes) == ((1,), (0, 2), (1,))
+    # the rows locate the members in the given columns
+    assert (split.heavy_rows.tolist(), split.light_rows.tolist()) == ([1], [2, 0])
 
 
 def test_couple_terms_of_nothing():
@@ -560,7 +562,8 @@ def test_edge_table_matches_scalar_closed_form(seed, n, eps):
     decomp = decompose_classes(evaluate_sosi(build_reference_policy(inst), inst), inst, cfg)
     # every class on the matching side, the tail class too when there is one
     decomp = dataclasses.replace(decomp, labels={ell: "dense" for ell in decomp.classes})
-    mi, intervals = build_matching_instance(inst, cfg, decomp)
+    mi, intervals, gamma = build_matching_instance(inst, cfg, decomp)
+    assert gamma.tolist() == [inst.commodity(i).gamma for i in mi.commodity_side]
     weights, scalar_intervals = scalar_edge_table(inst, mi.commodity_side, mi.class_side, eps)
     assert exact(dict(mi.weights)) == exact(weights)
     table = {

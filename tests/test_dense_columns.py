@@ -225,16 +225,17 @@ def scalar_couples(instance, cfg, seed, classes):
     """The CoupleInput of every couple of the po2-sync classes, in emission
     order, from the scalar chain over the solve's matching."""
     ref = evaluate_sosi(build_reference_policy(instance), instance)
-    mi, table = build_matching_instance(instance, cfg, decompose_classes(ref, instance, cfg))
+    mi, table, _ = build_matching_instance(instance, cfg, decompose_classes(ref, instance, cfg))
     matched = solve_b_matching(mi)
     t_hat = {i: float(table[r, mi.class_side.index(matched.assignment[i])]) for r, i in enumerate(mi.commodity_side)}
     inputs = []
     for ell in (int(e) for e, outcome in classes.items() if outcome == "po2-sync"):
         ids = sorted(i for i, e in matched.assignment.items() if e == ell)
-        split = split_heavy_light(ids, t_hat, instance, ell, cfg.eps, cfg.Q)
+        class_T, class_gamma = [t_hat[i] for i in ids], [instance.commodity(i).gamma for i in ids]
+        split = split_heavy_light(ids, class_T, class_gamma, instance.V, ell, cfg.eps, cfg.Q)
         heavy = list(split.heavy)
         gamma = [instance.commodity(i).gamma for i in heavy]
-        sizes = [len(g) for g in split.subgroups]
+        sizes = split.sizes
         thetas = [float(_theta_rng(seed, ell, q).uniform(-0.5, 0.5)) for q in range(len(sizes))]
         _, groups = scalar_chain(heavy, [t_hat[i] for i in heavy], gamma, sizes, thetas, cfg.eps)
         for couples, _, _ in groups:
@@ -244,13 +245,17 @@ def scalar_couples(instance, cfg, seed, classes):
 
 
 # (instance seed, n, pipeline seed) -> sha256 of the sorted-key JSON of the
-# policy followed by repr() of the certified cost rate and peak
+# policy followed by repr() of the certified cost rate and peak. The matching
+# has one class at (2, 1000, 0), two at (1, 2000, 0) and three at (0, 2000, 1),
+# so each placement path of solve_b_matching is pinned end to end.
 LADDER_DIGESTS = {
     (2, 1000, 0): "935e9da5db1335ea1f424a3593c5139ea6c59ba021f67ff1de1bb80d3237691c",
+    (1, 2000, 0): "add6ba7668be21e5e010ac7c16c70ce93cca6ec9250bdbdb927ab107c17ead75",
+    (0, 2000, 1): "9642fccacd2f247b8eb9db464b19ce19b9a26c7efeb2cae662d12f4f185b1b1e",
 }
 
 
-@pytest.mark.parametrize("key", [(2, 1000, 0), (0, 2000, 1)])
+@pytest.mark.parametrize("key", [(2, 1000, 0), (0, 2000, 1), (1, 2000, 0)])
 def test_ladder_solve_builds_k_ge_1_couples_as_synthesize_couple_does(key):
     seed, n, pipeline_seed = key
     inst, cfg = ladder_instance(seed, n), PipelineConfig()
@@ -272,6 +277,5 @@ def test_ladder_solve_builds_k_ge_1_couples_as_synthesize_couple_does(key):
         assert template.case_id == want.case_id
         assert template.policy.tau == want.policy.tau
         assert list(template.policy.schedules.values()) == list(want.policy.schedules.values())
-    if key in LADDER_DIGESTS:
-        text = json.dumps(assembled.to_json(), sort_keys=True) + repr(report.total_cost_rate) + repr(report.v_max)
-        assert hashlib.sha256(text.encode()).hexdigest() == LADDER_DIGESTS[key]
+    text = json.dumps(assembled.to_json(), sort_keys=True) + repr(report.total_cost_rate) + repr(report.v_max)
+    assert hashlib.sha256(text.encode()).hexdigest() == LADDER_DIGESTS[key]

@@ -114,7 +114,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ewlsp.matching import MimickingPartition
+from ewlsp.matching import MimickingPartition, _shortest_path_placement
 
 
 @st.composite
@@ -221,7 +221,7 @@ def test_certificate_flags_a_suboptimal_assignment():
     mi = MatchingInstance((0, 1), (1, 2), w, {1: (1, 1), 2: (1, 1)})
     assert_no_negative_cycle(mi, solve_b_matching(mi))
     with pytest.raises(AssertionError, match="negative cycle"):
-        assert_no_negative_cycle(mi, MimickingPartition({0: 2, 1: 1}, 20.0))
+        assert_no_negative_cycle(mi, MimickingPartition((0, 1), (1, 2), [1, 0], 20.0))
 
 
 @pytest.mark.parametrize(
@@ -234,6 +234,7 @@ def test_certificate_flags_a_suboptimal_assignment():
         (5, 2000, 3, None, 0.0, 2),
         (6, 2000, 12, (1.0, 1.5), 0.2, 5),
         (7, 1500, 7, None, 0.1, 5),
+        (8, 10_000, 2, None, 0.1, 50),
     ],
 )
 def test_large_instances_are_certified_optimal(seed, nu, nc, palette, missing, width):
@@ -264,6 +265,74 @@ def test_large_instances_are_certified_optimal(seed, nu, nc, palette, missing, w
     load = Counter(part.assignment.values())
     assert all(bounds[ell][0] <= load[ell] <= bounds[ell][1] for ell in classes)
     assert_no_negative_cycle(mi, part)
+
+
+@st.composite
+def two_class_instances(draw):
+    """Up to 30 commodities and two classes: continuous weights or a palette
+    of at most three values (exact ties), missing edges, and degree bounds
+    from loose down to lo == hi."""
+    nu = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        cell = st.floats(0.1, 10.0)
+    else:
+        cell = st.sampled_from(draw(st.lists(st.floats(0.1, 10.0), min_size=1, max_size=3)))
+    if draw(st.booleans()):
+        cell = st.one_of(cell, st.none())
+    rows = draw(st.lists(st.tuples(cell, cell), min_size=nu, max_size=nu))
+    lo_1 = draw(st.integers(0, nu))
+    hi_1 = lo_1 + draw(st.integers(0, nu))
+    lo_2 = draw(st.integers(0, nu - lo_1))
+    hi_2 = max(lo_2, nu - hi_1) + draw(st.integers(0, nu))
+    table = np.array([[np.nan if w is None else w for w in row] for row in rows], dtype=float).reshape(nu, 2)
+    return MatchingInstance(tuple(range(nu)), (1, INF_CLASS), table, {1: (lo_1, hi_1), INF_CLASS: (lo_2, hi_2)})
+
+
+@given(mi=two_class_instances())
+@settings(deadline=None)
+def test_two_class_sort_matches_shortest_paths(mi):
+    """The sort costs what successive shortest paths cost, at rel 1e-12, and
+    leaves no negative cycle. Where the free rows' differences w(i, first) -
+    w(i, second) are pairwise distinct and nonzero, the optimum is unique and
+    both place every row alike. Both refuse the same instances."""
+    rows = [[None if math.isnan(w) else w for w in row] for row in mi.table.tolist()]
+    bounds = [mi.degree_bounds[ell] for ell in mi.class_side]
+    try:
+        want = _shortest_path_placement(rows, bounds)
+    except InfeasibleMatching:
+        with pytest.raises(InfeasibleMatching, match="no assignment satisfies the degree bounds"):
+            solve_b_matching(mi)
+        return
+    part = solve_b_matching(mi)
+    load = Counter(part.assignment.values())
+    assert all(lo <= load[ell] <= hi for ell, (lo, hi) in zip(mi.class_side, bounds))
+    assert_no_negative_cycle(mi, part)
+    want_total = 0.0
+    for r, l in enumerate(want):
+        want_total += rows[r][l]
+    assert part.total_weight == pytest.approx(want_total, rel=1e-12)
+    free = [row[0] - row[1] for row in rows if None not in row]
+    if len(set(free)) == len(free) and 0.0 not in free:
+        assert part.where.tolist() == want
+
+
+def test_two_class_ties_go_to_the_lower_row():
+    # rows 0, 2 and 3 tie at d = -1 and class 1 takes two rows: the lower two;
+    # row 1 has no edge to class 1 and is forced into the tail class
+    table = np.array([[1.0, 2.0], [np.nan, 5.0], [2.0, 3.0], [4.0, 5.0]])
+    mi = MatchingInstance((10, 11, 12, 13), (1, INF_CLASS), table, {1: (0, 2), INF_CLASS: (0, 4)})
+    part = solve_b_matching(mi)
+    assert part.where.tolist() == [0, 1, 0, 1]
+    assert not part.where.flags.writeable
+    assert part.assignment == {10: 1, 11: INF_CLASS, 12: 1, 13: INF_CLASS}
+    assert part.total_weight == 1.0 + 5.0 + 2.0 + 5.0
+    # a zero difference is not negative: the row joins the second class
+    # unless a lower bound pulls it into the first
+    flat = np.array([[1.0, 1.0], [1.0, 3.0]])
+    loose = MatchingInstance((0, 1), (1, 2), flat, {1: (0, 2), 2: (0, 2)})
+    assert solve_b_matching(loose).where.tolist() == [1, 0]
+    tight = MatchingInstance((0, 1), (1, 2), flat, {1: (2, 2), 2: (0, 2)})
+    assert solve_b_matching(tight).where.tolist() == [0, 0]
 
 
 def table_and_dict(rows, classes=(1, 2)):
@@ -308,4 +377,6 @@ def test_table_and_mapping_give_one_matching():
     assert list(from_table.weights.items()) == list(reversed(list(edges.items())))
     assert from_mapping.weights is edges
     np.testing.assert_array_equal(from_mapping.table, table)
-    assert solve_b_matching(from_table) == solve_b_matching(from_mapping)
+    got, want = solve_b_matching(from_table), solve_b_matching(from_mapping)
+    np.testing.assert_array_equal(got.where, want.where)
+    assert (got.assignment, got.total_weight) == (want.assignment, want.total_weight)

@@ -119,18 +119,14 @@ class TestDecomposition:
 class TestHeavyLight:
     def test_partition_and_subgroup_sizes(self):
         ids = list(range(11))
-        intervals = {i: 1.0 for i in ids}
-        inst = make_instance([(1, 1, 1.6)] * 11, 1.0)
-        split = split_heavy_light(ids, intervals, inst, ell=1, eps=0.05, Q=4)
+        split = split_heavy_light(ids, [1.0] * 11, [1.6] * 11, 1.0, ell=1, eps=0.05, Q=4)
         assert set(split.heavy) | set(split.light) == set(ids)
-        sizes = [len(g) for g in split.subgroups]
-        assert max(sizes) - min(sizes) <= 1
-        assert sum(sizes) == len(split.heavy)
+        assert split.sizes == (3, 3, 3, 2)
+        assert len(split.heavy) == 11
 
     def test_heavy_definition(self):
         # gamma*T/2 = 0.8 > 3/4 of slab V=1 -> heavy; 0.7 -> light
-        inst = make_instance([(1, 1, 1.6), (1, 1, 1.4)], 1.0)
-        split = split_heavy_light([0, 1], {0: 1.0, 1: 1.0}, inst, ell=1, eps=0.05, Q=2)
+        split = split_heavy_light([0, 1], [1.0, 1.0], [1.6, 1.4], 1.0, ell=1, eps=0.05, Q=2)
         assert split.heavy == (0,)
         assert split.light == (1,)
 

@@ -314,6 +314,22 @@ class TestActionCap:
             ptas_solve(inst, 0.05)
         assert ptas_solve(inst, 0.1)[1].total_cost_rate == pytest.approx(4.931, abs=1e-3)
 
+    def test_a_desk_grid_past_the_float_range_is_refused(self):
+        # near eps = 1 the class count of an n = 1 instance grows without
+        # bound: 108 classes at eps 0.99 still solve, while the 1,074 of eps
+        # 0.999 give plus counts 8 * 4^1073, which no float holds
+        inst = make_instance([(1, 1, 1)], 0.5)
+        assert max(enumerate_guesses(inst, 0.99).classes[-1]) == 108
+        policy, report = ptas_solve(inst, 0.99)
+        assert (policy.tau, report.total_cost_rate) == (0.5, 2.5)
+        assert max(enumerate_guesses(inst, 0.999).classes[-1]) == 1074
+        with pytest.raises(StateSpaceExceeded, match="^a desk grid of 1074 classes has counts past the float range$"):
+            ptas_solve(inst, 0.999)
+        # the deepest desk grid that fits: 8 * 4^510 = 2^1023
+        assert GridSpec.desk(1.0, 511).plus_counts[-1] == 2**1023
+        with pytest.raises(StateSpaceExceeded, match="^a desk grid of 512 classes"):
+            GridSpec.desk(1.0, 512)
+
 
 # sha256 of serialize_policy(policy) + repr(cost rate) of fixed ptas_solve
 # runs (eps 0.5), taken from the per-combination Python loop the pattern
