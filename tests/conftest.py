@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -70,3 +72,23 @@ def flatten(blocks):
         else:
             out.append(entry)
     return out
+
+
+def flat_content(blocks):
+    """What wire-format block entries hold, however they are cut into
+    entries, as sorted-key JSON text: every couple as [A, B, case, tau, A's
+    orders, B's orders], in emission order; every stationary commodity as
+    [id, T], in id order (solver blocks hold no phases); every other entry as
+    it is, in order."""
+    couples, stationary, other = [], [], []
+    for entry in blocks:
+        if "sosi" in entry:
+            stationary += [[int(key), T] for key, T in entry["sosi"]["intervals"].items()]
+        elif "couples" in entry:
+            ids, which, templates = entry["couples"]["ids"], entry["couples"]["which"], entry["couples"]["templates"]
+            for j, k in enumerate(which):
+                t = templates[k]
+                couples.append([ids[2 * j], ids[2 * j + 1], t["case"], t["tau"], *t["schedules"]])
+        else:
+            other.append(entry)
+    return json.dumps({"couples": couples, "stationary": sorted(stationary), "other": other}, sort_keys=True)

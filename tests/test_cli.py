@@ -11,7 +11,7 @@ from ewlsp.errors import InfeasibleMatching, InfeasiblePolicy
 from ewlsp.model import Commodity, CouplePolicy, Instance, SosiPolicy, parse_instance, parse_policy, serialize_instance
 from ewlsp.relaxation import solve_sosi_relaxation
 
-from conftest import flatten
+from conftest import flat_content
 
 
 class TestGen:
@@ -270,46 +270,46 @@ class TestSolveEval:
         assert list(block["schedules"]) == ["0"]
 
 
-# sha256 of the sorted-key JSON of the `blocks` and `summary` of fixed-seed
-# `ewlsp solve` files: first with each stationary entry flattened into one
-# cyclic entry per commodity and each couple entry into one per couple
-# (conftest.flatten), the form the files were pinned on before stationary
-# and couple blocks were written as one entry each, then as written. `diagnostics` is left out so counters may change while the
-# written policies stay bit-identical.
+# sha256 digests of fixed-seed `ewlsp solve` files: first of the flattened
+# content of their `blocks` (conftest.flat_content: the couples in emission
+# order and the stationary commodities in id order, however they are cut into
+# entries), then of the sorted-key JSON of the `blocks` and `summary` as
+# written. `diagnostics` is left out so counters may change while the written
+# policies stay bit-identical.
 PINNED_SOLVE_FILES = [
     (
         "sub2-dense-heavy-n40",
         ["--seed", "11", "--n", "40", "--regime", "dense-heavy"],
         ["--algo", "sub2"],
-        "3bdac656c9788a7b4196d2c131b587127b7f9bbb59425ef1bbaf9d0ea1d0207f",
+        "c7bc934e52207698925533c707bb3b4243b6555a4c40c8f86161a48890690545",
         "05a49c600c55f08285c1fe62aed307cbd3cca6290d39b37d775eea93d4574e79",
     ),
     (
         "sub2-tight-n60-trials3",
         ["--seed", "12", "--n", "60", "--regime", "tight"],
         ["--algo", "sub2", "--trials", "3"],
-        "adbc23067985798faf7eb39de4f57b67327e390f1f02bf954bdc8565e15666c5",
+        "3f0ffa85b97945b9c84def9ca823fb4bc4ff1f7ad0e1af81aee14ff3909a5773",
         "d80e74cf27595d73390ccb631bf1fce0fb2542999c47c2a96641fb46041430f2",
     ),
     (
         "sub2-loose-n30",
         ["--seed", "15", "--n", "30", "--regime", "loose"],
         ["--algo", "sub2"],
-        "d78c49cb5a2b0bde7917620e80fe0c57a9833ff111640f57c55d95147bb007a3",
+        "a8a45f5eb56a1df866a13d1c9cc6d9e6cb69465b4fc3bb8feed25ebd537262e2",
         "91e29c7eae35da974d1d22ffa327c455b536c90587c2fd08de79723c5d46343f",
     ),
     (
         "ptas-n1",
         ["--seed", "16", "--n", "1", "--regime", "tight"],
         ["--algo", "ptas"],
-        "9eb31c6652db7765141b9bbd0006dce1307f530bbad0095eec9836bce4db50e3",
+        "9c05a41ec54968d0d99a29e98e4ab5aa50968e7e505dbee391e0bda547fdc45f",
         "9eb31c6652db7765141b9bbd0006dce1307f530bbad0095eec9836bce4db50e3",
     ),
     (
         "ptas-n2",
         ["--seed", "13", "--n", "2", "--regime", "tight"],
         ["--algo", "ptas"],
-        "82ecd03884065a96750375b559b684609cb96f65ee7ed8b45f83c243510a2700",
+        "fb11482fa1d621446a2a52d337d8c48a5410dd9834537f41b66d24442dfaa39f",
         "82ecd03884065a96750375b559b684609cb96f65ee7ed8b45f83c243510a2700",
     ),
 ]
@@ -323,8 +323,7 @@ def test_pinned_solve_files(tmp_path, name, gen, solve, flat_digest, digest):
     assert main(["gen", *gen, "--out", str(inst_path)]) == 0
     assert main(["solve", "--instance", str(inst_path), *solve, "--out", str(sol_path)]) == 0
     payload = json.loads(sol_path.read_text())
-    flat = json.dumps({"blocks": flatten(payload["blocks"]), "summary": payload["summary"]}, sort_keys=True)
-    assert hashlib.sha256(flat.encode()).hexdigest() == flat_digest
+    assert hashlib.sha256(flat_content(payload["blocks"]).encode()).hexdigest() == flat_digest
     text = json.dumps({"blocks": payload["blocks"], "summary": payload["summary"]}, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

@@ -35,6 +35,8 @@ from ewlsp.pipeline import (
     split_heavy_light,
 )
 
+from conftest import flat_content
+
 
 def scalar_chain(ids, T, gamma, sizes, thetas, eps):
     """Per subgroup: po2_round, classify_pairs and the orientation of its
@@ -244,14 +246,24 @@ def scalar_couples(instance, cfg, seed, classes):
     return inputs
 
 
-# (instance seed, n, pipeline seed) -> sha256 of the sorted-key JSON of the
-# policy followed by repr() of the certified cost rate and peak. The matching
+# (instance seed, n, pipeline seed) -> sha256 of the policy's flattened
+# content (conftest.flat_content), and of the sorted-key JSON of the policy as
+# written followed by repr() of the certified cost rate and peak. The matching
 # has one class at (2, 1000, 0), two at (1, 2000, 0) and three at (0, 2000, 1),
 # so each placement path of solve_b_matching is pinned end to end.
 LADDER_DIGESTS = {
-    (2, 1000, 0): "935e9da5db1335ea1f424a3593c5139ea6c59ba021f67ff1de1bb80d3237691c",
-    (1, 2000, 0): "add6ba7668be21e5e010ac7c16c70ce93cca6ec9250bdbdb927ab107c17ead75",
-    (0, 2000, 1): "9642fccacd2f247b8eb9db464b19ce19b9a26c7efeb2cae662d12f4f185b1b1e",
+    (2, 1000, 0): (
+        "b5a31ae219d7ecc9fb155731d062e11da158fcef0dc8193ee7f9c9c3323ddf9f",
+        "935e9da5db1335ea1f424a3593c5139ea6c59ba021f67ff1de1bb80d3237691c",
+    ),
+    (1, 2000, 0): (
+        "62fc41543bff3c6d29295186f656c6b5932bb1e43caac48e4f6bbe0dbf562073",
+        "add6ba7668be21e5e010ac7c16c70ce93cca6ec9250bdbdb927ab107c17ead75",
+    ),
+    (0, 2000, 1): (
+        "1affeb47d6d2bf639e501ae21030ee523728509112d22564bf5fda37f0f6fdb4",
+        "9642fccacd2f247b8eb9db464b19ce19b9a26c7efeb2cae662d12f4f185b1b1e",
+    ),
 }
 
 
@@ -277,5 +289,7 @@ def test_ladder_solve_builds_k_ge_1_couples_as_synthesize_couple_does(key):
         assert template.case_id == want.case_id
         assert template.policy.tau == want.policy.tau
         assert list(template.policy.schedules.values()) == list(want.policy.schedules.values())
-    text = json.dumps(assembled.to_json(), sort_keys=True) + repr(report.total_cost_rate) + repr(report.v_max)
-    assert hashlib.sha256(text.encode()).hexdigest() == LADDER_DIGESTS[key]
+    doc = assembled.to_json()
+    text = json.dumps(doc, sort_keys=True) + repr(report.total_cost_rate) + repr(report.v_max)
+    digests = [hashlib.sha256(s.encode()).hexdigest() for s in (flat_content(doc["blocks"]), text)]
+    assert tuple(digests) == LADDER_DIGESTS[key]

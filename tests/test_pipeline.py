@@ -32,7 +32,7 @@ from ewlsp.pipeline import (
 )
 from ewlsp.relaxation import solve_sosi_relaxation
 
-from conftest import flatten, make_instance, random_instance
+from conftest import flat_content, make_instance, random_instance
 
 CFG = PipelineConfig(eps=0.05, sparsity_threshold=10, Q=8)
 
@@ -265,56 +265,56 @@ def _far_pair_case():
     return inst, 0, sosi_to_cyclic(SosiPolicy({i: t for i in range(n)}))
 
 
-# sha256 of the sorted-key JSON of the assembled policy followed by repr() of
-# the certified cost rate and peak, one solve per scenario and dense-class
-# outcome: moving the scale-down or the certificate must not change a bit.
-# The first digest is taken over the flattened entries (conftest.flatten:
-# one cyclic entry per stationary commodity and per couple), the second over
-# the policy as written.
+# One solve per scenario and dense-class outcome: moving the scale-down or the
+# certificate must not change a bit. The first digest is the sha256 of the
+# policy's flattened content (conftest.flat_content: its couples in emission
+# order and its stationary commodities in id order, however they are cut into
+# entries); the second of the sorted-key JSON of the policy as written
+# followed by repr() of the certified cost rate and peak.
 PINNED_OUTPUTS = [
     (
         "difficult-po2-sync",
         (dense_heavy_instance(1, 40), 0, None),
-        "7b0b78fe2803abedfaee111f51c2e35c52a8f1fe2c7c10f1e35b246a83cfa6d4",
+        "30e696287989164f6a153278dcc829f8191a279ca423234e769b6e85fbf89222",
         "512c726b3bc42fc9c16d1a307e8b37d1cc6ebf0bfd28eb241db2afa0d3a1d65a",
     ),
     (
         "difficult-alpha-fallback",
         (dense_heavy_instance(9, 40), 4, None),
-        "0bf6f8fda4cb5376b134d23c2d8f7bd03f97a014bf639d14de5feef0ec1af271",
+        "8bb22788a661600256269e44f164cb812ba211bad528294e1ad3407e3c121fa4",
         "0dd4be0ce4148a14ae9f724dd213dfb885090c44147d9745d663050519b49ae3",
     ),
     (
         # the benchmark's n: a one-class matching over 200 commodities, 96 couples
         "difficult-n200-one-class",
         (dense_heavy_instance(0, 200), 0, None),
-        "ff4b1e8792d44997b4fa6ed0220f86aedbd9854425880caff1efe8671f3fd221",
+        "d35928100c9bee3d3c3f464bb38ae63199c21afb658536cedb5288655241db25",
         "bbb48d76d68c4a0d30d49ac8e449ac36d7f60ce1c8927bcd080a0c4918a4d38a",
     ),
     (
         "low-dense-tight",
         (generate_instance(0, 40, 1.0, "tight"), 0, None),
-        "a32cf3c65336416e350bbb3cbf450946663a9ba6c8a34db241ce2a6d98758c74",
+        "ed6cf16eaabde44b9f4f3ee6ff8a4be9dc6d7d467254aa8525df206240a9c962",
         "e7838b1196637fb12c590d5f4b17c677a5147c4c982833a5e43e031f5e8e68f8",
     ),
     (
         "easy-offset-reference",
         _offset_couple_case(),
-        "b8cdfc6d8a853294fe4e97374f562ad335bfe5667a1e250326311ce9a0df773d",
+        "c70ae9f23e79c0cbb89690072db8be8d7ca5af8ecd7e5556d57c53dc354cf2c0",
         "b8cdfc6d8a853294fe4e97374f562ad335bfe5667a1e250326311ce9a0df773d",
     ),
     (
         # the benchmark's sub2-spread shape: one stationary relaxation block over n=2000
         "low-dense-loose-n2000",
         (generate_instance(0, 2000, 1.0, "loose"), 0, None),
-        "56b083634a0ca21b94dc2f77670d36a5bc9d8fc5fcf6637220ef82248eacd8dc",
+        "19c45691ad69d2f921f076b01c83507c27a06358133faa5c2ff84df0a071d516",
         "43753edf85a018801981e365f493f1d3d16aa1486148b906d902f5324d6215f8",
     ),
     (
         # a difficult solve whose two sparse extras form a prefix:relaxation block
         "difficult-prefix-relaxation",
         (_with_prefix(40, [(1.0, 1.0, 1e-3), (1.0, 1.0, 1e-3 / 3)], 1.001), 0, None),
-        "eaf46e3278a284e71aac479a9e9a81ec6a95902074e90b199d52aeab19bf3522",
+        "2c4e289477d7ec017f76f71b61de08305408b9d647ea19430acbc4a5a0db3024",
         "229f23e2becd58593f1ca5abe0ec098ca6fca7177cf3c72a1b9ccb198e07673f",
     ),
     (
@@ -322,19 +322,19 @@ PINNED_OUTPUTS = [
         # intervals stay in instance order, which the float sums depend on
         "difficult-prefix-class-order",
         (_with_prefix(200, [(1.55, 0.85, 0.00234), (1.81, 0.75, 0.00141), (1.93, 0.63, 0.00141)], 1.0), 0, None),
-        "f01474d6b1b93fa174b1b1506f26c9c6bf4ba6614437fafff3453c82c45a62dc",
+        "18aa84658de4c58751a7132a926d8d6c81f82e0fbc10b7bac9d126be9926090b",
         "7d8844ce0ccb61451a8f517d513f1d10fdabb8cde0e79d964ab95a169689ac88",
     ),
     (
         "difficult-far-pairs",
         _far_pair_case(),
-        "d0aebf8f93bad771ee1f6ee826e5928c4834e8ad5ca0ce295db30fa5568d4ca6",
+        "37f52d9f22019bc73ef3b31f6e2c331b8e56d7ad8015db829ef7257dfc4d8c1b",
         "a7817f2c275b8b489b3322392153b0390ece8738f078520c8fd5033e440f7f5b",
     ),
     (
         "easy-prefix-two-approx",
         _two_couple_case(),
-        "2a8f63e747c35bcdb4832a546802ca28103f8d7af0f43906e6abf08c59f0e856",
+        "07f8eea838915f342b43e84f632e20225c708abe4b28477d311daa3fece9a82f",
         "8857e53ce85ed104aa7abf92ceff7463acd3a4d9ed8a22d92073c592de00b20f",
     ),
 ]
@@ -348,16 +348,13 @@ def _pinned_solve(name):
 
 @pytest.mark.parametrize("name, case, flat_digest, digest", PINNED_OUTPUTS, ids=[p[0] for p in PINNED_OUTPUTS])
 def test_pinned_outputs(name, case, flat_digest, digest):
-    # flat_digest is taken with each stationary entry flattened into one
-    # cyclic entry per commodity and each couple entry into one per couple
-    # (conftest.flatten), the form it was pinned on before stationary and
-    # couple blocks were written as one entry each
+    # flat_digest holds however the couples and stationary commodities are
+    # grouped into entries, and however the reported figures' sums are ordered
     assembled, rep, diag = _pinned_solve(name)
     assert name.startswith(diag["scenario"])
     doc = assembled.to_json()
     reported = repr(rep.total_cost_rate) + repr(rep.v_max)
-    flat = json.dumps({"blocks": flatten(doc["blocks"])}, sort_keys=True) + reported
-    assert hashlib.sha256(flat.encode()).hexdigest() == flat_digest
+    assert hashlib.sha256(flat_content(doc["blocks"]).encode()).hexdigest() == flat_digest
     text = json.dumps(doc, sort_keys=True) + reported
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
