@@ -57,19 +57,28 @@ from .relaxation import solve_sosi_dp, solve_sosi_relaxation
 from .two_approx import solve_two_approx
 
 
+LADDER_LEVELS = 6
+
+
 def generate_instance(seed: int, n: int, spread: float, capacity_regime: str) -> Instance:
     """Deterministic random instance.
 
     loose/tight set the capacity against the unconstrained stationary optima;
     dense-heavy builds many near-identical commodities whose matched
     intervals land at the top of one volume slab, driving the randomized
-    pipeline through its heavy-commodity machinery.
+    pipeline through its heavy-commodity machinery. dense-ladder takes the
+    dense-heavy rows and capacity and multiplies gamma and H by 2^j and K by
+    2^-j, j drawn from 0..LADDER_LEVELS-1 by a second generator on the same
+    seed: gamma * sqrt(K/H), and so each row's volume slab, stays, while its
+    EOQ interval halves per level, so heavy subgroups span several powers of
+    two and pair into couples of every case (from n ~ 1000 on).
 
     The parameters come from one bulk draw of n rows (K, H, gamma), which
-    numpy fills in the order a per-parameter draw would take them.
+    numpy fills in the order a per-parameter draw would take them. `spread`
+    applies to loose and tight only.
     """
     rng = np.random.Generator(np.random.PCG64(seed))
-    if capacity_regime == "dense-heavy":
+    if capacity_regime in ("dense-heavy", "dense-ladder"):
         rows = np.exp(rng.uniform(-1e-3, 1e-3, size=(n, 3))).tolist()
         factor = 0.3
     else:
@@ -79,6 +88,11 @@ def generate_instance(seed: int, n: int, spread: float, capacity_regime: str) ->
         factor = {"loose": 2.0, "tight": 0.3}[capacity_regime]
     commodities = tuple(Commodity(i, K, H, gamma) for i, (K, H, gamma) in enumerate(rows))
     peak = sum(c.gamma * math.sqrt(c.K / c.H) for c in commodities)
+    if capacity_regime == "dense-ladder":
+        levels = np.random.default_rng(seed).integers(0, LADDER_LEVELS, size=n).tolist()
+        commodities = tuple(
+            Commodity(c.id, c.K * 2.0**-j, c.H * 2.0**j, c.gamma * 2.0**j) for c, j in zip(commodities, levels)
+        )
     return Instance(commodities, capacity_V=factor * peak)
 
 
@@ -211,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--seed", type=_natural, default=0)
     p.add_argument("--n", type=_positive_int, default=5)
     p.add_argument("--spread", type=_spread, default=1.0)
-    p.add_argument("--regime", choices=["loose", "tight", "dense-heavy"], default="loose")
+    p.add_argument("--regime", choices=["loose", "tight", "dense-heavy", "dense-ladder"], default="loose")
     p.add_argument("--out")
 
     p = sub.add_parser("relax", help="solve the average-space relaxation")

@@ -16,9 +16,9 @@ every couple block of a solve; evaluate(CouplePolicy) makes one per couples
 entry, since a written policy is certified entry by entry. Either way
 combine_terms adds the per-couple terms, and the other blocks' reports, left
 to right in emission order, bit-equal to combine_reports over one report per
-couple. The couple blocks themselves are built in one array pass per rounded
-class, which holds every near pair to the CoupleInput rules
-(pipeline._couple_blocks).
+couple. A rounded dense class has one couple block, written as one couples
+entry and built in one array pass that holds every near pair to the
+CoupleInput rules (pipeline._couple_blocks).
 """
 
 from __future__ import annotations

@@ -16,19 +16,20 @@ The output is a union of cyclic blocks over disjoint commodity subsets.
 Blocks produced by different random draws are mutually incommensurable in
 general, so the union's peak is certified by the sum of exact per-block
 peaks, which is precisely the accounting the analysis itself uses and is
-conservative for feasibility. The paired schedules of one heavy subgroup
-form one couple block: its near pairs that agree on (k, T_A) share a single
-synthesized schedule. The dense branch runs on columns from the matching's
-weight table to the couple blocks: the matching places each commodity as a
-class index, each class reads its members' ids, matched intervals and gamma
-values from that column, splits them into heavy and light on those columns,
-and rounds and pairs all its heavy subgroups in one array pass
-(round_and_pair), and its couple blocks are built, and their pairs checked,
-from the oriented near pairs' columns in one more; the report evaluates
-every couple of the solve in one pass over the instance's columns. Each
-couple still counts as a block of its own in the report's sums. In the wire
-format a couple block is one `couples` entry and a stationary block one
-`sosi` entry.
+conservative for feasibility. The paired schedules of one dense class form
+one couple block: its near pairs, over all its heavy subgroups, that agree
+on (k, T_A) share a single synthesized schedule. The dense branch runs on
+columns from the matching's weight table to the couple blocks: the matching
+places each commodity as a class index, each class reads its members' ids,
+matched intervals and gamma values from that column, splits them into heavy
+and light on those columns, and rounds and pairs all its heavy subgroups in
+one array pass (round_and_pair), and its couple block is built, and its
+pairs checked, from the oriented near pairs' columns in one more; the report
+evaluates every couple of the solve in one pass over the instance's
+columns. Each couple still counts as a block of its own in the report's
+sums, so how couples are grouped into blocks changes no certificate beyond
+the order of its sums. In the wire format a couple block is one `couples`
+entry and a stationary block one `sosi` entry.
 
 The three scenarios (high sparse volume, low dense volume, difficult) live in
 _dispatch, which alone reads their volume thresholds and only returns blocks;
@@ -138,7 +139,8 @@ class Block:
 
 @dataclass(frozen=True)
 class CoupleBlock:
-    """The couples of one heavy subgroup, in the order they are emitted.
+    """The couples of one dense class, in the order they are emitted:
+    subgroup by subgroup, each subgroup's in classify_pairs' order.
 
     Couple j pairs ids[2j], commodity A (the longer rounded interval), with
     ids[2j+1], commodity B, and runs templates[which[j]], whose first schedule
@@ -174,9 +176,9 @@ class AssembledPolicy:
     The reported peak is the sum of exact per-block peaks: an upper bound on
     the true joint peak, hence a sound feasibility certificate. Each couple
     of a couple block counts as a block of its own there. The report takes
-    every couple of the solve in one couple_terms pass; the couple blocks
-    come from one array pass per class (_couple_blocks), which holds each
-    near pair to the CoupleInput rules.
+    every couple of the solve in one couple_terms pass; each dense class has
+    at most one couple block, from one array pass (_couple_blocks) that
+    holds each near pair to the CoupleInput rules.
     """
 
     blocks: tuple[Block | CoupleBlock, ...]
@@ -602,10 +604,11 @@ def run_dense_branch(
     """Suffix-sparse and dense classes: mimicking partition, then per dense
     class either the matched stationary policies (light majority), or
     power-of-2 rounding of every heavy subgroup followed by the concentration
-    event. A class where the event holds gets, per subgroup, one couple block
-    for its near pairs and a rounded-sosi block for its far pairs and
-    leftover, and then its light block; one where it fails falls back to the
-    alpha-scaled stationary policy and builds none of them.
+    event. A class where the event holds gets at most three blocks: one
+    couple block for the near pairs of all its subgroups, one rounded-sosi
+    block for their far pairs and odd leftovers, and its light block, each
+    holding its subgroups in order; one where the event fails falls back to
+    the alpha-scaled stationary policy and builds none of them.
 
     The dense branch runs on columns: the matching reads the n x c weight
     table of build_matching_instance and places each commodity as a class
@@ -614,9 +617,9 @@ def run_dense_branch(
     and the gamma column, in id order, splits them into heavy and light
     members on those columns, draws one theta per heavy subgroup from
     _theta_rng(seed, ell, q) and rounds and pairs all its subgroups in one
-    array pass (round_and_pair), and _couple_blocks builds the class's
-    couple blocks from the oriented near pairs' columns; the couples of a
-    subgroup that agree on (k, T_A) share one synthesized schedule.
+    array pass (round_and_pair), and _couple_blocks builds the class's one
+    couple block from the oriented near pairs' columns; the couples of the
+    class that agree on (k, T_A) share one synthesized schedule.
     diag["couples"] counts the couples in the returned blocks."""
     eps = cfg.eps
     diag: dict = {"classes": {}, "couples": 0, "far_pair_counts": [], "a_ell": {}}
@@ -663,21 +666,13 @@ def run_dense_branch(
             diag["classes"][str(ell)] = "alpha-fallback"
             continue
 
-        near = paired.near.tolist()
-        couple_blocks = iter(
-            _couple_blocks(paired.A, paired.B, paired.T_A, paired.T_B, [c for c in near if c], instance, eps, f"class{ell}")
-        )
-        single_ids = paired.single_ids.tolist()
-        end = 0
-        for couples, count in zip(near, paired.singles.tolist()):
-            if couples:
-                blocks.append(next(couple_blocks))
-                diag["couples"] += couples
-            # far pairs and the odd leftover keep their rounded intervals, in that order
-            start, end = end, end + count
-            if count:
-                singles = single_ids[start:end]
-                blocks.append(_stationary(sorted(singles), IdColumn(singles, paired.single_T[start:end]), f"class{ell}:rounded-sosi"))
+        if len(paired.A):
+            blocks.append(_couple_blocks(paired.A, paired.B, paired.T_A, paired.T_B, instance, eps, f"class{ell}"))
+            diag["couples"] += len(paired.A)
+        if len(paired.single_ids):
+            # far pairs and the odd leftover keep their rounded intervals, in that order per subgroup
+            singles = paired.single_ids.tolist()
+            blocks.append(_stationary(sorted(singles), IdColumn(singles, paired.single_T), f"class{ell}:rounded-sosi"))
         if split.light:
             blocks.append(_stationary(split.light, IdColumn(split.light, T[split.light_rows]), f"class{ell}:light-sosi"))
         diag["classes"][str(ell)] = "po2-sync"
@@ -689,15 +684,13 @@ def _couple_blocks(
     ids_B: Sequence[int],
     T_A: np.ndarray,
     T_B: np.ndarray,
-    sizes: Sequence[int],
     instance: Instance,
     eps: float,
     provenance: str,
-) -> list[CoupleBlock]:
-    """The oriented near pairs of one class as one couple block per run of
-    `sizes` consecutive pairs (one run per subgroup), in one array pass.
-    Pair j joins commodity A, ids_A[j] with the longer rounded interval
-    T_A[j], and commodity B, ids_B[j] with T_B[j].
+) -> CoupleBlock:
+    """The oriented near pairs of one class as its one couple block, in one
+    array pass. Pair j joins commodity A, ids_A[j] with the longer rounded
+    interval T_A[j], and commodity B, ids_B[j] with T_B[j].
 
     Every pair is held to the CoupleInput rules on arrays. The power-of-two
     rule takes k from np.log2, which may differ from math.log2 in the last
@@ -705,8 +698,8 @@ def _couple_blocks(
     the same k and pass. Every other pair, and every pair that breaks a rule,
     gets its own CoupleInput, in emission order, so the first failing pair
     raises its own exception and a pair near the 1e-9 limit takes its k from
-    math.log2. Per block, CoupleInput and synthesize_couple run once per
-    distinct (k, T_A), for its first pair, since the schedule depends on
+    math.log2. CoupleInput and synthesize_couple then run once per distinct
+    (k, T_A) of the class, for its first pair, since the schedule depends on
     nothing else."""
     ids = np.column_stack((ids_A, ids_B)).ravel().tolist()
     T_A, T_B = np.asarray(T_A, dtype=float), np.asarray(T_B, dtype=float)
@@ -736,21 +729,15 @@ def _couple_blocks(
     for j in np.flatnonzero(~clear).tolist():
         k[j] = couple_input(j).k  # raises this pair's own exception
 
-    # per block, one template per distinct (k, T_A), built for its first pair
-    keys = list(zip(k.tolist(), T_A_list))
-    blocks, start = [], 0
-    for size in sizes:
-        shared: dict[tuple[int, float], int] = {}
-        templates, which = [], []
-        for j in range(start, start + size):
-            if keys[j] not in shared:
-                shared[keys[j]] = len(templates)
-                templates.append(synthesize_couple(couple_input(j)))
-            which.append(shared[keys[j]])
-        block_ids = tuple(ids[2 * start : 2 * (start + size)])
-        blocks.append(CoupleBlock(block_ids, tuple(which), tuple(templates), provenance))
-        start += size
-    return blocks
+    # one template per distinct (k, T_A), built for its first pair
+    shared: dict[tuple[int, float], int] = {}
+    templates, which = [], []
+    for j, key in enumerate(zip(k.tolist(), T_A_list)):
+        if key not in shared:
+            shared[key] = len(templates)
+            templates.append(synthesize_couple(couple_input(j)))
+        which.append(shared[key])
+    return CoupleBlock(tuple(ids), tuple(which), tuple(templates), provenance)
 
 
 def _scale_to_capacity(assembled: AssembledPolicy, instance: Instance) -> tuple[AssembledPolicy, EvalReport, float]:

@@ -36,6 +36,20 @@ class TestGen:
         inst = generate_instance(1, 2, 1.0, "tight")
         assert solve_sosi_relaxation(inst).multiplier_lambda > 0.0
 
+    def test_dense_ladder_scales_dense_heavy_rows_by_powers_of_two(self, tmp_path):
+        heavy, ladder = tmp_path / "heavy.json", tmp_path / "ladder.json"
+        for regime, out in (("dense-heavy", heavy), ("dense-ladder", ladder)):
+            assert main(["gen", "--seed", "3", "--n", "300", "--regime", regime, "--out", str(out)]) == 0
+        base, inst = parse_instance(heavy.read_bytes()), parse_instance(ladder.read_bytes())
+        assert inst.V == base.V
+        levels = []
+        for b, c in zip(base.commodities, inst.commodities):
+            j = round(math.log2(c.gamma / b.gamma))
+            assert (c.id, c.K, c.H, c.gamma) == (b.id, b.K * 2.0**-j, b.H * 2.0**j, b.gamma * 2.0**j)
+            levels.append(j)
+        assert levels == np.random.default_rng(3).integers(0, cli.LADDER_LEVELS, size=300).tolist()
+        assert set(levels) == set(range(cli.LADDER_LEVELS))
+
     @pytest.mark.parametrize("regime", ["loose", "tight", "dense-heavy"])
     @pytest.mark.parametrize("spread", [0.0, 1.0])
     def test_bulk_draw_matches_one_draw_per_parameter(self, regime, spread):
@@ -111,6 +125,22 @@ class TestSolveEval:
                 assert parsed.ids == tuple(block["couples"]["ids"])
             else:
                 assert parsed.tau == block["tau"]
+
+    def test_dense_ladder_file_holds_one_couples_entry_per_synced_class(self, tmp_path):
+        # two po2-sync classes whose couples reach k >= 1: one couples entry
+        # each, and the file re-certifies
+        inst_path, sol_path, out = tmp_path / "inst.json", tmp_path / "sol.json", tmp_path / "report.json"
+        assert main(["gen", "--seed", "0", "--n", "2000", "--regime", "dense-ladder", "--out", str(inst_path)]) == 0
+        assert main(["solve", "--instance", str(inst_path), "--algo", "sub2", "--seed", "1", "--out", str(sol_path)]) == 0
+        payload = json.loads(sol_path.read_text())
+        dense = payload["diagnostics"]["dense"]
+        entries = [block for block in payload["blocks"] if "couples" in block]
+        synced = [f"class{ell}" for ell, outcome in dense["classes"].items() if outcome == "po2-sync"]
+        assert [block["provenance"] for block in entries] == synced and len(synced) == 2
+        assert sum(len(block["couples"]["which"]) for block in entries) == dense["couples"]
+        assert max(t["case"] for block in entries for t in block["couples"]["templates"]) > 1
+        assert main(["eval", "--instance", str(inst_path), "--policy", str(sol_path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["feasible"] is True
 
     def test_eval_subcommand(self, tmp_path):
         inst_path = tmp_path / "inst.json"
@@ -282,7 +312,7 @@ PINNED_SOLVE_FILES = [
         ["--seed", "11", "--n", "40", "--regime", "dense-heavy"],
         ["--algo", "sub2"],
         "c7bc934e52207698925533c707bb3b4243b6555a4c40c8f86161a48890690545",
-        "05a49c600c55f08285c1fe62aed307cbd3cca6290d39b37d775eea93d4574e79",
+        "5086e2f3c43540358463a59cff737f646fd7c2d219107ed6a21480be3c561558",
     ),
     (
         "sub2-tight-n60-trials3",

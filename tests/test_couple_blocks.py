@@ -1,8 +1,8 @@
 """Couple blocks, the columnar edge table and evaluate against exact references.
 
-A dense class's near pairs become one couple block per heavy subgroup, all
-built in one array pass per class (_couple_blocks): pairs that agree on
-(k, T_A) share one synthesize_couple schedule. AssembledPolicy.report forms
+A dense class's near pairs become one couple block, built in one array pass
+(_couple_blocks): pairs of the class that agree on (k, T_A) share one
+synthesize_couple schedule. AssembledPolicy.report forms
 the terms of every couple of a solve in one couple_terms pass. Each couple
 must come out exactly as evaluate(synthesize_couple(...).policy) and
 policy_to_json would give it, float reprs and dict key order included, the
@@ -170,12 +170,12 @@ def couple_cases(draw):
 
 @st.composite
 def class_cases(draw):
-    """The near pairs of two to four subgroups of one class (draw_pairs, so
-    k from 0 to 6 and both instance orders), and one to three stationary or
-    cyclic blocks over further commodities, in a shuffled instance. The
-    blocks come back in a random emission order: the couple blocks keep
-    their group order among themselves, the other blocks fall between and
-    around them."""
+    """The near pairs of two to four groups (draw_pairs, so k from 0 to 6 and
+    both instance orders), and one to three stationary or cyclic blocks over
+    further commodities, in a shuffled instance. The groups are the subgroups
+    of one class, or each a class of its own; `slots` places the couple
+    blocks of the latter in a random emission order: they keep their group
+    order among themselves, the other blocks fall between and around them."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     groups, commodities = [], []
     for g in range(draw(st.integers(2, 4))):
@@ -207,24 +207,32 @@ def couple_inputs(pairs, instance):
     return out
 
 
-def near_columns(groups):
-    """_couple_blocks' columns for the near pairs of each group: ids A and B,
-    T_A and T_B, and the pair count per group; A is the member with the
-    longer interval (the lead on a tie), as round_and_pair orients them."""
-    oriented = [(lead, trail) if lead[2] >= trail[2] else (trail, lead) for pairs in groups for lead, trail in pairs]
+def near_columns(pairs):
+    """_couple_blocks' columns for a class's near pairs: ids A and B, T_A and
+    T_B; A is the member with the longer interval (the lead on a tie), as
+    round_and_pair orients them."""
+    oriented = [(lead, trail) if lead[2] >= trail[2] else (trail, lead) for lead, trail in pairs]
     return (
         [a[0] for a, _ in oriented],
         [b[0] for _, b in oriented],
         np.array([a[2] for a, _ in oriented], dtype=float),
         np.array([b[2] for _, b in oriented], dtype=float),
-        [len(pairs) for pairs in groups],
     )
 
 
 def one_block(pairs, instance, provenance="class3"):
-    """The couple block of one subgroup's near pairs."""
-    (block,) = _couple_blocks(*near_columns([pairs]), instance, EPS, provenance)
-    return block
+    """The couple block of one class's near pairs."""
+    return _couple_blocks(*near_columns(pairs), instance, EPS, provenance)
+
+
+def couple_schedules(blocks):
+    """Each couple of the blocks as its ids, case, cycle and A's and B's
+    orders, in emission order."""
+    return [
+        (b.ids[2 * j], b.ids[2 * j + 1], b.templates[w].case_id, b.templates[w].policy.tau, list(b.templates[w].policy.schedules.values()))
+        for b in blocks
+        for j, w in enumerate(b.which)
+    ]
 
 
 def couple_reports(block, instance):
@@ -289,16 +297,19 @@ def test_assembled_report_adds_each_couple_in_emission_order(case):
 @settings(max_examples=100, deadline=None)
 @given(case=class_cases(), factor=st.sampled_from([1.0, 0.5, 1 / 3, 1.7]))
 def test_one_couple_pass_reports_every_block_in_emission_order(case, factor):
-    # the couple blocks of one class come from one _couple_blocks pass and
-    # the solve's report from one couple_terms pass over all of them; both
-    # must agree with building and evaluating every couple on its own
+    # a class's couple block comes from one _couple_blocks pass over all its
+    # subgroups' pairs, and the solve's report from one couple_terms pass
+    # over every class's block; both must agree with building and evaluating
+    # every couple on its own
     groups, others, slots, inst = case
-    couple_blocks = _couple_blocks(*near_columns(groups), inst, EPS, "class3")
+    whole = one_block([pair for pairs in groups for pair in pairs], inst)
     alone = [one_block(pairs, inst) for pairs in groups]
-    fields = lambda b: (b.ids, b.which, [t.policy for t in b.templates], b.provenance)  # noqa: E731
-    assert exact([fields(b) for b in couple_blocks]) == exact([fields(b) for b in alone])
+    assert exact(couple_schedules([whole])) == exact(couple_schedules(alone))
+    assert exact(AssembledPolicy((whole,)).scaled(factor).report(inst)) == exact(
+        AssembledPolicy(tuple(alone)).scaled(factor).report(inst)
+    )
     blocks, parts = [], []
-    pending, rest = iter(zip(groups, couple_blocks)), iter(others)
+    pending, rest = iter(zip(groups, alone)), iter(others)
     for slot in range(len(groups) + len(others)):
         if slot in slots:
             pairs, block = next(pending)
@@ -321,10 +332,10 @@ def test_class_cases_reach_every_k_and_both_instance_orders():
     @given(case=class_cases())
     def collect(case):
         groups, _, _, inst = case
-        for block in _couple_blocks(*near_columns(groups), inst, EPS, "class3"):
-            for j, k in enumerate(block.which):
-                a, b = block.ids[2 * j], block.ids[2 * j + 1]
-                seen.add((block.templates[k].case_id, inst.position(a) < inst.position(b)))
+        block = one_block([pair for pairs in groups for pair in pairs], inst)
+        for j, k in enumerate(block.which):
+            a, b = block.ids[2 * j], block.ids[2 * j + 1]
+            seen.add((block.templates[k].case_id, inst.position(a) < inst.position(b)))
 
     collect()
     assert seen == {(c, first) for c in range(1, 7) for first in (True, False)}
@@ -379,14 +390,14 @@ def test_each_pair_is_checked_even_when_its_key_is_shared(bad, error, match):
     inst = Instance(inst.commodities[:5] + (Commodity(5, 1.0, 1.0, bad[1]),), 1.0)
     good = [((0, 1.0, 1.0), (1, 2.0, 0.5)), ((2, 1.0, 1.0), (3, 2.0, 0.5))]
     with pytest.raises(error, match=match):
-        _couple_blocks(*near_columns([good + [((4, 1.0, 1.0), bad)]]), inst, EPS, "c")
+        _couple_blocks(*near_columns(good + [((4, 1.0, 1.0), bad)]), inst, EPS, "c")
 
 
 def test_subnormal_T_B_is_refused_for_a_later_pair():
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 2.0 if i % 2 else 1.0) for i in range(4)), 1.0)
     pairs = [((0, 1.0, 1.0), (1, 2.0, 0.5)), ((2, 1.0, 1e-323), (3, 2.0, 5e-324))]
     with pytest.raises(ValueError, match=r"^T_B = 5e-324 is below the smallest normal float$"):
-        _couple_blocks(*near_columns([pairs]), inst, EPS, "c")
+        _couple_blocks(*near_columns(pairs), inst, EPS, "c")
 
 
 # One bad pair of each kind, as (A's gamma, T_A, B's gamma, T_B): the ratio
@@ -403,11 +414,10 @@ BAD_PAIRS = {
 @pytest.mark.parametrize("first", sorted(BAD_PAIRS))
 @pytest.mark.parametrize("shared", [False, True], ids=["own-key", "shared-key"])
 def test_first_bad_pair_of_a_class_raises_its_own_error(first, second, shared):
-    # groups 0 and 1 of one class each hold a bad pair, the later group's
-    # first, the earlier group's after a good one; the earlier bad pair's
-    # own CoupleInput exception is raised, type and message. With `shared`
-    # every good pair has the (1, 1.0) key of the first bad pair's group, so
-    # a bad pair whose key is shared is checked all the same
+    # pairs 1 and 2 of a class's four are bad; the earlier bad pair's own
+    # CoupleInput exception is raised, type and message. With `shared` every
+    # good pair has the (1, 1.0) key of the first bad pair, so a bad pair
+    # whose key is shared is checked all the same
     good = (1.0, 1.0, 2.0, 0.5)
     rows = [good, BAD_PAIRS[first], BAD_PAIRS[second], good if shared else (1.0, 2.0, 2.0, 1.0)]
     commodities, pairs = [], []
@@ -418,7 +428,7 @@ def test_first_bad_pair_of_a_class_raises_its_own_error(first, second, shared):
     with pytest.raises(Exception) as expected:
         CoupleInput(inst.commodity(2), inst.commodity(3), rows[1][1], rows[1][3], EPS)
     with pytest.raises(type(expected.value)) as got:
-        _couple_blocks(*near_columns([pairs[:2], pairs[2:]]), inst, EPS, "c")
+        _couple_blocks(*near_columns(pairs), inst, EPS, "c")
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
 
@@ -471,17 +481,17 @@ def test_parts_sharing_a_commodity_raise_the_error_of_combine_reports(stray_firs
     assert str(got.value) == str(expected.value) == f"reports overlap on commodities {[0] if stray_first else [0, 2]}"
 
 
-def test_templates_are_counted_per_block_of_a_class():
-    # the (0, 1.0) key recurs in the second group, which builds its own
-    # template for it; `which` counts from each block's first template
+def test_a_recurring_key_reuses_the_class_template():
+    # the (0, 1.0) and (0, 2.0) keys recur in the class's second subgroup,
+    # whose pairs run the templates the first subgroup's pairs built
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(8)), 1.0)
     T = [(1.0, 1.0), (2.0, 2.0), (2.0, 2.0), (1.0, 1.0)]
     pairs = [((2 * j, 1.0, T_A), (2 * j + 1, 1.0, T_B)) for j, (T_A, T_B) in enumerate(T)]
-    first, second = _couple_blocks(*near_columns([pairs[:2], pairs[2:]]), inst, EPS, "class7")
-    assert (first.which, second.which) == ((0, 1), (0, 1))
-    assert [t.policy.tau for t in first.templates] == [1.0, 2.0]
-    assert [t.policy.tau for t in second.templates] == [2.0, 1.0]
-    assert [list(t.policy.schedules) for t in second.templates] == [[4, 5], [6, 7]]
+    block = one_block(pairs, inst, "class7")
+    assert block.which == (0, 1, 1, 0)
+    assert [t.policy.tau for t in block.templates] == [1.0, 2.0]
+    assert [list(t.policy.schedules) for t in block.templates] == [[0, 1], [2, 3]]
+    assert block.ids == tuple(range(8))
 
 
 def test_heavy_split_is_strict_at_three_quarters_of_the_slab():

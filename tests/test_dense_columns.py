@@ -21,7 +21,7 @@ from ewlsp.cli import generate_instance
 from ewlsp.couples import CoupleInput, classify_pairs, synthesize_couple
 from ewlsp.evaluator import evaluate_sosi
 from ewlsp.matching import solve_b_matching
-from ewlsp.model import Commodity, Instance
+from ewlsp.model import Instance
 from ewlsp.po2 import _split_exponent, po2_round
 from ewlsp.pipeline import (
     CoupleBlock,
@@ -211,16 +211,11 @@ def test_theta_stream_is_pinned(key):
 # ---------------------------------------------------------------------------
 
 
-def ladder_instance(seed: int, n: int, levels: int = 6) -> Instance:
-    """Dense-heavy rows with gamma and H times 2^j and K times 2^-j, j drawn
-    from 0..levels-1: gamma * sqrt(K/H) and so each row's volume slab stay,
-    while its EOQ interval halves per level."""
-    base = generate_instance(seed, n, 1.0, "dense-heavy")
-    levels = np.random.default_rng(seed).integers(0, levels, size=n).tolist()
-    commodities = tuple(
-        Commodity(c.id, c.K * 2.0**-j, c.H * 2.0**j, c.gamma * 2.0**j) for c, j in zip(base.commodities, levels)
-    )
-    return Instance(commodities, capacity_V=base.V)
+def ladder_instance(seed: int, n: int) -> Instance:
+    """The `gen --regime dense-ladder` instance: dense-heavy rows with gamma
+    and H times 2^j and K times 2^-j, j drawn from 0..5, so that each row's
+    volume slab stays while its EOQ interval halves per level."""
+    return generate_instance(seed, n, 1.0, "dense-ladder")
 
 
 def scalar_couples(instance, cfg, seed, classes):
@@ -254,15 +249,15 @@ def scalar_couples(instance, cfg, seed, classes):
 LADDER_DIGESTS = {
     (2, 1000, 0): (
         "b5a31ae219d7ecc9fb155731d062e11da158fcef0dc8193ee7f9c9c3323ddf9f",
-        "935e9da5db1335ea1f424a3593c5139ea6c59ba021f67ff1de1bb80d3237691c",
+        "3f38949bd83f7302d8dae65d2e322fbd1e32bf8e61fff16f85accb57b0b113cf",
     ),
     (1, 2000, 0): (
         "62fc41543bff3c6d29295186f656c6b5932bb1e43caac48e4f6bbe0dbf562073",
-        "add6ba7668be21e5e010ac7c16c70ce93cca6ec9250bdbdb927ab107c17ead75",
+        "6fb82cb0fdbb5dfadd2c3abf1222e84c5a4d7469243a4ca6e28ea92c91d41a37",
     ),
     (0, 2000, 1): (
         "1affeb47d6d2bf639e501ae21030ee523728509112d22564bf5fda37f0f6fdb4",
-        "9642fccacd2f247b8eb9db464b19ce19b9a26c7efeb2cae662d12f4f185b1b1e",
+        "034044777e9ee53a723265949ea5edbef0350c3993c2bee19cef6eb4340b0cd1",
     ),
 }
 

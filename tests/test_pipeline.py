@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from ewlsp.pipeline import (
     DELTA,
     AssembledPolicy,
     Block,
+    CoupleBlock,
     PipelineConfig,
     build_reference_policy,
     decompose_classes,
@@ -255,7 +257,7 @@ def _far_pair_case():
     # interval t for all, so they share one dense class; their unconstrained
     # intervals spread over (0.77, 0.99) of the class cap, so all are heavy
     # and no cap binds, and po2 rounding splits some subgroups factor 2 apart
-    # into far pairs: three rounded-sosi blocks of a far pair and a leftover
+    # into far pairs: three subgroups hold a far pair and a leftover
     n, eps = 23, CFG.eps
     t = 0.998 / n
     ell = math.floor(math.log(2.0 / t) / math.log1p(eps)) + 1
@@ -276,7 +278,7 @@ PINNED_OUTPUTS = [
         "difficult-po2-sync",
         (dense_heavy_instance(1, 40), 0, None),
         "30e696287989164f6a153278dcc829f8191a279ca423234e769b6e85fbf89222",
-        "512c726b3bc42fc9c16d1a307e8b37d1cc6ebf0bfd28eb241db2afa0d3a1d65a",
+        "136464a66ab6343f4ebd4ea455a5e6a5798b91ca06b0b5d0572dff820cde5d61",
     ),
     (
         "difficult-alpha-fallback",
@@ -289,7 +291,7 @@ PINNED_OUTPUTS = [
         "difficult-n200-one-class",
         (dense_heavy_instance(0, 200), 0, None),
         "d35928100c9bee3d3c3f464bb38ae63199c21afb658536cedb5288655241db25",
-        "bbb48d76d68c4a0d30d49ac8e449ac36d7f60ce1c8927bcd080a0c4918a4d38a",
+        "4f47f822b91772d33278fcc4969352785fc82bb3ea8e4740ba4eac31de4af640",
     ),
     (
         "low-dense-tight",
@@ -315,7 +317,7 @@ PINNED_OUTPUTS = [
         "difficult-prefix-relaxation",
         (_with_prefix(40, [(1.0, 1.0, 1e-3), (1.0, 1.0, 1e-3 / 3)], 1.001), 0, None),
         "2c4e289477d7ec017f76f71b61de08305408b9d647ea19430acbc4a5a0db3024",
-        "229f23e2becd58593f1ca5abe0ec098ca6fca7177cf3c72a1b9ccb198e07673f",
+        "bf2c4d8a02f9820413b8d1d0b2e563c2a7edc72e15a9fa908961add423bde377",
     ),
     (
         # prefix ids 1001, 1002, 1000 in class order: the relaxation block's
@@ -323,13 +325,13 @@ PINNED_OUTPUTS = [
         "difficult-prefix-class-order",
         (_with_prefix(200, [(1.55, 0.85, 0.00234), (1.81, 0.75, 0.00141), (1.93, 0.63, 0.00141)], 1.0), 0, None),
         "18aa84658de4c58751a7132a926d8d6c81f82e0fbc10b7bac9d126be9926090b",
-        "7d8844ce0ccb61451a8f517d513f1d10fdabb8cde0e79d964ab95a169689ac88",
+        "b4a56c02077554aa387779ed5fa3524e8c4cceec38bcab98552d6b9f7b2c79f5",
     ),
     (
         "difficult-far-pairs",
         _far_pair_case(),
         "37f52d9f22019bc73ef3b31f6e2c331b8e56d7ad8015db829ef7257dfc4d8c1b",
-        "a7817f2c275b8b489b3322392153b0390ece8738f078520c8fd5033e440f7f5b",
+        "947ea968f97b6b6fafb53319ca7cd08156b2f48850a0c594b53a49ac0dff10a7",
     ),
     (
         "easy-prefix-two-approx",
@@ -392,19 +394,39 @@ def test_solve_builds_no_avg_space_dict(monkeypatch, name):
         assert decomp.ids_with_label("prefix-sparse")
 
 
-def test_rounded_sosi_blocks_sum_far_pairs_then_leftover():
+def test_rounded_sosi_block_sums_far_pairs_then_leftover():
     # evaluate_sosi sums in the key order of a block's intervals; for the
-    # rounded singles that is each far pair, lead first, then the leftover,
-    # and the [20, 18, 19] block's cost rate changes in the last bit when
-    # its intervals are keyed in id order
+    # class's one rounded-sosi block that is subgroup by subgroup, each far
+    # pair, lead first, then the leftover, while the block's ids are sorted
     inst, seed, reference = _far_pair_case()
     assembled, _, _ = solve_sub2(inst, CFG, seed=seed, reference=reference)
-    blocks = [b for b in assembled.blocks if b.provenance.endswith(":rounded-sosi") and len(b.ids) >= 3]
-    assert [list(b.sosi.intervals_T) for b in blocks] == [[1, 0, 2], [6, 7, 8], [20, 18, 19]]
-    text = "".join(
-        repr((r.ordering_cost_rate, r.holding_cost_rate, r.v_max)) for r in (b.report(inst) for b in blocks)
-    )
-    assert hashlib.sha256(text.encode()).hexdigest() == "149cee804191b05f93cd5c2b6fd2f404d4c5ca7f150ab61c00b1768657a06155"
+    (block,) = [b for b in assembled.blocks if b.provenance.endswith(":rounded-sosi")]
+    assert list(block.sosi.intervals_T) == [1, 0, 2, 5, 6, 7, 8, 9, 14, 17, 20, 18, 19]
+    assert block.ids == tuple(sorted(block.sosi.intervals_T))
+    r = block.report(inst)
+    text = repr((r.ordering_cost_rate, r.holding_cost_rate, r.v_max))
+    assert hashlib.sha256(text.encode()).hexdigest() == "3ad92b2004e6faa636cfdbab15a38971a831ddc9d6a54a6f47850e3592b8c7c9"
+
+
+@pytest.mark.parametrize("name", [p[0] for p in PINNED_OUTPUTS if p[0].startswith("difficult")] + ["dense-ladder"])
+def test_each_synced_class_gives_one_couple_block_and_one_rounded_block(name):
+    # a po2-sync class's couples form one block, written as one couples
+    # entry, and its far pairs and leftovers one rounded-sosi block; the
+    # ladder solve has two po2-sync classes, one with no rounded block
+    if name == "dense-ladder":
+        assembled, _, diag = solve_sub2(generate_instance(0, 2000, 1.0, "dense-ladder"), PipelineConfig(), seed=1)
+    else:
+        assembled, _, diag = _pinned_solve(name)
+    synced = {f"class{ell}" for ell, outcome in diag["dense"]["classes"].items() if outcome == "po2-sync"}
+    couple_blocks = [b for b in assembled.blocks if isinstance(b, CoupleBlock)]
+    per_class = Counter(b.provenance for b in couple_blocks)
+    rounded = Counter(b.provenance.split(":")[0] for b in assembled.blocks if b.provenance.endswith(":rounded-sosi"))
+    assert set(per_class) <= synced and set(per_class.values()) <= {1}
+    assert set(rounded) <= synced and set(rounded.values()) <= {1}
+    assert bool(couple_blocks) == bool(synced)
+    entries = [e for e in assembled.to_json()["blocks"] if "couples" in e]
+    assert [e["provenance"] for e in entries] == [b.provenance for b in couple_blocks]
+    assert diag["dense"]["couples"] == sum(len(e["couples"]["which"]) for e in entries)
 
 
 class TestBlocks:
