@@ -495,24 +495,21 @@ class PairedClass:
     """The heavy subgroups of one dense class, rounded and paired, in columns.
 
     `rounded` holds each commodity's rounded interval in the order the pass
-    was given them. Subgroup q formed `near[q]` near pairs and `far[q]` far
-    pairs. The near pairs of every subgroup, in subgroup order and within one
-    in classify_pairs' order, are oriented: pair j joins commodity A, `A[j]`
-    with the longer rounded interval `T_A[j]` (the lead on a tie), and
-    commodity B, `B[j]` with `T_B[j]`. Subgroup q's `singles[q]` commodities,
-    the members of its far pairs (lead, then trail) followed by its odd
-    leftover, come next in `single_ids`, with their rounded intervals in
-    `single_T`.
+    was given them. Subgroup q formed `far[q]` far pairs. The near pairs of
+    every subgroup, in subgroup order and within one in classify_pairs'
+    order, are oriented: pair j joins commodity A, `A[j]` with the longer
+    rounded interval `T_A[j]` (the lead on a tie), and commodity B, `B[j]`
+    with `T_B[j]`. Each subgroup's singles, the members of its far pairs
+    (lead, then trail) followed by its odd leftover, are in `single_ids`, in
+    subgroup order, with their rounded intervals in `single_T`.
     """
 
     rounded: np.ndarray
-    near: np.ndarray
     far: np.ndarray
     A: np.ndarray
     B: np.ndarray
     T_A: np.ndarray
     T_B: np.ndarray
-    singles: np.ndarray
     single_ids: np.ndarray
     single_T: np.ndarray
 
@@ -580,16 +577,13 @@ def round_and_pair(
     B = np.where(lead_is_A, near_trail, near_lead)
     single = even & (place + 1 == sizes[sub])  # the odd leftover
     single[lead[is_far]] = single[trail[is_far]] = True
-    Q = len(sizes)
     return PairedClass(
         rounded=rounded,
-        near=np.bincount(sub[near_lead], minlength=Q),
-        far=np.bincount(sub[lead[is_far]], minlength=Q),
+        far=np.bincount(sub[lead[is_far]], minlength=len(sizes)),
         A=o_ids[A],
         B=o_ids[B],
         T_A=o_T[A],
         T_B=o_T[B],
-        singles=np.bincount(sub[single], minlength=Q),
         single_ids=o_ids[single],
         single_T=o_T[single],
     )

@@ -68,24 +68,21 @@ def hexes(values):
     return [float(v).hex() for v in values]
 
 
-def class_pass_groups(paired):
-    """round_and_pair's columns cut back into scalar_chain's per-subgroup form."""
-    A, B = paired.A.tolist(), paired.B.tolist()
-    T_A, T_B = paired.T_A.tolist(), paired.T_B.tolist()
-    ids, T = paired.single_ids.tolist(), paired.single_T.tolist()
-    groups, pair, single = [], 0, 0
-    for near, far, count in zip(paired.near.tolist(), paired.far.tolist(), paired.singles.tolist()):
-        couples = [((A[j], T_A[j]), (B[j], T_B[j])) for j in range(pair, pair + near)]
-        groups.append((couples, far, list(zip(ids[single : single + count], T[single : single + count]))))
-        pair, single = pair + near, single + count
-    return groups
+def class_pass_columns(paired):
+    """round_and_pair's oriented near pairs, far pair counts and singles."""
+    A, B = zip(paired.A.tolist(), paired.T_A.tolist()), zip(paired.B.tolist(), paired.T_B.tolist())
+    return list(zip(A, B)), paired.far.tolist(), list(zip(paired.single_ids.tolist(), paired.single_T.tolist()))
 
 
-def exact_groups(groups):
-    return [
-        ([((a, t_a.hex()), (b, t_b.hex())) for (a, t_a), (b, t_b) in couples], far, [(i, t.hex()) for i, t in singles])
-        for couples, far, singles in groups
-    ]
+def scalar_columns(groups):
+    """scalar_chain's per-subgroup near pairs and singles, each run together
+    in subgroup order as the class emits them, and its far pair counts."""
+    couples = [pair for pairs, _, _ in groups for pair in pairs]
+    return couples, [far for _, far, _ in groups], [single for _, _, singles in groups for single in singles]
+
+
+def exact_columns(couples, far, singles):
+    return [((a, t_a.hex()), (b, t_b.hex())) for (a, t_a), (b, t_b) in couples], far, [(i, t.hex()) for i, t in singles]
 
 
 @st.composite
@@ -150,7 +147,7 @@ def test_class_pass_matches_the_scalar_chain_bit_for_bit(case):
     paired = round_and_pair(ids, np.array(T), np.array(gamma), sizes, thetas, eps)
     rounded, groups = scalar_chain(ids, T, gamma, sizes, thetas, eps)
     assert hexes(paired.rounded) == hexes(rounded[i] for i in ids)
-    assert exact_groups(class_pass_groups(paired)) == exact_groups(groups)
+    assert exact_columns(*class_pass_columns(paired)) == exact_columns(*scalar_columns(groups))
 
 
 def test_class_passes_reach_every_edge_case():
