@@ -228,11 +228,12 @@ def one_block(pairs, instance, provenance="class3"):
 def couple_schedules(blocks):
     """Each couple of the blocks as its ids, case, cycle and A's and B's
     orders, in emission order."""
-    return [
-        (b.ids[2 * j], b.ids[2 * j + 1], b.templates[w].case_id, b.templates[w].policy.tau, list(b.templates[w].policy.schedules.values()))
-        for b in blocks
-        for j, w in enumerate(b.which)
-    ]
+    out = []
+    for b in blocks:
+        for j, w in enumerate(b.which):
+            t = b.templates[w]
+            out.append((b.ids[2 * j], b.ids[2 * j + 1], t.case_id, t.policy.tau, list(t.policy.schedules.values())))
+    return out
 
 
 def couple_reports(block, instance):
