@@ -8,10 +8,10 @@ class SchemaError(ValueError):
 class PolicyPartError(ValueError):
     """A policy part breaks its type's rules. `part` names it: ("tau",),
     ("schedules", id), ("intervals",), ("intervals", id) or ("phases", id);
-    for a CouplePolicy ("templates[t]", "tau"),
-    ("templates[t]", "schedules"), ("templates[t]", "schedules[j]"),
-    ("which",), ("which[j]",), ("ids",) or ("ids[j]",), a list element
-    written with its index."""
+    for a CouplePolicy ("templates[t]", "schedules"), ("cases",),
+    ("which",), ("which[j]",), ("ids",) or ("ids[j]",), and for a couples
+    entry's template also ("templates[t]", "tau") or ("templates[t]",
+    "schedules[j]"), a list element written with its index."""
 
     def __init__(self, part: tuple, message: str):
         super().__init__(message)

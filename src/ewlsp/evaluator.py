@@ -12,8 +12,8 @@ evaluate_sosi is the solvers' closed form, and the two share no code.
 Couples are evaluated by couple_terms, one array pass over any number of
 couples, whatever templates they run. The sub2 solver's report
 (pipeline.AssembledPolicy.report) makes one such pass over every couple of
-every couple block of a solve; evaluate(CouplePolicy) makes one per couples
-entry, since a written policy is certified entry by entry. Either way
+every CouplePolicy of a solve's blocks; evaluate(CouplePolicy) makes one per
+couples entry, since a written policy is certified entry by entry. Either way
 combine_terms adds the per-couple terms, and the other blocks' reports, left
 to right in emission order, bit-equal to combine_reports over one report per
 couple. A rounded dense class has one couple block, written as one couples

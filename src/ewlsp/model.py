@@ -15,12 +15,16 @@ Each type owns its rules. `CyclicPolicy` checks the cycle length and each
 commodity's orders (in [0, tau), strictly increasing, positive, summing to
 tau); `SosiPolicy` checks that it has intervals, over distinct ids, each
 finite and > 0, and that each phase lies in [0, T) of an interval it holds;
-`CouplePolicy` checks each template once with the `CyclicPolicy` rules and
-that it holds exactly two schedules, that it has couples and each names a
-template it holds, and that its ids are distinct, two per couple. A broken
-rule raises a PolicyPartError naming the part, from which the JSON parsers
-build the SchemaError's field path; the parsers themselves check only JSON
-types and id keys, and `parse_policies` checks ids against the instance.
+`CouplePolicy` holds its templates as CyclicPolicy objects, valid when
+built, and checks that each holds exactly two schedules, that it has one
+case per template, that it has couples and each names a template it holds,
+and that its ids are distinct, two per couple. A broken rule raises a
+PolicyPartError naming the part, from which the JSON parsers build the
+SchemaError's field path; the parsers themselves check only JSON types and
+id keys, and `parse_policies` checks ids against the instance.
+
+`policy_entry` writes the one wire-format entry of each policy type and
+`parse_policy` reads it back; no other module names an entry's keys.
 """
 
 from __future__ import annotations
@@ -363,28 +367,30 @@ class CyclicPolicy:
 class CouplePolicy:
     """The paired two-commodity schedules of one couple block.
 
-    Couple j runs templates[which[j]]: its first schedule goes to ids[2j]
-    (commodity A), its second to ids[2j+1] (commodity B). A template is given
-    as a (tau, (A's orders, B's orders), case) triple and kept as the
-    CyclicPolicy keyed 0 (A) and 1 (B); its construction case goes to
-    `cases`, for the wire format.
+    Couple j runs templates[which[j]]: the template's first schedule, in key
+    order, goes to ids[2j] (commodity A), its second to ids[2j+1] (commodity
+    B); the template's own keys are not read. cases[t] is template t's
+    construction case, for the wire format. A template is a CyclicPolicy, so
+    it is valid when it is built; the policy checks only that it holds two
+    schedules.
     """
 
     templates: tuple[CyclicPolicy, ...]
+    cases: tuple[int, ...]
     which: tuple[int, ...]
     ids: tuple[int, ...]
-    cases: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        templates = tuple(_couple_template(t, tau, schedules) for t, (tau, schedules, _) in enumerate(self.templates))
-        object.__setattr__(self, "cases", tuple(case for _, _, case in self.templates))
-        object.__setattr__(self, "templates", templates)
-        which, ids = tuple(self.which), tuple(self.ids)
-        object.__setattr__(self, "which", which)
-        object.__setattr__(self, "ids", ids)
+        for name in ("templates", "cases", "which", "ids"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        templates, cases, which, ids = self.templates, self.cases, self.which, self.ids
+        for t, template in enumerate(templates):
+            _two_schedules(t, len(template.schedules))
+        m = len(templates)
+        if len(cases) != m:
+            raise PolicyPartError(("cases",), f"expected {m} cases, one per template, got {len(cases)}")
         if not which:
             raise PolicyPartError(("which",), "couple policy needs at least one couple")
-        m = len(templates)
         if min(which) < 0 or max(which) >= m:
             j = next(j for j, k in enumerate(which) if not 0 <= k < m)
             raise PolicyPartError((f"which[{j}]",), f"template index must lie in [0, {m}), got {which[j]!r}")
@@ -401,21 +407,28 @@ class CouplePolicy:
     def schedules(self) -> Mapping[int, tuple[tuple[float, float], ...]]:
         """id -> orders, in the order of `ids`: the schedule each commodity
         runs in its couple. Read-only, built on first access."""
-        pairs = [(t.schedules[0], t.schedules[1]) for t in self.templates]
+        pairs = [tuple(t.schedules.values()) for t in self.templates]
         return MappingProxyType(dict(zip(self.ids, itertools.chain.from_iterable(map(pairs.__getitem__, self.which)))))
+
+    def scaled(self, factor: float) -> "CouplePolicy":
+        """Scale every template; peak space scales by `factor`."""
+        return CouplePolicy(tuple(t.scaled(factor) for t in self.templates), self.cases, self.which, self.ids)
+
+
+def _two_schedules(t: int, count: int) -> None:
+    if count != 2:
+        raise PolicyPartError((f"templates[{t}]", "schedules"), f"a couple template needs exactly two schedules, got {count}")
 
 
 def _couple_template(t: int, tau: float, schedules: Sequence) -> CyclicPolicy:
-    """Template t of a CouplePolicy as the CyclicPolicy keyed 0 (A) and 1
-    (B); a broken CyclicPolicy rule is named below `templates[t]`."""
-    where = f"templates[{t}]"
-    if len(schedules) != 2:
-        raise PolicyPartError((where, "schedules"), f"a couple template needs exactly two schedules, got {len(schedules)}")
+    """Template t of a couples entry as the CyclicPolicy keyed 0 (A) and 1
+    (B); a broken rule is named below `templates[t]`."""
+    _two_schedules(t, len(schedules))
     try:
         return CyclicPolicy(tau, dict(enumerate(schedules)))
     except PolicyPartError as exc:
         part = exc.part if exc.part == ("tau",) else (f"schedules[{exc.part[1]}]",)
-        raise PolicyPartError((where, *part), str(exc)) from exc
+        raise PolicyPartError((f"templates[{t}]", *part), str(exc)) from exc
 
 
 # Largest denominator `_as_fraction` tries when snapping a float.
@@ -669,7 +682,7 @@ def _couples_from(raw, root: str) -> CouplePolicy:
         raise SchemaError(f"{root}: expected an object")
     if not isinstance(raw.get("templates"), list):
         raise SchemaError(f"{root}.templates: expected an array")
-    templates = []
+    parsed = []
     for t, template in enumerate(raw["templates"]):
         path = f"{root}.templates[{t}]"
         if not isinstance(template, dict):
@@ -681,10 +694,11 @@ def _couples_from(raw, root: str) -> CouplePolicy:
         case = template.get("case")
         if type(case) is not int:
             raise SchemaError(f"{path}.case: expected an integer")
-        templates.append((tau, [_orders(orders, f"{path}.schedules[{j}]") for j, orders in enumerate(schedules)], case))
+        parsed.append((tau, [_orders(orders, f"{path}.schedules[{j}]") for j, orders in enumerate(schedules)], case))
     which = _integers(raw.get("which"), f"{root}.which")
     ids = _integers(raw.get("ids"), f"{root}.ids")
-    return _checked(root, CouplePolicy, templates, which, ids)
+    templates = [_checked(root, _couple_template, t, tau, schedules) for t, (tau, schedules, _) in enumerate(parsed)]
+    return _checked(root, CouplePolicy, templates, [case for _, _, case in parsed], which, ids)
 
 
 def _integers(raw, path: str) -> list[int]:
@@ -741,29 +755,27 @@ def policy_to_json(policy: CyclicPolicy) -> dict:
     }
 
 
-def sosi_to_json(policy: SosiPolicy) -> dict:
-    """The `{"intervals", "phases"}` object of a stationary block, both in
-    ascending id order; `phases` lists only the phases the policy holds."""
-    return {
-        "intervals": {str(cid): T for cid, T in sorted(policy.intervals_T.items())},
-        "phases": {str(cid): phi for cid, phi in sorted(policy.phases.items())},
-    }
-
-
-def couples_json(
-    templates: Sequence[CyclicPolicy], cases: Sequence[int], which: Sequence[int], ids: Sequence[int]
-) -> dict:
-    """The `{"templates", "which", "ids"}` object of a couple block: each
-    template's cycle, its two schedules in key order (A's, then B's) and its
-    case, then `which` and `ids` as given. The parts are taken to be valid."""
-    return {
-        "templates": [
+def policy_entry(policy: Policy) -> dict:
+    """The wire-format entry of `policy`, the inverse of parse_policy:
+    policy_to_json of a CyclicPolicy; `{"sosi": {"intervals", "phases"}}` of
+    a SosiPolicy, both in ascending id order, `phases` listing only the
+    phases the policy holds; `{"couples": {"templates", "which", "ids"}}` of
+    a CouplePolicy, each template's cycle, its two schedules in key order
+    (A's, then B's) and its case, then `which` and `ids` as held."""
+    if isinstance(policy, SosiPolicy):
+        return {
+            "sosi": {
+                "intervals": {str(cid): T for cid, T in sorted(policy.intervals_T.items())},
+                "phases": {str(cid): phi for cid, phi in sorted(policy.phases.items())},
+            }
+        }
+    if isinstance(policy, CouplePolicy):
+        templates = [
             {"tau": p.tau, "schedules": [[[t, q] for t, q in orders] for orders in p.schedules.values()], "case": case}
-            for p, case in zip(templates, cases)
-        ],
-        "which": list(which),
-        "ids": list(ids),
-    }
+            for p, case in zip(policy.templates, policy.cases)
+        ]
+        return {"couples": {"templates": templates, "which": list(policy.which), "ids": list(policy.ids)}}
+    return policy_to_json(policy)
 
 
 def serialize_policy(policy: CyclicPolicy) -> bytes:

@@ -28,8 +28,10 @@ pairs checked, from the oriented near pairs' columns in one more; the report
 evaluates every couple of the solve in one pass over the instance's
 columns. Each couple still counts as a block of its own in the report's
 sums, so how couples are grouped into blocks changes no certificate beyond
-the order of its sums. In the wire format a couple block is one `couples`
-entry and a stationary block one `sosi` entry.
+the order of its sums. A block holds one of the model's policy types, a
+SosiPolicy, a CyclicPolicy or the CouplePolicy of a couple block, and is
+written as that policy's one entry (model.policy_entry): a `sosi`, a
+cyclic-policy or a `couples` entry.
 
 The three scenarios (high sparse volume, low dense volume, difficult) live in
 _dispatch, which alone reads their volume thresholds and only returns blocks;
@@ -50,7 +52,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from . import ptas
-from .couples import CoupleInput, CoupleSchedule, synthesize_couple
+from .couples import CoupleInput, synthesize_couple
 from .errors import BudgetExceeded, InfeasiblePolicy, StateSpaceExceeded
 from .evaluator import EvalReport, combine_terms, couple_terms, evaluate, evaluate_sosi
 from .matching import (
@@ -59,7 +61,7 @@ from .matching import (
     edge_weight,
     solve_b_matching,
 )
-from .model import CyclicPolicy, IdColumn, Instance, SosiPolicy, couples_json, policy_to_json, sosi_to_json
+from .model import CouplePolicy, CyclicPolicy, IdColumn, Instance, Policy, SosiPolicy, policy_entry
 from .po2 import PO2_MEAN_CONSTANT, _split_exponent
 from .relaxation import solve_sosi_relaxation
 from .two_approx import halved_relaxation, solve_two_approx
@@ -103,70 +105,41 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class Block:
-    """One self-contained cyclic piece of the assembled policy."""
+    """One self-contained piece of the assembled policy: a stationary, a
+    cyclic or a couple policy over `ids`, and its provenance tag."""
 
     ids: tuple[int, ...]
     sosi: SosiPolicy | None = None
     cyclic: CyclicPolicy | None = None
+    couples: CouplePolicy | None = None
     provenance: str = ""
 
     def __post_init__(self):
-        if (self.sosi is None) == (self.cyclic is None):
-            raise ValueError("block must hold exactly one of a SOSI or a cyclic policy")
+        if sum(p is not None for p in (self.sosi, self.cyclic, self.couples)) != 1:
+            raise ValueError("block must hold exactly one of a SOSI, a cyclic or a couple policy")
+
+    @property
+    def policy(self) -> Policy:
+        return next(p for p in (self.sosi, self.cyclic, self.couples) if p is not None)
 
     def report(self, instance: Instance) -> EvalReport:
         if self.sosi is not None:
             return evaluate_sosi(self.sosi, instance)
-        return evaluate(self.cyclic, instance)
+        return evaluate(self.policy, instance)
 
-    def entries(self) -> list[dict]:
-        """The block's one wire-format entry, plus its provenance tag:
-        cyclic-policy JSON, or for a stationary block `{"sosi":
-        sosi_to_json(...)}`, its intervals in id order and only the phases
-        the policy holds (none, for every solver's blocks). The entry
+    def to_json(self) -> dict:
+        """The block's wire-format entry plus its provenance tag; the entry
         re-parses as the block's policy."""
-        if self.cyclic is not None:
-            return [{**policy_to_json(self.cyclic), "provenance": self.provenance}]
-        return [{"sosi": sosi_to_json(self.sosi), "provenance": self.provenance}]
+        return {**policy_entry(self.policy), "provenance": self.provenance}
 
     def scaled(self, factor: float) -> "Block":
         if factor == 1.0:
             return self
         if self.sosi is not None:
             return replace(self, sosi=self.sosi.scaled(factor))
+        if self.couples is not None:
+            return replace(self, couples=self.couples.scaled(factor))
         return replace(self, cyclic=self.cyclic.scaled(factor))
-
-
-@dataclass(frozen=True)
-class CoupleBlock:
-    """The couples of one dense class, in the order they are emitted:
-    subgroup by subgroup, each subgroup's in classify_pairs' order.
-
-    Couple j pairs ids[2j], commodity A (the longer rounded interval), with
-    ids[2j+1], commodity B, and runs templates[which[j]], whose first schedule
-    is A's and second B's. Couples that agree on (k, T_A) share one template:
-    synthesize_couple builds and validates it once, for the first of them.
-    Scaling is that of one synthesize_couple policy per couple; the block is
-    reported within AssembledPolicy.report, one report per couple.
-    """
-
-    ids: tuple[int, ...]
-    which: tuple[int, ...]
-    templates: tuple[CoupleSchedule, ...]
-    provenance: str  # the class tag
-
-    def entries(self) -> list[dict]:
-        """The block's one wire-format entry, `{"couples": couples_json(...)}`,
-        written straight from its fields (each template's cycle, A's and B's
-        schedules and case; `which`; `ids`), plus its provenance tag. The
-        entry re-parses as a model.CouplePolicy."""
-        policies, cases = [t.policy for t in self.templates], [t.case_id for t in self.templates]
-        return [{"couples": couples_json(policies, cases, self.which, self.ids), "provenance": self.provenance}]
-
-    def scaled(self, factor: float) -> "CoupleBlock":
-        if factor == 1.0:
-            return self
-        return replace(self, templates=tuple(replace(t, policy=t.policy.scaled(factor)) for t in self.templates))
 
 
 @dataclass(frozen=True)
@@ -175,13 +148,14 @@ class AssembledPolicy:
 
     The reported peak is the sum of exact per-block peaks: an upper bound on
     the true joint peak, hence a sound feasibility certificate. Each couple
-    of a couple block counts as a block of its own there. The report takes
-    every couple of the solve in one couple_terms pass; each dense class has
-    at most one couple block, from one array pass (_couple_blocks) that
-    holds each near pair to the CoupleInput rules.
+    of a couple block (a Block holding a CouplePolicy) counts as a block of
+    its own there. The report takes every couple of the solve in one
+    couple_terms pass; each dense class has at most one couple block, from
+    one array pass (_couple_blocks) that holds each near pair to the
+    CoupleInput rules.
     """
 
-    blocks: tuple[Block | CoupleBlock, ...]
+    blocks: tuple[Block, ...]
 
     def __post_init__(self):
         seen: set[int] = set()
@@ -202,11 +176,11 @@ class AssembledPolicy:
         ids: list[int] = []
         parts: list[EvalReport | range] = []
         for b in self.blocks:
-            if isinstance(b, CoupleBlock):
+            if b.couples is not None:
                 start, offset = len(which), len(templates)
-                which += [j + offset for j in b.which]
-                templates += [t.policy for t in b.templates]
-                ids += b.ids
+                which += [j + offset for j in b.couples.which]
+                templates += b.couples.templates
+                ids += b.couples.ids
                 parts.append(range(start, len(which)))
             else:
                 parts.append(b.report(instance))
@@ -216,11 +190,9 @@ class AssembledPolicy:
         return AssembledPolicy(tuple(b.scaled(factor) for b in self.blocks))
 
     def to_json(self) -> dict:
-        """Wire format: the blocks' entries in order, each tagged with its
-        provenance: one `{"sosi": ...}` entry per stationary block, one
-        `{"couples": ...}` entry per couple block and one cyclic-policy entry
-        per cyclic block. model.parse_policies reads it back."""
-        return {"blocks": [entry for b in self.blocks for entry in b.entries()]}
+        """Wire format: the blocks' entries (Block.to_json) in order.
+        model.parse_policies reads it back."""
+        return {"blocks": [b.to_json() for b in self.blocks]}
 
 
 def _stationary(ids: Sequence[int], intervals_T: IdColumn, provenance: str) -> Block:
@@ -594,7 +566,7 @@ def run_dense_branch(
     cfg: PipelineConfig,
     decomp: ClassDecomposition,
     seed: int,
-) -> tuple[list[Block | CoupleBlock], dict]:
+) -> tuple[list[Block], dict]:
     """Suffix-sparse and dense classes: mimicking partition, then per dense
     class either the matched stationary policies (light majority), or
     power-of-2 rounding of every heavy subgroup followed by the concentration
@@ -628,7 +600,7 @@ def run_dense_branch(
     by_id = np.argsort(commodities, kind="stable")
     class_by_id = where[by_id]
 
-    blocks: list[Block | CoupleBlock] = []
+    blocks: list[Block] = []
     for l in np.flatnonzero(np.bincount(where)).tolist():  # class_side is sorted
         ell = mi.class_side[l]
         rows = by_id[class_by_id == l]  # the class's rows, in id order
@@ -681,7 +653,7 @@ def _couple_blocks(
     instance: Instance,
     eps: float,
     provenance: str,
-) -> CoupleBlock:
+) -> Block:
     """The oriented near pairs of one class as its one couple block, in one
     array pass. Pair j joins commodity A, ids_A[j] with the longer rounded
     interval T_A[j], and commodity B, ids_B[j] with T_B[j].
@@ -694,7 +666,8 @@ def _couple_blocks(
     raises its own exception and a pair near the 1e-9 limit takes its k from
     math.log2. CoupleInput and synthesize_couple then run once per distinct
     (k, T_A) of the class, for its first pair, since the schedule depends on
-    nothing else."""
+    nothing else; its policy, keyed by that pair's ids, is the CouplePolicy's
+    template as it is, and its case the template's case."""
     ids = np.column_stack((ids_A, ids_B)).ravel().tolist()
     T_A, T_B = np.asarray(T_A, dtype=float), np.asarray(T_B, dtype=float)
     T_A_list, T_B_list = T_A.tolist(), T_B.tolist()
@@ -725,13 +698,15 @@ def _couple_blocks(
 
     # one template per distinct (k, T_A), built for its first pair
     shared: dict[tuple[int, float], int] = {}
-    templates, which = [], []
+    templates, cases, which = [], [], []
     for j, key in enumerate(zip(k.tolist(), T_A_list)):
         if key not in shared:
             shared[key] = len(templates)
-            templates.append(synthesize_couple(couple_input(j)))
+            couple = synthesize_couple(couple_input(j))
+            templates.append(couple.policy)
+            cases.append(couple.case_id)
         which.append(shared[key])
-    return CoupleBlock(tuple(ids), tuple(which), tuple(templates), provenance)
+    return Block(tuple(ids), couples=CouplePolicy(templates, cases, which, ids), provenance=provenance)
 
 
 def _scale_to_capacity(assembled: AssembledPolicy, instance: Instance) -> tuple[AssembledPolicy, EvalReport, float]:

@@ -230,16 +230,18 @@ def couple_schedules(blocks):
     orders, in emission order."""
     out = []
     for b in blocks:
-        for j, w in enumerate(b.which):
-            t = b.templates[w]
-            out.append((b.ids[2 * j], b.ids[2 * j + 1], t.case_id, t.policy.tau, list(t.policy.schedules.values())))
+        c = b.couples
+        for j, w in enumerate(c.which):
+            t = c.templates[w]
+            out.append((c.ids[2 * j], c.ids[2 * j + 1], c.cases[w], t.tau, list(t.schedules.values())))
     return out
 
 
 def couple_reports(block, instance):
     """Each couple's report, read off one couple_terms pass over the block:
     its three rates and its two ids with their averages, in key order."""
-    terms = couple_terms([t.policy for t in block.templates], block.which, block.ids, instance)
+    c = block.couples
+    terms = couple_terms(c.templates, c.which, c.ids, instance)
     return [
         EvalReport(o, h, v, dict(zip(terms.keys[2 * j : 2 * j + 2], terms.avg[2 * j : 2 * j + 2].tolist())), instance.V)
         for j, (o, h, v) in enumerate(zip(*terms.rates.tolist()))
@@ -260,8 +262,8 @@ def test_couple_block_matches_one_policy_per_couple(case, factor):
     assert exact(AssembledPolicy((block,)).report(inst)) == exact(combine_reports(expected, inst))
     # the block's one couples entry, flattened, is the old per-couple list
     entries = [{**policy_to_json(p), "provenance": f"class3:couple-case{c.case_id}"} for p, c in zip(policies, couples)]
-    assert json.dumps(flatten(block.entries())) == json.dumps(entries)
-    assert len(block.templates) == len({(inp.k, inp.T_A) for inp in inputs})
+    assert json.dumps(flatten([block.to_json()])) == json.dumps(entries)
+    assert len(block.couples.templates) == len({(inp.k, inp.T_A) for inp in inputs})
 
 
 @settings(max_examples=150, deadline=None)
@@ -271,7 +273,7 @@ def test_couple_policy_evaluates_as_the_union_of_its_couples(case, factor):
     # bit-equal to combine_reports of evaluate on each couple's own policy
     pairs, inst = case
     block = one_block(pairs, inst).scaled(factor)
-    (entry,) = block.entries()
+    entry = block.to_json()
     policy = parse_policy(json.dumps(entry))
     assert isinstance(policy, CouplePolicy)
     couples = [CyclicPolicy(p["tau"], {int(k): tuple(map(tuple, o)) for k, o in p["schedules"].items()}) for p in flatten([entry])]
@@ -334,9 +336,9 @@ def test_class_cases_reach_every_k_and_both_instance_orders():
     def collect(case):
         groups, _, _, inst = case
         block = one_block([pair for pairs in groups for pair in pairs], inst)
-        for j, k in enumerate(block.which):
+        for j, k in enumerate(block.couples.which):
             a, b = block.ids[2 * j], block.ids[2 * j + 1]
-            seen.add((block.templates[k].case_id, inst.position(a) < inst.position(b)))
+            seen.add((block.couples.cases[k], inst.position(a) < inst.position(b)))
 
     collect()
     assert seen == {(c, first) for c in range(1, 7) for first in (True, False)}
@@ -352,9 +354,9 @@ def test_couple_cases_cover_every_k_and_both_instance_orders():
     def collect(case):
         pairs, inst = case
         block = one_block(pairs, inst)
-        for j, k in enumerate(block.which):
+        for j, k in enumerate(block.couples.which):
             a, b = block.ids[2 * j], block.ids[2 * j + 1]
-            seen.add((block.templates[k].case_id, inst.position(a) < inst.position(b)))
+            seen.add((block.couples.cases[k], inst.position(a) < inst.position(b)))
 
     collect()
     assert seen == {(c, first) for c in range(1, 7) for first in (True, False)}
@@ -443,9 +445,9 @@ def test_pair_near_the_power_of_two_limit_takes_its_k_from_math_log2():
     pairs = [((0, 1.0, 1.0), (1, 2.0, T_B)), ((2, 1.0, 1.0), (3, 2.0, 0.5))]
     assert 5e-10 < math.log2(1.0 / T_B) - 1 <= 1e-9
     block = one_block(pairs, inst, "c")
-    assert block.which == (0, 0)
-    assert [t.case_id for t in block.templates] == [2]
-    assert exact(block.templates[0].policy) == exact(synthesize_couple(couple_inputs(pairs, inst)[0]).policy)
+    assert block.couples.which == (0, 0)
+    assert block.couples.cases == (2,)
+    assert exact(block.couples.templates[0]) == exact(synthesize_couple(couple_inputs(pairs, inst)[0]).policy)
 
 
 def test_shared_schedule_is_built_once_per_key():
@@ -455,9 +457,9 @@ def test_shared_schedule_is_built_once_per_key():
     T = [(1.0, 1.0), (2.0, 2.0), (1.0, 1.0), (1.0, 1.0), (1.0, 0.5)]
     pairs = [((2 * j, gamma[2 * j], T_A), (2 * j + 1, gamma[2 * j + 1], T_B)) for j, (T_A, T_B) in enumerate(T)]
     block = one_block(pairs, inst, "class7")
-    assert block.which == (0, 1, 0, 0, 2)
-    assert len(block.templates) == 3
-    (entry,) = block.entries()
+    assert block.couples.which == (0, 1, 0, 0, 2)
+    assert len(block.couples.templates) == 3
+    entry = block.to_json()
     assert entry["provenance"] == "class7"
     assert [e["provenance"] for e in flatten([entry])] == ["class7:couple-case1"] * 4 + ["class7:couple-case2"]
     assert block.ids == tuple(range(10))
@@ -489,9 +491,9 @@ def test_a_recurring_key_reuses_the_class_template():
     T = [(1.0, 1.0), (2.0, 2.0), (2.0, 2.0), (1.0, 1.0)]
     pairs = [((2 * j, 1.0, T_A), (2 * j + 1, 1.0, T_B)) for j, (T_A, T_B) in enumerate(T)]
     block = one_block(pairs, inst, "class7")
-    assert block.which == (0, 1, 1, 0)
-    assert [t.policy.tau for t in block.templates] == [1.0, 2.0]
-    assert [list(t.policy.schedules) for t in block.templates] == [[0, 1], [2, 3]]
+    assert block.couples.which == (0, 1, 1, 0)
+    assert [t.tau for t in block.couples.templates] == [1.0, 2.0]
+    assert [list(t.schedules) for t in block.couples.templates] == [[0, 1], [2, 3]]
     assert block.ids == tuple(range(8))
 
 

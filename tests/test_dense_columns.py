@@ -24,7 +24,6 @@ from ewlsp.matching import solve_b_matching
 from ewlsp.model import Instance
 from ewlsp.po2 import _split_exponent, po2_round
 from ewlsp.pipeline import (
-    CoupleBlock,
     PipelineConfig,
     _theta_rng,
     build_matching_instance,
@@ -266,21 +265,21 @@ def test_ladder_solve_builds_k_ge_1_couples_as_synthesize_couple_does(key):
     assembled, report, diag = solve_sub2(inst, cfg, seed=pipeline_seed)
     assert diag["scenario"] == "difficult"
     got = [
-        (b.ids[2 * j], b.ids[2 * j + 1], b.templates[w])
+        (b.ids[2 * j], b.ids[2 * j + 1], b.couples.cases[w], b.couples.templates[w])
         for b in assembled.blocks
-        if isinstance(b, CoupleBlock)
-        for j, w in enumerate(b.which)
+        if b.couples is not None
+        for j, w in enumerate(b.couples.which)
     ]
     inputs = scalar_couples(inst, cfg, pipeline_seed, diag["dense"]["classes"])
     assert len(got) == len(inputs) == diag["dense"]["couples"]
-    cases = Counter(template.case_id for _, _, template in got)
+    cases = Counter(case for _, _, case, _ in got)
     assert set(cases) == {1, 2, 3, 4, 5, 6}
-    for (a, b, template), inp in zip(got, inputs):
+    for (a, b, case, template), inp in zip(got, inputs):
         want = synthesize_couple(inp)
         assert (a, b) == (inp.commodity_A.id, inp.commodity_B.id)
-        assert template.case_id == want.case_id
-        assert template.policy.tau == want.policy.tau
-        assert list(template.policy.schedules.values()) == list(want.policy.schedules.values())
+        assert case == want.case_id
+        assert template.tau == want.policy.tau
+        assert list(template.schedules.values()) == list(want.policy.schedules.values())
     doc = assembled.to_json()
     text = json.dumps(doc, sort_keys=True) + repr(report.total_cost_rate) + repr(report.v_max)
     digests = [hashlib.sha256(s.encode()).hexdigest() for s in (flat_content(doc["blocks"]), text)]

@@ -19,7 +19,7 @@ from ewlsp import pipeline
 from ewlsp.cli import generate_instance
 from ewlsp.errors import PolicyPartError
 from ewlsp.evaluator import combine_reports, combine_terms, couple_terms, evaluate, evaluate_sosi
-from ewlsp.model import Commodity, CyclicPolicy, IdColumn, Instance, SosiPolicy, parse_policy, sosi_to_json
+from ewlsp.model import Commodity, CyclicPolicy, IdColumn, Instance, SosiPolicy, parse_policy, policy_entry
 from ewlsp.pipeline import Block, PipelineConfig, solve_sub2
 
 from test_stationary_columns import exact, instances, scalar_evaluate_sosi
@@ -126,9 +126,9 @@ def test_repeated_id_in_a_column_is_named():
 
 def test_column_built_policy_is_written_and_read_back_like_the_dict_built_one():
     from_column, from_dict = column_and_dict([12, 2, 30], [0.125, 3.0, 1.0 / 3.0])
-    assert sosi_to_json(from_column) == sosi_to_json(from_dict)
-    assert list(sosi_to_json(from_column)["intervals"]) == ["2", "12", "30"]
-    entry = Block(ids=(2, 12, 30), sosi=from_column).entries()[0]
+    assert policy_entry(from_column) == policy_entry(from_dict)
+    assert list(policy_entry(from_column)["sosi"]["intervals"]) == ["2", "12", "30"]
+    entry = Block(ids=(2, 12, 30), sosi=from_column).to_json()
     parsed = parse_policy(json.dumps(entry))
     assert parsed == from_dict and list(parsed.intervals_T) == [2, 12, 30]
 
@@ -141,7 +141,7 @@ def test_column_built_policy_is_written_and_read_back_like_the_dict_built_one():
 @settings(deadline=None)
 @given(inst=instances(), data=st.data())
 def test_column_and_dict_built_policies_give_bit_equal_reports(inst, data):
-    """evaluate_sosi, evaluate and sosi_to_json of a policy built from a
+    """evaluate_sosi, evaluate and policy_entry of a policy built from a
     column and of the same policy built from a dict, over ids in any order,
     a subset of the instance's, with and without phases; evaluate_sosi also
     against its scalar loop."""
@@ -160,7 +160,7 @@ def test_column_and_dict_built_policies_give_bit_equal_reports(inst, data):
         assert isinstance(got.avg_inventory, IdColumn)
         assert exact(got) == exact(expected)
         assert got.to_json() == expected.to_json()
-    assert sosi_to_json(from_column) == sosi_to_json(from_dict)
+    assert policy_entry(from_column) == policy_entry(from_dict)
     factor = data.draw(st.sampled_from([1.0 / 1.0000001, 0.5, 0.7]))
     assert exact(evaluate_sosi(from_column.scaled(factor), inst)) == exact(evaluate_sosi(from_dict.scaled(factor), inst))
 

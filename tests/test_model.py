@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ewlsp.errors import IncommensurateIntervals, SchemaError
+from ewlsp.errors import IncommensurateIntervals, PolicyPartError, SchemaError
 from ewlsp.evaluator import evaluate
 from ewlsp.model import (
     Commodity,
@@ -16,11 +16,11 @@ from ewlsp.model import (
     parse_instance,
     parse_policies,
     parse_policy,
+    policy_entry,
+    policy_to_json,
     serialize_instance,
-    couples_json,
     serialize_policy,
     sosi_to_cyclic,
-    sosi_to_json,
 )
 
 from conftest import make_instance
@@ -151,6 +151,9 @@ class TestSerialization:
         p = CyclicPolicy(1.0, {0: ((0.0, 0.25), (0.25, 0.75)), 1: ((0.5, 1.0),)})
         again = parse_policy(serialize_policy(p))
         assert p == again
+        entry = policy_entry(p)
+        assert entry == policy_to_json(p) == {"tau": 1.0, "schedules": {"0": [[0.0, 0.25], [0.25, 0.75]], "1": [[0.5, 1.0]]}}
+        assert json.dumps(policy_entry(parse_policy(json.dumps(entry)))) == json.dumps(entry)
 
     def test_block_union_parses_into_its_blocks(self):
         doc = {
@@ -169,10 +172,12 @@ class TestSerialization:
 
     def test_sosi_entry_round_trip(self):
         p = SosiPolicy({10: 2.0, 2: 0.25, 7: 1.0}, {10: 0.5})
-        entry = {"sosi": sosi_to_json(p), "provenance": "class1:sosi"}
+        entry = {**policy_entry(p), "provenance": "class1:sosi"}
         assert entry["sosi"] == {"intervals": {"2": 0.25, "7": 1.0, "10": 2.0}, "phases": {"10": 0.5}}
-        again = parse_policy(json.dumps(entry))
+        text = json.dumps(entry)
+        again = parse_policy(text)
         assert again == p
+        assert json.dumps({**policy_entry(again), "provenance": "class1:sosi"}) == text
         assert parse_policy(b'{"sosi": {"intervals": {"0": 1}}}') == SosiPolicy({0: 1.0})
         doc = {"blocks": [{"tau": 1.0, "schedules": {"0": [[0.0, 1.0]]}}, {"sosi": {"intervals": {"3": 2.0, "1": 1.0}}}]}
         cyclic, sosi = parse_policies(json.dumps(doc), FIVE)
@@ -211,8 +216,10 @@ class TestSerialization:
     def test_couple_entry_round_trip(self):
         a, b = ((0.0, 0.5), (0.5, 0.5)), ((0.25, 1.0),)
         c, d = ((0.0, 2.0),), ((1.0, 1.0), (1.5, 1.0))
-        p = CouplePolicy([(1.0, (a, b), 1), (2.0, (c, d), 2)], which=[1, 0], ids=[4, 2, 0, 1])
-        entry = {"couples": couples_json(p.templates, p.cases, p.which, p.ids), "provenance": "class1"}
+        p = CouplePolicy(
+            (CyclicPolicy(1.0, {0: a, 1: b}), CyclicPolicy(2.0, {0: c, 1: d})), cases=(1, 2), which=[1, 0], ids=[4, 2, 0, 1]
+        )
+        entry = {**policy_entry(p), "provenance": "class1"}
         assert entry["couples"] == {
             "templates": [
                 {"tau": 1.0, "schedules": [[[0.0, 0.5], [0.5, 0.5]], [[0.25, 1.0]]], "case": 1},
@@ -224,15 +231,36 @@ class TestSerialization:
         text = json.dumps(entry)
         again = parse_policy(text)
         assert again == p
-        assert json.dumps({**entry, "couples": couples_json(again.templates, again.cases, again.which, again.ids)}) == text
+        assert json.dumps({**policy_entry(again), "provenance": "class1"}) == text
         assert list(again.schedules.items()) == [(4, c), (2, d), (0, a), (1, b)]
         assert again.schedules is again.schedules  # built once
         with pytest.raises(TypeError):
             again.schedules[4] = a
         assert again.templates[0] == CyclicPolicy(1.0, {0: a, 1: b}) and again.cases == (1, 2)
+        # a template's two schedules are read by position, whatever their keys
+        rekeyed = CouplePolicy((CyclicPolicy(1.0, {9: a, 5: b}), CyclicPolicy(2.0, {7: c, 3: d})), (1, 2), [1, 0], [4, 2, 0, 1])
+        assert policy_entry(rekeyed) == policy_entry(p)
+        assert list(rekeyed.schedules.items()) == list(again.schedules.items())
         doc = {"blocks": [entry, {"sosi": {"intervals": {"3": 2.0}}}]}
         couples, sosi = parse_policies(json.dumps(doc), FIVE)
         assert couples == p and sosi == SosiPolicy({3: 2.0})
+
+    @pytest.mark.parametrize(
+        "templates, cases, which, ids, part, message",
+        [
+            ("AB", (1, 1), [0], [0, 1], ("templates[1]", "schedules"), "a couple template needs exactly two schedules, got 1"),
+            ("AA", (1,), [0], [0, 1], ("cases",), "expected 2 cases, one per template, got 1"),
+        ],
+    )
+    def test_couple_policy_rules(self, templates, cases, which, ids, part, message):
+        # the rules a couples entry cannot break, since its parser builds
+        # each template of two schedules and reads one case per template;
+        # "A" is a template of two schedules, "B" one of a single schedule
+        orders = ((0.0, 1.0),)
+        kinds = {"A": CyclicPolicy(1.0, {0: orders, 1: orders}), "B": CyclicPolicy(1.0, {0: orders})}
+        with pytest.raises(PolicyPartError) as got:
+            CouplePolicy(tuple(kinds[k] for k in templates), cases, which, ids)
+        assert (got.value.part, str(got.value)) == (part, message)
 
     @pytest.mark.parametrize(
         "couples, path",

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import re
@@ -17,13 +18,22 @@ from ewlsp.couples import CoupleInput, synthesize_couple
 from ewlsp.errors import InfeasiblePolicy
 from ewlsp.evaluator import combine_reports, evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS
-from ewlsp.model import Commodity, CyclicPolicy, Instance, SosiPolicy, parse_policies, sosi_to_cyclic
+from ewlsp.model import (
+    Commodity,
+    CouplePolicy,
+    CyclicPolicy,
+    Instance,
+    SosiPolicy,
+    parse_policies,
+    parse_policy,
+    policy_entry,
+    sosi_to_cyclic,
+)
 from ewlsp.pipeline import (
     ALPHA_FALLBACK,
     DELTA,
     AssembledPolicy,
     Block,
-    CoupleBlock,
     PipelineConfig,
     build_reference_policy,
     decompose_classes,
@@ -32,7 +42,9 @@ from ewlsp.pipeline import (
     split_heavy_light,
     sub_instance,
 )
+from ewlsp.ptas import ptas_solve
 from ewlsp.relaxation import solve_sosi_relaxation
+from ewlsp.two_approx import solve_two_approx
 
 from conftest import flat_content, make_instance, random_instance
 
@@ -348,6 +360,15 @@ def _pinned_solve(name):
     return solve_sub2(inst, CFG, seed=seed, reference=reference)
 
 
+LADDER = generate_instance(0, 2000, 1.0, "dense-ladder")
+
+
+@functools.cache
+def _ladder_solve():
+    """A two-class dense-ladder solve, whose couples reach case > 1."""
+    return solve_sub2(LADDER, PipelineConfig(), seed=1)
+
+
 @pytest.mark.parametrize("name, case, flat_digest, digest", PINNED_OUTPUTS, ids=[p[0] for p in PINNED_OUTPUTS])
 def test_pinned_outputs(name, case, flat_digest, digest):
     # flat_digest holds however the couples and stationary commodities are
@@ -373,6 +394,45 @@ def test_pinned_outputs_recertify_from_json(name):
     assert certified.holding_cost_rate == pytest.approx(rep.holding_cost_rate, rel=1e-12)
     assert certified.v_max == pytest.approx(rep.v_max, rel=1e-12)
     assert certified.avg_inventory == pytest.approx(rep.avg_inventory, rel=1e-12)
+
+
+def _written_blocks(name):
+    """The instance and the blocks of one solver output: a pinned sub2
+    solve, the dense-ladder solve, or the two-approx or ptas policy as the
+    one block the CLI writes."""
+    if name == "dense-ladder":
+        return LADDER, _ladder_solve()[0].blocks
+    if name == "two-approx":
+        inst = dense_heavy_instance(1, 40)
+        policy = solve_two_approx(inst)[0]
+        return inst, (Block(ids=tuple(sorted(policy.intervals_T)), sosi=policy, provenance="two-approx"),)
+    if name == "ptas":
+        inst = generate_instance(0, 2, 1.0, "tight")
+        policy = ptas_solve(inst, 0.5)[0]
+        return inst, (Block(ids=tuple(sorted(policy.schedules)), cyclic=policy, provenance="ptas"),)
+    return next(p[1][0] for p in PINNED_OUTPUTS if p[0] == name), _pinned_solve(name)[0].blocks
+
+
+def _bits(report):
+    return [repr(x) for x in (report.ordering_cost_rate, report.holding_cost_rate, report.v_max, report.feasible_at)] + [
+        (cid, repr(avg)) for cid, avg in report.avg_inventory.items()
+    ]
+
+
+@pytest.mark.parametrize("name", [p[0] for p in PINNED_OUTPUTS] + ["dense-ladder", "two-approx", "ptas"])
+def test_policy_entry_inverts_parse_policy_on_solver_output(name):
+    # every entry a solver writes re-serializes byte for byte through
+    # parse_policy and policy_entry, and the parsed policy is certified
+    # bit-equal to the block's own
+    inst, blocks = _written_blocks(name)
+    for block in blocks:
+        entry = block.to_json()
+        parsed = parse_policy(json.dumps(entry))
+        assert entry.pop("provenance") == block.provenance
+        assert json.dumps(policy_entry(parsed)) == json.dumps(entry)
+        assert _bits(evaluate(parsed, inst)) == _bits(evaluate(block.policy, inst))
+    if name == "dense-ladder":
+        assert max(case for b in blocks if b.couples is not None for case in b.couples.cases) > 1
 
 
 @pytest.mark.parametrize("name", ["difficult-po2-sync", "difficult-prefix-relaxation", "low-dense-tight"])
@@ -414,11 +474,11 @@ def test_each_synced_class_gives_one_couple_block_and_one_rounded_block(name):
     # entry, and its far pairs and leftovers one rounded-sosi block; the
     # ladder solve has two po2-sync classes, one with no rounded block
     if name == "dense-ladder":
-        assembled, _, diag = solve_sub2(generate_instance(0, 2000, 1.0, "dense-ladder"), PipelineConfig(), seed=1)
+        assembled, _, diag = _ladder_solve()
     else:
         assembled, _, diag = _pinned_solve(name)
     synced = {f"class{ell}" for ell, outcome in diag["dense"]["classes"].items() if outcome == "po2-sync"}
-    couple_blocks = [b for b in assembled.blocks if isinstance(b, CoupleBlock)]
+    couple_blocks = [b for b in assembled.blocks if b.couples is not None]
     per_class = Counter(b.provenance for b in couple_blocks)
     rounded = Counter(b.provenance.split(":")[0] for b in assembled.blocks if b.provenance.endswith(":rounded-sosi"))
     assert set(per_class) <= synced and set(per_class.values()) <= {1}
@@ -435,6 +495,21 @@ class TestBlocks:
         sub = sub_instance(inst, [1, 2])
         assert sub.ids() == [1, 2]
         assert sub.V == 1.0
+
+    def test_a_block_holds_exactly_one_policy(self):
+        orders = ((0.0, 1.0),)
+        cyclic = CyclicPolicy(1.0, {0: orders, 1: orders})
+        held = {
+            "sosi": SosiPolicy({0: 1.0, 1: 1.0}),
+            "cyclic": cyclic,
+            "couples": CouplePolicy((cyclic,), cases=(1,), which=(0,), ids=(0, 1)),
+        }
+        for count in (0, 2, 3):
+            for names in itertools.combinations(held, count):
+                with pytest.raises(ValueError, match=r"^block must hold exactly one of a SOSI, a cyclic or a couple policy$"):
+                    Block(ids=(0, 1), **{name: held[name] for name in names})
+        for name, policy in held.items():
+            assert Block(ids=(0, 1), **{name: policy}).policy is policy
 
     def test_overlapping_blocks_are_refused(self):
         first = Block(ids=(0, 1, 2), sosi=SosiPolicy({0: 1.0, 1: 1.0, 2: 1.0}))
