@@ -79,21 +79,20 @@ def generate_instance(seed: int, n: int, spread: float, capacity_regime: str) ->
     """
     rng = np.random.Generator(np.random.PCG64(seed))
     if capacity_regime in ("dense-heavy", "dense-ladder"):
-        rows = np.exp(rng.uniform(-1e-3, 1e-3, size=(n, 3))).tolist()
+        rows = np.exp(rng.uniform(-1e-3, 1e-3, size=(n, 3)))
         factor = 0.3
     else:
-        draws = rng.uniform([-spread, -spread, -1.0], [spread, spread, 1.0], size=(n, 3)).tolist()
+        draws = rng.uniform([-spread, -spread, -1.0], [spread, spread, 1.0], size=(n, 3))
         # Python's float power, which np.power does not match on every value
-        rows = [[10.0**x for x in row] for row in draws]
+        rows = np.array(list(map((10.0).__pow__, draws.ravel().tolist()))).reshape(n, 3)
         factor = {"loose": 2.0, "tight": 0.3}[capacity_regime]
-    commodities = tuple(Commodity(i, K, H, gamma) for i, (K, H, gamma) in enumerate(rows))
-    peak = sum(c.gamma * math.sqrt(c.K / c.H) for c in commodities)
+    K, H, gamma = rows.T.copy()
+    # summed left to right: np.sum adds pairwise, which can change the last bits
+    peak = np.add.accumulate(gamma * np.sqrt(K / H))[-1] if n else 0.0
     if capacity_regime == "dense-ladder":
-        levels = np.random.default_rng(seed).integers(0, LADDER_LEVELS, size=n).tolist()
-        commodities = tuple(
-            Commodity(c.id, c.K * 2.0**-j, c.H * 2.0**j, c.gamma * 2.0**j) for c, j in zip(commodities, levels)
-        )
-    return Instance(commodities, capacity_V=factor * peak)
+        levels = np.random.default_rng(seed).integers(0, LADDER_LEVELS, size=n)
+        K, H, gamma = np.ldexp(K, -levels), np.ldexp(H, levels), np.ldexp(gamma, levels)
+    return Instance.from_columns(range(n), K, H, gamma, capacity_V=factor * float(peak))
 
 
 def _write(payload: bytes | str, out: str | None) -> None:

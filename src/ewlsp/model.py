@@ -6,6 +6,13 @@ has unit demand rate, a fixed ordering cost K, a physical holding coefficient
 and a space coefficient gamma. All solvers exchange policies through the
 types below; `CyclicPolicy` is the universal representation.
 
+An `Instance` is its columns: the ids, read-only float64 K, H and gamma in
+instance order, and the capacity V. `Instance.from_columns` checks them in
+one array pass; the generator and the instance parser build through it,
+and the solvers read `Instance.columns`. A `Commodity` is made only for a
+scalar reader (`Instance.commodities`, `Instance.commodity`), on its first
+read, and kept.
+
 A `SosiPolicy` holds its intervals as an `IdColumn`: a tuple of ids and a
 read-only float64 column, whose id -> value dict is built only when an item
 is read. The solvers build their stationary policies from columns, and the
@@ -63,11 +70,19 @@ class Commodity:
     gamma: float
 
     def __post_init__(self):
-        if not isinstance(self.id, int):
-            raise ValueError(f"commodity id must be an integer, got {self.id!r}")
-        for name, value in (("K", self.K), ("H", self.H), ("gamma", self.gamma)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ValueError(f"commodity {self.id}: {name} must be finite and > 0, got {value!r}")
+        problem = _commodity_problem(self.id, self.K, self.H, self.gamma)
+        if problem:
+            raise ValueError(problem)
+
+
+def _commodity_problem(cid, K, H, gamma) -> str | None:
+    """The message Commodity(cid, K, H, gamma) raises, or None when it is valid."""
+    if not isinstance(cid, int):
+        return f"commodity id must be an integer, got {cid!r}"
+    for name, value in (("K", K), ("H", H), ("gamma", gamma)):
+        if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            return f"commodity {cid}: {name} must be finite and > 0, got {value!r}"
+    return None
 
 
 def _read_only(values) -> np.ndarray:
@@ -87,43 +102,137 @@ class Columns:
     gamma: np.ndarray
 
 
-@dataclass(frozen=True)
 class Instance:
-    """A commodity list plus the shared warehouse capacity."""
+    """A commodity list plus the shared warehouse capacity, held as its
+    columns: the ids, read-only float64 K, H and gamma in instance order,
+    and `capacity_V`.
 
-    commodities: tuple[Commodity, ...]
-    capacity_V: float
-    # id -> index into `commodities`: O(1) lookup that also recovers instance order
-    _position: dict[int, int] = field(init=False, repr=False, compare=False)
+    `Instance.from_columns(ids, K, H, gamma, capacity_V)` checks the columns
+    in one array pass; `Instance(commodities, capacity_V)` takes Commodity
+    objects, valid when built. Either way an invalid input raises the
+    ValueError that building it one Commodity at a time would: the first
+    row, in instance order, whose id is not an integer or whose K, H or
+    gamma is not finite and > 0, then an empty instance, repeated ids and a
+    capacity that is not finite and > 0, in that order.
 
-    def __post_init__(self):
-        if not self.commodities:
+    `n`, `ids()`, `in`, `columns`, `positions()` of ids in instance order
+    and `==` read the columns and the id set alone: the ids as a range when
+    they are 0..n-1 in order, as the generator and most files have them,
+    else as a frozenset. The Commodity objects (`commodities`,
+    `commodity(cid)`) and the id -> position dict are built on their first
+    read and kept; `position()` needs no dict when the ids are a range.
+    """
+
+    __slots__ = ("columns", "capacity_V", "_members", "_position", "_commodities")
+
+    def __init__(self, commodities: Iterable[Commodity], capacity_V: float):
+        commodities = tuple(commodities)
+        self._set(
+            Columns(
+                ids=tuple(c.id for c in commodities),
+                K=_read_only([c.K for c in commodities]),
+                H=_read_only([c.H for c in commodities]),
+                gamma=_read_only([c.gamma for c in commodities]),
+            ),
+            capacity_V,
+        )
+        object.__setattr__(self, "_commodities", commodities)
+
+    @classmethod
+    def from_columns(cls, ids: Iterable[int], K, H, gamma, capacity_V: float) -> "Instance":
+        """The instance of commodities ids[k], with parameters K[k], H[k] and
+        gamma[k]. The columns are copied into read-only float64 arrays; an id
+        array is read as its Python ints."""
+        ids = tuple(ids.tolist() if isinstance(ids, np.ndarray) else ids)
+        given = (K, H, gamma)
+        if any(len(values) != len(ids) for values in given):
+            raise ValueError(f"expected columns of {len(ids)} values, got {[len(values) for values in given]}")
+        columns = [_positive_column(values) for values in given]
+        if not set(map(type, ids)) <= {int} or any(column is None for column in columns):
+            rows = [values.tolist() if isinstance(values, np.ndarray) else values for values in given]
+            for row in zip(ids, *rows):
+                problem = _commodity_problem(*row)
+                if problem:
+                    raise ValueError(problem)
+        for column in columns:
+            column.flags.writeable = False
+        instance = cls.__new__(cls)
+        instance._set(Columns(ids, *columns), capacity_V)
+        object.__setattr__(instance, "_commodities", None)
+        return instance
+
+    def _set(self, columns: Columns, capacity_V: float) -> None:
+        """Keep the checked columns; the instance-wide rules are checked here."""
+        ids = columns.ids
+        if not ids:
             raise ValueError("instance needs at least one commodity")
-        object.__setattr__(self, "commodities", tuple(self.commodities))
-        position = {c.id: k for k, c in enumerate(self.commodities)}
-        if len(position) != len(self.commodities):
-            raise ValueError(f"duplicate commodity ids: {sorted(c.id for c in self.commodities)}")
-        object.__setattr__(self, "_position", position)
-        v = self.capacity_V
+        members = range(len(ids))
+        if ids != tuple(members):
+            members = frozenset(ids)
+            if len(members) != len(ids):
+                raise ValueError(f"duplicate commodity ids: {sorted(ids)}")
+        v = capacity_V
         if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
             raise ValueError(f"capacity must be finite and > 0, got {v!r}")
+        for name, value in (("columns", columns), ("capacity_V", v), ("_members", members), ("_position", None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an Instance")
+
+    def __reduce__(self):
+        cols = self.columns
+        return Instance.from_columns, (cols.ids, cols.K, cols.H, cols.gamma, self.capacity_V)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Instance):
+            return NotImplemented
+        a, b = self.columns, other.columns
+        return (
+            self.capacity_V == other.capacity_V
+            and a.ids == b.ids
+            and all(np.array_equal(x, y) for x, y in ((a.K, b.K), (a.H, b.H), (a.gamma, b.gamma)))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.columns.ids, self.capacity_V))
+
+    def __repr__(self) -> str:
+        return f"Instance(commodities={self.commodities!r}, capacity_V={self.capacity_V!r})"
 
     @property
     def n(self) -> int:
-        return len(self.commodities)
+        return len(self.columns.ids)
 
     @property
     def V(self) -> float:
         return self.capacity_V
 
+    @property
+    def commodities(self) -> tuple[Commodity, ...]:
+        """The Commodity of each row, in instance order; built on first read."""
+        if self._commodities is None:
+            cols = self.columns
+            built = tuple(map(Commodity, cols.ids, cols.K.tolist(), cols.H.tolist(), cols.gamma.tolist()))
+            object.__setattr__(self, "_commodities", built)
+        return self._commodities
+
+    def _lookup(self) -> dict[int, int]:
+        """id -> position, built on first use."""
+        if self._position is None:
+            object.__setattr__(self, "_position", {cid: k for k, cid in enumerate(self.columns.ids)})
+        return self._position
+
     def __contains__(self, cid: int) -> bool:
-        return cid in self._position
+        return cid in self._members
 
     def position(self, cid: int) -> int:
         """Index of commodity `cid` in `commodities`."""
         try:
-            return self._position[cid]
-        except KeyError:
+            if isinstance(self._members, range):
+                return self._members.index(cid)
+            return self._lookup()[cid]
+        except (KeyError, ValueError):
             raise KeyError(f"no commodity with id {cid}") from None
 
     def positions(self, cids: Iterable[int]) -> np.ndarray:
@@ -131,28 +240,20 @@ class Instance:
         id the instance lacks raises the KeyError of `position`. Ids in
         instance order are recognized without a lookup per id."""
         cids = tuple(cids)
-        if cids is self.columns.ids or cids == self.columns.ids:
+        ids = self.columns.ids
+        if cids is ids or cids == ids:
             return np.arange(len(cids))
+        lookup = self._lookup()
         try:
-            return np.fromiter(map(self._position.__getitem__, cids), dtype=np.intp, count=len(cids))
+            return np.fromiter(map(lookup.__getitem__, cids), dtype=np.intp, count=len(cids))
         except KeyError as exc:
             raise KeyError(f"no commodity with id {exc.args[0]}") from None
-
-    @cached_property
-    def columns(self) -> Columns:
-        cs = self.commodities
-        return Columns(
-            ids=tuple(c.id for c in cs),
-            K=_read_only([c.K for c in cs]),
-            H=_read_only([c.H for c in cs]),
-            gamma=_read_only([c.gamma for c in cs]),
-        )
 
     def commodity(self, cid: int) -> Commodity:
         return self.commodities[self.position(cid)]
 
     def ids(self) -> list[int]:
-        return [c.id for c in self.commodities]
+        return list(self.columns.ids)
 
 
 def _positive_column(values: list) -> np.ndarray | None:
@@ -538,7 +639,14 @@ def _checked(path: str, build, *args):
 
 
 def parse_instance(text: bytes | str) -> Instance:
-    """Parse the canonical instance JSON; SchemaError carries the field path."""
+    """Parse the canonical instance JSON; SchemaError carries the field path.
+
+    The commodities are read one key at a time into columns, which
+    Instance.from_columns checks in one array pass. When an entry breaks a
+    rule they are read again entry by entry, so the error raised is the
+    first one in entry order, and within an entry its structure (keys, an
+    integer id not seen before, numbers) comes before its values. The
+    capacity's value is checked last."""
     raw = _load_object(text)
     if "capacity" not in raw:
         raise SchemaError("$.capacity: missing")
@@ -546,7 +654,34 @@ def parse_instance(text: bytes | str) -> Instance:
     entries = raw.get("commodities")
     if not isinstance(entries, list) or not entries:
         raise SchemaError("$.commodities: expected a nonempty array")
-    commodities = []
+    columns = _entry_columns(entries)
+    if columns is not None:
+        try:
+            return Instance.from_columns(*columns, capacity)
+        except ValueError:
+            pass  # the entry-by-entry read below names what is broken
+    checked = _checked_entries(entries)
+    # the entries are valid, so only the capacity can fail
+    return _checked("$.capacity", Instance.from_columns, *checked, capacity)
+
+
+def _entry_columns(entries: list) -> tuple[list, list, list, list] | None:
+    """The ids and the K, H and gamma values of `entries`, one key at a
+    time, or None unless every entry is an object with an integer id and
+    float values."""
+    try:
+        ids, K, H, gamma = ([entry[key] for entry in entries] for key in ("id", "K", "H", "gamma"))
+    except (KeyError, TypeError):
+        return None
+    if set(map(type, ids)) <= {int} and set(map(type, K)) | set(map(type, H)) | set(map(type, gamma)) <= {float}:
+        return ids, K, H, gamma
+    return None
+
+
+def _checked_entries(entries: list) -> tuple[tuple, ...]:
+    """The ids and the K, H and gamma values of `entries`, checked entry by
+    entry; the first entry that breaks a rule raises its SchemaError."""
+    rows = []
     seen: set[int] = set()
     for k, entry in enumerate(entries):
         path = f"$.commodities[{k}]"
@@ -561,18 +696,21 @@ def parse_instance(text: bytes | str) -> Instance:
         if cid in seen:
             raise SchemaError(f"{path}.id: duplicate commodity id {cid}")
         seen.add(cid)
-        K, H, gamma = (_number(entry[key], f"{path}.{key}") for key in ("K", "H", "gamma"))
-        commodities.append(_checked(path, Commodity, cid, K, H, gamma))
-    # the list is nonempty and the ids distinct, so only the capacity can fail
-    return _checked("$.capacity", Instance, tuple(commodities), capacity)
+        row = (cid, *(_number(entry[key], f"{path}.{key}") for key in ("K", "H", "gamma")))
+        problem = _commodity_problem(*row)
+        if problem:
+            raise SchemaError(f"{path}: {problem}")
+        rows.append(row)
+    return tuple(zip(*rows))
 
 
 def serialize_instance(instance: Instance) -> bytes:
+    cols = instance.columns
     payload = {
         "capacity": instance.capacity_V,
         "commodities": [
-            {"id": c.id, "K": c.K, "H": c.H, "gamma": c.gamma}
-            for c in instance.commodities
+            {"id": cid, "K": K, "H": H, "gamma": gamma}
+            for cid, K, H, gamma in zip(cols.ids, cols.K.tolist(), cols.H.tolist(), cols.gamma.tolist())
         ],
     }
     return json.dumps(payload, sort_keys=True).encode("utf-8")

@@ -204,10 +204,13 @@ def _stationary(ids: Sequence[int], intervals_T: IdColumn, provenance: str) -> B
 
 
 def sub_instance(instance: Instance, ids: Sequence[int]) -> Instance:
+    """The commodities of `instance` that `ids` names, in instance order,
+    under the same capacity, taken from its columns."""
     keep = set(ids)
-    return Instance(
-        commodities=tuple(c for c in instance.commodities if c.id in keep),
-        capacity_V=instance.capacity_V,
+    cols = instance.columns
+    rows = [k for k, cid in enumerate(cols.ids) if cid in keep]
+    return Instance.from_columns(
+        [cols.ids[k] for k in rows], cols.K[rows], cols.H[rows], cols.gamma[rows], instance.capacity_V
     )
 
 
@@ -257,6 +260,8 @@ class ClassDecomposition:
     ids: tuple[int, ...]  # the instance's ids, in instance order
     # gamma_i * avg inventory under the reference, in the order of `ids`, read-only
     space: np.ndarray = field(repr=False, compare=False)
+    # per class, its members' positions in the instance, in the order of `classes[ell]`, read-only
+    rows: Mapping[Hashable, np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
     def avg_space(self) -> dict[int, float]:
@@ -332,13 +337,16 @@ def decompose_classes(
     first = members[starts]  # each class's first commodity in instance order
     member_ids = itemgetter(*members.tolist())(ids) if n > 1 else ids  # one gather, a tuple
     member_space = s[members].tolist()
+    members.flags.writeable = False
     classes: dict[Hashable, tuple[int, ...]] = {}
+    rows: dict[Hashable, np.ndarray] = {}
     per_class: dict[Hashable, float] = {}
     bounds = list(zip(present.tolist(), starts.tolist(), ends.tolist()))
     for j in np.argsort(first).tolist():
         c, start, end = bounds[j]
         ell: Hashable = INF_CLASS if c == L + 1 else c
         classes[ell] = member_ids[start:end]
+        rows[ell] = members[start:end]
         per_class[ell] = math.fsum(member_space[start:end])
     s.flags.writeable = False
 
@@ -363,6 +371,7 @@ def decompose_classes(
         vbar_dense=vbar_dense,
         ids=ids,
         space=s,
+        rows=rows,
     )
 
 
@@ -428,7 +437,8 @@ def build_matching_instance(
     ids = [i for ell in class_side for i in decomp.classes[ell]]
 
     cols = instance.columns
-    pos = instance.positions(ids)
+    # each class's rows, as decompose_classes found them: no lookup per id
+    pos = np.concatenate([decomp.rows[ell] for ell in class_side]) if class_side else np.empty(0, dtype=np.intp)
     K, H, gamma = cols.K[pos], cols.H[pos], cols.gamma[pos]
     intervals = np.empty((len(ids), len(class_side)))
     weight = np.empty_like(intervals)
