@@ -87,12 +87,13 @@ def generate_instance(seed: int, n: int, spread: float, capacity_regime: str) ->
         rows = np.array(list(map((10.0).__pow__, draws.ravel().tolist()))).reshape(n, 3)
         factor = {"loose": 2.0, "tight": 0.3}[capacity_regime]
     K, H, gamma = rows.T.copy()
-    # summed left to right: np.sum adds pairwise, which can change the last bits
-    peak = np.add.accumulate(gamma * np.sqrt(K / H))[-1] if n else 0.0
+    # Python's sum, whose rounding no numpy sum matches on every interpreter:
+    # np.sum adds pairwise, and sum compensates from Python 3.12 on
+    peak = sum((gamma * np.sqrt(K / H)).tolist())
     if capacity_regime == "dense-ladder":
         levels = np.random.default_rng(seed).integers(0, LADDER_LEVELS, size=n)
         K, H, gamma = np.ldexp(K, -levels), np.ldexp(H, levels), np.ldexp(gamma, levels)
-    return Instance.from_columns(range(n), K, H, gamma, capacity_V=factor * float(peak))
+    return Instance.from_columns(range(n), K, H, gamma, capacity_V=factor * peak)
 
 
 def _write(payload: bytes | str, out: str | None) -> None:

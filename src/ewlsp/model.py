@@ -102,6 +102,7 @@ class Columns:
     gamma: np.ndarray
 
 
+@dataclass(frozen=True, eq=False, init=False)
 class Instance:
     """A commodity list plus the shared warehouse capacity, held as its
     columns: the ids, read-only float64 K, H and gamma in instance order,
@@ -123,7 +124,10 @@ class Instance:
     read and kept; `position()` needs no dict when the ids are a range.
     """
 
-    __slots__ = ("columns", "capacity_V", "_members", "_position", "_commodities")
+    columns: Columns
+    capacity_V: float
+    # the id set, checked distinct: range(n) when the ids are 0..n-1 in order
+    _members: range | frozenset = field(repr=False)
 
     def __init__(self, commodities: Iterable[Commodity], capacity_V: float):
         commodities = tuple(commodities)
@@ -136,7 +140,7 @@ class Instance:
             ),
             capacity_V,
         )
-        object.__setattr__(self, "_commodities", commodities)
+        object.__setattr__(self, "commodities", commodities)
 
     @classmethod
     def from_columns(cls, ids: Iterable[int], K, H, gamma, capacity_V: float) -> "Instance":
@@ -154,11 +158,12 @@ class Instance:
                 problem = _commodity_problem(*row)
                 if problem:
                     raise ValueError(problem)
+            # valid values numpy does not store natively, such as ints past int64
+            columns = [_read_only(values) if column is None else column for column, values in zip(columns, rows)]
         for column in columns:
             column.flags.writeable = False
         instance = cls.__new__(cls)
         instance._set(Columns(ids, *columns), capacity_V)
-        object.__setattr__(instance, "_commodities", None)
         return instance
 
     def _set(self, columns: Columns, capacity_V: float) -> None:
@@ -174,15 +179,8 @@ class Instance:
         v = capacity_V
         if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
             raise ValueError(f"capacity must be finite and > 0, got {v!r}")
-        for name, value in (("columns", columns), ("capacity_V", v), ("_members", members), ("_position", None)):
+        for name, value in (("columns", columns), ("capacity_V", v), ("_members", members)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r} of an Instance")
-
-    def __reduce__(self):
-        cols = self.columns
-        return Instance.from_columns, (cols.ids, cols.K, cols.H, cols.gamma, self.capacity_V)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Instance):
@@ -197,9 +195,6 @@ class Instance:
     def __hash__(self) -> int:
         return hash((self.columns.ids, self.capacity_V))
 
-    def __repr__(self) -> str:
-        return f"Instance(commodities={self.commodities!r}, capacity_V={self.capacity_V!r})"
-
     @property
     def n(self) -> int:
         return len(self.columns.ids)
@@ -208,20 +203,16 @@ class Instance:
     def V(self) -> float:
         return self.capacity_V
 
-    @property
+    @cached_property
     def commodities(self) -> tuple[Commodity, ...]:
         """The Commodity of each row, in instance order; built on first read."""
-        if self._commodities is None:
-            cols = self.columns
-            built = tuple(map(Commodity, cols.ids, cols.K.tolist(), cols.H.tolist(), cols.gamma.tolist()))
-            object.__setattr__(self, "_commodities", built)
-        return self._commodities
+        cols = self.columns
+        return tuple(map(Commodity, cols.ids, cols.K.tolist(), cols.H.tolist(), cols.gamma.tolist()))
 
-    def _lookup(self) -> dict[int, int]:
+    @cached_property
+    def _position(self) -> dict[int, int]:
         """id -> position, built on first use."""
-        if self._position is None:
-            object.__setattr__(self, "_position", {cid: k for k, cid in enumerate(self.columns.ids)})
-        return self._position
+        return {cid: k for k, cid in enumerate(self.columns.ids)}
 
     def __contains__(self, cid: int) -> bool:
         return cid in self._members
@@ -231,7 +222,7 @@ class Instance:
         try:
             if isinstance(self._members, range):
                 return self._members.index(cid)
-            return self._lookup()[cid]
+            return self._position[cid]
         except (KeyError, ValueError):
             raise KeyError(f"no commodity with id {cid}") from None
 
@@ -243,9 +234,8 @@ class Instance:
         ids = self.columns.ids
         if cids is ids or cids == ids:
             return np.arange(len(cids))
-        lookup = self._lookup()
         try:
-            return np.fromiter(map(lookup.__getitem__, cids), dtype=np.intp, count=len(cids))
+            return np.fromiter(map(self._position.__getitem__, cids), dtype=np.intp, count=len(cids))
         except KeyError as exc:
             raise KeyError(f"no commodity with id {exc.args[0]}") from None
 
@@ -641,12 +631,10 @@ def _checked(path: str, build, *args):
 def parse_instance(text: bytes | str) -> Instance:
     """Parse the canonical instance JSON; SchemaError carries the field path.
 
-    The commodities are read one key at a time into columns, which
-    Instance.from_columns checks in one array pass. When an entry breaks a
-    rule they are read again entry by entry, so the error raised is the
-    first one in entry order, and within an entry its structure (keys, an
-    integer id not seen before, numbers) comes before its values. The
-    capacity's value is checked last."""
+    The commodities are checked entry by entry into columns, so the error
+    raised is the first one in entry order, and within an entry its
+    structure (keys, an integer id not seen before, numbers) comes before
+    its values. The capacity's value is checked last."""
     raw = _load_object(text)
     if "capacity" not in raw:
         raise SchemaError("$.capacity: missing")
@@ -654,28 +642,8 @@ def parse_instance(text: bytes | str) -> Instance:
     entries = raw.get("commodities")
     if not isinstance(entries, list) or not entries:
         raise SchemaError("$.commodities: expected a nonempty array")
-    columns = _entry_columns(entries)
-    if columns is not None:
-        try:
-            return Instance.from_columns(*columns, capacity)
-        except ValueError:
-            pass  # the entry-by-entry read below names what is broken
-    checked = _checked_entries(entries)
     # the entries are valid, so only the capacity can fail
-    return _checked("$.capacity", Instance.from_columns, *checked, capacity)
-
-
-def _entry_columns(entries: list) -> tuple[list, list, list, list] | None:
-    """The ids and the K, H and gamma values of `entries`, one key at a
-    time, or None unless every entry is an object with an integer id and
-    float values."""
-    try:
-        ids, K, H, gamma = ([entry[key] for entry in entries] for key in ("id", "K", "H", "gamma"))
-    except (KeyError, TypeError):
-        return None
-    if set(map(type, ids)) <= {int} and set(map(type, K)) | set(map(type, H)) | set(map(type, gamma)) <= {float}:
-        return ids, K, H, gamma
-    return None
+    return _checked("$.capacity", Instance.from_columns, *_checked_entries(entries), capacity)
 
 
 def _checked_entries(entries: list) -> tuple[tuple, ...]:

@@ -24,19 +24,20 @@ from ewlsp.pipeline import PipelineConfig, solve_sub2, sub_instance
 from ewlsp.relaxation import solve_sosi_relaxation
 from ewlsp.two_approx import solve_two_approx
 
-BAD_VALUES = [0.0, -1.5, math.nan, math.inf, -math.inf]
+BAD_VALUES = [0.0, -1.5, math.nan, math.inf, -math.inf, 0, -10**20]
 
 
 @st.composite
 def column_cases(draw):
     """ids, K, H, gamma lists and a capacity; now and then one bad value, a
-    repeated id or a bad capacity, and ids 0..n-1 in order half the time."""
+    repeated id or a bad capacity, and ids 0..n-1 in order half the time.
+    Values are floats or ints, some past the int64 range."""
     n = draw(st.integers(0, 6))
     if draw(st.booleans()):
         ids = list(range(n))
     else:
         ids = draw(st.lists(st.integers(-20, 20), min_size=n, max_size=n, unique=not draw(st.booleans())))
-    positive = st.floats(min_value=1e-300, max_value=1e300)
+    positive = st.floats(min_value=1e-300, max_value=1e300) | st.integers(1, 10**30)
     K, H, gamma = (draw(st.lists(positive, min_size=n, max_size=n)) for _ in range(3))
     if n and draw(st.booleans()):
         column = draw(st.sampled_from([K, H, gamma]))
@@ -56,8 +57,9 @@ def built(build):
 @given(case=column_cases(), arrays=st.booleans(), data=st.data())
 def test_column_built_instance_matches_the_commodity_built_one(case, arrays, data):
     ids, K, H, gamma, capacity = case
-    by_rows, row_error = built(lambda: Instance(tuple(map(Commodity, ids, K, H, gamma)), capacity))
     columns = [np.array(values, dtype=float) for values in (K, H, gamma)] if arrays else [K, H, gamma]
+    rows = [column.tolist() for column in columns] if arrays else columns
+    by_rows, row_error = built(lambda: Instance(tuple(map(Commodity, ids, *rows)), capacity))
     by_columns, column_error = built(lambda: Instance.from_columns(ids, *columns, capacity))
     assert column_error == row_error
     if row_error is not None:
@@ -70,7 +72,10 @@ def test_column_built_instance_matches_the_commodity_built_one(case, arrays, dat
     for x, y in ((a.K, b.K), (a.H, b.H), (a.gamma, b.gamma)):
         assert x.dtype == y.dtype == np.float64 and not x.flags.writeable and not y.flags.writeable
         assert x.tobytes() == y.tobytes()
-    assert by_columns.commodities == by_rows.commodities
+    # Instance(commodities) keeps the objects it is given, an int value as an int
+    as_floats = [tuple(map(float, (c.K, c.H, c.gamma))) for c in by_rows.commodities]
+    assert [(c.K, c.H, c.gamma) for c in by_columns.commodities] == as_floats
+    assert [c.id for c in by_columns.commodities] == ids
     order = data.draw(st.permutations(ids))
     assert by_columns.positions(order).tolist() == by_rows.positions(order).tolist()
     assert by_columns.positions(ids).tolist() == list(range(len(ids)))
@@ -100,6 +105,15 @@ def test_bad_ids_and_shapes_are_refused():
         Instance.from_columns([0, 1], [1.0, "x"], [1.0, 1.0], [1.0, 1.0], 1.0)
 
 
+def test_ints_past_int64_are_read_as_floats():
+    inst = Instance.from_columns([0, 1], [10**20, 1], [1, 2**70], [3.0, 10**30], 10**25)
+    assert inst == Instance((Commodity(0, 10**20, 1, 3.0), Commodity(1, 1, 2**70, 10**30)), 10**25)
+    assert inst.columns.K.tolist() == [1e20, 1.0] and inst.columns.gamma.tolist() == [3.0, 1e30]
+    assert not any(column.flags.writeable for column in (inst.columns.K, inst.columns.H, inst.columns.gamma))
+    with pytest.raises(ValueError, match=r"^commodity 1: H must be finite and > 0, got -100000000000000000000$"):
+        Instance.from_columns([0, 1], [10**20, 1], [1, -10**20], [1, 1], 1.0)
+
+
 def test_columns_are_copied_and_the_instance_is_frozen():
     K = np.array([1.0, 2.0])
     inst = Instance.from_columns(np.arange(2), K, K, K, 1.0)
@@ -119,7 +133,7 @@ def test_readers_of_columns_build_no_commodity_and_no_dict():
     assert inst.position(12) == 12
     with pytest.raises(KeyError, match="no commodity with id 50"):
         inst.position(50)
-    assert inst._commodities is None and inst._position is None
+    assert "commodities" not in vars(inst) and "_position" not in vars(inst)
     assert inst.positions([9, 2, 40]).tolist() == [9, 2, 40]
     with pytest.raises(KeyError, match="no commodity with id 50"):
         inst.positions([1, 50])
@@ -130,7 +144,7 @@ def test_readers_of_columns_build_no_commodity_and_no_dict():
 
 def test_ids_out_of_order_are_looked_up():
     inst = Instance.from_columns([7, 3], [1.0, 2.0], [1.0, 2.0], [1.0, 2.0], 1.0)
-    assert 3 in inst and 0 not in inst and inst._position is None
+    assert 3 in inst and 0 not in inst and "_position" not in vars(inst)
     assert inst.positions([3, 7]).tolist() == [1, 0] and inst.position(3) == 1
     with pytest.raises(KeyError, match="no commodity with id 0"):
         inst.position(0)
