@@ -25,7 +25,7 @@ from .model import (
     parse_instance,
     parse_policies,
     parse_policy,
-    policy_to_json,
+    policy_entry,
     serialize_instance,
     serialize_policy,
     sosi_to_cyclic,
@@ -53,7 +53,7 @@ __all__ = [
     "parse_instance",
     "parse_policies",
     "parse_policy",
-    "policy_to_json",
+    "policy_entry",
     "serialize_instance",
     "serialize_policy",
     "sosi_to_cyclic",

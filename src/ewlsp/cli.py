@@ -47,7 +47,7 @@ from .model import (
     Instance,
     parse_instance,
     parse_policies,
-    policy_to_json,
+    policy_entry,
     serialize_instance,
 )
 from .oracle import oracle_opt_cyclic
@@ -350,7 +350,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
     if args.command == "oracle":
         instance = _read_instance(args.instance)
         policy, cost = oracle_opt_cyclic(instance, args.tau, args.grid, args.max_orders)
-        payload = {"cost_rate": cost, **policy_to_json(policy)}
+        payload = {"cost_rate": cost, **policy_entry(policy)}
         _write(json.dumps(payload, sort_keys=True), args.out)
         return 0
 
@@ -362,7 +362,7 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         report = evaluate(couple.policy, inst)
         payload = {
             "case": couple.case_id,
-            **policy_to_json(couple.policy),
+            **policy_entry(couple.policy),
             "measured_vmax": report.v_max,
             "claimed_vmax_ratio": float(couple.claimed_vmax_ratio),
             "exact_vmax_ratio": float(couple.exact_vmax_ratio),

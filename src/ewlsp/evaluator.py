@@ -9,16 +9,15 @@ evaluate certifies a stationary block as the union of its commodities' own
 one-order cycles, with the sawtooth arithmetic it applies to any schedule;
 evaluate_sosi is the solvers' closed form, and the two share no code.
 
-Couples are evaluated by couple_terms, one array pass over any number of
-couples, whatever templates they run. The sub2 solver's report
-(pipeline.AssembledPolicy.report) makes one such pass over every couple of
-every CouplePolicy of a solve's blocks; evaluate(CouplePolicy) makes one per
-couples entry, since a written policy is certified entry by entry. Either way
-combine_terms adds the per-couple terms, and the other blocks' reports, left
-to right in emission order, bit-equal to combine_reports over one report per
-couple. A rounded dense class has one couple block, written as one couples
-entry and built in one array pass that holds every near pair to the
-CoupleInput rules (pipeline._couple_blocks).
+Couples are evaluated by couple_terms, one array pass over the couples of
+one CouplePolicy, whatever templates they run. A rounded dense class has one
+couple block, built in one array pass that holds every near pair to the
+CoupleInput rules (pipeline._couple_blocks), and written as one couples
+entry. The sub2 solver's report (pipeline.AssembledPolicy.report) and
+evaluate(CouplePolicy) certify that block through the same call,
+couple_terms of its policy; combine_terms then adds the per-couple terms,
+and the other blocks' reports, left to right in emission order, bit-equal to
+combine_reports over one report per couple.
 """
 
 from __future__ import annotations
@@ -104,16 +103,16 @@ def evaluate(policy: CyclicPolicy | SosiPolicy | CouplePolicy, instance: Instanc
     A SosiPolicy is certified as the union of the single-commodity policies
     CyclicPolicy(T, {id: ((phase, T),)}), one per commodity; see
     _evaluate_stationary. A CouplePolicy is certified as the union of its
-    couples' two-commodity policies: their terms come from one couple_terms
-    pass over the entry and are added by combine_terms, so the report is
-    bit-equal to combine_reports over evaluate of each couple's own policy.
+    couples' two-commodity policies: their terms come from couple_terms of
+    the policy, the call the sub2 solver's report makes per couple block, and
+    are added by combine_terms, so the report is bit-equal to combine_reports
+    over evaluate of each couple's own policy.
     A schedule for an id the instance lacks raises KeyError.
     """
     if isinstance(policy, SosiPolicy):
         return _evaluate_stationary(policy, instance)
     if isinstance(policy, CouplePolicy):
-        couples = couple_terms(policy.templates, policy.which, policy.ids, instance)
-        return combine_terms([range(len(policy.which))], couples, instance)
+        return combine_terms([couple_terms(policy, instance)], instance)
     tau = policy.tau
     schedules = policy.schedules
     commodities = instance.commodities
@@ -203,23 +202,19 @@ def _evaluate_stationary(policy: SosiPolicy, instance: Instance) -> EvalReport:
 
 @dataclass(frozen=True)
 class CoupleTerms:
-    """The report terms of a run of couples, as couple_terms forms them:
-    `rates` holds, one column per couple, its ordering rate, holding rate and
-    peak; `keys` holds each couple's two ids in instance order (the key order
-    of its evaluate report) and `avg` their average inventories."""
+    """The report terms of the couples of one CouplePolicy, as couple_terms
+    forms them: `rates` holds, one column per couple, its ordering rate,
+    holding rate and peak; `keys` holds each couple's two ids in instance
+    order (the key order of its evaluate report) and `avg` their average
+    inventories."""
 
     rates: np.ndarray
     keys: list[int]
     avg: np.ndarray
 
 
-_NO_COUPLES = CoupleTerms(np.zeros((3, 0)), [], np.zeros(0))
-
-
-def couple_terms(
-    templates: Sequence[CyclicPolicy], which: Sequence[int], ids: Sequence[int], instance: Instance
-) -> CoupleTerms:
-    """The terms of evaluate() of every couple, in one array pass.
+def couple_terms(policy: CouplePolicy, instance: Instance) -> CoupleTerms:
+    """The terms of evaluate() of every couple of `policy`, in one array pass.
 
     Couple j runs the two-commodity schedule templates[which[j]], whose first
     schedule goes to ids[2j] (A) and second to ids[2j+1] (B). Each template's
@@ -234,10 +229,9 @@ def couple_terms(
     time, so a long schedule (a k >= 5 couple) pads no short one. An id the
     instance lacks raises evaluate's KeyError, the first in `ids` order.
     """
-    if not ids:
-        return _NO_COUPLES
+    templates, ids = policy.templates, policy.ids
     pos = instance.positions(ids).reshape(-1, 2)
-    which = np.asarray(which, dtype=np.intp)
+    which = np.asarray(policy.which, dtype=np.intp)
     # one row per template: the order counts, the averages and the baselines
     # c0 of A and B, and tau; then the instants where either orders, A's
     # quantity at each and B's. Templates are grouped by their instant count.
@@ -298,17 +292,16 @@ def _peaks(instants: np.ndarray, gamma: np.ndarray, w0: np.ndarray, gamma_total:
     return np.fmax(np.fmax.reduce(level, axis=1), w0)
 
 
-def combine_terms(parts: Sequence[EvalReport | range], couples: CoupleTerms, instance: Instance) -> EvalReport:
-    """combine_reports over `parts` in order, where a range stands for the
-    reports of those couples of `couples`, one per couple. Bit-equal to
-    combine_reports of the EvalReports: each rate is 0.0 plus every report's
-    term in turn, left to right (a running `np.add.accumulate`; 0.0 + the
-    running sum differs from it only in the sign of a zero when every term
-    is -0.0), and avg_inventory holds the same items in the same order, as
-    an IdColumn: the parts' ids and averages are concatenated (a lone
-    report's IdColumn is kept as it is), and no per-commodity dict is
-    built. Parts that share a commodity raise combine_reports'
-    ValueError."""
+def combine_terms(parts: Sequence[EvalReport | CoupleTerms], instance: Instance) -> EvalReport:
+    """combine_reports over `parts` in order, where a CoupleTerms stands for
+    the reports of its couples, one per couple. Bit-equal to combine_reports
+    of the EvalReports: each rate is 0.0 plus every report's term in turn,
+    left to right (a running `np.add.accumulate`; 0.0 + the running sum
+    differs from it only in the sign of a zero when every term is -0.0), and
+    avg_inventory holds the same items in the same order, as an IdColumn: the
+    parts' ids and averages are concatenated (a lone report's IdColumn is
+    kept as it is), and no per-commodity dict is built. Parts that share a
+    commodity raise combine_reports' ValueError."""
     columns = []
     ids: list = []
     values = []
@@ -323,14 +316,14 @@ def combine_terms(parts: Sequence[EvalReport | range], couples: CoupleTerms, ins
                 ids += avg
                 values.append(np.fromiter(avg.values(), dtype=float, count=len(avg)))
         else:
-            columns.append(couples.rates[:, part.start : part.stop])
-            ids += couples.keys[2 * part.start : 2 * part.stop]
-            values.append(couples.avg[2 * part.start : 2 * part.stop])
+            columns.append(part.rates)
+            ids += part.keys
+            values.append(part.avg)
     if len(parts) == 1 and isinstance(parts[0], EvalReport) and isinstance(parts[0].avg_inventory, IdColumn):
         avg_inventory = parts[0].avg_inventory
     else:
         if len(set(ids)) != len(ids):
-            _refuse_overlap(parts, couples)
+            _refuse_overlap(parts)
         column = np.concatenate(values) if values else np.zeros(0)
         column.flags.writeable = False
         avg_inventory = IdColumn(ids, column)
@@ -348,7 +341,7 @@ def combine_terms(parts: Sequence[EvalReport | range], couples: CoupleTerms, ins
     )
 
 
-def _refuse_overlap(parts: Sequence[EvalReport | range], couples: CoupleTerms) -> None:
+def _refuse_overlap(parts: Sequence[EvalReport | CoupleTerms]) -> None:
     """combine_reports' ValueError for the first report, in order, that
     shares a commodity with an earlier one; a couple is one report."""
     seen: set[int] = set()
@@ -356,7 +349,7 @@ def _refuse_overlap(parts: Sequence[EvalReport | range], couples: CoupleTerms) -
         if isinstance(part, EvalReport):
             reports = [part.avg_inventory.keys()]
         else:
-            reports = [couples.keys[2 * j : 2 * j + 2] for j in part]
+            reports = [part.keys[j : j + 2] for j in range(0, len(part.keys), 2)]
         for keys in reports:
             overlap = seen.intersection(keys)
             if overlap:

@@ -853,21 +853,14 @@ def _pair(pair, path: str) -> tuple[float, float]:
     return _number(pair[0], f"{path}[0]"), _number(pair[1], f"{path}[1]")
 
 
-def policy_to_json(policy: CyclicPolicy) -> dict:
-    """The canonical `{"tau", "schedules"}` object, schedules in ascending id order."""
-    return {
-        "tau": policy.tau,
-        "schedules": {str(cid): [[t, q] for t, q in orders] for cid, orders in sorted(policy.schedules.items())},
-    }
-
-
 def policy_entry(policy: Policy) -> dict:
-    """The wire-format entry of `policy`, the inverse of parse_policy:
-    policy_to_json of a CyclicPolicy; `{"sosi": {"intervals", "phases"}}` of
-    a SosiPolicy, both in ascending id order, `phases` listing only the
-    phases the policy holds; `{"couples": {"templates", "which", "ids"}}` of
-    a CouplePolicy, each template's cycle, its two schedules in key order
-    (A's, then B's) and its case, then `which` and `ids` as held."""
+    """The wire-format entry of `policy`, the inverse of parse_policy: the
+    canonical `{"tau", "schedules"}` object of a CyclicPolicy;
+    `{"sosi": {"intervals", "phases"}}` of a SosiPolicy, both in ascending id
+    order, `phases` listing only the phases the policy holds;
+    `{"couples": {"templates", "which", "ids"}}` of a CouplePolicy, each
+    template's cycle, its two schedules in key order (A's, then B's) and its
+    case, then `which` and `ids` as held."""
     if isinstance(policy, SosiPolicy):
         return {
             "sosi": {
@@ -881,8 +874,11 @@ def policy_entry(policy: Policy) -> dict:
             for p, case in zip(policy.templates, policy.cases)
         ]
         return {"couples": {"templates": templates, "which": list(policy.which), "ids": list(policy.ids)}}
-    return policy_to_json(policy)
+    return {
+        "tau": policy.tau,
+        "schedules": {str(cid): [[t, q] for t, q in orders] for cid, orders in sorted(policy.schedules.items())},
+    }
 
 
 def serialize_policy(policy: CyclicPolicy) -> bytes:
-    return json.dumps(policy_to_json(policy), sort_keys=True).encode("utf-8")
+    return json.dumps(policy_entry(policy), sort_keys=True).encode("utf-8")

@@ -25,13 +25,13 @@ matched intervals and gamma values from that column, splits them into heavy
 and light on those columns, and rounds and pairs all its heavy subgroups in
 one array pass (round_and_pair), and its couple block is built, and its
 pairs checked, from the oriented near pairs' columns in one more; the report
-evaluates every couple of the solve in one pass over the instance's
-columns. Each couple still counts as a block of its own in the report's
-sums, so how couples are grouped into blocks changes no certificate beyond
-the order of its sums. A block holds one of the model's policy types, a
-SosiPolicy, a CyclicPolicy or the CouplePolicy of a couple block, and is
-written as that policy's one entry (model.policy_entry): a `sosi`, a
-cyclic-policy or a `couples` entry.
+evaluates each couple block in one pass over the instance's columns, the
+call evaluate makes on its written entry. Each couple still counts as a
+block of its own in the report's sums, so how couples are grouped into
+blocks changes no certificate beyond the order of its sums. A block holds
+one of the model's policy types, a SosiPolicy, a CyclicPolicy or the
+CouplePolicy of a couple block, and is written as that policy's one entry
+(model.policy_entry): a `sosi`, a cyclic-policy or a `couples` entry.
 
 The three scenarios (high sparse volume, low dense volume, difficult) live in
 _dispatch, which alone reads their volume thresholds and only returns blocks;
@@ -61,7 +61,7 @@ from .matching import (
     edge_weight,
     solve_b_matching,
 )
-from .model import CouplePolicy, CyclicPolicy, IdColumn, Instance, Policy, SosiPolicy, policy_entry
+from .model import Commodity, CouplePolicy, CyclicPolicy, IdColumn, Instance, Policy, SosiPolicy, policy_entry
 from .po2 import PO2_MEAN_CONSTANT, _split_exponent
 from .relaxation import solve_sosi_relaxation
 from .two_approx import halved_relaxation, solve_two_approx
@@ -149,10 +149,10 @@ class AssembledPolicy:
     The reported peak is the sum of exact per-block peaks: an upper bound on
     the true joint peak, hence a sound feasibility certificate. Each couple
     of a couple block (a Block holding a CouplePolicy) counts as a block of
-    its own there. The report takes every couple of the solve in one
-    couple_terms pass; each dense class has at most one couple block, from
-    one array pass (_couple_blocks) that holds each near pair to the
-    CoupleInput rules.
+    its own there. Each dense class has at most one couple block, from one
+    array pass (_couple_blocks) that holds each near pair to the CoupleInput
+    rules, and the report takes each couple block in one couple_terms
+    pass.
     """
 
     blocks: tuple[Block, ...]
@@ -167,24 +167,12 @@ class AssembledPolicy:
 
     def report(self, instance: Instance) -> EvalReport:
         """combine_reports over one report per block and one per couple of a
-        couple block, in emission order, and bit-equal to it. The couples of
-        every couple block are evaluated in one couple_terms pass (template
-        indexes offset per block); combine_terms then adds their terms and
-        the other blocks' reports left to right."""
-        templates: list[CyclicPolicy] = []
-        which: list[int] = []
-        ids: list[int] = []
-        parts: list[EvalReport | range] = []
-        for b in self.blocks:
-            if b.couples is not None:
-                start, offset = len(which), len(templates)
-                which += [j + offset for j in b.couples.which]
-                templates += b.couples.templates
-                ids += b.couples.ids
-                parts.append(range(start, len(which)))
-            else:
-                parts.append(b.report(instance))
-        return combine_terms(parts, couple_terms(templates, which, ids, instance), instance)
+        couple block, in emission order, and bit-equal to it. A couple block
+        is taken in one couple_terms pass, as evaluate certifies its entry;
+        combine_terms then adds its terms and the other blocks' reports left
+        to right."""
+        parts = [couple_terms(b.couples, instance) if b.couples is not None else b.report(instance) for b in self.blocks]
+        return combine_terms(parts, instance)
 
     def scaled(self, factor: float) -> "AssembledPolicy":
         return AssembledPolicy(tuple(b.scaled(factor) for b in self.blocks))
@@ -677,17 +665,22 @@ def _couple_blocks(
     math.log2. CoupleInput and synthesize_couple then run once per distinct
     (k, T_A) of the class, for its first pair, since the schedule depends on
     nothing else; its policy, keyed by that pair's ids, is the CouplePolicy's
-    template as it is, and its case the template's case."""
+    template as it is, and its case the template's case. Each CoupleInput's
+    two Commodity objects are made from the instance's columns, so no other
+    commodity's is."""
     ids = np.column_stack((ids_A, ids_B)).ravel().tolist()
     T_A, T_B = np.asarray(T_A, dtype=float), np.asarray(T_B, dtype=float)
     T_A_list, T_B_list = T_A.tolist(), T_B.tolist()
     pos = instance.positions(ids)
-    gamma_A, gamma_B = instance.columns.gamma[pos].reshape(-1, 2).T
-    commodities = instance.commodities
+    cols = instance.columns
+    gamma_A, gamma_B = cols.gamma[pos].reshape(-1, 2).T
+
+    def commodity(k: int) -> Commodity:
+        p = pos[k]
+        return Commodity(ids[k], cols.K[p].item(), cols.H[p].item(), cols.gamma[p].item())
 
     def couple_input(j: int) -> CoupleInput:
-        p = 2 * j
-        return CoupleInput(commodities[pos[p]], commodities[pos[p + 1]], T_A_list[j], T_B_list[j], eps)
+        return CoupleInput(commodity(2 * j), commodity(2 * j + 1), T_A_list[j], T_B_list[j], eps)
 
     with np.errstate(all="ignore"):
         x = np.log2(T_A / T_B)

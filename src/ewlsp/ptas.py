@@ -161,6 +161,9 @@ class GridSpec:
         for q in range(len(m)):
             if m[q] < 1 or p[q] < m[q] or p[q] % m[q]:
                 raise ValueError(f"level {q + 1}: minus points must be a subset of plus points")
+        # when every minus grid nests in the next, a plus grid that embeds in
+        # the minus grid two levels deeper embeds in every deeper one
+        nested = all(m[q + 1] % m[q] == 0 for q in range(len(m) - 1))
         for q in range(len(m) - 1):
             if m[q + 1] % m[q]:
                 raise ValueError(f"levels {q + 1},{q + 2}: minus grids must nest")
@@ -168,7 +171,7 @@ class GridSpec:
                 raise ValueError(f"level {q + 2} minus grid must refine level {q + 1} plus grid")
             if p[q + 1] % p[q]:
                 raise ValueError(f"levels {q + 1},{q + 2}: plus grids must nest")
-            for deeper in range(q + 2, len(m)):
+            for deeper in range(q + 2, min(q + 3, len(m)) if nested else len(m)):
                 if m[deeper] % p[q]:
                     raise ValueError(
                         f"level {q + 1} plus grid must embed in level {deeper + 1} minus grid"

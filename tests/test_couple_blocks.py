@@ -3,10 +3,10 @@
 A dense class's near pairs become one couple block, built in one array pass
 (_couple_blocks): pairs of the class that agree on (k, T_A) share one
 synthesize_couple schedule. AssembledPolicy.report forms
-the terms of every couple of a solve in one couple_terms pass. Each couple
-must come out exactly as evaluate(synthesize_couple(...).policy) and
-policy_to_json would give it, float reprs and dict key order included, the
-latter once the block's one couples entry is flattened (conftest.flatten).
+the terms of each couple block in one couple_terms pass. Each couple must
+come out exactly as evaluate(synthesize_couple(...).policy) and policy_entry
+would give it, float reprs and dict key order included, the latter once the
+block's one couples entry is flattened (conftest.flatten).
 The matching's edge table and evaluate are compared with plain-Python copies
 of the loops they replaced.
 """
@@ -26,7 +26,7 @@ from ewlsp.eoq import constrained_interval
 from ewlsp.errors import NotAPowerOfTwo, SpaceMismatch
 from ewlsp.evaluator import EvalReport, combine_reports, couple_terms, evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS, class_interval_cap, edge_weight
-from ewlsp.model import Commodity, CouplePolicy, CyclicPolicy, Instance, SosiPolicy, parse_policy, policy_to_json
+from ewlsp.model import Commodity, CouplePolicy, CyclicPolicy, Instance, SosiPolicy, parse_policy, policy_entry
 from ewlsp.pipeline import (
     AssembledPolicy,
     Block,
@@ -241,7 +241,7 @@ def couple_reports(block, instance):
     """Each couple's report, read off one couple_terms pass over the block:
     its three rates and its two ids with their averages, in key order."""
     c = block.couples
-    terms = couple_terms(c.templates, c.which, c.ids, instance)
+    terms = couple_terms(c, instance)
     return [
         EvalReport(o, h, v, dict(zip(terms.keys[2 * j : 2 * j + 2], terms.avg[2 * j : 2 * j + 2].tolist())), instance.V)
         for j, (o, h, v) in enumerate(zip(*terms.rates.tolist()))
@@ -261,7 +261,7 @@ def test_couple_block_matches_one_policy_per_couple(case, factor):
     assert exact([evaluate(p, inst) for p in policies]) == exact(expected)
     assert exact(AssembledPolicy((block,)).report(inst)) == exact(combine_reports(expected, inst))
     # the block's one couples entry, flattened, is the old per-couple list
-    entries = [{**policy_to_json(p), "provenance": f"class3:couple-case{c.case_id}"} for p, c in zip(policies, couples)]
+    entries = [{**policy_entry(p), "provenance": f"class3:couple-case{c.case_id}"} for p, c in zip(policies, couples)]
     assert json.dumps(flatten([block.to_json()])) == json.dumps(entries)
     assert len(block.couples.templates) == len({(inp.k, inp.T_A) for inp in inputs})
 
@@ -297,13 +297,13 @@ def test_assembled_report_adds_each_couple_in_emission_order(case):
     assert exact(assembled.report(inst)) == exact(combine_reports(parts, inst))
 
 
-@settings(max_examples=100, deadline=None)
+@settings(deadline=None)
 @given(case=class_cases(), factor=st.sampled_from([1.0, 0.5, 1 / 3, 1.7]))
 def test_one_couple_pass_reports_every_block_in_emission_order(case, factor):
     # a class's couple block comes from one _couple_blocks pass over all its
-    # subgroups' pairs, and the solve's report from one couple_terms pass
-    # over every class's block; both must agree with building and evaluating
-    # every couple on its own
+    # subgroups' pairs, and the solve's report takes each couple block in one
+    # couple_terms pass, between the other blocks; both must agree with
+    # building and evaluating every couple on its own
     groups, others, slots, inst = case
     whole = one_block([pair for pairs in groups for pair in pairs], inst)
     alone = [one_block(pairs, inst) for pairs in groups]
@@ -506,13 +506,6 @@ def test_heavy_split_is_strict_at_three_quarters_of_the_slab():
     assert (split.heavy, split.light, split.sizes) == ((1,), (0, 2), (1,))
     # the rows locate the members in the given columns
     assert (split.heavy_rows.tolist(), split.light_rows.tolist()) == ([1], [2, 0])
-
-
-def test_couple_terms_of_nothing():
-    inst = Instance((Commodity(0, 1.0, 1.0, 1.0),), 1.0)
-    terms = couple_terms([], [], (), inst)
-    assert terms.rates.shape == (3, 0) and terms.keys == [] and terms.avg.tolist() == []
-    assert exact(AssembledPolicy(()).report(inst)) == exact(combine_reports([], inst))
 
 
 # ---------------------------------------------------------------------------

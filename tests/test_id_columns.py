@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ewlsp import pipeline
 from ewlsp.cli import generate_instance
 from ewlsp.errors import PolicyPartError
-from ewlsp.evaluator import combine_reports, combine_terms, couple_terms, evaluate, evaluate_sosi
+from ewlsp.evaluator import combine_reports, combine_terms, evaluate, evaluate_sosi
 from ewlsp.model import Commodity, CyclicPolicy, IdColumn, Instance, SosiPolicy, parse_policy, policy_entry
 from ewlsp.pipeline import Block, PipelineConfig, solve_sub2
 
@@ -171,12 +171,14 @@ def test_column_backed_reports_combine_bit_equal_to_combine_reports():
     T = (np.random.default_rng(3).uniform(0.1, 3.0, size=60)).tolist()
     parts = [evaluate_sosi(SosiPolicy(IdColumn(ids[a:b], T[a:b])), inst) for a, b in ((0, 25), (40, 60), (25, 40))]
     expected = combine_reports(parts, inst)
-    got = combine_terms(parts, couple_terms([], [], [], inst), inst)
+    got = combine_terms(parts, inst)
     assert isinstance(got.avg_inventory, IdColumn) and got.avg_inventory._dict is None
     assert exact(got) == exact(expected)
     # a lone report keeps its averages as they are
-    lone = combine_terms(parts[:1], couple_terms([], [], [], inst), inst)
+    lone = combine_terms(parts[:1], inst)
     assert lone.avg_inventory is parts[0].avg_inventory
+    # no parts at all: the report of an empty union
+    assert exact(combine_terms([], inst)) == exact(combine_reports([], inst))
 
 
 def test_column_backed_reports_that_overlap_raise_the_error_of_combine_reports():
@@ -189,7 +191,7 @@ def test_column_backed_reports_that_overlap_raise_the_error_of_combine_reports()
     with pytest.raises(ValueError) as expected:
         combine_reports(parts, inst)
     with pytest.raises(ValueError) as got:
-        combine_terms(parts, couple_terms([], [], [], inst), inst)
+        combine_terms(parts, inst)
     assert str(got.value) == str(expected.value) == "reports overlap on commodities [1, 3]"
 
 
@@ -197,9 +199,9 @@ def test_a_cyclic_report_among_the_parts_is_read_into_the_column():
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(3)), 1.0)
     parts = [evaluate_sosi(SosiPolicy(IdColumn((2, 0), (1.0, 2.0))), inst), evaluate(CyclicPolicy(1.0, {1: ((0.0, 1.0),)}), inst)]
     assert type(parts[1].avg_inventory) is dict
-    got = combine_terms(parts, couple_terms([], [], [], inst), inst)
+    got = combine_terms(parts, inst)
     assert exact(got) == exact(combine_reports(parts, inst))
-    lone = combine_terms(parts[1:], couple_terms([], [], [], inst), inst)
+    lone = combine_terms(parts[1:], inst)
     assert isinstance(lone.avg_inventory, IdColumn) and exact(lone) == exact(parts[1])
 
 

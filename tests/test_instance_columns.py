@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewlsp.cli import generate_instance, main
+from ewlsp.couples import CoupleInput
 from ewlsp.errors import SchemaError
 from ewlsp.model import Commodity, Instance, parse_instance, serialize_instance
 from ewlsp.pipeline import PipelineConfig, solve_sub2, sub_instance
@@ -176,6 +177,21 @@ def test_generator_parser_and_column_solvers_build_no_commodity(monkeypatch):
     _, report, diag = solve_sub2(loose, PipelineConfig(eps=0.05, sparsity_threshold=10, Q=10), seed=1)
     assert report.feasible and diag["scenario"] == "low-dense"
     assert built_rows == []
+    # a solve with couples makes only the two Commodity objects of each CoupleInput
+    inputs = []
+    check_input = CoupleInput.__post_init__
+
+    def counted_input(self):
+        inputs.append((self.commodity_A.id, self.commodity_B.id))
+        check_input(self)
+
+    monkeypatch.setattr(CoupleInput, "__post_init__", counted_input)
+    dense = generate_instance(5, 300, 1.0, "dense-heavy")
+    _, report, diag = solve_sub2(dense, PipelineConfig(eps=0.05, sparsity_threshold=10, Q=10), seed=1)
+    assert report.feasible and diag["scenario"] == "difficult" and diag["dense"]["couples"] > 0
+    assert "commodities" not in vars(dense)
+    assert len(inputs) > 0 and built_rows == [cid for pair in inputs for cid in pair]
+    built_rows.clear()
     assert len(loose.commodities) == 400 and built_rows == list(range(400))  # a scalar reader builds them
 
 
