@@ -10,8 +10,8 @@ An `Instance` is its columns: the ids, read-only float64 K, H and gamma in
 instance order, and the capacity V. `Instance.from_columns` checks them in
 one array pass; the generator and the instance parser build through it,
 and the solvers read `Instance.columns`. A `Commodity` is made only for a
-scalar reader (`Instance.commodities`, `Instance.commodity`), on its first
-read, and kept.
+scalar reader: `Instance.commodities` makes every row's on its first read
+and keeps them; `Instance.commodity` makes one row's alone until then.
 
 A `SosiPolicy` holds its intervals as an `IdColumn`: a tuple of ids and a
 read-only float64 column, whose id -> value dict is built only when an item
@@ -240,7 +240,14 @@ class Instance:
             raise KeyError(f"no commodity with id {exc.args[0]}") from None
 
     def commodity(self, cid: int) -> Commodity:
-        return self.commodities[self.position(cid)]
+        """The Commodity of `cid`: taken from `commodities` once that is
+        built, otherwise made from its own row of the columns alone."""
+        k = self.position(cid)
+        built = self.__dict__.get("commodities")
+        if built is not None:
+            return built[k]
+        cols = self.columns
+        return Commodity(cols.ids[k], cols.K.item(k), cols.H.item(k), cols.gamma.item(k))
 
     def ids(self) -> list[int]:
         return list(self.columns.ids)

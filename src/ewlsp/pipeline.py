@@ -61,7 +61,7 @@ from .matching import (
     edge_weight,
     solve_b_matching,
 )
-from .model import Commodity, CouplePolicy, CyclicPolicy, IdColumn, Instance, Policy, SosiPolicy, policy_entry
+from .model import CouplePolicy, CyclicPolicy, IdColumn, Instance, Policy, SosiPolicy, policy_entry
 from .po2 import PO2_MEAN_CONSTANT, _split_exponent
 from .relaxation import solve_sosi_relaxation
 from .two_approx import halved_relaxation, solve_two_approx
@@ -665,22 +665,18 @@ def _couple_blocks(
     math.log2. CoupleInput and synthesize_couple then run once per distinct
     (k, T_A) of the class, for its first pair, since the schedule depends on
     nothing else; its policy, keyed by that pair's ids, is the CouplePolicy's
-    template as it is, and its case the template's case. Each CoupleInput's
-    two Commodity objects are made from the instance's columns, so no other
-    commodity's is."""
+    template as it is, and its case the template's case. Each CoupleInput
+    reads its two Commodity objects through Instance.commodity, which makes
+    no other commodity's."""
     ids = np.column_stack((ids_A, ids_B)).ravel().tolist()
     T_A, T_B = np.asarray(T_A, dtype=float), np.asarray(T_B, dtype=float)
     T_A_list, T_B_list = T_A.tolist(), T_B.tolist()
     pos = instance.positions(ids)
-    cols = instance.columns
-    gamma_A, gamma_B = cols.gamma[pos].reshape(-1, 2).T
-
-    def commodity(k: int) -> Commodity:
-        p = pos[k]
-        return Commodity(ids[k], cols.K[p].item(), cols.H[p].item(), cols.gamma[p].item())
+    gamma_A, gamma_B = instance.columns.gamma[pos].reshape(-1, 2).T
 
     def couple_input(j: int) -> CoupleInput:
-        return CoupleInput(commodity(2 * j), commodity(2 * j + 1), T_A_list[j], T_B_list[j], eps)
+        a, b = ids[2 * j], ids[2 * j + 1]
+        return CoupleInput(instance.commodity(a), instance.commodity(b), T_A_list[j], T_B_list[j], eps)
 
     with np.errstate(all="ignore"):
         x = np.log2(T_A / T_B)

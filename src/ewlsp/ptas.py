@@ -161,9 +161,6 @@ class GridSpec:
         for q in range(len(m)):
             if m[q] < 1 or p[q] < m[q] or p[q] % m[q]:
                 raise ValueError(f"level {q + 1}: minus points must be a subset of plus points")
-        # when every minus grid nests in the next, a plus grid that embeds in
-        # the minus grid two levels deeper embeds in every deeper one
-        nested = all(m[q + 1] % m[q] == 0 for q in range(len(m) - 1))
         for q in range(len(m) - 1):
             if m[q + 1] % m[q]:
                 raise ValueError(f"levels {q + 1},{q + 2}: minus grids must nest")
@@ -171,11 +168,10 @@ class GridSpec:
                 raise ValueError(f"level {q + 2} minus grid must refine level {q + 1} plus grid")
             if p[q + 1] % p[q]:
                 raise ValueError(f"levels {q + 1},{q + 2}: plus grids must nest")
-            for deeper in range(q + 2, min(q + 3, len(m)) if nested else len(m)):
-                if m[deeper] % p[q]:
-                    raise ValueError(
-                        f"level {q + 1} plus grid must embed in level {deeper + 1} minus grid"
-                    )
+            # minus grids that do not nest fail the rule above; nested ones make a
+            # plus grid that embeds two levels deeper embed in every deeper one
+            if q + 2 < len(m) and m[q + 2] % p[q]:
+                raise ValueError(f"level {q + 1} plus grid must embed in level {q + 3} minus grid")
 
     @staticmethod
     def desk(tau: float, levels: int, M: int = 4, S: int = 8) -> "GridSpec":
