@@ -337,9 +337,10 @@ def _run(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
         with open(args.policy, "rb") as fh:
             policies = parse_policies(fh.read(), instance)
         # a union of blocks is certified by its summed block peak, as sub2 reports it
-        payload = combine_reports((evaluate(p, instance) for p in policies), instance).to_json()
+        report = combine_reports((evaluate(p, instance) for p in policies), instance)
+        payload = report.to_json()
         # the library evaluates partial id sets by design; a whole policy must cover the instance
-        covered = {cid for p in policies for cid in p.schedules}
+        covered = set(report.avg_inventory)
         missing = [cid for cid in instance.ids() if cid not in covered]
         if missing:
             payload["feasible"] = False

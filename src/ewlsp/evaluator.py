@@ -9,21 +9,20 @@ evaluate certifies a stationary block as the union of its commodities' own
 one-order cycles, with the sawtooth arithmetic it applies to any schedule;
 evaluate_sosi is the solvers' closed form, and the two share no code.
 
-Couples are evaluated by couple_terms, one array pass over the couples of
-one CouplePolicy, whatever templates they run. A rounded dense class has one
-couple block, built in one array pass that holds every near pair to the
-CoupleInput rules (pipeline._couple_blocks), and written as one couples
-entry. The sub2 solver's report (pipeline.AssembledPolicy.report) and
-evaluate(CouplePolicy) certify that block through the same call,
-couple_terms of its policy; combine_terms then adds the per-couple terms,
-and the other blocks' reports, left to right in emission order, bit-equal to
-combine_reports over one report per couple.
+A couple block is evaluated by _evaluate_couples, one array pass over the
+couples of one CouplePolicy, whatever templates they run. A rounded dense
+class has one couple block, built in one array pass that holds every near
+pair to the CoupleInput rules (pipeline._couple_blocks), and written as one
+couples entry. A union of blocks is certified by combine_reports over one
+report per block, in order, both in the sub2 solver's report
+(pipeline.AssembledPolicy.report) and in `ewlsp eval` of its written
+entries; a couple block's report there is evaluate's of its entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -43,7 +42,7 @@ class EvalReport:
     v_max: float
     # a dict from evaluate of a CyclicPolicy; an IdColumn from every other
     # evaluation (evaluate_sosi, evaluate of a stationary or couple entry,
-    # combine_terms)
+    # combine_reports)
     avg_inventory: Mapping[int, float]
     feasible_at: float
 
@@ -103,16 +102,15 @@ def evaluate(policy: CyclicPolicy | SosiPolicy | CouplePolicy, instance: Instanc
     A SosiPolicy is certified as the union of the single-commodity policies
     CyclicPolicy(T, {id: ((phase, T),)}), one per commodity; see
     _evaluate_stationary. A CouplePolicy is certified as the union of its
-    couples' two-commodity policies: their terms come from couple_terms of
-    the policy, the call the sub2 solver's report makes per couple block, and
-    are added by combine_terms, so the report is bit-equal to combine_reports
-    over evaluate of each couple's own policy.
+    couples' two-commodity policies, in one pass (_evaluate_couples): the
+    report is bit-equal to combine_reports over evaluate of each couple's
+    own policy.
     A schedule for an id the instance lacks raises KeyError.
     """
     if isinstance(policy, SosiPolicy):
         return _evaluate_stationary(policy, instance)
     if isinstance(policy, CouplePolicy):
-        return combine_terms([couple_terms(policy, instance)], instance)
+        return _evaluate_couples(policy, instance)
     tau = policy.tau
     schedules = policy.schedules
     commodities = instance.commodities
@@ -200,34 +198,26 @@ def _evaluate_stationary(policy: SosiPolicy, instance: Instance) -> EvalReport:
     )
 
 
-@dataclass(frozen=True)
-class CoupleTerms:
-    """The report terms of the couples of one CouplePolicy, as couple_terms
-    forms them: `rates` holds, one column per couple, its ordering rate,
-    holding rate and peak; `keys` holds each couple's two ids in instance
-    order (the key order of its evaluate report) and `avg` their average
-    inventories."""
-
-    rates: np.ndarray
-    keys: list[int]
-    avg: np.ndarray
-
-
-def couple_terms(policy: CouplePolicy, instance: Instance) -> CoupleTerms:
-    """The terms of evaluate() of every couple of `policy`, in one array pass.
+def _evaluate_couples(policy: CouplePolicy, instance: Instance) -> EvalReport:
+    """evaluate() of a couple block, in one array pass over its couples.
 
     Couple j runs the two-commodity schedule templates[which[j]], whose first
     schedule goes to ids[2j] (A) and second to ids[2j+1] (B). Each template's
     sawtooth statistics are taken once with `_commodity_stats`; the cost
     rates, the baseline and the peak scan are formed over the instance's
     parameter columns, one couple per column, with evaluate's own
-    arithmetic. That is bit-identical to evaluate, because each of its
-    per-couple sums has two terms and a two-term float sum does not depend
-    on the order evaluate visits the pair in; an instant where only one
-    schedule orders adds the other's gamma * 0.0, which leaves the sum as it
-    is. The peak scan (_peaks) takes the couples of one instant count at a
-    time, so a long schedule (a k >= 5 couple) pads no short one. An id the
-    instance lacks raises evaluate's KeyError, the first in `ids` order.
+    arithmetic. Each couple's terms are thus bit-identical to evaluate of its
+    own policy, because each of its per-couple sums has two terms and a
+    two-term float sum does not depend on the order evaluate visits the pair
+    in; an instant where only one schedule orders adds the other's
+    gamma * 0.0, which leaves the sum as it is. The peak scan (_peaks) takes
+    the couples of one instant count at a time, so a long schedule (a k >= 5
+    couple) pads no short one. The block's rates and peak are 0.0 plus each
+    couple's term in turn, in `which` order, so the report is bit-equal to
+    combine_reports over evaluate of each couple's own policy;
+    `avg_inventory` is an IdColumn of each couple's two ids in instance
+    order. An id the instance lacks raises evaluate's KeyError, the first in
+    `ids` order.
     """
     templates, ids = policy.templates, policy.ids
     pos = instance.positions(ids).reshape(-1, 2)
@@ -271,9 +261,16 @@ def couple_terms(policy: CouplePolicy, instance: Instance) -> CoupleTerms:
                 at = local[which[r]]
             instants = np.array([rows[t][7:] for t in members]).reshape(-1, 3, width)[at]
             terms[2, r] = _peaks(instants, gamma[r], terms[2, r], terms[3, r])
+        ordering, holding, v_max = (0.0 + np.add.accumulate(terms[:3], axis=1)[:, -1]).tolist()
     # each pair's keys in instance order: B's first unless A comes first
     order = (np.arange(2 * n) ^ (pos[:, 1] <= pos[:, 0]).repeat(2)).tolist()
-    return CoupleTerms(terms[:3], list(map(ids.__getitem__, order)), head[:, 2:4].ravel()[order])
+    return EvalReport(
+        ordering_cost_rate=ordering,
+        holding_cost_rate=holding,
+        v_max=v_max,
+        avg_inventory=IdColumn(map(ids.__getitem__, order), head[:, 2:4].ravel()[order]),
+        feasible_at=instance.V,
+    )
 
 
 def _peaks(instants: np.ndarray, gamma: np.ndarray, w0: np.ndarray, gamma_total: np.ndarray) -> np.ndarray:
@@ -290,71 +287,6 @@ def _peaks(instants: np.ndarray, gamma: np.ndarray, w0: np.ndarray, gamma_total:
     level = np.add.accumulate(added, axis=1)
     level -= gamma_total[:, None] * instants[:, 0]
     return np.fmax(np.fmax.reduce(level, axis=1), w0)
-
-
-def combine_terms(parts: Sequence[EvalReport | CoupleTerms], instance: Instance) -> EvalReport:
-    """combine_reports over `parts` in order, where a CoupleTerms stands for
-    the reports of its couples, one per couple. Bit-equal to combine_reports
-    of the EvalReports: each rate is 0.0 plus every report's term in turn,
-    left to right (a running `np.add.accumulate`; 0.0 + the running sum
-    differs from it only in the sign of a zero when every term is -0.0), and
-    avg_inventory holds the same items in the same order, as an IdColumn: the
-    parts' ids and averages are concatenated (a lone report's IdColumn is
-    kept as it is), and no per-commodity dict is built. Parts that share a
-    commodity raise combine_reports' ValueError."""
-    columns = []
-    ids: list = []
-    values = []
-    for part in parts:
-        if isinstance(part, EvalReport):
-            columns.append(((part.ordering_cost_rate,), (part.holding_cost_rate,), (part.v_max,)))
-            avg = part.avg_inventory
-            if isinstance(avg, IdColumn):  # a stationary or couple report
-                ids += avg.ids
-                values.append(avg.column)
-            else:  # a cyclic one, a dict
-                ids += avg
-                values.append(np.fromiter(avg.values(), dtype=float, count=len(avg)))
-        else:
-            columns.append(part.rates)
-            ids += part.keys
-            values.append(part.avg)
-    if len(parts) == 1 and isinstance(parts[0], EvalReport) and isinstance(parts[0].avg_inventory, IdColumn):
-        avg_inventory = parts[0].avg_inventory
-    else:
-        if len(set(ids)) != len(ids):
-            _refuse_overlap(parts)
-        column = np.concatenate(values) if values else np.zeros(0)
-        column.flags.writeable = False
-        avg_inventory = IdColumn(ids, column)
-    ordering = holding = v_max = 0.0
-    if columns:
-        terms = columns[0] if len(columns) == 1 else np.concatenate(columns, axis=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            ordering, holding, v_max = (0.0 + np.add.accumulate(terms, axis=1)[:, -1]).tolist()
-    return EvalReport(
-        ordering_cost_rate=ordering,
-        holding_cost_rate=holding,
-        v_max=v_max,
-        avg_inventory=avg_inventory,
-        feasible_at=instance.V,
-    )
-
-
-def _refuse_overlap(parts: Sequence[EvalReport | CoupleTerms]) -> None:
-    """combine_reports' ValueError for the first report, in order, that
-    shares a commodity with an earlier one; a couple is one report."""
-    seen: set[int] = set()
-    for part in parts:
-        if isinstance(part, EvalReport):
-            reports = [part.avg_inventory.keys()]
-        else:
-            reports = [part.keys[j : j + 2] for j in range(0, len(part.keys), 2)]
-        for keys in reports:
-            overlap = seen.intersection(keys)
-            if overlap:
-                raise ValueError(f"reports overlap on commodities {sorted(overlap)}")
-            seen.update(keys)
 
 
 def _running_sum(terms: np.ndarray) -> float:
@@ -398,22 +330,35 @@ def evaluate_sosi(policy: SosiPolicy, instance: Instance) -> EvalReport:
 def combine_reports(reports: Iterable[EvalReport], instance: Instance) -> EvalReport:
     """Aggregate reports of policies over disjoint commodity sets.
 
-    Cost rates and average inventories add exactly. The combined peak is
-    reported as the sum of per-part peaks: an upper bound on the true joint
-    peak (parts need not peak together), hence sound for feasibility checks;
-    it is exact when all parts peak at a common instant, e.g. phase-0
-    stationary parts.
+    Cost rates and average inventories add exactly: each rate is 0.0 plus
+    every report's in turn, left to right. The combined peak is reported as
+    the sum of per-part peaks: an upper bound on the true joint peak (parts
+    need not peak together), hence sound for feasibility checks; it is exact
+    when all parts peak at a common instant, e.g. phase-0 stationary parts.
+    `avg_inventory` is an IdColumn of the parts' ids and averages,
+    concatenated in order (a cyclic report's dict is read into it, a lone
+    IdColumn report's averages are kept as they are), and no per-commodity
+    dict is built. The first report, in order, that shares a commodity with
+    an earlier one raises a ValueError naming the shared ids.
     """
     ordering = holding = v_max = 0.0
-    avg_inventory: dict[int, float] = {}
+    ids: list = []
+    columns = []
+    seen: set = set()
     for rep in reports:
         ordering += rep.ordering_cost_rate
         holding += rep.holding_cost_rate
         v_max += rep.v_max
-        if not avg_inventory.keys().isdisjoint(rep.avg_inventory):
-            overlap = avg_inventory.keys() & rep.avg_inventory.keys()
-            raise ValueError(f"reports overlap on commodities {sorted(overlap)}")
-        avg_inventory.update(rep.avg_inventory)
+        avg = rep.avg_inventory
+        if not seen.isdisjoint(avg):
+            raise ValueError(f"reports overlap on commodities {sorted(seen.intersection(avg))}")
+        seen.update(avg)
+        ids += avg
+        columns.append(avg.column if isinstance(avg, IdColumn) else np.fromiter(avg.values(), dtype=float, count=len(avg)))
+    if len(columns) == 1 and isinstance(avg, IdColumn):
+        avg_inventory = avg
+    else:
+        avg_inventory = IdColumn(ids, np.concatenate(columns) if columns else ())
     return EvalReport(
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,

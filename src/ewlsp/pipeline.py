@@ -24,14 +24,15 @@ places each commodity as a class index, each class reads its members' ids,
 matched intervals and gamma values from that column, splits them into heavy
 and light on those columns, and rounds and pairs all its heavy subgroups in
 one array pass (round_and_pair), and its couple block is built, and its
-pairs checked, from the oriented near pairs' columns in one more; the report
-evaluates each couple block in one pass over the instance's columns, the
-call evaluate makes on its written entry. Each couple still counts as a
-block of its own in the report's sums, so how couples are grouped into
-blocks changes no certificate beyond the order of its sums. A block holds
-one of the model's policy types, a SosiPolicy, a CyclicPolicy or the
-CouplePolicy of a couple block, and is written as that policy's one entry
-(model.policy_entry): a `sosi`, a cyclic-policy or a `couples` entry.
+pairs checked, from the oriented near pairs' columns in one more. The
+report is combine_reports over one report per block, as `ewlsp eval` sums
+the written entries. A couple block's report is evaluate's of its entry,
+taken in one pass over the instance's columns, and sums its couples'
+peaks, so how couples are grouped into blocks changes no certificate
+beyond the order of its sums. A block holds one of the model's policy
+types, a SosiPolicy, a CyclicPolicy or the CouplePolicy of a couple block,
+and is written as that policy's one entry (model.policy_entry): a `sosi`,
+a cyclic-policy or a `couples` entry.
 
 The three scenarios (high sparse volume, low dense volume, difficult) live in
 _dispatch, which alone reads their volume thresholds and only returns blocks;
@@ -54,7 +55,7 @@ import numpy as np
 from . import ptas
 from .couples import CoupleInput, synthesize_couple
 from .errors import BudgetExceeded, InfeasiblePolicy, StateSpaceExceeded
-from .evaluator import EvalReport, combine_terms, couple_terms, evaluate, evaluate_sosi
+from .evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
 from .matching import (
     INF_CLASS,
     MatchingInstance,
@@ -147,12 +148,11 @@ class AssembledPolicy:
     """Union of blocks over disjoint commodity subsets.
 
     The reported peak is the sum of exact per-block peaks: an upper bound on
-    the true joint peak, hence a sound feasibility certificate. Each couple
-    of a couple block (a Block holding a CouplePolicy) counts as a block of
-    its own there. Each dense class has at most one couple block, from one
-    array pass (_couple_blocks) that holds each near pair to the CoupleInput
-    rules, and the report takes each couple block in one couple_terms
-    pass.
+    the true joint peak, hence a sound feasibility certificate. A couple
+    block (a Block holding a CouplePolicy) reports the summed peaks of its
+    couples, as evaluate certifies its entry. Each dense class has at most
+    one couple block, from one array pass (_couple_blocks) that holds each
+    near pair to the CoupleInput rules.
     """
 
     blocks: tuple[Block, ...]
@@ -166,13 +166,8 @@ class AssembledPolicy:
             seen.update(b.ids)
 
     def report(self, instance: Instance) -> EvalReport:
-        """combine_reports over one report per block and one per couple of a
-        couple block, in emission order, and bit-equal to it. A couple block
-        is taken in one couple_terms pass, as evaluate certifies its entry;
-        combine_terms then adds its terms and the other blocks' reports left
-        to right."""
-        parts = [couple_terms(b.couples, instance) if b.couples is not None else b.report(instance) for b in self.blocks]
-        return combine_terms(parts, instance)
+        """combine_reports over one report per block, in emission order."""
+        return combine_reports([b.report(instance) for b in self.blocks], instance)
 
     def scaled(self, factor: float) -> "AssembledPolicy":
         return AssembledPolicy(tuple(b.scaled(factor) for b in self.blocks))

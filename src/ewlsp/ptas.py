@@ -234,7 +234,8 @@ class GuessGrid(Sequence):
 def enumerate_guesses(instance: Instance, eps: float) -> GuessGrid:
     """Geometric cycle-length grid over the constrained-cost range, crossed
     with all class assignments; deterministic ordering throughout. More than
-    GUESS_BUDGET guesses raise BudgetExceeded."""
+    GUESS_BUDGET guesses raise BudgetExceeded, and a cycle-length or class
+    range that overflows a float raises StateSpaceExceeded."""
     if not (0 < eps < 1):
         raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
     n = instance.n
@@ -244,10 +245,12 @@ def enumerate_guesses(instance: Instance, eps: float) -> GuessGrid:
     h_min = min(c.H for c in instance.commodities)
     lo = k_max / (2.0 * eps * n * M_const)
     hi = max(lo, 2.0 * n * M_const / (eps * eps * h_min))
+    u_count = 4.0 * n * n * M_const * M_const / (eps * eps * k_min * h_min)
+    if not (math.isfinite(hi) and math.isfinite(u_count)):
+        raise StateSpaceExceeded(f"guess range overflows a float: cycle lengths up to {hi!r}, {u_count!r} class units")
     taus = [lo]
     while taus[-1] < hi:
         taus.append(min(taus[-1] * (1.0 + eps), hi))
-    u_count = 4.0 * n * n * M_const * M_const / (eps * eps * k_min * h_min)
     q_levels = max(1, math.ceil(math.log(u_count) / math.log((n / eps) ** 3)))
     total = len(taus) * q_levels**n
     if total > GUESS_BUDGET:

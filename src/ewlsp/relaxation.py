@@ -180,6 +180,8 @@ def solve_sosi_relaxation(
         raise InfeasiblePolicy(
             f"no multiplier in float range meets the budget: the intervals use {used!r} of {rhs!r}"
         )
+    if not (T > 0.0).all():  # lam * gamma overflowed, so K / inf gave 0.0
+        raise InfeasiblePolicy(f"no multiplier in float range meets the budget: an interval is {float(T.min())!r}")
     return RelaxationSolution(
         ids=ids,
         multiplier_lambda=lam,

@@ -612,6 +612,30 @@ class TestErrorExitCodes:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("ewlsp: error: no multiplier in float range"), err
 
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (["relax"], 5, "no multiplier in float range meets the budget: an interval is 0.0"),
+            (["solve", "--algo", "two-approx"], 5, "no multiplier in float range meets the budget: an interval is 0.0"),
+            (["solve", "--algo", "sub2"], 5, "no multiplier in float range meets the budget: an interval is 0.0"),
+            (["solve", "--algo", "ptas", "--eps", "0.5"], 4, "guess range overflows a float: "),
+        ],
+        ids=["relax", "two-approx", "sub2", "ptas"],
+    )
+    def test_valid_instance_at_extreme_scale_exits_with_one_line(self, tmp_path, capsys, argv, code, message):
+        # a 1e-160 capacity underflows every relaxed interval to 0.0, and
+        # K = 1e300 puts the PTAS guess range past the float range
+        if "ptas" in argv:
+            inst = Instance.from_columns(range(2), [1e300, 1e300], [1, 1], [1, 1], 1.0)
+        else:
+            inst = Instance.from_columns(range(2), [1, 2], [1, 1], [1, 3], 1e-160)
+        inst_path, out = tmp_path / "inst.json", tmp_path / "out.json"
+        inst_path.write_bytes(serialize_instance(inst))
+        assert main(argv + ["--instance", str(inst_path), "--out", str(out)]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"ewlsp: error: {message}"), err
+        assert not out.exists()
+
     def test_no_feasible_trial_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_solve_one", lambda *args, **kwargs: (1.0, 2.0, False, {}))
         inst_path = tmp_path / "inst.json"

@@ -2,11 +2,12 @@
 
 A dense class's near pairs become one couple block, built in one array pass
 (_couple_blocks): pairs of the class that agree on (k, T_A) share one
-synthesize_couple schedule. AssembledPolicy.report forms
-the terms of each couple block in one couple_terms pass. Each couple must
-come out exactly as evaluate(synthesize_couple(...).policy) and policy_entry
-would give it, float reprs and dict key order included, the latter once the
-block's one couples entry is flattened (conftest.flatten).
+synthesize_couple schedule. A couple block is evaluated in one pass, and
+AssembledPolicy.report adds one report per block. Each couple must come out
+exactly as evaluate(synthesize_couple(...).policy) and policy_entry would
+give it, float reprs and dict key order included, the latter once the
+block's one couples entry is flattened (conftest.flatten), and each block's
+report must be combine_reports over its couples' own reports.
 The matching's edge table and evaluate are compared with plain-Python copies
 of the loops they replaced.
 """
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 from ewlsp.couples import CoupleInput, synthesize_couple
 from ewlsp.eoq import constrained_interval
 from ewlsp.errors import NotAPowerOfTwo, SpaceMismatch
-from ewlsp.evaluator import EvalReport, combine_reports, couple_terms, evaluate, evaluate_sosi
+from ewlsp.evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS, class_interval_cap, edge_weight
 from ewlsp.model import Commodity, CouplePolicy, CyclicPolicy, Instance, SosiPolicy, parse_policy, policy_entry
 from ewlsp.pipeline import (
@@ -238,13 +239,11 @@ def couple_schedules(blocks):
 
 
 def couple_reports(block, instance):
-    """Each couple's report, read off one couple_terms pass over the block:
-    its three rates and its two ids with their averages, in key order."""
+    """Each couple of the block as a one-couple CouplePolicy, evaluated."""
     c = block.couples
-    terms = couple_terms(c, instance)
     return [
-        EvalReport(o, h, v, dict(zip(terms.keys[2 * j : 2 * j + 2], terms.avg[2 * j : 2 * j + 2].tolist())), instance.V)
-        for j, (o, h, v) in enumerate(zip(*terms.rates.tolist()))
+        evaluate(CouplePolicy((c.templates[w],), (c.cases[w],), (0,), c.ids[2 * j : 2 * j + 2]), instance)
+        for j, w in enumerate(c.which)
     ]
 
 
@@ -259,6 +258,7 @@ def test_couple_block_matches_one_policy_per_couple(case, factor):
     expected = [scalar_evaluate(p, inst) for p in policies]
     assert exact(couple_reports(block, inst)) == exact(expected)
     assert exact([evaluate(p, inst) for p in policies]) == exact(expected)
+    assert exact(evaluate(block.couples, inst)) == exact(combine_reports(expected, inst))
     assert exact(AssembledPolicy((block,)).report(inst)) == exact(combine_reports(expected, inst))
     # the block's one couples entry, flattened, is the old per-couple list
     entries = [{**policy_entry(p), "provenance": f"class3:couple-case{c.case_id}"} for p, c in zip(policies, couples)]
@@ -286,38 +286,42 @@ def test_couple_policy_evaluates_as_the_union_of_its_couples(case, factor):
 
 @settings(max_examples=40, deadline=None)
 @given(case=couple_cases())
-def test_assembled_report_adds_each_couple_in_emission_order(case):
+def test_assembled_report_adds_each_block_in_emission_order(case):
+    # the couple block counts once, as the union of its couples
     pairs, inst = case
     block = one_block(pairs, inst)
     extra = [c.id for c in inst.commodities if c.id not in block.ids]
     blocks = [block] + ([Block(ids=tuple(extra), sosi=SosiPolicy({i: 0.5 for i in extra}))] if extra else [])
     assembled = AssembledPolicy(tuple(blocks))
-    parts = [scalar_evaluate(synthesize_couple(inp).policy, inst) for inp in couple_inputs(pairs, inst)]
-    parts += [b.report(inst) for b in blocks[1:]]
+    couples = [scalar_evaluate(synthesize_couple(inp).policy, inst) for inp in couple_inputs(pairs, inst)]
+    parts = [combine_reports(couples, inst)] + [b.report(inst) for b in blocks[1:]]
     assert exact(assembled.report(inst)) == exact(combine_reports(parts, inst))
 
 
 @settings(deadline=None)
 @given(case=class_cases(), factor=st.sampled_from([1.0, 0.5, 1 / 3, 1.7]))
-def test_one_couple_pass_reports_every_block_in_emission_order(case, factor):
+def test_report_adds_one_report_per_block_in_emission_order(case, factor):
     # a class's couple block comes from one _couple_blocks pass over all its
-    # subgroups' pairs, and the solve's report takes each couple block in one
-    # couple_terms pass, between the other blocks; both must agree with
+    # subgroups' pairs, and the solve's report adds one report per block,
+    # a couple block's being the union of its couples; both must agree with
     # building and evaluating every couple on its own
     groups, others, slots, inst = case
+
+    def couple_parts(pairs):
+        policies = [synthesize_couple(inp).policy for inp in couple_inputs(pairs, inst)]
+        return [scalar_evaluate(p.scaled(factor) if factor != 1.0 else p, inst) for p in policies]
+
     whole = one_block([pair for pairs in groups for pair in pairs], inst)
     alone = [one_block(pairs, inst) for pairs in groups]
     assert exact(couple_schedules([whole])) == exact(couple_schedules(alone))
-    assert exact(AssembledPolicy((whole,)).scaled(factor).report(inst)) == exact(
-        AssembledPolicy(tuple(alone)).scaled(factor).report(inst)
-    )
+    every_couple = [part for pairs in groups for part in couple_parts(pairs)]
+    assert exact(AssembledPolicy((whole,)).scaled(factor).report(inst)) == exact(combine_reports(every_couple, inst))
     blocks, parts = [], []
     pending, rest = iter(zip(groups, alone)), iter(others)
     for slot in range(len(groups) + len(others)):
         if slot in slots:
             pairs, block = next(pending)
-            policies = [synthesize_couple(inp).policy for inp in couple_inputs(pairs, inst)]
-            parts += [scalar_evaluate(p.scaled(factor) if factor != 1.0 else p, inst) for p in policies]
+            parts.append(combine_reports(couple_parts(pairs), inst))
         else:
             block = next(rest)
             scaled = block.scaled(factor)
@@ -468,20 +472,18 @@ def test_shared_schedule_is_built_once_per_key():
 @pytest.mark.parametrize("stray_first", [False, True])
 def test_parts_sharing_a_commodity_raise_the_error_of_combine_reports(stray_first):
     # AssembledPolicy checks its blocks' ids, not the ids their policies
-    # name; a report over parts that share a commodity is refused with
-    # combine_reports' error, which names the first part to overlap
+    # name; a report over blocks that share a commodity is refused with
+    # combine_reports' error, which names the ids the first block to overlap
+    # shares with the earlier ones
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(5)), 1.0)
     couples = one_block([((0, 1.0, 1.0), (1, 1.0, 1.0)), ((2, 1.0, 1.0), (3, 1.0, 1.0))], inst, "c")
     stray = Block(ids=(4,), sosi=SosiPolicy({4: 1.0, 2: 1.0, 0: 0.5}))
     blocks = (stray, couples) if stray_first else (couples, stray)
-    parts = couple_reports(couples, inst) + [stray.report(inst)]
-    if stray_first:
-        parts = parts[-1:] + parts[:-1]
     with pytest.raises(ValueError) as expected:
-        combine_reports(parts, inst)
+        combine_reports([b.report(inst) for b in blocks], inst)
     with pytest.raises(ValueError) as got:
         AssembledPolicy(blocks).report(inst)
-    assert str(got.value) == str(expected.value) == f"reports overlap on commodities {[0] if stray_first else [0, 2]}"
+    assert str(got.value) == str(expected.value) == "reports overlap on commodities [0, 2]"
 
 
 def test_a_recurring_key_reuses_the_class_template():

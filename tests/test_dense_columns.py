@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from ewlsp.cli import generate_instance
 from ewlsp.couples import CoupleInput, classify_pairs, synthesize_couple
-from ewlsp.evaluator import evaluate_sosi
+from ewlsp.evaluator import combine_reports, evaluate, evaluate_sosi
 from ewlsp.matching import solve_b_matching
-from ewlsp.model import Instance
+from ewlsp.model import Instance, parse_policy
 from ewlsp.po2 import _split_exponent, po2_round
 from ewlsp.pipeline import (
     PipelineConfig,
@@ -35,6 +35,7 @@ from ewlsp.pipeline import (
 )
 
 from conftest import flat_content
+from test_stationary_columns import exact
 
 
 def scalar_chain(ids, T, gamma, sizes, thetas, eps):
@@ -245,7 +246,7 @@ def scalar_couples(instance, cfg, seed, classes):
 LADDER_DIGESTS = {
     (2, 1000, 0): (
         "b5a31ae219d7ecc9fb155731d062e11da158fcef0dc8193ee7f9c9c3323ddf9f",
-        "3f38949bd83f7302d8dae65d2e322fbd1e32bf8e61fff16f85accb57b0b113cf",
+        "1a262befad12f20424f94a99454b13b1c184343f262411dc5b4c227fa5e8caf4",
     ),
     (1, 2000, 0): (
         "62fc41543bff3c6d29295186f656c6b5932bb1e43caac48e4f6bbe0dbf562073",
@@ -253,7 +254,7 @@ LADDER_DIGESTS = {
     ),
     (0, 2000, 1): (
         "1affeb47d6d2bf639e501ae21030ee523728509112d22564bf5fda37f0f6fdb4",
-        "034044777e9ee53a723265949ea5edbef0350c3993c2bee19cef6eb4340b0cd1",
+        "a1f1d5c8c24d950834743af1eedbf391f3788cb88001c9edc306a443b7a9187a",
     ),
 }
 
@@ -284,3 +285,24 @@ def test_ladder_solve_builds_k_ge_1_couples_as_synthesize_couple_does(key):
     text = json.dumps(doc, sort_keys=True) + repr(report.total_cost_rate) + repr(report.v_max)
     digests = [hashlib.sha256(s.encode()).hexdigest() for s in (flat_content(doc["blocks"]), text)]
     assert tuple(digests) == LADDER_DIGESTS[key]
+
+
+def test_ladder_solve_reports_each_block_as_its_written_entry_certifies():
+    # two couple blocks over cases 1-6: each block's report is the one its
+    # entry, read back, gets (evaluate_sosi for a stationary block, as the
+    # solver reports it), and the solve's report adds them in emission order
+    inst = ladder_instance(0, 2000)
+    assembled, report, _ = solve_sub2(inst, PipelineConfig(), seed=1)
+    couple_blocks = [b for b in assembled.blocks if b.couples is not None]
+    assert len(couple_blocks) == 2
+    assert {case for b in couple_blocks for case in b.couples.cases} == {1, 2, 3, 4, 5, 6}
+    parts = []
+    for block in assembled.blocks:
+        parts.append(block.report(inst))
+        policy = parse_policy(json.dumps(block.to_json()))
+        certified = evaluate_sosi(policy, inst) if block.sosi is not None else evaluate(policy, inst)
+        assert exact(parts[-1]) == exact(certified)
+        assert parts[-1].feasible_at == certified.feasible_at == inst.V
+    combined = combine_reports(parts, inst)
+    assert exact(assembled.report(inst)) == exact(report) == exact(combined)
+    assert list(report.avg_inventory) == list(combined.avg_inventory)

@@ -1,9 +1,10 @@
 """Stationary policies and their reports held as ids plus a float column.
 
 A SosiPolicy keeps its intervals as an IdColumn, whether it was built from
-a column or from a dict, and evaluate_sosi and evaluate key their reports'
-average inventories the same way. These tests hold a column-built policy to
-the dict-built one bit for bit, check the errors it raises, and check that a
+a column or from a dict, and evaluate_sosi, evaluate and combine_reports
+key their reports' average inventories the same way. These tests hold a
+column-built policy to the dict-built one, and combine_reports to its
+dict-built form, bit for bit, check the errors they raise, and check that a
 low-dense sub2 solve builds no per-commodity dict on its way.
 """
 
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from ewlsp import pipeline
 from ewlsp.cli import generate_instance
 from ewlsp.errors import PolicyPartError
-from ewlsp.evaluator import combine_reports, combine_terms, evaluate, evaluate_sosi
+from ewlsp.evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
 from ewlsp.model import Commodity, CyclicPolicy, IdColumn, Instance, SosiPolicy, parse_policy, policy_entry
 from ewlsp.pipeline import Block, PipelineConfig, solve_sub2
 
@@ -165,20 +166,35 @@ def test_column_and_dict_built_policies_give_bit_equal_reports(inst, data):
     assert exact(evaluate_sosi(from_column.scaled(factor), inst)) == exact(evaluate_sosi(from_dict.scaled(factor), inst))
 
 
+def dict_combine_reports(reports, instance):
+    """combine_reports as it was written on a dict of average inventories."""
+    ordering = holding = v_max = 0.0
+    avg_inventory = {}
+    for rep in reports:
+        ordering += rep.ordering_cost_rate
+        holding += rep.holding_cost_rate
+        v_max += rep.v_max
+        if not avg_inventory.keys().isdisjoint(rep.avg_inventory):
+            overlap = avg_inventory.keys() & rep.avg_inventory.keys()
+            raise ValueError(f"reports overlap on commodities {sorted(overlap)}")
+        avg_inventory.update(rep.avg_inventory)
+    return EvalReport(ordering, holding, v_max, avg_inventory, instance.V)
+
+
 def test_column_backed_reports_combine_bit_equal_to_combine_reports():
     inst = generate_instance(3, 60, 1.0, "tight")
     ids = inst.ids()
     T = (np.random.default_rng(3).uniform(0.1, 3.0, size=60)).tolist()
     parts = [evaluate_sosi(SosiPolicy(IdColumn(ids[a:b], T[a:b])), inst) for a, b in ((0, 25), (40, 60), (25, 40))]
-    expected = combine_reports(parts, inst)
-    got = combine_terms(parts, inst)
+    expected = dict_combine_reports(parts, inst)
+    got = combine_reports(iter(parts), inst)
     assert isinstance(got.avg_inventory, IdColumn) and got.avg_inventory._dict is None
     assert exact(got) == exact(expected)
     # a lone report keeps its averages as they are
-    lone = combine_terms(parts[:1], inst)
+    lone = combine_reports(parts[:1], inst)
     assert lone.avg_inventory is parts[0].avg_inventory
     # no parts at all: the report of an empty union
-    assert exact(combine_terms([], inst)) == exact(combine_reports([], inst))
+    assert exact(combine_reports([], inst)) == exact(dict_combine_reports([], inst))
 
 
 def test_column_backed_reports_that_overlap_raise_the_error_of_combine_reports():
@@ -189,9 +205,9 @@ def test_column_backed_reports_that_overlap_raise_the_error_of_combine_reports()
         evaluate_sosi(SosiPolicy(IdColumn((4, 3, 1), (1.0, 2.0, 0.5))), inst),
     ]
     with pytest.raises(ValueError) as expected:
-        combine_reports(parts, inst)
+        dict_combine_reports(parts, inst)
     with pytest.raises(ValueError) as got:
-        combine_terms(parts, inst)
+        combine_reports(parts, inst)
     assert str(got.value) == str(expected.value) == "reports overlap on commodities [1, 3]"
 
 
@@ -199,9 +215,9 @@ def test_a_cyclic_report_among_the_parts_is_read_into_the_column():
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(3)), 1.0)
     parts = [evaluate_sosi(SosiPolicy(IdColumn((2, 0), (1.0, 2.0))), inst), evaluate(CyclicPolicy(1.0, {1: ((0.0, 1.0),)}), inst)]
     assert type(parts[1].avg_inventory) is dict
-    got = combine_terms(parts, inst)
-    assert exact(got) == exact(combine_reports(parts, inst))
-    lone = combine_terms(parts[1:], inst)
+    got = combine_reports(parts, inst)
+    assert exact(got) == exact(dict_combine_reports(parts, inst))
+    lone = combine_reports(parts[1:], inst)
     assert isinstance(lone.avg_inventory, IdColumn) and exact(lone) == exact(parts[1])
 
 

@@ -337,7 +337,7 @@ PINNED_OUTPUTS = [
         "difficult-prefix-class-order",
         (_with_prefix(200, [(1.55, 0.85, 0.00234), (1.81, 0.75, 0.00141), (1.93, 0.63, 0.00141)], 1.0), 0, None),
         "18aa84658de4c58751a7132a926d8d6c81f82e0fbc10b7bac9d126be9926090b",
-        "b4a56c02077554aa387779ed5fa3524e8c4cceec38bcab98552d6b9f7b2c79f5",
+        "ac4b6f3cf5504b2ce23f0cdda131d6632c32a578cfca354fdca3ea74bcb651c2",
     ),
     (
         "difficult-far-pairs",

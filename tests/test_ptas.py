@@ -118,6 +118,14 @@ class TestGuesses:
             enumerate_guesses(inst, 0.5)
         assert exc.value.count > 1
 
+    def test_guess_range_past_the_float_range_is_a_state_space_error(self):
+        # K = 1e300 puts the class-unit count past the float range, where the
+        # class-level count used to raise OverflowError
+        inst = make_instance([(1e300, 1, 1), (1e300, 1, 1)], 1.0)
+        for solve in (enumerate_guesses, ptas_solve):
+            with pytest.raises(StateSpaceExceeded, match=r"^guess range overflows a float: .* inf class units$"):
+                solve(inst, 0.5)
+
     @pytest.mark.parametrize("eps", [0.0, -0.5, 1.0])
     def test_eps_outside_the_unit_interval_is_refused(self, eps):
         # a negative eps used to shrink the tau grid forever; 0 and 1 divided by zero

@@ -10,6 +10,7 @@ from ewlsp.cli import generate_instance
 from ewlsp.errors import InfeasiblePolicy
 from ewlsp.model import Commodity, Instance
 from ewlsp.oracle import oracle_opt_cyclic
+from ewlsp.pipeline import PipelineConfig, build_reference_policy, solve_sub2
 from ewlsp.relaxation import solve_sosi_dp, solve_sosi_relaxation
 
 from conftest import make_instance, random_instance
@@ -43,6 +44,18 @@ class TestExactSolver:
         inst = make_instance([(1e300, 1e-300, 1e300)], 1e-300)
         with pytest.raises(InfeasiblePolicy, match="no multiplier in float range"):
             solve_sosi_relaxation(inst)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [solve_sosi_relaxation, two_approx.solve_two_approx, build_reference_policy, lambda inst: solve_sub2(inst, PipelineConfig(), seed=0)],
+        ids=["relaxation", "two-approx", "reference", "sub2"],
+    )
+    def test_multiplier_overflow_to_zero_intervals_is_a_named_error(self, solve):
+        # a budget of 2e-160 sends lam * gamma to inf, so every K / (H + inf)
+        # is 0.0; no solver may build on those intervals
+        inst = Instance.from_columns(range(2), [1, 2], [1, 1], [1, 3], 1e-160)
+        with pytest.raises(InfeasiblePolicy, match=r"^no multiplier in float range meets the budget: an interval is 0\.0$"):
+            solve(inst)
 
     def test_steep_budget_below_one_takes_the_bracket_upper_end(self):
         # lam ~7.6e-6, where the bisection's last bracket is 1e-13 wide: its
