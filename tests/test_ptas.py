@@ -441,6 +441,23 @@ PINNED_OUTPUTS = [
         make_instance([(1, 1, 1), (2, 1, 0.5), (1, 3, 1)], 1.2),
         "481f9343d42637b788aeaa2ecbbaebc7dcd9bee431304e6bff36966fbe03d1a8",
     ),
+    # the spread-0 families the ptas-small benchmark times (K = H = 1),
+    # taken before the DP dropped its limits
+    (
+        "generated-0-tight-n1-spread0",
+        generate_instance(0, 1, 0.0, "tight"),
+        "6900936d2666605d53bac3122b33003aba9fea982bf9eb724ed1981249eb35f5",
+    ),
+    (
+        "generated-0-loose-n1-spread0",
+        generate_instance(0, 1, 0.0, "loose"),
+        "bd078315fc28b3109d272e279b72556bb901419e91a6681c278954f5d0a0a91f",
+    ),
+    (
+        "generated-0-tight-n2-spread0",
+        generate_instance(0, 2, 0.0, "tight"),
+        "4fcbfbc8f93ee6cc1957c64b136f16f603728de6fe5e19b5e21d33d0ca9bbd21",
+    ),
 ]
 
 
