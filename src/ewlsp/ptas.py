@@ -61,7 +61,7 @@ the least (cost, enumeration index), the policy an unpruned sweep in
 enumeration order would return.
 
 The sweep screens its guesses on arrays: per class assignment, the ACTION_CAP
-skip once, and the overfull test (below), f_lo and the bound over the whole
+skip once, and the overfull test (below) and the bound over the whole
 column of cycle lengths at once. Each value comes from the same float
 operations in the same id order as a scalar pass over one guess, so it is
 bit-equal to it, and the queue is ordered by (bound, enumeration index).
@@ -80,25 +80,16 @@ so the checked sum is never below that one), and the DP has no value. Such
 a guess could not have won: `ptas_solve` counts it as pruned, and
 `dp_solve` returns None for it.
 
-Each DP the sweep runs is also cut by the incumbent. Scaling by f <= 1
-divides the ordering cost O and multiplies the holding cost Hh of a DP
-policy of rate O + Hh, so it certifies at O/f + f*Hh >= f*(O + Hh) >=
-f_lo*rate: a DP whose rate exceeds incumbent/f_lo cannot win, and
-`dp_solve` takes that as a cutoff. Inside the DP, every state gets a limit
-and, with the best total it has found so far, skips a combination as soon
-as its interval cost plus a floor on everything below it exceeds the
-smaller of the two; its children get the room that leaves. The floor puts
-each commodity below in every interval at its cheapest pattern among those
-whose space alone fits the bound, so it rises where the capacity is tight. A
-state that could only be shown to exceed its limit is stored as cut, with
-the limit, and solved again only under a looser one. Values within the
-cutoff are unchanged, so every DP's result and the sweep's winner stay
-bit-identical; a DP whose best rate exceeds the cutoff returns None.
+Inside the DP, a state stops its scan once a combination's interval cost
+plus a floor on everything below it exceeds the best total it has found.
+The floor puts each commodity below in every interval at its cheapest
+pattern among those whose space alone fits the bound, so it rises where the
+capacity is tight. Every memo entry holds its state's exact value.
 
-A DP policy that fits under the cutoff is certified only if it can win:
-when it exceeds the capacity, O/f + f*Hh at f = V/v_max, read off its
-unscaled evaluation, is compared with the incumbent before the policy is
-scaled and evaluated again (see `ptas_solve`).
+A DP policy is certified only if it can win: when it exceeds the capacity,
+O/f + f*Hh at f = V/v_max, read off its unscaled evaluation, is compared
+with the incumbent before the policy is scaled and evaluated again (see
+`ptas_solve`).
 """
 
 from __future__ import annotations
@@ -127,7 +118,7 @@ GUESS_BUDGET = 100_000
 # Relative slack, per plus-grid step, for an order time to count as on the grid.
 ALIGN_RTOL = 1e-9
 # Relative margin by which a lower bound must exceed a cost (a guess's bound
-# the incumbent's, a DP candidate's floor its limit) before it prunes or cuts,
+# the incumbent's, a DP candidate's floor its best) before it prunes or cuts,
 # so float rounding in the bound cannot drop a winner.
 PRUNE_RTOL = 1e-9
 # Candidates of a state sorted by cost before its scan starts; the scan sorts
@@ -307,11 +298,11 @@ def _overfull(instance: Instance, assignment: Mapping[int, int], eps: float, gri
 
 
 def _guess_bound(instance: Instance, assignment: Mapping[int, int], grid: GridSpec, taus: np.ndarray):
-    """Per cycle length of the column `taus`: f_lo = min(1, V/P), the least
-    factor by which `ptas_solve` can scale the guess's DP policy into the
-    capacity, P being the peak bound sum gamma_i*tau/minus_qi; and the lower
-    bound on the cost rate of the scaled policy, the sum of each
-    commodity's EOQ interval clipped into [f_lo*tau/plus_q, tau/minus_q].
+    """Per cycle length of the column `taus`, the lower bound on the cost
+    rate of the guess's DP policy once `ptas_solve` scales it into the
+    capacity: the sum of each commodity's EOQ interval clipped into
+    [f_lo*tau/plus_q, tau/minus_q]. f_lo = min(1, V/P) is the least factor
+    the scaling can apply, P being the peak bound sum gamma_i*tau/minus_qi.
     Both sums run in id order, one float operation at a time, so each entry
     is the float a scalar loop over that guess gives."""
     items = sorted(assignment.items())
@@ -324,21 +315,21 @@ def _guess_bound(instance: Instance, assignment: Mapping[int, int], grid: GridSp
         c = instance.commodity(i)
         lo, hi = f_lo * taus / grid.plus_counts[q - 1], taus / grid.minus_counts[q - 1]
         total = total + cost(c.K, c.H, np.minimum(np.maximum(math.sqrt(c.K / c.H), lo), hi))
-    return f_lo, total
+    return total
 
 
 def _screen(
     instance: Instance, guesses: GuessGrid, eps: float, grid: GridSpec
-) -> tuple[int, int, list[tuple[float, int, float]]]:
+) -> tuple[int, int, list[tuple[float, int]]]:
     """Screen the guesses one class assignment at a time, over its whole
     column of cycle lengths; `grid` covers every class and only its counts
     are read. Returns the numbers of guesses skipped over ACTION_CAP and of
-    overfull ones, and the queue: (bound, enumeration index, f_lo) of every
-    other guess, in ascending (bound, index)."""
+    overfull ones, and the queue: the (bound, enumeration index) pairs of
+    every other guess, in ascending order."""
     taus = np.array(guesses.taus)
     shape = (len(taus), len(guesses.classes))  # guess t * len(classes) + c at [t, c]
     admitted = np.zeros(shape, dtype=bool)
-    f_lo, bound = np.ones(shape), np.zeros(shape)
+    bound = np.zeros(shape)
     skipped = overfull = 0
     for c, classes in enumerate(guesses.classes):
         if _action_space_excess(classes, grid) is not None:
@@ -348,11 +339,11 @@ def _screen(
         over = _overfull(instance, assignment, eps, grid, taus)
         overfull += int(np.count_nonzero(over))
         admitted[:, c] = ~over
-        f_lo[:, c], bound[:, c] = _guess_bound(instance, assignment, grid, taus)
+        bound[:, c] = _guess_bound(instance, assignment, grid, taus)
     keep = np.flatnonzero(admitted)
-    bound, f_lo = bound.ravel(), f_lo.ravel()
+    bound = bound.ravel()
     order = keep[np.argsort(bound[keep], kind="stable")]
-    return skipped, overfull, list(zip(bound[order].tolist(), order.tolist(), f_lo[order].tolist()))
+    return skipped, overfull, list(zip(bound[order].tolist(), order.tolist()))
 
 
 @dataclass(frozen=True)
@@ -499,11 +490,10 @@ class _DpSolver:
     statistics share one entry. It is empty at level 0 and below a skipped
     level, whose space went into `lb_units` instead.
 
-    A memo entry is `(value, combination, exact)`. An exact entry holds the
-    state's value (None when nothing fits) and its chosen combination; a cut
-    entry holds only the limit its value was shown to exceed. `dp_solve`
-    builds one only for a guess it admits: the grid covers it, no level
-    exceeds ACTION_CAP and none is overfull."""
+    A memo entry is `(value, combination)`: the state's value (None when
+    nothing fits) and its chosen combination. `dp_solve` builds a solver
+    only for a guess it admits: the grid covers it, no level exceeds
+    ACTION_CAP and none is overfull."""
 
     def __init__(
         self, instance: Instance, guess: Guess, eps: float, grid: GridSpec, state_cap: int, tables: dict
@@ -549,11 +539,10 @@ class _DpSolver:
             children = self.length[j] // self.length[j + 1] if j + 1 < len(occupied) else 0
             self.floor[j] = least[j] + children * self.floor[j + 1]
 
-    def solve(self, cutoff: float) -> tuple[float, CyclicPolicy] | None:
+    def solve(self) -> tuple[float, CyclicPolicy] | None:
         top = (0, (), 0)
-        limit = cutoff * self.tau / self.copies
-        cost = self._value(top, limit)
-        if cost is None or cost > limit:
+        cost = self._value(top)
+        if cost is None:
             return None
         orders: dict[int, list[tuple[int, int]]] = {i: [] for ids in self.ids_at for i in ids}
         for m in range(self.copies):
@@ -565,10 +554,9 @@ class _DpSolver:
         policy = CyclicPolicy(tau=self.tau, schedules=schedules)
         return self.copies * cost / self.tau, policy
 
-    def _value(self, state: tuple, limit: float) -> float | None:
+    def _value(self, state: tuple) -> float | None:
         """Cheapest cost of the state's interval and everything below it;
-        None when no combination of patterns fits, and math.inf when the
-        state was cut: its value was shown to exceed `limit`.
+        None when no combination of patterns fits.
 
         A combination picks one pattern per commodity of the level; its flat
         index is its position in `itertools.product` order over the ids.
@@ -589,25 +577,14 @@ class _DpSolver:
         walked in the order of `_Terms.ascending`, which is `_ascending`'s.
 
         A combination's total is at least its interval cost plus the floors
-        of its children. With `bound` = min(limit, best) * (1 + PRUNE_RTOL),
-        the scan also stops once that exceeds the bound, and each child is
-        solved under the room the bound leaves it after its earlier
-        siblings' values and its later siblings' floors; a child without
-        room for its own floor is not solved at all. A combination skipped
-        so totals more than the bound. When the limit was the smaller term,
-        the state's entry is exact only if it still finds a value within
-        the limit, and is cut otherwise: its entry keeps the limit. A cut
-        entry answers every limit up to its own and is solved again, in its
-        slot, under a looser one; an exact entry answers every limit."""
+        of its children, so the scan also stops once that exceeds the best
+        total times (1 + PRUNE_RTOL)."""
         known = self.memo.get(state)
-        if known is None:
-            if len(self.memo) >= self.state_cap:
-                raise StateSpaceExceeded(f"memo grew past {self.state_cap} states")
-            self.memo[state] = (None, None, True)  # occupy the slot; overwritten below
-        elif known[2]:
+        if known is not None:
             return known[0]
-        elif limit <= known[0]:
-            return math.inf
+        if len(self.memo) >= self.state_cap:
+            raise StateSpaceExceeded(f"memo grew past {self.state_cap} states")
+        self.memo[state] = (None, None)  # occupy the slot; overwritten below
         j, profile, lb_units = state
         S, step = self.S[j], self.step[j]
 
@@ -662,42 +639,29 @@ class _DpSolver:
             candidates = _ascending(cost, space, last[keep], self.space_bound)
 
         folds = self._folds(j, profile)
-        child_floor = self.floor[j + 1]
-        floor = len(folds) * child_floor
+        floor = len(folds) * self.floor[j + 1]
         best: float | None = None
         best_at = -1
         best_combo = None
-        limited = False  # a combination was skipped for exceeding the limit
         for at, c in candidates:
-            if best is not None and (c, at) > (best, best_at):
-                break
-            binding = best is None or limit < best
-            bound = (limit if binding else best) * (1.0 + PRUNE_RTOL)
-            if c + floor > bound:
-                limited = limited or binding
+            if best is not None and ((c, at) > (best, best_at) or c + floor > best * (1.0 + PRUNE_RTOL)):
                 break
             if keep is None:
                 combo = (at,)
             else:
                 row, k = divmod(at, len(keep))
                 combo = tuple(int(p[row]) for p in picks) + (int(keep[k]),)
-            children = self._children(j, lb_units, folds, combo)
             below = 0.0
-            for later, (_, child) in zip(range(len(folds) - 1, -1, -1), children):
-                room = bound - c - below - later * child_floor
-                value = self._value(child, room) if room >= child_floor else math.inf
-                if value is None or value == math.inf:
-                    limited = limited or (value is not None and binding)
+            for _, child in self._children(j, lb_units, folds, combo):
+                value = self._value(child)
+                if value is None:
                     break
                 below += value
             else:
                 total = c + below
                 if best is None or (total, at) < (best, best_at):
                     best, best_at, best_combo = total, at, combo
-        if limited and (best is None or best > limit):
-            self.memo[state] = (limit, None, False)
-            return math.inf
-        self.memo[state] = (best, best_combo, True)
+        self.memo[state] = (best, best_combo)
         return best
 
     def _folds(self, j: int, profile: tuple) -> list[float]:
@@ -739,8 +703,8 @@ class _DpSolver:
             yield e * child_len, (j + 1, (), lb_units + int(fold / self.granule))
 
     def _materialize(self, state: tuple, abs_entry: int, orders: dict[int, list[tuple[int, int]]]):
-        # the state lies on the chosen chain, so its entry is exact and holds a combination
-        _, combo, _ = self.memo[state]
+        # the state lies on the chosen chain, so its entry holds a combination
+        _, combo = self.memo[state]
         j, profile, lb_units = state
         step, S = self.step[j], self.S[j]
         patterns = _patterns(S).slots
@@ -759,16 +723,14 @@ def dp_solve(
     eps: float,
     grid: GridSpec,
     state_cap: int = DEFAULT_STATE_CAP,
-    cutoff: float = math.inf,
     *,
     tables: dict | None = None,
 ) -> tuple[float, CyclicPolicy] | None:
     """Best grid-aligned policy (cost rate, policy) for one guess, or None
-    when every action chain violates the space check or the best cost rate
-    exceeds `cutoff`. Below the cutoff the result does not depend on it. A
-    level with more pattern combinations than ACTION_CAP raises
-    ActionSpaceExceeded, and a memo that reaches `state_cap` distinct states
-    raises StateSpaceExceeded. For a guess with an overfull level (see the
+    when every action chain violates the space check. A level with more
+    pattern combinations than ACTION_CAP raises ActionSpaceExceeded, and a
+    memo that reaches `state_cap` distinct states raises
+    StateSpaceExceeded. For a guess with an overfull level (see the
     module docstring) None is decided up front, without building the DP.
     `tables` holds the scaled pattern tables (see `_scaled_terms`) that the
     DPs of one instance and eps share; without it the DP builds its own."""
@@ -780,7 +742,7 @@ def dp_solve(
     if _overfull(instance, guess.assignment, eps, grid, grid.tau_cycle):
         return None
     tables = {} if tables is None else tables
-    return _DpSolver(instance, guess, eps, grid, state_cap, tables).solve(cutoff)
+    return _DpSolver(instance, guess, eps, grid, state_cap, tables).solve()
 
 
 def ptas_solve(
@@ -799,14 +761,12 @@ def ptas_solve(
     overfull level is pruned at once: its DP has no value. The others are
     visited in ascending (lower bound, enumeration index), and the sweep
     stops at the first whose bound * (1 - PRUNE_RTOL) exceeds the
-    incumbent's cost; the rest are pruned without running their DP. Each
-    DP runs under the cutoff incumbent / f_lo * (1 + PRUNE_RTOL): a policy
-    whose rate exceeds it certifies above the incumbent. The winner has the
-    least (cost, enumeration index), as in a full sweep. When a dict is
-    passed as `details`, the winning guess, its grid, and the numbers of
-    skipped and pruned guesses are recorded; `pruned_guesses` counts the
-    overfull guesses and those cut by the bound, none of which could have
-    won. When no guess yields a feasible policy, StateSpaceExceeded counts
+    incumbent's cost; the rest are pruned without running their DP. The
+    winner has the least (cost, enumeration index), as in a full sweep.
+    When a dict is passed as `details`, the winning guess, its grid, and
+    the numbers of skipped and pruned guesses are recorded;
+    `pruned_guesses` counts the overfull guesses and those cut by the
+    bound, none of which could have won. When no guess yields a feasible policy, StateSpaceExceeded counts
     the skipped, the overfull and the solved guesses.
 
     A DP policy over the capacity is scaled by f = V / v_max, which divides
@@ -828,17 +788,13 @@ def ptas_solve(
     tables: dict = {}
     best: tuple[float, int, CyclicPolicy, EvalReport, Guess, GridSpec] | None = None
     visited = 0
-    for bound, index, f_lo in queue:
-        cutoff = math.inf
-        if best is not None:
-            if bound * (1.0 - PRUNE_RTOL) > best[0]:
-                break
-            # the scaled policy certifies at O/f + f*Hh >= f*rate >= f_lo*rate
-            cutoff = best[0] / f_lo * (1.0 + PRUNE_RTOL)
+    for bound, index in queue:
+        if best is not None and bound * (1.0 - PRUNE_RTOL) > best[0]:
+            break
         visited += 1
         guess = guesses[index]
         grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=grid_M, S=grid_S)
-        result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap, cutoff=cutoff, tables=tables)
+        result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap, tables=tables)
         if result is None:
             continue
         _, policy = result

@@ -49,7 +49,7 @@ _BRACKET_ROUNDS = 8
 @dataclass(frozen=True)
 class RelaxationSolution:
     ids: tuple[int, ...]  # the relaxed commodities, in instance order
-    multiplier_lambda: float
+    multiplier_lambda: float | None  # None from the knapsack DP, which has no multiplier
     objective: float
     budget_used: float
     budget_cap: float
@@ -259,7 +259,7 @@ def solve_sosi_dp(instance: Instance, eps: float, rhs: float | None = None) -> R
     column.flags.writeable = False
     return RelaxationSolution(
         ids=instance.columns.ids,
-        multiplier_lambda=float("nan"),
+        multiplier_lambda=None,
         objective=objective,
         budget_used=used,
         budget_cap=rhs,

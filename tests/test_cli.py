@@ -14,6 +14,15 @@ from ewlsp.relaxation import solve_sosi_relaxation
 from conftest import flat_content
 
 
+def _strict_json(text: str):
+    """`json.loads` that refuses NaN and the infinities, which are not JSON."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not valid JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestGen:
     def test_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -442,11 +451,14 @@ class TestCompare:
         )
         out = tmp_path / "relax.json"
         assert main(["relax", "--instance", str(inst_path), "--out", str(out)]) == 0
-        payload = json.loads(out.read_text())
+        payload = _strict_json(out.read_text())
         assert payload["objective"] == pytest.approx(5.0, rel=1e-9)
+        assert payload["lambda"] > 0.0
         out_dp = tmp_path / "relax_dp.json"
         assert main(["relax", "--instance", str(inst_path), "--eps", "0.1", "--out", str(out_dp)]) == 0
-        dp = json.loads(out_dp.read_text())
+        # the knapsack DP has no multiplier: null, since NaN is not JSON
+        dp = _strict_json(out_dp.read_text())
+        assert dp["lambda"] is None
         assert payload["objective"] - 1e-9 <= dp["objective"] <= 1.1 * payload["objective"]
 
 

@@ -194,29 +194,6 @@ class TestDpCutoff:
     @given(
         seed=st.integers(0, 10**6),
         n=st.sampled_from([1, 2]),
-        spread=st.sampled_from([0.0, 1.0]),
-        regime=st.sampled_from(["tight", "loose"]),
-        M=st.sampled_from([2, 4]),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_cutoff_keeps_the_result_or_returns_none(self, seed, n, spread, regime, M):
-        inst = generate_instance(seed, n, spread, regime)
-        for guess in enumerate_guesses(inst, 0.5):
-            grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=2 * M)
-            uncut = dp_solve(inst, guess, 0.5, grid=grid)
-            if uncut is None:
-                assert dp_solve(inst, guess, 0.5, grid=grid, cutoff=1e300) is None
-                continue
-            rate, policy = uncut
-            above = dp_solve(inst, guess, 0.5, grid=grid, cutoff=rate * (1 + 1e-6))
-            assert above is not None
-            assert repr(above[0]) == repr(rate)
-            assert serialize_policy(above[1]) == serialize_policy(policy)
-            assert dp_solve(inst, guess, 0.5, grid=grid, cutoff=rate * (1 - 1e-6)) is None
-
-    @given(
-        seed=st.integers(0, 10**6),
-        n=st.sampled_from([1, 2]),
         regime=st.sampled_from(["tight", "loose"]),
         M=st.sampled_from([2, 4]),
     )
@@ -228,26 +205,13 @@ class TestDpCutoff:
             if _overfull(inst, guess.assignment, 0.5, grid, grid.tau_cycle):
                 continue  # `dp_solve` builds no solver; every state there is valueless
             solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, {})
-            solver.solve(math.inf)
-            for (level, _, _), (value, _, exact) in solver.memo.items():
-                if exact and value is not None:
+            solver.solve()
+            for (level, _, _), (value, _) in solver.memo.items():
+                if value is not None:
                     assert solver.floor[level] <= value * (1.0 + PRUNE_RTOL)
 
-    def test_cut_entry_is_solved_again_under_a_looser_limit(self):
-        inst = make_instance([(1.0, 0.7, 1.0), (0.4, 2.0, 0.8)], 1.1)
-        guess = Guess(tau=1.7, assignment={0: 1, 1: 2})
-        grid = GridSpec.desk(1.7, 2, M=2, S=4)
-        rate, policy = dp_solve(inst, guess, 0.5, grid=grid)
-        solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, {})
-        top = (0, (), 0)
-        assert solver._value(top, 0.0) == math.inf
-        assert solver.memo[top] == (0.0, None, False)
-        again = solver.solve(math.inf)
-        assert repr(again[0]) == repr(rate)
-        assert serialize_policy(again[1]) == serialize_policy(policy)
-
     def _least_cap(self, inst, guess, grid, most):
-        """The smallest state cap under which the uncut DP runs, at most `most`."""
+        """The smallest state cap under which the DP runs, at most `most`."""
         for cap in range(1, most + 1):
             try:
                 dp_solve(inst, guess, 0.5, grid=grid, state_cap=cap)
@@ -256,26 +220,12 @@ class TestDpCutoff:
             return cap
         raise AssertionError(f"the DP needs more than {most} states")
 
-    def test_state_cap_counts_distinct_states(self, monkeypatch):
-        # Guess 195 had 9 distinct states before the DP took limits, and the
-        # bounds inside the DP skip none of them, yet a state cut under a
-        # tight room is solved again once the memo holds all nine.
+    def test_state_cap_counts_distinct_states(self):
+        # guess 195 has 9 distinct states, and the floor cut skips none of them
         inst = generate_instance(0, 3, 1.0, "tight")
         guess = enumerate_guesses(inst, 0.5)[195]
         grid = GridSpec.desk(guess.tau, max(guess.assignment.values()))
         assert self._least_cap(inst, guess, grid, 9) == 9
-        resolved_at_full_memo = []
-        value = _DpSolver._value
-
-        def spied_value(self, state, limit):
-            known = self.memo.get(state)
-            if known is not None and not known[2] and limit > known[0]:
-                resolved_at_full_memo.append(len(self.memo) == 9)
-            return value(self, state, limit)
-
-        monkeypatch.setattr(_DpSolver, "_value", spied_value)
-        assert dp_solve(inst, guess, 0.5, grid=grid, state_cap=9) is not None
-        assert any(resolved_at_full_memo)
 
     def test_bounds_only_lower_the_state_count(self):
         # guess 70 had 15 distinct states before the DP took limits
@@ -730,8 +680,8 @@ class TestGuessScreen:
             elif _scalar_overfull(inst, guess, eps, grid):
                 want_overfull += 1
             else:
-                want_queue.append((guess_lower_bound(inst, guess, grid), index, _scale_floor(inst, guess, grid)))
-        want_queue.sort(key=lambda entry: entry[:2])
+                want_queue.append((guess_lower_bound(inst, guess, grid), index))
+        want_queue.sort()
         assert (skipped, overfull) == (want_skipped, want_overfull)
         assert repr(queue) == repr(want_queue)
 
@@ -786,7 +736,7 @@ class TestSharedTables:
                     assert np.array_equal(x.space, y.space) and np.array_equal(x.cost, y.cost)
                     assert repr(x.least) == repr(y.least)
             assert repr(shared.floor) == repr(alone.floor)
-            got, want = shared.solve(math.inf), alone.solve(math.inf)
+            got, want = shared.solve(), alone.solve()
             assert (got is None) == (want is None)
             if got is not None:
                 assert repr(got[0]) == repr(want[0])
@@ -1037,7 +987,7 @@ class TestOverfullLevels:
         details = {}
         ptas_solve(inst, 0.5, details=details)
         [(skipped, overfull_count, queue)] = screens
-        bounded = [index for _, index, _ in queue]
+        bounded = [index for _, index in queue]
         assert (skipped, overfull_count) == (details["skipped_guesses"], len(overfull))
         assert not overfull & set(bounded)
         assert not any(_scalar_overfull(inst, g, 0.5, grid_of(g)) for g in runs)
