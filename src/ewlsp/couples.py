@@ -8,14 +8,17 @@ what the randomized pipeline exploits pair by pair.
 
 Construction is dispatched on k = log2(T_A/T_B). The schedule normalized to
 T_A = 1 depends on k alone: it is built once per k in exact rational
-arithmetic and kept as immutable tuples. A couple rescales each rational p/q
-of it by T_A = m/d as the integer division (p*m)/(q*d), which Python rounds
-correctly, so every float equals float(Fraction(p, q) * Fraction(T_A)); floats
-appear only at the CyclicPolicy boundary. The published per-case
-guarantee table is kept alongside the slightly sharper constants that direct
-evaluation of these schedules yields (they differ only for k = 4, where the
-published peak constant 7/4 is attained as an upper bound while the schedule
-itself peaks at 55/32).
+arithmetic and kept as immutable tuples. couple_template rescales each
+rational p/q of it by T_A = m/d as the integer division (p*m)/(q*d), which
+Python rounds correctly, so every float equals float(Fraction(p, q) *
+Fraction(T_A)); floats appear only at the CyclicPolicy boundary. A couple
+depends on (k, T_A) and its two ids alone: synthesize_couple checks a
+CoupleInput and builds its template, and the dense branch, which checks its
+pairs on arrays, calls couple_template once per distinct (k, T_A) with no
+CoupleInput. The published per-case guarantee table is kept alongside the
+slightly sharper constants that direct evaluation of these schedules yields
+(they differ only for k = 4, where the published peak constant 7/4 is
+attained as an upper bound while the schedule itself peaks at 55/32).
 """
 
 from __future__ import annotations
@@ -152,27 +155,37 @@ def _normalized_schedules(k: int) -> tuple[Fraction, _Orders, _Orders]:
     return _F(1), _zio_orders(_F(0), [_F(1)]), _zio_orders(_F(0), quantities)
 
 
-def synthesize_couple(inp: CoupleInput) -> CoupleSchedule:
-    """Build the joint schedule for the pair, rescaled to the true T_A."""
-    k = inp.k
-    case_id = min(k + 1, 6)
+def couple_case(k: int) -> int:
+    """The construction case of a couple with T_A/T_B = 2**k."""
+    return min(k + 1, 6)
+
+
+def couple_template(k: int, T_A: float, id_A: int, id_B: int) -> CyclicPolicy:
+    """The joint schedule for T_A/T_B = 2**k rescaled to T_A, commodity A's
+    orders keyed by id_A and B's by id_B; it depends on nothing else."""
     tau, a_orders, b_orders = _normalized_schedules(k)
-    m, d = inp.T_A.as_integer_ratio()
+    m, d = T_A.as_integer_ratio()
 
     def scaled(x: Fraction) -> float:
         return (x.numerator * m) / (x.denominator * d)
 
-    policy = CyclicPolicy(
+    return CyclicPolicy(
         tau=scaled(tau),
         schedules={
-            inp.commodity_A.id: tuple((scaled(t), scaled(q)) for t, q in a_orders),
-            inp.commodity_B.id: tuple((scaled(t), scaled(q)) for t, q in b_orders),
+            id_A: tuple((scaled(t), scaled(q)) for t, q in a_orders),
+            id_B: tuple((scaled(t), scaled(q)) for t, q in b_orders),
         },
     )
+
+
+def synthesize_couple(inp: CoupleInput) -> CoupleSchedule:
+    """Build the joint schedule for the pair, rescaled to the true T_A."""
+    k = inp.k
+    case_id = couple_case(k)
     claimed_vmax, claimed_cost = CLAIMED_RATIOS[case_id]
     return CoupleSchedule(
         case_id=case_id,
-        policy=policy,
+        policy=couple_template(k, inp.T_A, inp.commodity_A.id, inp.commodity_B.id),
         claimed_vmax_ratio=claimed_vmax,
         exact_vmax_ratio=EXACT_VMAX_RATIOS[case_id],
         claimed_cost_ratio=claimed_cost,

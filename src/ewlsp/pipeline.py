@@ -18,13 +18,18 @@ general, so the union's peak is certified by the sum of exact per-block
 peaks, which is precisely the accounting the analysis itself uses and is
 conservative for feasibility. The paired schedules of one dense class form
 one couple block: its near pairs, over all its heavy subgroups, that agree
-on (k, T_A) share a single synthesized schedule. The dense branch runs on
-columns from the matching's weight table to the couple blocks: the matching
-places each commodity as a class index, each class reads its members' ids,
-matched intervals and gamma values from that column, splits them into heavy
-and light on those columns, and rounds and pairs all its heavy subgroups in
-one array pass (round_and_pair), and its couple block is built, and its
-pairs checked, from the oriented near pairs' columns in one more. The
+on (k, T_A) share a single template (couples.couple_template). The dense
+branch runs on columns from the matching's weight table to the couple
+blocks: the matching places each commodity as a class index, each class
+reads its members' ids, matched intervals and gamma values from that column,
+splits them into heavy and light on those columns, and rounds and pairs all
+its heavy subgroups in one array pass (round_and_pair), and its couple block
+is built, and its pairs checked, from the oriented near pairs' columns in one
+more, with no CoupleInput or Commodity for a pair that clears the checks.
+Each heavy subgroup q of class ell rounds with its own theta, the first
+uniform(-0.5, 0.5) of numpy's PCG64 stream for SeedSequence(entropy=seed,
+spawn_key=(ell, q)), which subgroup_thetas computes in integer arithmetic
+with no numpy object. The
 report is combine_reports over one report per block, as `ewlsp eval` sums
 the written entries. A couple block's report is evaluate's of its entry,
 taken in one pass over the instance's columns, and sums its couples'
@@ -53,7 +58,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from . import ptas
-from .couples import CoupleInput, synthesize_couple
+from .couples import CoupleInput, couple_case, couple_template
 from .errors import BudgetExceeded, InfeasiblePolicy, StateSpaceExceeded
 from .evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
 from .matching import (
@@ -448,11 +453,91 @@ def build_matching_instance(
     return mi, intervals, gamma
 
 
-def _theta_rng(seed: int, ell_index: int, q: int) -> np.random.Generator:
-    # Documented stream split: one child per (class index, subgroup index).
-    return np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(ell_index, q)))
-    )
+# Subgroup q of class ell draws its theta as the first uniform(-0.5, 0.5) of
+# np.random.Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(ell, q)))),
+# computed here in integer arithmetic: SeedSequence's entropy is the seed's
+# 32-bit words padded to four, then ell's, then q's, so the pool is mixed
+# over the seed's words once per solve, over ell's once per class and over
+# q's alone per subgroup (theta_pool, _mix_words); the pool's first eight
+# 32-bit state words, read as four 64-bit ones, seed PCG64, whose first
+# output is drawn (_pool_theta).
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_Pool = tuple[tuple[int, ...], int]  # SeedSequence's four pool words and its hash constant
+
+
+def _words(x: int) -> list[int]:
+    """The little-endian 32-bit words of int(x) >= 0, at least one."""
+    x = int(x)
+    words = [x & _M32]
+    while x > _M32:
+        x >>= 32
+        words.append(x & _M32)
+    return words
+
+
+def _hashmix(v: int, hc: int) -> tuple[int, int]:
+    """SeedSequence's hashmix of word v under hash constant hc: (word, next hc)."""
+    v ^= hc
+    hc = hc * 0x931E8875 & _M32
+    v = v * hc & _M32
+    return v ^ v >> 16, hc
+
+
+def _mix(x: int, y: int) -> int:
+    """SeedSequence's mix of pool word x with hashed word y."""
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ r >> 16
+
+
+def _mix_words(pool: _Pool, words: Sequence[int]) -> _Pool:
+    """Mix further entropy words into the pool."""
+    mixer, hc = list(pool[0]), pool[1]
+    for w in words:
+        for dst in range(4):
+            h, hc = _hashmix(w, hc)
+            mixer[dst] = _mix(mixer[dst], h)
+    return tuple(mixer), hc
+
+
+def theta_pool(seed: int) -> _Pool:
+    """SeedSequence's pool after the seed's entropy words, padded to four."""
+    entropy = _words(seed)
+    entropy += [0] * (4 - len(entropy))
+    mixer, hc = [], 0x43B0D7E5
+    for w in entropy[:4]:
+        h, hc = _hashmix(w, hc)
+        mixer.append(h)
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                h, hc = _hashmix(mixer[src], hc)
+                mixer[dst] = _mix(mixer[dst], h)
+    return _mix_words((tuple(mixer), hc), entropy[4:])
+
+
+def _pool_theta(mixer: Sequence[int]) -> float:
+    """The first uniform(-0.5, 0.5) of PCG64 seeded by the pool's state words."""
+    hc, w = 0x8B51F9DD, []
+    for v in (*mixer, *mixer):
+        v ^= hc
+        hc = hc * 0x58F38DED & _M32
+        v = v * hc & _M32
+        w.append(v ^ v >> 16)
+    s0, s1, s2, s3 = (w[j] | w[j + 1] << 32 for j in range(0, 8, 2))
+    inc = (s2 << 64 | s3) << 1 & _M128 | 1
+    state = (s0 << 64 | s1) + inc
+    for _ in range(2):
+        state = (state * _PCG64_MULT + inc) & _M128
+    x, rot = (state >> 64 ^ state) & _M64, state >> 122
+    out = (x >> rot | x << (64 - rot)) & _M64
+    return -0.5 + 1.0 * ((out >> 11) * (1.0 / 9007199254740992.0))
+
+
+def subgroup_thetas(pool: _Pool, ell: int, count: int) -> list[float]:
+    """The thetas of subgroups 0..count-1 of class ell, from theta_pool(seed)."""
+    class_pool = _mix_words(pool, _words(ell))
+    return [_pool_theta(_mix_words(class_pool, _words(q))[0]) for q in range(count)]
 
 
 @dataclass(frozen=True)
@@ -574,11 +659,13 @@ def run_dense_branch(
     index (MimickingPartition.where); each class reads its members' ids,
     matched intervals and gamma values from that column, the interval table
     and the gamma column, in id order, splits them into heavy and light
-    members on those columns, draws one theta per heavy subgroup from
-    _theta_rng(seed, ell, q) and rounds and pairs all its subgroups in one
-    array pass (round_and_pair), and _couple_blocks builds the class's one
-    couple block from the oriented near pairs' columns; the couples of the
-    class that agree on (k, T_A) share one synthesized schedule.
+    members on those columns, draws one theta per heavy subgroup q, the
+    first uniform(-0.5, 0.5) of numpy's stream for SeedSequence(entropy=seed,
+    spawn_key=(ell, q)), computed in integer arithmetic (subgroup_thetas,
+    from the seed's pool mixed once per solve), and rounds and pairs all its
+    subgroups in one array pass (round_and_pair), and _couple_blocks builds
+    the class's one couple block from the oriented near pairs' columns; the
+    couples of the class that agree on (k, T_A) share one template.
     diag["couples"] counts the couples in the returned blocks."""
     eps = cfg.eps
     diag: dict = {"classes": {}, "couples": 0, "far_pair_counts": [], "a_ell": {}}
@@ -588,6 +675,7 @@ def run_dense_branch(
     matched = solve_b_matching(mi)
     diag["matched_weight"] = matched.total_weight
     where = matched.where
+    pool = theta_pool(seed)
     t_hat = interval_table[np.arange(len(where)), where]  # each commodity's matched interval
     commodities = np.array(mi.commodity_side)
     by_id = np.argsort(commodities, kind="stable")
@@ -611,7 +699,7 @@ def run_dense_branch(
             continue
 
         sizes = split.sizes
-        thetas = [float(_theta_rng(seed, int(ell), q).uniform(-0.5, 0.5)) for q in range(len(sizes))]
+        thetas = subgroup_thetas(pool, int(ell), len(sizes))
         heavy_T, heavy_gamma = T[split.heavy_rows], class_gamma[split.heavy_rows]
         paired = round_and_pair(split.heavy, heavy_T, heavy_gamma, sizes, thetas, eps)
         diag["far_pair_counts"] += paired.far.tolist()
@@ -657,21 +745,18 @@ def _couple_blocks(
     the same k and pass. Every other pair, and every pair that breaks a rule,
     gets its own CoupleInput, in emission order, so the first failing pair
     raises its own exception and a pair near the 1e-9 limit takes its k from
-    math.log2. CoupleInput and synthesize_couple then run once per distinct
-    (k, T_A) of the class, for its first pair, since the schedule depends on
-    nothing else; its policy, keyed by that pair's ids, is the CouplePolicy's
-    template as it is, and its case the template's case. Each CoupleInput
-    reads its two Commodity objects through Instance.commodity, which makes
-    no other commodity's."""
+    math.log2; a pair that clears every rule builds no CoupleInput and no
+    Commodity. couple_template then runs once per distinct (k, T_A) of the
+    class, for its first pair, since the schedule depends on nothing else;
+    the template, keyed by that pair's ids, is the CouplePolicy's template
+    as it is, and its case couple_case(k). Each CoupleInput reads its two
+    Commodity objects through Instance.commodity, which makes no other
+    commodity's."""
     ids = np.column_stack((ids_A, ids_B)).ravel().tolist()
     T_A, T_B = np.asarray(T_A, dtype=float), np.asarray(T_B, dtype=float)
     T_A_list, T_B_list = T_A.tolist(), T_B.tolist()
     pos = instance.positions(ids)
     gamma_A, gamma_B = instance.columns.gamma[pos].reshape(-1, 2).T
-
-    def couple_input(j: int) -> CoupleInput:
-        a, b = ids[2 * j], ids[2 * j + 1]
-        return CoupleInput(instance.commodity(a), instance.commodity(b), T_A_list[j], T_B_list[j], eps)
 
     with np.errstate(all="ignore"):
         x = np.log2(T_A / T_B)
@@ -688,7 +773,8 @@ def _couple_blocks(
         )
     k = np.where(clear, k, 0.0).astype(np.intp)
     for j in np.flatnonzero(~clear).tolist():
-        k[j] = couple_input(j).k  # raises this pair's own exception
+        a, b = instance.commodity(ids[2 * j]), instance.commodity(ids[2 * j + 1])
+        k[j] = CoupleInput(a, b, T_A_list[j], T_B_list[j], eps).k  # raises this pair's own exception
 
     # one template per distinct (k, T_A), built for its first pair
     shared: dict[tuple[int, float], int] = {}
@@ -696,9 +782,8 @@ def _couple_blocks(
     for j, key in enumerate(zip(k.tolist(), T_A_list)):
         if key not in shared:
             shared[key] = len(templates)
-            couple = synthesize_couple(couple_input(j))
-            templates.append(couple.policy)
-            cases.append(couple.case_id)
+            templates.append(couple_template(*key, ids[2 * j], ids[2 * j + 1]))
+            cases.append(couple_case(key[0]))
         which.append(shared[key])
     return Block(tuple(ids), couples=CouplePolicy(templates, cases, which, ids), provenance=provenance)
 
@@ -730,10 +815,10 @@ def solve_sub2(
     high-sparse-volume scenario out of reach; passing a schedule with a
     tighter peak-to-average gap exercises the remaining branches.
 
-    `seed` must be an integer >= 0, whichever scenario the instance reaches;
-    only the difficult one draws from it.
+    `seed` must be an integer >= 0 and not a bool, whichever scenario the
+    instance reaches; only the difficult one draws from it.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if reference is None:
         ref_report = evaluate_sosi(build_reference_policy(instance), instance)

@@ -9,6 +9,7 @@ from ewlsp.couples import (
     CoupleInput,
     _normalized_schedules,
     classify_pairs,
+    couple_template,
     synthesize_couple,
 )
 from ewlsp.errors import NotAPowerOfTwo, SpaceMismatch
@@ -218,6 +219,29 @@ def test_template_rescaling_matches_exact_fractions(k, T_A):
     schedule = synthesize_couple(CoupleInput(A, B, T_A, T_B, 0.05))
     assert schedule.policy.tau == expected.tau
     assert schedule.policy.schedules == expected.schedules
+
+
+def bits(policy):
+    return policy.tau.hex(), [(cid, [(t.hex(), q.hex()) for t, q in orders]) for cid, orders in policy.schedules.items()]
+
+
+@given(
+    k=st.integers(0, 8),
+    mantissa=st.floats(1.0, 2.0, exclude_max=True),
+    binade=st.integers(-1000, 1000),
+    ids=st.lists(st.integers(0, 10**9), min_size=2, max_size=2, unique=True),
+)
+@settings(max_examples=300, deadline=None)
+def test_couple_template_is_the_synthesized_policy(k, mantissa, binade, ids):
+    """The template the dense branch builds from (k, T_A) and a pair's ids is
+    synthesize_couple's policy for that pair, bit for bit: tau, the keys in
+    order, and every (t, q)."""
+    T_A = math.ldexp(mantissa, binade)
+    T_B = T_A / 2**k
+    assume(T_B >= sys.float_info.min)
+    A, B = Commodity(ids[0], 1.0, 1.0, 1.0), Commodity(ids[1], 1.0, 1.0, float(2**k))
+    want = synthesize_couple(CoupleInput(A, B, T_A, T_B, 0.05))
+    assert bits(couple_template(k, T_A, *ids)) == bits(want.policy)
 
 
 @pytest.mark.parametrize("k", range(9))

@@ -1,11 +1,13 @@
 """The dense branch on columns, against the scalar chain it replaced.
 
 round_and_pair rounds and pairs every heavy subgroup of a class in one array
-pass; it must equal, bit for bit, the chain _theta_rng -> po2_round ->
-classify_pairs -> orientation run one subgroup at a time. Ladder instances
-(dense-heavy rows with gamma and H times 2^j and K times 2^-j) put heavy
-subgroups over several powers of two, so their solves build k >= 1 couples
-end to end.
+pass; it must equal, bit for bit, the chain po2_round -> classify_pairs ->
+orientation run one subgroup at a time. Each subgroup's theta, drawn in
+integer arithmetic (subgroup_thetas), must equal bit for bit the first
+uniform(-0.5, 0.5) of the numpy stream it reproduces (numpy_theta). Ladder
+instances (dense-heavy rows with gamma and H times 2^j and K times 2^-j) put
+heavy subgroups over several powers of two, so their solves build k >= 1
+couples end to end.
 """
 
 import hashlib
@@ -25,17 +27,29 @@ from ewlsp.model import Instance, parse_policy
 from ewlsp.po2 import _split_exponent, po2_round
 from ewlsp.pipeline import (
     PipelineConfig,
-    _theta_rng,
     build_matching_instance,
     build_reference_policy,
     decompose_classes,
     round_and_pair,
     solve_sub2,
     split_heavy_light,
+    subgroup_thetas,
+    theta_pool,
 )
 
 from conftest import flat_content
 from test_stationary_columns import exact
+
+
+def numpy_theta(seed, ell: int, q: int) -> float:
+    """Subgroup q of class ell's theta as numpy draws it: the documented
+    stream split, one child stream per (class index, subgroup index)."""
+    stream = np.random.SeedSequence(entropy=seed, spawn_key=(ell, q))
+    return float(np.random.Generator(np.random.PCG64(stream)).uniform(-0.5, 0.5))
+
+
+def theta(seed, ell: int, q: int) -> float:
+    return subgroup_thetas(theta_pool(seed), ell, q + 1)[q]
 
 
 def scalar_chain(ids, T, gamma, sizes, thetas, eps):
@@ -91,7 +105,7 @@ def class_passes(draw):
     common base (so k >= 1), some within 1e-12 of a power of two times the
     base, repeated intervals with the same gamma (a gamma*T tie) or (1 + eps)
     times it (the far test's boundary), unsorted ids, and per
-    subgroup a theta from _theta_rng, +-1/2 or beta - 1/2 of one member.
+    subgroup a theta from numpy_theta, +-1/2 or beta - 1/2 of one member.
     Returns the pass's arguments and the set of edge cases it holds."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     sizes = draw(st.lists(st.integers(1, 9), min_size=1, max_size=4))
@@ -128,7 +142,7 @@ def class_passes(draw):
     for q, size in enumerate(sizes):
         mode = draw(st.sampled_from(["stream", "stream", "+1/2", "-1/2", "beta"]))
         if mode == "stream":
-            thetas.append(float(_theta_rng(seed, ell, q).uniform(-0.5, 0.5)))
+            thetas.append(numpy_theta(seed, ell, q))
         elif mode == "beta":
             group = T[start : start + size]
             _, beta = _split_exponent(group[int(rng.integers(size))], min(group))
@@ -187,8 +201,8 @@ def test_class_pass_refuses_a_nonpositive_interval_as_po2_round_does():
         round_and_pair([0, 1], np.array([1.0, 0.0]), np.ones(2), [2], [0.0], 0.05)
 
 
-# float.hex of _theta_rng(seed, ell, q).uniform(-0.5, 0.5): the documented
-# stream split that every difficult solve draws its thetas from
+# float.hex of numpy_theta(seed, ell, q): the documented stream split that
+# every difficult solve draws its thetas from
 THETA_STREAM = {
     (0, 1, 0): "0x1.c8010e61f044cp-2",
     (0, 156, 3): "0x1.59a6c884a19c4p-2",
@@ -200,7 +214,23 @@ THETA_STREAM = {
 
 @pytest.mark.parametrize("key", sorted(THETA_STREAM))
 def test_theta_stream_is_pinned(key):
-    assert float(_theta_rng(*key).uniform(-0.5, 0.5)).hex() == THETA_STREAM[key]
+    assert numpy_theta(*key).hex() == theta(*key).hex() == THETA_STREAM[key]
+
+
+# seeds across the padding of the entropy to four words (one word, two, three,
+# six) and numpy integer seeds; class indices of one, two and three words
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**64 + 3, 2**160 + 12345, np.int64(9), np.uint64(2**63)])
+def test_theta_matches_numpy_stream_at_fixed_keys(seed):
+    pool = theta_pool(seed)
+    for ell in (0, 5, 123, 2**40, 2**64 + 1):
+        got = [t.hex() for t in subgroup_thetas(pool, ell, 12)]
+        assert got == [numpy_theta(seed, ell, q).hex() for q in range(12)]
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2**200 - 1), ell=st.integers(0, 2**70 - 1), q=st.integers(0, 63))
+def test_theta_matches_numpy_stream(seed, ell, q):
+    assert theta(seed, ell, q).hex() == numpy_theta(seed, ell, q).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +260,7 @@ def scalar_couples(instance, cfg, seed, classes):
         heavy = list(split.heavy)
         gamma = [instance.commodity(i).gamma for i in heavy]
         sizes = split.sizes
-        thetas = [float(_theta_rng(seed, ell, q).uniform(-0.5, 0.5)) for q in range(len(sizes))]
+        thetas = [numpy_theta(seed, ell, q) for q in range(len(sizes))]
         _, groups = scalar_chain(heavy, [t_hat[i] for i in heavy], gamma, sizes, thetas, cfg.eps)
         for couples, _, _ in groups:
             for (a, T_A), (b, T_B) in couples:

@@ -178,7 +178,9 @@ def test_generator_parser_and_column_solvers_build_no_commodity(monkeypatch):
     _, report, diag = solve_sub2(loose, PipelineConfig(eps=0.05, sparsity_threshold=10, Q=10), seed=1)
     assert report.feasible and diag["scenario"] == "low-dense"
     assert built_rows == []
-    # a solve with couples makes only the two Commodity objects of each CoupleInput
+    # a solve with couples makes no CoupleInput and so no Commodity: its
+    # pairs clear the CoupleInput rules on arrays and its templates are
+    # built from (k, T_A) and the pairs' ids
     inputs = []
     check_input = CoupleInput.__post_init__
 
@@ -191,7 +193,13 @@ def test_generator_parser_and_column_solvers_build_no_commodity(monkeypatch):
     _, report, diag = solve_sub2(dense, PipelineConfig(eps=0.05, sparsity_threshold=10, Q=10), seed=1)
     assert report.feasible and diag["scenario"] == "difficult" and diag["dense"]["couples"] > 0
     assert "commodities" not in vars(dense)
-    assert len(inputs) > 0 and built_rows == [cid for pair in inputs for cid in pair]
+    assert inputs == [] and built_rows == []
+    # nor does a ladder solve, whose couples have k >= 1
+    ladder = generate_instance(2, 1000, 1.0, "dense-ladder")
+    assembled, report, diag = solve_sub2(ladder, PipelineConfig(), seed=0)
+    assert report.feasible and diag["scenario"] == "difficult"
+    assert any(case > 1 for b in assembled.blocks if b.couples is not None for case in b.couples.cases)
+    assert inputs == [] and built_rows == []
     built_rows.clear()
     assert len(loose.commodities) == 400 and built_rows == list(range(400))  # a scalar reader builds them
 

@@ -652,6 +652,15 @@ def test_closed_form_reference_matches_expanded_cycle(seed, n, regime):
 def test_negative_seed_is_refused_up_front_in_every_scenario(scenario, case):
     inst, seed, reference = case()
     assert solve_sub2(inst, CFG, seed=seed, reference=reference)[2]["scenario"] == scenario
-    for bad in (-1, -(2**40), 1.5, "3"):
+    for bad in (-1, -(2**40), 1.5, "3", True):
         with pytest.raises(ValueError, match=rf"^seed must be an integer >= 0, got {re.escape(repr(bad))}$"):
             solve_sub2(inst, CFG, seed=bad, reference=reference)
+
+
+def test_a_numpy_integer_seed_solves_as_its_int():
+    inst = dense_heavy_instance(1, 40)
+    want = solve_sub2(inst, CFG, seed=3)
+    for seed in (np.int64(3), np.uint8(3)):
+        got = solve_sub2(inst, CFG, seed=seed)
+        assert got[2]["scenario"] == "difficult" and got[2]["dense"]["classes"]
+        assert got[0].to_json() == want[0].to_json() and repr(got[1].total_cost_rate) == repr(want[1].total_cost_rate)
