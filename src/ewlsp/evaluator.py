@@ -22,7 +22,7 @@ entries; a couple block's report there is evaluate's of its entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -40,10 +40,8 @@ class EvalReport:
     ordering_cost_rate: float
     holding_cost_rate: float
     v_max: float
-    # a dict from evaluate of a CyclicPolicy; an IdColumn from every other
-    # evaluation (evaluate_sosi, evaluate of a stationary or couple entry,
-    # combine_reports)
-    avg_inventory: Mapping[int, float]
+    # id -> long-run average inventory, from every evaluator
+    avg_inventory: IdColumn
     feasible_at: float
 
     @property
@@ -104,7 +102,7 @@ def evaluate(policy: CyclicPolicy | SosiPolicy | CouplePolicy, instance: Instanc
     _evaluate_stationary. A CouplePolicy is certified as the union of its
     couples' two-commodity policies, in one pass (_evaluate_couples): the
     report is bit-equal to combine_reports over evaluate of each couple's
-    own policy.
+    own policy. A CyclicPolicy is read off the instance's columns.
     A schedule for an id the instance lacks raises KeyError.
     """
     if isinstance(policy, SosiPolicy):
@@ -113,23 +111,23 @@ def evaluate(policy: CyclicPolicy | SosiPolicy | CouplePolicy, instance: Instanc
         return _evaluate_couples(policy, instance)
     tau = policy.tau
     schedules = policy.schedules
-    commodities = instance.commodities
+    cols = instance.columns
     stats = _commodity_stats
     ordering = holding = w0 = gamma_total = 0.0
-    avg_inventory: dict[int, float] = {}
+    avg = []
     # W(t) = sum_i gamma_i * (c0_i + orders_i(t)); occupied space is W(t) - Gamma*t,
     # so the exact peak is max over order instants (just after the jump).
     events: dict[float, float] = {}
     get = events.get
     # instance order, so the float sums do not depend on the policy's key order
-    for k in sorted(map(instance.position, schedules)):
-        c = commodities[k]
-        orders = schedules[c.id]
+    rows = sorted(map(instance.position, schedules))
+    for k in rows:
+        orders = schedules[cols.ids[k]]
         avg_i, c0 = stats(orders, tau)
-        avg_inventory[c.id] = avg_i
-        ordering += c.K * len(orders) / tau
-        holding += 2.0 * c.H * avg_i
-        gamma = c.gamma
+        avg.append(avg_i)
+        ordering += cols.K.item(k) * len(orders) / tau
+        holding += 2.0 * cols.H.item(k) * avg_i
+        gamma = cols.gamma.item(k)
         w0 += gamma * c0
         gamma_total += gamma
         for t, q in orders:
@@ -146,7 +144,7 @@ def evaluate(policy: CyclicPolicy | SosiPolicy | CouplePolicy, instance: Instanc
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,
         v_max=v_max,
-        avg_inventory=avg_inventory,
+        avg_inventory=IdColumn(map(cols.ids.__getitem__, rows), avg),
         feasible_at=instance.V,
     )
 
@@ -336,10 +334,10 @@ def combine_reports(reports: Iterable[EvalReport], instance: Instance) -> EvalRe
     need not peak together), hence sound for feasibility checks; it is exact
     when all parts peak at a common instant, e.g. phase-0 stationary parts.
     `avg_inventory` is an IdColumn of the parts' ids and averages,
-    concatenated in order (a cyclic report's dict is read into it, a lone
-    IdColumn report's averages are kept as they are), and no per-commodity
-    dict is built. The first report, in order, that shares a commodity with
-    an earlier one raises a ValueError naming the shared ids.
+    concatenated in order (a lone report's averages are kept as they are),
+    and no per-commodity dict is built. The first report, in order, that
+    shares a commodity with an earlier one raises a ValueError naming the
+    shared ids.
     """
     ordering = holding = v_max = 0.0
     ids: list = []
@@ -354,8 +352,8 @@ def combine_reports(reports: Iterable[EvalReport], instance: Instance) -> EvalRe
             raise ValueError(f"reports overlap on commodities {sorted(seen.intersection(avg))}")
         seen.update(avg)
         ids += avg
-        columns.append(avg.column if isinstance(avg, IdColumn) else np.fromiter(avg.values(), dtype=float, count=len(avg)))
-    if len(columns) == 1 and isinstance(avg, IdColumn):
+        columns.append(avg.column)
+    if len(columns) == 1:
         avg_inventory = avg
     else:
         avg_inventory = IdColumn(ids, np.concatenate(columns) if columns else ())

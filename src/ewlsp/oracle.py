@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import SearchSpaceExceeded
 from .evaluator import EvalReport, FEASIBILITY_RTOL
-from .model import CyclicPolicy, Instance
+from .model import CyclicPolicy, IdColumn, Instance
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -70,6 +70,8 @@ def oracle_opt_cyclic(
     pair, which makes the result deterministic.
     """
     n = instance.n
+    if grid_points < 1:
+        raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
     if n > 2:
         raise SearchSpaceExceeded("oracle handles at most 2 commodities")
     if grid_points > 12:
@@ -159,7 +161,7 @@ def oracle_integrate_cost(policy: CyclicPolicy, instance: Instance) -> EvalRepor
 
     ordering = 0.0
     holding = 0.0
-    avg_inventory = {}
+    ids, avgs = [], []
     space = np.zeros_like(times)
     for c in instance.commodities:
         if c.id not in policy.schedules:
@@ -167,7 +169,8 @@ def oracle_integrate_cost(policy: CyclicPolicy, instance: Instance) -> EvalRepor
         orders = policy.schedules[c.id]
         traj = _sample_inventory(orders, tau, times, after)
         avg = float(_trapezoid(traj, times)) / tau
-        avg_inventory[c.id] = avg
+        ids.append(c.id)
+        avgs.append(avg)
         ordering += c.K * len(orders) / tau
         holding += 2.0 * c.H * avg
         space += c.gamma * traj
@@ -176,6 +179,6 @@ def oracle_integrate_cost(policy: CyclicPolicy, instance: Instance) -> EvalRepor
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,
         v_max=v_max,
-        avg_inventory=avg_inventory,
+        avg_inventory=IdColumn(ids, avgs),
         feasible_at=instance.V,
     )

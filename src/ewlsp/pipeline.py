@@ -270,7 +270,8 @@ def decompose_classes(
     instance: Instance,
     cfg: PipelineConfig,
 ) -> ClassDecomposition:
-    """Slab assignment from the reference report's exact average inventories.
+    """Slab assignment from the reference report's exact average inventories
+    (an IdColumn, looked up per id unless in instance order).
 
     Class ell collects commodities whose average occupied space lies in
     (V/(1+eps)^ell, V/(1+eps)^(ell-1)]; everything below the resolution
@@ -301,11 +302,10 @@ def decompose_classes(
 
     avg = ref_report.avg_inventory
     # a reference built from the instance lists its ids in instance order
-    if isinstance(avg, IdColumn) and (avg.ids is ids or avg.ids == ids):
+    if avg.ids is ids or avg.ids == ids:
         avg_in_order = avg.column
     else:
-        values = avg.values() if tuple(avg) == ids else map(avg.__getitem__, ids)
-        avg_in_order = np.fromiter(values, dtype=float, count=n)
+        avg_in_order = np.fromiter(map(avg.__getitem__, ids), dtype=float, count=n)
     s = cols.gamma * avg_in_order
     tail = s <= V / (1.0 + eps) ** L
     log_step = math.log1p(eps)

@@ -66,8 +66,9 @@ column of cycle lengths at once. Each value comes from the same float
 operations in the same id order as a scalar pass over one guess, so it is
 bit-equal to it, and the queue is ordered by (bound, enumeration index).
 `enumerate_guesses` returns the guess grid, whose Guess objects are built
-only when read, so the sweep builds a Guess and its GridSpec only for the
-guesses it visits.
+only when read, so the sweep builds a Guess only for the guesses it visits.
+A GridSpec is counts alone: one desk grid over every guessed class serves
+the screen and every DP, which reads the counts of its occupied classes.
 
 Some guesses have no DP value at all, and are ruled out before they are
 queued or their DP built. At each slot point a state checks the space of
@@ -130,22 +131,18 @@ CHECK_ROWS = 4096
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Per-class grid point counts over the cycle [0, tau).
-
-    minus_counts[q-1] and plus_counts[q-1] subdivide the cycle for class q.
+    """Per-class grid point counts over a guess's cycle: minus_counts[q-1]
+    and plus_counts[q-1] subdivide it for class q.
     Admissibility (checked at construction): minus | plus per level, minus
     nesting and plus nesting across levels, each level's minus grid refining
     the previous level's plus grid, and each level's plus grid embedding in
     the minus grids two or more levels deeper.
     """
 
-    tau_cycle: float
     minus_counts: tuple[int, ...]
     plus_counts: tuple[int, ...]
 
     def __post_init__(self):
-        if self.tau_cycle <= 0:
-            raise ValueError("cycle length must be > 0")
         m, p = self.minus_counts, self.plus_counts
         if len(m) != len(p) or not m:
             raise ValueError("need matching nonempty count tuples")
@@ -165,35 +162,39 @@ class GridSpec:
                 raise ValueError(f"level {q + 1} plus grid must embed in level {q + 3} minus grid")
 
     @staticmethod
-    def desk(tau: float, levels: int, M: int = 4, S: int = 8) -> "GridSpec":
-        """Miniature geometry: minus = M^(q-1), plus = S * M^(q-1). Counts
-        past the float range raise StateSpaceExceeded, naming the class
-        count: no slot length tau / count could be formed from them."""
+    def desk(levels: int, M: int = 4, S: int = 8) -> "GridSpec":
+        """Miniature geometry: minus = M^(q-1), plus = S * M^(q-1), for M, S
+        >= 1 with M | S and S | M^2. Counts past the float range raise
+        StateSpaceExceeded, naming the class count."""
+        for name, value in (("M", M), ("S", S)):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value!r}")
         if S % M or (M * M) % S:
             raise ValueError("need M | S and S | M^2")
         if S * M ** (levels - 1) > sys.float_info.max:
             raise StateSpaceExceeded(f"a desk grid of {levels} classes has counts past the float range")
         return GridSpec(
-            tau_cycle=tau,
             minus_counts=tuple(M**q for q in range(levels)),
             plus_counts=tuple(S * M**q for q in range(levels)),
         )
 
     @staticmethod
-    def paper(tau: float, levels: int, n: int, eps: float) -> "GridSpec":
+    def paper(levels: int, n: int, eps: float) -> "GridSpec":
         """Published counts with integer base max(2, round(n/eps))."""
         b = max(2, round(n / eps))
         minus = tuple(max(1, b ** (3 * (q + 1) - 4)) for q in range(levels))
         plus = tuple(b ** (3 * (q + 1) + 1) for q in range(levels))
-        return GridSpec(tau_cycle=tau, minus_counts=minus, plus_counts=plus)
+        return GridSpec(minus_counts=minus, plus_counts=plus)
 
 
 @dataclass(frozen=True)
 class Guess:
-    tau: float
+    tau: float  # the cycle length, finite and > 0
     assignment: Mapping[int, int]  # commodity id -> guessed class (1-based)
 
     def __post_init__(self):
+        if not (math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"cycle length must be finite and > 0, got {self.tau!r}")
         object.__setattr__(self, "assignment", dict(self.assignment))
 
 
@@ -269,9 +270,9 @@ def _level_space(
     (F // plus_q) * (tau / F) in time units, F being the deepest occupied
     plus grid; and the space bound (1+eps)V, widened by a relative 1e-12.
     These are the floats the DP's space check is made of, shared by
-    `_DpSolver` and `_overfull`. Only the grid's counts are read; `tau` is
-    a cycle length or a float column of them, which gives a column of slot
-    lengths, each entry the float the one-tau call gives."""
+    `_DpSolver` and `_overfull`. `tau` is a cycle length or a float column
+    of them, which gives a column of slot lengths, each entry the float the
+    one-tau call gives."""
     occupied = sorted(set(assignment.values()))
     F = grid.plus_counts[occupied[-1] - 1]
     unit = tau / F
@@ -322,10 +323,10 @@ def _screen(
     instance: Instance, guesses: GuessGrid, eps: float, grid: GridSpec
 ) -> tuple[int, int, list[tuple[float, int]]]:
     """Screen the guesses one class assignment at a time, over its whole
-    column of cycle lengths; `grid` covers every class and only its counts
-    are read. Returns the numbers of guesses skipped over ACTION_CAP and of
-    overfull ones, and the queue: the (bound, enumeration index) pairs of
-    every other guess, in ascending order."""
+    column of cycle lengths; `grid` covers every class. Returns the numbers
+    of guesses skipped over ACTION_CAP and of overfull ones, and the queue:
+    the (bound, enumeration index) pairs of every other guess, in ascending
+    order."""
     taus = np.array(guesses.taus)
     shape = (len(taus), len(guesses.classes))  # guess t * len(classes) + c at [t, c]
     admitted = np.zeros(shape, dtype=bool)
@@ -499,7 +500,7 @@ class _DpSolver:
         self, instance: Instance, guess: Guess, eps: float, grid: GridSpec, state_cap: int, tables: dict
     ):
         self.state_cap = state_cap
-        self.tau = grid.tau_cycle
+        self.tau = guess.tau
         occupied = sorted(set(guess.assignment.values()))
         self.ids_at, slot_lengths, self.space_bound = _level_space(
             instance, guess.assignment, eps, grid, self.tau
@@ -726,11 +727,12 @@ def dp_solve(
     *,
     tables: dict | None = None,
 ) -> tuple[float, CyclicPolicy] | None:
-    """Best grid-aligned policy (cost rate, policy) for one guess, or None
-    when every action chain violates the space check. A level with more
-    pattern combinations than ACTION_CAP raises ActionSpaceExceeded, and a
-    memo that reaches `state_cap` distinct states raises
-    StateSpaceExceeded. For a guess with an overfull level (see the
+    """Best grid-aligned policy (cost rate, policy) over the cycle
+    `guess.tau`, or None when every action chain violates the space check;
+    `grid` must cover the deepest guessed class. A level with more pattern
+    combinations than ACTION_CAP raises ActionSpaceExceeded, and a memo
+    that reaches `state_cap` distinct states raises StateSpaceExceeded.
+    For a guess with an overfull level (see the
     module docstring) None is decided up front, without building the DP.
     `tables` holds the scaled pattern tables (see `_scaled_terms`) that the
     DPs of one instance and eps share; without it the DP builds its own."""
@@ -739,7 +741,7 @@ def dp_solve(
     excess = _action_space_excess(guess.assignment.values(), grid)
     if excess is not None:
         raise ActionSpaceExceeded(excess)
-    if _overfull(instance, guess.assignment, eps, grid, grid.tau_cycle):
+    if _overfull(instance, guess.assignment, eps, grid, guess.tau):
         return None
     tables = {} if tables is None else tables
     return _DpSolver(instance, guess, eps, grid, state_cap, tables).solve()
@@ -763,11 +765,12 @@ def ptas_solve(
     stops at the first whose bound * (1 - PRUNE_RTOL) exceeds the
     incumbent's cost; the rest are pruned without running their DP. The
     winner has the least (cost, enumeration index), as in a full sweep.
-    When a dict is passed as `details`, the winning guess, its grid, and
-    the numbers of skipped and pruned guesses are recorded;
-    `pruned_guesses` counts the overfull guesses and those cut by the
-    bound, none of which could have won. When no guess yields a feasible policy, StateSpaceExceeded counts
-    the skipped, the overfull and the solved guesses.
+    When a dict is passed as `details`, the winning guess, the sweep's one
+    grid (`details["grid"]`, desk counts over every guessed class) and the
+    numbers of skipped and pruned guesses are recorded; `pruned_guesses`
+    counts the overfull guesses and those cut by the bound, none of which
+    could have won. When no guess yields a feasible policy,
+    StateSpaceExceeded counts the skipped, the overfull and the solved guesses.
 
     A DP policy over the capacity is scaled by f = V / v_max, which divides
     its ordering cost O and multiplies its holding cost Hh. The scaled
@@ -781,19 +784,16 @@ def ptas_solve(
     if instance.n > DEFAULT_PTAS_CAP:
         raise TooManyCommodities(instance.n, DEFAULT_PTAS_CAP)
     guesses = enumerate_guesses(instance, eps)
-    levels = max(guesses.classes[-1])
-    skipped, overfull, queue = _screen(
-        instance, guesses, eps, GridSpec.desk(guesses.taus[0], levels, M=grid_M, S=grid_S)
-    )
+    grid = GridSpec.desk(max(guesses.classes[-1]), M=grid_M, S=grid_S)
+    skipped, overfull, queue = _screen(instance, guesses, eps, grid)
     tables: dict = {}
-    best: tuple[float, int, CyclicPolicy, EvalReport, Guess, GridSpec] | None = None
+    best: tuple[float, int, CyclicPolicy, EvalReport, Guess] | None = None
     visited = 0
     for bound, index in queue:
         if best is not None and bound * (1.0 - PRUNE_RTOL) > best[0]:
             break
         visited += 1
         guess = guesses[index]
-        grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=grid_M, S=grid_S)
         result = dp_solve(instance, guess, eps, grid=grid, state_cap=state_cap, tables=tables)
         if result is None:
             continue
@@ -809,13 +809,13 @@ def ptas_solve(
         if not report.feasible:
             continue
         if best is None or (report.total_cost_rate, index) < best[:2]:
-            best = (report.total_cost_rate, index, policy, report, guess, grid)
+            best = (report.total_cost_rate, index, policy, report, guess)
     if best is None:
         raise StateSpaceExceeded(
             f"no guess produced a feasible policy ({skipped} of {len(guesses)} guesses skipped over ACTION_CAP,"
             f" {overfull} overfull, {len(queue)} without a feasible DP policy)"
         )
-    _, _, policy, report, guess, grid = best
+    _, _, policy, report, guess = best
     if details is not None:
         details["guess"] = guess
         details["grid"] = grid

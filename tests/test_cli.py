@@ -89,6 +89,13 @@ def _scalar_generate_instance(seed: int, n: int, spread: float, capacity_regime:
     return Instance(tuple(commodities), capacity_V=factor * peak)
 
 
+def test_gen_without_out_writes_stdout_ending_in_one_newline(capsys):
+    assert main(["gen", "--seed", "3", "--n", "4"]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n") and not out.endswith("\n\n")
+    assert parse_instance(out[:-1]) == generate_instance(3, 4, 1.0, "loose")
+
+
 class TestSolveEval:
     def test_two_approx_and_eval_round_trip(self, tmp_path):
         inst_path = tmp_path / "inst.json"

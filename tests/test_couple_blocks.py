@@ -27,7 +27,7 @@ from ewlsp.eoq import constrained_interval
 from ewlsp.errors import NotAPowerOfTwo, SpaceMismatch
 from ewlsp.evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS, class_interval_cap, edge_weight
-from ewlsp.model import Commodity, CouplePolicy, CyclicPolicy, Instance, SosiPolicy, parse_policy, policy_entry
+from ewlsp.model import Commodity, CouplePolicy, CyclicPolicy, IdColumn, Instance, SosiPolicy, parse_policy, policy_entry
 from ewlsp.pipeline import (
     AssembledPolicy,
     Block,
@@ -96,7 +96,7 @@ def scalar_evaluate(policy, instance):
     for t in sorted(events):
         w += events[t]
         v_max = max(v_max, w - gamma_total * t)
-    return EvalReport(ordering, holding, v_max, avg_inventory, instance.V)
+    return EvalReport(ordering, holding, v_max, IdColumn(avg_inventory, list(avg_inventory.values())), instance.V)
 
 
 def scalar_edge_table(instance, ids, class_side, eps):

@@ -111,6 +111,22 @@ class TestNearInputs:
         with pytest.raises(NotAPowerOfTwo):
             CoupleInput(A, B, 1.0, 1.0 / 3.0, 0.05)
 
+    @pytest.mark.parametrize(
+        "T_A, T_B, eps, message",
+        [
+            (0.0, 1.0, 0.05, "intervals must be > 0"),
+            (1.0, -1.0, 0.05, "intervals must be > 0"),
+            (1.0, 2.0, 0.05, "require T_B <= T_A"),
+            (1.0, 1.0, 0.0, r"epsilon must lie in \(0, 1\)"),
+            (1.0, 1.0, 1.0, r"epsilon must lie in \(0, 1\)"),
+        ],
+    )
+    def test_bad_intervals_and_eps_rejected(self, T_A, T_B, eps, message):
+        A = Commodity(0, 1, 1, 1.0)
+        B = Commodity(1, 1, 1, 1.0)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CoupleInput(A, B, T_A, T_B, eps)
+
     def test_subnormal_T_B_rejected(self):
         # k = 1; it used to validate, then synthesize_couple failed in
         # CyclicPolicy on colliding order times

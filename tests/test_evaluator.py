@@ -6,7 +6,7 @@ import pytest
 
 from ewlsp.couples import CoupleInput, synthesize_couple
 from ewlsp.evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
-from ewlsp.model import Commodity, CyclicPolicy, Instance, SosiPolicy, sosi_to_cyclic
+from ewlsp.model import Commodity, CyclicPolicy, IdColumn, Instance, SosiPolicy, sosi_to_cyclic
 
 from conftest import make_instance, random_instance
 
@@ -166,7 +166,7 @@ def test_overlapping_reports_are_refused():
 def test_combining_many_reports_is_linear():
     # one report per block, as a solve with thousands of blocks certifies
     inst = make_instance([(1, 1, 1)], 10.0)
-    reports = [EvalReport(1.0, 1.0, 1.0, {cid: 0.5}, 10.0) for cid in range(10_000)]
+    reports = [EvalReport(1.0, 1.0, 1.0, IdColumn((cid,), (0.5,)), 10.0) for cid in range(10_000)]
     start = time.perf_counter()
     combined = combine_reports(reports, inst)
     assert time.perf_counter() - start < 0.5

@@ -214,11 +214,11 @@ def test_column_backed_reports_that_overlap_raise_the_error_of_combine_reports()
 def test_a_cyclic_report_among_the_parts_is_read_into_the_column():
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(3)), 1.0)
     parts = [evaluate_sosi(SosiPolicy(IdColumn((2, 0), (1.0, 2.0))), inst), evaluate(CyclicPolicy(1.0, {1: ((0.0, 1.0),)}), inst)]
-    assert type(parts[1].avg_inventory) is dict
+    assert isinstance(parts[1].avg_inventory, IdColumn)
     got = combine_reports(parts, inst)
     assert exact(got) == exact(dict_combine_reports(parts, inst))
     lone = combine_reports(parts[1:], inst)
-    assert isinstance(lone.avg_inventory, IdColumn) and exact(lone) == exact(parts[1])
+    assert lone.avg_inventory is parts[1].avg_inventory and exact(lone) == exact(parts[1])
 
 
 # ---------------------------------------------------------------------------

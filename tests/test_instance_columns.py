@@ -140,7 +140,6 @@ def test_readers_of_columns_build_no_commodity_and_no_dict():
         inst.positions([1, 50])
     cols = inst.columns
     assert inst.commodity(12) == Commodity(12, cols.K[12].item(), cols.H[12].item(), cols.gamma[12].item())
-    assert "commodities" not in vars(inst)  # one row read makes only its own Commodity
     assert inst.commodities[12] is inst.commodity(12)  # built once and kept
 
 

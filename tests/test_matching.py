@@ -5,6 +5,7 @@ from ewlsp.matching import (
     INF_CLASS,
     MatchingInstance,
     brute_force_b_matching,
+    class_interval_cap,
     edge_weight,
     solve_b_matching,
 )
@@ -33,6 +34,11 @@ class TestEdgeWeight:
         assert T == pytest.approx(0.25)
         assert w == pytest.approx(4.25)
 
+    @pytest.mark.parametrize("ell", [0, -3])
+    def test_class_label_below_one_is_refused(self, ell):
+        with pytest.raises(ValueError, match=f"^class label must be >= 1 or the tail class, got {ell}$"):
+            class_interval_cap(ell, 0.1, 1.0, 10)
+
     def test_tail_class(self):
         c = Commodity(0, 1.0, 1.0, 1.0)
         T, w = edge_weight(*columns(c), INF_CLASS, eps=0.1, V=1.0, n=10)
@@ -58,6 +64,11 @@ class TestSolver:
     def test_infeasible_bounds_detected(self):
         with pytest.raises(InfeasibleMatching):
             MatchingInstance((0, 1), (1,), {(0, 1): 1.0, (1, 1): 1.0}, {1: (0, 1)})
+
+    @pytest.mark.parametrize("bounds", [(-1, 1), (2, 1)])
+    def test_degree_bounds_must_be_ordered_and_nonnegative(self, bounds):
+        with pytest.raises(ValueError, match=rf"^class 1: need 0 <= lower <= upper, got \({bounds[0]}, {bounds[1]}\)$"):
+            MatchingInstance((0, 1), (1,), {(0, 1): 1.0, (1, 1): 1.0}, {1: bounds})
 
     def test_lower_bound_forces_expensive_class(self):
         w = {(0, 1): 1.0, (0, 2): 100.0, (1, 1): 1.0, (1, 2): 100.0}

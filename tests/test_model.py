@@ -567,6 +567,9 @@ def test_scaled_policy():
     s = SosiPolicy({3: 1.0, 1: 0.5}, {3: 0.25})
     assert s.scaled(2.0) == SosiPolicy({3: 2.0, 1: 1.0}, {3: 0.5})
     assert list(s.scaled(2.0).intervals_T) == [3, 1]
+    for factor in (0.0, -1.0):
+        with pytest.raises(ValueError, match="^scale factor must be > 0$"):
+            p.scaled(factor)
 
 
 def test_commodity_lookup_by_id():

@@ -3,7 +3,7 @@ import pytest
 
 from ewlsp.errors import SearchSpaceExceeded
 from ewlsp.evaluator import evaluate
-from ewlsp.model import CyclicPolicy
+from ewlsp.model import CyclicPolicy, IdColumn
 from ewlsp.oracle import oracle_integrate_cost, oracle_opt_cyclic
 
 from conftest import make_instance, random_instance
@@ -53,6 +53,13 @@ class TestBruteForce:
         with pytest.raises(SearchSpaceExceeded):
             oracle_opt_cyclic(inst1, tau=1.0, grid_points=13)
 
+    @pytest.mark.parametrize("grid_points", [0, -2])
+    def test_grid_of_no_points_is_refused(self, grid_points):
+        # zero points used to divide by zero when the grid was laid out
+        inst = make_instance([(1, 1, 1)], 1.0)
+        with pytest.raises(ValueError, match=f"^grid_points must be >= 1, got {grid_points}$"):
+            oracle_opt_cyclic(inst, 1.0, grid_points)
+
     def test_feasibility_of_winner(self):
         inst = make_instance([(1, 1, 2), (3, 0.5, 1)], 1.1)
         policy, cost = oracle_opt_cyclic(inst, tau=1.5, grid_points=6)
@@ -83,6 +90,7 @@ class TestIntegrator:
             approx = oracle_integrate_cost(p, inst)
             assert approx.total_cost_rate == pytest.approx(exact.total_cost_rate, rel=1e-6)
             assert approx.v_max == pytest.approx(exact.v_max, rel=1e-6)
+            assert isinstance(approx.avg_inventory, IdColumn) and list(approx.avg_inventory) == list(exact.avg_inventory)
             for cid in exact.avg_inventory:
                 assert approx.avg_inventory[cid] == pytest.approx(
                     exact.avg_inventory[cid], rel=1e-6, abs=1e-9

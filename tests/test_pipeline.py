@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ewlsp import pipeline
-from ewlsp.cli import generate_instance
+from ewlsp.cli import generate_instance, main
 from ewlsp.couples import CoupleInput, synthesize_couple
 from ewlsp.errors import InfeasiblePolicy
 from ewlsp.evaluator import combine_reports, evaluate, evaluate_sosi
@@ -27,6 +27,7 @@ from ewlsp.model import (
     parse_policies,
     parse_policy,
     policy_entry,
+    serialize_instance,
     sosi_to_cyclic,
 )
 from ewlsp.pipeline import (
@@ -237,13 +238,28 @@ class TestSolveSub2:
         assert set(diag) == {"scenario", "dense", "measured_scale", "ref_cost_rate", "cost_vs_ref"}
 
 
-def _offset_couple_case():
+def _offset_couple_case(singles: int = 0):
     # A half-cycle-offset pair holds 2/3 of its peak on average, so using
     # it as the benchmark drives the sparse volume above (1/2 + delta)V.
+    # `singles` small commodities (K = H = 1, gamma = 0.01) join it, each
+    # ordering 0.25 four times per unit cycle in the reference; eleven of
+    # them fill one class past the sparsity threshold, which goes to the
+    # suffix+dense relaxation.
     A = Commodity(0, 1.0, 1.0, 1.0)
     B = Commodity(1, 1.0, 1.0, 1.0)
     couple = synthesize_couple(CoupleInput(A, B, 1.0, 1.0, 0.05))
-    return Instance((A, B), capacity_V=1.5), 0, couple.policy
+    small = tuple(Commodity(2 + k, 1.0, 1.0, 0.01) for k in range(singles))
+    quarters = tuple((t, 0.25) for t in (0.0, 0.25, 0.5, 0.75))
+    reference = CyclicPolicy(1.0, {**couple.policy.schedules, **{c.id: quarters for c in small}})
+    return Instance((A, B) + small, capacity_V=1.5), 0, reference
+
+
+def _light_sosi_case():
+    # the dense-heavy n=200 rows plus 30 light ones (K = 1.6e9, H = 1,
+    # gamma = 1e-6) that join its po2-sync class as light members
+    base = generate_instance(0, 200, 1.0, "dense-heavy")
+    light = tuple(Commodity(200 + k, 1.6e9, 1.0, 1e-6) for k in range(30))
+    return Instance(base.commodities + light, capacity_V=base.V), 0, None
 
 
 def _with_prefix(n: int, extras, scale: float) -> Instance:
@@ -351,6 +367,20 @@ PINNED_OUTPUTS = [
         "07f8eea838915f342b43e84f632e20225c708abe4b28477d311daa3fece9a82f",
         "8857e53ce85ed104aa7abf92ceff7463acd3a4d9ed8a22d92073c592de00b20f",
     ),
+    (
+        # blocks prefix:ptas and suffix+dense:relaxation
+        "easy-suffix-dense-relaxation",
+        _offset_couple_case(singles=11),
+        "f3b7d6b205888760eacff650c38506a7e2675cb30c92722fde2f8b7b9de847fb",
+        "0c7ecaff33601eb531e60d8f57946d6d0d33fd42ec760a1d64ef954c9b5f6727",
+    ),
+    (
+        # blocks class124, class124:rounded-sosi, class124:light-sosi and classinf:sosi
+        "difficult-light-sosi",
+        _light_sosi_case(),
+        "bd5567c0e5d8941f1ba04c298bab21ea960cd7bb155206fb207a1cee1ebf0954",
+        "7f27f14f23f695e139fd4b0702ff258c0d640738f1f65e03422d1b2be8099f11",
+    ),
 ]
 
 
@@ -394,6 +424,34 @@ def test_pinned_outputs_recertify_from_json(name):
     assert certified.holding_cost_rate == pytest.approx(rep.holding_cost_rate, rel=1e-12)
     assert certified.v_max == pytest.approx(rep.v_max, rel=1e-12)
     assert certified.avg_inventory == pytest.approx(rep.avg_inventory, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "name, provenances",
+    [
+        ("easy-suffix-dense-relaxation", ["prefix:ptas", "suffix+dense:relaxation"]),
+        ("difficult-light-sosi", ["class124", "class124:rounded-sosi", "class124:light-sosi", "classinf:sosi"]),
+    ],
+)
+def test_pinned_solves_reach_their_blocks(name, provenances):
+    assembled, rep, _ = _pinned_solve(name)
+    assert [block.provenance for block in assembled.blocks] == provenances
+    assert rep.feasible
+
+
+def test_light_sosi_solve_round_trips_through_eval(tmp_path):
+    # the written policy, certified by `ewlsp eval` from its file alone
+    inst = next(p[1][0] for p in PINNED_OUTPUTS if p[0] == "difficult-light-sosi")
+    assembled, rep, _ = _pinned_solve("difficult-light-sosi")
+    inst_path, policy_path, out = tmp_path / "inst.json", tmp_path / "policy.json", tmp_path / "report.json"
+    inst_path.write_bytes(serialize_instance(inst))
+    policy_path.write_text(json.dumps(assembled.to_json()))
+    assert main(["eval", "--instance", str(inst_path), "--policy", str(policy_path), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["feasible"] is True and "missing" not in report
+    assert sorted(report["avg_inventory"], key=int) == [str(cid) for cid in inst.ids()]
+    assert report["total_cost_rate"] == pytest.approx(rep.total_cost_rate, rel=1e-12)
+    assert report["v_max"] == pytest.approx(rep.v_max, rel=1e-12)
 
 
 def _written_blocks(name):

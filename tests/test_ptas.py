@@ -57,20 +57,32 @@ def _scalar_grid_problem(m, p):
 
 class TestGridSpec:
     def test_desk_divisibility(self):
-        grid = GridSpec.desk(1.0, 3)
+        grid = GridSpec.desk(3)
         assert grid.minus_counts == (1, 4, 16)
         assert grid.plus_counts == (8, 32, 128)
 
     def test_paper_counts_small_base(self):
-        grid = GridSpec.paper(1.0, 2, n=1, eps=0.5)
+        grid = GridSpec.paper(2, n=1, eps=0.5)
         assert grid.minus_counts == (1, 4)
         assert grid.plus_counts == (16, 128)
 
     def test_bad_geometry_rejected(self):
         with pytest.raises(ValueError):
-            GridSpec(1.0, (1, 3), (8, 24))  # minus grids do not nest
+            GridSpec((1, 3), (8, 24))  # minus grids do not nest
         with pytest.raises(ValueError):
-            GridSpec.desk(1.0, 2, M=4, S=12)  # S does not divide M^2
+            GridSpec.desk(2, M=4, S=12)  # S does not divide M^2
+        # a zero level ratio or refinement used to divide by zero
+        with pytest.raises(ValueError, match=r"^M must be >= 1, got 0$"):
+            GridSpec.desk(2, M=0, S=8)
+        with pytest.raises(ValueError, match=r"^S must be >= 1, got 0$"):
+            GridSpec.desk(2, M=4, S=0)
+        with pytest.raises(ValueError, match=r"^M must be >= 1, got 0$"):
+            ptas_solve(make_instance([(1, 1, 1)], 0.5), 0.5, grid_M=0, grid_S=8)
+
+    def test_a_grid_is_its_counts(self):
+        grid = GridSpec.desk(2)
+        assert not hasattr(grid, "tau_cycle")
+        assert grid == GridSpec((1, 4), (8, 32))
 
     @given(
         levels=st.integers(1, 8),
@@ -94,10 +106,10 @@ class TestGridSpec:
             p[at % levels] *= factor**on_plus
         want = _scalar_grid_problem(m, p)
         if want is None:
-            GridSpec(1.0, tuple(m), tuple(p))
+            GridSpec(tuple(m), tuple(p))
         else:
             with pytest.raises(ValueError) as got:
-                GridSpec(1.0, tuple(m), tuple(p))
+                GridSpec(tuple(m), tuple(p))
             # counts breaking two rules may name either first unless the minus grids nest
             if all(m[q + 1] % m[q] == 0 for q in range(levels - 1)):
                 assert str(got.value) == want
@@ -142,17 +154,36 @@ class TestGuesses:
         assert taus[-1] == pytest.approx(16.0)
 
 
+class TestGuess:
+    @pytest.mark.parametrize("tau", [-1.0, 0.0, math.nan, math.inf])
+    def test_cycle_length_must_be_finite_and_positive(self, tau):
+        with pytest.raises(ValueError, match="^cycle length must be finite and > 0, got"):
+            Guess(tau=tau, assignment={0: 1})
+
+
 class TestDpSolve:
+    def test_policy_runs_the_guessed_cycle(self):
+        # the grid holds counts alone: the cycle length is the guess's
+        inst = make_instance([(1, 1, 1)], 100.0)
+        rate, policy = dp_solve(inst, Guess(tau=2.0, assignment={0: 1}), 0.5, GridSpec.desk(1))
+        assert policy.tau == 2.0
+        assert rate == pytest.approx(2.0)
+
+    def test_grid_must_cover_the_deepest_class(self):
+        inst = make_instance([(1, 1, 1), (4, 1, 1)], 1.5)
+        with pytest.raises(ValueError, match="^grid does not cover the deepest guessed class$"):
+            dp_solve(inst, Guess(tau=1.0, assignment={0: 1, 1: 3}), 0.5, GridSpec.desk(2))
+
     def test_infeasible_guess_returns_none(self):
         inst = make_instance([(1, 1, 1)], 1e-4)
         guess = Guess(tau=8.0, assignment={0: 1})
-        grid = GridSpec.desk(8.0, 1)
+        grid = GridSpec.desk(1)
         assert dp_solve(inst, guess, 0.5, grid=grid) is None
 
     def test_single_level_matches_equal_spacing(self):
         inst = make_instance([(1, 1, 1)], 100.0)
         guess = Guess(tau=2.0, assignment={0: 1})
-        grid = GridSpec.desk(2.0, 1)
+        grid = GridSpec.desk(1)
         result = dp_solve(inst, guess, 0.5, grid=grid)
         assert result is not None
         rate, policy = result
@@ -163,7 +194,7 @@ class TestDpSolve:
     def test_cost_rate_agrees_with_evaluator(self):
         inst = make_instance([(1.3, 0.6, 1.0), (0.5, 2.0, 0.7)], 3.0)
         guess = Guess(tau=1.5, assignment={0: 1, 1: 2})
-        grid = GridSpec.desk(1.5, 2)
+        grid = GridSpec.desk(2)
         result = dp_solve(inst, guess, 0.5, grid=grid)
         assert result is not None
         rate, policy = result
@@ -201,8 +232,8 @@ class TestDpCutoff:
     def test_floor_is_below_every_state_value(self, seed, n, regime, M):
         inst = generate_instance(seed, n, 1.0, regime)
         for guess in enumerate_guesses(inst, 0.5):
-            grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=2 * M)
-            if _overfull(inst, guess.assignment, 0.5, grid, grid.tau_cycle):
+            grid = GridSpec.desk(max(guess.assignment.values()), M=M, S=2 * M)
+            if _overfull(inst, guess.assignment, 0.5, grid, guess.tau):
                 continue  # `dp_solve` builds no solver; every state there is valueless
             solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, {})
             solver.solve()
@@ -224,14 +255,14 @@ class TestDpCutoff:
         # guess 195 has 9 distinct states, and the floor cut skips none of them
         inst = generate_instance(0, 3, 1.0, "tight")
         guess = enumerate_guesses(inst, 0.5)[195]
-        grid = GridSpec.desk(guess.tau, max(guess.assignment.values()))
+        grid = GridSpec.desk(max(guess.assignment.values()))
         assert self._least_cap(inst, guess, grid, 9) == 9
 
     def test_bounds_only_lower_the_state_count(self):
         # guess 70 had 15 distinct states before the DP took limits
         inst = generate_instance(2, 2, 1.0, "tight")
         guess = enumerate_guesses(inst, 0.5)[70]
-        grid = GridSpec.desk(guess.tau, max(guess.assignment.values()))
+        grid = GridSpec.desk(max(guess.assignment.values()))
         self._least_cap(inst, guess, grid, 15)
 
 
@@ -274,6 +305,19 @@ class TestPtasSolve:
         assert str(exc.value) == "ptas_solve handles at most 3 commodities, got 40"
         assert (exc.value.count, exc.value.budget) == (40, 3)
 
+    def test_one_grid_per_sweep(self, monkeypatch):
+        built = []
+        check = GridSpec.__post_init__
+
+        def counted(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(GridSpec, "__post_init__", counted)
+        details = {}
+        ptas_solve(generate_instance(0, 2, 1.0, "tight"), 0.5, details=details)
+        assert built == [details["grid"]]
+
     def test_finer_grid_never_worse(self):
         # more order slots per interval (same minus grid) only add options
         inst = make_instance([(1, 1, 1)], 0.45)
@@ -291,7 +335,7 @@ class TestActionCap:
         inst = make_instance([(1, 1, 1), (4, 1, 1)], 1.5)
         guess = Guess(tau=1.5, assignment={0: 1, 1: 1})
         with pytest.raises(ActionSpaceExceeded, match=r"action space 2\^14 at level 0"):
-            dp_solve(inst, guess, 0.5, grid=GridSpec.desk(1.5, 1))
+            dp_solve(inst, guess, 0.5, grid=GridSpec.desk(1))
 
     def test_over_cap_guesses_are_skipped(self, monkeypatch):
         monkeypatch.setattr("ewlsp.ptas.ACTION_CAP", 1 << 7)
@@ -333,9 +377,9 @@ class TestActionCap:
         with pytest.raises(StateSpaceExceeded, match="^a desk grid of 1074 classes has counts past the float range$"):
             ptas_solve(inst, 0.999)
         # the deepest desk grid that fits: 8 * 4^510 = 2^1023
-        assert GridSpec.desk(1.0, 511).plus_counts[-1] == 2**1023
+        assert GridSpec.desk(511).plus_counts[-1] == 2**1023
         with pytest.raises(StateSpaceExceeded, match="^a desk grid of 512 classes"):
-            GridSpec.desk(1.0, 512)
+            GridSpec.desk(512)
 
 
 # sha256 of serialize_policy(policy) + repr(cost rate) of fixed ptas_solve
@@ -448,7 +492,7 @@ PINNED_DP_OUTPUTS = [
 def test_pinned_dp_outputs(name, assignment, tau, value, digest):
     params = [(1.0, 0.7, 1.0), (0.4, 2.0, 0.8), (0.3, 1.0, 0.5)][: len(assignment)]
     inst = make_instance(params, 1.4 if len(assignment) == 3 else 1.1)
-    grid = GridSpec.desk(tau, 3, M=2, S=2)
+    grid = GridSpec.desk(3, M=2, S=2)
     rate, policy = dp_solve(inst, Guess(tau=tau, assignment=assignment), 0.5, grid=grid)
     assert repr(rate) == value
     assert hashlib.sha256(serialize_policy(policy)).hexdigest() == digest
@@ -457,7 +501,7 @@ def test_pinned_dp_outputs(name, assignment, tau, value, digest):
 def _scale_floor(instance, guess, grid):
     """Scalar oracle for the sweep's f_lo = min(1, V/P), P being the peak
     bound sum gamma_i*tau/minus_qi over the ids in order."""
-    tau = grid.tau_cycle
+    tau = guess.tau
     peak = 0.0
     for i, q in sorted(guess.assignment.items()):
         peak += instance.commodity(i).gamma * tau / grid.minus_counts[q - 1]
@@ -468,7 +512,7 @@ def guess_lower_bound(instance, guess, grid):
     """Scalar oracle for the sweep's lower bound on the cost rate of the
     guess's DP policy after it is scaled into the capacity: per commodity in
     id order, its EOQ interval clipped into [f_lo*tau/plus_q, tau/minus_q]."""
-    tau = grid.tau_cycle
+    tau = guess.tau
     f_lo = _scale_floor(instance, guess, grid)
     total = 0.0
     for i, q in sorted(guess.assignment.items()):
@@ -485,7 +529,7 @@ def _scalar_overfull(instance, guess, eps, grid):
     F = grid.plus_counts[occupied[-1] - 1]
     bound = (1.0 + eps) * instance.V * (1.0 + 1e-12)
     for level in occupied:
-        slot = (F // grid.plus_counts[level - 1]) * (grid.tau_cycle / F)
+        slot = (F // grid.plus_counts[level - 1]) * (guess.tau / F)
         space = 0.0
         for i in sorted(i for i, q in guess.assignment.items() if q == level):
             space += instance.commodity(i).gamma * slot
@@ -516,7 +560,7 @@ def _full_sweep(instance, eps, M=4, S=8):
     best = None
     skipped = 0
     for index, guess in enumerate(enumerate_guesses(instance, eps)):
-        grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=S)
+        grid = GridSpec.desk(max(guess.assignment.values()), M=M, S=S)
         try:
             certified = _certified(instance, guess, eps, grid)
         except ActionSpaceExceeded:
@@ -559,7 +603,7 @@ class TestGuessPruning:
     def test_bound_never_exceeds_the_certified_cost(self, seed, n, spread, regime, M):
         inst = generate_instance(seed, n, spread, regime)
         for guess in enumerate_guesses(inst, 0.5):
-            grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=2 * M)
+            grid = GridSpec.desk(max(guess.assignment.values()), M=M, S=2 * M)
             certified = _certified(inst, guess, 0.5, grid)
             if certified is None:
                 continue
@@ -602,7 +646,8 @@ class TestGuessPruning:
         assert serialize_policy(policy) == serialize_policy(full_policy)
         assert repr(report.total_cost_rate) == repr(full_cost)
         assert details["guess"] == guess
-        assert details["grid"] == grid
+        # the sweep's one grid, over every guessed class
+        assert details["grid"] == GridSpec.desk(max(enumerate_guesses(inst, 0.5).classes[-1]), M=M, S=S)
         assert details["skipped_guesses"] == skipped
         total = len(enumerate_guesses(inst, 0.5))
         assert len(runs) == total - details["skipped_guesses"] - details["pruned_guesses"]
@@ -666,14 +711,14 @@ class TestGuessScreen:
         except BudgetExceeded:
             assume(False)
         try:
-            template = GridSpec.desk(guesses.taus[0], max(guesses.classes[-1]), M=M, S=S)
+            template = GridSpec.desk(max(guesses.classes[-1]), M=M, S=S)
         except StateSpaceExceeded:
             assume(False)
         skipped, overfull, queue = _screen(inst, guesses, eps, template)
         want_skipped = want_overfull = 0
         want_queue = []
         for index, guess in enumerate(guesses):
-            grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=M, S=S)
+            grid = GridSpec.desk(max(guess.assignment.values()), M=M, S=S)
             bits = [(S - 1) * list(guess.assignment.values()).count(q) for q in set(guess.assignment.values())]
             if any((1 << b) > ACTION_CAP for b in bits):
                 want_skipped += 1
@@ -689,8 +734,8 @@ class TestGuessScreen:
         inst = generate_instance(5, 2, 1.0, "tight")
         verdicts = set()
         for guess in enumerate_guesses(inst, 0.5):
-            grid = GridSpec.desk(guess.tau, max(guess.assignment.values()), M=3, S=9)
-            over = _overfull(inst, guess.assignment, 0.5, grid, grid.tau_cycle)
+            grid = GridSpec.desk(max(guess.assignment.values()), M=3, S=9)
+            over = _overfull(inst, guess.assignment, 0.5, grid, guess.tau)
             assert type(over) is bool and over == _scalar_overfull(inst, guess, 0.5, grid)
             verdicts.add(over)
         assert verdicts == {True, False}
@@ -786,7 +831,7 @@ def _brute_force_aligned(instance, guess, eps, grid):
 
     from ewlsp.model import CyclicPolicy
 
-    tau = grid.tau_cycle
+    tau = guess.tau
     ids = sorted(guess.assignment)
     options = []
     for cid in ids:
@@ -824,7 +869,7 @@ class TestBruteForceCrossValidation:
     def test_n1_exact(self, tau):
         inst = make_instance([(1, 1, 1)], 0.6)
         guess = Guess(tau=tau, assignment={0: 1})
-        grid = GridSpec.desk(tau, 1, M=2, S=4)
+        grid = GridSpec.desk(1, M=2, S=4)
         dp = dp_solve(inst, guess, 0.5, grid=grid)
         bf = _brute_force_aligned(inst, guess, 0.5, grid)
         assert dp is not None and bf is not None
@@ -834,7 +879,7 @@ class TestBruteForceCrossValidation:
     def test_n2_two_levels_exact(self, tau):
         inst = make_instance([(1.0, 0.7, 1.0), (0.4, 2.0, 0.8)], 1.1)
         guess = Guess(tau=tau, assignment={0: 1, 1: 2})
-        grid = GridSpec.desk(tau, 2, M=2, S=4)
+        grid = GridSpec.desk(2, M=2, S=4)
         dp = dp_solve(inst, guess, 0.5, grid=grid)
         bf = _brute_force_aligned(inst, guess, 0.5, grid)
         assert dp is not None and bf is not None
@@ -844,7 +889,7 @@ class TestBruteForceCrossValidation:
     def test_n2_shared_level_exact(self, tau):
         inst = make_instance([(1.0, 0.7, 1.0), (0.4, 2.0, 0.8)], 1.1)
         guess = Guess(tau=tau, assignment={0: 1, 1: 1})
-        grid = GridSpec.desk(tau, 1, M=2, S=4)
+        grid = GridSpec.desk(1, M=2, S=4)
         dp = dp_solve(inst, guess, 0.5, grid=grid)
         bf = _brute_force_aligned(inst, guess, 0.5, grid)
         assert dp[0] == pytest.approx(bf, rel=1e-9)
@@ -855,7 +900,7 @@ class TestBruteForceCrossValidation:
         # the bound after one or two commodities, at V=0.5 every combination
         inst = make_instance([(1.0, 0.7, 1.0), (0.4, 2.0, 0.8), (0.3, 1.0, 0.5)], V)
         guess = Guess(tau=tau, assignment={0: 1, 1: 1, 2: 1})
-        grid = GridSpec.desk(tau, 1, M=2, S=4)
+        grid = GridSpec.desk(1, M=2, S=4)
         dp = dp_solve(inst, guess, 0.5, grid=grid)
         bf = _brute_force_aligned(inst, guess, 0.5, grid)
         if bf is None:
@@ -868,7 +913,7 @@ class TestBruteForceCrossValidation:
     def test_n3_three_levels_never_worse(self, tau):
         inst = make_instance([(1.0, 0.7, 1.0), (0.4, 2.0, 0.8), (0.3, 1.0, 0.5)], 1.4)
         guess = Guess(tau=tau, assignment={0: 1, 1: 2, 2: 3})
-        grid = GridSpec.desk(tau, 3, M=2, S=2)
+        grid = GridSpec.desk(3, M=2, S=2)
         dp = dp_solve(inst, guess, 0.5, grid=grid)
         bf = _brute_force_aligned(inst, guess, 0.5, grid)
         if bf is not None:
@@ -880,7 +925,7 @@ class TestBruteForceCrossValidation:
         # classes {1, 3}: the skipped level folds into the quantized bound
         inst = make_instance([(1.0, 0.7, 1.0), (0.4, 2.0, 0.8)], 1.1)
         guess = Guess(tau=tau, assignment={0: 1, 1: 3})
-        grid = GridSpec.desk(tau, 3, M=2, S=2)
+        grid = GridSpec.desk(3, M=2, S=2)
         dp = dp_solve(inst, guess, 0.5, grid=grid)
         bf = _brute_force_aligned(inst, guess, 0.5, grid)
         if bf is not None:
@@ -900,7 +945,7 @@ class TestBruteForceCrossValidation:
         params = params[: len(classes)]
         inst = make_instance(params, fill * tau * sum(g for _, _, g in params))
         guess = Guess(tau=tau, assignment=dict(enumerate(classes)))
-        grid = GridSpec.desk(tau, max(classes), M=2, S=4)
+        grid = GridSpec.desk(max(classes), M=2, S=4)
         dp = dp_solve(inst, guess, 0.5, grid=grid)
         bf = _brute_force_aligned(inst, guess, 0.5, grid)
         if bf is None:
@@ -912,7 +957,7 @@ class TestBruteForceCrossValidation:
     def test_dp_policy_cost_matches_value(self):
         inst = make_instance([(1.0, 0.7, 1.0), (0.4, 2.0, 0.8)], 1.1)
         guess = Guess(tau=1.7, assignment={0: 1, 1: 3})
-        grid = GridSpec.desk(1.7, 3, M=2, S=2)
+        grid = GridSpec.desk(3, M=2, S=2)
         dp = dp_solve(inst, guess, 0.5, grid=grid)
         assert dp is not None
         rate, policy = dp
@@ -936,7 +981,7 @@ class TestOverfullLevels:
         # within a relative 1e-9, where the oracle's exact peak and the
         # test's float sum may round apart
         params = params[: len(classes)]
-        grid = GridSpec.desk(tau, max(classes), M=2, S=4)
+        grid = GridSpec.desk(max(classes), M=2, S=4)
         level_space = [
             sum(g for (_, _, g), c in zip(params, classes) if c == q) * tau / grid.plus_counts[q - 1]
             for q in set(classes)
@@ -945,15 +990,15 @@ class TestOverfullLevels:
         bound = 1.5 * inst.V
         assume(all(abs(space / bound - 1.0) > 1e-9 for space in level_space))
         guess = Guess(tau=tau, assignment=dict(enumerate(classes)))
-        if _overfull(inst, guess.assignment, 0.5, grid, grid.tau_cycle):
+        if _overfull(inst, guess.assignment, 0.5, grid, guess.tau):
             assert _brute_force_aligned(inst, guess, 0.5, grid) is None
 
     def test_overfull_guess_builds_no_solver(self, monkeypatch):
         # gamma * tau/8 = 0.125 per slot against (1 + 0.5) * 0.05
         inst = make_instance([(1, 1, 1)], 0.05)
         guess = Guess(tau=1.0, assignment={0: 1})
-        grid = GridSpec.desk(1.0, 1)
-        assert _overfull(inst, guess.assignment, 0.5, grid, grid.tau_cycle)
+        grid = GridSpec.desk(1)
+        assert _overfull(inst, guess.assignment, 0.5, grid, guess.tau)
 
         def no_solver(*args):
             raise AssertionError("_DpSolver built for an overfull guess")
@@ -968,7 +1013,7 @@ class TestOverfullLevels:
         guesses = enumerate_guesses(inst, 0.5)
 
         def grid_of(guess):
-            return GridSpec.desk(guess.tau, max(guess.assignment.values()))
+            return GridSpec.desk(max(guess.assignment.values()))
 
         overfull = {k for k, g in enumerate(guesses) if _scalar_overfull(inst, g, 0.5, grid_of(g))}
         assert overfull
@@ -999,7 +1044,7 @@ def test_paper_grid_geometry_runs_for_one_commodity():
     # base 2 keeps the published counts runnable at n=1
     inst = make_instance([(1, 1, 1)], 10.0)
     guess = Guess(tau=2.0, assignment={0: 1})
-    result = dp_solve(inst, guess, 0.5, grid=GridSpec.paper(2.0, 1, 1, 0.5))
+    result = dp_solve(inst, guess, 0.5, grid=GridSpec.paper(1, 1, 0.5))
     assert result is not None
     rate, policy = result
     assert evaluate(policy, inst).total_cost_rate == pytest.approx(rate, rel=1e-9)

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ewlsp.evaluator import EvalReport, evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS
-from ewlsp.model import Commodity, CyclicPolicy, Instance, SosiPolicy
+from ewlsp.model import Commodity, CyclicPolicy, IdColumn, Instance, SosiPolicy
 from ewlsp.pipeline import PipelineConfig, build_reference_policy, decompose_classes
 from ewlsp.relaxation import solve_sosi_relaxation
 from ewlsp.two_approx import solve_two_approx
@@ -266,7 +266,7 @@ def test_decompose_classes_matches_scalar_loop(inst, data):
             if k is not None:
                 avg[cid] = placed(V / (1.0 + eps) ** k, c.gamma)
     avg = {cid: avg[cid] for cid in data.draw(st.permutations(list(avg)))}
-    report = EvalReport(1.0, 1.0, 1.0, avg, V)
+    report = EvalReport(1.0, 1.0, 1.0, IdColumn(avg, list(avg.values())), V)
     cfg = PipelineConfig(eps=eps, sparsity_threshold=data.draw(st.sampled_from([0, 1, 10])), Q=10)
     decomp = decompose_classes(report, inst, cfg)
     got = (decomp.classes, decomp.avg_space, decomp.avg_space_per_class, decomp.labels, decomp.vbar_sparse, decomp.vbar_dense)
@@ -297,7 +297,7 @@ def test_slab_boundaries_take_the_math_log_class():
     L = math.ceil(math.log(n / eps) / math.log1p(eps))
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(n)), capacity_V=V)
     avg = {i: V / (1.0 + eps) ** (i % (L + 2)) for i in range(n)}
-    report = EvalReport(1.0, 1.0, 1.0, avg, V)
+    report = EvalReport(1.0, 1.0, 1.0, IdColumn(avg, list(avg.values())), V)
     decomp = decompose_classes(report, inst, CFG)
     classes, *_ = scalar_decompose(report, inst, CFG)
     assert exact(decomp.classes) == exact(classes)
@@ -309,7 +309,7 @@ def test_slab_index_where_np_log_and_math_log_disagree():
     # in class 40, while np.log (x86-64 SIMD builds) rounds it to class 41
     cfg = PipelineConfig(eps=0.01, sparsity_threshold=10, Q=10)
     inst = Instance((Commodity(0, 1.0, 1.0, 1.0), Commodity(1, 1.0, 1.0, 1.0)), capacity_V=3.0)
-    report = EvalReport(1.0, 1.0, 1.0, {0: 2.014959416581315, 1: 1.0}, 3.0)
+    report = EvalReport(1.0, 1.0, 1.0, IdColumn((0, 1), (2.014959416581315, 1.0)), 3.0)
     classes, *_ = scalar_decompose(report, inst, cfg)
     assert list(classes) == [40, 111]
     assert exact(decompose_classes(report, inst, cfg).classes) == exact(classes)
