@@ -51,7 +51,7 @@ from .model import (
     serialize_instance,
 )
 from .oracle import oracle_opt_cyclic
-from .pipeline import AssembledPolicy, Block, PipelineConfig, solve_sub2
+from .pipeline import PipelineConfig, solve_sub2
 from .ptas import DEFAULT_STATE_CAP, ptas_solve
 from .relaxation import solve_sosi_dp, solve_sosi_relaxation
 from .two_approx import solve_two_approx
@@ -142,15 +142,13 @@ def _solve_one(
         payload["diagnostics"] = diag
     elif algo == "two-approx":
         policy, report, _ = solve_two_approx(instance)
-        block = Block(ids=tuple(sorted(policy.intervals_T)), sosi=policy, provenance="two-approx")
-        payload = AssembledPolicy((block,)).to_json()
+        payload = {"blocks": [{**policy_entry(policy), "provenance": algo}]}
     else:  # ptas
         details: dict = {}
         policy, report = ptas_solve(
             instance, eps, grid_M=grid_base, grid_S=2 * grid_base, state_cap=state_cap, details=details
         )
-        block = Block(ids=tuple(sorted(policy.schedules)), cyclic=policy, provenance="ptas")
-        payload = AssembledPolicy((block,)).to_json()
+        payload = {"blocks": [{**policy_entry(policy), "provenance": algo}]}
         if details["skipped_guesses"]:  # the policy is the best over the guesses that ran
             payload["diagnostics"] = {"skipped_guesses": details["skipped_guesses"]}
     return report.total_cost_rate, report.v_max, report.feasible, payload

@@ -244,19 +244,15 @@ def _evaluate_couples(policy: CouplePolicy, instance: Instance) -> EvalReport:
         # the ordering and holding rates and the baseline w0 of each couple,
         # then its total gamma
         terms = pair[:, :, 0] + pair[:, :, 1]
-        if len(groups) > 1:
-            local = np.empty(len(templates), dtype=np.intp)  # a template's row in its group's table
-            width_of = np.empty(len(templates), dtype=np.intp)
-            for width, members in groups.items():
-                local[members] = range(len(members))
-                width_of[members] = width
+        local = np.empty(len(templates), dtype=np.intp)  # a template's row in its group's table
+        width_of = np.empty(len(templates), dtype=np.intp)
+        for width, members in groups.items():
+            local[members] = range(len(members))
+            width_of[members] = width
         for width, members in groups.items():
             # the couples whose template has `width` instants, and their rows
-            if len(groups) == 1:
-                r, at = slice(None), which
-            else:
-                r = np.flatnonzero(width_of[which] == width)
-                at = local[which[r]]
+            r = np.flatnonzero(width_of[which] == width)
+            at = local[which[r]]
             instants = np.array([rows[t][7:] for t in members]).reshape(-1, 3, width)[at]
             terms[2, r] = _peaks(instants, gamma[r], terms[2, r], terms[3, r])
         ordering, holding, v_max = (0.0 + np.add.accumulate(terms[:3], axis=1)[:, -1]).tolist()

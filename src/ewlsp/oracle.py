@@ -8,6 +8,8 @@ sampled trajectories instead of closed-form segment integrals.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import SearchSpaceExceeded
@@ -70,6 +72,8 @@ def oracle_opt_cyclic(
     pair, which makes the result deterministic.
     """
     n = instance.n
+    if not (math.isfinite(tau) and tau > 0):
+        raise ValueError(f"tau must be finite and > 0, got {tau!r}")
     if grid_points < 1:
         raise ValueError(f"grid_points must be >= 1, got {grid_points!r}")
     if n > 2:

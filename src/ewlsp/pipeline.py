@@ -51,7 +51,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 from operator import itemgetter
 from typing import Hashable, Mapping, Sequence
 
@@ -240,22 +239,19 @@ def _near_integer(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassDecomposition:
+    """The reference's volume classes, their labels and average space.
+    `space` is id -> gamma_i * avg inventory under the reference, an
+    IdColumn in instance order whose column is read-only and whose dict is
+    built on first item access."""
+
     classes: Mapping[Hashable, tuple[int, ...]]  # only nonempty classes
     avg_space_per_class: Mapping[Hashable, float]
     labels: Mapping[Hashable, str]  # prefix-sparse | suffix-sparse | dense
     vbar_sparse: float
     vbar_dense: float
-    ids: tuple[int, ...]  # the instance's ids, in instance order
-    # gamma_i * avg inventory under the reference, in the order of `ids`, read-only
-    space: np.ndarray = field(repr=False, compare=False)
+    space: IdColumn = field(repr=False, compare=False)
     # per class, its members' positions in the instance, in the order of `classes[ell]`, read-only
     rows: Mapping[Hashable, np.ndarray] = field(repr=False, compare=False)
-
-    @cached_property
-    def avg_space(self) -> dict[int, float]:
-        """id -> gamma_i * avg inventory, keyed in the order of `ids`; built
-        on first read."""
-        return dict(zip(self.ids, self.space.tolist()))
 
     def ids_with_label(self, label: str) -> list[int]:
         out: list[int] = []
@@ -271,7 +267,9 @@ def decompose_classes(
     cfg: PipelineConfig,
 ) -> ClassDecomposition:
     """Slab assignment from the reference report's exact average inventories
-    (an IdColumn, looked up per id unless in instance order).
+    (an IdColumn, looked up per id unless in instance order). A report that
+    leaves out commodities of the instance raises a ValueError naming the
+    first ten, in id order.
 
     Class ell collects commodities whose average occupied space lies in
     (V/(1+eps)^ell, V/(1+eps)^(ell-1)]; everything below the resolution
@@ -305,6 +303,9 @@ def decompose_classes(
     if avg.ids is ids or avg.ids == ids:
         avg_in_order = avg.column
     else:
+        missing = sorted(set(ids).difference(avg))
+        if missing:
+            raise ValueError(f"the reference leaves out {len(missing)} commodities: {missing[:10]}")
         avg_in_order = np.fromiter(map(avg.__getitem__, ids), dtype=float, count=n)
     s = cols.gamma * avg_in_order
     tail = s <= V / (1.0 + eps) ** L
@@ -336,7 +337,6 @@ def decompose_classes(
         classes[ell] = member_ids[start:end]
         rows[ell] = members[start:end]
         per_class[ell] = math.fsum(member_space[start:end])
-    s.flags.writeable = False
 
     threshold = cfg.sparsity_threshold
     sparse = [ell for ell in sorted(classes) if len(classes[ell]) <= threshold]
@@ -357,8 +357,7 @@ def decompose_classes(
         labels=labels,
         vbar_sparse=vbar_sparse,
         vbar_dense=vbar_dense,
-        ids=ids,
-        space=s,
+        space=IdColumn(ids, s),
         rows=rows,
     )
 
@@ -873,11 +872,11 @@ def _dispatch(
         return "easy", blocks, None
     if decomp.vbar_dense < (0.5 - 2.0 * DELTA) * V:
         sol = solve_sosi_relaxation(instance, rhs=2.0 * (decomp.vbar_sparse + decomp.vbar_dense + eps * V))
-        return "low-dense", [_stationary(sol.ids, sol.intervals_T, "all:relaxation")], None
+        return "low-dense", [_stationary(sol.intervals_T.ids, sol.intervals_T, "all:relaxation")], None
     blocks = []
     prefix_ids = decomp.ids_with_label("prefix-sparse")
     if prefix_ids:
-        vbar_prefix = math.fsum(decomp.space[instance.positions(prefix_ids)].tolist())
+        vbar_prefix = math.fsum(decomp.space.column[instance.positions(prefix_ids)].tolist())
         sol = solve_sosi_relaxation(instance, rhs=2.0 * (vbar_prefix + eps * V), ids=prefix_ids)
         blocks.append(_stationary(prefix_ids, sol.intervals_T, "prefix:relaxation"))
     dense_blocks, dense = run_dense_branch(instance, cfg, decomp, seed)

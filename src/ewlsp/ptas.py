@@ -180,7 +180,10 @@ class GridSpec:
 
     @staticmethod
     def paper(levels: int, n: int, eps: float) -> "GridSpec":
-        """Published counts with integer base max(2, round(n/eps))."""
+        """Published counts with integer base max(2, round(n/eps)), for eps
+        in (0, 1)."""
+        if not (0 < eps < 1):
+            raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
         b = max(2, round(n / eps))
         minus = tuple(max(1, b ** (3 * (q + 1) - 4)) for q in range(levels))
         plus = tuple(b ** (3 * (q + 1) + 1) for q in range(levels))

@@ -31,8 +31,7 @@ instances), bit for bit:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,18 +47,15 @@ _BRACKET_ROUNDS = 8
 
 @dataclass(frozen=True)
 class RelaxationSolution:
-    ids: tuple[int, ...]  # the relaxed commodities, in instance order
+    """The relaxed commodities' intervals, an IdColumn in instance order
+    whose column is read-only and whose dict is built on first item access,
+    and the relaxation's multiplier, objective and budget."""
+
+    intervals_T: IdColumn
     multiplier_lambda: float | None  # None from the knapsack DP, which has no multiplier
     objective: float
     budget_used: float
     budget_cap: float
-    # the intervals in the order of `ids`, read-only
-    column: np.ndarray = field(repr=False, compare=False)
-
-    @cached_property
-    def intervals_T(self) -> IdColumn:
-        """id -> interval, keyed in the order of `ids`; built on first read."""
-        return IdColumn(self.ids, self.column)
 
 
 def _arrays(instance: Instance, ids: Sequence[int] | None) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
@@ -183,12 +179,11 @@ def solve_sosi_relaxation(
     if not (T > 0.0).all():  # lam * gamma overflowed, so K / inf gave 0.0
         raise InfeasiblePolicy(f"no multiplier in float range meets the budget: an interval is {float(T.min())!r}")
     return RelaxationSolution(
-        ids=ids,
+        intervals_T=IdColumn(ids, T),
         multiplier_lambda=lam,
         objective=float(np.sum(K / T + H * T)),
         budget_used=used,
         budget_cap=rhs,
-        column=T,
     )
 
 
@@ -255,13 +250,10 @@ def solve_sosi_dp(instance: Instance, eps: float, rhs: float | None = None) -> R
         T = {cid: t * shrink for cid, t in T.items()}
         used = math.fsum(c.gamma * T[c.id] for c in instance.commodities)
     objective = math.fsum(cost(c.K, c.H, T[c.id]) for c in instance.commodities)
-    column = np.array(list(T.values()))
-    column.flags.writeable = False
     return RelaxationSolution(
-        ids=instance.columns.ids,
+        intervals_T=IdColumn(instance.columns.ids, list(T.values())),
         multiplier_lambda=None,
         objective=objective,
         budget_used=used,
         budget_cap=rhs,
-        column=column,
     )

@@ -20,7 +20,7 @@ def halved_relaxation(instance: Instance) -> tuple[np.ndarray, float]:
     """The budget-2V relaxation's intervals halved, as an array in instance
     order, and the relaxation's objective."""
     relaxed = solve_sosi_relaxation(instance, rhs=2.0 * instance.V)
-    return relaxed.column / 2.0, relaxed.objective
+    return relaxed.intervals_T.column / 2.0, relaxed.objective
 
 
 def solve_two_approx(instance: Instance) -> tuple[SosiPolicy, EvalReport, float]:

@@ -358,6 +358,13 @@ PINNED_SOLVE_FILES = [
         "fb11482fa1d621446a2a52d337d8c48a5410dd9834537f41b66d24442dfaa39f",
         "82ecd03884065a96750375b559b684609cb96f65ee7ed8b45f83c243510a2700",
     ),
+    (
+        "two-approx-tight-n60",
+        ["--seed", "14", "--n", "60", "--regime", "tight"],
+        ["--algo", "two-approx"],
+        "17675d7a64d8e7b95a332631379e392d665df8cafeda7ea37fdaaf9c44c71a2b",
+        "674aca905a7898391f4452d634447007d6c10f27ad6b6d42ed5bf809d3779f9f",
+    ),
 ]
 
 

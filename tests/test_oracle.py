@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ewlsp import oracle
 from ewlsp.errors import SearchSpaceExceeded
 from ewlsp.evaluator import evaluate
 from ewlsp.model import CyclicPolicy, IdColumn
@@ -59,6 +60,15 @@ class TestBruteForce:
         inst = make_instance([(1, 1, 1)], 1.0)
         with pytest.raises(ValueError, match=f"^grid_points must be >= 1, got {grid_points}$"):
             oracle_opt_cyclic(inst, 1.0, grid_points)
+
+    @pytest.mark.parametrize("tau", [0.0, float("nan"), float("inf"), -1.0])
+    def test_cycle_length_not_finite_and_positive_is_refused(self, monkeypatch, tau):
+        # 0 used to divide by zero, NaN and inf to report no feasible grid
+        # policy, and -1 to fail inside the policy's own check
+        monkeypatch.setattr(oracle, "_subset_profile", None)  # no grid is laid out
+        inst = make_instance([(1, 1, 1)], 1.0)
+        with pytest.raises(ValueError, match=rf"^tau must be finite and > 0, got {tau!r}$"):
+            oracle_opt_cyclic(inst, tau, 4)
 
     def test_feasibility_of_winner(self):
         inst = make_instance([(1, 1, 2), (3, 0.5, 1)], 1.1)

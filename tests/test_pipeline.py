@@ -114,7 +114,23 @@ class TestDecomposition:
         assert lookup[0] == 3
         assert lookup[1] == 33
         assert lookup[2] == INF_CLASS
-        assert decomp.avg_space[0] == pytest.approx(0.9)
+        assert decomp.space[0] == pytest.approx(0.9)
+
+    def test_reference_leaving_out_commodities_is_refused(self):
+        # the per-id lookup of the reference's averages used to raise a bare KeyError(2)
+        inst = generate_instance(0, 5, 1.0, "loose")
+        reference = CyclicPolicy(1.0, {0: ((0.0, 1.0),), 1: ((0.0, 1.0),)})
+        with pytest.raises(ValueError, match=r"^the reference leaves out 3 commodities: \[2, 3, 4\]$"):
+            solve_sub2(inst, PipelineConfig(), reference=reference)
+        # the missing ids are named in id order, the first ten
+        inst = generate_instance(0, 15, 1.0, "loose")
+        reference = CyclicPolicy(1.0, {14: ((0.0, 1.0),), 0: ((0.0, 1.0),)})
+        with pytest.raises(ValueError, match=r"^the reference leaves out 13 commodities: \[1, 2, .*, 10\]$"):
+            solve_sub2(inst, PipelineConfig(), reference=reference)
+        # an id the instance lacks is evaluate's KeyError
+        reference = CyclicPolicy(1.0, {i: ((0.0, 1.0),) for i in range(16)})
+        with pytest.raises(KeyError, match="no commodity with id 15"):
+            solve_sub2(inst, PipelineConfig(), reference=reference)
 
     def test_identical_commodities_single_class(self):
         inst = dense_heavy_instance(0, 30)
@@ -507,7 +523,7 @@ def test_solve_builds_no_avg_space_dict(monkeypatch, name):
     _, _, diag = solve_sub2(inst, CFG, seed=seed, reference=reference)
     assert name.startswith(diag["scenario"])
     (decomp,) = decomps
-    assert "avg_space" not in vars(decomp)
+    assert decomp.space._dict is None
     if name == "difficult-prefix-relaxation":
         assert decomp.ids_with_label("prefix-sparse")
 
@@ -693,8 +709,8 @@ def test_closed_form_reference_matches_expanded_cycle(seed, n, regime):
     expanded = decompose_classes(evaluate(sosi_to_cyclic(ref, max_orders=500_000), inst), inst, CFG)
     assert closed.classes == expanded.classes
     assert closed.labels == expanded.labels
-    for cid, space in expanded.avg_space.items():
-        assert math.isclose(closed.avg_space[cid], space, rel_tol=1e-12)
+    for cid, space in expanded.space.items():
+        assert math.isclose(closed.space[cid], space, rel_tol=1e-12)
     assert math.isclose(closed.vbar_sparse, expanded.vbar_sparse, rel_tol=1e-12)
     assert math.isclose(closed.vbar_dense, expanded.vbar_dense, rel_tol=1e-12)
 

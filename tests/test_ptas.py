@@ -79,6 +79,12 @@ class TestGridSpec:
         with pytest.raises(ValueError, match=r"^M must be >= 1, got 0$"):
             ptas_solve(make_instance([(1, 1, 1)], 0.5), 0.5, grid_M=0, grid_S=8)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.5, math.nan])
+    def test_paper_refuses_eps_outside_unit_interval(self, eps):
+        # 0 used to divide by zero, -0.5 gave a base-2 grid, NaN failed in round()
+        with pytest.raises(ValueError, match=rf"^eps must lie in \(0, 1\), got {eps!r}$"):
+            GridSpec.paper(1, 1, eps)
+
     def test_a_grid_is_its_counts(self):
         grid = GridSpec.desk(2)
         assert not hasattr(grid, "tau_cycle")

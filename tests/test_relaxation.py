@@ -176,8 +176,8 @@ def test_solutions_carry_their_interval_column(rng):
         solve_sosi_relaxation(inst, ids=[17, 3, 9]),
         solve_sosi_dp(random_instance(rng, 4), 0.5),
     ):
-        assert sol.column.tolist() == list(sol.intervals_T.values())
-        assert not sol.column.flags.writeable
+        assert sol.intervals_T.column.tolist() == list(sol.intervals_T.values())
+        assert not sol.intervals_T.column.flags.writeable
     halved, lower_bound = halved_relaxation(inst)
     full = solve_sosi_relaxation(inst)
     assert halved.tolist() == [T / 2.0 for T in full.intervals_T.values()]
@@ -240,7 +240,7 @@ def test_multiplier_matches_plain_bisection_bit_for_bit(case):
             solve_sosi_relaxation(inst, rhs=rhs, ids=ids)
         return
     sol = solve_sosi_relaxation(inst, rhs=rhs, ids=ids)
-    got = (sol.multiplier_lambda, sol.column.tolist(), sol.objective, sol.intervals_T)
+    got = (sol.multiplier_lambda, sol.intervals_T.column.tolist(), sol.objective, sol.intervals_T)
     assert exact(got) == exact((lam, list(intervals.values()), objective, intervals))
     K, H, g = (np.array([getattr(c, name) for c in sub]) for name in ("K", "H", "gamma"))
     mid, hi = plain_bisection(K, H, g, rhs)
@@ -337,14 +337,14 @@ def test_interval_dicts_are_built_on_first_read(rng):
         (solve_sosi_relaxation(inst, rhs=0.3 * inst.V, ids=[17, 3, 9]), [inst.commodity(i) for i in (3, 9, 17)]),
     ]
     for sol, sub in cases:
-        assert "intervals_T" not in vars(sol)
+        assert sol.intervals_T._dict is None
         intervals, _, _ = scalar_relaxation(sub, sol.budget_cap)
         assert exact(sol.intervals_T) == exact(intervals)
-        assert sol.intervals_T is sol.intervals_T
+        assert sol.intervals_T._dict is not None
     small = random_instance(rng, 5)
     dp = solve_sosi_dp(small, 0.5)
-    assert "intervals_T" not in vars(dp)
-    assert list(dp.intervals_T) == small.ids() == list(dp.ids)
+    assert dp.intervals_T._dict is None
+    assert list(dp.intervals_T) == small.ids() == list(dp.intervals_T.ids)
     assert dp.budget_used == math.fsum(c.gamma * dp.intervals_T[c.id] for c in small.commodities)
 
 
@@ -360,4 +360,4 @@ def test_halving_reads_the_column_and_builds_no_dict(rng, monkeypatch):
     two_approx.halved_relaxation(inst)
     two_approx.solve_two_approx(inst)
     assert len(solved) == 2
-    assert all("intervals_T" not in vars(sol) for sol in solved)
+    assert all(sol.intervals_T._dict is None for sol in solved)

@@ -269,7 +269,7 @@ def test_decompose_classes_matches_scalar_loop(inst, data):
     report = EvalReport(1.0, 1.0, 1.0, IdColumn(avg, list(avg.values())), V)
     cfg = PipelineConfig(eps=eps, sparsity_threshold=data.draw(st.sampled_from([0, 1, 10])), Q=10)
     decomp = decompose_classes(report, inst, cfg)
-    got = (decomp.classes, decomp.avg_space, decomp.avg_space_per_class, decomp.labels, decomp.vbar_sparse, decomp.vbar_dense)
+    got = (decomp.classes, decomp.space, decomp.avg_space_per_class, decomp.labels, decomp.vbar_sparse, decomp.vbar_dense)
     assert exact(got) == exact(scalar_decompose(report, inst, cfg))
 
 
@@ -280,14 +280,13 @@ def test_avg_space_is_built_on_first_read():
     )
     report = evaluate_sosi(build_reference_policy(inst), inst)
     decomp = decompose_classes(report, inst, CFG)
-    assert "avg_space" not in vars(decomp)
+    assert decomp.space._dict is None
     _, avg_space, *_ = scalar_decompose(report, inst, CFG)
     relabelled = dataclasses.replace(decomp, labels={ell: "suffix-sparse" for ell in decomp.labels})
-    assert "avg_space" not in vars(relabelled)
-    for got in (decomp, relabelled):
-        assert exact(got.avg_space) == exact(avg_space)
-        assert got.avg_space is got.avg_space
-    assert not decomp.space.flags.writeable
+    assert relabelled.space is decomp.space and decomp.space._dict is None
+    assert exact(decomp.space) == exact(avg_space)
+    assert decomp.space._dict is not None
+    assert not decomp.space.column.flags.writeable
 
 
 def test_slab_boundaries_take_the_math_log_class():
