@@ -33,7 +33,9 @@ child's profile, or across a level gap its exit inventory) is integer-only
 too and cached per pattern and geometry. A state folds its commodities in
 one at a time onto the space the previous level holds and drops the
 combinations over the bound, those of its last commodity (but for the
-patterns that fit no row) only as its scan reaches them. It visits the rest in ascending interval cost until no later
+patterns that fit no row) only as its scan reaches them. The first
+commodity folds onto the one row the previous level holds, in one broadcast
+compare. A state visits the rest in ascending interval cost until no later
 one can win, sorting a head of the cheapest first and 16 times as many at
 each further stage, so a scan that stops early neither sorts nor checks the
 rest. Equal totals go to the combination that comes first in product order
@@ -42,6 +44,13 @@ At a level with one commodity the combinations are its patterns, whose
 interval costs are fixed for the level: they are sorted once (a stable
 argsort, the order and tie-break the staged scan gives), and each state
 only masks the patterns that fit and walks them in that order.
+A state at the last occupied level has no children, so its value is its
+cheapest fitting combination, the least flat index on a tie, and it builds
+no candidate stream: one commodity takes the first pattern that fits in the
+presorted order, and several scan their folded rows and their last
+commodity's kept patterns in ascending cost, one row against every pattern
+and one pattern against every row in turn, until the next row's and
+pattern's costs sum past the best (`_leaf_pick`).
 
 The sweep over guesses is pruned by a per-guess lower bound on the certified
 cost. A class-q commodity orders only on plus-points and at every minus-point,
@@ -95,7 +104,6 @@ with the incumbent before the policy is scaled and evaluated again (see
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -104,6 +112,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -193,11 +202,16 @@ class GridSpec:
 @dataclass(frozen=True)
 class Guess:
     tau: float  # the cycle length, finite and > 0
-    assignment: Mapping[int, int]  # commodity id -> guessed class (1-based)
+    assignment: Mapping[int, int]  # commodity id -> guessed class, an int >= 1; not empty
 
     def __post_init__(self):
         if not (math.isfinite(self.tau) and self.tau > 0):
             raise ValueError(f"cycle length must be finite and > 0, got {self.tau!r}")
+        if not self.assignment:
+            raise ValueError("a guess needs at least one commodity")
+        for i, q in self.assignment.items():
+            if isinstance(q, bool) or not isinstance(q, int) or q < 1:
+                raise ValueError(f"commodity {i!r}: guessed class must be an int >= 1, got {q!r}")
         object.__setattr__(self, "assignment", dict(self.assignment))
 
 
@@ -254,51 +268,61 @@ def enumerate_guesses(instance: Instance, eps: float) -> GuessGrid:
     return GuessGrid(taus=tuple(taus), ids=tuple(sorted(instance.ids())), classes=classes)
 
 
-def _action_space_excess(classes: Iterable[int], grid: GridSpec) -> str | None:
+class _Levels(NamedTuple):
+    """A guess's occupied levels, laid out as the DP's space check reads
+    them (see `_level_space`)."""
+
+    classes: list[int]  # the occupied classes, ascending
+    ids: list[list[int]]  # per occupied level, its commodity ids in id order
+    slots: list  # per occupied level, its slot length (a float, or a float column)
+    bound: float  # the space bound (1+eps)V, widened by a relative 1e-12
+
+
+def _action_space_excess(levels: _Levels, grid: GridSpec) -> str | None:
     """A message naming the first occupied level whose pattern combinations,
     2^((slots - 1) * commodities), exceed ACTION_CAP, or None when none
-    does; `classes` are the guessed classes of the commodities."""
-    sizes = collections.Counter(classes)
-    for j, q in enumerate(sorted(sizes)):
-        bits = (grid.plus_counts[q - 1] // grid.minus_counts[q - 1] - 1) * sizes[q]
+    does."""
+    for j, (q, ids) in enumerate(zip(levels.classes, levels.ids)):
+        bits = (grid.plus_counts[q - 1] // grid.minus_counts[q - 1] - 1) * len(ids)
         if (1 << bits) > ACTION_CAP:
             return f"action space 2^{bits} at level {j}"
     return None
 
 
-def _level_space(
-    instance: Instance, assignment: Mapping[int, int], eps: float, grid: GridSpec, tau
-) -> tuple[list[list[int]], list, float]:
-    """Per occupied level, its commodity ids in id order and its slot length
-    (F // plus_q) * (tau / F) in time units, F being the deepest occupied
-    plus grid; and the space bound (1+eps)V, widened by a relative 1e-12.
-    These are the floats the DP's space check is made of, shared by
-    `_DpSolver` and `_overfull`. `tau` is a cycle length or a float column
-    of them, which gives a column of slot lengths, each entry the float the
-    one-tau call gives."""
+def _level_space(instance: Instance, assignment: Mapping[int, int], eps: float, grid: GridSpec, tau) -> _Levels:
+    """The occupied levels of a guess: per level its commodity ids in id
+    order and its slot length (F // plus_q) * (tau / F) in time units, F
+    being the deepest occupied plus grid; and the space bound. These are the
+    floats the DP's space check is made of, shared by its ACTION_CAP and
+    overfull checks and by `_DpSolver`. `tau` is a cycle length or a float
+    column of them, which gives a column of slot lengths, each entry the
+    float the one-tau call gives."""
     occupied = sorted(set(assignment.values()))
     F = grid.plus_counts[occupied[-1] - 1]
     unit = tau / F
     ids_at = [sorted(i for i, q in assignment.items() if q == lvl) for lvl in occupied]
     slot_lengths = [(F // grid.plus_counts[q - 1]) * unit for q in occupied]
-    return ids_at, slot_lengths, (1.0 + eps) * instance.V * (1.0 + 1e-12)
+    return _Levels(occupied, ids_at, slot_lengths, (1.0 + eps) * instance.V * (1.0 + 1e-12))
 
 
-def _overfull(instance: Instance, assignment: Mapping[int, int], eps: float, grid: GridSpec, tau):
+def _overfull_levels(instance: Instance, levels: _Levels):
     """Whether some occupied level overfills one slot even with every
     commodity of it ordering at every slot: the sum, in id order, of
     gamma_i times the slot length exceeds the space bound. Then no state of
     that level passes the DP's space check (see the module docstring).
-    A bool for one cycle length, a bool column for a column of them
-    (see `_level_space`)."""
-    ids_at, slot_lengths, bound = _level_space(instance, assignment, eps, grid, tau)
+    A bool for one cycle length, a bool column for a column of them."""
     over = False
-    for ids, slot in zip(ids_at, slot_lengths):
+    for ids, slot in zip(levels.ids, levels.slots):
         space = 0.0
         for i in ids:
             space += instance.commodity(i).gamma * slot
-        over = over | (space > bound)
+        over = over | (space > levels.bound)
     return over
+
+
+def _overfull(instance: Instance, assignment: Mapping[int, int], eps: float, grid: GridSpec, tau):
+    """`_overfull_levels` of the guess's `_level_space`."""
+    return _overfull_levels(instance, _level_space(instance, assignment, eps, grid, tau))
 
 
 def _guess_bound(instance: Instance, assignment: Mapping[int, int], grid: GridSpec, taus: np.ndarray):
@@ -336,11 +360,12 @@ def _screen(
     bound = np.zeros(shape)
     skipped = overfull = 0
     for c, classes in enumerate(guesses.classes):
-        if _action_space_excess(classes, grid) is not None:
+        assignment = dict(zip(guesses.ids, classes))
+        levels = _level_space(instance, assignment, eps, grid, taus)
+        if _action_space_excess(levels, grid) is not None:
             skipped += len(taus)
             continue
-        assignment = dict(zip(guesses.ids, classes))
-        over = _overfull(instance, assignment, eps, grid, taus)
+        over = _overfull_levels(instance, levels)
         overfull += int(np.count_nonzero(over))
         admitted[:, c] = ~over
         bound[:, c] = _guess_bound(instance, assignment, grid, taus)
@@ -408,6 +433,22 @@ def _child_rows(a: int, S: int, step: int, child_len: int) -> tuple[tuple, tuple
     return profiles, gaps
 
 
+class _ChildRows(dict):
+    """Per pattern of one level, the part of its `_child_rows` the next
+    occupied level reads: the child profiles when that level is the
+    adjacent class (`part` 0), else the exit gaps (`part` 1). Filled as
+    patterns are read."""
+
+    def __init__(self, S: int, step: int, child_len: int, part: int):
+        super().__init__()
+        self.args = (S, step, child_len)
+        self.part = part
+
+    def __missing__(self, a: int):
+        rows = self[a] = _child_rows(a, *self.args)[self.part]
+        return rows
+
+
 def _ascending(cost: np.ndarray, space: np.ndarray, term: np.ndarray, bound: float):
     """(position, cost) of the row-pattern pairs at flat positions
     row * len(term) + pattern whose space, space[row] + term[pattern], stays
@@ -430,6 +471,53 @@ def _ascending(cost: np.ndarray, space: np.ndarray, term: np.ndarray, bound: flo
         if last:
             return
         lo, k = cut, 16 * k
+
+
+def _leaf_pick(
+    cost: np.ndarray, space: np.ndarray, last_cost: np.ndarray, last_space: np.ndarray, bound: float
+) -> tuple[float, int, int] | None:
+    """(cost, row, pattern) of the cheapest row-pattern pair whose space,
+    space[row] + last_space[pattern], stays within `bound` at every slot,
+    the least (row, pattern) on equal costs, its cost being
+    cost[row] + last_cost[pattern]: the first pair `_ascending` gives over
+    every pair at row * len(last_cost) + pattern. None when none fits.
+
+    Only the patterns that fit on the least space any row holds at each slot
+    can fit a row; they are kept. Rows and kept patterns are scanned in
+    ascending cost (stable), a row against every pattern and a pattern
+    against every row at once, one of each in turn, and the scan stops
+    before the next row and kept pattern whose costs sum past the best:
+    float + is monotone, so no pair of an unscanned row and an unscanned
+    pattern can reach the best, and every other pair has been checked."""
+    fits_least = ~(space.min(axis=0, initial=math.inf) + last_space > bound).any(axis=1)
+    columns = np.flatnonzero(fits_least)
+    if not len(columns):
+        return None
+    columns = columns[np.argsort(last_cost[columns], kind="stable")].tolist()
+    rows = np.argsort(cost, kind="stable").tolist()
+    row_cost, pattern_cost = cost.tolist(), last_cost.tolist()
+    best = None
+    i = k = 0
+    while i < len(rows) and k < len(columns):
+        if best is not None and row_cost[rows[i]] + pattern_cost[columns[k]] > best[0]:
+            break
+        if i <= k:
+            row = rows[i]
+            i += 1
+            fit = ~(space[row] + last_space > bound).any(axis=1)
+            totals = np.where(fit, cost[row] + last_cost, math.inf)
+            pattern = int(totals.argmin())
+            found = (float(totals[pattern]), row, pattern)
+        else:
+            pattern = columns[k]
+            k += 1
+            fit = ~(space + last_space[pattern] > bound).any(axis=1)
+            totals = np.where(fit, cost + last_cost[pattern], math.inf)
+            row = int(totals.argmin())
+            found = (float(totals[row]), row, pattern)
+        if found[0] != math.inf and (best is None or found < best):
+            best = found
+    return best
 
 
 @dataclass(eq=False)
@@ -497,17 +585,24 @@ class _DpSolver:
     A memo entry is `(value, combination)`: the state's value (None when
     nothing fits) and its chosen combination. `dp_solve` builds a solver
     only for a guess it admits: the grid covers it, no level exceeds
-    ACTION_CAP and none is overfull."""
+    ACTION_CAP and none is overfull, and hands it the `_level_space` its
+    checks read; built without one, the solver lays the levels out itself."""
 
     def __init__(
-        self, instance: Instance, guess: Guess, eps: float, grid: GridSpec, state_cap: int, tables: dict
+        self,
+        instance: Instance,
+        guess: Guess,
+        eps: float,
+        grid: GridSpec,
+        state_cap: int,
+        tables: dict,
+        levels: _Levels | None = None,
     ):
         self.state_cap = state_cap
         self.tau = guess.tau
-        occupied = sorted(set(guess.assignment.values()))
-        self.ids_at, slot_lengths, self.space_bound = _level_space(
-            instance, guess.assignment, eps, grid, self.tau
-        )
+        if levels is None:
+            levels = _level_space(instance, guess.assignment, eps, grid, self.tau)
+        occupied, self.ids_at, slot_lengths, self.space_bound = levels
         commodities = [[instance.commodity(i) for i in ids] for ids in self.ids_at]
         self.gammas = [[c.gamma for c in level] for level in commodities]
         # Per occupied level: interval length and slot step in F units (the
@@ -520,6 +615,10 @@ class _DpSolver:
         self.step = [F // p for p in plus]
         self.S = [p // m for p, m in zip(plus, minus)]
         self.adjacent = [b == a + 1 for a, b in zip(occupied, occupied[1:])]
+        self.child_rows = [
+            _ChildRows(self.S[j], self.step[j], self.length[j + 1], 0 if adjacent else 1)
+            for j, adjacent in enumerate(self.adjacent)
+        ]
         self.copies = minus[0]  # level-0 intervals per cycle
         self.unit = self.tau / F
         self.granule = eps * instance.V / instance.n
@@ -582,7 +681,15 @@ class _DpSolver:
 
         A combination's total is at least its interval cost plus the floors
         of its children, so the scan also stops once that exceeds the best
-        total times (1 + PRUNE_RTOL)."""
+        total times (1 + PRUNE_RTOL). A child's value is read straight from
+        the memo when it is there.
+
+        A state at the last occupied level has no children, so its value is
+        the first candidate's cost: the cheapest fitting combination, the
+        lowest flat index on a tie. One commodity reads it off the presorted
+        order, the first pattern that fits; several take it from
+        `_leaf_pick` over the folded rows, and no candidate stream is
+        built."""
         known = self.memo.get(state)
         if known is not None:
             return known[0]
@@ -599,26 +706,34 @@ class _DpSolver:
             for s in range(S):
                 pos = s * step
                 prev_space[s] += gamma * (positions[pos // xstep] - pos) * self.unit
+        prev_space = np.array(prev_space)
 
         terms = self.terms[j]
+        leaf = j + 1 == len(self.S)
         if len(terms) == 1:
             # One commodity: its combinations are its patterns, each at its
             # own flat index, with interval costs fixed for the level; they
             # are visited in the presorted order `_ascending` would give,
             # skipping those over the bound.
             order, patterns, costs = terms[0].ascending
-            over = (np.array(prev_space) + terms[0].space > self.space_bound).any(axis=1)
-            fits = np.flatnonzero(~over[order]).tolist()
-            candidates = ((patterns[p], costs[p]) for p in fits)
+            fits = ~(prev_space + terms[0].space > self.space_bound).any(axis=1)[order]
+            if leaf:
+                first = int(fits.argmax())
+                if fits[first]:
+                    self.memo[state] = (costs[first], (patterns[first],))
+                return self.memo[state][0]
+            candidates = ((patterns[p], costs[p]) for p in np.flatnonzero(fits).tolist())
             keep = None
         else:
             # Fold every commodity but the last in one at a time, dropping
             # the rows over the bound, since later terms only add space;
-            # each row keeps its patterns and interval cost.
-            space = np.array([prev_space])
-            picks: list[np.ndarray] = []
-            cost = np.zeros(1)
-            for t in terms[:-1]:
+            # each row keeps its patterns and interval cost. The first folds
+            # onto the one row of the previous level's space.
+            fit = np.flatnonzero(~(prev_space + terms[0].space > self.space_bound).any(axis=1))
+            picks = [fit]
+            space = prev_space + terms[0].space[fit]
+            cost = terms[0].cost[fit]
+            for t in terms[1:-1]:
                 term = t.space
                 # slot by slot, so the widest temporary holds one value per candidate row
                 over = space[:, None, 0] + term[None, :, 0] > self.space_bound
@@ -628,22 +743,29 @@ class _DpSolver:
                 picks = [p[rows] for p in picks] + [pattern]
                 space = space[rows] + term[pattern]
                 cost = cost[rows] + t.cost[pattern]
+            last = terms[-1]
+            if leaf:
+                found = _leaf_pick(cost, space, last.cost, last.space, self.space_bound)
+                if found is not None:
+                    value, row, pattern = found
+                    self.memo[state] = (value, tuple(int(p[row]) for p in picks) + (pattern,))
+                return self.memo[state][0]
             # The last pattern, with an order at every slot, holds the least
             # space at every slot: rows over the bound with it have no pair left.
-            last = terms[-1].space
-            rows = np.flatnonzero(~(space + last[-1] > self.space_bound).any(axis=1))
+            rows = np.flatnonzero(~(space + last.space[-1] > self.space_bound).any(axis=1))
             picks, space, cost = [p[rows] for p in picks], space[rows], cost[rows]
             # Likewise the last patterns over the bound on the least space any
             # row holds at each slot have no pair left.
-            keep = np.flatnonzero(~(space.min(axis=0, initial=math.inf) + last > self.space_bound).any(axis=1))
+            keep = np.flatnonzero(~(space.min(axis=0, initial=math.inf) + last.space > self.space_bound).any(axis=1))
             # every (row, kept pattern) pair, at position row * len(keep) + k,
             # which compares like the flat index as `keep` ascends; `_ascending`
             # checks the space of the pairs the scan reaches
-            cost = (cost[:, None] + terms[-1].cost[keep]).ravel()
-            candidates = _ascending(cost, space, last[keep], self.space_bound)
+            cost = (cost[:, None] + last.cost[keep]).ravel()
+            candidates = _ascending(cost, space, last.space[keep], self.space_bound)
 
-        folds = self._folds(j, profile)
-        floor = len(folds) * self.floor[j + 1]
+        frame = self._frame(j, lb_units, profile)
+        floor = len(frame) * self.floor[j + 1]
+        memo = self.memo
         best: float | None = None
         best_at = -1
         best_combo = None
@@ -654,10 +776,11 @@ class _DpSolver:
                 combo = (at,)
             else:
                 row, k = divmod(at, len(keep))
-                combo = tuple(int(p[row]) for p in picks) + (int(keep[k]),)
+                combo = tuple([int(p[row]) for p in picks]) + (int(keep[k]),)
             below = 0.0
-            for _, child in self._children(j, lb_units, folds, combo):
-                value = self._value(child)
+            for child in self._children(j, lb_units, frame, combo):
+                known = memo.get(child)
+                value = known[0] if known is not None else self._value(child)
                 if value is None:
                     break
                 below += value
@@ -665,13 +788,15 @@ class _DpSolver:
                 total = c + below
                 if best is None or (total, at) < (best, best_at):
                     best, best_at, best_combo = total, at, combo
-        self.memo[state] = (best, best_combo)
+        memo[state] = (best, best_combo)
         return best
 
-    def _folds(self, j: int, profile: tuple) -> list[float]:
+    def _frame(self, j: int, lb_units: int, profile: tuple) -> list:
         """Per subinterval of the next occupied level under a level-j
         interval, in order, the space (gamma*level) the previous level holds
-        just before its exit, summed in id order; empty at the last level."""
+        just before its exit, summed in id order; when the next level is
+        the adjacent class, that space already folded into the child's bound,
+        lb_units + int(fold / granule). Empty at the last level."""
         if j + 1 == len(self.S):
             return []
         folds = []
@@ -683,28 +808,28 @@ class _DpSolver:
                 # the exit is the first one past x-point (exit - 1) // xstep
                 fold += gamma * ((positions[(exit_ - 1) // xstep] - exit_) * self.unit)
             folds.append(fold)
+        if self.adjacent[j]:
+            return [lb_units + int(fold / self.granule) for fold in folds]
         return folds
 
-    def _children(self, j: int, lb_units: int, folds: list[float], combo):
-        """(entry, child state) per subinterval of the next occupied level
-        under a level-j interval, in order and built as they are read, with
-        `combo` chosen at its level and `folds` from `_folds`; none at the
-        last level."""
-        if not folds:
-            return
-        child_len = self.length[j + 1]
-        rows = [_child_rows(a, self.S[j], self.step[j], child_len) for a in combo]
+    def _children(self, j: int, lb_units: int, frame: list, combo) -> Iterable[tuple]:
+        """The child states, one per subinterval of the next occupied level
+        under a level-j interval, in order, with `combo` chosen at its level
+        and `frame` from `_frame`; none at the last level."""
+        if not frame:
+            return ()
+        table = self.child_rows[j]
+        rows = [table[a] for a in combo]
         if self.adjacent[j]:
             # per subinterval, one profile per commodity
-            profiles = zip(*(profiles for profiles, _ in rows))
-            for e, (fold, profile) in enumerate(zip(folds, profiles)):
-                yield e * child_len, (j + 1, profile, lb_units + int(fold / self.granule))
-            return
-        for e, fold in enumerate(folds):
+            return zip(itertools.repeat(j + 1), zip(*rows), frame)
+        children = []
+        for e, fold in enumerate(frame):
             # this level's space folds into the bound of the skipped-to level
-            for gamma, (_, gaps) in zip(self.gammas[j], rows):
+            for gamma, gaps in zip(self.gammas[j], rows):
                 fold += gamma * gaps[e] * self.unit
-            yield e * child_len, (j + 1, (), lb_units + int(fold / self.granule))
+            children.append((j + 1, (), lb_units + int(fold / self.granule)))
+        return children
 
     def _materialize(self, state: tuple, abs_entry: int, orders: dict[int, list[tuple[int, int]]]):
         # the state lies on the chosen chain, so its entry holds a combination
@@ -717,8 +842,9 @@ class _DpSolver:
             nxt = list(slots[1:]) + [S]
             for s, e in zip(slots, nxt):
                 orders[i].append((abs_entry + s * step, (e - s) * step))
-        for entry, child in self._children(j, lb_units, self._folds(j, profile), combo):
-            self._materialize(child, abs_entry + entry, orders)
+        children = self._children(j, lb_units, self._frame(j, lb_units, profile), combo)
+        for e, child in enumerate(children):
+            self._materialize(child, abs_entry + e * self.length[j + 1], orders)
 
 
 def dp_solve(
@@ -732,22 +858,25 @@ def dp_solve(
 ) -> tuple[float, CyclicPolicy] | None:
     """Best grid-aligned policy (cost rate, policy) over the cycle
     `guess.tau`, or None when every action chain violates the space check;
-    `grid` must cover the deepest guessed class. A level with more pattern
-    combinations than ACTION_CAP raises ActionSpaceExceeded, and a memo
-    that reaches `state_cap` distinct states raises StateSpaceExceeded.
-    For a guess with an overfull level (see the
-    module docstring) None is decided up front, without building the DP.
-    `tables` holds the scaled pattern tables (see `_scaled_terms`) that the
-    DPs of one instance and eps share; without it the DP builds its own."""
+    `grid` must cover the deepest guessed class. The guess's levels are laid
+    out once (`_level_space`), and that one layout feeds the checks, in this
+    order, and the solver: a level with more pattern combinations than
+    ACTION_CAP raises ActionSpaceExceeded, and for a guess with an overfull
+    level (see the module docstring) None is decided up front, without
+    building the DP. A memo that reaches `state_cap` distinct states raises
+    StateSpaceExceeded. `tables` holds the scaled pattern tables (see
+    `_scaled_terms`) that the DPs of one instance and eps share; without it
+    the DP builds its own."""
     if max(guess.assignment.values()) > len(grid.minus_counts):
         raise ValueError("grid does not cover the deepest guessed class")
-    excess = _action_space_excess(guess.assignment.values(), grid)
+    levels = _level_space(instance, guess.assignment, eps, grid, guess.tau)
+    excess = _action_space_excess(levels, grid)
     if excess is not None:
         raise ActionSpaceExceeded(excess)
-    if _overfull(instance, guess.assignment, eps, grid, guess.tau):
+    if _overfull_levels(instance, levels):
         return None
     tables = {} if tables is None else tables
-    return _DpSolver(instance, guess, eps, grid, state_cap, tables).solve()
+    return _DpSolver(instance, guess, eps, grid, state_cap, tables, levels).solve()
 
 
 def ptas_solve(

@@ -23,6 +23,7 @@ from ewlsp.ptas import (
     _ascending,
     _child_rows,
     _DpSolver,
+    _leaf_pick,
     _overfull,
     _patterns,
     _scaled_terms,
@@ -165,6 +166,30 @@ class TestGuess:
     def test_cycle_length_must_be_finite_and_positive(self, tau):
         with pytest.raises(ValueError, match="^cycle length must be finite and > 0, got"):
             Guess(tau=tau, assignment={0: 1})
+
+    # Each of these once reached the DP: class 0 read the deepest class's
+    # counts (grid.minus_counts[-1]) and solved as class 3, a negative class
+    # solved as well, True ran as class 1, and 1.5 and {} failed with a stray
+    # TypeError or ValueError from deep inside.
+    @pytest.mark.parametrize(
+        "assignment, message",
+        [
+            ({0: 0, 1: 0}, "^commodity 0: guessed class must be an int >= 1, got 0$"),
+            ({0: -1, 1: 2}, "^commodity 0: guessed class must be an int >= 1, got -1$"),
+            ({0: True, 1: 1}, "^commodity 0: guessed class must be an int >= 1, got True$"),
+            ({0: 1.5, 1: 1}, "^commodity 0: guessed class must be an int >= 1, got 1.5$"),
+            ({}, "^a guess needs at least one commodity$"),
+        ],
+        ids=["class-0", "negative-class", "bool-class", "float-class", "empty"],
+    )
+    def test_classes_the_grid_cannot_hold_are_refused(self, assignment, message):
+        inst = generate_instance(0, 2, 1.0, "tight")
+        with pytest.raises(ValueError, match=message):
+            dp_solve(inst, Guess(tau=1.0, assignment=assignment), 0.5, GridSpec.desk(3))
+
+    def test_every_enumerated_guess_is_accepted(self):
+        guesses = enumerate_guesses(generate_instance(0, 3, 1.0, "tight"), 0.5)
+        assert all(guesses[k].assignment for k in range(len(guesses)))
 
 
 class TestDpSolve:
@@ -458,6 +483,18 @@ PINNED_OUTPUTS = [
         generate_instance(0, 2, 0.0, "tight"),
         "4fcbfbc8f93ee6cc1957c64b136f16f603728de6fe5e19b5e21d33d0ca9bbd21",
     ),
+    # n=3 dense-heavy, where leaf states with two or three commodities are
+    # most common, taken before leaf states skipped the candidate stream
+    (
+        "generated-0-dense-heavy-n3",
+        generate_instance(0, 3, 1.0, "dense-heavy"),
+        "45a3c7191ae661626114b2780bba55ffcf4a3bf29535d510459ff5aaae227748",
+    ),
+    (
+        "generated-1-dense-heavy-n3",
+        generate_instance(1, 3, 1.0, "dense-heavy"),
+        "7702928464b0f0c46504742ab38e299b8448bdc5ff2b8245b5c9d20387ecfe29",
+    ),
 ]
 
 
@@ -480,25 +517,29 @@ def test_pinned_output_n4_tight(monkeypatch):
 # repr of the value and sha256 of serialize_policy of fixed dp_solve runs
 # on the three-level and level-gap guesses of TestBruteForceCrossValidation,
 # whose checks there are one-sided; taken before the DP took tuple states.
+# The shared-level run, two commodities on the default desk grid's one
+# class with the capacity binding, was taken before leaf states skipped the
+# candidate stream.
 PINNED_DP_OUTPUTS = [
-    ("three-levels-1.1", {0: 1, 1: 2, 2: 3}, 1.1, "4.872272727272727",
+    ("three-levels-1.1", {0: 1, 1: 2, 2: 3}, 1.1, GridSpec.desk(3, M=2, S=2), "4.872272727272727",
      "69f3f40fe1b0d9173f9a266ed2ec1503ea28e7f9f86c41df54a0754fc22c100a"),
-    ("three-levels-1.9", {0: 1, 1: 2, 2: 3}, 1.9, "4.616315789473685",
+    ("three-levels-1.9", {0: 1, 1: 2, 2: 3}, 1.9, GridSpec.desk(3, M=2, S=2), "4.616315789473685",
      "cf55b9fdef6205ce6bb9f8da4460288178f94f37508a16e80a065a68b01ea810"),
-    ("level-gap-1.0", {0: 1, 1: 3}, 1.0, "3.8",
+    ("level-gap-1.0", {0: 1, 1: 3}, 1.0, GridSpec.desk(3, M=2, S=2), "3.8",
      "8a18f9c0685db915e26e9c9913515b6f081759e948f9afff047d3201f4fea734"),
-    ("level-gap-1.8", {0: 1, 1: 3}, 1.8, "3.53",
+    ("level-gap-1.8", {0: 1, 1: 3}, 1.8, GridSpec.desk(3, M=2, S=2), "3.53",
      "dd496b1050de54cf6d9ad83295fbc9da3038325cc3ba58b6bc538a44fb0a1a00"),
+    ("shared-level-1.5", {0: 1, 1: 1}, 1.5, GridSpec.desk(1), "3.6270833333333337",
+     "ab30782d8864a7d44f7c2c13dd3432bcf320656e05d0d1b6a46694d2f5ec133e"),
 ]
 
 
 @pytest.mark.parametrize(
-    "name, assignment, tau, value, digest", PINNED_DP_OUTPUTS, ids=[p[0] for p in PINNED_DP_OUTPUTS]
+    "name, assignment, tau, grid, value, digest", PINNED_DP_OUTPUTS, ids=[p[0] for p in PINNED_DP_OUTPUTS]
 )
-def test_pinned_dp_outputs(name, assignment, tau, value, digest):
+def test_pinned_dp_outputs(name, assignment, tau, grid, value, digest):
     params = [(1.0, 0.7, 1.0), (0.4, 2.0, 0.8), (0.3, 1.0, 0.5)][: len(assignment)]
     inst = make_instance(params, 1.4 if len(assignment) == 3 else 1.1)
-    grid = GridSpec.desk(3, M=2, S=2)
     rate, policy = dp_solve(inst, Guess(tau=tau, assignment=assignment), 0.5, grid=grid)
     assert repr(rate) == value
     assert hashlib.sha256(serialize_policy(policy)).hexdigest() == digest
@@ -827,6 +868,52 @@ class TestPresortedScan:
         assert [at for at, _ in scan] == patterns
         assert repr([cost for _, cost in scan]) == repr(costs)
         assert order.tolist() == patterns
+
+
+# Interval costs on a coarse grid tie exactly across rows and patterns, and
+# next to 2^53 a row's cost absorbs the difference between pattern costs, so
+# distinct pattern costs give equal totals; spaces on a coarse grid put many
+# pairs right at the bound.
+LEAF_COSTS = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0 ** 53, 2.0 ** 53 + 2.0]) | st.floats(0.0, 4.0)
+LEAF_SPACE = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def leaf_inputs(draw):
+    """Folded rows (cost, space) and last-commodity terms over S slots, and
+    a space bound."""
+    S = draw(st.integers(1, 4))
+    rows = draw(st.integers(0, 12))
+    patterns = draw(st.integers(1, 12))
+
+    def table(n, values):
+        return np.array(draw(st.lists(values, min_size=n, max_size=n)), dtype=float)
+
+    cost, last_cost = table(rows, LEAF_COSTS), table(patterns, LEAF_COSTS)
+    space = table(rows * S, LEAF_SPACE).reshape(rows, S)
+    last_space = table(patterns * S, LEAF_SPACE).reshape(patterns, S)
+    bound = draw(st.sampled_from([0.0, 0.5, 0.75, 1.0, 1.25, 2.0]) | st.floats(0.0, 2.0))
+    return cost, space, last_cost, last_space, bound
+
+
+class TestLeafPick:
+    @given(leaf_inputs())
+    @example((np.array([1.0, 1.0]), np.array([[1.0], [0.0]]), np.array([1.0, 1.0]), np.array([[0.5], [0.0]]), 0.5))
+    @example((np.array([1.0]), np.array([[1.0]]), np.array([0.5]), np.array([[0.5]]), 1.0))
+    @example((np.array([1.0]), np.array([[1.0]]), np.array([0.5]), np.array([[0.5]]), 0.5))
+    @example((np.array([2.0 ** 53, 2.0 ** 53]), np.zeros((2, 1)), np.array([1.0, 0.0]), np.zeros((2, 1)), 1.0))
+    @settings(deadline=None)
+    def test_leaf_pick_is_the_streams_first_candidate(self, inputs):
+        # the examples: equal costs on two rows, the first fitting no
+        # pattern; one pair exactly at the bound; no pair fitting; and row
+        # costs of 2^53 that make pattern costs 1 and 0 sum alike, so the
+        # first pair wins though the second pattern is cheaper
+        cost, space, last_cost, last_space, bound = inputs
+        stream = _ascending((cost[:, None] + last_cost).ravel(), space, last_space, bound)
+        first = next(stream, None)
+        want = None if first is None else (first[1], *divmod(first[0], len(last_cost)))
+        got = _leaf_pick(cost, space, last_cost, last_space, bound)
+        assert repr(got) == repr(want)
 
 
 def _brute_force_aligned(instance, guess, eps, grid):
