@@ -11,14 +11,19 @@ T_A = 1 depends on k alone: it is built once per k in exact rational
 arithmetic and kept as immutable tuples. couple_template rescales each
 rational p/q of it by T_A = m/d as the integer division (p*m)/(q*d), which
 Python rounds correctly, so every float equals float(Fraction(p, q) *
-Fraction(T_A)); floats appear only at the CyclicPolicy boundary. A couple
-depends on (k, T_A) and its two ids alone: synthesize_couple checks a
-CoupleInput and builds its template, and the dense branch, which checks its
-pairs on arrays, calls couple_template once per distinct (k, T_A) with no
-CoupleInput. The published per-case guarantee table is kept alongside the
-slightly sharper constants that direct evaluation of these schedules yields
-(they differ only for k = 4, where the published peak constant 7/4 is
-attained as an upper bound while the schedule itself peaks at 55/32).
+Fraction(T_A)); floats appear only at the CyclicPolicy boundary.
+
+The couple rules exist once, in pair_powers, which checks a column of pairs
+in one array pass and gives each its k. A CoupleInput is one pair held to
+them, and synthesize_couple builds its template. couple_policy builds a
+dense class's CouplePolicy from the columns of its near pairs, one
+couple_template per distinct (k, T_A), since a couple depends on (k, T_A)
+and its two ids alone, with no CoupleInput per pair.
+
+The published per-case guarantee table is kept alongside the slightly
+sharper constants that direct evaluation of these schedules yields (they
+differ only for k = 4, where the published peak constant 7/4 is attained as
+an upper bound while the schedule itself peaks at 55/32).
 """
 
 from __future__ import annotations
@@ -26,12 +31,14 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
+import numpy as np
+
 from .errors import NotAPowerOfTwo, SpaceMismatch
-from .model import Commodity, CyclicPolicy
+from .model import Commodity, CouplePolicy, CyclicPolicy
 
 _F = Fraction
 
@@ -62,42 +69,63 @@ EXACT_VMAX_RATIOS: dict[int, Fraction] = {
 SUB1_PEAK_FACTOR = _F(7, 8)  # joint peak <= (1+eps) * 7/8 * (gamma_A*T_A + gamma_B*T_B)
 
 
+def pair_powers(T_A, T_B, gamma_A, gamma_B, eps: float) -> np.ndarray:
+    """Each pair's k = log2(T_A/T_B), in one array pass, pair j joining
+    commodity A (T_A[j], gamma_A[j]) and commodity B (T_B[j], gamma_B[j]).
+
+    The couple rules, in order: both intervals > 0; T_B a normal float, as
+    below it the scaled orders would collide in the subnormal range; T_B <=
+    T_A to a relative 1e-12; eps in (0, 1); log2(T_A/T_B), by np.log2,
+    within 1e-9 of an integer; gamma_A*T_A / (gamma_B*T_B) in
+    [1/(1+eps), 1+eps], widened by 1e-12. A NaN interval breaks the first
+    rule, and a NaN, infinite or zero ratio T_A/T_B the power-of-two rule.
+    The first pair, in order, that breaks a rule raises the first rule it
+    breaks."""
+    T_A, T_B = np.asarray(T_A, dtype=float), np.asarray(T_B, dtype=float)
+    gamma_A, gamma_B = np.asarray(gamma_A, dtype=float), np.asarray(gamma_B, dtype=float)
+    eps_ok = 0 < eps < 1
+    # with a bad eps every pair breaks the eps rule first, so no space ratio fits
+    lo, hi = (1.0 / (1.0 + eps) - 1e-12, 1.0 + eps + 1e-12) if eps_ok else (math.nan, math.nan)
+    with np.errstate(all="ignore"):
+        ratio = T_A / T_B
+        x = np.log2(ratio)
+        k = np.rint(x)
+        space = (gamma_A * T_A) / (gamma_B * T_B)
+        rules = (
+            (~((T_A > 0) & (T_B > 0)), ValueError, "intervals must be > 0"),
+            (T_B < sys.float_info.min, ValueError, "T_B = {T_B!r} is below the smallest normal float"),
+            (T_B > T_A * (1 + 1e-12), ValueError, "require T_B <= T_A"),
+            (np.full(T_A.shape, not eps_ok), ValueError, "epsilon must lie in (0, 1)"),
+            (~(np.abs(x - k) <= 1e-9), NotAPowerOfTwo, "T_A/T_B = {ratio!r} is not an integer power of two"),
+            (
+                ~((lo <= space) & (space <= hi)),
+                SpaceMismatch,
+                "gamma_A*T_A / (gamma_B*T_B) = {space!r} outside [1/(1+eps), 1+eps]",
+            ),
+        )
+    bad = np.any([broken for broken, _, _ in rules], axis=0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        error, message = next((error, message) for broken, error, message in rules if broken[j])
+        raise error(message.format(T_B=T_B[j].item(), ratio=ratio[j].item(), space=space[j].item()))
+    return k.astype(np.intp)
+
+
 @dataclass(frozen=True)
 class CoupleInput:
+    """One pair held to the couple rules (pair_powers), and its k."""
+
     commodity_A: Commodity
     commodity_B: Commodity
     T_A: float
     T_B: float
     epsilon: float
+    k: int = field(init=False)
 
     def __post_init__(self):
-        if self.T_A <= 0 or self.T_B <= 0:
-            raise ValueError("intervals must be > 0")
-        if self.T_B < sys.float_info.min:
-            # the scaled orders would collide in the subnormal range
-            raise ValueError(f"T_B = {self.T_B!r} is below the smallest normal float")
-        if self.T_B > self.T_A * (1 + 1e-12):
-            raise ValueError("require T_B <= T_A")
-        if not (0 < self.epsilon < 1):
-            raise ValueError("epsilon must lie in (0, 1)")
-        k = self.k
-        if abs(math.log2(self.T_A / self.T_B) - k) > 1e-9:
-            raise NotAPowerOfTwo(
-                f"T_A/T_B = {self.T_A / self.T_B!r} is not an integer power of two"
-            )
-        ratio = self.space_ratio
-        if not (1.0 / (1.0 + self.epsilon) - 1e-12 <= ratio <= 1.0 + self.epsilon + 1e-12):
-            raise SpaceMismatch(
-                f"gamma_A*T_A / (gamma_B*T_B) = {ratio!r} outside [1/(1+eps), 1+eps]"
-            )
-
-    @property
-    def k(self) -> int:
-        return round(math.log2(self.T_A / self.T_B))
-
-    @property
-    def space_ratio(self) -> float:
-        return (self.commodity_A.gamma * self.T_A) / (self.commodity_B.gamma * self.T_B)
+        a, b = self.commodity_A.gamma, self.commodity_B.gamma
+        (k,) = pair_powers([self.T_A], [self.T_B], [a], [b], self.epsilon).tolist()
+        object.__setattr__(self, "k", k)
 
 
 @dataclass(frozen=True)
@@ -190,6 +218,27 @@ def synthesize_couple(inp: CoupleInput) -> CoupleSchedule:
         exact_vmax_ratio=EXACT_VMAX_RATIOS[case_id],
         claimed_cost_ratio=claimed_cost,
     )
+
+
+def couple_policy(ids_A, ids_B, T_A, T_B, gamma_A, gamma_B, eps: float) -> CouplePolicy:
+    """The couple policy of one class's oriented near pairs: pair j joins
+    commodity A, ids_A[j] with the longer interval T_A[j] and gamma_A[j], and
+    commodity B, ids_B[j] with T_B[j] and gamma_B[j]. pair_powers holds every
+    pair to the couple rules and gives its k. couple_template then runs once
+    per distinct (k, T_A), for its first pair, since the schedule depends on
+    nothing else; the template, keyed by that pair's ids, is the policy's
+    template as it is, and its case couple_case(k)."""
+    k = pair_powers(T_A, T_B, gamma_A, gamma_B, eps).tolist()
+    ids = np.column_stack((ids_A, ids_B)).ravel().tolist()
+    shared: dict[tuple[int, float], int] = {}
+    templates, cases, which = [], [], []
+    for j, key in enumerate(zip(k, np.asarray(T_A, dtype=float).tolist())):
+        if key not in shared:
+            shared[key] = len(templates)
+            templates.append(couple_template(*key, ids[2 * j], ids[2 * j + 1]))
+            cases.append(couple_case(key[0]))
+        which.append(shared[key])
+    return CouplePolicy(templates, cases, which, ids)
 
 
 def classify_pairs(

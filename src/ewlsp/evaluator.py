@@ -11,9 +11,9 @@ evaluate_sosi is the solvers' closed form, and the two share no code.
 
 A couple block is evaluated by _evaluate_couples, one array pass over the
 couples of one CouplePolicy, whatever templates they run. A rounded dense
-class has one couple block, built in one array pass that holds every near
-pair to the CoupleInput rules (pipeline._couple_blocks), and written as one
-couples entry. A union of blocks is certified by combine_reports over one
+class has one couple block, whose policy couples.couple_policy builds from
+its near pairs' columns, holding every pair to the one set of couple rules
+(couples.pair_powers), and which is written as one couples entry. A union of blocks is certified by combine_reports over one
 report per block, in order, both in the sub2 solver's report
 (pipeline.AssembledPolicy.report) and in `ewlsp eval` of its written
 entries; a couple block's report there is evaluate's of its entry.

@@ -18,14 +18,15 @@ general, so the union's peak is certified by the sum of exact per-block
 peaks, which is precisely the accounting the analysis itself uses and is
 conservative for feasibility. The paired schedules of one dense class form
 one couple block: its near pairs, over all its heavy subgroups, that agree
-on (k, T_A) share a single template (couples.couple_template). The dense
-branch runs on columns from the matching's weight table to the couple
-blocks: the matching places each commodity as a class index, each class
-reads its members' ids, matched intervals and gamma values from that column,
-splits them into heavy and light on those columns, and rounds and pairs all
-its heavy subgroups in one array pass (round_and_pair), and its couple block
-is built, and its pairs checked, from the oriented near pairs' columns in one
-more, with no CoupleInput or Commodity for a pair that clears the checks.
+on (k, T_A) share a single template. The dense branch runs on columns from
+the matching's weight table to the couple blocks: the matching places each
+commodity as a class index, each class reads its members' ids, matched
+intervals and gamma values from that column, splits them into heavy and
+light on those columns, and rounds and pairs all its heavy subgroups in one
+array pass (round_and_pair). Its couple policy is couples.couple_policy of
+the oriented near pairs' id, interval and gamma columns, which holds every
+pair to the one set of couple rules (couples.pair_powers); the pipeline
+keeps no rules of its own and makes no CoupleInput or Commodity.
 Each heavy subgroup q of class ell rounds with its own theta, the first
 uniform(-0.5, 0.5) of numpy's PCG64 stream for SeedSequence(entropy=seed,
 spawn_key=(ell, q)), which subgroup_thetas computes in integer arithmetic
@@ -49,7 +50,6 @@ union is both the feasibility check and the certificate it returns.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from operator import itemgetter
 from typing import Hashable, Mapping, Sequence
@@ -57,7 +57,7 @@ from typing import Hashable, Mapping, Sequence
 import numpy as np
 
 from . import ptas
-from .couples import CoupleInput, couple_case, couple_template
+from .couples import couple_policy
 from .errors import BudgetExceeded, InfeasiblePolicy, StateSpaceExceeded
 from .evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
 from .matching import (
@@ -87,7 +87,8 @@ class PipelineConfig:
     count 20 ln(1/eps)/eps^2 run to 47,931,717 and 23,966 at eps = 0.05, so
     every class of a runnable instance would be sparse and the dense branch
     would never run. The defaults are the desk-scale 10 and 10 that the CLI
-    and the benchmark pass.
+    and the benchmark pass. Both counts must be integers, and a bool is not
+    one: any other value is refused with a ValueError naming the field.
     """
 
     eps: float = 0.05
@@ -97,10 +98,10 @@ class PipelineConfig:
     def __post_init__(self):
         if not (0 < self.eps < 0.1):
             raise ValueError("eps must lie in (0, 1/10)")
-        if self.sparsity_threshold < 0:
-            raise ValueError("sparsity_threshold must be >= 0")
-        if self.Q < 1:
-            raise ValueError("Q must be >= 1")
+        for name, least in (("sparsity_threshold", 0), ("Q", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +156,7 @@ class AssembledPolicy:
     the true joint peak, hence a sound feasibility certificate. A couple
     block (a Block holding a CouplePolicy) reports the summed peaks of its
     couples, as evaluate certifies its entry. Each dense class has at most
-    one couple block, from one array pass (_couple_blocks) that holds each
-    near pair to the CoupleInput rules.
+    one couple block, its policy couples.couple_policy of its near pairs.
     """
 
     blocks: tuple[Block, ...]
@@ -547,10 +547,11 @@ class PairedClass:
     was given them. Subgroup q formed `far[q]` far pairs. The near pairs of
     every subgroup, in subgroup order and within one in classify_pairs'
     order, are oriented: pair j joins commodity A, `A[j]` with the longer
-    rounded interval `T_A[j]` (the lead on a tie), and commodity B, `B[j]`
-    with `T_B[j]`. Each subgroup's singles, the members of its far pairs
-    (lead, then trail) followed by its odd leftover, are in `single_ids`, in
-    subgroup order, with their rounded intervals in `single_T`.
+    rounded interval `T_A[j]` (the lead on a tie) and `gamma_A[j]`, and
+    commodity B, `B[j]` with `T_B[j]` and `gamma_B[j]`. Each subgroup's
+    singles, the members of its far pairs (lead, then trail) followed by its
+    odd leftover, are in `single_ids`, in subgroup order, with their rounded
+    intervals in `single_T`.
     """
 
     rounded: np.ndarray
@@ -559,6 +560,8 @@ class PairedClass:
     B: np.ndarray
     T_A: np.ndarray
     T_B: np.ndarray
+    gamma_A: np.ndarray
+    gamma_B: np.ndarray
     single_ids: np.ndarray
     single_T: np.ndarray
 
@@ -633,6 +636,8 @@ def round_and_pair(
         B=o_ids[B],
         T_A=o_T[A],
         T_B=o_T[B],
+        gamma_A=o_gamma[A],
+        gamma_B=o_gamma[B],
         single_ids=o_ids[single],
         single_T=o_T[single],
     )
@@ -662,9 +667,10 @@ def run_dense_branch(
     first uniform(-0.5, 0.5) of numpy's stream for SeedSequence(entropy=seed,
     spawn_key=(ell, q)), computed in integer arithmetic (subgroup_thetas,
     from the seed's pool mixed once per solve), and rounds and pairs all its
-    subgroups in one array pass (round_and_pair), and _couple_blocks builds
-    the class's one couple block from the oriented near pairs' columns; the
-    couples of the class that agree on (k, T_A) share one template.
+    subgroups in one array pass (round_and_pair), and couples.couple_policy
+    builds the policy of the class's one couple block from the oriented near
+    pairs' columns; the couples of the class that agree on (k, T_A) share
+    one template.
     diag["couples"] counts the couples in the returned blocks."""
     eps = cfg.eps
     diag: dict = {"classes": {}, "couples": 0, "far_pair_counts": [], "a_ell": {}}
@@ -713,7 +719,8 @@ def run_dense_branch(
             continue
 
         if len(paired.A):
-            blocks.append(_couple_blocks(paired.A, paired.B, paired.T_A, paired.T_B, instance, eps, f"class{ell}"))
+            couples = couple_policy(paired.A, paired.B, paired.T_A, paired.T_B, paired.gamma_A, paired.gamma_B, eps)
+            blocks.append(Block(couples.ids, couples=couples, provenance=f"class{ell}"))
             diag["couples"] += len(paired.A)
         if len(paired.single_ids):
             # far pairs and the odd leftover keep their rounded intervals, in that order per subgroup
@@ -723,68 +730,6 @@ def run_dense_branch(
             blocks.append(_stationary(split.light, IdColumn(split.light, T[split.light_rows]), f"class{ell}:light-sosi"))
         diag["classes"][str(ell)] = "po2-sync"
     return blocks, diag
-
-
-def _couple_blocks(
-    ids_A: Sequence[int],
-    ids_B: Sequence[int],
-    T_A: np.ndarray,
-    T_B: np.ndarray,
-    instance: Instance,
-    eps: float,
-    provenance: str,
-) -> Block:
-    """The oriented near pairs of one class as its one couple block, in one
-    array pass. Pair j joins commodity A, ids_A[j] with the longer rounded
-    interval T_A[j], and commodity B, ids_B[j] with T_B[j].
-
-    Every pair is held to the CoupleInput rules on arrays. The power-of-two
-    rule takes k from np.log2, which may differ from math.log2 in the last
-    bits: a pair clears it only within 5e-10 of an integer, where both give
-    the same k and pass. Every other pair, and every pair that breaks a rule,
-    gets its own CoupleInput, in emission order, so the first failing pair
-    raises its own exception and a pair near the 1e-9 limit takes its k from
-    math.log2; a pair that clears every rule builds no CoupleInput and no
-    Commodity. couple_template then runs once per distinct (k, T_A) of the
-    class, for its first pair, since the schedule depends on nothing else;
-    the template, keyed by that pair's ids, is the CouplePolicy's template
-    as it is, and its case couple_case(k). Each CoupleInput reads its two
-    Commodity objects through Instance.commodity, which makes no other
-    commodity's."""
-    ids = np.column_stack((ids_A, ids_B)).ravel().tolist()
-    T_A, T_B = np.asarray(T_A, dtype=float), np.asarray(T_B, dtype=float)
-    T_A_list, T_B_list = T_A.tolist(), T_B.tolist()
-    pos = instance.positions(ids)
-    gamma_A, gamma_B = instance.columns.gamma[pos].reshape(-1, 2).T
-
-    with np.errstate(all="ignore"):
-        x = np.log2(T_A / T_B)
-        k = np.rint(x)
-        space_ratio = (gamma_A * T_A) / (gamma_B * T_B)
-        clear = (
-            (T_A > 0)
-            & (T_B >= sys.float_info.min)
-            & ~(T_B > T_A * (1 + 1e-12))
-            & (0 < eps < 1)
-            & (np.abs(x - k) <= 5e-10)
-            & (1.0 / (1.0 + eps) - 1e-12 <= space_ratio)
-            & (space_ratio <= 1.0 + eps + 1e-12)
-        )
-    k = np.where(clear, k, 0.0).astype(np.intp)
-    for j in np.flatnonzero(~clear).tolist():
-        a, b = instance.commodity(ids[2 * j]), instance.commodity(ids[2 * j + 1])
-        k[j] = CoupleInput(a, b, T_A_list[j], T_B_list[j], eps).k  # raises this pair's own exception
-
-    # one template per distinct (k, T_A), built for its first pair
-    shared: dict[tuple[int, float], int] = {}
-    templates, cases, which = [], [], []
-    for j, key in enumerate(zip(k.tolist(), T_A_list)):
-        if key not in shared:
-            shared[key] = len(templates)
-            templates.append(couple_template(*key, ids[2 * j], ids[2 * j + 1]))
-            cases.append(couple_case(key[0]))
-        which.append(shared[key])
-    return Block(tuple(ids), couples=CouplePolicy(templates, cases, which, ids), provenance=provenance)
 
 
 def _scale_to_capacity(assembled: AssembledPolicy, instance: Instance) -> tuple[AssembledPolicy, EvalReport, float]:

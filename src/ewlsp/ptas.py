@@ -320,11 +320,6 @@ def _overfull_levels(instance: Instance, levels: _Levels):
     return over
 
 
-def _overfull(instance: Instance, assignment: Mapping[int, int], eps: float, grid: GridSpec, tau):
-    """`_overfull_levels` of the guess's `_level_space`."""
-    return _overfull_levels(instance, _level_space(instance, assignment, eps, grid, tau))
-
-
 def _guess_bound(instance: Instance, assignment: Mapping[int, int], grid: GridSpec, taus: np.ndarray):
     """Per cycle length of the column `taus`, the lower bound on the cost
     rate of the guess's DP policy once `ptas_solve` scales it into the
@@ -586,7 +581,7 @@ class _DpSolver:
     nothing fits) and its chosen combination. `dp_solve` builds a solver
     only for a guess it admits: the grid covers it, no level exceeds
     ACTION_CAP and none is overfull, and hands it the `_level_space` its
-    checks read; built without one, the solver lays the levels out itself."""
+    checks read."""
 
     def __init__(
         self,
@@ -596,12 +591,10 @@ class _DpSolver:
         grid: GridSpec,
         state_cap: int,
         tables: dict,
-        levels: _Levels | None = None,
+        levels: _Levels,
     ):
         self.state_cap = state_cap
         self.tau = guess.tau
-        if levels is None:
-            levels = _level_space(instance, guess.assignment, eps, grid, self.tau)
         occupied, self.ids_at, slot_lengths, self.space_bound = levels
         commodities = [[instance.commodity(i) for i in ids] for ids in self.ids_at]
         self.gammas = [[c.gamma for c in level] for level in commodities]

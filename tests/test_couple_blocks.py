@@ -1,28 +1,30 @@
 """Couple blocks, the columnar edge table and evaluate against exact references.
 
-A dense class's near pairs become one couple block, built in one array pass
-(_couple_blocks): pairs of the class that agree on (k, T_A) share one
-synthesize_couple schedule. A couple block is evaluated in one pass, and
+A dense class's near pairs become one couple block, its policy built in one
+array pass (couple_policy): pairs of the class that agree on (k, T_A) share
+one synthesize_couple schedule, and every pair is held to the couple rules
+(pair_powers), which must raise as the old per-pair CoupleInput checks did. A couple block is evaluated in one pass, and
 AssembledPolicy.report adds one report per block. Each couple must come out
 exactly as evaluate(synthesize_couple(...).policy) and policy_entry would
 give it, float reprs and dict key order included, the latter once the
 block's one couples entry is flattened (conftest.flatten), and each block's
 report must be combine_reports over its couples' own reports.
-The matching's edge table and evaluate are compared with plain-Python copies
-of the loops they replaced.
+The couple rules, the matching's edge table and evaluate are compared with
+plain-Python copies of the code they replaced.
 """
 
 import dataclasses
 import json
 import math
+import sys
 from collections.abc import Mapping
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ewlsp.couples import CoupleInput, synthesize_couple
+from ewlsp.couples import CoupleInput, couple_policy, pair_powers, synthesize_couple
 from ewlsp.eoq import constrained_interval
 from ewlsp.errors import NotAPowerOfTwo, SpaceMismatch
 from ewlsp.evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
@@ -32,7 +34,6 @@ from ewlsp.pipeline import (
     AssembledPolicy,
     Block,
     PipelineConfig,
-    _couple_blocks,
     build_matching_instance,
     build_reference_policy,
     decompose_classes,
@@ -97,6 +98,28 @@ def scalar_evaluate(policy, instance):
         w += events[t]
         v_max = max(v_max, w - gamma_total * t)
     return EvalReport(ordering, holding, v_max, IdColumn(avg_inventory, list(avg_inventory.values())), instance.V)
+
+
+def scalar_pair_rules(T_A, T_B, gamma_A, gamma_B, eps):
+    """One pair's k, or the exception of the first rule it breaks, as the
+    per-pair CoupleInput checks were written before the rules moved onto
+    arrays (pair_powers). A NaN or infinite ratio T_A/T_B fails here in
+    round() itself, with a bare ValueError or an OverflowError."""
+    if T_A <= 0 or T_B <= 0:
+        raise ValueError("intervals must be > 0")
+    if T_B < sys.float_info.min:
+        raise ValueError(f"T_B = {T_B!r} is below the smallest normal float")
+    if T_B > T_A * (1 + 1e-12):
+        raise ValueError("require T_B <= T_A")
+    if not (0 < eps < 1):
+        raise ValueError("epsilon must lie in (0, 1)")
+    k = round(math.log2(T_A / T_B))
+    if abs(math.log2(T_A / T_B) - k) > 1e-9:
+        raise NotAPowerOfTwo(f"T_A/T_B = {T_A / T_B!r} is not an integer power of two")
+    ratio = (gamma_A * T_A) / (gamma_B * T_B)
+    if not (1.0 / (1.0 + eps) - 1e-12 <= ratio <= 1.0 + eps + 1e-12):
+        raise SpaceMismatch(f"gamma_A*T_A / (gamma_B*T_B) = {ratio!r} outside [1/(1+eps), 1+eps]")
+    return k
 
 
 def scalar_edge_table(instance, ids, class_side, eps):
@@ -208,22 +231,27 @@ def couple_inputs(pairs, instance):
     return out
 
 
-def near_columns(pairs):
-    """_couple_blocks' columns for a class's near pairs: ids A and B, T_A and
-    T_B; A is the member with the longer interval (the lead on a tie), as
-    round_and_pair orients them."""
+def near_columns(pairs, instance):
+    """couple_policy's columns for a class's near pairs: ids A and B, T_A and
+    T_B, and gamma A and B read from the instance; A is the member with the
+    longer interval (the lead on a tie), as round_and_pair orients them."""
     oriented = [(lead, trail) if lead[2] >= trail[2] else (trail, lead) for lead, trail in pairs]
+    ids_A, ids_B = [a[0] for a, _ in oriented], [b[0] for _, b in oriented]
     return (
-        [a[0] for a, _ in oriented],
-        [b[0] for _, b in oriented],
+        ids_A,
+        ids_B,
         np.array([a[2] for a, _ in oriented], dtype=float),
         np.array([b[2] for _, b in oriented], dtype=float),
+        instance.columns.gamma[instance.positions(ids_A)],
+        instance.columns.gamma[instance.positions(ids_B)],
     )
 
 
 def one_block(pairs, instance, provenance="class3"):
-    """The couple block of one class's near pairs."""
-    return _couple_blocks(*near_columns(pairs), instance, EPS, provenance)
+    """The couple block of one class's near pairs, as the dense branch
+    builds it."""
+    policy = couple_policy(*near_columns(pairs, instance), EPS)
+    return Block(policy.ids, couples=policy, provenance=provenance)
 
 
 def couple_schedules(blocks):
@@ -301,7 +329,7 @@ def test_assembled_report_adds_each_block_in_emission_order(case):
 @settings(deadline=None)
 @given(case=class_cases(), factor=st.sampled_from([1.0, 0.5, 1 / 3, 1.7]))
 def test_report_adds_one_report_per_block_in_emission_order(case, factor):
-    # a class's couple block comes from one _couple_blocks pass over all its
+    # a class's couple block comes from one couple_policy pass over all its
     # subgroups' pairs, and the solve's report adds one report per block,
     # a couple block's being the union of its couples; both must agree with
     # building and evaluating every couple on its own
@@ -397,14 +425,14 @@ def test_each_pair_is_checked_even_when_its_key_is_shared(bad, error, match):
     inst = Instance(inst.commodities[:5] + (Commodity(5, 1.0, 1.0, bad[1]),), 1.0)
     good = [((0, 1.0, 1.0), (1, 2.0, 0.5)), ((2, 1.0, 1.0), (3, 2.0, 0.5))]
     with pytest.raises(error, match=match):
-        _couple_blocks(*near_columns(good + [((4, 1.0, 1.0), bad)]), inst, EPS, "c")
+        one_block(good + [((4, 1.0, 1.0), bad)], inst, "c")
 
 
 def test_subnormal_T_B_is_refused_for_a_later_pair():
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 2.0 if i % 2 else 1.0) for i in range(4)), 1.0)
     pairs = [((0, 1.0, 1.0), (1, 2.0, 0.5)), ((2, 1.0, 1e-323), (3, 2.0, 5e-324))]
     with pytest.raises(ValueError, match=r"^T_B = 5e-324 is below the smallest normal float$"):
-        _couple_blocks(*near_columns(pairs), inst, EPS, "c")
+        one_block(pairs, inst, "c")
 
 
 # One bad pair of each kind, as (A's gamma, T_A, B's gamma, T_B): the ratio
@@ -435,15 +463,15 @@ def test_first_bad_pair_of_a_class_raises_its_own_error(first, second, shared):
     with pytest.raises(Exception) as expected:
         CoupleInput(inst.commodity(2), inst.commodity(3), rows[1][1], rows[1][3], EPS)
     with pytest.raises(type(expected.value)) as got:
-        _couple_blocks(*near_columns(pairs), inst, EPS, "c")
+        one_block(pairs, inst, "c")
     assert type(got.value) is type(expected.value)
     assert str(got.value) == str(expected.value)
 
 
 def test_pair_near_the_power_of_two_limit_takes_its_k_from_math_log2():
-    # log2(T_A/T_B) lies about 7e-10 above 1: too far from an integer for the
-    # array check to clear it, inside CoupleInput's 1e-9, so the pair gets
-    # its own CoupleInput and is accepted with k = 1
+    # log2(T_A/T_B) lies about 7e-10 above 1, inside the rules' 1e-9 band:
+    # the pair is accepted with k = 1, the k math.log2 gives, although the
+    # band is now decided by np.log2 for every pair
     T_B = 0.5 / (1.0 + 5e-10)
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 2.0 if i % 2 else 1.0) for i in range(4)), 1.0)
     pairs = [((0, 1.0, 1.0), (1, 2.0, T_B)), ((2, 1.0, 1.0), (3, 2.0, 0.5))]
@@ -508,6 +536,144 @@ def test_heavy_split_is_strict_at_three_quarters_of_the_slab():
     assert (split.heavy, split.light, split.sizes) == ((1,), (0, 2), (1,))
     # the rows locate the members in the given columns
     assert (split.heavy_rows.tolist(), split.light_rows.tolist()) == ([1], [2, 0])
+
+
+# ---------------------------------------------------------------------------
+# Couple rules
+# ---------------------------------------------------------------------------
+
+# NaN, infinities, zero, a negative, subnormals, the smallest normal float,
+# and values near the float extremes
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e-310, sys.float_info.min, 1e-300, 1e308, sys.float_info.max)
+# (T_A, T_B) pairs whose ratio is NaN, infinite or zero with no rule before
+# the power-of-two rule broken (but for a NaN interval): T_A near the float
+# maximum over an infinite T_B clears T_B <= T_A, as T_A * (1 + 1e-12)
+# overflows too
+EDGE_PAIRS = (
+    (math.nan, 1.0),
+    (1.0, math.nan),
+    (math.inf, 1.0),
+    (1e308, 1e-300),
+    (math.inf, math.inf),
+    (sys.float_info.max, math.inf),
+)
+
+
+@st.composite
+def rule_columns(draw):
+    """Columns T_A, T_B, gamma_A, gamma_B of one to eight pairs, and an eps,
+    mostly valid. T_A is moderate, of any binade (subnormal included) or
+    special; T_B is T_A / 2^(k + off) for k in -1..7, or special; or the
+    pair is one of EDGE_PAIRS. off is 0,
+    a few ulps, large, or near the power-of-two band's edge 1e-9 (no closer
+    than a relative 1e-5, some ten ulps: np.log2 and math.log2 may differ by
+    one ulp, which moves only a ratio within one ulp of the edge). gamma_B
+    puts the space ratio inside, at the edges of or outside
+    [1/(1+eps), 1+eps]; a huge gamma_A overflows gamma*T."""
+    eps = draw(st.sampled_from([0.05, 0.05, 0.05, 0.0999, 0.5, 0.0, 1.0, -0.5, math.nan]))
+    tol = eps if 0 < eps < 1 else 0.05
+    moderate = st.floats(1e-3, 1e3)
+    any_binade = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1075, 1023))
+
+    def offset():
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            return 0.0
+        if kind == 1:
+            return draw(st.sampled_from([-4e-16, -2e-16, 2e-16, 4e-16]))
+        if kind == 2:
+            return draw(st.sampled_from([-1e-9, 1e-9])) * (1.0 + draw(st.sampled_from([-1, 1])) * draw(st.floats(1e-5, 1e-2)))
+        return draw(st.floats(-0.5, 0.5))
+
+    columns = []
+    for _ in range(draw(st.integers(1, 8))):
+        T_A = draw(st.one_of(moderate, moderate, any_binade, st.sampled_from(SPECIAL)))
+        with np.errstate(all="ignore"):
+            T_B = (np.float64(T_A) / 2.0 ** draw(st.integers(-1, 7)) / 2.0 ** offset()).item()
+            kind = draw(st.integers(0, 7))
+            if kind == 0:
+                T_B = draw(st.sampled_from(SPECIAL))
+            elif kind == 1:
+                T_A, T_B = draw(st.sampled_from(EDGE_PAIRS))
+            gamma_A = draw(st.one_of(moderate, moderate, moderate, st.sampled_from([1e300, 1.5e308])))
+            ratio = draw(
+                st.one_of(
+                    st.floats(1.0 / (1.0 + tol), 1.0 + tol),
+                    st.sampled_from([1.0 / (1.0 + tol) - 1e-12, 1.0 + tol + 1e-12]),
+                    st.sampled_from([0.5, 1.5, 1.0 / (1.0 + tol) - 1e-9, 1.0 + tol + 1e-9]),
+                )
+            )
+            gamma_B = (np.float64(gamma_A) * T_A / T_B / ratio).item()
+        columns.append((T_A, T_B, gamma_A, gamma_B))
+    return *map(list, zip(*columns)), eps
+
+
+def rule_outcome(T_A, T_B, gamma_A, gamma_B, eps):
+    """The reference's k per pair, or the exception that pair_powers must
+    raise: the reference's own for its first bad pair, except where the
+    reference failed taking k of a NaN, infinite or zero ratio (is_stray).
+    There a NaN interval breaks the first rule, and any other such ratio
+    T_A/T_B the power-of-two rule."""
+    ks = []
+    for T_A_j, T_B_j, gamma_A_j, gamma_B_j in zip(T_A, T_B, gamma_A, gamma_B):
+        try:
+            ks.append(scalar_pair_rules(T_A_j, T_B_j, gamma_A_j, gamma_B_j, eps))
+        except (ValueError, OverflowError) as error:
+            if math.isnan(T_A_j) or math.isnan(T_B_j):
+                return ValueError("intervals must be > 0")
+            if is_stray(error):
+                return NotAPowerOfTwo(f"T_A/T_B = {T_A_j / T_B_j!r} is not an integer power of two")
+            return error
+    return ks
+
+
+def is_stray(error):
+    """Whether the reference failed taking k of a NaN, infinite or zero
+    ratio (T_A near the float maximum over an infinite T_B clears the rule
+    T_B <= T_A, as T_A * (1 + 1e-12) overflows too)."""
+    return isinstance(error, OverflowError) or str(error) in ("cannot convert float NaN to integer", "math domain error")
+
+
+@settings(deadline=None)
+@given(case=rule_columns())
+def test_pair_powers_match_the_scalar_rules(case):
+    # every pair's k, or the first bad pair's exception, type and message
+    want = rule_outcome(*case)
+    if isinstance(want, list):
+        assert pair_powers(*case).tolist() == want
+        return
+    with pytest.raises(type(want)) as got:
+        pair_powers(*case)
+    assert type(got.value) is type(want) and str(got.value) == str(want)
+
+
+def test_rule_columns_reach_every_rule_and_both_sides_of_the_band():
+    # the strategy's pairs must each break one of the six rules first, reach
+    # the three stray errors of the reference, pass, and accept and refuse
+    # ratios beyond 5e-10 of a power of two on both sides of the 1e-9 band
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(case=rule_columns())
+    def collect(case):
+        *columns, eps = case
+        for T_A, T_B, gamma_A, gamma_B in zip(*columns):
+            try:
+                scalar_pair_rules(T_A, T_B, gamma_A, gamma_B, eps)
+                seen.add("accepted")
+            except OverflowError:
+                seen.add("OverflowError")
+            except ValueError as error:
+                seen.add(str(error) if is_stray(error) else str(error).split(" ")[0])
+            if 0 < T_B <= T_A and math.isfinite(T_A / T_B):
+                off = abs(math.log2(T_A / T_B) - round(math.log2(T_A / T_B)))
+                if off > 5e-10:
+                    seen.add("inside the band" if off <= 1e-9 else "outside the band")
+
+    collect()
+    rules = {"intervals", "T_B", "require", "epsilon", "T_A/T_B", "gamma_A*T_A"}
+    strays = {"cannot convert float NaN to integer", "OverflowError", "math domain error"}
+    assert seen == rules | strays | {"accepted", "inside the band", "outside the band"}
 
 
 # ---------------------------------------------------------------------------

@@ -119,13 +119,23 @@ class TestNearInputs:
             (1.0, 2.0, 0.05, "require T_B <= T_A"),
             (1.0, 1.0, 0.0, r"epsilon must lie in \(0, 1\)"),
             (1.0, 1.0, 1.0, r"epsilon must lie in \(0, 1\)"),
+            # these once failed taking k itself: a NaN with a bare ValueError
+            # ("cannot convert float NaN to integer"), an infinite ratio with
+            # an OverflowError and a zero ratio with "math domain error"
+            (math.nan, 1.0, 0.05, "intervals must be > 0"),
+            (1.0, math.nan, 0.05, "intervals must be > 0"),
+            (math.nan, math.nan, 0.5, "intervals must be > 0"),
+            (math.inf, 1.0, 0.05, "T_A/T_B = inf is not an integer power of two"),
+            (1e308, 1e-300, 0.05, "T_A/T_B = inf is not an integer power of two"),
+            (sys.float_info.max, math.inf, 0.05, r"T_A/T_B = 0\.0 is not an integer power of two"),
         ],
     )
     def test_bad_intervals_and_eps_rejected(self, T_A, T_B, eps, message):
         A = Commodity(0, 1, 1, 1.0)
         B = Commodity(1, 1, 1, 1.0)
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$") as got:
             CoupleInput(A, B, T_A, T_B, eps)
+        assert type(got.value) is (NotAPowerOfTwo if "power of two" in message else ValueError)
 
     def test_subnormal_T_B_rejected(self):
         # k = 1; it used to validate, then synthesize_couple failed in

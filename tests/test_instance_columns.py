@@ -178,8 +178,8 @@ def test_generator_parser_and_column_solvers_build_no_commodity(monkeypatch):
     assert report.feasible and diag["scenario"] == "low-dense"
     assert built_rows == []
     # a solve with couples makes no CoupleInput and so no Commodity: its
-    # pairs clear the CoupleInput rules on arrays and its templates are
-    # built from (k, T_A) and the pairs' ids
+    # pairs are held to the couple rules on arrays (couples.pair_powers) and
+    # its templates are built from (k, T_A) and the pairs' ids
     inputs = []
     check_input = CoupleInput.__post_init__
 

@@ -85,6 +85,14 @@ class TestConfig:
             with pytest.raises(ValueError):
                 PipelineConfig(**field)
 
+    @pytest.mark.parametrize("name", ["sparsity_threshold", "Q"])
+    @pytest.mark.parametrize("value", [2.5, 10.0, float("nan"), float("inf"), True, False, "10", None])
+    def test_counts_that_are_not_integers_are_refused(self, name, value):
+        # a float count once failed deep in solve_sub2 (Q=2.5: a TypeError;
+        # sparsity_threshold=nan: a KeyError) and Q=True ran as 1
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= [01], got "):
+            PipelineConfig(**{name: value})
+
 
 class TestReferencePolicy:
     def test_feasible_on_random_instances(self, rng):

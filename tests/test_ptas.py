@@ -24,7 +24,8 @@ from ewlsp.ptas import (
     _child_rows,
     _DpSolver,
     _leaf_pick,
-    _overfull,
+    _level_space,
+    _overfull_levels,
     _patterns,
     _scaled_terms,
     _screen,
@@ -252,6 +253,12 @@ class TestChildRows:
                 assert gaps == tuple(ends[bisect_left(ends, exit_)] - exit_ for exit_ in exits)
 
 
+def _levels(instance, guess, grid):
+    """The guess's level layout at eps 0.5, as dp_solve lays it out for its
+    checks and its solver."""
+    return _level_space(instance, guess.assignment, 0.5, grid, guess.tau)
+
+
 class TestDpCutoff:
     @given(
         seed=st.integers(0, 10**6),
@@ -264,9 +271,10 @@ class TestDpCutoff:
         inst = generate_instance(seed, n, 1.0, regime)
         for guess in enumerate_guesses(inst, 0.5):
             grid = GridSpec.desk(max(guess.assignment.values()), M=M, S=2 * M)
-            if _overfull(inst, guess.assignment, 0.5, grid, guess.tau):
+            levels = _levels(inst, guess, grid)
+            if _overfull_levels(inst, levels):
                 continue  # `dp_solve` builds no solver; every state there is valueless
-            solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, {})
+            solver = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, {}, levels)
             solver.solve()
             for (level, _, _), (value, _) in solver.memo.items():
                 if value is not None:
@@ -782,7 +790,7 @@ class TestGuessScreen:
         verdicts = set()
         for guess in enumerate_guesses(inst, 0.5):
             grid = GridSpec.desk(max(guess.assignment.values()), M=3, S=9)
-            over = _overfull(inst, guess.assignment, 0.5, grid, guess.tau)
+            over = _overfull_levels(inst, _levels(inst, guess, grid))
             assert type(over) is bool and over == _scalar_overfull(inst, guess, 0.5, grid)
             verdicts.add(over)
         assert verdicts == {True, False}
@@ -821,8 +829,9 @@ class TestSharedTables:
         tables = swept[0][2]
         assert all(t is tables for _, _, t in swept)
         for guess, grid, _ in swept:
-            shared = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, tables)
-            alone = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, {})
+            levels = _levels(inst, guess, grid)
+            shared = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, tables, levels)
+            alone = _DpSolver(inst, guess, 0.5, grid, DEFAULT_STATE_CAP, {}, levels)
             for a, b in zip(shared.terms, alone.terms, strict=True):
                 for x, y in zip(a, b, strict=True):
                     assert np.array_equal(x.space, y.space) and np.array_equal(x.cost, y.cost)
@@ -1083,7 +1092,7 @@ class TestOverfullLevels:
         bound = 1.5 * inst.V
         assume(all(abs(space / bound - 1.0) > 1e-9 for space in level_space))
         guess = Guess(tau=tau, assignment=dict(enumerate(classes)))
-        if _overfull(inst, guess.assignment, 0.5, grid, guess.tau):
+        if _overfull_levels(inst, _levels(inst, guess, grid)):
             assert _brute_force_aligned(inst, guess, 0.5, grid) is None
 
     def test_overfull_guess_builds_no_solver(self, monkeypatch):
@@ -1091,7 +1100,7 @@ class TestOverfullLevels:
         inst = make_instance([(1, 1, 1)], 0.05)
         guess = Guess(tau=1.0, assignment={0: 1})
         grid = GridSpec.desk(1)
-        assert _overfull(inst, guess.assignment, 0.5, grid, guess.tau)
+        assert _overfull_levels(inst, _levels(inst, guess, grid))
 
         def no_solver(*args):
             raise AssertionError("_DpSolver built for an overfull guess")
