@@ -188,22 +188,43 @@ def couple_case(k: int) -> int:
     return min(k + 1, 6)
 
 
+# couple_template skips CyclicPolicy's check for these k and T_A, where the
+# rescaled schedule is proven to pass it
+UNCHECKED_MAX_K = 12
+UNCHECKED_T_A = (2.0**-1000, 2.0**1000)
+
+
 def couple_template(k: int, T_A: float, id_A: int, id_B: int) -> CyclicPolicy:
     """The joint schedule for T_A/T_B = 2**k rescaled to T_A, commodity A's
-    orders keyed by id_A and B's by id_B; it depends on nothing else."""
+    orders keyed by id_A and B's by id_B; it depends on nothing else.
+
+    For 0 <= k <= UNCHECKED_MAX_K and T_A within UNCHECKED_T_A the policy is
+    built without CyclicPolicy's check (CyclicPolicy.unchecked), which it
+    passes there. Every normalized value x (the cycle, each order time and
+    quantity) is a rational in [0, 1], and the least of the positive ones,
+    of the gaps between one schedule's consecutive order times and of the
+    cycle minus its last order time is at least 2**-(k+2). The rescale is
+    x * T_A correctly rounded, so it keeps order and a zero time at 0.0,
+    and here each x * T_A > 0 is at least 2**-1014, a normal float within a
+    relative 2**-53. So two values at least 2**-(k+2) apart stay apart
+    (their ratio is at least 1 + 2**-14): the cycle is finite and > 0,
+    each schedule's order times lie in [0, cycle) and increase strictly,
+    and every quantity is > 0. The quantities sum to the cycle exactly, so
+    their fsum lies within a relative 4 * 2**-53 of the rescaled cycle, far
+    inside CONSERVATION_RTOL. Outside that range the check runs."""
     tau, a_orders, b_orders = _normalized_schedules(k)
     m, d = T_A.as_integer_ratio()
 
     def scaled(x: Fraction) -> float:
         return (x.numerator * m) / (x.denominator * d)
 
-    return CyclicPolicy(
-        tau=scaled(tau),
-        schedules={
-            id_A: tuple((scaled(t), scaled(q)) for t, q in a_orders),
-            id_B: tuple((scaled(t), scaled(q)) for t, q in b_orders),
-        },
-    )
+    schedules = {
+        id_A: tuple((scaled(t), scaled(q)) for t, q in a_orders),
+        id_B: tuple((scaled(t), scaled(q)) for t, q in b_orders),
+    }
+    if 0 <= k <= UNCHECKED_MAX_K and UNCHECKED_T_A[0] <= T_A <= UNCHECKED_T_A[1]:
+        return CyclicPolicy.unchecked(scaled(tau), schedules)
+    return CyclicPolicy(tau=scaled(tau), schedules=schedules)
 
 
 def synthesize_couple(inp: CoupleInput) -> CoupleSchedule:

@@ -333,26 +333,27 @@ def combine_reports(reports: Iterable[EvalReport], instance: Instance) -> EvalRe
     concatenated in order (a lone report's averages are kept as they are),
     and no per-commodity dict is built. The first report, in order, that
     shares a commodity with an earlier one raises a ValueError naming the
-    shared ids.
+    shared ids; a lone report has no earlier one, so its ids are not
+    gathered.
     """
+    reports = list(reports)
     ordering = holding = v_max = 0.0
-    ids: list = []
-    columns = []
-    seen: set = set()
     for rep in reports:
         ordering += rep.ordering_cost_rate
         holding += rep.holding_cost_rate
         v_max += rep.v_max
-        avg = rep.avg_inventory
-        if not seen.isdisjoint(avg):
-            raise ValueError(f"reports overlap on commodities {sorted(seen.intersection(avg))}")
-        seen.update(avg)
-        ids += avg
-        columns.append(avg.column)
-    if len(columns) == 1:
-        avg_inventory = avg
+    if len(reports) == 1:
+        avg_inventory = reports[0].avg_inventory
     else:
-        avg_inventory = IdColumn(ids, np.concatenate(columns) if columns else ())
+        ids: list = []
+        seen: set = set()
+        for rep in reports:
+            avg = rep.avg_inventory
+            if not seen.isdisjoint(avg):
+                raise ValueError(f"reports overlap on commodities {sorted(seen.intersection(avg))}")
+            seen.update(avg)
+            ids += avg
+        avg_inventory = IdColumn(ids, np.concatenate([rep.avg_inventory.column for rep in reports]) if reports else ())
     return EvalReport(
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,

@@ -438,6 +438,17 @@ class CyclicPolicy:
             normalized[cid] = tuple(parsed)
         object.__setattr__(self, "schedules", normalized)
 
+    @classmethod
+    def unchecked(cls, tau: float, schedules: dict) -> "CyclicPolicy":
+        """The policy of `tau` and `schedules` as given, without the check
+        of __post_init__: only for a caller that has proven they pass it,
+        `schedules` a dict of tuples of (float, float) orders, as the check
+        would leave them (couples.couple_template)."""
+        policy = cls.__new__(cls)
+        object.__setattr__(policy, "tau", tau)
+        object.__setattr__(policy, "schedules", schedules)
+        return policy
+
     def scaled(self, factor: float) -> "CyclicPolicy":
         """Uniformly scale all times and quantities; peak space scales by `factor`."""
         if factor <= 0:

@@ -12,6 +12,14 @@ closed form: average inventory T/2 and cost K/T + H*T per commodity, with no
 joint-cycle expansion. A caller-supplied cyclic reference is evaluated exactly
 instead.
 
+The class decomposition is one column: the instance's rows sorted by class,
+and each class's bounds in it. Sizes, labels and average space come from
+those bounds; a class's ids or rows are cut only when a branch reads them.
+Only the difficult scenario reads classes, its suffix-sparse and dense ones
+(build_matching_instance); the low-dense scenario reads two sums, and the
+easy one and the difficult prefix read labelled ids or rows from the sorted
+column directly.
+
 The output is a union of cyclic blocks over disjoint commodity subsets.
 Blocks produced by different random draws are mutually incommensurable in
 general, so the union's peak is certified by the sum of exact per-block
@@ -32,7 +40,9 @@ uniform(-0.5, 0.5) of numpy's PCG64 stream for SeedSequence(entropy=seed,
 spawn_key=(ell, q)), which subgroup_thetas computes in integer arithmetic
 with no numpy object. The
 report is combine_reports over one report per block, as `ewlsp eval` sums
-the written entries. A couple block's report is evaluate's of its entry,
+the written entries; a one-block union, as every low-dense solve emits,
+gathers no id sets there or in AssembledPolicy, since a lone part overlaps
+no other. A couple block's report is evaluate's of its entry,
 taken in one pass over the instance's columns, and sums its couples'
 peaks, so how couples are grouped into blocks changes no certificate
 beyond the order of its sums. A block holds one of the model's policy
@@ -50,9 +60,9 @@ union is both the feasibility check and the certificate it returns.
 from __future__ import annotations
 
 import math
+from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from operator import itemgetter
-from typing import Hashable, Mapping, Sequence
+from functools import cached_property
 
 import numpy as np
 
@@ -157,11 +167,15 @@ class AssembledPolicy:
     block (a Block holding a CouplePolicy) reports the summed peaks of its
     couples, as evaluate certifies its entry. Each dense class has at most
     one couple block, its policy couples.couple_policy of its near pairs.
+    Blocks that share a commodity raise a ValueError naming the shared ids;
+    a lone block has no other to share with, so its ids are not gathered.
     """
 
     blocks: tuple[Block, ...]
 
     def __post_init__(self):
+        if len(self.blocks) < 2:
+            return
         seen: set[int] = set()
         for b in self.blocks:
             overlap = seen & set(b.ids)
@@ -237,28 +251,80 @@ def _near_integer(x: np.ndarray) -> np.ndarray:
         return np.flatnonzero(~(np.abs(x - np.rint(x)) > 1e-9))
 
 
+class _ClassSlices(Mapping):
+    """class -> its slice of a column held class by class: `cut(start, end)`
+    of the class's bounds, made on the class's first read and kept in `made`.
+    Iteration, `len` and `in` read only the bounds, in their key order."""
+
+    __slots__ = ("_bounds", "_cut", "made")
+
+    def __init__(self, bounds: Mapping[Hashable, tuple[int, int]], cut) -> None:
+        self._bounds = bounds
+        self._cut = cut
+        self.made: dict = {}
+
+    def __getitem__(self, ell):
+        made = self.made.get(ell)
+        if made is None:
+            made = self.made[ell] = self._cut(*self._bounds[ell])
+        return made
+
+    def __iter__(self):
+        return iter(self._bounds)
+
+    def __len__(self) -> int:
+        return len(self._bounds)
+
+    def __contains__(self, ell) -> bool:
+        return ell in self._bounds
+
+
 @dataclass(frozen=True)
 class ClassDecomposition:
     """The reference's volume classes, their labels and average space.
-    `space` is id -> gamma_i * avg inventory under the reference, an
-    IdColumn in instance order whose column is read-only and whose dict is
-    built on first item access."""
 
-    classes: Mapping[Hashable, tuple[int, ...]]  # only nonempty classes
+    `members` holds the instance's rows sorted by class, each class's in
+    instance order, read-only; class ell is members[start:end] for its
+    `bounds[ell]` = (start, end). Only nonempty classes have bounds, keyed
+    in order of first occurrence in the instance. `classes` (ell -> its ids,
+    a tuple) and `rows` (ell -> its rows, a read-only array) are read-only
+    views over these that cut a class on its first read, so a branch that
+    reads no class cuts none; `rows_with_label` and `ids_with_label` read
+    `members` directly. `space` is id -> gamma_i * avg inventory under the
+    reference, an IdColumn in instance order whose column is read-only and
+    whose dict is built on first item access.
+    """
+
+    bounds: Mapping[Hashable, tuple[int, int]]
     avg_space_per_class: Mapping[Hashable, float]
     labels: Mapping[Hashable, str]  # prefix-sparse | suffix-sparse | dense
     vbar_sparse: float
     vbar_dense: float
     space: IdColumn = field(repr=False, compare=False)
-    # per class, its members' positions in the instance, in the order of `classes[ell]`, read-only
-    rows: Mapping[Hashable, np.ndarray] = field(repr=False, compare=False)
+    members: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def classes(self) -> Mapping[Hashable, tuple[int, ...]]:
+        ids, members = self.space.ids, self.members
+        return _ClassSlices(self.bounds, lambda start, end: tuple(map(ids.__getitem__, members[start:end].tolist())))
+
+    @cached_property
+    def rows(self) -> Mapping[Hashable, np.ndarray]:
+        members = self.members
+        return _ClassSlices(self.bounds, lambda start, end: members[start:end])
+
+    def rows_with_label(self, label: str) -> np.ndarray:
+        """The rows of the classes labelled `label`, class by class in
+        class order (the tail class last), each in instance order."""
+        spans = sorted(span for ell, span in self.bounds.items() if self.labels[ell] == label)
+        if not spans:
+            return np.empty(0, dtype=np.intp)
+        return np.concatenate([self.members[start:end] for start, end in spans])
 
     def ids_with_label(self, label: str) -> list[int]:
-        out: list[int] = []
-        for ell in sorted(self.classes):
-            if self.labels[ell] == label:
-                out.extend(self.classes[ell])
-        return out
+        """The ids of rows_with_label(label), in its order."""
+        ids = self.space.ids
+        return [ids[r] for r in self.rows_with_label(label).tolist()]
 
 
 def decompose_classes(
@@ -287,9 +353,10 @@ def decompose_classes(
     column: floor(log(V/s)/log1p(eps)) is taken with np.log except where the
     quotient lies within 1e-9 of an integer or is not finite, where math.log
     decides (and raises as it would), since np.log and math.log do not always
-    agree on the last bit. Classes are keyed in order of first occurrence in
-    the instance and list their ids in instance order; a class's average
-    space is the math.fsum of its members'.
+    agree on the last bit. One stable sort by class code gives `members`;
+    each class's bounds, size, label and average space (the math.fsum of
+    its members') come from that sorted column, and no class's ids or rows
+    are cut here (ClassDecomposition.classes and .rows cut them on read).
     """
     eps = cfg.eps
     V = instance.V
@@ -313,34 +380,31 @@ def decompose_classes(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         q = np.log(V / s) / log_step
     fl = np.floor(q)
-    for k in np.flatnonzero(~tail)[_near_integer(q[~tail])].tolist():
+    for k in _near_integer(np.where(tail, 0.5, q)).tolist():  # the tail's 0.5 is no integer
         fl[k] = math.floor(math.log(V / s[k]) / log_step)
     # the tail class gets code L + 1, past every slab index
     code = np.where(tail, L + 1, np.clip(fl + 1, 1, L)).astype(int)
 
     members = np.argsort(code, kind="stable")  # by class, instance order within
+    members.flags.writeable = False
     sizes = np.bincount(code)
     present = np.flatnonzero(sizes)
     ends = np.cumsum(sizes[present])
     starts = ends - sizes[present]
-    first = members[starts]  # each class's first commodity in instance order
-    member_ids = itemgetter(*members.tolist())(ids) if n > 1 else ids  # one gather, a tuple
     member_space = s[members].tolist()
-    members.flags.writeable = False
-    classes: dict[Hashable, tuple[int, ...]] = {}
-    rows: dict[Hashable, np.ndarray] = {}
+    spans = list(zip(present.tolist(), starts.tolist(), ends.tolist()))
+    bounds: dict[Hashable, tuple[int, int]] = {}
     per_class: dict[Hashable, float] = {}
-    bounds = list(zip(present.tolist(), starts.tolist(), ends.tolist()))
-    for j in np.argsort(first).tolist():
-        c, start, end = bounds[j]
+    for j in np.argsort(members[starts]).tolist():  # by each class's first commodity
+        c, start, end = spans[j]
         ell: Hashable = INF_CLASS if c == L + 1 else c
-        classes[ell] = member_ids[start:end]
-        rows[ell] = members[start:end]
+        bounds[ell] = (start, end)
         per_class[ell] = math.fsum(member_space[start:end])
 
     threshold = cfg.sparsity_threshold
-    sparse = [ell for ell in sorted(classes) if len(classes[ell]) <= threshold]
-    dense = [ell for ell in classes if len(classes[ell]) > threshold]
+    size = {ell: end - start for ell, (start, end) in bounds.items()}
+    sparse = [ell for ell in sorted(size) if size[ell] <= threshold]
+    dense = [ell for ell in size if size[ell] > threshold]
     delta_count = math.ceil(
         math.log(125.0 * math.log(1.0 / eps) / eps**6) / math.log1p(eps)
     )
@@ -349,16 +413,16 @@ def decompose_classes(
     for k, ell in enumerate(sparse):
         labels[ell] = "prefix-sparse" if k < cut else "suffix-sparse"
 
-    vbar_sparse = math.fsum(per_class[ell] for ell in classes if labels[ell] != "dense")
-    vbar_dense = math.fsum(per_class[ell] for ell in classes if labels[ell] == "dense")
+    vbar_sparse = math.fsum(per_class[ell] for ell in bounds if labels[ell] != "dense")
+    vbar_dense = math.fsum(per_class[ell] for ell in bounds if labels[ell] == "dense")
     return ClassDecomposition(
-        classes=classes,
+        bounds=bounds,
         avg_space_per_class=per_class,
         labels=labels,
         vbar_sparse=vbar_sparse,
         vbar_dense=vbar_dense,
         space=IdColumn(ids, s),
-        rows=rows,
+        members=members,
     )
 
 
@@ -821,7 +885,7 @@ def _dispatch(
     blocks = []
     prefix_ids = decomp.ids_with_label("prefix-sparse")
     if prefix_ids:
-        vbar_prefix = math.fsum(decomp.space.column[instance.positions(prefix_ids)].tolist())
+        vbar_prefix = math.fsum(decomp.space.column[decomp.rows_with_label("prefix-sparse")].tolist())
         sol = solve_sosi_relaxation(instance, rhs=2.0 * (vbar_prefix + eps * V), ids=prefix_ids)
         blocks.append(_stationary(prefix_ids, sol.intervals_T, "prefix:relaxation"))
     dense_blocks, dense = run_dense_branch(instance, cfg, decomp, seed)

@@ -150,7 +150,42 @@ def exact(value):
 # ---------------------------------------------------------------------------
 
 
-def draw_pairs(draw, rng, first_id):
+class HypothesisDraws:
+    """A case builder's draws, made by hypothesis: integers in [lo, hi],
+    one of `values`, and floats in [lo, hi)."""
+
+    def __init__(self, draw):
+        self.draw = draw
+
+    def integer(self, lo, hi):
+        return self.draw(st.integers(lo, hi))
+
+    def choice(self, values):
+        return self.draw(st.sampled_from(values))
+
+    def real(self, lo, hi):
+        return self.draw(st.floats(lo, hi, exclude_max=True))
+
+
+class SeededDraws:
+    """The same draws from a numpy Generator of a fixed seed, so a coverage
+    test reads the same cases in every pytest run and in any test order
+    (hypothesis mixes constants of the loaded modules into its draws)."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def integer(self, lo, hi):
+        return int(self.rng.integers(lo, hi + 1))
+
+    def choice(self, values):
+        return values[int(self.rng.integers(len(values)))]
+
+    def real(self, lo, hi):
+        return float(self.rng.uniform(lo, hi))
+
+
+def draw_pairs(pick, rng, first_id):
     """Near pairs over k = 0..6 drawn from a few (k, T_A) keys so that some
     share a schedule and some share T_A but not k, T_B a few ulps off
     T_A / 2^k, space ratios across [1/(1+eps), 1+eps] and the pair's lead
@@ -159,11 +194,11 @@ def draw_pairs(draw, rng, first_id):
     inf - inf."""
     keys = [
         (int(rng.integers(0, 7)), float(rng.choice([1.0, 3.0]) if rng.random() < 0.5 else 10.0 ** rng.uniform(-3, 3)))
-        for _ in range(draw(st.integers(1, 4)))
+        for _ in range(pick.integer(1, 4))
     ]
-    huge = draw(st.booleans()) and draw(st.booleans())
+    huge = pick.choice([False, True]) and pick.choice([False, True])
     pairs, commodities = [], []
-    for j in range(draw(st.integers(1, 12))):
+    for j in range(pick.integer(1, 12)):
         k, T_A = keys[int(rng.integers(0, len(keys)))]
         T_B = T_A * 2.0**-k
         for _ in range(int(rng.integers(0, 3))):
@@ -181,33 +216,31 @@ def draw_pairs(draw, rng, first_id):
     return pairs, commodities
 
 
-@st.composite
-def couple_cases(draw):
+def couple_case(pick):
     """The near pairs of one subgroup (draw_pairs), their commodities
     shuffled into an instance with extra ids, so A comes before or after B."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    pairs, commodities = draw_pairs(draw, rng, 0)
+    rng = np.random.default_rng(pick.integer(0, 2**32 - 1))
+    pairs, commodities = draw_pairs(pick, rng, 0)
     commodities += [Commodity(1000 + k, 1.0, 1.0, 1.0) for k in range(int(rng.integers(0, 3)))]
     order = rng.permutation(len(commodities))
     return pairs, Instance(tuple(commodities[k] for k in order), capacity_V=1.0)
 
 
-@st.composite
-def class_cases(draw):
+def class_case(pick):
     """The near pairs of two to four groups (draw_pairs, so k from 0 to 6 and
     both instance orders), and one to three stationary or cyclic blocks over
     further commodities, in a shuffled instance. The groups are the subgroups
     of one class, or each a class of its own; `slots` places the couple
     blocks of the latter in a random emission order: they keep their group
     order among themselves, the other blocks fall between and around them."""
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(pick.integer(0, 2**32 - 1))
     groups, commodities = [], []
-    for g in range(draw(st.integers(2, 4))):
-        pairs, cs = draw_pairs(draw, rng, 100 * g)
+    for g in range(pick.integer(2, 4)):
+        pairs, cs = draw_pairs(pick, rng, 100 * g)
         groups.append(pairs)
         commodities += cs
     others = []
-    for b in range(draw(st.integers(1, 3))):
+    for b in range(pick.integer(1, 3)):
         ids = tuple(range(1000 + 10 * b, 1000 + 10 * b + int(rng.integers(1, 4))))
         commodities += [Commodity(i, *(10.0 ** rng.uniform(-1, 1, size=3)).tolist()) for i in ids]
         if rng.random() < 0.5:
@@ -220,6 +253,16 @@ def class_cases(draw):
     slots = sorted(rng.choice(len(groups) + len(others), size=len(groups), replace=False).tolist())
     order = rng.permutation(len(commodities))
     return groups, others, slots, Instance(tuple(commodities[k] for k in order), capacity_V=1.0)
+
+
+@st.composite
+def couple_cases(draw):
+    return couple_case(HypothesisDraws(draw))
+
+
+@st.composite
+def class_cases(draw):
+    return class_case(HypothesisDraws(draw))
 
 
 def couple_inputs(pairs, instance):
@@ -362,17 +405,12 @@ def test_report_adds_one_report_per_block_in_emission_order(case, factor):
 def test_class_cases_reach_every_k_and_both_instance_orders():
     # the class strategy must reach k >= 5 and both orders of A and B
     seen = set()
-
-    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-    @given(case=class_cases())
-    def collect(case):
-        groups, _, _, inst = case
+    for seed in range(60):
+        groups, _, _, inst = class_case(SeededDraws(seed))
         block = one_block([pair for pairs in groups for pair in pairs], inst)
         for j, k in enumerate(block.couples.which):
             a, b = block.ids[2 * j], block.ids[2 * j + 1]
             seen.add((block.couples.cases[k], inst.position(a) < inst.position(b)))
-
-    collect()
     assert seen == {(c, first) for c in range(1, 7) for first in (True, False)}
 
 
@@ -380,17 +418,12 @@ def test_couple_cases_cover_every_k_and_both_instance_orders():
     # the benchmark's couples are all k = 0, so the strategy must reach the
     # non-dyadic k = 2..6 schedules and both orders of A and B
     seen = set()
-
-    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
-    @given(case=couple_cases())
-    def collect(case):
-        pairs, inst = case
+    for seed in range(150):
+        pairs, inst = couple_case(SeededDraws(seed))
         block = one_block(pairs, inst)
         for j, k in enumerate(block.couples.which):
             a, b = block.ids[2 * j], block.ids[2 * j + 1]
             seen.add((block.couples.cases[k], inst.position(a) < inst.position(b)))
-
-    collect()
     assert seen == {(c, first) for c in range(1, 7) for first in (True, False)}
 
 
@@ -559,8 +592,7 @@ EDGE_PAIRS = (
 )
 
 
-@st.composite
-def rule_columns(draw):
+def rule_column_case(pick):
     """Columns T_A, T_B, gamma_A, gamma_B of one to eight pairs, and an eps,
     mostly valid. T_A is moderate, of any binade (subnormal included) or
     special; T_B is T_A / 2^(k + off) for k in -1..7, or special; or the
@@ -570,42 +602,54 @@ def rule_columns(draw):
     one ulp, which moves only a ratio within one ulp of the edge). gamma_B
     puts the space ratio inside, at the edges of or outside
     [1/(1+eps), 1+eps]; a huge gamma_A overflows gamma*T."""
-    eps = draw(st.sampled_from([0.05, 0.05, 0.05, 0.0999, 0.5, 0.0, 1.0, -0.5, math.nan]))
+    eps = pick.choice([0.05, 0.05, 0.05, 0.0999, 0.5, 0.0, 1.0, -0.5, math.nan])
     tol = eps if 0 < eps < 1 else 0.05
-    moderate = st.floats(1e-3, 1e3)
-    any_binade = st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1075, 1023))
+
+    def moderate():
+        return pick.real(1e-3, 1e3)
 
     def offset():
-        kind = draw(st.integers(0, 3))
+        kind = pick.integer(0, 3)
         if kind == 0:
             return 0.0
         if kind == 1:
-            return draw(st.sampled_from([-4e-16, -2e-16, 2e-16, 4e-16]))
+            return pick.choice([-4e-16, -2e-16, 2e-16, 4e-16])
         if kind == 2:
-            return draw(st.sampled_from([-1e-9, 1e-9])) * (1.0 + draw(st.sampled_from([-1, 1])) * draw(st.floats(1e-5, 1e-2)))
-        return draw(st.floats(-0.5, 0.5))
+            return pick.choice([-1e-9, 1e-9]) * (1.0 + pick.choice([-1, 1]) * pick.real(1e-5, 1e-2))
+        return pick.real(-0.5, 0.5)
 
     columns = []
-    for _ in range(draw(st.integers(1, 8))):
-        T_A = draw(st.one_of(moderate, moderate, any_binade, st.sampled_from(SPECIAL)))
+    for _ in range(pick.integer(1, 8)):
+        kind = pick.choice(["moderate", "moderate", "any binade", "special"])
+        if kind == "moderate":
+            T_A = moderate()
+        elif kind == "any binade":
+            T_A = math.ldexp(pick.real(0.5, 1.0), pick.integer(-1075, 1023))
+        else:
+            T_A = pick.choice(SPECIAL)
         with np.errstate(all="ignore"):
-            T_B = (np.float64(T_A) / 2.0 ** draw(st.integers(-1, 7)) / 2.0 ** offset()).item()
-            kind = draw(st.integers(0, 7))
+            T_B = (np.float64(T_A) / 2.0 ** pick.integer(-1, 7) / 2.0 ** offset()).item()
+            kind = pick.integer(0, 7)
             if kind == 0:
-                T_B = draw(st.sampled_from(SPECIAL))
+                T_B = pick.choice(SPECIAL)
             elif kind == 1:
-                T_A, T_B = draw(st.sampled_from(EDGE_PAIRS))
-            gamma_A = draw(st.one_of(moderate, moderate, moderate, st.sampled_from([1e300, 1.5e308])))
-            ratio = draw(
-                st.one_of(
-                    st.floats(1.0 / (1.0 + tol), 1.0 + tol),
-                    st.sampled_from([1.0 / (1.0 + tol) - 1e-12, 1.0 + tol + 1e-12]),
-                    st.sampled_from([0.5, 1.5, 1.0 / (1.0 + tol) - 1e-9, 1.0 + tol + 1e-9]),
-                )
-            )
+                T_A, T_B = pick.choice(EDGE_PAIRS)
+            gamma_A = moderate() if pick.integer(0, 3) else pick.choice([1e300, 1.5e308])
+            kind = pick.integer(0, 2)
+            if kind == 0:
+                ratio = pick.real(1.0 / (1.0 + tol), 1.0 + tol)
+            elif kind == 1:
+                ratio = pick.choice([1.0 / (1.0 + tol), 1.0 + tol, 1.0 / (1.0 + tol) - 1e-12, 1.0 + tol + 1e-12])
+            else:
+                ratio = pick.choice([0.5, 1.5, 1.0 / (1.0 + tol) - 1e-9, 1.0 + tol + 1e-9])
             gamma_B = (np.float64(gamma_A) * T_A / T_B / ratio).item()
         columns.append((T_A, T_B, gamma_A, gamma_B))
     return *map(list, zip(*columns)), eps
+
+
+@st.composite
+def rule_columns(draw):
+    return rule_column_case(HypothesisDraws(draw))
 
 
 def rule_outcome(T_A, T_B, gamma_A, gamma_B, eps):
@@ -652,11 +696,8 @@ def test_rule_columns_reach_every_rule_and_both_sides_of_the_band():
     # the three stray errors of the reference, pass, and accept and refuse
     # ratios beyond 5e-10 of a power of two on both sides of the 1e-9 band
     seen = set()
-
-    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
-    @given(case=rule_columns())
-    def collect(case):
-        *columns, eps = case
+    for seed in range(300):
+        *columns, eps = rule_column_case(SeededDraws(seed))
         for T_A, T_B, gamma_A, gamma_B in zip(*columns):
             try:
                 scalar_pair_rules(T_A, T_B, gamma_A, gamma_B, eps)
@@ -669,8 +710,6 @@ def test_rule_columns_reach_every_rule_and_both_sides_of_the_band():
                 off = abs(math.log2(T_A / T_B) - round(math.log2(T_A / T_B)))
                 if off > 5e-10:
                     seen.add("inside the band" if off <= 1e-9 else "outside the band")
-
-    collect()
     rules = {"intervals", "T_B", "require", "epsilon", "T_A/T_B", "gamma_A*T_A"}
     strays = {"cannot convert float NaN to integer", "OverflowError", "math domain error"}
     assert seen == rules | strays | {"accepted", "inside the band", "outside the band"}

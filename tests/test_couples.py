@@ -6,13 +6,15 @@ import pytest
 
 from ewlsp.couples import (
     SUB1_PEAK_FACTOR,
+    UNCHECKED_MAX_K,
+    UNCHECKED_T_A,
     CoupleInput,
     _normalized_schedules,
     classify_pairs,
     couple_template,
     synthesize_couple,
 )
-from ewlsp.errors import NotAPowerOfTwo, SpaceMismatch
+from ewlsp.errors import NotAPowerOfTwo, PolicyPartError, SpaceMismatch
 from ewlsp.evaluator import evaluate
 from ewlsp.model import Commodity, CyclicPolicy, Instance
 from ewlsp.po2 import po2_round
@@ -268,6 +270,86 @@ def test_couple_template_is_the_synthesized_policy(k, mantissa, binade, ids):
     A, B = Commodity(ids[0], 1.0, 1.0, 1.0), Commodity(ids[1], 1.0, 1.0, float(2**k))
     want = synthesize_couple(CoupleInput(A, B, T_A, T_B, 0.05))
     assert bits(couple_template(k, T_A, *ids)) == bits(want.policy)
+
+
+@pytest.mark.parametrize("k", range(UNCHECKED_MAX_K + 1))
+def test_normalized_schedule_keeps_the_floor_of_the_unchecked_range(k):
+    # couple_template's proof: every value lies in [0, 1], and the least of
+    # the positive values, of the gaps between one schedule's consecutive
+    # order times and of the cycle minus its last order time is at least
+    # 2**-(k+2); the quantities sum to the cycle
+    tau, a_orders, b_orders = _normalized_schedules(k)
+    values = [tau]
+    for orders in (a_orders, b_orders):
+        times = [t for t, _ in orders]
+        assert times[0] >= 0 and sum(q for _, q in orders) == tau
+        values += [q for _, q in orders] + [t for t in times if t > 0]
+        values += [later - t for t, later in zip(times, times[1:])] + [tau - times[-1]]
+    assert all(0 < x <= 1 for x in values)
+    assert min(values) >= Fraction(1, 2 ** (k + 2))
+
+
+class counted_checks:
+    """Count CyclicPolicy's checks run inside the block."""
+
+    def __enter__(self):
+        self.calls = 0
+        self.patch = pytest.MonkeyPatch()
+        check = CyclicPolicy.__post_init__
+
+        def counting(policy):
+            self.calls += 1
+            check(policy)
+
+        self.patch.setattr(CyclicPolicy, "__post_init__", counting)
+        return self
+
+    def __exit__(self, *exc):
+        self.patch.undo()
+
+
+@given(
+    k=st.integers(0, UNCHECKED_MAX_K),
+    T_A=st.one_of(
+        st.sampled_from(UNCHECKED_T_A),
+        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-999, 1000)),
+    ),
+    ids=st.lists(st.integers(0, 10**9), min_size=2, max_size=2, unique=True),
+)
+@settings(deadline=None)
+def test_template_inside_the_range_skips_a_check_it_passes(k, T_A, ids):
+    # down to both ends of the range, the template is built with no check,
+    # and the checked policy of its cycle and schedules is the same bit for bit
+    with counted_checks() as checks:
+        template = couple_template(k, T_A, *ids)
+    assert checks.calls == 0
+    assert bits(CyclicPolicy(template.tau, template.schedules)) == bits(template)
+
+
+@pytest.mark.parametrize(
+    "k, T_A",
+    [
+        (0, math.nextafter(UNCHECKED_T_A[0], 0.0)),
+        (UNCHECKED_MAX_K, math.nextafter(UNCHECKED_T_A[0], 0.0)),
+        (0, math.nextafter(UNCHECKED_T_A[1], math.inf)),
+        (UNCHECKED_MAX_K, sys.float_info.max),
+        (UNCHECKED_MAX_K + 1, 1.0),
+    ],
+)
+def test_template_outside_the_range_runs_the_check(k, T_A):
+    with counted_checks() as checks:
+        template = couple_template(k, T_A, 7, 3)
+    assert checks.calls == 1
+    assert list(template.schedules) == [7, 3]
+
+
+def test_check_refuses_a_template_rescaled_into_the_subnormal_range():
+    # far below the range the rescaled orders collide, which the check that
+    # runs there refuses
+    with pytest.raises(PolicyPartError, match=r"commodity 1: order times must lie in \[0, tau\)"):
+        couple_template(2, 5e-324, 0, 1)
+    with pytest.raises(PolicyPartError, match="commodity 1: order times must be strictly increasing"):
+        couple_template(4, 2.0**-1070, 0, 1)
 
 
 @pytest.mark.parametrize("k", range(9))

@@ -163,6 +163,24 @@ def test_overlapping_reports_are_refused():
         combine_reports([first, second], inst)
 
 
+@pytest.mark.parametrize("rates", [(1.5, 0.25, 2.0), (-0.0, -0.0, -0.0)], ids=["positive", "negative-zero"])
+def test_a_lone_report_combines_as_the_general_path(rates):
+    # a lone report gathers no ids; its rates and peak come out as 0.0 plus
+    # the report's, as the general path sums them, and its averages as they are
+    inst = make_instance([(1, 1, 1)] * 3, 10.0)
+    part = EvalReport(*rates, IdColumn((2, 0), (0.5, 0.25)), 7.0)
+    empty = EvalReport(0.0, 0.0, 0.0, IdColumn((), ()), 7.0)
+
+    def bits(report):
+        figures = (report.ordering_cost_rate, report.holding_cost_rate, report.v_max, report.feasible_at)
+        return [repr(x) for x in figures] + [report.avg_inventory.ids, report.avg_inventory.column.tolist()]
+
+    want = [repr(0.0 + x) for x in rates] + [repr(10.0), (2, 0), [0.5, 0.25]]
+    for lone in (combine_reports([part], inst), combine_reports(iter([part]), inst)):
+        assert bits(lone) == bits(combine_reports([part, empty], inst)) == bits(combine_reports([empty, part], inst)) == want
+        assert lone.avg_inventory is part.avg_inventory
+
+
 def test_combining_many_reports_is_linear():
     # one report per block, as a solve with thousands of blocks certifies
     inst = make_instance([(1, 1, 1)], 10.0)

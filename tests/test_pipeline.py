@@ -536,6 +536,34 @@ def test_solve_builds_no_avg_space_dict(monkeypatch, name):
         assert decomp.ids_with_label("prefix-sparse")
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["low-dense-tight", "low-dense-loose-n2000", "easy-offset-reference", "difficult-po2-sync", "difficult-prefix-relaxation"],
+)
+def test_solve_cuts_only_the_classes_its_branch_reads(monkeypatch, name):
+    # a low-dense or easy solve reads sums and labelled ids, so it cuts no
+    # class; a difficult one cuts the ids and rows of its suffix-sparse and
+    # dense classes, which build_matching_instance reads, and no prefix class
+    decomps = []
+
+    def recording(*args):
+        decomps.append(decompose_classes(*args))
+        return decomps[-1]
+
+    monkeypatch.setattr(pipeline, "decompose_classes", recording)
+    inst, seed, reference = next(p[1] for p in PINNED_OUTPUTS if p[0] == name)
+    _, _, diag = solve_sub2(inst, CFG, seed=seed, reference=reference)
+    assert name.startswith(diag["scenario"])
+    (decomp,) = decomps
+    read = set()
+    if diag["scenario"] == "difficult":
+        read = {ell for ell, label in decomp.labels.items() if label != "prefix-sparse"}
+        assert read
+    assert set(decomp.classes.made) == set(decomp.rows.made) == read
+    if name == "difficult-prefix-relaxation":
+        assert read < set(decomp.bounds)
+
+
 def test_rounded_sosi_block_sums_far_pairs_then_leftover():
     # evaluate_sosi sums in the key order of a block's intervals; for the
     # class's one rounded-sosi block that is subgroup by subgroup, each far
@@ -592,6 +620,23 @@ class TestBlocks:
                     Block(ids=(0, 1), **{name: held[name] for name in names})
         for name, policy in held.items():
             assert Block(ids=(0, 1), **{name: policy}).policy is policy
+
+    def test_a_lone_block_reports_as_the_general_path(self):
+        # a one-block policy gathers no ids, and its report is each rate and
+        # the peak as 0.0 + the block's, with the block's averages
+        inst = make_instance([(1, 1, 1)] * 2, 10.0)
+        cyclic = CyclicPolicy(1.0, {0: ((0.0, 1.0),), 1: ((0.5, 1.0),)})
+        held = {
+            "sosi": SosiPolicy({1: 0.5, 0: 2.0}),
+            "cyclic": cyclic,
+            "couples": CouplePolicy((cyclic,), cases=(1,), which=(0,), ids=(1, 0)),
+        }
+        for name, policy in held.items():
+            block = Block(ids=(0, 1), **{name: policy})
+            part = block.report(inst)
+            got = AssembledPolicy((block,)).report(inst)
+            sums = [0.0 + x for x in (part.ordering_cost_rate, part.holding_cost_rate, part.v_max)]
+            assert _bits(got) == [repr(x) for x in (*sums, inst.V)] + list(zip(part.avg_inventory.ids, map(repr, part.avg_inventory.column.tolist())))
 
     def test_overlapping_blocks_are_refused(self):
         first = Block(ids=(0, 1, 2), sosi=SosiPolicy({0: 1.0, 1: 1.0, 2: 1.0}))

@@ -251,12 +251,27 @@ def placed(s, gamma):
     return avg
 
 
-@settings(max_examples=40, deadline=None)
+def check_views(decomp, inst, classes, labels, data):
+    """Read the decomposition's lazy views, a class's ids or rows or a
+    label's ids, in a drawn order, each against the scalar classes."""
+    reads = [(view, ell) for view in ("classes", "rows") for ell in classes]
+    reads += [("ids_with_label", label) for label in ("prefix-sparse", "suffix-sparse", "dense")]
+    for view, key in data.draw(st.permutations(reads)):
+        if view == "classes":
+            assert decomp.classes[key] == classes[key]
+        elif view == "rows":
+            rows = decomp.rows[key]
+            assert rows.tolist() == inst.positions(classes[key]).tolist() and not rows.flags.writeable
+        else:
+            assert decomp.ids_with_label(key) == [i for ell in sorted(classes) if labels[ell] == key for i in classes[ell]]
+
+
+@settings(deadline=None)
 @given(inst=instances(), data=st.data())
 def test_decompose_classes_matches_scalar_loop(inst, data):
     """Average inventories from the reference, or placed exactly on slab
     boundaries V/(1+eps)^k and on the tail threshold V/(1+eps)^L, in a
-    shuffled key order."""
+    shuffled key order. The lazy views are read in a drawn order first."""
     eps, V = CFG.eps, inst.V
     L = math.ceil(math.log(inst.n / eps) / math.log1p(eps))
     avg = dict(evaluate_sosi(build_reference_policy(inst), inst).avg_inventory)
@@ -269,8 +284,28 @@ def test_decompose_classes_matches_scalar_loop(inst, data):
     report = EvalReport(1.0, 1.0, 1.0, IdColumn(avg, list(avg.values())), V)
     cfg = PipelineConfig(eps=eps, sparsity_threshold=data.draw(st.sampled_from([0, 1, 10])), Q=10)
     decomp = decompose_classes(report, inst, cfg)
+    want = scalar_decompose(report, inst, cfg)
+    check_views(decomp, inst, want[0], want[3], data)
     got = (decomp.classes, decomp.space, decomp.avg_space_per_class, decomp.labels, decomp.vbar_sparse, decomp.vbar_dense)
-    assert exact(got) == exact(scalar_decompose(report, inst, cfg))
+    assert exact(got) == exact(want)
+
+
+@settings(max_examples=20, deadline=None)
+@given(inst=instances(), data=st.data())
+def test_relabelled_decomposition_reads_as_an_eager_build(inst, data):
+    # dataclasses.replace keeps the sorted rows and bounds and gives fresh
+    # views, which cut the same classes and rows as a scalar build, and
+    # label ids by the new labels
+    report = evaluate_sosi(build_reference_policy(inst), inst)
+    decomp = decompose_classes(report, inst, CFG)
+    classes, *_ = scalar_decompose(report, inst, CFG)
+    labels = {ell: data.draw(st.sampled_from(["prefix-sparse", "suffix-sparse", "dense"])) for ell in classes}
+    decomp.classes[next(iter(classes))]  # a cut of the original is not carried over
+    relabelled = dataclasses.replace(decomp, labels=labels)
+    assert relabelled.labels == labels and relabelled.bounds is decomp.bounds
+    assert not relabelled.classes.made and not relabelled.rows.made
+    check_views(relabelled, inst, classes, labels, data)
+    assert exact(relabelled.classes) == exact(classes)
 
 
 def test_avg_space_is_built_on_first_read():
