@@ -98,9 +98,7 @@ class MatchingInstance:
 @dataclass(frozen=True, eq=False)
 class MimickingPartition:
     """A degree-feasible assignment held as columns: commodity_side[r] joins
-    class_side[where[r]]. `where` is kept as a read-only intp array. The
-    {id: class label} dict `assignment`, in commodity order, is built on
-    first read."""
+    class_side[where[r]]. `where` is kept as a read-only intp array."""
 
     commodity_side: tuple[int, ...]
     class_side: tuple[Hashable, ...]
@@ -113,11 +111,6 @@ class MimickingPartition:
             raise ValueError(f"expected a class index per commodity, got shape {where.shape}")
         where.flags.writeable = False
         object.__setattr__(self, "where", where)
-
-    @cached_property
-    def assignment(self) -> dict[int, Hashable]:
-        classes = self.class_side
-        return dict(zip(self.commodity_side, [classes[l] for l in self.where.tolist()]))
 
 
 def class_interval_cap(ell: Hashable, eps: float, V: float, n: int) -> float:

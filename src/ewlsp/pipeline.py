@@ -14,11 +14,11 @@ instead.
 
 The class decomposition is one column: the instance's rows sorted by class,
 and each class's bounds in it. Sizes, labels and average space come from
-those bounds; a class's ids or rows are cut only when a branch reads them.
-Only the difficult scenario reads classes, its suffix-sparse and dense ones
-(build_matching_instance); the low-dense scenario reads two sums, and the
-easy one and the difficult prefix read labelled ids or rows from the sorted
-column directly.
+those bounds, and rows or ids are sliced from the column only by label
+(ClassDecomposition.rows_with_label): the easy scenario reads the ids of its
+prefix-sparse classes and of the rest, the difficult one its prefix rows
+and, in build_matching_instance, the rows of its suffix-sparse and dense
+classes, and the low-dense scenario reads two sums and slices nothing.
 
 The output is a union of cyclic blocks over disjoint commodity subsets.
 Blocks produced by different random draws are mutually incommensurable in
@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 from collections.abc import Hashable, Mapping, Sequence
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -251,46 +250,16 @@ def _near_integer(x: np.ndarray) -> np.ndarray:
         return np.flatnonzero(~(np.abs(x - np.rint(x)) > 1e-9))
 
 
-class _ClassSlices(Mapping):
-    """class -> its slice of a column held class by class: `cut(start, end)`
-    of the class's bounds, made on the class's first read and kept in `made`.
-    Iteration, `len` and `in` read only the bounds, in their key order."""
-
-    __slots__ = ("_bounds", "_cut", "made")
-
-    def __init__(self, bounds: Mapping[Hashable, tuple[int, int]], cut) -> None:
-        self._bounds = bounds
-        self._cut = cut
-        self.made: dict = {}
-
-    def __getitem__(self, ell):
-        made = self.made.get(ell)
-        if made is None:
-            made = self.made[ell] = self._cut(*self._bounds[ell])
-        return made
-
-    def __iter__(self):
-        return iter(self._bounds)
-
-    def __len__(self) -> int:
-        return len(self._bounds)
-
-    def __contains__(self, ell) -> bool:
-        return ell in self._bounds
-
-
 @dataclass(frozen=True)
 class ClassDecomposition:
     """The reference's volume classes, their labels and average space.
 
     `members` holds the instance's rows sorted by class, each class's in
     instance order, read-only; class ell is members[start:end] for its
-    `bounds[ell]` = (start, end). Only nonempty classes have bounds, keyed
-    in order of first occurrence in the instance. `classes` (ell -> its ids,
-    a tuple) and `rows` (ell -> its rows, a read-only array) are read-only
-    views over these that cut a class on its first read, so a branch that
-    reads no class cuts none; `rows_with_label` and `ids_with_label` read
-    `members` directly. `space` is id -> gamma_i * avg inventory under the
+    `bounds[ell]` = (start, end), so its size is end - start. Only nonempty
+    classes have bounds, keyed in order of first occurrence in the instance.
+    `rows_with_label` and `ids_with_label` read the classes of given labels
+    off `members`. `space` is id -> gamma_i * avg inventory under the
     reference, an IdColumn in instance order whose column is read-only and
     whose dict is built on first item access.
     """
@@ -303,28 +272,18 @@ class ClassDecomposition:
     space: IdColumn = field(repr=False, compare=False)
     members: np.ndarray = field(repr=False, compare=False)
 
-    @cached_property
-    def classes(self) -> Mapping[Hashable, tuple[int, ...]]:
-        ids, members = self.space.ids, self.members
-        return _ClassSlices(self.bounds, lambda start, end: tuple(map(ids.__getitem__, members[start:end].tolist())))
-
-    @cached_property
-    def rows(self) -> Mapping[Hashable, np.ndarray]:
-        members = self.members
-        return _ClassSlices(self.bounds, lambda start, end: members[start:end])
-
-    def rows_with_label(self, label: str) -> np.ndarray:
-        """The rows of the classes labelled `label`, class by class in
-        class order (the tail class last), each in instance order."""
-        spans = sorted(span for ell, span in self.bounds.items() if self.labels[ell] == label)
+    def rows_with_label(self, *labels: str) -> np.ndarray:
+        """The rows of the classes that carry any of `labels`, class by
+        class in class order (the tail class last), each in instance order."""
+        spans = sorted(span for ell, span in self.bounds.items() if self.labels[ell] in labels)
         if not spans:
             return np.empty(0, dtype=np.intp)
         return np.concatenate([self.members[start:end] for start, end in spans])
 
-    def ids_with_label(self, label: str) -> list[int]:
-        """The ids of rows_with_label(label), in its order."""
+    def ids_with_label(self, *labels: str) -> list[int]:
+        """The ids of rows_with_label(*labels), in its order."""
         ids = self.space.ids
-        return [ids[r] for r in self.rows_with_label(label).tolist()]
+        return [ids[r] for r in self.rows_with_label(*labels).tolist()]
 
 
 def decompose_classes(
@@ -356,7 +315,7 @@ def decompose_classes(
     agree on the last bit. One stable sort by class code gives `members`;
     each class's bounds, size, label and average space (the math.fsum of
     its members') come from that sorted column, and no class's ids or rows
-    are cut here (ClassDecomposition.classes and .rows cut them on read).
+    are cut here.
     """
     eps = cfg.eps
     V = instance.V
@@ -482,14 +441,12 @@ def build_matching_instance(
     column at a time from the instance's parameter columns, and the matching
     takes the weight table as it is."""
     eps, V, n = cfg.eps, instance.V, instance.n
-    suffix = [ell for ell, lab in decomp.labels.items() if lab == "suffix-sparse"]
-    dense = [ell for ell, lab in decomp.labels.items() if lab == "dense"]
-    class_side = sorted(suffix + dense)
-    ids = [i for ell in class_side for i in decomp.classes[ell]]
-
+    labels = ("suffix-sparse", "dense")
+    class_side = sorted(ell for ell, lab in decomp.labels.items() if lab in labels)
+    # the classes' rows in class order, as decompose_classes found them: no lookup per id
+    pos = decomp.rows_with_label(*labels)
     cols = instance.columns
-    # each class's rows, as decompose_classes found them: no lookup per id
-    pos = np.concatenate([decomp.rows[ell] for ell in class_side]) if class_side else np.empty(0, dtype=np.intp)
+    ids = [cols.ids[r] for r in pos.tolist()]
     K, H, gamma = cols.K[pos], cols.H[pos], cols.gamma[pos]
     intervals = np.empty((len(ids), len(class_side)))
     weight = np.empty_like(intervals)
@@ -498,7 +455,8 @@ def build_matching_instance(
 
     bounds: dict[Hashable, tuple[int, int]] = {}
     for ell in class_side:
-        size = len(decomp.classes[ell])
+        start, end = decomp.bounds[ell]
+        size = end - start
         if decomp.labels[ell] == "suffix-sparse":
             bounds[ell] = (size, size)
         elif ell == INF_CLASS:
@@ -874,7 +832,7 @@ def _dispatch(
                 # too many commodities, or a hostile parameter spread blows up the guess grid
                 policy, _, _ = solve_two_approx(sub)
                 blocks.append(Block(ids=tuple(prefix_ids), sosi=policy, provenance="prefix:two-approx"))
-        rest_ids = decomp.ids_with_label("suffix-sparse") + decomp.ids_with_label("dense")
+        rest_ids = decomp.ids_with_label("suffix-sparse", "dense")
         if rest_ids:
             sol = solve_sosi_relaxation(instance, rhs=2.0 * (decomp.vbar_dense + eps * V), ids=rest_ids)
             blocks.append(_stationary(rest_ids, sol.intervals_T, "suffix+dense:relaxation"))

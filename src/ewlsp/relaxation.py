@@ -37,12 +37,15 @@ from typing import Sequence
 import numpy as np
 
 from .eoq import constrained_interval, cost
-from .errors import InfeasiblePolicy
+from .errors import InfeasiblePolicy, StateSpaceExceeded
 from .model import IdColumn, Instance
 
 _BISECT_RTOL = 1e-13
 _NEWTON_STEPS = 12
 _BRACKET_ROUNDS = 8
+# Cells of the knapsack DP's budget table. Its time grows with the square of
+# the cell count, and it keeps one row of picks per commodity.
+DP_CELL_CAP = 20_000
 
 
 @dataclass(frozen=True)
@@ -197,6 +200,9 @@ def solve_sosi_dp(instance: Instance, eps: float, rhs: float | None = None) -> R
     slack and the winning intervals are rescaled back inside the budget at a
     further (1+eps/2) factor; together the objective stays within (1+eps) of
     the exact optimum while the budget constraint holds.
+
+    The table has ceil(2n/eps) + n + 1 cells; one past DP_CELL_CAP raises
+    StateSpaceExceeded before any table is allocated.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
@@ -207,7 +213,11 @@ def solve_sosi_dp(instance: Instance, eps: float, rhs: float | None = None) -> R
 
     n = instance.n
     granule = eps * rhs / (2.0 * n)
-    cells = math.ceil(rhs / granule) + n  # slack for per-commodity round-up
+    # the budget in granules, 2n/eps up to rounding; inf where the granule underflows
+    steps = rhs / granule if granule > 0.0 else math.inf
+    cells = math.ceil(steps) + n if math.isfinite(steps) else math.inf  # slack for per-commodity round-up
+    if cells + 1 > DP_CELL_CAP:
+        raise StateSpaceExceeded(f"the knapsack DP table of {cells + 1} cells exceeds the cap of {DP_CELL_CAP} cells")
 
     INF = float("inf")
     best = np.full(cells + 1, INF)

@@ -33,6 +33,19 @@ def random_instance(rng: np.random.Generator, n: int, spread: float = 1.0, regim
     return Instance(commodities, capacity_V=factor * peak)
 
 
+def class_ids(decomp):
+    """{ell: its ids, a tuple} of a ClassDecomposition, in the key order of
+    its bounds, each class cut from the sorted rows `members`."""
+    ids, members = decomp.space.ids, decomp.members.tolist()
+    return {ell: tuple(ids[r] for r in members[start:end]) for ell, (start, end) in decomp.bounds.items()}
+
+
+def assignment_of(part):
+    """{id: class label} of a MimickingPartition, in commodity order, from its
+    commodity_side, class_side and where columns."""
+    return dict(zip(part.commodity_side, [part.class_side[l] for l in part.where.tolist()]))
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -9,7 +9,7 @@ import ewlsp.cli as cli
 from ewlsp.cli import generate_instance, main
 from ewlsp.errors import InfeasibleMatching, InfeasiblePolicy
 from ewlsp.model import Commodity, CouplePolicy, Instance, SosiPolicy, parse_instance, parse_policy, serialize_instance
-from ewlsp.relaxation import solve_sosi_relaxation
+from ewlsp.relaxation import DP_CELL_CAP, solve_sosi_relaxation
 
 from conftest import flat_content
 
@@ -620,6 +620,16 @@ class TestErrorExitCodes:
         main(["gen", "--seed", "1", "--n", "40", "--out", str(inst_path)])
         assert main(["solve", "--instance", str(inst_path), "--algo", "ptas"]) == 4
         assert capsys.readouterr().err == "ewlsp: error: ptas_solve handles at most 3 commodities, got 40\n"
+
+    def test_knapsack_table_past_its_cap_exits_4(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        main(["gen", "--seed", "1", "--n", "3", "--out", str(inst_path)])
+        out = tmp_path / "relax.json"
+        assert main(["relax", "--instance", str(inst_path), "--eps", "1e-9", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ewlsp: error: the knapsack DP table of "), err
+        assert err.endswith(f" cells exceeds the cap of {DP_CELL_CAP} cells\n"), err
+        assert not out.exists()
 
     def test_desk_grid_beyond_float_range_exits_4(self, tmp_path, capsys):
         inst_path = tmp_path / "inst.json"

@@ -774,7 +774,7 @@ def test_edge_table_matches_scalar_closed_form(seed, n, eps):
     cfg = PipelineConfig(eps=eps, sparsity_threshold=0, Q=10)
     decomp = decompose_classes(evaluate_sosi(build_reference_policy(inst), inst), inst, cfg)
     # every class on the matching side, the tail class too when there is one
-    decomp = dataclasses.replace(decomp, labels={ell: "dense" for ell in decomp.classes})
+    decomp = dataclasses.replace(decomp, labels={ell: "dense" for ell in decomp.bounds})
     mi, intervals, gamma = build_matching_instance(inst, cfg, decomp)
     assert gamma.tolist() == [inst.commodity(i).gamma for i in mi.commodity_side]
     weights, scalar_intervals = scalar_edge_table(inst, mi.commodity_side, mi.class_side, eps)

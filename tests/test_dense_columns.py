@@ -37,7 +37,7 @@ from ewlsp.pipeline import (
     theta_pool,
 )
 
-from conftest import flat_content
+from conftest import assignment_of, flat_content
 from test_stationary_columns import exact
 
 
@@ -251,10 +251,11 @@ def scalar_couples(instance, cfg, seed, classes):
     ref = evaluate_sosi(build_reference_policy(instance), instance)
     mi, table, _ = build_matching_instance(instance, cfg, decompose_classes(ref, instance, cfg))
     matched = solve_b_matching(mi)
-    t_hat = {i: float(table[r, mi.class_side.index(matched.assignment[i])]) for r, i in enumerate(mi.commodity_side)}
+    assigned = assignment_of(matched)
+    t_hat = {i: float(table[r, mi.class_side.index(assigned[i])]) for r, i in enumerate(mi.commodity_side)}
     inputs = []
     for ell in (int(e) for e, outcome in classes.items() if outcome == "po2-sync"):
-        ids = sorted(i for i, e in matched.assignment.items() if e == ell)
+        ids = sorted(i for i, e in assigned.items() if e == ell)
         class_T, class_gamma = [t_hat[i] for i in ids], [instance.commodity(i).gamma for i in ids]
         split = split_heavy_light(ids, class_T, class_gamma, instance.V, ell, cfg.eps, cfg.Q)
         heavy = list(split.heavy)

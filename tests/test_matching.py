@@ -11,6 +11,8 @@ from ewlsp.matching import (
 )
 from ewlsp.model import Commodity, Instance
 
+from conftest import assignment_of
+
 
 def columns(c: Commodity):
     """The K, H and gamma columns of a one-commodity instance."""
@@ -52,13 +54,13 @@ class TestSolver:
         mi = MatchingInstance((0, 1, 2), (1,), w, {1: (3, 3)})
         part = solve_b_matching(mi)
         assert part.total_weight == pytest.approx(6.0)
-        assert all(part.assignment[i] == 1 for i in range(3))
+        assert all(assignment_of(part)[i] == 1 for i in range(3))
 
     def test_diagonal_assignment(self):
         w = {(0, 1): 1.0, (0, 2): 10.0, (1, 1): 10.0, (1, 2): 1.0}
         mi = MatchingInstance((0, 1), (1, 2), w, {1: (1, 1), 2: (1, 1)})
         part = solve_b_matching(mi)
-        assert part.assignment == {0: 1, 1: 2}
+        assert assignment_of(part) == {0: 1, 1: 2}
         assert part.total_weight == pytest.approx(2.0)
 
     def test_infeasible_bounds_detected(self):
@@ -74,7 +76,7 @@ class TestSolver:
         w = {(0, 1): 1.0, (0, 2): 100.0, (1, 1): 1.0, (1, 2): 100.0}
         mi = MatchingInstance((0, 1), (1, 2), w, {1: (0, 2), 2: (1, 2)})
         part = solve_b_matching(mi)
-        counts = sum(1 for ell in part.assignment.values() if ell == 2)
+        counts = sum(1 for ell in assignment_of(part).values() if ell == 2)
         assert counts == 1
         assert part.total_weight == pytest.approx(101.0)
 
@@ -164,13 +166,14 @@ def test_property_matches_enumeration(mi):
             solve_b_matching(mi)
         return
     part = solve_b_matching(mi)
-    assert list(part.assignment) == list(mi.commodity_side)
-    assert all((i, ell) in mi.weights for i, ell in part.assignment.items())
-    load = Counter(part.assignment.values())
+    assert (part.commodity_side, part.class_side) == (mi.commodity_side, mi.class_side)
+    assigned = assignment_of(part)
+    assert all((i, ell) in mi.weights for i, ell in assigned.items())
+    load = Counter(assigned.values())
     for ell in mi.class_side:
         lo, hi = mi.degree_bounds[ell]
         assert lo <= load[ell] <= hi
-    assert part.total_weight == sum(mi.weights[(i, ell)] for i, ell in part.assignment.items())
+    assert part.total_weight == sum(mi.weights[(i, ell)] for i, ell in assigned.items())
     assert part.total_weight == pytest.approx(want, rel=1e-9)
 
 
@@ -200,9 +203,10 @@ def assert_no_negative_cycle(mi: MatchingInstance, part) -> None:
     classes = list(mi.class_side)
     slack = len(classes)
     index = {ell: k for k, ell in enumerate(classes)}
-    load = Counter(part.assignment.values())
+    assigned = assignment_of(part)
+    load = Counter(assigned.values())
     arcs: dict[tuple[int, int], float] = {}
-    for i, ell in part.assignment.items():
+    for i, ell in assigned.items():
         here = mi.weights[(i, ell)]
         for other in classes:
             if other != ell and (i, other) in mi.weights:
@@ -273,7 +277,7 @@ def test_large_instances_are_certified_optimal(seed, nu, nc, palette, missing, w
     }
     mi = MatchingInstance(tuple(range(nu)), classes, weights, bounds)
     part = solve_b_matching(mi)
-    load = Counter(part.assignment.values())
+    load = Counter(assignment_of(part).values())
     assert all(bounds[ell][0] <= load[ell] <= bounds[ell][1] for ell in classes)
     assert_no_negative_cycle(mi, part)
 
@@ -315,7 +319,7 @@ def test_two_class_sort_matches_shortest_paths(mi):
             solve_b_matching(mi)
         return
     part = solve_b_matching(mi)
-    load = Counter(part.assignment.values())
+    load = Counter(assignment_of(part).values())
     assert all(lo <= load[ell] <= hi for ell, (lo, hi) in zip(mi.class_side, bounds))
     assert_no_negative_cycle(mi, part)
     want_total = 0.0
@@ -335,7 +339,7 @@ def test_two_class_ties_go_to_the_lower_row():
     part = solve_b_matching(mi)
     assert part.where.tolist() == [0, 1, 0, 1]
     assert not part.where.flags.writeable
-    assert part.assignment == {10: 1, 11: INF_CLASS, 12: 1, 13: INF_CLASS}
+    assert assignment_of(part) == {10: 1, 11: INF_CLASS, 12: 1, 13: INF_CLASS}
     assert part.total_weight == 1.0 + 5.0 + 2.0 + 5.0
     # a zero difference is not negative: the row joins the second class
     # unless a lower bound pulls it into the first
@@ -390,4 +394,4 @@ def test_table_and_mapping_give_one_matching():
     np.testing.assert_array_equal(from_mapping.table, table)
     got, want = solve_b_matching(from_table), solve_b_matching(from_mapping)
     np.testing.assert_array_equal(got.where, want.where)
-    assert (got.assignment, got.total_weight) == (want.assignment, want.total_weight)
+    assert (assignment_of(got), got.total_weight) == (assignment_of(want), want.total_weight)

@@ -36,6 +36,7 @@ from ewlsp.pipeline import (
     AssembledPolicy,
     Block,
     PipelineConfig,
+    build_matching_instance,
     build_reference_policy,
     decompose_classes,
     paper_heavy_subgroups,
@@ -47,7 +48,7 @@ from ewlsp.ptas import ptas_solve
 from ewlsp.relaxation import solve_sosi_relaxation
 from ewlsp.two_approx import solve_two_approx
 
-from conftest import flat_content, make_instance, random_instance
+from conftest import class_ids, flat_content, make_instance, random_instance
 
 CFG = PipelineConfig(eps=0.05, sparsity_threshold=10, Q=8)
 
@@ -118,7 +119,7 @@ class TestDecomposition:
         inst = make_instance([(1, 1, 1)] * 3, 1.0)
         ref = evaluate_sosi(SosiPolicy({0: 1.8, 1: 0.4, 2: 0.02}), inst)
         decomp = decompose_classes(ref, inst, CFG)
-        lookup = {i: ell for ell, ids in decomp.classes.items() for i in ids}
+        lookup = {i: ell for ell, ids in class_ids(decomp).items() for i in ids}
         assert lookup[0] == 3
         assert lookup[1] == 33
         assert lookup[2] == INF_CLASS
@@ -143,7 +144,7 @@ class TestDecomposition:
     def test_identical_commodities_single_class(self):
         inst = dense_heavy_instance(0, 30)
         decomp = decompose_classes(reference_report(inst), inst, CFG)
-        assert len(decomp.classes) == 1
+        assert len(decomp.bounds) == 1
         (label,) = decomp.labels.values()
         assert label == "dense"
 
@@ -540,28 +541,21 @@ def test_solve_builds_no_avg_space_dict(monkeypatch, name):
     "name",
     ["low-dense-tight", "low-dense-loose-n2000", "easy-offset-reference", "difficult-po2-sync", "difficult-prefix-relaxation"],
 )
-def test_solve_cuts_only_the_classes_its_branch_reads(monkeypatch, name):
-    # a low-dense or easy solve reads sums and labelled ids, so it cuts no
-    # class; a difficult one cuts the ids and rows of its suffix-sparse and
-    # dense classes, which build_matching_instance reads, and no prefix class
-    decomps = []
+def test_only_the_difficult_scenario_builds_a_matching_instance(monkeypatch, name):
+    # a low-dense or easy solve reads sums and labelled ids, and slices no
+    # class's rows; build_matching_instance, which slices the rows of the
+    # suffix-sparse and dense classes, runs once in a difficult solve
+    built = []
 
-    def recording(*args):
-        decomps.append(decompose_classes(*args))
-        return decomps[-1]
+    def recording(instance, cfg, decomp):
+        built.append(build_matching_instance(instance, cfg, decomp))
+        return built[-1]
 
-    monkeypatch.setattr(pipeline, "decompose_classes", recording)
+    monkeypatch.setattr(pipeline, "build_matching_instance", recording)
     inst, seed, reference = next(p[1] for p in PINNED_OUTPUTS if p[0] == name)
     _, _, diag = solve_sub2(inst, CFG, seed=seed, reference=reference)
     assert name.startswith(diag["scenario"])
-    (decomp,) = decomps
-    read = set()
-    if diag["scenario"] == "difficult":
-        read = {ell for ell, label in decomp.labels.items() if label != "prefix-sparse"}
-        assert read
-    assert set(decomp.classes.made) == set(decomp.rows.made) == read
-    if name == "difficult-prefix-relaxation":
-        assert read < set(decomp.bounds)
+    assert len(built) == (diag["scenario"] == "difficult")
 
 
 def test_rounded_sosi_block_sums_far_pairs_then_leftover():
@@ -660,7 +654,7 @@ class TestDenseBranchGuarantees:
         eps = CFG.eps
         inst = dense_heavy_instance(8, 48)
         decomp = decompose_classes(reference_report(inst), inst, CFG)
-        (ell,) = decomp.classes.keys()
+        (ell,) = decomp.bounds.keys()
         slab = inst.V / (1.0 + eps) ** (int(ell) - 1)
         bound = (1 + 6 * eps) * (7.0 / 4.0) / (math.sqrt(2.0) * math.log(2.0)) * inst.n * slab
         checked = 0
@@ -709,7 +703,7 @@ def test_dense_branch_suffix_and_tail_classes():
     # forced labels route a small mid-slab class as suffix-sparse and the
     # below-resolution commodity through the tail class; both must come out
     # as plain matched stationary blocks while the bulk class synchronizes
-    from ewlsp.pipeline import build_matching_instance, run_dense_branch
+    from ewlsp.pipeline import run_dense_branch
 
     rng = np.random.Generator(np.random.PCG64(12))
     bulk = [
@@ -734,7 +728,7 @@ def test_dense_branch_suffix_and_tail_classes():
     base = decompose_classes(ref, inst, cfg)
     forced = {
         ell: ("dense" if len(ids) > 10 or ell == INF_CLASS else "suffix-sparse")
-        for ell, ids in base.classes.items()
+        for ell, ids in class_ids(base).items()
     }
     decomp = dataclasses.replace(base, labels=forced)
     blocks, diag = run_dense_branch(inst, cfg, decomp, seed=0)
@@ -760,7 +754,7 @@ def test_closed_form_reference_matches_expanded_cycle(seed, n, regime):
     ref = build_reference_policy(inst)
     closed = decompose_classes(evaluate_sosi(ref, inst), inst, CFG)
     expanded = decompose_classes(evaluate(sosi_to_cyclic(ref, max_orders=500_000), inst), inst, CFG)
-    assert closed.classes == expanded.classes
+    assert class_ids(closed) == class_ids(expanded)
     assert closed.labels == expanded.labels
     for cid, space in expanded.space.items():
         assert math.isclose(closed.space[cid], space, rel_tol=1e-12)

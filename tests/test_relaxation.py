@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ewlsp import relaxation, two_approx
 from ewlsp.cli import generate_instance
-from ewlsp.errors import InfeasiblePolicy
+from ewlsp.errors import InfeasiblePolicy, StateSpaceExceeded
 from ewlsp.model import Commodity, Instance
 from ewlsp.oracle import oracle_opt_cyclic
 from ewlsp.pipeline import PipelineConfig, build_reference_policy, solve_sub2
@@ -145,6 +145,34 @@ class TestKnapsackDp:
         inst = make_instance([(1e200, 1, 1e200)], 1.0)
         with pytest.raises(InfeasiblePolicy, match="finite cost rate"):
             solve_sosi_dp(inst, 0.1)
+
+    @pytest.mark.parametrize(
+        "eps, rhs, cells",
+        [(1e-9, None, "6000000004"), (1e-300, 1e-30, "inf")],
+        ids=["6e9-cells", "granule-underflows"],
+    )
+    def test_table_past_the_cap_is_refused_before_allocation(self, monkeypatch, eps, rhs, cells):
+        # at eps = 1e-9 each float64 row of the table would take 48 GB; where
+        # eps * rhs underflows, the granule is 0 and no table size is finite
+        def no_table(*args, **kwargs):
+            raise AssertionError("a table was allocated")
+
+        monkeypatch.setattr(np, "full", no_table)
+        message = f"^the knapsack DP table of {cells} cells exceeds the cap of {relaxation.DP_CELL_CAP} cells$"
+        with pytest.raises(StateSpaceExceeded, match=message):
+            solve_sosi_dp(make_instance([(1, 1, 1)] * 3, 1.0), eps, rhs=rhs)
+
+    def test_cap_admits_a_table_of_its_size(self, monkeypatch):
+        # n = 2 and eps = 0.5 give 2n/eps = 8 granules exactly, plus 2 cells of
+        # slack and the empty allocation: 11 cells
+        inst = make_instance([(1, 1, 1), (2, 1, 1)], 1.0)
+        want = solve_sosi_dp(inst, 0.5)
+        monkeypatch.setattr(relaxation, "DP_CELL_CAP", 11)
+        got = solve_sosi_dp(inst, 0.5)
+        assert exact((got.intervals_T, got.objective)) == exact((want.intervals_T, want.objective))
+        monkeypatch.setattr(relaxation, "DP_CELL_CAP", 10)
+        with pytest.raises(StateSpaceExceeded, match="^the knapsack DP table of 11 cells exceeds the cap of 10 cells$"):
+            solve_sosi_dp(inst, 0.5)
 
     @pytest.mark.parametrize("eps", [0.5, 0.1, 0.01])
     def test_sandwich_random(self, rng, eps):

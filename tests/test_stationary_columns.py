@@ -9,6 +9,7 @@ commodity.
 """
 
 import dataclasses
+import itertools
 import math
 from collections.abc import Mapping
 
@@ -23,6 +24,8 @@ from ewlsp.model import Commodity, CyclicPolicy, IdColumn, Instance, SosiPolicy
 from ewlsp.pipeline import PipelineConfig, build_reference_policy, decompose_classes
 from ewlsp.relaxation import solve_sosi_relaxation
 from ewlsp.two_approx import solve_two_approx
+
+from conftest import class_ids
 
 CFG = PipelineConfig(eps=0.05, sparsity_threshold=10, Q=10)
 
@@ -251,19 +254,17 @@ def placed(s, gamma):
     return avg
 
 
-def check_views(decomp, inst, classes, labels, data):
-    """Read the decomposition's lazy views, a class's ids or rows or a
-    label's ids, in a drawn order, each against the scalar classes."""
-    reads = [(view, ell) for view in ("classes", "rows") for ell in classes]
-    reads += [("ids_with_label", label) for label in ("prefix-sparse", "suffix-sparse", "dense")]
-    for view, key in data.draw(st.permutations(reads)):
-        if view == "classes":
-            assert decomp.classes[key] == classes[key]
-        elif view == "rows":
-            rows = decomp.rows[key]
-            assert rows.tolist() == inst.positions(classes[key]).tolist() and not rows.flags.writeable
-        else:
-            assert decomp.ids_with_label(key) == [i for ell in sorted(classes) if labels[ell] == key for i in classes[ell]]
+def check_label_reads(decomp, inst, classes, labels, data):
+    """rows_with_label and ids_with_label of every nonempty set of labels,
+    passed in a drawn order, against the scalar classes of those labels in
+    class order, each class in instance order."""
+    names = ("prefix-sparse", "suffix-sparse", "dense")
+    for count in range(1, len(names) + 1):
+        for chosen in itertools.combinations(names, count):
+            chosen = data.draw(st.permutations(chosen))
+            want = [i for ell in sorted(classes) if labels[ell] in chosen for i in classes[ell]]
+            assert decomp.rows_with_label(*chosen).tolist() == inst.positions(want).tolist()
+            assert decomp.ids_with_label(*chosen) == want
 
 
 @settings(deadline=None)
@@ -271,7 +272,8 @@ def check_views(decomp, inst, classes, labels, data):
 def test_decompose_classes_matches_scalar_loop(inst, data):
     """Average inventories from the reference, or placed exactly on slab
     boundaries V/(1+eps)^k and on the tail threshold V/(1+eps)^L, in a
-    shuffled key order. The lazy views are read in a drawn order first."""
+    shuffled key order. The labelled rows and ids are read for every set of
+    labels."""
     eps, V = CFG.eps, inst.V
     L = math.ceil(math.log(inst.n / eps) / math.log1p(eps))
     avg = dict(evaluate_sosi(build_reference_policy(inst), inst).avg_inventory)
@@ -285,27 +287,25 @@ def test_decompose_classes_matches_scalar_loop(inst, data):
     cfg = PipelineConfig(eps=eps, sparsity_threshold=data.draw(st.sampled_from([0, 1, 10])), Q=10)
     decomp = decompose_classes(report, inst, cfg)
     want = scalar_decompose(report, inst, cfg)
-    check_views(decomp, inst, want[0], want[3], data)
-    got = (decomp.classes, decomp.space, decomp.avg_space_per_class, decomp.labels, decomp.vbar_sparse, decomp.vbar_dense)
+    check_label_reads(decomp, inst, want[0], want[3], data)
+    assert not decomp.members.flags.writeable
+    got = (class_ids(decomp), decomp.space, decomp.avg_space_per_class, decomp.labels, decomp.vbar_sparse, decomp.vbar_dense)
     assert exact(got) == exact(want)
 
 
 @settings(max_examples=20, deadline=None)
 @given(inst=instances(), data=st.data())
 def test_relabelled_decomposition_reads_as_an_eager_build(inst, data):
-    # dataclasses.replace keeps the sorted rows and bounds and gives fresh
-    # views, which cut the same classes and rows as a scalar build, and
-    # label ids by the new labels
+    # dataclasses.replace keeps the sorted rows and bounds, which cut the
+    # same classes as a scalar build, and reads rows and ids by the new labels
     report = evaluate_sosi(build_reference_policy(inst), inst)
     decomp = decompose_classes(report, inst, CFG)
     classes, *_ = scalar_decompose(report, inst, CFG)
     labels = {ell: data.draw(st.sampled_from(["prefix-sparse", "suffix-sparse", "dense"])) for ell in classes}
-    decomp.classes[next(iter(classes))]  # a cut of the original is not carried over
     relabelled = dataclasses.replace(decomp, labels=labels)
     assert relabelled.labels == labels and relabelled.bounds is decomp.bounds
-    assert not relabelled.classes.made and not relabelled.rows.made
-    check_views(relabelled, inst, classes, labels, data)
-    assert exact(relabelled.classes) == exact(classes)
+    check_label_reads(relabelled, inst, classes, labels, data)
+    assert exact(class_ids(relabelled)) == exact(classes)
 
 
 def test_avg_space_is_built_on_first_read():
@@ -334,8 +334,8 @@ def test_slab_boundaries_take_the_math_log_class():
     report = EvalReport(1.0, 1.0, 1.0, IdColumn(avg, list(avg.values())), V)
     decomp = decompose_classes(report, inst, CFG)
     classes, *_ = scalar_decompose(report, inst, CFG)
-    assert exact(decomp.classes) == exact(classes)
-    assert INF_CLASS in decomp.classes  # k = L is the tail threshold itself
+    assert exact(class_ids(decomp)) == exact(classes)
+    assert INF_CLASS in decomp.bounds  # k = L is the tail threshold itself
 
 
 def test_slab_index_where_np_log_and_math_log_disagree():
@@ -346,7 +346,7 @@ def test_slab_index_where_np_log_and_math_log_disagree():
     report = EvalReport(1.0, 1.0, 1.0, IdColumn((0, 1), (2.014959416581315, 1.0)), 3.0)
     classes, *_ = scalar_decompose(report, inst, cfg)
     assert list(classes) == [40, 111]
-    assert exact(decompose_classes(report, inst, cfg).classes) == exact(classes)
+    assert exact(class_ids(decompose_classes(report, inst, cfg))) == exact(classes)
 
 
 def test_reference_snap_near_an_integer_exponent_takes_math_log2(monkeypatch):
