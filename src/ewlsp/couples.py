@@ -8,7 +8,8 @@ what the randomized pipeline exploits pair by pair.
 
 Construction is dispatched on k = log2(T_A/T_B). The schedule normalized to
 T_A = 1 depends on k alone: it is built once per k in exact rational
-arithmetic and kept as immutable tuples. couple_template rescales each
+arithmetic and kept as immutable tuples, and read once per k into a table
+of integer (numerator, denominator) pairs. couple_template rescales each
 rational p/q of it by T_A = m/d as the integer division (p*m)/(q*d), which
 Python rounds correctly, so every float equals float(Fraction(p, q) *
 Fraction(T_A)); floats appear only at the CyclicPolicy boundary.
@@ -18,7 +19,8 @@ in one array pass and gives each its k. A CoupleInput is one pair held to
 them, and synthesize_couple builds its template. couple_policy builds a
 dense class's CouplePolicy from the columns of its near pairs, one
 couple_template per distinct (k, T_A), since a couple depends on (k, T_A)
-and its two ids alone, with no CoupleInput per pair.
+and its two ids alone, with no CoupleInput per pair; the distinct keys and
+each pair's template are found in array passes.
 
 The published per-case guarantee table is kept alongside the slightly
 sharper constants that direct evaluation of these schedules yields (they
@@ -80,7 +82,7 @@ def pair_powers(T_A, T_B, gamma_A, gamma_B, eps: float) -> np.ndarray:
     [1/(1+eps), 1+eps], widened by 1e-12. A NaN interval breaks the first
     rule, and a NaN, infinite or zero ratio T_A/T_B the power-of-two rule.
     The first pair, in order, that breaks a rule raises the first rule it
-    breaks."""
+    breaks; the rules are told apart only once some pair breaks one."""
     T_A, T_B = np.asarray(T_A, dtype=float), np.asarray(T_B, dtype=float)
     gamma_A, gamma_B = np.asarray(gamma_A, dtype=float), np.asarray(gamma_B, dtype=float)
     eps_ok = 0 < eps < 1
@@ -91,21 +93,21 @@ def pair_powers(T_A, T_B, gamma_A, gamma_B, eps: float) -> np.ndarray:
         x = np.log2(ratio)
         k = np.rint(x)
         space = (gamma_A * T_A) / (gamma_B * T_B)
+        normal = T_B >= sys.float_info.min
+        ordered = T_B <= T_A * (1 + 1e-12)
+        power = np.abs(x - k) <= 1e-9
+        fits = (lo <= space) & (space <= hi)
+    # a pair keeping these four keeps every rule: T_A >= T_B > 0, no NaN, eps in (0, 1)
+    if not (normal & ordered & power & fits).all():
         rules = (
             (~((T_A > 0) & (T_B > 0)), ValueError, "intervals must be > 0"),
-            (T_B < sys.float_info.min, ValueError, "T_B = {T_B!r} is below the smallest normal float"),
-            (T_B > T_A * (1 + 1e-12), ValueError, "require T_B <= T_A"),
+            (~normal, ValueError, "T_B = {T_B!r} is below the smallest normal float"),
+            (~ordered, ValueError, "require T_B <= T_A"),
             (np.full(T_A.shape, not eps_ok), ValueError, "epsilon must lie in (0, 1)"),
-            (~(np.abs(x - k) <= 1e-9), NotAPowerOfTwo, "T_A/T_B = {ratio!r} is not an integer power of two"),
-            (
-                ~((lo <= space) & (space <= hi)),
-                SpaceMismatch,
-                "gamma_A*T_A / (gamma_B*T_B) = {space!r} outside [1/(1+eps), 1+eps]",
-            ),
+            (~power, NotAPowerOfTwo, "T_A/T_B = {ratio!r} is not an integer power of two"),
+            (~fits, SpaceMismatch, "gamma_A*T_A / (gamma_B*T_B) = {space!r} outside [1/(1+eps), 1+eps]"),
         )
-    bad = np.any([broken for broken, _, _ in rules], axis=0)
-    if bad.any():
-        j = int(np.argmax(bad))
+        j = int(np.argmax(np.any([broken for broken, _, _ in rules], axis=0)))
         error, message = next((error, message) for broken, error, message in rules if broken[j])
         raise error(message.format(T_B=T_B[j].item(), ratio=ratio[j].item(), space=space[j].item()))
     return k.astype(np.intp)
@@ -188,6 +190,19 @@ def couple_case(k: int) -> int:
     return min(k + 1, 6)
 
 
+@functools.cache
+def _integer_schedules(k: int) -> tuple[tuple[int, int], tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+    """_normalized_schedules(k) as integers: the cycle's (numerator,
+    denominator), then A's and B's orders, each as the (numerator,
+    denominator) of its time followed by that of its quantity."""
+    tau, a_orders, b_orders = _normalized_schedules(k)
+
+    def pairs(orders: _Orders) -> tuple[tuple[int, ...], ...]:
+        return tuple((t.numerator, t.denominator, q.numerator, q.denominator) for t, q in orders)
+
+    return (tau.numerator, tau.denominator), pairs(a_orders), pairs(b_orders)
+
+
 # couple_template skips CyclicPolicy's check for these k and T_A, where the
 # rescaled schedule is proven to pass it
 UNCHECKED_MAX_K = 12
@@ -196,7 +211,9 @@ UNCHECKED_T_A = (2.0**-1000, 2.0**1000)
 
 def couple_template(k: int, T_A: float, id_A: int, id_B: int) -> CyclicPolicy:
     """The joint schedule for T_A/T_B = 2**k rescaled to T_A, commodity A's
-    orders keyed by id_A and B's by id_B; it depends on nothing else.
+    orders keyed by id_A and B's by id_B; it depends on nothing else. Each
+    normalized value p/q is read from the integer table of k
+    (_integer_schedules) and rescaled by T_A = m/d as (p*m)/(q*d).
 
     For 0 <= k <= UNCHECKED_MAX_K and T_A within UNCHECKED_T_A the policy is
     built without CyclicPolicy's check (CyclicPolicy.unchecked), which it
@@ -212,19 +229,16 @@ def couple_template(k: int, T_A: float, id_A: int, id_B: int) -> CyclicPolicy:
     and every quantity is > 0. The quantities sum to the cycle exactly, so
     their fsum lies within a relative 4 * 2**-53 of the rescaled cycle, far
     inside CONSERVATION_RTOL. Outside that range the check runs."""
-    tau, a_orders, b_orders = _normalized_schedules(k)
+    (p, q), a_orders, b_orders = _integer_schedules(k)
     m, d = T_A.as_integer_ratio()
-
-    def scaled(x: Fraction) -> float:
-        return (x.numerator * m) / (x.denominator * d)
-
+    tau = (p * m) / (q * d)
     schedules = {
-        id_A: tuple((scaled(t), scaled(q)) for t, q in a_orders),
-        id_B: tuple((scaled(t), scaled(q)) for t, q in b_orders),
+        id_A: tuple([((tp * m) / (tq * d), (qp * m) / (qq * d)) for tp, tq, qp, qq in a_orders]),
+        id_B: tuple([((tp * m) / (tq * d), (qp * m) / (qq * d)) for tp, tq, qp, qq in b_orders]),
     }
     if 0 <= k <= UNCHECKED_MAX_K and UNCHECKED_T_A[0] <= T_A <= UNCHECKED_T_A[1]:
-        return CyclicPolicy.unchecked(scaled(tau), schedules)
-    return CyclicPolicy(tau=scaled(tau), schedules=schedules)
+        return CyclicPolicy.unchecked(tau, schedules)
+    return CyclicPolicy(tau=tau, schedules=schedules)
 
 
 def synthesize_couple(inp: CoupleInput) -> CoupleSchedule:
@@ -245,21 +259,31 @@ def couple_policy(ids_A, ids_B, T_A, T_B, gamma_A, gamma_B, eps: float) -> Coupl
     """The couple policy of one class's oriented near pairs: pair j joins
     commodity A, ids_A[j] with the longer interval T_A[j] and gamma_A[j], and
     commodity B, ids_B[j] with T_B[j] and gamma_B[j]. pair_powers holds every
-    pair to the couple rules and gives its k. couple_template then runs once
-    per distinct (k, T_A), for its first pair, since the schedule depends on
-    nothing else; the template, keyed by that pair's ids, is the policy's
-    template as it is, and its case couple_case(k)."""
-    k = pair_powers(T_A, T_B, gamma_A, gamma_B, eps).tolist()
-    ids = np.column_stack((ids_A, ids_B)).ravel().tolist()
-    shared: dict[tuple[int, float], int] = {}
-    templates, cases, which = [], [], []
-    for j, key in enumerate(zip(k, np.asarray(T_A, dtype=float).tolist())):
-        if key not in shared:
-            shared[key] = len(templates)
-            templates.append(couple_template(*key, ids[2 * j], ids[2 * j + 1]))
-            cases.append(couple_case(key[0]))
-        which.append(shared[key])
-    return CouplePolicy(templates, cases, which, ids)
+    pair to the couple rules and gives its k. The distinct (k, T_A) keys are
+    found in array passes: a stable sort of the pairs by (T_A, k) starts
+    each run of equal keys at its first pair, and the keys are numbered in
+    order of their first pairs. couple_template then runs once per key, for
+    its first pair, since the schedule depends on nothing else; the
+    template, keyed by that pair's ids, is the policy's template as it is,
+    and its case couple_case(k)."""
+    k = pair_powers(T_A, T_B, gamma_A, gamma_B, eps)
+    T_A = np.asarray(T_A, dtype=float)
+    pair_ids = np.column_stack((ids_A, ids_B))
+    order = np.lexsort((k, T_A))
+    sorted_k, sorted_T = k[order], T_A[order]
+    starts = np.empty(len(order), dtype=bool)
+    starts[:1] = True
+    np.not_equal(sorted_T[1:], sorted_T[:-1], out=starts[1:])
+    starts[1:] |= sorted_k[1:] != sorted_k[:-1]
+    firsts = order[starts]  # each key's first pair, in sorted key order
+    by_first = np.argsort(firsts)
+    number = np.empty(len(firsts), dtype=np.intp)  # each sorted key's template
+    number[by_first] = np.arange(len(firsts))
+    which = np.empty(len(order), dtype=np.intp)
+    which[order] = number[np.add.accumulate(starts, dtype=np.intp) - 1]
+    key_k, key_T = sorted_k[starts][by_first].tolist(), sorted_T[starts][by_first].tolist()
+    templates = list(map(couple_template, key_k, key_T, *pair_ids[firsts[by_first]].T.tolist()))
+    return CouplePolicy(templates, list(map(couple_case, key_k)), which.tolist(), pair_ids.ravel().tolist())
 
 
 def classify_pairs(

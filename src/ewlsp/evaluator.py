@@ -9,19 +9,24 @@ evaluate certifies a stationary block as the union of its commodities' own
 one-order cycles, with the sawtooth arithmetic it applies to any schedule;
 evaluate_sosi is the solvers' closed form, and the two share no code.
 
-A couple block is evaluated by _evaluate_couples, one array pass over the
-couples of one CouplePolicy, whatever templates they run. A rounded dense
-class has one couple block, whose policy couples.couple_policy builds from
-its near pairs' columns, holding every pair to the one set of couple rules
-(couples.pair_powers), and which is written as one couples entry. A union of blocks is certified by combine_reports over one
-report per block, in order, both in the sub2 solver's report
-(pipeline.AssembledPolicy.report) and in `ewlsp eval` of its written
-entries; a couple block's report there is evaluate's of its entry.
+A couple block is evaluated by _evaluate_couples in a fixed number of
+array passes per group of its templates that share a pair of order counts:
+the group's sawtooth statistics at once, its instants in one table, then
+the rates and the peak scan of all its couples. A rounded dense class has
+one couple block, whose policy couples.couple_policy builds from its near
+pairs' columns, holding every pair to the one set of couple rules
+(couples.pair_powers), and which is written as one couples entry. A union
+of blocks is certified by combine_reports over one report per block, in
+order, both in the sub2 solver's report (pipeline.AssembledPolicy.report)
+and in `ewlsp eval` of its written entries; a couple block's report there
+is evaluate's of its entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 import numpy as np
@@ -197,90 +202,189 @@ def _evaluate_stationary(policy: SosiPolicy, instance: Instance) -> EvalReport:
 
 
 def _evaluate_couples(policy: CouplePolicy, instance: Instance) -> EvalReport:
-    """evaluate() of a couple block, in one array pass over its couples.
+    """evaluate() of a couple block, in a fixed number of array passes per
+    group of templates that share a pair of order counts.
 
     Couple j runs the two-commodity schedule templates[which[j]], whose first
-    schedule goes to ids[2j] (A) and second to ids[2j+1] (B). Each template's
-    sawtooth statistics are taken once with `_commodity_stats`; the cost
-    rates, the baseline and the peak scan are formed over the instance's
-    parameter columns, one couple per column, with evaluate's own
-    arithmetic. Each couple's terms are thus bit-identical to evaluate of its
-    own policy, because each of its per-couple sums has two terms and a
-    two-term float sum does not depend on the order evaluate visits the pair
-    in; an instant where only one schedule orders adds the other's
-    gamma * 0.0, which leaves the sum as it is. The peak scan (_peaks) takes
-    the couples of one instant count at a time, so a long schedule (a k >= 5
-    couple) pads no short one. The block's rates and peak are 0.0 plus each
-    couple's term in turn, in `which` order, so the report is bit-equal to
-    combine_reports over evaluate of each couple's own policy;
-    `avg_inventory` is an IdColumn of each couple's two ids in instance
-    order. An id the instance lacks raises evaluate's KeyError, the first in
-    `ids` order.
+    schedule goes to ids[2j] (A) and second to ids[2j+1] (B). The templates
+    are grouped by their pair of order counts, in order of first occurrence,
+    and each group's orders are read into one array: the group's sawtooth
+    statistics are taken at once (_sawtooth_stats, bit-equal to
+    `_commodity_stats` of each schedule), and its instants, where either
+    schedule orders, are held in one table of the group's width, the two
+    counts' sum (_instants). The cost rates, the baseline and the peak scan
+    are formed over the instance's parameter columns, one couple per column,
+    with evaluate's own arithmetic. Each couple's terms are thus
+    bit-identical to evaluate of its own policy, because each of its
+    per-couple sums has two terms and a two-term float sum does not depend on
+    the order evaluate visits the pair in; an instant where only one
+    schedule orders adds the other's gamma * 0.0, which leaves the sum as it
+    is. The peak scan (_peaks) takes the couples of one group at a time, so
+    a long schedule (a k >= 5 couple) pads no short one. The block's rates
+    and peak are 0.0 plus each couple's term in turn, in `which` order, so
+    the report is bit-equal to combine_reports over evaluate of each
+    couple's own policy; `avg_inventory` is an IdColumn of each couple's two
+    ids in instance order. An id the instance lacks raises evaluate's
+    KeyError, the first in `ids` order.
     """
     templates, ids = policy.templates, policy.ids
-    pos = instance.positions(ids).reshape(-1, 2)
-    which = np.asarray(policy.which, dtype=np.intp)
-    # one row per template: the order counts, the averages and the baselines
-    # c0 of A and B, and tau; then the instants where either orders, A's
-    # quantity at each and B's. Templates are grouped by their instant count.
-    rows, groups = [], {}
-    for t, policy in enumerate(templates):
-        a, b = policy.schedules.values()
-        qa, qb = dict(a), dict(b)
-        times = sorted(qa.keys() | qb.keys())
-        (avg_a, c0_a), (avg_b, c0_b) = _commodity_stats(a, policy.tau), _commodity_stats(b, policy.tau)
-        head = [len(a), len(b), avg_a, avg_b, c0_a, c0_b, policy.tau]
-        rows.append(head + times + [qa.get(t, 0.0) for t in times] + [qb.get(t, 0.0) for t in times])
-        groups.setdefault(len(times), []).append(t)
-    n = len(which)
-    head = np.array([row[:7] for row in rows])[which]
-    cols = instance.columns
-    # each of shape (couples, 2), A's column then B's
-    K, H, gamma = cols.K[pos], cols.H[pos], cols.gamma[pos]
+    # each couple's A and B positions, one column per couple
+    pos = instance.positions(ids).reshape(-1, 2).T
+    n, m = len(policy.which), len(templates)
+    which = np.fromiter(policy.which, dtype=np.intp, count=n)
+    schedules = [tuple(template.schedules.values()) for template in templates]
+    groups = {}
+    for t, (a, b) in enumerate(schedules):
+        groups.setdefault((len(a), len(b)), []).append(t)
+    columns = instance.columns
+    # each of shape (2, couples), A's row then B's
+    K, H, gamma = columns.K.take(pos), columns.H.take(pos), columns.gamma.take(pos)
+    # one column per template, the groups' templates in turn: the order
+    # counts, the averages and the baselines c0 of A and B, and tau; and each
+    # group's first column and instant table
+    head = np.empty((7, m))
+    tables, first = [], 0
     with np.errstate(over="ignore", invalid="ignore"):
+        for (count_a, count_b), members in groups.items():
+            cols = slice(first, first + len(members))
+            head[0, cols], head[1, cols] = count_a, count_b
+            head[6, cols] = [templates[t].tau for t in members]
+            head[2:6, cols], table = _template_group([schedules[t] for t in members], head[6, cols], count_a)
+            tables.append((first, table))
+            first += len(members)
+        # each couple's column in `head`, where the groups' templates come in turn
+        if len(groups) == 1:
+            col = which
+        else:
+            col = np.empty(m, dtype=np.intp)
+            col[[t for members in groups.values() for t in members]] = np.arange(m)
+            col = col[which]
+        head = head.take(col, axis=1)
         pair = np.array((K, 2.0 * H, gamma, gamma))
-        pair[:3] *= head[:, :6].reshape(n, 3, 2).transpose(1, 0, 2)  # K*m, 2H*avg, gamma*c0
-        pair[0] /= head[:, 6:]
+        pair[:3] *= head[:6].reshape(3, 2, n)  # K*m, 2H*avg, gamma*c0
+        pair[0] /= head[6]
         # the ordering and holding rates and the baseline w0 of each couple,
         # then its total gamma
-        terms = pair[:, :, 0] + pair[:, :, 1]
-        local = np.empty(len(templates), dtype=np.intp)  # a template's row in its group's table
-        width_of = np.empty(len(templates), dtype=np.intp)
-        for width, members in groups.items():
-            local[members] = range(len(members))
-            width_of[members] = width
-        for width, members in groups.items():
-            # the couples whose template has `width` instants, and their rows
-            r = np.flatnonzero(width_of[which] == width)
-            at = local[which[r]]
-            instants = np.array([rows[t][7:] for t in members]).reshape(-1, 3, width)[at]
-            terms[2, r] = _peaks(instants, gamma[r], terms[2, r], terms[3, r])
+        terms = pair[:, 0] + pair[:, 1]
+        for first, table in tables:
+            # the couples whose template is in this group, and their columns in its table
+            if len(groups) == 1:
+                r, at = slice(None), col
+            else:
+                r = np.flatnonzero((col >= first) & (col < first + table.shape[2]))
+                at = col[r] - first
+            terms[2, r] = _peaks(table.take(at, axis=2), gamma[:, r], terms[2, r], terms[3, r])
         ordering, holding, v_max = (0.0 + np.add.accumulate(terms[:3], axis=1)[:, -1]).tolist()
     # each pair's keys in instance order: B's first unless A comes first
-    order = (np.arange(2 * n) ^ (pos[:, 1] <= pos[:, 0]).repeat(2)).tolist()
+    order = np.arange(2 * n) ^ (pos[1] <= pos[0]).repeat(2)
+    avg = head[2:4].T.take(order)
+    avg.flags.writeable = False
     return EvalReport(
         ordering_cost_rate=ordering,
         holding_cost_rate=holding,
         v_max=v_max,
-        avg_inventory=IdColumn(map(ids.__getitem__, order), head[:, 2:4].ravel()[order]),
+        avg_inventory=IdColumn(itemgetter(*order.tolist())(ids), avg),
         feasible_at=instance.V,
     )
 
 
+def _template_group(pairs: list, tau: np.ndarray, count_a: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sawtooth statistics and the instant table of templates that share
+    a pair of order counts: pairs[s] is template s's (A's orders, B's
+    orders), tau[s] its cycle and count_a A's order count. The orders are
+    read into one array, the times and the quantities one row per order (A's,
+    then B's) and one column per template. The statistics' rows are A's and
+    B's averages, then their baselines c0, one column per template, each
+    bit-equal to `_commodity_stats` of that schedule (_sawtooth_stats, A's
+    and B's schedules in one pass when their counts agree); the table is
+    _instants'. The caller sets numpy's error state: a huge cycle overflows
+    as _commodity_stats' float arithmetic does, to inf or NaN."""
+    width = len(pairs[0][0]) + len(pairs[0][1])
+    flat = chain.from_iterable(chain.from_iterable(chain.from_iterable(pairs)))
+    orders = np.fromiter(flat, dtype=float, count=2 * width * len(pairs)).reshape(-1, width, 2)
+    times, quantities = orders.T.copy()
+    stats = np.empty((4, len(pairs)))
+    if 2 * count_a == width:
+        sides = (2, count_a, len(pairs))
+        both = (times.reshape(sides).transpose(1, 0, 2), quantities.reshape(sides).transpose(1, 0, 2))
+        stats[:2], stats[2:] = _sawtooth_stats(*both, tau)
+    else:
+        stats[0], stats[2] = _sawtooth_stats(times[:count_a], quantities[:count_a], tau)
+        stats[1], stats[3] = _sawtooth_stats(times[count_a:], quantities[count_a:], tau)
+    return stats, _instants(times, quantities, count_a)
+
+
+def _sawtooth_stats(times: np.ndarray, quantities: np.ndarray, tau: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_commodity_stats` of schedules with one order count, at once: axis 0
+    runs over the orders, and each position along the other axes is one
+    schedule, with its cycle in tau (broadcast against them). Each
+    (average, c0) is formed with `_commodity_stats`' left-to-right
+    arithmetic, so it is bit-equal: the running quantity sums are
+    np.add.accumulate's (the first is q_0, as 0.0 + q_0 is, every q being
+    > 0); c0 is the largest t_k - (earlier quantities) above 0.0, else 0.0,
+    NaNs passed over as `x > c0` does; and the average is 0.0 plus each
+    wraparound segment's term in turn, divided by tau. One-order schedules
+    take that arithmetic without the running sums, as _evaluate_stationary
+    does: c0 = max(0, t_0) and one segment of length (t_0 + tau) - t_0."""
+    if len(times) == 1:
+        t, q = times[0], quantities[0]
+        c0 = np.where(t > 0.0, t, 0.0)
+        d = (t + tau) - t
+        return (0.0 + (((c0 + q) - t) * d - 0.5 * d * d)) / tau, c0
+    cum = np.add.accumulate(quantities, axis=0)
+    x = times.copy()
+    d = np.empty_like(times)
+    x[1:] -= cum[:-1]
+    np.subtract(times[1:], times[:-1], out=d[:-1])
+    c0 = np.fmax.reduce(x, axis=0)
+    c0 = np.where(c0 > 0.0, c0, 0.0)
+    d[-1] = (times[0] + tau) - times[-1]
+    segments = ((c0 + cum) - times) * d - 0.5 * d * d
+    return (0.0 + np.add.accumulate(segments, axis=0)[-1]) / tau, c0
+
+
+def _instants(times: np.ndarray, quantities: np.ndarray, count_a: int) -> np.ndarray:
+    """The instant table of templates with one pair of order counts: column
+    s of times (quantities) holds template s's order times (quantities),
+    A's count_a then B's. The table holds the times in ascending order, A's
+    quantity at each and B's, one column per template; columns already in
+    order, as every couple_template's are (A orders once, at 0), are not
+    sorted again. An instant where both order is held once, in the first of
+    its two slots; the second keeps its time with no quantity, which changes
+    no level and so no peak. Columns whose times strictly ascend, as those
+    of every couple_template with k <= 3 do, have no such instant."""
+    width, s = times.shape
+    table = np.zeros((3, width, s))
+    table[0] = times
+    table[1, :count_a] = quantities[:count_a]
+    table[2, count_a:] = quantities[count_a:]
+    if (times[:-1] < times[1:]).all():
+        return table
+    if not (times[:-1] <= times[1:]).all():
+        # stable, so A's order comes first at an instant where both order
+        table = table[:, np.argsort(times, axis=0, kind="stable"), np.arange(s)]
+    shared = table[0, 1:] == table[0, :-1]
+    if shared.any():
+        k, col = np.nonzero(shared)
+        table[2, k, col] = table[2, k + 1, col]
+        table[2, k + 1, col] = 0.0
+    return table
+
+
 def _peaks(instants: np.ndarray, gamma: np.ndarray, w0: np.ndarray, gamma_total: np.ndarray) -> np.ndarray:
     """evaluate()'s peak of each couple, for couples whose templates share
-    one instant count: instants[j] holds couple j's instants, then A's and
-    B's quantity at each, and gamma[j] its A's and B's gamma. The level after
-    each instant is a running sum from the baseline w0, and the peak is the
+    one instant table width: column j of instants[0] holds couple j's
+    instants, of instants[1] and instants[2] A's and B's quantity at each,
+    and column j of gamma its A's and B's gamma. The level after each
+    instant is a running sum from the baseline w0, and the peak is the
     largest of the baseline and the candidates, NaNs (inf - inf) passed
     over: evaluate's max(v_max, x) chain, since neither the baseline nor a
     candidate is NaN or -0.0 there."""
-    added = gamma[:, :, None] * instants[:, 1:]
-    added = added[:, 0] + added[:, 1]
-    added[:, 0] += w0
-    level = np.add.accumulate(added, axis=1)
-    level -= gamma_total[:, None] * instants[:, 0]
-    return np.fmax(np.fmax.reduce(level, axis=1), w0)
+    added = gamma[0] * instants[1] + gamma[1] * instants[2]
+    added[0] += w0
+    level = np.add.accumulate(added, axis=0)
+    level -= gamma_total * instants[0]
+    return np.fmax(np.fmax.reduce(level, axis=0), w0)
 
 
 def _running_sum(terms: np.ndarray) -> float:

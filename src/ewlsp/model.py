@@ -24,11 +24,12 @@ tau); `SosiPolicy` checks that it has intervals, over distinct ids, each
 finite and > 0, and that each phase lies in [0, T) of an interval it holds;
 `CouplePolicy` holds its templates as CyclicPolicy objects, valid when
 built, and checks that each holds exactly two schedules, that it has one
-case per template, that it has couples and each names a template it holds,
-and that its ids are distinct, two per couple. A broken rule raises a
-PolicyPartError naming the part, from which the JSON parsers build the
-SchemaError's field path; the parsers themselves check only JSON types and
-id keys, and `parse_policies` checks ids against the instance.
+case per template, each an integer in COUPLE_CASES (1..6), that it has
+couples and each names a template it holds, and that its ids are distinct,
+two per couple. A broken rule raises a PolicyPartError naming the part,
+from which the JSON parsers build the SchemaError's field path; the parsers
+themselves check only JSON types and id keys, and `parse_policies` checks
+ids against the instance.
 
 `policy_entry` writes the one wire-format entry of each policy type and
 `parse_policy` reads it back; no other module names an entry's keys.
@@ -53,6 +54,9 @@ from .errors import IncommensurateIntervals, PolicyPartError, SchemaError
 # Relative tolerance for the per-commodity demand-conservation invariant
 # (sum of order quantities over one cycle equals the cycle length).
 CONSERVATION_RTOL = 1e-9
+
+# The construction cases of a couple template (couples.CLAIMED_RATIOS' keys).
+COUPLE_CASES = frozenset(range(1, 7))
 
 
 @dataclass(frozen=True)
@@ -121,7 +125,8 @@ class Instance:
     they are 0..n-1 in order, as the generator and most files have them,
     else as a frozenset. The Commodity objects (`commodities`,
     `commodity(cid)`) and the id -> position dict are built on their first
-    read and kept; `position()` needs no dict when the ids are a range.
+    read and kept; `position()` needs no dict when the ids are a range, nor
+    does `positions()` of integer ids in it.
     """
 
     columns: Columns
@@ -229,11 +234,18 @@ class Instance:
     def positions(self, cids: Iterable[int]) -> np.ndarray:
         """Indices into `commodities` of `cids`, in the order given; the first
         id the instance lacks raises the KeyError of `position`. Ids in
-        instance order are recognized without a lookup per id."""
+        instance order are recognized without a lookup per id. When the ids
+        are a range, integer ids are their own positions: they are read as
+        one integer array and checked against the range at once; ids of any
+        other type, or any outside the range, are looked up one by one."""
         cids = tuple(cids)
         ids = self.columns.ids
         if cids is ids or cids == ids:
             return np.arange(len(cids))
+        if isinstance(self._members, range):
+            given = np.asarray(cids)
+            if given.dtype.kind == "i" and given.ndim == 1 and 0 <= given.min() and given.max() < len(ids):
+                return given.astype(np.intp, copy=False)
         try:
             return np.fromiter(map(self._position.__getitem__, cids), dtype=np.intp, count=len(cids))
         except KeyError as exc:
@@ -473,9 +485,9 @@ class CouplePolicy:
     Couple j runs templates[which[j]]: the template's first schedule, in key
     order, goes to ids[2j] (commodity A), its second to ids[2j+1] (commodity
     B); the template's own keys are not read. cases[t] is template t's
-    construction case, for the wire format. A template is a CyclicPolicy, so
-    it is valid when it is built; the policy checks only that it holds two
-    schedules.
+    construction case, an integer in COUPLE_CASES, for the wire format. A
+    template is a CyclicPolicy, so it is valid when it is built; the policy
+    checks only that it holds two schedules.
     """
 
     templates: tuple[CyclicPolicy, ...]
@@ -492,6 +504,9 @@ class CouplePolicy:
         m = len(templates)
         if len(cases) != m:
             raise PolicyPartError(("cases",), f"expected {m} cases, one per template, got {len(cases)}")
+        for t, case in enumerate(cases):
+            if type(case) is not int or case not in COUPLE_CASES:
+                raise PolicyPartError((f"templates[{t}]", "case"), f"case must be an integer in 1..6, got {case!r}")
         if not which:
             raise PolicyPartError(("which",), "couple policy needs at least one couple")
         if min(which) < 0 or max(which) >= m:

@@ -202,7 +202,9 @@ def solve_sosi_dp(instance: Instance, eps: float, rhs: float | None = None) -> R
     the exact optimum while the budget constraint holds.
 
     The table has ceil(2n/eps) + n + 1 cells; one past DP_CELL_CAP raises
-    StateSpaceExceeded before any table is allocated.
+    StateSpaceExceeded before any table is allocated. Each commodity keeps a
+    row of picks, granule counts up to the last cell's index, stored in the
+    smallest unsigned type that holds that index.
     """
     if not (0 < eps < 1):
         raise ValueError("eps must lie in (0, 1)")
@@ -222,6 +224,8 @@ def solve_sosi_dp(instance: Instance, eps: float, rhs: float | None = None) -> R
     INF = float("inf")
     best = np.full(cells + 1, INF)
     best[0] = 0.0
+    # a pick is at most `cells` granules: uint16 under DP_CELL_CAP
+    pick_type = np.min_scalar_type(cells)
     picks: list[np.ndarray] = []
     for c in instance.commodities:
         # Allocations beyond the unconstrained optimum buy nothing.
@@ -231,7 +235,7 @@ def solve_sosi_dp(instance: Instance, eps: float, rhs: float | None = None) -> R
         T = np.minimum(caps, t_opt)
         w = c.K / T + c.H * T
         new = np.full(cells + 1, INF)
-        pick = np.zeros(cells + 1, dtype=np.int64)
+        pick = np.zeros(cells + 1, dtype=pick_type)
         for a in range(1, a_star + 1):
             cand = best[: cells + 1 - a] + w[a - 1]
             window = new[a:]
