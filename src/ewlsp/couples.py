@@ -18,9 +18,11 @@ The couple rules exist once, in pair_powers, which checks a column of pairs
 in one array pass and gives each its k. A CoupleInput is one pair held to
 them, and synthesize_couple builds its template. couple_policy builds a
 dense class's CouplePolicy from the columns of its near pairs, one
-couple_template per distinct (k, T_A), since a couple depends on (k, T_A)
-and its two ids alone, with no CoupleInput per pair; the distinct keys and
-each pair's template are found in array passes.
+couple_template per distinct (k, T_A), since a couple's schedule depends on
+(k, T_A) alone, with no CoupleInput per pair; the distinct keys and each
+pair's template are found in array passes. A template names no commodity:
+A's orders are keyed 0 and B's 1, as in a parsed couples entry, so a built
+CouplePolicy equals the one its entry parses back to.
 
 The published per-case guarantee table is kept alongside the slightly
 sharper constants that direct evaluation of these schedules yields (they
@@ -209,11 +211,12 @@ UNCHECKED_MAX_K = 12
 UNCHECKED_T_A = (2.0**-1000, 2.0**1000)
 
 
-def couple_template(k: int, T_A: float, id_A: int, id_B: int) -> CyclicPolicy:
+def couple_template(k: int, T_A: float) -> CyclicPolicy:
     """The joint schedule for T_A/T_B = 2**k rescaled to T_A, commodity A's
-    orders keyed by id_A and B's by id_B; it depends on nothing else. Each
-    normalized value p/q is read from the integer table of k
-    (_integer_schedules) and rescaled by T_A = m/d as (p*m)/(q*d).
+    orders keyed 0 and B's 1, as a parsed couples entry's template is keyed;
+    it depends on nothing else, no commodity id included. Each normalized
+    value p/q is read from the integer table of k (_integer_schedules) and
+    rescaled by T_A = m/d as (p*m)/(q*d).
 
     For 0 <= k <= UNCHECKED_MAX_K and T_A within UNCHECKED_T_A the policy is
     built without CyclicPolicy's check (CyclicPolicy.unchecked), which it
@@ -233,8 +236,8 @@ def couple_template(k: int, T_A: float, id_A: int, id_B: int) -> CyclicPolicy:
     m, d = T_A.as_integer_ratio()
     tau = (p * m) / (q * d)
     schedules = {
-        id_A: tuple([((tp * m) / (tq * d), (qp * m) / (qq * d)) for tp, tq, qp, qq in a_orders]),
-        id_B: tuple([((tp * m) / (tq * d), (qp * m) / (qq * d)) for tp, tq, qp, qq in b_orders]),
+        0: tuple([((tp * m) / (tq * d), (qp * m) / (qq * d)) for tp, tq, qp, qq in a_orders]),
+        1: tuple([((tp * m) / (tq * d), (qp * m) / (qq * d)) for tp, tq, qp, qq in b_orders]),
     }
     if 0 <= k <= UNCHECKED_MAX_K and UNCHECKED_T_A[0] <= T_A <= UNCHECKED_T_A[1]:
         return CyclicPolicy.unchecked(tau, schedules)
@@ -242,13 +245,18 @@ def couple_template(k: int, T_A: float, id_A: int, id_B: int) -> CyclicPolicy:
 
 
 def synthesize_couple(inp: CoupleInput) -> CoupleSchedule:
-    """Build the joint schedule for the pair, rescaled to the true T_A."""
+    """Build the joint schedule for the pair, rescaled to the true T_A: the
+    couple_template of its k and T_A, its schedules keyed by the pair's
+    commodity ids."""
     k = inp.k
     case_id = couple_case(k)
     claimed_vmax, claimed_cost = CLAIMED_RATIOS[case_id]
+    template = couple_template(k, inp.T_A)
+    # the template is checked, or proven to pass the check, whatever its keys
+    schedules = dict(zip((inp.commodity_A.id, inp.commodity_B.id), template.schedules.values()))
     return CoupleSchedule(
         case_id=case_id,
-        policy=couple_template(k, inp.T_A, inp.commodity_A.id, inp.commodity_B.id),
+        policy=CyclicPolicy.unchecked(template.tau, schedules),
         claimed_vmax_ratio=claimed_vmax,
         exact_vmax_ratio=EXACT_VMAX_RATIOS[case_id],
         claimed_cost_ratio=claimed_cost,
@@ -262,28 +270,26 @@ def couple_policy(ids_A, ids_B, T_A, T_B, gamma_A, gamma_B, eps: float) -> Coupl
     pair to the couple rules and gives its k. The distinct (k, T_A) keys are
     found in array passes: a stable sort of the pairs by (T_A, k) starts
     each run of equal keys at its first pair, and the keys are numbered in
-    order of their first pairs. couple_template then runs once per key, for
-    its first pair, since the schedule depends on nothing else; the
-    template, keyed by that pair's ids, is the policy's template as it is,
-    and its case couple_case(k)."""
+    order of their first pairs. couple_template then runs once per key,
+    since the schedule depends on nothing else; the template, keyed 0 and 1,
+    is the policy's template as it is, and its case couple_case(k). The
+    policy equals the one its entry (model.policy_entry) parses back to."""
     k = pair_powers(T_A, T_B, gamma_A, gamma_B, eps)
     T_A = np.asarray(T_A, dtype=float)
-    pair_ids = np.column_stack((ids_A, ids_B))
     order = np.lexsort((k, T_A))
     sorted_k, sorted_T = k[order], T_A[order]
     starts = np.empty(len(order), dtype=bool)
     starts[:1] = True
     np.not_equal(sorted_T[1:], sorted_T[:-1], out=starts[1:])
     starts[1:] |= sorted_k[1:] != sorted_k[:-1]
-    firsts = order[starts]  # each key's first pair, in sorted key order
-    by_first = np.argsort(firsts)
-    number = np.empty(len(firsts), dtype=np.intp)  # each sorted key's template
-    number[by_first] = np.arange(len(firsts))
+    by_first = np.argsort(order[starts])  # the sorted keys, by their first pairs
+    number = np.empty(len(by_first), dtype=np.intp)  # each sorted key's template
+    number[by_first] = np.arange(len(by_first))
     which = np.empty(len(order), dtype=np.intp)
     which[order] = number[np.add.accumulate(starts, dtype=np.intp) - 1]
     key_k, key_T = sorted_k[starts][by_first].tolist(), sorted_T[starts][by_first].tolist()
-    templates = list(map(couple_template, key_k, key_T, *pair_ids[firsts[by_first]].T.tolist()))
-    return CouplePolicy(templates, list(map(couple_case, key_k)), which.tolist(), pair_ids.ravel().tolist())
+    ids = np.column_stack((ids_A, ids_B)).ravel().tolist()
+    return CouplePolicy(list(map(couple_template, key_k, key_T)), list(map(couple_case, key_k)), which.tolist(), ids)
 
 
 def classify_pairs(

@@ -438,7 +438,10 @@ def combine_reports(reports: Iterable[EvalReport], instance: Instance) -> EvalRe
     and no per-commodity dict is built. The first report, in order, that
     shares a commodity with an earlier one raises a ValueError naming the
     shared ids; a lone report has no earlier one, so its ids are not
-    gathered.
+    gathered. The ids checked are those each report's policy names, so this
+    is the overlap check of the sub2 solver's union of blocks
+    (pipeline.AssembledPolicy.report, run on every solve); the policy
+    parser checks a file's blocks on its own.
     """
     reports = list(reports)
     ordering = holding = v_max = 0.0

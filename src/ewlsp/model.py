@@ -484,7 +484,9 @@ class CouplePolicy:
 
     Couple j runs templates[which[j]]: the template's first schedule, in key
     order, goes to ids[2j] (commodity A), its second to ids[2j+1] (commodity
-    B); the template's own keys are not read. cases[t] is template t's
+    B). A template names no commodity: the parser and couples.couple_template
+    key A's schedule 0 and B's 1, and the policy reads only the order of the
+    keys, not their values. cases[t] is template t's
     construction case, an integer in COUPLE_CASES, for the wire format. A
     template is a CyclicPolicy, so it is valid when it is built; the policy
     checks only that it holds two schedules.

@@ -28,21 +28,24 @@ conservative for feasibility. The paired schedules of one dense class form
 one couple block: its near pairs, over all its heavy subgroups, that agree
 on (k, T_A) share a single template. The dense branch runs on columns from
 the matching's weight table to the couple blocks: the matching places each
-commodity as a class index, each class reads its members' ids, matched
-intervals and gamma values from that column, splits them into heavy and
-light on those columns, and rounds and pairs all its heavy subgroups in one
-array pass (round_and_pair). Its couple policy is couples.couple_policy of
-the oriented near pairs' id, interval and gamma columns, which holds every
-pair to the one set of couple rules (couples.pair_powers); the pipeline
-keeps no rules of its own and makes no CoupleInput or Commodity.
+commodity as a class index, each class reads its members' id column once,
+in id order, with their matched intervals and gamma values, marks its heavy
+members with a mask over those columns (split_heavy_light), and rounds and
+pairs all its heavy subgroups in one array pass (round_and_pair); its heavy
+and light ids are slices of the one id column. Its couple policy is
+couples.couple_policy of the oriented near pairs' id, interval and gamma
+columns, which holds every pair to the one set of couple rules
+(couples.pair_powers); the pipeline keeps no rules of its own and makes no
+CoupleInput or Commodity.
 Each heavy subgroup q of class ell rounds with its own theta, the first
 uniform(-0.5, 0.5) of numpy's PCG64 stream for SeedSequence(entropy=seed,
 spawn_key=(ell, q)), which subgroup_thetas computes in integer arithmetic
 with no numpy object. The
 report is combine_reports over one report per block, as `ewlsp eval` sums
-the written entries; a one-block union, as every low-dense solve emits,
-gathers no id sets there or in AssembledPolicy, since a lone part overlaps
-no other. A couple block's report is evaluate's of its entry,
+the written entries, and it alone refuses blocks whose policies name a
+shared commodity; a one-block union, as every low-dense solve emits,
+gathers no id sets there, since a lone part overlaps no other. A couple
+block's report is evaluate's of its entry,
 taken in one pass over the instance's columns, and sums its couples'
 peaks, so how couples are grouped into blocks changes no certificate
 beyond the order of its sums. A block holds one of the model's policy
@@ -166,21 +169,12 @@ class AssembledPolicy:
     block (a Block holding a CouplePolicy) reports the summed peaks of its
     couples, as evaluate certifies its entry. Each dense class has at most
     one couple block, its policy couples.couple_policy of its near pairs.
-    Blocks that share a commodity raise a ValueError naming the shared ids;
-    a lone block has no other to share with, so its ids are not gathered.
+    The union is not checked when it is built: its report, combine_reports
+    over the blocks' reports, raises a ValueError naming the shared ids when
+    the blocks' policies share a commodity, whatever `Block.ids` say.
     """
 
     blocks: tuple[Block, ...]
-
-    def __post_init__(self):
-        if len(self.blocks) < 2:
-            return
-        seen: set[int] = set()
-        for b in self.blocks:
-            overlap = seen & set(b.ids)
-            if overlap:
-                raise ValueError(f"blocks overlap on commodities {sorted(overlap)}")
-            seen.update(b.ids)
 
     def report(self, instance: Instance) -> EvalReport:
         """combine_reports over one report per block, in emission order."""
@@ -385,45 +379,26 @@ def decompose_classes(
     )
 
 
-@dataclass(frozen=True)
-class HeavyLightSplit:
-    """A class's heavy and light members, each in id order, and the sizes of
-    its heavy subgroups: subgroup q holds the next sizes[q] heavy members.
-    `heavy_rows` and `light_rows` locate the members in the columns that
-    split_heavy_light was given."""
-
-    heavy: tuple[int, ...]
-    light: tuple[int, ...]
-    sizes: tuple[int, ...]
-    heavy_rows: np.ndarray = field(repr=False, compare=False)
-    light_rows: np.ndarray = field(repr=False, compare=False)
-
-
 def split_heavy_light(
-    ids: Sequence[int],
     T: np.ndarray,
     gamma: np.ndarray,
     V: float,
     ell: int,
     eps: float,
     Q: int,
-) -> HeavyLightSplit:
-    """Heavy commodities occupy more than 3/4 of the class slab on average
-    (gamma * T / 2 > 3/4 * V / (1 + eps)^(ell - 1), for the matched
-    intervals `T` and the `gamma` values of `ids`, in that order); they are
-    chopped into Q subgroups whose sizes differ by at most one."""
+) -> tuple[np.ndarray, list[int]]:
+    """The heavy mask over a class's columns, and the sizes of its heavy
+    subgroups. Heavy commodities occupy more than 3/4 of the class slab on
+    average (gamma * T / 2 > 3/4 * V / (1 + eps)^(ell - 1), for the matched
+    intervals `T` and the `gamma` values, column by column); they are
+    chopped, in column order, into Q subgroups whose sizes differ by at most
+    one: subgroup q holds the next sizes[q] heavy members."""
     slab = V / (1.0 + eps) ** (ell - 1)
-    ids = np.asarray(ids)
-    order = np.argsort(ids, kind="stable")
-    is_heavy = np.asarray(gamma, dtype=float)[order] * np.asarray(T, dtype=float)[order] / 2.0 > 0.75 * slab
-    heavy_rows, light_rows = order[is_heavy], order[~is_heavy]
-    count = len(heavy_rows)
+    heavy = np.asarray(gamma, dtype=float) * np.asarray(T, dtype=float) / 2.0 > 0.75 * slab
+    count = int(np.count_nonzero(heavy))
     Q = max(1, min(Q, count))
     base, extra = divmod(count, Q)
-    sizes = tuple(base + 1 if q < extra else base for q in range(Q)) if count else ()
-    return HeavyLightSplit(
-        tuple(ids[heavy_rows].tolist()), tuple(ids[light_rows].tolist()), sizes, heavy_rows, light_rows
-    )
+    return heavy, [base + 1 if q < extra else base for q in range(Q)] if count else []
 
 
 # ---------------------------------------------------------------------------
@@ -682,23 +657,23 @@ def run_dense_branch(
 
     The dense branch runs on columns: the matching reads the n x c weight
     table of build_matching_instance and places each commodity as a class
-    index (MimickingPartition.where); each class reads its members' ids,
-    matched intervals and gamma values from that column, the interval table
-    and the gamma column, in id order, splits them into heavy and light
-    members on those columns, draws one theta per heavy subgroup q, the
+    index (MimickingPartition.where); each class reads its members' id
+    column once, in id order, with their matched intervals and gamma values
+    from the interval table and the gamma column, marks its heavy members
+    with split_heavy_light's mask over those columns, slices its heavy and
+    light ids from that id column, draws one theta per heavy subgroup q, the
     first uniform(-0.5, 0.5) of numpy's stream for SeedSequence(entropy=seed,
     spawn_key=(ell, q)), computed in integer arithmetic (subgroup_thetas,
     from the seed's pool mixed once per solve), and rounds and pairs all its
     subgroups in one array pass (round_and_pair), and couples.couple_policy
     builds the policy of the class's one couple block from the oriented near
     pairs' columns; the couples of the class that agree on (k, T_A) share
-    one template.
+    one template. The difficult scenario that calls this has dense volume
+    at least (1/2 - 2 delta)V > 0, so the matching always has commodities.
     diag["couples"] counts the couples in the returned blocks."""
     eps = cfg.eps
     diag: dict = {"classes": {}, "couples": 0, "far_pair_counts": [], "a_ell": {}}
     mi, interval_table, gamma = build_matching_instance(instance, cfg, decomp)
-    if not mi.commodity_side:
-        return [], diag
     matched = solve_b_matching(mi)
     diag["matched_weight"] = matched.total_weight
     where = matched.where
@@ -712,23 +687,24 @@ def run_dense_branch(
     for l in np.flatnonzero(np.bincount(where)).tolist():  # class_side is sorted
         ell = mi.class_side[l]
         rows = by_id[class_by_id == l]  # the class's rows, in id order
-        ids, T = commodities[rows].tolist(), t_hat[rows]
+        class_ids, T = commodities[rows], t_hat[rows]
+        ids = class_ids.tolist()
         if decomp.labels[ell] == "suffix-sparse" or ell == INF_CLASS:
             blocks.append(_stationary(ids, IdColumn(ids, T), f"class{ell}:sosi"))
             diag["classes"][str(ell)] = "sosi"
             continue
 
         class_gamma = gamma[rows]
-        split = split_heavy_light(ids, T, class_gamma, instance.V, int(ell), eps, cfg.Q)
-        if len(split.light) >= len(ids) / 2.0:
+        heavy, sizes = split_heavy_light(T, class_gamma, instance.V, int(ell), eps, cfg.Q)
+        light_ids = class_ids[~heavy].tolist()
+        if len(light_ids) >= len(ids) / 2.0:
             blocks.append(_stationary(ids, IdColumn(ids, T), f"class{ell}:light-majority"))
             diag["classes"][str(ell)] = "light-majority"
             continue
 
-        sizes = split.sizes
         thetas = subgroup_thetas(pool, int(ell), len(sizes))
-        heavy_T, heavy_gamma = T[split.heavy_rows], class_gamma[split.heavy_rows]
-        paired = round_and_pair(split.heavy, heavy_T, heavy_gamma, sizes, thetas, eps)
+        heavy_T, heavy_gamma = T[heavy], class_gamma[heavy]
+        paired = round_and_pair(class_ids[heavy], heavy_T, heavy_gamma, sizes, thetas, eps)
         diag["far_pair_counts"] += paired.far.tolist()
 
         lhs = math.fsum((heavy_gamma * paired.rounded).tolist())
@@ -748,8 +724,8 @@ def run_dense_branch(
             # far pairs and the odd leftover keep their rounded intervals, in that order per subgroup
             singles = paired.single_ids.tolist()
             blocks.append(_stationary(sorted(singles), IdColumn(singles, paired.single_T), f"class{ell}:rounded-sosi"))
-        if split.light:
-            blocks.append(_stationary(split.light, IdColumn(split.light, T[split.light_rows]), f"class{ell}:light-sosi"))
+        if light_ids:
+            blocks.append(_stationary(light_ids, IdColumn(light_ids, T[~heavy]), f"class{ell}:light-sosi"))
         diag["classes"][str(ell)] = "po2-sync"
     return blocks, diag
 

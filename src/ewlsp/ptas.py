@@ -675,7 +675,9 @@ class _DpSolver:
         A combination's total is at least its interval cost plus the floors
         of its children, so the scan also stops once that exceeds the best
         total times (1 + PRUNE_RTOL). A child's value is read straight from
-        the memo when it is there.
+        the memo when it is there, so `state` is never in the memo yet: solve
+        calls this once, for the top state, and the scan only for a child
+        the memo lacks.
 
         A state at the last occupied level has no children, so its value is
         the first candidate's cost: the cheapest fitting combination, the
@@ -683,9 +685,6 @@ class _DpSolver:
         order, the first pattern that fits; several take it from
         `_leaf_pick` over the folded rows, and no candidate stream is
         built."""
-        known = self.memo.get(state)
-        if known is not None:
-            return known[0]
         if len(self.memo) >= self.state_cap:
             raise StateSpaceExceeded(f"memo grew past {self.state_cap} states")
         self.memo[state] = (None, None)  # occupy the slot; overwritten below

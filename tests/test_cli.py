@@ -9,6 +9,7 @@ import ewlsp.cli as cli
 from ewlsp.cli import generate_instance, main
 from ewlsp.errors import InfeasibleMatching, InfeasiblePolicy
 from ewlsp.model import Commodity, CouplePolicy, Instance, SosiPolicy, parse_instance, parse_policy, serialize_instance
+from ewlsp.ptas import ptas_solve
 from ewlsp.relaxation import DP_CELL_CAP, solve_sosi_relaxation
 
 from conftest import flat_content
@@ -316,6 +317,26 @@ class TestSolveEval:
         assert list(block["schedules"]) == ["0"]
 
 
+    @pytest.mark.parametrize("cap", [None, 1 << 7])
+    def test_ptas_solve_writes_its_skipped_guesses(self, tmp_path, monkeypatch, cap):
+        # under a cap of 2^7 patterns the guesses that put both commodities
+        # on one level are skipped, and the file counts them; at the default
+        # cap none is skipped and the file has no diagnostics
+        if cap is not None:
+            monkeypatch.setattr("ewlsp.ptas.ACTION_CAP", cap)
+        inst = Instance((Commodity(0, 1.0, 1.0, 1.0), Commodity(1, 4.0, 1.0, 1.0)), 1.5)
+        inst_path, out = tmp_path / "inst.json", tmp_path / "sol.json"
+        inst_path.write_bytes(serialize_instance(inst))
+        assert main(["solve", "--instance", str(inst_path), "--algo", "ptas", "--eps", "0.5", "--out", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        details = {}
+        ptas_solve(inst, 0.5, details=details)
+        if cap is None:
+            assert details["skipped_guesses"] == 0 and "diagnostics" not in payload
+        else:
+            assert payload["diagnostics"] == {"skipped_guesses": details["skipped_guesses"]}
+            assert details["skipped_guesses"] > 0
+
 # sha256 digests of fixed-seed `ewlsp solve` files: first of the flattened
 # content of their `blocks` (conftest.flat_content: the couples in emission
 # order and the stationary commodities in id order, however they are cut into
@@ -503,6 +524,12 @@ class TestErrorExitCodes:
         inst_path.write_text('{"V": 1}')
         assert main(["solve", "--instance", str(inst_path)]) == 3
         assert capsys.readouterr().err == "ewlsp: error: $.capacity: missing\n"
+
+    def test_instance_past_the_float_range_exits_3(self, tmp_path, capsys):
+        inst_path = tmp_path / "inst.json"
+        inst_path.write_text(f'{{"capacity": {10**400}, "commodities": [{{"id": 0, "K": 1, "H": 1, "gamma": 1}}]}}')
+        assert main(["solve", "--instance", str(inst_path)]) == 3
+        assert capsys.readouterr().err == "ewlsp: error: $.capacity: number out of range\n"
 
     @pytest.mark.parametrize("missing", ["instance", "policy"])
     def test_unreadable_input_file_exits_2(self, tmp_path, capsys, missing):

@@ -29,6 +29,7 @@ from ewlsp.eoq import constrained_interval
 from ewlsp.errors import NotAPowerOfTwo, SpaceMismatch
 from ewlsp.evaluator import EvalReport, combine_reports, evaluate, evaluate_sosi
 from ewlsp.matching import INF_CLASS, class_interval_cap, edge_weight
+from ewlsp import pipeline
 from ewlsp.model import Commodity, CouplePolicy, CyclicPolicy, IdColumn, Instance, SosiPolicy, parse_policy, policy_entry
 from ewlsp.pipeline import (
     AssembledPolicy,
@@ -531,11 +532,11 @@ def test_shared_schedule_is_built_once_per_key():
 
 
 @pytest.mark.parametrize("stray_first", [False, True])
-def test_parts_sharing_a_commodity_raise_the_error_of_combine_reports(stray_first):
-    # AssembledPolicy checks its blocks' ids, not the ids their policies
-    # name; a report over blocks that share a commodity is refused with
-    # combine_reports' error, which names the ids the first block to overlap
-    # shares with the earlier ones
+def test_parts_sharing_a_commodity_raise_the_error_of_combine_reports(stray_first, monkeypatch):
+    # the stray block's ids say (4,), but its policy names 0 and 2 as well:
+    # the overlap is found on the ids the policies name, by combine_reports,
+    # whose error names the ids the first block to overlap shares with the
+    # earlier ones
     inst = Instance(tuple(Commodity(i, 1.0, 1.0, 1.0) for i in range(5)), 1.0)
     couples = one_block([((0, 1.0, 1.0), (1, 1.0, 1.0)), ((2, 1.0, 1.0), (3, 1.0, 1.0))], inst, "c")
     stray = Block(ids=(4,), sosi=SosiPolicy({4: 1.0, 2: 1.0, 0: 0.5}))
@@ -545,6 +546,10 @@ def test_parts_sharing_a_commodity_raise_the_error_of_combine_reports(stray_firs
     with pytest.raises(ValueError) as got:
         AssembledPolicy(blocks).report(inst)
     assert str(got.value) == str(expected.value) == "reports overlap on commodities [0, 2]"
+    # a solve whose scenario emits such blocks is refused with the same error
+    monkeypatch.setattr(pipeline, "_dispatch", lambda *args: ("difficult", list(blocks), None))
+    with pytest.raises(ValueError, match=r"^reports overlap on commodities \[0, 2\]$"):
+        pipeline.solve_sub2(inst, PipelineConfig())
 
 
 def test_a_recurring_key_reuses_the_class_template():
@@ -556,19 +561,16 @@ def test_a_recurring_key_reuses_the_class_template():
     block = one_block(pairs, inst, "class7")
     assert block.couples.which == (0, 1, 1, 0)
     assert [t.tau for t in block.couples.templates] == [1.0, 2.0]
-    assert [list(t.schedules) for t in block.couples.templates] == [[0, 1], [2, 3]]
+    assert [list(t.schedules) for t in block.couples.templates] == [[0, 1], [0, 1]]
     assert block.ids == tuple(range(8))
 
 
 def test_heavy_split_is_strict_at_three_quarters_of_the_slab():
-    # at ell = 1 the slab is V; gamma * T / 2 equals 0.75 V exactly for
-    # commodity 0, which stays light, and exceeds it by an ulp for commodity 1
-    ids = [2, 1, 0]
+    # at ell = 1 the slab is V; gamma * T / 2 equals 0.75 V exactly for the
+    # last column, which stays light, and exceeds it by an ulp for the middle
     T = [0.5, math.nextafter(1.0, 2.0), 1.0]
-    split = split_heavy_light(ids, T, [1.5] * 3, 1.0, ell=1, eps=EPS, Q=1)
-    assert (split.heavy, split.light, split.sizes) == ((1,), (0, 2), (1,))
-    # the rows locate the members in the given columns
-    assert (split.heavy_rows.tolist(), split.light_rows.tolist()) == ([1], [2, 0])
+    heavy, sizes = split_heavy_light(T, [1.5] * 3, 1.0, ell=1, eps=EPS, Q=1)
+    assert (heavy.tolist(), sizes) == ([False, True, False], [1])
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@
 - A couple block whose templates have different order counts evaluates as
   the union of its couples' own policies.
 - couple_policy's key grouping equals a per-pair dict loop whose templates are
-  rescaled with Fraction arithmetic.
+  rescaled with Fraction arithmetic, and the policy equals the one its entry
+  parses back to.
 - Instance.positions' range path gives the positions and the KeyError of the
   one-id-at-a-time lookup.
 - A couple template's case lies in 1..6.
@@ -61,7 +62,7 @@ def synthesized_templates(draw):
         T_A = math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), draw(st.integers(1001, 1024)))
     else:
         T_A = math.ldexp(draw(st.floats(0.5, 1.0, exclude_max=True)), draw(st.integers(-40, 40)))
-    return couple_template(k, T_A, 0, 1)
+    return couple_template(k, T_A)
 
 
 @st.composite
@@ -167,16 +168,16 @@ def test_block_of_mixed_widths_evaluates_as_the_union_of_its_couples(case):
 # ---------------------------------------------------------------------------
 
 
-def fraction_template(k, T_A, id_A, id_B):
-    """The template of (k, T_A), each normalized value x rescaled as
-    float(x * T_A) in exact rationals."""
+def fraction_template(k, T_A):
+    """The template of (k, T_A), keyed 0 (A) and 1 (B), each normalized
+    value x rescaled as float(x * T_A) in exact rationals."""
     tau, a_orders, b_orders = _normalized_schedules(k)
     scale = Fraction(T_A)
 
     def scaled(orders):
         return tuple((float(t * scale), float(q * scale)) for t, q in orders)
 
-    return CyclicPolicy(float(tau * scale), {id_A: scaled(a_orders), id_B: scaled(b_orders)})
+    return CyclicPolicy(float(tau * scale), {0: scaled(a_orders), 1: scaled(b_orders)})
 
 
 def reference_couple_policy(ids_A, ids_B, T_A, T_B, gamma_A, gamma_B, eps):
@@ -188,7 +189,7 @@ def reference_couple_policy(ids_A, ids_B, T_A, T_B, gamma_A, gamma_B, eps):
     for j, key in enumerate(zip(k, [float(x) for x in T_A])):
         if key not in shared:
             shared[key] = len(templates)
-            templates.append(fraction_template(*key, ids[2 * j], ids[2 * j + 1]))
+            templates.append(fraction_template(*key))
             cases.append(min(key[0] + 1, 6))
         which.append(shared[key])
     return templates, cases, which, ids
@@ -235,6 +236,8 @@ def test_couple_policy_matches_the_per_pair_dict_loop(columns):
     assert [template_bits(t) for t in policy.templates] == [template_bits(t) for t in templates]
     assert list(policy.cases) == cases and list(policy.which) == which and list(policy.ids) == ids
     assert all(type(x) is int for x in policy.which + policy.ids + policy.cases)
+    # the policy is the one its entry parses back to, templates keyed 0 and 1
+    assert parse_policy(json.dumps(policy_entry(policy))) == policy
 
 
 def test_couple_policy_numbers_keys_by_first_pair():
@@ -246,7 +249,7 @@ def test_couple_policy_numbers_keys_by_first_pair():
     policy = couple_policy(list(range(5)), list(range(5, 10)), T_A, T_B, gamma_A, gamma_A * T_A / T_B, EPS)
     assert [t.tau for t in policy.templates] == [2.0, 1.0, 1.0]
     assert list(policy.which) == [0, 1, 0, 2, 1] and list(policy.cases) == [1, 2, 1]
-    assert [list(t.schedules) for t in policy.templates] == [[0, 5], [1, 6], [3, 8]]
+    assert [list(t.schedules) for t in policy.templates] == [[0, 1]] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +317,7 @@ def test_couple_cases_are_the_claimed_cases():
 
 def couple_text(cases):
     """A couples entry of two templates (k = 0 and 1) with these cases, as JSON."""
-    templates = [couple_template(0, 1.0, 0, 1), couple_template(1, 2.0, 0, 1)]
+    templates = [couple_template(0, 1.0), couple_template(1, 2.0)]
     entry = policy_entry(CouplePolicy(templates, [1, 2], [0, 1], [0, 1, 2, 3]))
     for template, case in zip(entry["couples"]["templates"], cases):
         template["case"] = case
@@ -323,7 +326,7 @@ def couple_text(cases):
 
 @pytest.mark.parametrize("case", [0, -3, 7, 10**40])
 def test_case_outside_one_to_six_is_refused(case):
-    templates = [couple_template(0, 1.0, 0, 1), couple_template(1, 2.0, 0, 1)]
+    templates = [couple_template(0, 1.0), couple_template(1, 2.0)]
     with pytest.raises(PolicyPartError, match=f"case must be an integer in 1..6, got {case}$") as exc:
         CouplePolicy(templates, [1, case], [0, 1], [0, 1, 2, 3])
     assert exc.value.part == ("templates[1]", "case")
@@ -336,7 +339,7 @@ def test_case_outside_one_to_six_is_refused(case):
 
 
 def test_case_must_be_an_integer():
-    templates = [couple_template(0, 1.0, 0, 1)]
+    templates = [couple_template(0, 1.0)]
     for case in (True, 1.0, np.int64(1)):
         with pytest.raises(PolicyPartError, match="case must be an integer in 1..6"):
             CouplePolicy(templates, [case], [0], [0, 1])

@@ -23,7 +23,7 @@ from ewlsp.cli import generate_instance
 from ewlsp.couples import CoupleInput, classify_pairs, synthesize_couple
 from ewlsp.evaluator import combine_reports, evaluate, evaluate_sosi
 from ewlsp.matching import solve_b_matching
-from ewlsp.model import Instance, parse_policy
+from ewlsp.model import Instance, parse_policy, policy_entry
 from ewlsp.po2 import _split_exponent, po2_round
 from ewlsp.pipeline import (
     PipelineConfig,
@@ -257,10 +257,9 @@ def scalar_couples(instance, cfg, seed, classes):
     for ell in (int(e) for e, outcome in classes.items() if outcome == "po2-sync"):
         ids = sorted(i for i, e in assigned.items() if e == ell)
         class_T, class_gamma = [t_hat[i] for i in ids], [instance.commodity(i).gamma for i in ids]
-        split = split_heavy_light(ids, class_T, class_gamma, instance.V, ell, cfg.eps, cfg.Q)
-        heavy = list(split.heavy)
+        mask, sizes = split_heavy_light(class_T, class_gamma, instance.V, ell, cfg.eps, cfg.Q)
+        heavy = [i for i, is_heavy in zip(ids, mask.tolist()) if is_heavy]
         gamma = [instance.commodity(i).gamma for i in heavy]
-        sizes = split.sizes
         thetas = [numpy_theta(seed, ell, q) for q in range(len(sizes))]
         _, groups = scalar_chain(heavy, [t_hat[i] for i in heavy], gamma, sizes, thetas, cfg.eps)
         for couples, _, _ in groups:
@@ -337,3 +336,14 @@ def test_ladder_solve_reports_each_block_as_its_written_entry_certifies():
     combined = combine_reports(parts, inst)
     assert exact(assembled.report(inst)) == exact(report) == exact(combined)
     assert list(report.avg_inventory) == list(combined.avg_inventory)
+
+
+@pytest.mark.parametrize("regime, seed, n, pipeline_seed", [("dense-heavy", 11, 200, 1), ("dense-ladder", 2, 1000, 0)])
+def test_every_couple_block_is_the_policy_its_entry_parses_back_to(regime, seed, n, pipeline_seed):
+    # a couple template names no commodity, as a parsed entry's does not
+    inst = generate_instance(seed, n, 1.0, regime)
+    assembled, _, diag = solve_sub2(inst, PipelineConfig(), seed=pipeline_seed)
+    policies = [b.couples for b in assembled.blocks if b.couples is not None]
+    assert policies and sum(len(p.which) for p in policies) == diag["dense"]["couples"]
+    for policy in policies:
+        assert parse_policy(json.dumps(policy_entry(policy))) == policy

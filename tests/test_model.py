@@ -435,6 +435,38 @@ couples_like = st.fixed_dictionaries(
 json_documents = any_json | policy_like | sosi_like | couples_like | instance_like
 
 
+# the outer errors, before any field is read, and a number past the float range
+OUTER_ERRORS = [
+    (b"\xff", "$: not UTF-8 ('utf-8' codec can't decode byte 0xff in position 0: invalid start byte)"),
+    ("{", "$: invalid JSON (Expecting property name enclosed in double quotes: line 1 column 2 (char 1))"),
+    ("[]", "$: expected an object"),
+]
+HUGE = 10**400
+
+
+@pytest.mark.parametrize("text, message", OUTER_ERRORS, ids=["utf8", "json", "array"])
+@pytest.mark.parametrize("parse", [parse_instance, parse_policy, lambda text: parse_policies(text, FIVE)], ids=["instance", "policy", "policies"])
+def test_parsers_name_the_outer_errors(parse, text, message):
+    with pytest.raises(SchemaError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "parse, text, message",
+    [
+        (parse_instance, f'{{"capacity": {HUGE}, "commodities": [{{"id": 0, "K": 1, "H": 1, "gamma": 1}}]}}', "$.capacity: number out of range"),
+        (parse_policy, f'{{"tau": {HUGE}, "schedules": {{"0": [[0, 1]]}}}}', "$.tau: number out of range"),
+        (lambda text: parse_policies(text, FIVE), f'{{"blocks": [{{"tau": {HUGE}, "schedules": {{"0": [[0, 1]]}}}}]}}', "$.blocks[0].tau: number out of range"),
+    ],
+    ids=["instance", "policy", "policies"],
+)
+def test_parsers_refuse_a_number_past_the_float_range(parse, text, message):
+    with pytest.raises(SchemaError) as exc:
+        parse(text)
+    assert str(exc.value) == message
+
+
 @given(doc=json_documents)
 @settings(max_examples=1000, deadline=None)
 def test_parsers_accept_or_raise_schema_error(doc):

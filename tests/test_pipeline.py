@@ -158,17 +158,18 @@ class TestDecomposition:
 
 class TestHeavyLight:
     def test_partition_and_subgroup_sizes(self):
-        ids = list(range(11))
-        split = split_heavy_light(ids, [1.0] * 11, [1.6] * 11, 1.0, ell=1, eps=0.05, Q=4)
-        assert set(split.heavy) | set(split.light) == set(ids)
-        assert split.sizes == (3, 3, 3, 2)
-        assert len(split.heavy) == 11
+        heavy, sizes = split_heavy_light([1.0] * 11, [1.6] * 11, 1.0, ell=1, eps=0.05, Q=4)
+        assert heavy.dtype == bool and heavy.all() and len(heavy) == 11
+        assert sizes == [3, 3, 3, 2]
 
     def test_heavy_definition(self):
         # gamma*T/2 = 0.8 > 3/4 of slab V=1 -> heavy; 0.7 -> light
-        split = split_heavy_light([0, 1], [1.0, 1.0], [1.6, 1.4], 1.0, ell=1, eps=0.05, Q=2)
-        assert split.heavy == (0,)
-        assert split.light == (1,)
+        heavy, sizes = split_heavy_light([1.0, 1.0], [1.6, 1.4], 1.0, ell=1, eps=0.05, Q=2)
+        assert heavy.tolist() == [True, False]
+        assert sizes == [1]
+        # no heavy member, no subgroup
+        heavy, sizes = split_heavy_light([1.0, 1.0], [1.4, 1.4], 1.0, ell=1, eps=0.05, Q=2)
+        assert heavy.tolist() == [False, False] and sizes == []
 
 
 class TestSolveSub2:
@@ -633,10 +634,11 @@ class TestBlocks:
             assert _bits(got) == [repr(x) for x in (*sums, inst.V)] + list(zip(part.avg_inventory.ids, map(repr, part.avg_inventory.column.tolist())))
 
     def test_overlapping_blocks_are_refused(self):
+        inst = make_instance([(1, 1, 1)] * 4, 10.0)
         first = Block(ids=(0, 1, 2), sosi=SosiPolicy({0: 1.0, 1: 1.0, 2: 1.0}))
         second = Block(ids=(3, 2, 1), sosi=SosiPolicy({3: 1.0, 2: 1.0, 1: 1.0}))
-        with pytest.raises(ValueError, match=r"blocks overlap on commodities \[1, 2\]"):
-            AssembledPolicy((first, second))
+        with pytest.raises(ValueError, match=r"^reports overlap on commodities \[1, 2\]$"):
+            AssembledPolicy((first, second)).report(inst)
 
     def test_assembled_scaling(self):
         inst = dense_heavy_instance(5, 20)
